@@ -4,12 +4,12 @@
 # needed): prepend the src/ layout to PYTHONPATH for all recipes.
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push examples figures chaos chaos-check replay-check degrade-check push-check parallel-check experiments-smoke experiments-full ci lint clean
+.PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push examples figures chaos chaos-check replay-check degrade-check push-check parallel-check ledger-check experiments-smoke experiments-full ci lint clean
 
 install:
 	pip install -e .
 
-test: replay-check degrade-check push-check parallel-check experiments-smoke bench-scale bench-push
+test: chaos-check replay-check degrade-check push-check parallel-check ledger-check experiments-smoke bench-scale bench-push
 	pytest tests/
 
 # Tier-1 + obs tests minus the multi-second soak/full-scale/example runs;
@@ -115,19 +115,27 @@ push-check:
 	@rm -f .push-a.jsonl .push-b.jsonl
 	@pytest tests/test_push_equivalence.py -q
 
-# Parallel-stepping equivalence gate (docs/SHARDING.md, "Parallel
-# stepping & epoch barriers"): serial (--jobs 1) and threaded (--jobs 4)
-# epoch stepping of the same sharded chaos scenario must produce
-# byte-identical metric snapshots (--parallel needs --shards >= 2), and
-# the serial-vs-parallel equivalence suite must pass across shard
-# strategies and poll-dispatch modes.
+# Parallel-stepping equivalence gate (docs/SHARDING.md, "Epoch stepping
+# & the cross-shard floor"): serial (--jobs 1) and threaded (--jobs 4)
+# stepping of the same sharded chaos scenario must produce
+# byte-identical metric snapshots, and the serial-vs-parallel
+# equivalence suite must pass across shard strategies and poll-dispatch
+# modes.
 parallel-check:
-	@python -m repro chaos --scenario outage --seed 7 --shards 4 --parallel --jobs 1 --snapshot .par-a.jsonl > /dev/null || exit 1
-	@python -m repro chaos --scenario outage --seed 7 --shards 4 --parallel --jobs 4 --snapshot .par-b.jsonl > /dev/null || exit 1
+	@python -m repro chaos --scenario outage --seed 7 --shards 4 --jobs 1 --snapshot .par-a.jsonl > /dev/null || exit 1
+	@python -m repro chaos --scenario outage --seed 7 --shards 4 --jobs 4 --snapshot .par-b.jsonl > /dev/null || exit 1
 	@cmp .par-a.jsonl .par-b.jsonl || exit 1
 	@echo "parallel determinism: OK (jobs=1 vs jobs=4 snapshots byte-identical)"
 	@rm -f .par-a.jsonl .par-b.jsonl
 	@pytest tests/test_parallel_equivalence.py tests/test_simcore_parallel.py -q
+
+# Benchmark-adapter contract gate (benchmarks/ledger/README.md): the
+# ledger's own suite asserts every traced entry point is still defined
+# on its class and runs all five workloads traced in --quick mode, so a
+# src/ refactor that breaks the adapters fails here, not in the bench
+# pipeline (~20 s).
+ledger-check:
+	@pytest benchmarks/ledger -q
 
 # Experiment-matrix smoke gate (EXPERIMENTS.md): run the committed
 # smoke spec twice — once subprocess-isolated in parallel, once
@@ -157,9 +165,10 @@ lint:
 		python tools/lint.py; \
 	fi
 
-# What CI runs on every push/PR: lint, the tier-1 fast suite, and the
-# experiment smoke gate — no multi-minute bench regeneration.
-ci: lint test-fast experiments-smoke
+# What CI runs on every push/PR: lint, the tier-1 fast suite, the
+# ledger adapter-contract suite, and the experiment smoke gate — no
+# multi-minute bench regeneration.
+ci: lint test-fast ledger-check experiments-smoke
 
 clean:
 	rm -rf figures/ .pytest_cache/ src/repro.egg-info/ .chaos-a.jsonl .chaos-b.jsonl .replay-a.jsonl .replay-b.jsonl .degrade-a.jsonl .degrade-b.jsonl .push-a.jsonl .push-b.jsonl .par-a.jsonl .par-b.jsonl .exp-smoke-a .exp-smoke-b experiment-results/

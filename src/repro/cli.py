@@ -7,13 +7,14 @@ Examples::
     python -m repro t2a --applet A2 --scenario E3 --runs 10
     python -m repro timeline
     python -m repro loops --kind implicit --runtime-detection
-    python -m repro fleet --applets 150 --push
+    python -m repro fleet --applets 150 --delivery hint
     python -m repro chaos --scenario outage --snapshot chaos.jsonl
     python -m repro chaos --scenario partition --faults plan.json
     python -m repro chaos --scenario outage --shards 4 --snapshot fleet.jsonl
     python -m repro chaos --scenario outage --replay --snapshot replay.jsonl
     python -m repro chaos --scenario brownout --adaptive
     python -m repro chaos --scenario outage --delivery push --shards 4
+    python -m repro chaos --scenario outage --shards 4 --jobs 4
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ import sys
 from typing import List, Optional
 
 from repro import __version__
+
+#: ``--delivery`` choices (``repro.engine.push.DELIVERY_MODES``, spelled out
+#: so building the parser imports no engine code).
+_DELIVERY_CHOICES = ("poll", "hint", "push")
 
 
 def _cmd_ecosystem(args: argparse.Namespace) -> int:
@@ -124,11 +129,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.testbed.workload import run_fleet_experiment
 
     result = run_fleet_experiment(
-        n_applets=args.applets, push=args.push,
-        publications=args.publications, seed=args.seed,
+        n_applets=args.applets, publications=args.publications,
+        seed=args.seed, delivery_mode=args.delivery,
     )
-    regime = "push" if args.push else "poll"
-    print(f"{args.applets}-applet fleet under {regime}:")
+    print(f"{args.applets}-applet fleet under {args.delivery}:")
     print(f"  actions executed: {result.actions_executed}")
     print(f"  median latency:   {result.median_latency():.2f} s")
     print(f"  peak polls/s:     {result.peak_polls_per_second()}")
@@ -160,8 +164,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    if args.parallel and args.shards < 2:
-        print("--parallel requires --shards >= 2", file=sys.stderr)
+    if args.jobs > 1 and args.shards < 2:
+        print(f"--jobs {args.jobs} needs --shards >= 2: the single-engine "
+              "world has one simulator to step", file=sys.stderr)
         return 2
     if args.replay_batch_limit < 1:
         print(f"--replay-batch-limit must be >= 1, got {args.replay_batch_limit}",
@@ -196,8 +201,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 args.scenario, seed=args.seed, plan=plan,
                 num_shards=args.shards, shard_strategy=args.shard_strategy,
                 replay=replay_policy, delivery=delivery_policy,
-                delivery_mode=args.delivery,
-                parallel=args.parallel, jobs=args.jobs,
+                delivery_mode=args.delivery, jobs=args.jobs,
             )
         return run_chaos_scenario(
             args.scenario, seed=args.seed, plan=plan,
@@ -373,8 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser("fleet", help="fleet-scale poll-vs-push experiment (§6)")
     fleet.add_argument("--applets", type=int, default=150)
-    fleet.add_argument("--push", action="store_true",
-                       help="honour realtime hints for everyone (full push)")
+    fleet.add_argument("--delivery", default="poll",
+                       choices=_DELIVERY_CHOICES,
+                       help="how publications reach the engine: poll (default), "
+                            "hint (realtime hints, all honoured — §6's push "
+                            "burst), or push (payload notifications; see "
+                            "docs/DELIVERY.md)")
     fleet.add_argument("--publications", type=int, default=4)
     fleet.add_argument("--seed", type=int, default=5)
     fleet.add_argument("--metrics", metavar="PATH",
@@ -386,18 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="outage, partition, flappy, or brownout (default outage)")
     chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="run against a sharded engine fleet of N shards "
+                       help="run against a sharded engine fleet of N shards, "
+                            "one epoch-stepped simulator each "
                             "(1 = the single-engine world)")
     chaos.add_argument("--shard-strategy", default="service_hash",
                        choices=("service_hash", "round_robin", "popularity_balanced"),
                        help="applet-to-shard assignment strategy (see docs/SHARDING.md)")
-    chaos.add_argument("--parallel", action="store_true",
-                       help="step shards on per-shard simulators with epoch "
-                            "barriers (requires --shards >= 2; byte-identical "
-                            "snapshots for any --jobs; see docs/SHARDING.md)")
     chaos.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker threads for --parallel epoch stepping "
-                            "(default 1 = serial stepping of the same world)")
+                       help="worker threads stepping the shards (needs "
+                            "--shards >= 2; default 1 = serial stepping; "
+                            "byte-identical snapshots for any N; see "
+                            "docs/SHARDING.md)")
     chaos.add_argument("--replay", action="store_true",
                        help="enable dead-letter replay on heal and report the "
                             "catch-up burst, batched vs unbatched")
@@ -405,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="actions coalesced per batched replay request "
                             "(default 50, the paper's polling limit)")
     chaos.add_argument("--delivery", default="poll",
-                       choices=("poll", "hint", "push"),
+                       choices=_DELIVERY_CHOICES,
                        help="how sensor events reach the engine: poll (default), "
                             "hint (realtime hints, all honoured), or push "
                             "(payload notifications under the push contract; "

@@ -13,8 +13,9 @@ results.
 
 Three cell kinds map onto the reproduction's existing worlds:
 
-``chaos``  → :class:`~repro.testbed.chaos.ChaosWorld` /
-             :class:`~repro.testbed.chaos.ShardedChaosWorld`
+``chaos``  → :class:`~repro.testbed.chaos.ChaosWorld`, or the one
+             sharded world :class:`~repro.testbed.chaos.ShardedChaosWorld`
+             (epoch-stepped, serial) when ``shards`` or ``corpus_size`` > 1
 ``t2a``    → :class:`~repro.testbed.testbed.Testbed` +
              :meth:`~repro.testbed.controller.TestController.measure_t2a`
 ``fleet``  → :func:`~repro.testbed.workload.run_fleet_experiment`
@@ -27,10 +28,10 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from typing import Any, Dict, List, Tuple
 
 from repro.engine.config import EngineConfig
-from repro.engine.poller import FixedPollingPolicy
 from repro.experiments.results import CellResult, MatrixResults, RepeatOutcome
 from repro.experiments.spec import (
     Cell,
@@ -44,9 +45,9 @@ from repro.experiments.spec import (
 )
 from repro.obs.metrics import deterministic_snapshot
 from repro.testbed.chaos import (
-    ChaosScenario,
     ChaosWorld,
     ShardedChaosWorld,
+    chaos_engine_config,
     chaos_scenario,
 )
 from repro.testbed.controller import TestController
@@ -60,41 +61,18 @@ PHASE_ORDER = ("before", "during", "after")
 # -- kind runners ------------------------------------------------------------------
 
 
-def _chaos_engine_config(poll_interval: float, poll_dispatch: str) -> EngineConfig:
-    """The chaos worlds' default engine config, plus the swept dispatcher."""
-    return EngineConfig(
-        poll_policy=FixedPollingPolicy(poll_interval),
-        initial_poll_delay=0.5,
-        poll_timeout=10.0,
-        action_timeout=10.0,
-        poll_dispatch=poll_dispatch,
-    )
-
-
-def _chaos_scenario_for(spec: ExperimentSpec, cell: Cell) -> ChaosScenario:
-    """The cell's scenario, with a spec-defined plan swapped in if named."""
-    scenario = chaos_scenario(cell.params["scenario"])
-    plan = resolve_fault_plan(spec, cell)
-    if plan is None:
-        return scenario
-    return ChaosScenario(
-        name=scenario.name,
-        description=f"{scenario.description} (plan {cell.params['fault_plan']!r})",
-        event_times=scenario.event_times,
-        plan=plan,
-    )
-
-
 def _run_chaos(spec: ExperimentSpec, cell: Cell, seed: int) -> Tuple[List[float], Dict[str, Any], Dict[str, Any]]:
     params = cell.params
     knobs = cell.sweep.knobs
-    scenario = _chaos_scenario_for(spec, cell)
-    config = _chaos_engine_config(knobs["poll_interval"], params["poll_dispatch"])
+    scenario = chaos_scenario(params["scenario"], resolve_fault_plan(spec, cell))
+    config = replace(
+        chaos_engine_config(knobs["poll_interval"]),
+        poll_dispatch=params["poll_dispatch"],
+    )
     sharded = params["shards"] > 1 or params["corpus_size"] > 1
     if sharded:
         world = ShardedChaosWorld(
             seed=seed,
-            poll_interval=knobs["poll_interval"],
             num_shards=params["shards"],
             shard_strategy=params["shard_strategy"],
             pairs=params["corpus_size"],
@@ -104,7 +82,6 @@ def _run_chaos(spec: ExperimentSpec, cell: Cell, seed: int) -> Tuple[List[float]
     else:
         world = ChaosWorld(
             seed=seed,
-            poll_interval=knobs["poll_interval"],
             engine_config=config,
             delivery_mode=params["delivery_mode"],
         )

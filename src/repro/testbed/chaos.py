@@ -49,7 +49,9 @@ sensor/sink pairs spread across N shards, with every scenario's fault
 retargeted to exactly one "victim" pair (and, for partitions, its home
 shard's uplink).  A sharded run proves *isolation* — the victim shard's
 breaker opens and recovers while the other shards' T2A matches a
-fault-free run — on top of the fleet-wide conservation invariant.
+fault-free run — on top of the fleet-wide conservation invariant.  Each
+shard is an epoch-stepped simulator cell; a hop between cells costs at
+least :data:`~repro.simcore.parallel.DEFAULT_LOOKAHEAD` (50 ms).
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ from repro.obs.metrics import (
 )
 from repro.services.endpoints import ActionEndpoint, TriggerEndpoint
 from repro.services.partner import PartnerService
-from repro.simcore.parallel import DEFAULT_LOOKAHEAD, ShardedSimulator
+from repro.simcore.parallel import ShardedSimulator
 from repro.simcore.rng import Rng
 from repro.simcore.simulator import Simulator
 from repro.simcore.trace import Trace
@@ -115,8 +117,25 @@ CHAOS_USER = "chaos"
 DRAIN_SECONDS = 90.0
 
 
-def _apply_delivery_mode(config: EngineConfig, delivery_mode: str) -> EngineConfig:
-    """Rewrite an engine config for one of the three delivery modes.
+def chaos_engine_config(poll_interval: float) -> EngineConfig:
+    """The engine config every chaos world runs unless handed its own."""
+    return EngineConfig(
+        poll_policy=FixedPollingPolicy(poll_interval),
+        initial_poll_delay=0.5,
+        poll_timeout=10.0,
+        action_timeout=10.0,
+    )
+
+
+def _world_config(
+    engine_config: Optional[EngineConfig],
+    poll_interval: float,
+    replay: Optional[ReplayPolicy],
+    delivery: Optional[DeliveryPolicy],
+    delivery_mode: str,
+) -> EngineConfig:
+    """A chaos world's engine config: its base, the ``replay`` /
+    ``delivery`` policies when given, and one of three delivery modes.
 
     ``poll`` leaves the config untouched (the byte-identical default).
     ``hint`` honours every service's realtime hints
@@ -131,6 +150,11 @@ def _apply_delivery_mode(config: EngineConfig, delivery_mode: str) -> EngineConf
             f"unknown delivery_mode {delivery_mode!r}; "
             f"expected one of {DELIVERY_MODES}"
         )
+    config = engine_config or chaos_engine_config(poll_interval)
+    if replay is not None:
+        config = replace(config, replay_policy=replay)
+    if delivery is not None:
+        config = replace(config, delivery_policy=delivery)
     if delivery_mode == "hint":
         return replace(config, realtime_allowlist=None)
     if delivery_mode == "push" and config.push_policy is None:
@@ -200,14 +224,19 @@ CHAOS_SCENARIOS: Dict[str, ChaosScenario] = {
 }
 
 
-def chaos_scenario(name: str) -> ChaosScenario:
-    """Look up a built-in chaos scenario by name."""
+def chaos_scenario(name: str, plan: Optional[FaultPlan] = None) -> ChaosScenario:
+    """Look up a built-in chaos scenario, optionally swapping in ``plan``."""
     try:
-        return CHAOS_SCENARIOS[name]
+        scenario = CHAOS_SCENARIOS[name]
     except KeyError:
         raise KeyError(
             f"unknown chaos scenario {name!r}; expected one of {sorted(CHAOS_SCENARIOS)}"
         ) from None
+    if plan is None:
+        return scenario
+    return replace(
+        scenario, description=f"{scenario.description} (custom plan)", plan=plan
+    )
 
 
 class _FaultWindowWatcher:
@@ -370,15 +399,18 @@ def _replay_report(
     )
 
 
-def _quartile_drift(
-    post: Optional[Tuple[float, float, float]],
-    base: Optional[Tuple[float, float, float]],
-) -> float:
-    """Worst relative quartile deviation (0.0 when either side is unmeasured)."""
-    if post is None or base is None:
-        return 0.0
-    drifts = [abs(p - b) / b for p, b in zip(post, base) if b > 0]
-    return max(drifts) if drifts else 0.0
+class _QuartileDrift:
+    """The quartile-restoration readout both result records share."""
+
+    @property
+    def post_heal_quartile_drift(self) -> float:
+        """Worst relative deviation of the post-heal quartiles from the
+        base policy's (0.0 when the run measured no quartiles)."""
+        post, base = self.post_heal_quartiles, self.baseline_quartiles
+        if post is None or base is None:
+            return 0.0
+        drifts = [abs(p - b) / b for p, b in zip(post, base) if b > 0]
+        return max(drifts) if drifts else 0.0
 
 
 def _delivery_extras(
@@ -466,7 +498,7 @@ def _delivery_summary_lines(result: Any) -> List[str]:
 
 
 @dataclass
-class ChaosResult:
+class ChaosResult(_QuartileDrift):
     """Everything a chaos run proves, in one record."""
 
     scenario: str
@@ -498,12 +530,6 @@ class ChaosResult:
     #: the stretch has decayed, i.e. the §4 distribution is restored.
     post_heal_quartiles: Optional[Tuple[float, float, float]] = None
     baseline_quartiles: Optional[Tuple[float, float, float]] = None
-
-    @property
-    def post_heal_quartile_drift(self) -> float:
-        """Worst relative deviation of the post-heal quartiles from the
-        base policy's (0.0 when the run measured no quartiles)."""
-        return _quartile_drift(self.post_heal_quartiles, self.baseline_quartiles)
 
     @property
     def actions_silently_lost(self) -> int:
@@ -574,24 +600,13 @@ class ChaosWorld:
         delivery_mode: str = "poll",
     ) -> None:
         self.seed = seed
-        self.delivery_mode = delivery_mode
         self.sim = Simulator()
         self.rng = Rng(seed=seed, name="chaos")
         self.trace = Trace()
         self.metrics = MetricsRegistry()
         self.sim.metrics = self.metrics
         self.network = Network(self.sim, self.rng.fork("network"), metrics=self.metrics)
-        config = engine_config or EngineConfig(
-            poll_policy=FixedPollingPolicy(poll_interval),
-            initial_poll_delay=0.5,
-            poll_timeout=10.0,
-            action_timeout=10.0,
-        )
-        if replay is not None:
-            config = replace(config, replay_policy=replay)
-        if delivery is not None:
-            config = replace(config, delivery_policy=delivery)
-        config = _apply_delivery_mode(config, delivery_mode)
+        config = _world_config(engine_config, poll_interval, replay, delivery, delivery_mode)
         self.engine = self.network.add_node(IftttEngine(
             Address(ENGINE_HOST), config=config,
             rng=self.rng.fork("engine"), trace=self.trace, service_time=0.0,
@@ -735,14 +750,7 @@ def run_chaos_scenario(
     ``hint`` (realtime hints, all honoured), or ``push`` (payload
     notifications under the push contract; see ``--delivery``).
     """
-    scenario = chaos_scenario(name)
-    if plan is not None:
-        scenario = ChaosScenario(
-            name=scenario.name,
-            description=f"{scenario.description} (custom plan)",
-            event_times=scenario.event_times,
-            plan=plan,
-        )
+    scenario = chaos_scenario(name, plan)
     world = ChaosWorld(
         seed=seed, poll_interval=poll_interval, replay=replay, delivery=delivery,
         delivery_mode=delivery_mode,
@@ -788,7 +796,7 @@ def retarget_plan_for_shards(
 
 
 @dataclass
-class ShardedChaosResult:
+class ShardedChaosResult(_QuartileDrift):
     """A fleet-wide chaos run: per-shard accounting plus fleet totals."""
 
     scenario: str
@@ -823,20 +831,12 @@ class ShardedChaosResult:
     #: adaptive policy vs. its wrapped base (victim shard's runtime).
     post_heal_quartiles: Optional[Tuple[float, float, float]] = None
     baseline_quartiles: Optional[Tuple[float, float, float]] = None
-    #: Parallel-stepping readout — left at the defaults by the
-    #: single-simulator :class:`ShardedChaosWorld`; populated by
-    #: :class:`ParallelShardedChaosWorld` (``jobs=1`` is its serial
-    #: stepping mode, byte-identical to ``jobs>1`` by construction).
+    #: Epoch-stepping readout (``jobs=1`` is serial stepping,
+    #: byte-identical to ``jobs>1`` by construction).
     jobs: int = 1
     epochs: int = 0
     mailbox_messages: int = 0
     cross_shard_messages: int = 0
-
-    @property
-    def post_heal_quartile_drift(self) -> float:
-        """Worst relative deviation of the post-heal quartiles from the
-        base policy's (0.0 when the run measured no quartiles)."""
-        return _quartile_drift(self.post_heal_quartiles, self.baseline_quartiles)
 
     @property
     def shard_silently_lost(self) -> List[int]:
@@ -922,211 +922,7 @@ class ShardedChaosWorld:
     engine-side partitions, onto its home shard's uplink — so exactly
     one shard takes the damage and the rest measure isolation.
 
-    (``__test__`` opts the class out of pytest collection.)
-    """
-
-    __test__ = False
-
-    def __init__(
-        self,
-        seed: int = 7,
-        poll_interval: float = 5.0,
-        num_shards: int = 4,
-        shard_strategy: str = "service_hash",
-        pairs: int = SHARDED_PAIRS,
-        engine_config: Optional[EngineConfig] = None,
-        replay: Optional[ReplayPolicy] = None,
-        delivery: Optional[DeliveryPolicy] = None,
-        delivery_mode: str = "poll",
-    ) -> None:
-        self.seed = seed
-        self.delivery_mode = delivery_mode
-        self.pairs = pairs
-        self.sim = Simulator()
-        self.rng = Rng(seed=seed, name="chaos")
-        self.trace = Trace()
-        self.metrics = MetricsRegistry()
-        self.sim.metrics = self.metrics
-        self.network = Network(self.sim, self.rng.fork("network"), metrics=self.metrics)
-        config = engine_config or EngineConfig(
-            poll_policy=FixedPollingPolicy(poll_interval),
-            initial_poll_delay=0.5,
-            poll_timeout=10.0,
-            action_timeout=10.0,
-        )
-        config = replace(
-            config,
-            poll_policy=config.poll_policy.clone(),
-            num_shards=num_shards,
-            shard_strategy=shard_strategy,
-            replay_policy=replay if replay is not None else config.replay_policy,
-            delivery_policy=delivery if delivery is not None else config.delivery_policy,
-        )
-        config = _apply_delivery_mode(config, delivery_mode)
-        self.fleet = ShardedEngine(
-            self.network,
-            config=config,
-            rng=self.rng.fork("engine"),
-            trace=self.trace,
-            host_pattern=SHARD_HOST_PATTERN,
-            service_time=0.0,
-        )
-        self.core = self.network.add_node(GatewayRouter(Address(CORE_HOST)))
-        for shard in self.fleet.shards:
-            self.network.connect(shard.address, self.core.address, cloud_internal_latency())
-
-        #: ``(delivered_at, pair, fields)`` per sink execution.
-        self.delivered: List[Tuple[float, int, Dict[str, Any]]] = []
-        self.events_injected = 0
-        self.sensors: List[PartnerService] = []
-        self.sinks: List[PartnerService] = []
-        for pair in range(pairs):
-            sensor = self.network.add_node(PartnerService(
-                Address(f"sensor{pair}.cloud"), slug=f"{SENSOR_SLUG}{pair}",
-                trace=self.trace, service_time=0.0,
-                realtime=delivery_mode == "hint", push=delivery_mode == "push",
-            ))
-            sensor.add_trigger(TriggerEndpoint(slug="tick", name="Tick"))
-            sink = self.network.add_node(PartnerService(
-                Address(f"sink{pair}.cloud"), slug=f"{SINK_SLUG}{pair}",
-                trace=self.trace, service_time=0.0,
-            ))
-            sink.add_action(ActionEndpoint(
-                slug="deliver", name="Deliver",
-                executor=lambda fields, p=pair: self.delivered.append(
-                    (self.sim.now, p, dict(fields))
-                ),
-            ))
-            for node in (sensor, sink):
-                self.network.connect(node.address, self.core.address, cloud_internal_latency())
-            self.sensors.append(sensor)
-            self.sinks.append(sink)
-        for service in self.sensors + self.sinks:
-            self.fleet.publish_service(service)
-            authority = OAuthAuthority(service.slug)
-            authority.register_user(CHAOS_USER, "pw")
-            self.fleet.connect_service(CHAOS_USER, service, authority, "pw")
-        self.applets = [
-            self.fleet.install_applet(
-                user=CHAOS_USER, name=f"tick{pair}->deliver{pair}",
-                trigger=TriggerRef(f"{SENSOR_SLUG}{pair}", "tick"),
-                action=ActionRef(f"{SINK_SLUG}{pair}", "deliver",
-                                 {"n": "{{n}}", "injected_at": "{{injected_at}}"}),
-            )
-            for pair in range(pairs)
-        ]
-        #: The shard that owns the victim pair's trigger chain — the only
-        #: shard a retargeted fault is allowed to hurt.
-        self.victim_shard = self.fleet.shard_of(self.applets[0].applet_id)
-        self.injector = FaultInjector(
-            self.sim, self.network,
-            services=tuple(self.sensors + self.sinks),
-            rng=self.rng.fork("faults"),
-            metrics=self.metrics, trace=self.trace,
-        )
-        self.watcher = _FaultWindowWatcher(
-            self.sim,
-            {service.slug: service for service in self.sensors + self.sinks},
-        )
-
-    def retarget(self, plan: FaultPlan) -> FaultPlan:
-        """An unsharded plan, aimed at the victim pair and shard."""
-        return retarget_plan_for_shards(
-            plan,
-            sensor_slug=f"{SENSOR_SLUG}0",
-            sink_slug=f"{SINK_SLUG}0",
-            engine_host=SHARD_HOST_PATTERN.format(shard=self.victim_shard),
-        )
-
-    def schedule_events(self, times: Tuple[float, ...]) -> None:
-        """Schedule the same event cadence into every pair's sensor."""
-        for index, at in enumerate(times):
-            self.sim.schedule(
-                max(0.0, at - self.sim.now), self._inject, index, at,
-                label=f"chaos-event#{index}",
-            )
-
-    def _inject(self, index: int, planned_at: float) -> None:
-        for sensor in self.sensors:
-            self.events_injected += 1
-            sensor.ingest_event("tick", {"n": index, "injected_at": planned_at})
-
-    def run(self, scenario: ChaosScenario, drain: float = DRAIN_SECONDS) -> ShardedChaosResult:
-        """Retarget the plan at the victim, drive events, settle, account."""
-        plan = self.retarget(scenario.plan)
-        self.injector.apply(plan)
-        self.watcher.watch(plan)
-        self.schedule_events(scenario.event_times)
-        until = scenario.horizon + drain
-        self.sim.run_until(until)
-        return self._result(scenario, plan, until)
-
-    def _result(
-        self, scenario: ChaosScenario, plan: FaultPlan, until: float
-    ) -> ShardedChaosResult:
-        t2a_by_shard: Dict[int, Dict[str, List[float]]] = {}
-        for delivered_at, pair, fields in self.delivered:
-            injected_at = float(fields["injected_at"])
-            shard = self.fleet.shard_of(self.applets[pair].applet_id)
-            phase = _phase_of(plan, injected_at)
-            t2a_by_shard.setdefault(shard, {}).setdefault(phase, []).append(
-                delivered_at - injected_at
-            )
-        transitions_by_shard: Dict[int, List[Tuple[float, str, str, str]]] = {}
-        for index, shard in enumerate(self.fleet.shards):
-            transitions = sorted(
-                (at, slug, old.value, new.value)
-                for slug, breaker in shard._breakers.items()
-                for at, old, new in breaker.transitions
-            )
-            if transitions:
-                transitions_by_shard[index] = transitions
-        events_observed = sum(
-            int(self.metrics.total(f"{shard.metrics_namespace}.events_observed"))
-            for shard in self.fleet.shards
-        )
-        fleet_stats = self.fleet.stats()
-        snapshot = deterministic_snapshot(self.metrics)
-        merged = merged_fleet_snapshot(self.metrics.snapshot())
-        victim_engine = self.fleet.shards[self.victim_shard]
-        extras = _delivery_extras(
-            list(self.fleet.shards),
-            probe_policy=victim_engine._applets[self.applets[0].applet_id].policy,
-        )
-        return ShardedChaosResult(
-            scenario=scenario.name,
-            seed=self.seed,
-            num_shards=self.fleet.num_shards,
-            strategy=self.fleet.strategy,
-            victim_shard=self.victim_shard,
-            ran_until=until,
-            events_injected=self.events_injected,
-            events_observed=events_observed,
-            fleet_stats=fleet_stats,
-            shard_stats=self.fleet.shard_stats(),
-            t2a_by_shard=t2a_by_shard,
-            breaker_transitions_by_shard=transitions_by_shard,
-            faults_activated=self.injector.activations,
-            faults_deactivated=self.injector.deactivations,
-            assignments=self.fleet.assignments(),
-            shard_loads=self.fleet.shard_loads(),
-            snapshot=snapshot,
-            merged_engine_snapshot=merged,
-            replay=_replay_report(
-                [shard.replay for shard in self.fleet.shards], until,
-                fleet_stats["polls_sent"] + fleet_stats["actions_dispatched"],
-            ),
-            fault_window_requests=dict(self.watcher.requests),
-            **extras,
-        )
-
-
-class ParallelShardedChaosWorld:
-    """The sharded chaos topology on per-shard simulators, epoch-stepped.
-
-    Same experiment as :class:`ShardedChaosWorld` — ``pairs`` sensor/sink
-    chains through a :class:`~repro.engine.sharding.ShardedEngine`, pair
-    0 the victim — but every shard is a self-contained *cell*: its own
+    Every shard is a self-contained *cell*: its own
     :class:`~repro.simcore.simulator.Simulator`, :class:`Network`, core
     router, metrics registry, and fault injector.  Sensors and sinks are
     homed on the cell ``stable_service_hash(slug) % num_shards`` (a
@@ -1134,7 +930,9 @@ class ParallelShardedChaosWorld:
     on a remote cell's sensor polls it *across* cells: that traffic goes
     through the :class:`~repro.net.network.CrossShardRouter` and the
     stepper's epoch-barriered mailboxes — realtime hints and push
-    notifications cross the same way.
+    notifications cross the same way — and pays at least the stepper's
+    lookahead (50 ms) per hop.  That floor is the model's cost of
+    leaving a shard, not a stepping artefact.
 
     ``jobs=1`` steps the cells round-robin in the calling thread;
     ``jobs>1`` steps them concurrently.  The per-cell execution is
@@ -1160,12 +958,9 @@ class ParallelShardedChaosWorld:
         delivery: Optional[DeliveryPolicy] = None,
         delivery_mode: str = "poll",
         jobs: int = 1,
-        lookahead: float = DEFAULT_LOOKAHEAD,
     ) -> None:
         self.seed = seed
-        self.delivery_mode = delivery_mode
-        self.pairs = pairs
-        self.stepper = ShardedSimulator(num_shards, lookahead=lookahead, jobs=jobs)
+        self.stepper = ShardedSimulator(num_shards, jobs=jobs)
         self.rng = Rng(seed=seed, name="chaos")
         # One cell per shard: registry, network, core.  Each cell is
         # touched by exactly one worker thread inside an epoch; the
@@ -1182,25 +977,12 @@ class ParallelShardedChaosWorld:
                 Network(sim, self.rng.fork(f"network{index}"), metrics=registry)
             )
         self.router = CrossShardRouter(self.stepper)
-        config = engine_config or EngineConfig(
-            poll_policy=FixedPollingPolicy(poll_interval),
-            initial_poll_delay=0.5,
-            poll_timeout=10.0,
-            action_timeout=10.0,
-        )
-        config = replace(
-            config,
-            poll_policy=config.poll_policy.clone(),
-            num_shards=num_shards,
-            shard_strategy=shard_strategy,
-            replay_policy=replay if replay is not None else config.replay_policy,
-            delivery_policy=delivery if delivery is not None else config.delivery_policy,
-        )
-        config = _apply_delivery_mode(config, delivery_mode)
         self.fleet = ShardedEngine(
             self.networks,
-            config=config,
+            config=_world_config(engine_config, poll_interval, replay, delivery, delivery_mode),
             rng=self.rng.fork("engine"),
+            num_shards=num_shards,
+            shard_strategy=shard_strategy,
             host_pattern=SHARD_HOST_PATTERN,
             service_time=0.0,
         )
@@ -1340,8 +1122,7 @@ class ParallelShardedChaosWorld:
     def schedule_events(self, times: Tuple[float, ...]) -> None:
         """Schedule each event cadence entry into every pair's home cell."""
         for index, at in enumerate(times):
-            for pair in range(self.pairs):
-                cell = self._pair_home[pair]
+            for pair, cell in enumerate(self._pair_home):
                 sim = self.stepper.sims[cell]
                 sim.schedule(
                     max(0.0, at - sim.now), self._inject, cell, pair, index, at,
@@ -1351,11 +1132,6 @@ class ParallelShardedChaosWorld:
     def _inject(self, cell: int, pair: int, index: int, planned_at: float) -> None:
         self._events_injected[cell] += 1
         self.sensors[pair].ingest_event("tick", {"n": index, "injected_at": planned_at})
-
-    @property
-    def events_injected(self) -> int:
-        """Fleet-wide injected-event count (read at barriers)."""
-        return sum(self._events_injected)
 
     def run(self, scenario: ChaosScenario, drain: float = DRAIN_SECONDS) -> ShardedChaosResult:
         """Retarget the plan at the victim, drive events, settle, account."""
@@ -1425,7 +1201,7 @@ class ParallelShardedChaosWorld:
             strategy=self.fleet.strategy,
             victim_shard=self.victim_shard,
             ran_until=until,
-            events_injected=self.events_injected,
+            events_injected=sum(self._events_injected),
             events_observed=events_observed,
             fleet_stats=fleet_stats,
             shard_stats=self.fleet.shard_stats(),
@@ -1462,7 +1238,6 @@ def run_sharded_chaos_scenario(
     replay: Optional[ReplayPolicy] = None,
     delivery: Optional[DeliveryPolicy] = None,
     delivery_mode: str = "poll",
-    parallel: bool = False,
     jobs: int = 1,
 ) -> ShardedChaosResult:
     """Run one chaos scenario against a sharded fleet.
@@ -1477,30 +1252,19 @@ def run_sharded_chaos_scenario(
     ``delivery_mode`` selects poll/hint/push event delivery for every
     sensor, exactly as in :func:`run_chaos_scenario`; pushes route to
     each service's last-published shard (the home shard under
-    ``service_hash``).  ``parallel=True`` runs the epoch-stepped
-    :class:`ParallelShardedChaosWorld` instead of the single-simulator
-    world, stepping shards with ``jobs`` worker threads (``jobs=1`` is
-    its serial mode — byte-identical snapshots either way).
+    ``service_hash``).  ``jobs`` worker threads step the shards
+    (``jobs=1`` is serial stepping; snapshots are byte-identical).
     """
-    scenario = chaos_scenario(name)
-    if plan is not None:
-        scenario = ChaosScenario(
-            name=scenario.name,
-            description=f"{scenario.description} (custom plan)",
-            event_times=scenario.event_times,
-            plan=plan,
-        )
-    if parallel:
-        world = ParallelShardedChaosWorld(
-            seed=seed, poll_interval=poll_interval,
-            num_shards=num_shards, shard_strategy=shard_strategy, pairs=pairs,
-            replay=replay, delivery=delivery, delivery_mode=delivery_mode,
-            jobs=jobs,
-        )
-    else:
-        world = ShardedChaosWorld(
-            seed=seed, poll_interval=poll_interval,
-            num_shards=num_shards, shard_strategy=shard_strategy, pairs=pairs,
-            replay=replay, delivery=delivery, delivery_mode=delivery_mode,
-        )
+    scenario = chaos_scenario(name, plan)
+    world = ShardedChaosWorld(
+        seed=seed, poll_interval=poll_interval,
+        num_shards=num_shards, shard_strategy=shard_strategy, pairs=pairs,
+        replay=replay, delivery=delivery, delivery_mode=delivery_mode,
+        jobs=jobs,
+    )
     return world.run(scenario, drain=drain)
+
+
+#: The name ``benchmarks/ledger/adapters.py`` (frozen) imports the sharded
+#: world by; the next benchmark PR switches it over and removes this.
+ParallelShardedChaosWorld = ShardedChaosWorld

@@ -31,7 +31,7 @@ from repro.net.network import Network
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.services.endpoints import ActionEndpoint, TriggerEndpoint
 from repro.services.partner import PartnerService
-from repro.simcore.parallel import DEFAULT_LOOKAHEAD, ShardedSimulator
+from repro.simcore.parallel import ShardedSimulator
 from repro.simcore.rng import Rng
 from repro.simcore.simulator import Simulator
 from repro.simcore.trace import Trace
@@ -275,12 +275,11 @@ class ShardedFleetWorld:
         seed: int = 5,
         with_metrics: bool = True,
         shard_strategy: str = "round_robin",
-        lookahead: float = DEFAULT_LOOKAHEAD,
         warmup: bool = True,
     ) -> None:
         self.n_applets = n_applets
         self.num_shards = num_shards
-        self.stepper = ShardedSimulator(num_shards, lookahead=lookahead, jobs=jobs)
+        self.stepper = ShardedSimulator(num_shards, jobs=jobs)
         self.rng = Rng(seed=seed, name="fleet")
         # One world per shard: registry, network, content replica.  Each
         # is touched by exactly one worker thread inside an epoch.
@@ -426,26 +425,22 @@ class ShardedFleetWorld:
 
 def run_fleet_experiment(
     n_applets: int = 200,
-    push: bool = False,
     publications: int = 5,
     seed: int = 5,
-    delivery_mode: Optional[str] = None,
+    delivery_mode: str = "poll",
 ) -> FleetResult:
     """Run the NASA-wallpaper fleet under polling, hints, or push.
 
-    ``push=True`` makes the content service realtime-capable *and* the
-    engine honour every hint — the full-push world §6 contemplates
-    (kept for backwards compatibility; equivalent to
-    ``delivery_mode="hint"``).  ``delivery_mode``, when given,
-    supersedes the flag: ``"poll"`` (hints ignored), ``"hint"``
-    (payload-less realtime hints, all honoured), or ``"push"`` (the
-    payload-carrying push contract of :mod:`repro.engine.push` — events
-    arrive without any engine-originated request).
+    ``delivery_mode`` is ``"poll"`` (hints ignored), ``"hint"`` (the
+    content service is realtime-capable *and* the engine honours every
+    payload-less hint — the full-push world §6 contemplates), or
+    ``"push"`` (the payload-carrying push contract of
+    :mod:`repro.engine.push` — events arrive without any
+    engine-originated request).
     """
-    mode = delivery_mode if delivery_mode is not None else ("hint" if push else "poll")
-    if mode not in DELIVERY_MODES:
+    if delivery_mode not in DELIVERY_MODES:
         raise ValueError(
-            f"unknown delivery_mode {mode!r}; expected one of {DELIVERY_MODES}"
+            f"unknown delivery_mode {delivery_mode!r}; expected one of {DELIVERY_MODES}"
         )
     # The push watermarks are per-service provisioning knobs: one
     # NASA-photo publication fans out to n_applets identities *in a
@@ -454,19 +449,19 @@ def run_fleet_experiment(
     # the drain batch) to the fleet so the ladder only degrades on
     # genuinely sustained backlog.
     push_policy = None
-    if mode == "push":
+    if delivery_mode == "push":
         push_policy = PushPolicy(
             max_batch=200,
             low_watermark=max(64, n_applets),
             high_watermark=max(256, 4 * n_applets),
         )
     config = EngineConfig(
-        realtime_allowlist=None if mode == "hint" else frozenset(),
+        realtime_allowlist=None if delivery_mode == "hint" else frozenset(),
         initial_poll_jitter=300.0,
         push_policy=push_policy,
     )
     world = FleetWorld(
         n_applets, engine_config=config,
-        realtime=mode == "hint", push=mode == "push", seed=seed,
+        realtime=delivery_mode == "hint", push=delivery_mode == "push", seed=seed,
     )
     return world.run_publications(publications=publications)

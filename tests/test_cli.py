@@ -57,6 +57,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "actions executed: 10" in out
 
+    def test_fleet_delivery_push_reports_and_runs_push(self, capsys, tmp_path):
+        metrics = tmp_path / "fleet.jsonl"
+        assert main(["fleet", "--applets", "10", "--publications", "1",
+                     "--delivery", "push", "--metrics", str(metrics)]) == 0
+        out = capsys.readouterr().out
+        assert "10-applet fleet under push:" in out
+        assert "actions executed: 10" in out
+        # The push contract really ran: notifications were ingested, which
+        # neither poll nor hint mode ever records.
+        assert "engine.push.events_ingested" in metrics.read_text()
+
+    def test_fleet_legacy_push_flag_removed(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fleet", "--push"])
+
     def test_ecosystem_with_save(self, capsys, tmp_path):
         path = tmp_path / "snapshots.json"
         assert main(["ecosystem", "--scale", "0.005", "--save", str(path)]) == 0
@@ -91,6 +106,16 @@ class TestChaosCommand:
     def test_chaos_invalid_shards_rejected(self, capsys):
         assert main(["chaos", "--scenario", "outage", "--shards", "0"]) == 2
         assert "--shards" in capsys.readouterr().err
+
+    def test_chaos_parallel_flag_removed(self):
+        # One sharded world: there is no second stepping mode to opt into.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["chaos", "--shards", "4", "--parallel"])
+
+    def test_chaos_jobs_without_shards_rejected(self, capsys):
+        assert main(["chaos", "--scenario", "outage", "--shards", "1",
+                     "--jobs", "2"]) == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_chaos_invalid_strategy_rejected(self):
         with pytest.raises(SystemExit):

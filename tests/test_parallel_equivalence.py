@@ -17,7 +17,7 @@ strongest form of the claim:
     polls sent, and total events fired match exactly, not just
     statistically.
 (c) **Chaos-scenario identity** — every built-in chaos scenario run on
-    the epoch-stepped :class:`ParallelShardedChaosWorld` yields
+    the epoch-stepped :class:`ShardedChaosWorld` yields
     identical delivered-action multisets (per-shard T2A samples),
     breaker transition logs, fleet stats, and byte-identical
     deterministic snapshots under serial and threaded stepping — with
@@ -127,9 +127,7 @@ class TestFleetEquivalence:
 
 
 def run_chaos(scenario, jobs, **kwargs):
-    return run_sharded_chaos_scenario(
-        scenario, parallel=True, jobs=jobs, **kwargs
-    )
+    return run_sharded_chaos_scenario(scenario, jobs=jobs, **kwargs)
 
 
 def assert_chaos_identical(serial, threaded):

@@ -216,6 +216,19 @@ class TestShardedDeterminism:
         assert a.breaker_transitions_by_shard == b.breaker_transitions_by_shard
         assert a.assignments == b.assignments
 
+    def test_default_world_is_epoch_stepped_for_any_jobs(self, sharded_outage_result):
+        # The one sharded world: no opt-in needed for per-shard
+        # simulators, and the worker count never changes the outcome.
+        serial = sharded_outage_result
+        threaded = run_sharded_chaos_scenario("outage", num_shards=4, jobs=2)
+        assert (serial.jobs, threaded.jobs) == (1, 2)
+        assert serial.epochs > 0
+        assert serial.cross_shard_messages > 0
+        assert (serial.epochs, serial.cross_shard_messages) == (
+            threaded.epochs, threaded.cross_shard_messages)
+        assert (snapshot_to_json_lines(serial.snapshot)
+                == snapshot_to_json_lines(threaded.snapshot))
+
     def test_shard_count_changes_snapshot(self):
         a = run_sharded_chaos_scenario("outage", seed=13, num_shards=2)
         b = run_sharded_chaos_scenario("outage", seed=13, num_shards=4)

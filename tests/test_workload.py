@@ -31,24 +31,24 @@ class TestFleetResult:
 
 class TestFleetWorld:
     def test_small_fleet_executes_every_applet(self):
-        result = run_fleet_experiment(n_applets=20, push=False, publications=2, seed=3)
+        result = run_fleet_experiment(n_applets=20, publications=2, seed=3)
         assert result.actions_executed == 40
         assert len(result.latencies) == 40
 
     def test_push_faster_than_poll(self):
-        poll = run_fleet_experiment(n_applets=20, push=False, publications=2, seed=3)
-        push = run_fleet_experiment(n_applets=20, push=True, publications=2, seed=3)
-        assert push.median_latency() < poll.median_latency() / 20
+        poll = run_fleet_experiment(n_applets=20, publications=2, seed=3)
+        hint = run_fleet_experiment(n_applets=20, publications=2, seed=3, delivery_mode="hint")
+        assert hint.median_latency() < poll.median_latency() / 20
 
     def test_push_spike_scales_with_fleet(self):
-        push = run_fleet_experiment(n_applets=30, push=True, publications=1, seed=4)
-        assert push.peak_polls_per_second() >= 25  # near the whole fleet
+        hint = run_fleet_experiment(n_applets=30, publications=1, seed=4, delivery_mode="hint")
+        assert hint.peak_polls_per_second() >= 25  # near the whole fleet
 
     def test_poll_spreads_load(self):
-        poll = run_fleet_experiment(n_applets=30, push=False, publications=2, seed=4)
+        poll = run_fleet_experiment(n_applets=30, publications=2, seed=4)
         assert poll.peak_polls_per_second() < 15
 
     def test_world_is_deterministic(self):
-        a = run_fleet_experiment(n_applets=10, push=False, publications=1, seed=9)
-        b = run_fleet_experiment(n_applets=10, push=False, publications=1, seed=9)
+        a = run_fleet_experiment(n_applets=10, publications=1, seed=9)
+        b = run_fleet_experiment(n_applets=10, publications=1, seed=9)
         assert a.latencies == b.latencies
