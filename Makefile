@@ -4,7 +4,7 @@
 # needed): prepend the src/ layout to PYTHONPATH for all recipes.
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push examples figures chaos chaos-check replay-check degrade-check push-check parallel-check ledger-check experiments-smoke experiments-full ci lint clean
+.PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push bench-budget examples figures chaos chaos-check replay-check degrade-check push-check parallel-check ledger-check experiments-smoke experiments-full ci lint clean
 
 install:
 	pip install -e .
@@ -50,6 +50,16 @@ bench-scale:
 # (several minutes; the 1M runs dominate).
 bench-push:
 	python benchmarks/bench_scalability_push.py --check BENCH_push_scale.json
+
+# Performance-budget gate (docs/PERFORMANCE.md, "Where a poll goes"): a
+# fresh, short ledger pass must not be worse than the committed
+# BENCH_poll_path.json — end-to-end timings within the bounds
+# BENCHMARK.json fixes (25 %, RSS 5 %), every count and sim_fingerprint
+# identical.  Wall-clock sensitive (~2 min), so it runs in the nightly
+# job, not in `make ci` or `make test`.
+bench-budget:
+	python benchmarks/ledger/run.py --seconds 5 --output .bench-budget.json
+	python benchmarks/ledger/run.py --compare BENCH_poll_path.json .bench-budget.json
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null && echo OK; done
@@ -171,5 +181,5 @@ lint:
 ci: lint test-fast ledger-check experiments-smoke
 
 clean:
-	rm -rf figures/ .pytest_cache/ src/repro.egg-info/ .chaos-a.jsonl .chaos-b.jsonl .replay-a.jsonl .replay-b.jsonl .degrade-a.jsonl .degrade-b.jsonl .push-a.jsonl .push-b.jsonl .par-a.jsonl .par-b.jsonl .exp-smoke-a .exp-smoke-b experiment-results/
+	rm -rf figures/ .pytest_cache/ src/repro.egg-info/ .chaos-a.jsonl .chaos-b.jsonl .replay-a.jsonl .replay-b.jsonl .degrade-a.jsonl .degrade-b.jsonl .push-a.jsonl .push-b.jsonl .par-a.jsonl .par-b.jsonl .exp-smoke-a .exp-smoke-b experiment-results/ .bench-budget.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -96,10 +96,14 @@ class _AppletRuntime:
     ``fast_poll_pending`` belongs to delivery admission control: it
     marks a hint-induced fast poll outstanding for this applet, so the
     per-service hint backlog stays exact under supersede/cancel.
+    ``identity`` is ``applet.trigger_identity`` computed once (the
+    property re-hashes on every read, and every poll presents it); it is
+    the same string object the engine's identity index is keyed by.
     """
 
     __slots__ = (
         "applet",
+        "identity",
         "policy",
         "filter_expr",
         "seen_ids",
@@ -121,6 +125,7 @@ class _AppletRuntime:
         filter_expr: Optional[Expr] = None,
     ) -> None:
         self.applet = applet
+        self.identity = applet.trigger_identity
         self.policy = policy
         self.filter_expr = filter_expr
         self.seen_ids: Set[int] = set()
@@ -432,7 +437,7 @@ class IftttEngine(HttpNode):
             filter_expr=filter_expr,
         )
         self._applets[applet.applet_id] = runtime
-        self._by_identity.setdefault(applet.trigger_identity, []).append(applet.applet_id)
+        self._by_identity.setdefault(runtime.identity, []).append(applet.applet_id)
         first_poll = self.config.initial_poll_delay
         if self.config.initial_poll_jitter > 0:
             first_poll += self.rng.uniform(0, self.config.initial_poll_jitter)
@@ -493,7 +498,7 @@ class IftttEngine(HttpNode):
             if self.delivery is not None:
                 self.delivery.note_retry_dequeued(record.service_slug)
             self._dead_letter(record, "applet_removed")
-        identity = runtime.applet.trigger_identity
+        identity = runtime.identity
         owners = self._by_identity.get(identity, [])
         if applet_id in owners:
             owners.remove(applet_id)
@@ -724,7 +729,6 @@ class IftttEngine(HttpNode):
             )
             return
         registration = self._services[applet.trigger.service_slug]
-        token = self.tokens.lookup(applet.user, applet.trigger.service_slug)
         runtime.poll_in_flight = True
         runtime.polls += 1
         runtime.last_poll_at = self.now
@@ -746,14 +750,14 @@ class IftttEngine(HttpNode):
                 self._ns,
                 "engine_poll_sent",
                 applet_id=applet.applet_id,
-                identity=applet.trigger_identity,
+                identity=runtime.identity,
                 trigger=applet.trigger.trigger_slug,
             )
         self.post(
             registration.address,
             TRIGGER_PATH + applet.trigger.trigger_slug,
             body={
-                "trigger_identity": applet.trigger_identity,
+                "trigger_identity": runtime.identity,
                 "triggerFields": dict(applet.trigger.fields),
                 "limit": self.config.batch_limit,
                 "request_id": f"req-{self.rng.randint(10**8, 10**9 - 1)}",
@@ -1124,7 +1128,7 @@ class IftttEngine(HttpNode):
                 )
             seq = next(self._retry_seq)
             event = self.sim.schedule(
-                delay, self._retry_action, seq, label=f"action-retry#{record.applet_id}"
+                delay, self._retry_action, seq, label="action-retry"
             )
             self._retry_timers[seq] = (record, event)
             return

@@ -70,12 +70,11 @@ class TimerPollScheduler:
         """Schedule (or reschedule) the applet's next poll ``delay`` out."""
         if runtime.pending_poll_event is not None:
             runtime.pending_poll_event.cancel()
-        tag = "initial-poll" if initial else "poll"
         runtime.pending_poll_event = self.engine.sim.schedule(
             delay,
             self.engine._poll,
             runtime,
-            label=f"{tag}#{runtime.applet.applet_id}",
+            label="initial-poll" if initial else "poll",
         )
 
     def cancel(self, runtime) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.net.address import Address
@@ -25,6 +24,9 @@ DEFAULT_TIMEOUT = 30.0
 #: How many timed-out request ids are remembered so that their responses,
 #: should they straggle in later, are counted as late rather than lost.
 TIMED_OUT_MEMORY = 4096
+#: Bound on a node's memo of matched ``(METHOD, path)`` routes; reaching
+#: it clears the memo (paths are a handful of endpoint URLs in practice).
+ROUTE_MEMO_SIZE = 1024
 
 
 class HttpError(RuntimeError):
@@ -36,31 +38,58 @@ class HttpError(RuntimeError):
         self.reason = reason
 
 
-@dataclass
+# One request and one response object ride every round trip, so both are
+# slotted and hand-written (``dataclass(slots=True)`` needs Python 3.10;
+# setup.cfg says 3.9).
+
+
 class HttpRequest:
     """An in-flight HTTP request."""
 
-    method: str
-    path: str
-    body: Any = None
-    headers: Dict[str, Any] = field(default_factory=dict)
-    request_id: int = field(default_factory=lambda: next(_request_ids))
-    src: Optional[Address] = None
+    __slots__ = ("method", "path", "body", "headers", "request_id", "src")
+
+    def __init__(
+        self,
+        method: str,
+        path: str,
+        body: Any = None,
+        headers: Optional[Dict[str, Any]] = None,
+        request_id: Optional[int] = None,
+        src: Optional[Address] = None,
+    ) -> None:
+        self.method = method
+        self.path = path
+        self.body = body
+        self.headers = {} if headers is None else headers
+        self.request_id = next(_request_ids) if request_id is None else request_id
+        self.src = src
 
     def header(self, name: str, default: Any = None) -> Any:
         """Case-sensitive header lookup."""
         return self.headers.get(name, default)
 
+    def __repr__(self) -> str:
+        return f"<HttpRequest #{self.request_id} {self.method} {self.path}>"
 
-@dataclass
+
 class HttpResponse:
     """The response to an :class:`HttpRequest`."""
 
-    status: int
-    body: Any = None
-    headers: Dict[str, Any] = field(default_factory=dict)
-    request_id: int = 0
-    elapsed: float = 0.0
+    __slots__ = ("status", "body", "headers", "request_id", "elapsed")
+
+    def __init__(
+        self,
+        status: int,
+        body: Any = None,
+        headers: Optional[Dict[str, Any]] = None,
+        request_id: int = 0,
+        elapsed: float = 0.0,
+    ) -> None:
+        self.status = status
+        self.body = body
+        self.headers = {} if headers is None else headers
+        self.request_id = request_id
+        self.elapsed = elapsed
 
     @property
     def ok(self) -> bool:
@@ -71,6 +100,9 @@ class HttpResponse:
     def timed_out(self) -> bool:
         """True when the client gave up waiting (synthetic status 599)."""
         return self.status == 599
+
+    def __repr__(self) -> str:
+        return f"<HttpResponse #{self.request_id} {self.status}>"
 
 
 ResponseCallback = Callable[[HttpResponse], None]
@@ -94,6 +126,9 @@ class HttpNode(Node):
         super().__init__(address)
         self.service_time = service_time
         self._routes: Dict[Tuple[str, str], RouteHandler] = {}
+        # (METHOD, full path) -> handler for paths that matched a route;
+        # dropped whenever the route table changes.
+        self._route_memo: Dict[Tuple[str, str], RouteHandler] = {}
         self._pending: Dict[int, Tuple[ResponseCallback, Any, float]] = {}
         self._timed_out_ids: Set[int] = set()
         self._timed_out_order: Deque[int] = deque()
@@ -111,10 +146,12 @@ class HttpNode(Node):
         if key in self._routes:
             raise ValueError(f"route {method} {path_prefix} already registered on {self.address}")
         self._routes[key] = handler
+        self._route_memo.clear()
 
     def remove_route(self, method: str, path_prefix: str) -> None:
         """Unbind a previously added route."""
         self._routes.pop((method.upper(), path_prefix), None)
+        self._route_memo.clear()
 
     def _dispatch(self, request: HttpRequest) -> HttpResponse:
         handler = self._match_route(request.method, request.path)
@@ -131,12 +168,21 @@ class HttpNode(Node):
         return HttpResponse(status=200, body=result)
 
     def _match_route(self, method: str, path: str) -> Optional[RouteHandler]:
-        best: Optional[RouteHandler] = None
+        """Longest-prefix match over the route table, memoised on hits."""
+        method = method.upper()
+        memo = self._route_memo
+        best = memo.get((method, path))
+        if best is not None:
+            return best
         best_len = -1
         for (m, prefix), handler in self._routes.items():
-            if m == method.upper() and path.startswith(prefix) and len(prefix) > best_len:
+            if m == method and path.startswith(prefix) and len(prefix) > best_len:
                 best = handler
                 best_len = len(prefix)
+        if best is not None:
+            if len(memo) >= ROUTE_MEMO_SIZE:
+                memo.clear()
+            memo[(method, path)] = best
         return best
 
     # -- client side ---------------------------------------------------------
@@ -154,11 +200,7 @@ class HttpNode(Node):
     ) -> HttpRequest:
         """Issue a request; the callback fires with the response or a 599."""
         req = HttpRequest(
-            method=method.upper(),
-            path=path,
-            body=body,
-            headers=dict(headers or {}),
-            src=self.address,
+            method.upper(), path, body, dict(headers) if headers else {}, src=self.address
         )
         self.requests_issued += 1
         metrics = self.metrics
@@ -168,7 +210,7 @@ class HttpNode(Node):
         timeout_event = None
         if on_response is not None:
             timeout_event = self.sim.schedule(
-                timeout, self._on_timeout, req.request_id, label=f"http-timeout#{req.request_id}"
+                timeout, self._on_timeout, req.request_id, label="http-timeout"
             )
             self._pending[req.request_id] = (on_response, timeout_event, sent_at)
         self.send(dst, HTTP_PROTOCOL, {"type": "request", "request": req}, size_bytes=size_bytes)
@@ -236,8 +278,7 @@ class HttpNode(Node):
             request_id=request.request_id,
         )
         self.sim.schedule(
-            0.0, self._deliver_refusal, callback, response, sent_at,
-            label=f"http-refused#{request.request_id}",
+            0.0, self._deliver_refusal, callback, response, sent_at, label="http-refused"
         )
 
     def _deliver_refusal(
@@ -264,17 +305,12 @@ class HttpNode(Node):
                 metrics.counter(
                     "http.responses", status_class=f"{response.status // 100}xx"
                 ).inc()
-            def reply() -> None:
-                self.send(
-                    message.src,
-                    HTTP_PROTOCOL,
-                    {"type": "response", "response": response},
-                    size_bytes=max(128, message.size_bytes // 2),
-                )
             if self.service_time > 0:
-                self.sim.schedule(self.service_time, reply, label="http-service")
+                self.sim.schedule(
+                    self.service_time, self._reply, message, response, label="http-service"
+                )
             else:
-                reply()
+                self._reply(message, response)
         elif payload["type"] == "response":
             response: HttpResponse = payload["response"]
             entry = self._pending.pop(response.request_id, None)
@@ -303,6 +339,15 @@ class HttpNode(Node):
             callback(response)
         else:
             raise ValueError(f"unknown http payload type {payload['type']!r}")
+
+    def _reply(self, message: Message, response: HttpResponse) -> None:
+        """Send ``response`` back to the sender of the request ``message``."""
+        self.send(
+            message.src,
+            HTTP_PROTOCOL,
+            {"type": "response", "response": response},
+            size_bytes=max(128, message.size_bytes // 2),
+        )
 
     def on_non_http_message(self, message: Message) -> None:
         """Hook for subclasses that also speak device protocols."""

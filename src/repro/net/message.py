@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.net.address import Address
 
 _message_ids = itertools.count(1)
 
 
-@dataclass
 class Message:
     """A unit of data in flight between two nodes.
 
@@ -30,19 +28,33 @@ class Message:
     msg_id:
         Unique id assigned at construction; ties request/response pairs
         and trace records together.
+    headers:
+        Out-of-band key/values; the message keeps the dict it is given.
     """
 
-    src: Address
-    dst: Address
-    protocol: str
-    payload: Any
-    size_bytes: int = 512
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
-    headers: Dict[str, Any] = field(default_factory=dict)
+    # Two of these are built per HTTP round trip: slotted and hand-written
+    # (``dataclass(slots=True)`` needs Python 3.10; setup.cfg says 3.9).
+    __slots__ = ("src", "dst", "protocol", "payload", "size_bytes", "msg_id", "headers")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError(f"size_bytes must be non-negative, got {self.size_bytes}")
+    def __init__(
+        self,
+        src: Address,
+        dst: Address,
+        protocol: str,
+        payload: Any,
+        size_bytes: int = 512,
+        msg_id: Optional[int] = None,
+        headers: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        if size_bytes < 0:
+            raise ValueError(f"size_bytes must be non-negative, got {size_bytes}")
+        self.src = src
+        self.dst = dst
+        self.protocol = protocol
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.msg_id = next(_message_ids) if msg_id is None else msg_id
+        self.headers = {} if headers is None else headers
 
     def __repr__(self) -> str:
         return (

@@ -161,8 +161,12 @@ class Network:
 
     def path_delay(self, message: Message) -> float:
         """Sample the end-to-end delay for a message along its route."""
-        path = self.route(message.src, message.dst)
-        return sum(link.sample_delay(self.rng, message.size_bytes) for link in path)
+        rng = self.rng
+        size_bytes = message.size_bytes
+        total = 0  # int, as ``sum`` starts: an empty route costs exactly ``0``
+        for link in self.route(message.src, message.dst):
+            total += link.sample_delay(rng, size_bytes)
+        return total
 
     def transmit(self, message: Message) -> None:
         """Route and schedule delivery of a message.
@@ -206,12 +210,7 @@ class Network:
                 self._m_delivery = metrics.histogram("net.delivery_seconds")
                 self._m_delivered = metrics.counter("net.messages_delivered")
             self._m_delivery.observe(delay)
-        self.sim.schedule(
-            delay,
-            self._deliver,
-            message,
-            label=f"deliver#{message.msg_id}",
-        )
+        self.sim.schedule(delay, self._deliver, message, label="deliver")
 
     def _faulted_path_delay(self, message: Message) -> Optional[float]:
         """Per-hop delay with active fault adjustments; ``None`` = lost."""
@@ -262,10 +261,7 @@ class Network:
                     return
             total += delay
         if total > 0.0:
-            self.sim.schedule(
-                total, self._deliver, message,
-                label=f"deliver#{message.msg_id}",
-            )
+            self.sim.schedule(total, self._deliver, message, label="deliver")
         else:
             self._deliver(message)
 

@@ -64,14 +64,8 @@ class Node:
         """Construct and transmit a message to ``dst``."""
         if self.network is None:
             raise RuntimeError(f"node {self.address} is not attached to a network")
-        message = Message(
-            src=self.address,
-            dst=dst,
-            protocol=protocol,
-            payload=payload,
-            size_bytes=size_bytes,
-            headers=dict(headers),
-        )
+        # ``**headers`` is already a fresh dict owned by this call.
+        message = Message(self.address, dst, protocol, payload, size_bytes, headers=headers)
         self.messages_sent += 1
         self.network.transmit(message)
         return message

@@ -80,8 +80,7 @@ class TriggerBuffer:
         """
         if limit < 0:
             raise ValueError(f"limit must be non-negative, got {limit}")
-        newest_first = list(self._events)[::-1]
-        return newest_first[:limit]
+        return list(itertools.islice(reversed(self._events), limit))
 
     def __len__(self) -> int:
         return len(self._events)

@@ -420,8 +420,11 @@ class PartnerService(HttpNode):
             return 400, {"errors": [{"message": "missing trigger_identity"}]}
         fields = body.get("triggerFields", {})
         limit = int(body.get("limit", 50))
-        self.register_identity(slug, identity, fields)
-        events = self.buffer_for(identity).fetch(limit)
+        entry = self._identities.get(identity)
+        if entry is None:  # first poll for this identity registers it
+            self.register_identity(slug, identity, fields)
+            entry = self._identities[identity]
+        events = entry[2].fetch(limit)
         self.polls_served += 1
         if self.metrics is not None:
             self.metrics.counter("service.polls_served", service=self.slug).inc()

@@ -51,9 +51,10 @@ class Event:
         self.seq = next(_seq_counter) if seq is None else seq
         self.label = label
         self._canceled = False
-        #: The owning simulator's live-event ledger (set by
-        #: ``Simulator.schedule_at``); lets :meth:`cancel` keep the O(1)
-        #: ``Simulator.pending`` counter exact without a heap scan.
+        #: The owning simulator while the event sits in its heap (set by
+        #: ``Simulator.schedule_at``, cleared on fire); lets :meth:`cancel`
+        #: keep the O(1) ``Simulator.pending`` counter exact and tell the
+        #: kernel how many dead entries its heap carries.
         self._owner = None
 
     @property
@@ -64,10 +65,10 @@ class Event:
     def cancel(self) -> None:
         """Prevent the event from firing.
 
-        Canceling is idempotent.  A canceled event stays in the heap but is
-        skipped by the simulator when popped; the owning simulator's live
-        counter is decremented here, exactly once, so ``Simulator.pending``
-        stays O(1).
+        Canceling is idempotent.  A canceled event stays in the heap and is
+        skipped by the simulator when popped (or dropped earlier, when the
+        simulator compacts a mostly-dead heap); the owning simulator is
+        told here, exactly once, so ``Simulator.pending`` stays O(1).
         """
         if self._canceled:
             return
@@ -75,7 +76,7 @@ class Event:
         owner = self._owner
         if owner is not None:
             self._owner = None
-            owner._live -= 1
+            owner._note_canceled()
 
     def fire(self) -> None:
         """Invoke the callback unless the event was canceled."""
@@ -83,13 +84,13 @@ class Event:
             self.callback(*self.args)
 
     def sort_key(self) -> Tuple[float, int, int]:
-        """Key used by the simulator's event heap."""
+        """The firing order: the simulator's heap entries lead with it."""
         return (self.time, self.priority, self.seq)
 
     def __lt__(self, other: "Event") -> bool:
-        # Compared O(log n) times per heap operation; comparing fields
-        # directly avoids building two tuples per comparison, which at
-        # fleet-scale heap sizes dominated kernel time.
+        # The public ordering contract, field by field (no tuples built).
+        # The simulator's own heap compares ``sort_key``-prefixed entry
+        # tuples in C instead and never lands here.
         if self.time != other.time:
             return self.time < other.time
         if self.priority != other.priority:

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import time as _wall  # "time" is a parameter name in run_until
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simcore.event import Event
+
+#: Canceled entries a heap may carry before :meth:`Simulator._maybe_compact`
+#: considers a rebuild (``HeapPollScheduler``'s stale-majority rule: they
+#: must also outnumber the live ones, so a rebuild is amortised O(1) per
+#: cancel and a mostly-live heap is never rebuilt).
+COMPACT_MIN_DEAD = 1024
+
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -34,10 +43,12 @@ class RunResult(int):
 class Simulator:
     """A deterministic discrete-event simulator.
 
-    The simulator owns a binary heap of :class:`~repro.simcore.event.Event`
-    objects and a virtual clock ``now`` (seconds, float).  Time only moves
-    when events fire; between events nothing happens, so simulated
-    experiments that span days of virtual time run in milliseconds.
+    The simulator owns a binary heap of ``(time, priority, seq, event)``
+    entries — one per scheduled :class:`~repro.simcore.event.Event`, in
+    the event's own ``sort_key`` order — and a virtual clock ``now``
+    (seconds, float).  Time only moves when events fire; between events
+    nothing happens, so simulated experiments that span days of virtual
+    time run in milliseconds.
 
     Example
     -------
@@ -52,11 +63,14 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: List[Event] = []
+        # Entries are tuples so heap sifts compare in C; ``seq`` is unique
+        # per simulator, so a comparison never reaches the event itself.
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._running = False
         self._stopped = False
         self._fired_count = 0
         self._live = 0  # scheduled, not yet fired, not canceled
+        self._dead = 0  # canceled, still in the heap
         # Per-simulator event sequence: same-instant FIFO order needs only
         # per-heap monotonicity, and independent counters keep concurrently
         # stepped shard simulators (repro.simcore.parallel) free of any
@@ -124,36 +138,57 @@ class Simulator:
         """Schedule ``callback(*args)`` at the absolute simulation time ``time``."""
         if time < self._now:
             raise SimulationError(f"cannot schedule at t={time} < now={self._now}")
-        event = Event(
-            time, callback, args, priority=priority, label=label, seq=next(self._seq)
-        )
+        seq = next(self._seq)
+        event = Event(time, callback, args, priority, label, seq)
         event._owner = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, priority, seq, event))
         self._live += 1
         return event
+
+    def _note_canceled(self) -> None:
+        """:meth:`Event.cancel`'s ledger hook for an event still in the heap."""
+        self._live -= 1
+        self._dead += 1
+        self._maybe_compact()
+
+    def _maybe_compact(self) -> None:
+        """Rebuild the heap without its canceled entries once they dominate.
+
+        Checked whenever the live share shrinks (a cancel, a fire): once
+        canceled entries number at least :data:`COMPACT_MIN_DEAD` *and*
+        outnumber the live ones they are dropped, so the heap never holds
+        more than ``live + max(COMPACT_MIN_DEAD, live)`` entries.  A
+        schedule-then-cancel pattern (one 30 s HTTP timeout per poll)
+        otherwise keeps ``timeout x rate`` dead entries resident —
+        hundreds of thousands at fleet scale — and every sift pays for
+        their depth.  The rebuild is in place (the run loop holds the
+        list) and keeps the entry tuples, so pop order is unchanged by
+        construction.
+        """
+        if self._dead >= COMPACT_MIN_DEAD and self._dead > self._live:
+            heap = self._heap
+            heap[:] = [entry for entry in heap if not entry[3]._canceled]
+            heapq.heapify(heap)
+            self._dead = 0
 
     def step(self) -> bool:
         """Fire the next non-canceled event.
 
         Returns ``True`` if an event fired, ``False`` if the heap is empty.
         """
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            event = heappop(heap)
-            if event._canceled:
-                continue
-            if event.time < self._now:
-                raise SimulationError("event heap corrupted: time went backwards")
-            self._now = event.time
-            self._fired_count += 1
-            self._live -= 1
-            # Detach before firing: a late cancel() on an already-fired
-            # event must not decrement the live counter again.
-            event._owner = None
-            event.fire()
-            return True
-        return False
+        event = self._peek()
+        if event is None:
+            return False
+        heapq.heappop(self._heap)
+        if event.time < self._now:
+            raise SimulationError("event heap corrupted: time went backwards")
+        self._now = event.time
+        self._fired_count += 1
+        self._live -= 1
+        self._maybe_compact()
+        event._owner = None  # see _fire_until
+        event.fire()
+        return True
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the heap drains (or ``max_events`` fire).
@@ -162,22 +197,7 @@ class Simulator:
         guards against runaway feedback loops (the testbed's infinite-loop
         experiments rely on it).
         """
-        self._running = True
-        self._stopped = False
-        fired = 0
-        started = _wall.perf_counter()
-        step = self.step  # bound once: the loop body is the kernel hot path
-        try:
-            while not self._stopped:
-                if max_events is not None and fired >= max_events:
-                    break
-                if not step():
-                    break
-                fired += 1
-        finally:
-            self._running = False
-            self._report_run(fired, _wall.perf_counter() - started)
-        return fired
+        return self._fire_until(_INF, max_events)
 
     def run_until(self, time: float, max_events: Optional[int] = None) -> RunResult:
         """Run events with ``event.time <= time``; then advance the clock to ``time``.
@@ -192,27 +212,66 @@ class Simulator:
         """
         if time < self._now:
             raise SimulationError(f"cannot run until t={time} < now={self._now}")
-        self._running = True
-        self._stopped = False
-        fired = 0
-        started = _wall.perf_counter()
-        try:
-            while not self._stopped:
-                if max_events is not None and fired >= max_events:
-                    break
-                next_event = self._peek()
-                if next_event is None or next_event.time > time:
-                    break
-                self.step()
-                fired += 1
-        finally:
-            self._running = False
-            self._report_run(fired, _wall.perf_counter() - started)
+        fired = self._fire_until(time, max_events)
         remaining = self._peek()
         completed = not self._stopped and (remaining is None or remaining.time > time)
         if completed:
             self._now = max(self._now, time)
         return RunResult(fired, completed)
+
+    def _fire_until(self, horizon: float, max_events: Optional[int]) -> int:
+        """The kernel loop: fire live events with ``time <= horizon`` in order.
+
+        One fused peek/pop/fire loop shared by :meth:`run` (infinite
+        horizon) and :meth:`run_until`; stops early on ``max_events`` or
+        :meth:`stop`.  Returns the number of events fired.
+
+        The cyclic garbage collector is paused while the loop runs and put
+        back the way the caller had it.  What a run allocates and drops —
+        events, messages, requests, responses — is acyclic and freed by
+        reference counting alone (``tests/test_gc_pause.py`` pins that a
+        collector-less run leaves nothing for ``gc.collect()`` to find),
+        while every collector pass the allocation rate triggers walks the
+        whole long-lived world for nothing.
+        """
+        heap = self._heap
+        heappop = heapq.heappop
+        limit = _INF if max_events is None else max_events
+        fired = 0
+        self._running = True
+        self._stopped = False
+        started = _wall.perf_counter()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while heap:
+                entry = heap[0]
+                event = entry[3]
+                if event._canceled:
+                    heappop(heap)
+                    self._dead -= 1
+                    continue
+                if self._stopped or fired >= limit or entry[0] > horizon:
+                    break
+                heappop(heap)
+                if entry[0] < self._now:
+                    raise SimulationError("event heap corrupted: time went backwards")
+                self._now = entry[0]
+                self._fired_count += 1
+                self._live -= 1
+                if self._dead >= COMPACT_MIN_DEAD:  # the common miss, inline
+                    self._maybe_compact()
+                # Detach before firing: a late cancel() on an already-fired
+                # event must not touch the live/dead counters again.
+                event._owner = None
+                event.fire()
+                fired += 1
+        finally:
+            if collecting:
+                gc.enable()
+            self._running = False
+            self._report_run(fired, _wall.perf_counter() - started)
+        return fired
 
     def stop(self) -> None:
         """Stop the current :meth:`run`/:meth:`run_until` after the active event."""
@@ -237,10 +296,12 @@ class Simulator:
 
     def _peek(self) -> Optional[Event]:
         """Return the next live event without popping it, discarding canceled ones."""
-        while self._heap:
-            event = self._heap[0]
-            if event.canceled:
-                heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heap[0][3]
+            if event._canceled:
+                heapq.heappop(heap)
+                self._dead -= 1
                 continue
             return event
         return None

@@ -125,3 +125,9 @@ def install_ping_applet(
         trigger=TriggerRef(slug, "ping"),
         action=ActionRef(slug, "record", fields or {"note": "{{n}}"}),
     )
+
+
+def live_scan(sim: Simulator) -> int:
+    """Live events by O(n) heap scan — the truth ``Simulator.pending``'s
+    O(1) counter must track (entries are ``(time, priority, seq, event)``)."""
+    return sum(1 for *_key, event in sim._heap if not event.canceled)

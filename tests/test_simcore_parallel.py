@@ -42,6 +42,7 @@ from repro.simcore import (
     SimulationError,
     Simulator,
 )
+from tests.helpers import live_scan
 
 
 # -- regression: run_until must not fast-forward past pending events ----------
@@ -120,11 +121,6 @@ class TestRunUntilCapRegression:
 
 
 # -- regression: pending is an O(1) counter equal to the heap scan ------------
-
-
-def live_scan(sim: Simulator) -> int:
-    """The O(n) truth the counter must track."""
-    return sum(1 for event in sim._heap if not event.canceled)
 
 
 class TestPendingCounter:

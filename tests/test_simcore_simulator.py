@@ -1,8 +1,15 @@
 """Unit tests for the discrete-event kernel (events + simulator)."""
 
-import pytest
+import heapq
+import random
 
-from repro.simcore import Event, SimulationError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.simcore import Event, SimulationError, Simulator
+from repro.simcore.simulator import COMPACT_MIN_DEAD
+from tests.helpers import live_scan
 
 
 class TestEvent:
@@ -152,3 +159,161 @@ class TestSimulator:
         result = []
         sim.run()
         assert result == [5.0]
+
+
+# -- property: the tuple heap, compaction and the fused loop keep the contract --
+
+
+PENDING, FIRED, CANCELED = range(3)
+#: A timer nothing ever reaches: cancelled up front, it must not move the clock.
+FAR_FUTURE = 10_000.0
+
+
+class _KernelRun:
+    """One random schedule driven through a Simulator beside a naive oracle.
+
+    The oracle is a second lazy-deletion heap of ``(time, priority,
+    schedule order)`` keys that is never compacted; every callback checks
+    that the simulator fired exactly the oracle's next live event.  All
+    cancels go through :meth:`cancel`, which keeps the test's own live
+    count and spots compactions (a cancel shrinks the heap only then).
+    """
+
+    def __init__(self, seed: int, initial: int = 1500, budget: int = 16000) -> None:
+        self.rnd = random.Random(seed)
+        self.sim = Simulator()
+        self.budget = budget
+        self.oracle = []  # (time, priority, ident): ident is schedule order
+        self.events = []  # ident -> Event
+        self.state = []  # ident -> PENDING / FIRED / CANCELED
+        self.fired = []
+        self.live = 0
+        self.clock = 0.0
+        self.compactions = 0
+        self.stopped = False
+        for _ in range(initial):
+            self.schedule(self.rnd.randrange(200) * 0.25, self.rnd.choice(
+                ("plain", "request", "request", "request", "cancel", "stop")
+            ))
+        self.cancel(self.schedule(FAR_FUTURE, "plain"))
+        for ident in self.rnd.sample(range(initial), initial // 10):
+            self.cancel(ident)
+            if ident % 3 == 0:
+                self.cancel(ident)  # double cancel
+
+    def schedule(self, delay: float, behaviour, priority=None) -> int:
+        ident = len(self.events)
+        if priority is None:
+            priority = self.rnd.choice((-1, 0, 0, 1))
+        event = self.sim.schedule(delay, self.on_fire, ident, behaviour, priority=priority)
+        heapq.heappush(self.oracle, (event.time, priority, ident))
+        self.events.append(event)
+        self.state.append(PENDING)
+        self.live += 1
+        return ident
+
+    def cancel(self, ident: int) -> None:
+        entries = len(self.sim._heap)
+        self.events[ident].cancel()
+        if self.state[ident] == PENDING:
+            self.state[ident] = CANCELED
+            self.live -= 1
+        if len(self.sim._heap) < entries:
+            self.compactions += 1
+        self.check_counters()
+
+    def next_live(self):
+        """The oracle's next live ``(time, priority, ident)``, or ``None``."""
+        while self.oracle and self.state[self.oracle[0][2]] != PENDING:
+            heapq.heappop(self.oracle)
+        return self.oracle[0] if self.oracle else None
+
+    def check_counters(self) -> None:
+        assert self.sim.pending == self.live
+        assert len(self.sim._heap) <= self.live + max(COMPACT_MIN_DEAD, self.live)
+
+    def check_scan(self) -> None:
+        scan = live_scan(self.sim)
+        assert self.sim.pending == scan == self.live
+        assert self.sim._dead == len(self.sim._heap) - scan
+        self.check_counters()
+
+    def on_fire(self, ident: int, behaviour) -> None:
+        sim, rnd = self.sim, self.rnd
+        when, priority, expected = heapq.heappop(self.oracle) if self.next_live() else (None,) * 3
+        assert ident == expected, "fired out of (time, priority, schedule) order"
+        assert sim.now == when == self.events[ident].time >= self.clock
+        self.clock = when
+        self.state[ident] = FIRED
+        self.fired.append(ident)
+        self.live -= 1
+        if behaviour == "request":
+            # the HTTP pattern: a far timer, cancelled by a near response
+            timer = self.schedule(30.0 + rnd.randrange(8) * 0.25, "plain")
+            follow = "request" if len(self.events) < self.budget and rnd.random() < 0.9 else "plain"
+            # a same-instant response must not outrank the event firing now
+            self.schedule(rnd.randrange(5) * 0.25, ("respond", timer, follow),
+                          priority=max(priority, rnd.choice((-1, 0, 1))))
+        elif behaviour == "cancel":
+            # any state: pending, already fired (late cancel), already canceled
+            for victim in rnd.sample(range(len(self.events)), 4):
+                self.cancel(victim)
+        elif behaviour == "stop":
+            self.stopped = True
+            sim.stop()
+        elif isinstance(behaviour, tuple):
+            _, timer, follow = behaviour
+            self.cancel(timer)
+            if follow == "request":
+                self.schedule(rnd.randrange(1, 9) * 0.25, "request")
+        self.check_counters()
+
+    def drive(self) -> None:
+        """Random resumable chunks until drained; every chunk re-checked."""
+        sim, rnd = self.sim, self.rnd
+        while sim.pending:
+            self.stopped = False
+            before = len(self.fired)
+            mode = rnd.randrange(4)
+            if mode == 0:
+                assert sim.step() is True
+            elif mode == 1:
+                cap = rnd.randrange(150)
+                assert sim.run(max_events=cap) == len(self.fired) - before <= cap
+            else:
+                horizon = sim.now + rnd.randrange(24) * 0.25
+                cap = None if mode == 2 else rnd.randrange(1, 150)
+                result = sim.run_until(horizon, max_events=cap)
+                assert result == len(self.fired) - before
+                upcoming = self.next_live()
+                if result.completed:
+                    assert upcoming is None or upcoming[0] > horizon
+                    self.clock = horizon
+                else:
+                    # cut short with work left (or stopped): the clock stays
+                    # with the last fired event so the next chunk resumes
+                    assert self.stopped or (len(self.fired) - before == cap
+                                            and upcoming[0] <= horizon)
+            assert sim.now == self.clock
+            self.check_scan()
+
+
+class TestKernelProperty:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_schedules_with_cancels_through_compactions(self, seed):
+        run = _KernelRun(seed)
+        run.check_scan()
+        run.drive()
+        sim = run.sim
+        # (i) exactly the never-cancelled events fired, in oracle order
+        assert PENDING not in run.state
+        assert len(run.events) >= 3000
+        assert sim.fired_count == len(run.fired) == run.state.count(FIRED)
+        # (ii) the heap was rebuilt, repeatedly, without losing an entry
+        assert run.compactions >= 3
+        # (iii) a drained run() fires nothing, sheds the dead far-future
+        # timer and leaves the clock at the last fired event
+        assert sim.run() == 0
+        assert sim._heap == []
+        assert sim.now == run.clock < FAR_FUTURE
