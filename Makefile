@@ -4,7 +4,7 @@
 # needed): prepend the src/ layout to PYTHONPATH for all recipes.
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push bench-budget examples figures chaos chaos-check replay-check degrade-check push-check parallel-check ledger-check experiments-smoke experiments-full ci lint clean
+.PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push bench-budget examples figures chaos chaos-check replay-check degrade-check push-check parallel-check ledger-check experiments-smoke experiments-full parity-check ci lint clean
 
 install:
 	pip install -e .
@@ -158,6 +158,18 @@ experiments-smoke:
 	@diff -r -q -x run_meta.json .exp-smoke-a .exp-smoke-b || { echo "experiments-smoke: DRIFT (results differ run over run)"; exit 1; }
 	@echo "experiments-smoke: OK (results byte-identical, jobs/in-process equivalent)"
 	@rm -rf .exp-smoke-a .exp-smoke-b
+
+# Byte-parity against a base commit (tools/parity.py, ~1 min):
+# `make parity-check BASE=<git-ref>` unpacks BASE beside the working
+# tree (git archive; no network) and cmp-s, on both, the 18 chaos
+# configurations (snapshots and printed summaries), the smoke matrix's
+# results.json and the five ledger sim_fingerprints + counts at seeds 7
+# and 11.  "Byte-identical to the parent" for a refactor is this one
+# command.  Deliberately not part of `ci`/`test`: a PR that intends a
+# behaviour change must be able to fail it on purpose.
+parity-check:
+	@test -n "$(BASE)" || { echo "usage: make parity-check BASE=<git-ref>"; exit 2; }
+	python tools/parity.py $(BASE)
 
 # The full nightly matrix (38 cells; a few minutes). Results land in
 # experiment-results/ — results.txt is the human table.

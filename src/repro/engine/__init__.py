@@ -25,13 +25,12 @@ behaviour §4 measures:
   breakers, and the action dead-letter sink that keep the engine honest
   under the fault plans of :mod:`repro.faults`.
 * :mod:`repro.engine.delivery` — health-aware adaptive delivery: the
-  per-service :class:`ServiceHealth` EWMA tracker, the
-  :class:`AdaptiveDeliveryPolicy` wrapper that stretches any polling
-  policy under brownout and provably restores the §4 interval
-  distribution after heal, and the :class:`DeliveryController` that
-  adds watermarked admission control and the 4-level degradation
-  ladder (``docs/ROBUSTNESS.md``, "Adaptive delivery & degradation
-  ladder").
+  per-service :class:`ServiceHealth` EWMA tracker whose stretch factor
+  the engine's one cadence decision applies to any polling policy under
+  brownout (provably restoring the §4 interval distribution after
+  heal), and the :class:`DeliveryController` that adds watermarked
+  admission control and the 4-level degradation ladder
+  (``docs/ROBUSTNESS.md``, "Adaptive delivery & degradation ladder").
 * :mod:`repro.engine.push` — push-first delivery: the opt-in per-service
   push contract (payload-carrying ``POST /ifttt/v1/webhooks/push``
   notifications), engine-side ingestion batching via coalescing drains,
@@ -59,7 +58,6 @@ from repro.engine.poller import (
     AdaptivePollingPolicy,
 )
 from repro.engine.delivery import (
-    AdaptiveDeliveryPolicy,
     DEGRADATION_LEVEL_NAMES,
     DeliveryController,
     DeliveryPolicy,
@@ -70,7 +68,6 @@ from repro.engine.push import (
     DELIVERY_MODES,
     PUSH_RUNG_NAMES,
     PushController,
-    PushDeliveryPolicy,
     PushPolicy,
     PushServiceState,
 )
@@ -161,14 +158,12 @@ __all__ = [
     "DeliveryPolicy",
     "DeliveryController",
     "ServiceHealth",
-    "AdaptiveDeliveryPolicy",
     "DEGRADATION_LEVEL_NAMES",
     "sampled_interval_quartiles",
     "DELIVERY_MODES",
     "PUSH_RUNG_NAMES",
     "PushPolicy",
     "PushController",
-    "PushDeliveryPolicy",
     "PushServiceState",
     "POLL_DISPATCH_MODES",
     "HeapPollScheduler",

@@ -84,20 +84,6 @@ class EngineConfig:
         the conservation invariant extends to ``dispatched == delivered
         + in_retry + dead_lettered + in_replay``.  See
         ``docs/ROBUSTNESS.md`` ("Replay & batching").
-    num_shards:
-        How many :class:`~repro.engine.engine.IftttEngine` instances a
-        :class:`~repro.engine.sharding.ShardedEngine` built from this
-        config partitions the applet corpus across.  A plain engine
-        ignores the knob; 1 (the default) makes the sharded coordinator
-        behaviourally equivalent to a single engine.
-    shard_strategy:
-        How applets map to shards — one of :data:`SHARD_STRATEGIES`:
-        ``service_hash`` (seed-stable hash of the trigger service, so
-        all polls for a service land on one shard and batching still
-        works), ``round_robin`` (per-applet, ignores service affinity),
-        or ``popularity_balanced`` (first sighting of a trigger service
-        sticks it to the least-loaded shard — tames heavy-tailed applet
-        popularity).  See ``docs/SHARDING.md``.
     delivery_policy:
         Health-aware adaptive delivery tunables (``None``, the default,
         disables adaptation — the engine behaves exactly as before, no
@@ -155,8 +141,6 @@ class EngineConfig:
     replay_policy: Optional[ReplayPolicy] = None
     delivery_policy: Optional[DeliveryPolicy] = None
     push_policy: Optional[PushPolicy] = None
-    num_shards: int = 1
-    shard_strategy: str = "service_hash"
     poll_dispatch: str = "heap"
 
     def __post_init__(self) -> None:
@@ -164,13 +148,6 @@ class EngineConfig:
             raise ValueError(f"batch_limit must be positive, got {self.batch_limit}")
         if self.dedupe_window <= 0:
             raise ValueError(f"dedupe_window must be positive, got {self.dedupe_window}")
-        if self.num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
-        if self.shard_strategy not in SHARD_STRATEGIES:
-            raise ValueError(
-                f"unknown shard_strategy {self.shard_strategy!r}; "
-                f"expected one of {SHARD_STRATEGIES}"
-            )
         if self.poll_dispatch not in POLL_DISPATCH_MODES:
             raise ValueError(
                 f"unknown poll_dispatch {self.poll_dispatch!r}; "

@@ -11,7 +11,10 @@ exact service least able to take it.  The circuit breaker only blunts
 run that trips it, so the storm rages with the breaker closed.
 
 This module closes that gap with three cooperating pieces, all owned by
-one :class:`DeliveryController` per engine (per *shard* in a fleet):
+one :class:`DeliveryController` per engine (per *shard* in a fleet).  The
+per-service state (``health``, ladder ``level``, the admission depths)
+lives on the engine's :class:`~repro.engine.engine.ServiceRegistration`
+record, the ``link`` every method here takes:
 
 :class:`ServiceHealth`
     A per-(service, engine) tracker fed by every poll/action outcome,
@@ -22,19 +25,21 @@ one :class:`DeliveryController` per engine (per *shard* in a fleet):
     above the degrade threshold, multiplicative decay back to exactly
     ``1.0`` once the service strings together consecutive successes.
 
-:class:`AdaptiveDeliveryPolicy`
-    A :class:`~repro.engine.poller.PollingPolicy` wrapper — it wraps
-    *any* base policy, so production-lognormal, fixed-rate, and
-    activity-adaptive pollers all gain brownout backoff without code
-    changes.  When the service is healthy (stretch == 1.0) it returns
-    the base policy's draw **verbatim, consuming no extra randomness**,
-    which is how the §4 interval distribution is provably restored
-    post-recovery: after heal the wrapper is byte-equivalent to its
-    base.  When stretched, the base draw is multiplied by the jittered
-    stretch factor.  While the breaker is OPEN or HALF_OPEN the factor
-    is forced back to 1.0 so the recovery probe keeps the *baseline*
-    cadence — stretching a poll that the breaker sheds locally anyway
-    would only delay the half-open probe.
+Interval stretching (in the engine's one cadence decision)
+    There is no polling-policy wrapper: every applet keeps a private
+    clone of the configured base policy, and
+    ``IftttEngine._interval(link, policy, rng)`` multiplies its draw by
+    ``link.health.stretch_factor(rng)`` — so production-lognormal,
+    fixed-rate, and activity-adaptive pollers all gain brownout backoff
+    without code changes.  When the service is healthy (stretch == 1.0)
+    the factor is exactly 1.0 and is computed **consuming no
+    randomness**, which is how the §4 interval distribution is provably
+    restored post-recovery: after heal the engine draws the base
+    policy's stream byte for byte.  When stretched, the base draw is
+    multiplied by the jittered stretch factor.  While the breaker is
+    OPEN or HALF_OPEN the factor is forced back to 1.0 so the recovery
+    probe keeps the *baseline* cadence — stretching a poll that the
+    breaker sheds locally anyway would only delay the half-open probe.
 
 Admission control (on the controller)
     Watermarked ingestion bounds on the two queues that grow without
@@ -73,9 +78,8 @@ See ``docs/ROBUSTNESS.md`` ("Adaptive delivery & degradation ladder").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.engine.poller import PollingPolicy
 from repro.engine.resilience import BreakerState
 from repro.simcore.rng import Rng, quantiles
 
@@ -207,10 +211,10 @@ class DeliveryPolicy:
 class ServiceHealth:
     """One service's health as one engine observes it.
 
-    Shared by every :class:`AdaptiveDeliveryPolicy` wrapper for the
-    service's applets on that engine — health is per-(service, engine),
-    not per applet, so one applet's failed poll slows *all* polls aimed
-    at the degraded service.
+    Held on the service's registration record and read by the engine's
+    cadence decision for every applet of the service — health is
+    per-(service, engine), not per applet, so one applet's failed poll
+    slows *all* polls aimed at the degraded service.
     """
 
     __slots__ = (
@@ -310,50 +314,20 @@ class ServiceHealth:
         )
 
 
-class AdaptiveDeliveryPolicy(PollingPolicy):
-    """Wrap any polling policy with health-driven interval stretching.
-
-    ``next_interval`` is ``base.next_interval(rng) * health.stretch_factor(rng)``
-    — with the crucial special case that a factor of 1.0 applies no
-    multiplication and consumes no randomness, so the wrapper is
-    *byte-equivalent* to its base policy whenever the service is
-    healthy (including after every recovery).
-    """
-
-    def __init__(self, base: PollingPolicy, health: ServiceHealth) -> None:
-        self.base = base
-        self.health = health
-
-    def next_interval(self, rng: Rng) -> float:
-        interval = self.base.next_interval(rng)
-        factor = self.health.stretch_factor(rng)
-        return interval if factor == 1.0 else interval * factor
-
-    def observe_events(self, count: int) -> None:
-        self.base.observe_events(count)
-
-    def clone(self) -> "AdaptiveDeliveryPolicy":
-        """Fresh wrapper around a fresh base clone, *sharing* the health
-        tracker — per-applet policy state stays private while the
-        per-service health signal stays shared."""
-        return AdaptiveDeliveryPolicy(self.base.clone(), self.health)
-
-    def __repr__(self) -> str:
-        return f"AdaptiveDeliveryPolicy({self.base!r}, service={self.health.slug!r})"
-
-
 def sampled_interval_quartiles(
-    policy: PollingPolicy, seed: int = 1234, samples: int = 2000
+    draw: Callable[[Rng], float], seed: int = 1234, samples: int = 2000
 ) -> Tuple[float, float, float]:
     """(q1, median, q3) of ``samples`` fresh interval draws.
 
-    Used by the degrade gate to prove post-heal restoration: sampling a
-    healed :class:`AdaptiveDeliveryPolicy` and its bare base policy with
-    identically-seeded RNGs must give identical quartiles (the wrapper
-    consumes no extra randomness at stretch 1.0).
+    ``draw`` is any ``rng -> seconds`` callable: a policy's
+    ``next_interval``, or a closure multiplying it by a live
+    ``ServiceHealth.stretch_factor``.  Used by the degrade gate to prove
+    post-heal restoration: sampling a healed service's stretched draw
+    and its bare base policy with identically-seeded RNGs must give
+    identical quartiles (no extra randomness is consumed at stretch 1.0).
     """
     rng = Rng(seed=seed, name="interval-probe")
-    values = [policy.next_interval(rng) for _ in range(samples)]
+    values = [draw(rng) for _ in range(samples)]
     q1, q2, q3 = quantiles(values, (0.25, 0.5, 0.75))
     return (q1, q2, q3)
 
@@ -370,23 +344,13 @@ class DeliveryController:
     Created by :class:`~repro.engine.engine.IftttEngine` when
     :attr:`EngineConfig.delivery_policy` is set; every shard of a
     :class:`~repro.engine.sharding.ShardedEngine` gets its own (health
-    and queues are shard-local, like breakers and retry state).
+    and queues are shard-local, like breakers and retry state).  Every
+    method takes the service's registration record (``link``).
     """
 
     def __init__(self, engine, policy: DeliveryPolicy) -> None:
         self.engine = engine
         self.policy = policy
-        self._health: Dict[str, ServiceHealth] = {}
-        #: Current ladder level per service (mirrors the gauge).
-        self._levels: Dict[str, int] = {}
-        #: Outstanding hint-induced fast polls per service.
-        self.hint_backlog: Dict[str, int] = {}
-        #: Parked retry records per service (mirrors the engine's retry
-        #: ledger, split by service for the watermark checks).
-        self.retry_depth: Dict[str, int] = {}
-        #: In-replay records per service (replay drains respect the
-        #: retry-queue watermark; see :meth:`replay_headroom`).
-        self.replay_depth: Dict[str, int] = {}
         self.hints_deferred = 0
         self.hints_shed = 0
         self.retries_deferred = 0
@@ -395,30 +359,28 @@ class DeliveryController:
 
     # -- health ---------------------------------------------------------------
 
-    def health_for(self, slug: str) -> ServiceHealth:
+    def health_for(self, link) -> ServiceHealth:
         """The (lazily created) health tracker for one service."""
-        health = self._health.get(slug)
+        health = link.health
         if health is None:
-            health = self._health[slug] = ServiceHealth(self.policy, slug)
-            self._levels[slug] = DEGRADATION_HEALTHY
+            health = link.health = ServiceHealth(self.policy, link.slug)
             engine = self.engine
             if engine.metrics is not None:
                 engine.metrics.gauge(
-                    f"{engine.metrics_namespace}.degradation_level", service=slug
+                    f"{engine.metrics_namespace}.degradation_level", service=link.slug
                 ).set(DEGRADATION_HEALTHY)
         return health
 
-    def healths(self) -> Dict[str, ServiceHealth]:
-        """Every tracked service's health, keyed by slug."""
-        return dict(self._health)
+    def tracked(self) -> list:
+        """The record of every service with a health tracker (read
+        ``link.health`` and the ladder ``link.level`` off it)."""
+        return [
+            link for link in self.engine._services.values() if link.health is not None
+        ]
 
-    def wrap(self, base: PollingPolicy, slug: str) -> AdaptiveDeliveryPolicy:
-        """An adaptive wrapper around ``base`` bound to ``slug``'s health."""
-        return AdaptiveDeliveryPolicy(base, self.health_for(slug))
-
-    def note_result(self, slug: str, ok: bool, brownout: bool = False) -> None:
+    def note_result(self, link, ok: bool, brownout: bool = False) -> None:
         """Feed one poll/action outcome into the service's health."""
-        health = self.health_for(slug)
+        health = self.health_for(link)
         if ok:
             health.record_success()
         else:
@@ -428,18 +390,16 @@ class DeliveryController:
                 if engine.metrics is not None:
                     engine.metrics.counter(
                         f"{engine.metrics_namespace}.delivery.brownouts_observed",
-                        service=slug,
+                        service=link.slug,
                     ).inc()
-        self.refresh_level(slug)
+        self.refresh_level(link)
 
-    def on_breaker_transition(
-        self, slug: str, old: BreakerState, new: BreakerState
-    ) -> None:
+    def on_breaker_transition(self, link, new: BreakerState) -> None:
         """Mirror breaker transitions into health and the ladder."""
-        self.health_for(slug).on_breaker_transition(new)
-        self.refresh_level(slug)
+        self.health_for(link).on_breaker_transition(new)
+        self.refresh_level(link)
 
-    def stretch_retry_delay(self, slug: str, delay: float, rng: Rng) -> float:
+    def stretch_retry_delay(self, link, delay: float, rng: Rng) -> float:
         """Stretch a retry backoff by the service's health factor.
 
         This is the anti-retry-storm half of adaptation: a browning-out
@@ -448,48 +408,41 @@ class DeliveryController:
         additionally multiplied by ``stretch_multiplier`` (defer), so a
         filling queue drains slower than it grows.
         """
-        factor = self.health_for(slug).stretch_factor(rng)
-        if self.retry_depth.get(slug, 0) >= self.policy.retry_low_watermark:
+        factor = self.health_for(link).stretch_factor(rng)
+        if link.retry_depth >= self.policy.retry_low_watermark:
             factor *= self.policy.stretch_multiplier
             self.retries_deferred += 1
             engine = self.engine
             if engine.metrics is not None:
                 engine.metrics.counter(
                     f"{engine.metrics_namespace}.delivery.retries_deferred",
-                    service=slug,
+                    service=link.slug,
                 ).inc()
         return delay if factor == 1.0 else delay * factor
 
     # -- the degradation ladder ------------------------------------------------
 
-    def level_of(self, slug: str) -> int:
-        """Current ladder level for one service (0..3)."""
-        return self._levels.get(slug, DEGRADATION_HEALTHY)
-
-    def levels(self) -> Dict[str, int]:
-        """Every tracked service's ladder level."""
-        return dict(self._levels)
-
-    def _compute_level(self, slug: str) -> int:
-        health = self._health.get(slug)
+    def _compute_level(self, link) -> int:
+        health = link.health
         if health is not None and health.breaker_level == BreakerState.OPEN.level:
             return DEGRADATION_BREAKER_OPEN
         if (
-            self.hint_backlog.get(slug, 0) >= self.policy.hint_high_watermark
-            or self.retry_depth.get(slug, 0) >= self.policy.retry_high_watermark
+            link.hint_backlog >= self.policy.hint_high_watermark
+            or link.retry_depth >= self.policy.retry_high_watermark
         ):
             return DEGRADATION_SHEDDING
         if health is not None and health.degraded:
             return DEGRADATION_STRETCHED
         return DEGRADATION_HEALTHY
 
-    def refresh_level(self, slug: str) -> None:
+    def refresh_level(self, link) -> None:
         """Recompute the ladder level; emit gauge/counter/trace on change."""
-        new = self._compute_level(slug)
-        old = self._levels.get(slug, DEGRADATION_HEALTHY)
+        new = self._compute_level(link)
+        old = link.level
         if new == old:
             return
-        self._levels[slug] = new
+        link.level = new
+        slug = link.slug
         engine = self.engine
         ns = engine.metrics_namespace
         if engine.metrics is not None:
@@ -501,7 +454,7 @@ class DeliveryController:
                 to_level=DEGRADATION_LEVEL_NAMES[new],
             ).inc()
             engine.metrics.gauge(f"{ns}.delivery.stretch", service=slug).set(
-                self.health_for(slug).stretch
+                self.health_for(link).stretch
             )
         if engine.trace is not None:
             engine.trace.record(
@@ -515,113 +468,108 @@ class DeliveryController:
 
     # -- admission: realtime-hint queue -----------------------------------------
 
-    def admit_hint(self, slug: str) -> str:
+    def admit_hint(self, link) -> str:
         """Admission verdict for one honoured hint identity.
 
         Consulted *per identity* (each identity is one outstanding fast
         poll), so a single huge hint burst walks the ladder rung by
         rung: allow → defer → shed.
         """
-        backlog = self.hint_backlog.get(slug, 0)
+        backlog = link.hint_backlog
         engine = self.engine
         ns = engine.metrics_namespace
         if backlog >= self.policy.hint_high_watermark:
             self.hints_shed += 1
             if engine.metrics is not None:
                 engine.metrics.counter(
-                    f"{ns}.delivery.hints_shed", service=slug
+                    f"{ns}.delivery.hints_shed", service=link.slug
                 ).inc()
             if engine.trace is not None:
                 engine.trace.record(
                     engine.now, ns, "engine_hint_shed",
-                    service=slug, backlog=backlog,
+                    service=link.slug, backlog=backlog,
                 )
-            self.refresh_level(slug)
+            self.refresh_level(link)
             return HINT_SHED
         if backlog >= self.policy.hint_low_watermark:
             self.hints_deferred += 1
             if engine.metrics is not None:
                 engine.metrics.counter(
-                    f"{ns}.delivery.hints_deferred", service=slug
+                    f"{ns}.delivery.hints_deferred", service=link.slug
                 ).inc()
             if engine.trace is not None:
                 engine.trace.record(
                     engine.now, ns, "engine_hint_deferred",
-                    service=slug, backlog=backlog,
+                    service=link.slug, backlog=backlog,
                 )
             return HINT_DEFER
         return HINT_ALLOW
 
-    def note_fast_poll_scheduled(self, slug: str) -> None:
-        self.hint_backlog[slug] = self.hint_backlog.get(slug, 0) + 1
-        self.refresh_level(slug)
+    def note_fast_poll_scheduled(self, link) -> None:
+        link.hint_backlog += 1
+        self.refresh_level(link)
 
-    def note_fast_poll_done(self, slug: str) -> None:
+    def note_fast_poll_done(self, link) -> None:
         """A hint-induced fast poll fired (or was cancelled)."""
-        remaining = self.hint_backlog.get(slug, 0) - 1
-        self.hint_backlog[slug] = remaining if remaining > 0 else 0
-        self.refresh_level(slug)
+        if link.hint_backlog > 0:
+            link.hint_backlog -= 1
+        self.refresh_level(link)
 
     # -- admission: action retry queue ------------------------------------------
 
-    def admit_retry(self, slug: str) -> bool:
+    def admit_retry(self, link) -> bool:
         """Whether a failed action may join the retry queue.
 
         ``False`` means the per-service depth is at/above the high
         watermark: the caller dead-letters with reason ``overload``.
         """
-        if self.retry_depth.get(slug, 0) < self.policy.retry_high_watermark:
+        if link.retry_depth < self.policy.retry_high_watermark:
             return True
         self.overload_dead_letters += 1
         engine = self.engine
         if engine.metrics is not None:
             engine.metrics.counter(
                 f"{engine.metrics_namespace}.delivery.overload_dead_letters",
-                service=slug,
+                service=link.slug,
             ).inc()
-        self.refresh_level(slug)
+        self.refresh_level(link)
         return False
 
-    def note_retry_enqueued(self, slug: str) -> None:
-        self.retry_depth[slug] = self.retry_depth.get(slug, 0) + 1
-        self.refresh_level(slug)
+    def note_retry_enqueued(self, link) -> None:
+        link.retry_depth += 1
+        self.refresh_level(link)
 
-    def note_retry_dequeued(self, slug: str) -> None:
-        remaining = self.retry_depth.get(slug, 0) - 1
-        self.retry_depth[slug] = remaining if remaining > 0 else 0
-        self.refresh_level(slug)
+    def note_retry_dequeued(self, link) -> None:
+        if link.retry_depth > 0:
+            link.retry_depth -= 1
+        self.refresh_level(link)
 
     # -- admission: replay drains ------------------------------------------------
 
-    def replay_headroom(self, slug: str) -> int:
+    def replay_headroom(self, link) -> int:
         """How many dead letters a replay drain may put in flight now.
 
         Replay records share the retry queue's high watermark: a drain
         may not push ``retry_depth + replay_depth`` past it, so catch-up
         bursts cannot overrun the queue that ordinary failures respect.
+        (``link.replay_depth`` is kept by the replay controller itself.)
         """
-        used = self.retry_depth.get(slug, 0) + self.replay_depth.get(slug, 0)
-        return max(0, self.policy.retry_high_watermark - used)
+        return max(
+            0, self.policy.retry_high_watermark - link.retry_depth - link.replay_depth
+        )
 
-    def note_replay_enqueued(self, slug: str, count: int) -> None:
-        self.replay_depth[slug] = self.replay_depth.get(slug, 0) + count
-
-    def note_replay_dequeued(self, slug: str, count: int = 1) -> None:
-        remaining = self.replay_depth.get(slug, 0) - count
-        self.replay_depth[slug] = remaining if remaining > 0 else 0
-
-    def note_replay_drain_deferred(self, slug: str) -> None:
+    def note_replay_drain_deferred(self, link) -> None:
         self.replay_drains_deferred += 1
         engine = self.engine
         ns = engine.metrics_namespace
         if engine.metrics is not None:
             engine.metrics.counter(
-                f"{ns}.replay.drains_deferred", service=slug
+                f"{ns}.replay.drains_deferred", service=link.slug
             ).inc()
         if engine.trace is not None:
             engine.trace.record(
                 engine.now, ns, "engine_replay_drain_deferred",
-                service=slug, headroom=self.replay_headroom(slug),
+                service=link.slug, headroom=self.replay_headroom(link),
             )
 
     # -- reporting ---------------------------------------------------------------
@@ -635,13 +583,11 @@ class DeliveryController:
             "delivery_overload_dead_letters": self.overload_dead_letters,
             "delivery_replay_drains_deferred": self.replay_drains_deferred,
             "delivery_intervals_stretched": sum(
-                h.stretched_samples for h in self._health.values()
+                link.health.stretched_samples for link in self.tracked()
             ),
         }
 
     def __repr__(self) -> str:
-        degraded = sorted(s for s, h in self._health.items() if h.degraded)
-        return (
-            f"<DeliveryController services={len(self._health)} "
-            f"degraded={degraded}>"
-        )
+        tracked = self.tracked()
+        degraded = sorted(link.slug for link in tracked if link.health.degraded)
+        return f"<DeliveryController services={len(tracked)} degraded={degraded}>"

@@ -18,23 +18,24 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.engine.applet import Applet, ActionRef, AppletState, QueryRef, TriggerRef
 from repro.engine.filters import Expr, FilterEvalError, parse as parse_filter
 from repro.engine.config import EngineConfig
 from repro.engine.delivery import (
+    DEGRADATION_HEALTHY,
     DeliveryController,
     HINT_DEFER,
     HINT_SHED,
+    ServiceHealth,
     response_is_brownout,
 )
 from repro.engine.loops import RuntimeLoopDetector, StaticLoopAnalyzer, LoopError
 from repro.engine.oauth import OAuthAuthority, TokenCache
 from repro.engine.permissions import ServicePermissionModel
 from repro.engine.poller import PollingPolicy
-from repro.engine.push import PushController
+from repro.engine.push import RUNG_POLL, PushController, PushServiceState
 from repro.engine.replay import ReplayController
 from repro.engine.scheduler import make_poll_scheduler
 from repro.engine.resilience import (
@@ -45,7 +46,7 @@ from repro.engine.resilience import (
 )
 from repro.simcore.event import Event
 from repro.net.address import Address
-from repro.net.http import HttpNode, HttpRequest, HttpResponse
+from repro.net.http import HttpError, HttpNode, HttpRequest, HttpResponse
 from repro.obs.metrics import COUNT_BUCKETS
 from repro.services.partner import (
     ACTION_PATH,
@@ -70,17 +71,69 @@ class AppletIdRangeError(RuntimeError):
     """
 
 
-@dataclass
 class ServiceRegistration:
-    """A published partner service, as the engine sees it."""
+    """Everything one engine knows about one published partner service.
 
-    slug: str
-    address: Address
-    service_key: str
-    realtime: bool = False
-    #: The negotiated push contract: the service declared ``push=True``
-    #: *and* this engine's ``EngineConfig.push_policy`` is set.
-    push: bool = False
+    Every exchange in the paper's protocol is with *one* service, so the
+    publication facts and all per-service state of the engine and its
+    delivery/push/replay controllers live on this one record; they pass
+    it around (as ``link``) instead of a slug.
+
+    ``breaker``, ``health`` and ``push_state`` are born lazily because
+    each birth is observable (its gauge goes live): the breaker at the
+    first guarded request, health at the first install or outcome under
+    a delivery policy, push state at the first contract install or
+    notification.  The admission depths are plain ints, so reading them
+    creates nothing.
+    """
+
+    __slots__ = (
+        "slug",
+        "address",
+        "service_key",
+        "push",
+        "service",
+        "breaker",
+        "parked",
+        "health",
+        "level",
+        "hint_backlog",
+        "retry_depth",
+        "replay_depth",
+        "push_state",
+        "drain_scheduled",
+        "polls_sent",
+        "poll_interval_seconds",
+    )
+
+    def __init__(self, service: PartnerService, service_key: str, push: bool = False) -> None:
+        self.slug = service.slug
+        self.address = service.address
+        self.service_key = service_key
+        #: The negotiated push contract: the service declared ``push=True``
+        #: *and* this engine's ``EngineConfig.push_policy`` is set.
+        self.push = push
+        self.service = service
+        self.breaker: Optional[CircuitBreaker] = None
+        #: Identities hinted/pushed while the breaker was open (ordered,
+        #: each once); fast-polled when it closes.
+        self.parked: Dict[str, None] = {}
+        self.health: Optional[ServiceHealth] = None
+        self.level = DEGRADATION_HEALTHY    # ladder level (mirrors the gauge)
+        #: Outstanding fast polls / parked action retries / records in
+        #: replay — what the admission watermarks read.
+        self.hint_backlog = 0
+        self.retry_depth = 0
+        self.replay_depth = 0
+        self.push_state: Optional[PushServiceState] = None
+        self.drain_scheduled = False        # a replay drain is already queued
+        #: Bound ``{ns}.polls_sent`` / ``{ns}.poll_interval_seconds``
+        #: handles (cleared by ``_hot_metrics`` on a registry swap).
+        self.polls_sent: Any = None
+        self.poll_interval_seconds: Any = None
+
+    def __repr__(self) -> str:
+        return f"<ServiceRegistration {self.slug!r}>"
 
 
 class _AppletRuntime:
@@ -99,6 +152,8 @@ class _AppletRuntime:
     ``identity`` is ``applet.trigger_identity`` computed once (the
     property re-hashes on every read, and every poll presents it); it is
     the same string object the engine's identity index is keyed by.
+    ``link`` is the trigger service's :class:`ServiceRegistration`; only
+    stand-in harnesses that build runtimes by hand leave it ``None``.
     """
 
     __slots__ = (
@@ -116,6 +171,7 @@ class _AppletRuntime:
         "poll_gen",
         "poll_scheduled",
         "fast_poll_pending",
+        "link",
     )
 
     def __init__(
@@ -123,11 +179,13 @@ class _AppletRuntime:
         applet: Applet,
         policy: PollingPolicy,
         filter_expr: Optional[Expr] = None,
+        link: Optional[ServiceRegistration] = None,
     ) -> None:
         self.applet = applet
         self.identity = applet.trigger_identity
         self.policy = policy
         self.filter_expr = filter_expr
+        self.link = link
         self.seen_ids: Set[int] = set()
         self.seen_order: Deque[int] = deque()
         self.poll_in_flight = False
@@ -181,8 +239,8 @@ class IftttEngine(HttpNode):
         self._ns = metrics_namespace
         self.tokens = TokenCache()
         self.permissions = ServicePermissionModel()
+        # The one slug-keyed table; all per-service state is on the record.
         self._services: Dict[str, ServiceRegistration] = {}
-        self._service_objects: Dict[str, PartnerService] = {}
         self._applets: Dict[int, _AppletRuntime] = {}
         self._by_identity: Dict[str, List[int]] = {}
         # Shards carve out disjoint id ranges via applet_id_start, so a
@@ -209,9 +267,8 @@ class IftttEngine(HttpNode):
         self.query_failures = 0
         self.filter_skips = 0
         self.filter_errors = 0
-        # Resilience state: per-service breakers, retry counters, and the
-        # dead-letter sink that guarantees no action is silently lost.
-        self._breakers: Dict[str, CircuitBreaker] = {}
+        # Resilience state: retry counters and the dead-letter sink that
+        # guarantees no action is silently lost.
         self.polls_shed = 0
         self.poll_retries = 0
         self.actions_shed = 0
@@ -227,12 +284,11 @@ class IftttEngine(HttpNode):
         self._retry_timers: Dict[int, Tuple[PendingAction, Event]] = {}
         self._retry_seq = itertools.count()
         # Realtime-hint fallback: hints for a service whose breaker is
-        # open are parked (ordered per service) instead of scheduling
-        # fast polls that are guaranteed to be shed; they resume when the
-        # half-open probe succeeds and the breaker closes.
+        # open are parked on its record instead of scheduling fast polls
+        # that are guaranteed to be shed; they resume when the half-open
+        # probe succeeds and the breaker closes.
         self.realtime_hints_suppressed = 0
         self.realtime_hints_resumed = 0
-        self._suppressed_hints: Dict[str, Dict[str, None]] = {}
         # Dead-letter replay (None unless EngineConfig.replay_policy is
         # set): in_replay is the fourth state of the conservation
         # invariant — dispatched == delivered + in_retry + dead + in_replay.
@@ -277,7 +333,6 @@ class IftttEngine(HttpNode):
         # when the engine attaches to a network, and a swap invalidates
         # every cached handle at once.
         self._m_registry = None
-        self._m_polls_sent: Dict[str, Any] = {}
         self._m_poll_rtt = None
         self._m_poll_batch = None
         self._m_events_observed = None
@@ -309,21 +364,13 @@ class IftttEngine(HttpNode):
         # Contract negotiation: the service's push *capability* becomes
         # an accepted contract only when this engine runs a push policy.
         push = self.config.push_policy is not None and service.push
-        registration = ServiceRegistration(
-            slug=service.slug,
-            address=service.address,
-            service_key=key,
-            realtime=service.realtime,
-            push=push,
-        )
-        self._services[service.slug] = registration
-        self._service_objects[service.slug] = service
+        self._services[service.slug] = ServiceRegistration(service, key, push=push)
         service.published(self.address, key, push=push)
         self.permissions.register_service(service.slug, service.trigger_slugs, service.action_slugs)
         return key
 
     def service_registration(self, slug: str) -> ServiceRegistration:
-        """Registration record for a published service."""
+        """The engine's record of a published service."""
         return self._services[slug]
 
     @property
@@ -413,28 +460,27 @@ class IftttEngine(HttpNode):
             filter_code=filter_code,
         )
         if self.config.static_loop_check:
-            analyzer = StaticLoopAnalyzer(self._service_objects)
+            analyzer = StaticLoopAnalyzer(
+                {slug: link.service for slug, link in self._services.items()}
+            )
             cycle = analyzer.cycle_introduced_by(
                 [rt.applet for rt in self._applets.values() if rt.applet.user == user], applet
             )
             if cycle is not None:
                 raise LoopError(f"applet would create a loop: {[a.describe() for a in cycle]}")
-        policy = self.config.poll_policy.clone()
+        link = self._services[trigger.service_slug]
+        # The applet polls on a private clone of the base policy; what the
+        # service's shared health and push rung do to it is decided per
+        # poll (_interval).  Both are born here, health first.
         if self.delivery is not None:
-            # Health-based adaptation wraps every applet's private policy
-            # clone around the *shared* per-service health tracker — one
-            # applet's failed poll slows every poll aimed at the service.
-            policy = self.delivery.wrap(policy, trigger.service_slug)
-        if self.push is not None and self._services[trigger.service_slug].push:
-            # Push contract: pushes deliver the events, so polling drops
-            # to the safety-net cadence — except on the ladder's poll
-            # rung, where the wrapped policy (and through it any
-            # adaptive layer) draws verbatim.
-            policy = self.push.wrap(policy, trigger.service_slug)
+            self.delivery.health_for(link)
+        if link.push:
+            self.push.state_for(link)
         runtime = _AppletRuntime(
             applet=applet,
-            policy=policy,
+            policy=self.config.poll_policy.clone(),
             filter_expr=filter_expr,
+            link=link,
         )
         self._applets[applet.applet_id] = runtime
         self._by_identity.setdefault(runtime.identity, []).append(applet.applet_id)
@@ -496,7 +542,7 @@ class IftttEngine(HttpNode):
             event.cancel()
             self.actions_in_retry -= 1
             if self.delivery is not None:
-                self.delivery.note_retry_dequeued(record.service_slug)
+                self.delivery.note_retry_dequeued(self._services[record.service_slug])
             self._dead_letter(record, "applet_removed")
         identity = runtime.identity
         owners = self._by_identity.get(identity, [])
@@ -586,48 +632,97 @@ class IftttEngine(HttpNode):
     # -- resilience: per-service circuit breakers --------------------------------------
 
     def breaker_for(self, service_slug: str) -> Optional[CircuitBreaker]:
-        """The (lazily created) breaker guarding one service, or ``None``.
+        """The (lazily created) breaker guarding one published service,
+        or ``None``.
 
         Breakers exist only when :attr:`EngineConfig.breaker_policy` is
         set; each one reports its transitions into the
         ``engine.breaker_transitions`` counter family and the
         ``engine.breaker_state`` gauge (closed=0, half-open=1, open=2).
         """
+        return self._breaker(self._services[service_slug])
+
+    def _breaker(self, link: ServiceRegistration) -> Optional[CircuitBreaker]:
+        breaker = link.breaker
         policy = self.config.breaker_policy
-        if policy is None:
-            return None
-        breaker = self._breakers.get(service_slug)
-        if breaker is None:
-            breaker = CircuitBreaker(
+        if breaker is None and policy is not None:
+            breaker = link.breaker = CircuitBreaker(
                 policy,
-                on_transition=lambda old, new, at, slug=service_slug: (
-                    self._on_breaker_transition(slug, old, new, at)
+                on_transition=lambda old, new, at: (
+                    self._on_breaker_transition(link, old, new, at)
                 ),
             )
-            self._breakers[service_slug] = breaker
             # The state gauge is live from birth, not first-transition:
             # a service whose breaker never trips still reports closed=0,
             # so dashboards (and the shard-prefix fold) see every guarded
             # service, not just the ones that have already failed.
             if self.metrics is not None:
                 self.metrics.gauge(
-                    f"{self._ns}.breaker_state", service=service_slug
+                    f"{self._ns}.breaker_state", service=link.slug
                 ).set(BreakerState.CLOSED.level)
         return breaker
+
+    def _sheds(self, link: ServiceRegistration) -> bool:
+        """Whether the service's breaker refuses a request right now — the
+        gate before every poll, action and replay send (and, at the
+        first one, the breaker's birth)."""
+        breaker = link.breaker or self._breaker(link)
+        return breaker is not None and not breaker.allow(self.now)
+
+    def _note_outcome(
+        self,
+        link: ServiceRegistration,
+        ok: bool,
+        response: Optional[HttpResponse] = None,
+    ) -> None:
+        """Feed one request outcome to the breaker, *then* to health.
+
+        The order is observable: a closing breaker resumes parked fast
+        polls and schedules the replay drain before health sees the
+        success.  An outcome follows a send, so the breaker (if any)
+        exists.  Replay passes no ``response``: breaker only.
+        """
+        breaker = link.breaker
+        if breaker is not None:
+            if ok:
+                breaker.record_success(self.now)
+            else:
+                breaker.record_failure(self.now)
+        if response is not None and self.delivery is not None:
+            self.delivery.note_result(
+                link, ok, brownout=not ok and response_is_brownout(response)
+            )
+
+    def _guarded(self) -> List[ServiceRegistration]:
+        """Records whose breaker has been born, in slug order."""
+        return [
+            link for _, link in sorted(self._services.items())
+            if link.breaker is not None
+        ]
 
     def breaker_levels(self) -> Dict[str, int]:
         """Current numeric breaker level per service (0/1/2 =
         closed/half-open/open) — the live values behind the
         ``{ns}.breaker_state`` gauge family."""
-        return {slug: b.state.level for slug, b in sorted(self._breakers.items())}
+        return {link.slug: link.breaker.state.level for link in self._guarded()}
 
     def breaker_states(self) -> Dict[str, str]:
         """Current breaker state per service (for dashboards and tests)."""
-        return {slug: b.state.value for slug, b in sorted(self._breakers.items())}
+        return {link.slug: link.breaker.state.value for link in self._guarded()}
+
+    def breaker_transitions(self) -> List[Tuple[float, str, str, str]]:
+        """Every breaker transition so far as ``(at, service, from, to)``,
+        in time order (for chaos reports)."""
+        return sorted(
+            (at, link.slug, old.value, new.value)
+            for link in self._guarded()
+            for at, old, new in link.breaker.transitions
+        )
 
     def _on_breaker_transition(
-        self, slug: str, old: BreakerState, new: BreakerState, at: float
+        self, link: ServiceRegistration, old: BreakerState, new: BreakerState, at: float
     ) -> None:
+        slug = link.slug
         if self.metrics is not None:
             self.metrics.counter(
                 f"{self._ns}.breaker_transitions",
@@ -643,14 +738,14 @@ class IftttEngine(HttpNode):
             # Mirror the breaker level into the service's health tracker
             # (OPEN/HALF_OPEN suspend stretching so the half-open probe
             # keeps the baseline cadence) and onto the degradation ladder.
-            self.delivery.on_breaker_transition(slug, old, new)
+            self.delivery.on_breaker_transition(link, new)
         if new is BreakerState.CLOSED:
             # The service healed (half-open probe succeeded): resume any
-            # suppressed realtime hints and, when replay is configured,
+            # parked realtime hints and, when replay is configured,
             # drain its dead letters back through delivery.
-            self._resume_suppressed_hints(slug)
+            self._resume_parked(link)
             if self.replay is not None:
-                self.replay.on_service_healed(slug)
+                self.replay.on_service_healed(link)
 
     # -- dead-letter replay -------------------------------------------------------------
 
@@ -672,14 +767,15 @@ class IftttEngine(HttpNode):
                 ordered.setdefault(letter.service_slug, None)
             slugs = list(ordered)
         for slug in slugs:
-            self.replay.replay_service(slug)
+            self.replay.replay_service(self._services[slug])
 
     # -- the poll loop ----------------------------------------------------------------
 
     def _hot_metrics(self, metrics) -> None:
         """(Re)bind the cached per-poll instrument handles to ``metrics``."""
         self._m_registry = metrics
-        self._m_polls_sent = {}
+        for link in self._services.values():
+            link.polls_sent = link.poll_interval_seconds = None
         self._m_poll_rtt = metrics.histogram(self._n_poll_rtt)
         self._m_poll_batch = metrics.histogram(self._n_poll_batch, bounds=COUNT_BUCKETS)
         self._m_events_observed = metrics.counter(self._n_events_observed)
@@ -689,19 +785,40 @@ class IftttEngine(HttpNode):
             return
         self._scheduler.schedule(runtime, delay)
 
+    def _interval(self, link: ServiceRegistration, policy: PollingPolicy, rng: Rng) -> float:
+        """The one cadence decision: seconds until an applet's next poll.
+
+        A push-contract service on the push or hint rung → the constant
+        ``safety_net_interval``, **no RNG draw** (pushes deliver; polling
+        is a slow sweep).  Otherwise the applet's own policy draws, times
+        the service's shared health stretch — exactly 1.0, again with no
+        draw, while the service is healthy or its breaker is not closed —
+        so a healed (or shed-to-poll) service polls on the base policy's
+        distribution byte for byte.
+        """
+        if link.push and link.push_state.rung != RUNG_POLL:
+            return self.push.policy.safety_net_interval
+        interval = policy.next_interval(rng)
+        health = link.health
+        if health is not None:
+            factor = health.stretch_factor(rng)
+            if factor != 1.0:
+                interval *= factor
+        return interval
+
     def _poll(self, runtime: _AppletRuntime) -> None:
         runtime.pending_poll_event = None
         applet = runtime.applet
+        link = runtime.link
         if runtime.fast_poll_pending:
             # The hint-induced fast poll is firing (or no-oping): its
             # backlog slot frees either way.
             runtime.fast_poll_pending = False
             if self.delivery is not None:
-                self.delivery.note_fast_poll_done(applet.trigger.service_slug)
+                self.delivery.note_fast_poll_done(link)
         if not applet.enabled or runtime.poll_in_flight:
             return
-        breaker = self.breaker_for(applet.trigger.service_slug)
-        if breaker is not None and not breaker.allow(self.now):
+        if self._sheds(link):
             # Open breaker: shed the poll instead of hammering a failing
             # service.  The attempt still counts toward the applet's poll
             # tally (the engine *tried*), but no request leaves the node;
@@ -710,25 +827,19 @@ class IftttEngine(HttpNode):
             runtime.polls += 1
             self.polls_shed += 1
             if self.metrics is not None:
-                self.metrics.counter(
-                    f"{self._ns}.polls_shed", service=applet.trigger.service_slug
-                ).inc()
+                self.metrics.counter(f"{self._ns}.polls_shed", service=link.slug).inc()
             if self.trace is not None:
                 self.trace.record(
                     self.now,
                     self._ns,
                     "engine_poll_shed",
                     applet_id=applet.applet_id,
-                    service=applet.trigger.service_slug,
+                    service=link.slug,
                 )
             self._schedule_next_poll(
-                runtime,
-                runtime.policy.sample_interval(
-                    self.rng, None, service=applet.trigger.service_slug
-                ),
+                runtime, self._interval(link, runtime.policy, self.rng)
             )
             return
-        registration = self._services[applet.trigger.service_slug]
         runtime.poll_in_flight = True
         runtime.polls += 1
         runtime.last_poll_at = self.now
@@ -737,11 +848,10 @@ class IftttEngine(HttpNode):
         if metrics is not None:
             if metrics is not self._m_registry:
                 self._hot_metrics(metrics)
-            slug = applet.trigger.service_slug
-            counter = self._m_polls_sent.get(slug)
+            counter = link.polls_sent
             if counter is None:
-                counter = self._m_polls_sent[slug] = metrics.counter(
-                    self._n_polls_sent, service=slug
+                counter = link.polls_sent = metrics.counter(
+                    self._n_polls_sent, service=link.slug
                 )
             counter.inc()
         if self.trace is not None:
@@ -754,7 +864,7 @@ class IftttEngine(HttpNode):
                 trigger=applet.trigger.trigger_slug,
             )
         self.post(
-            registration.address,
+            link.address,
             TRIGGER_PATH + applet.trigger.trigger_slug,
             body={
                 "trigger_identity": runtime.identity,
@@ -762,14 +872,14 @@ class IftttEngine(HttpNode):
                 "limit": self.config.batch_limit,
                 "request_id": f"req-{self.rng.randint(10**8, 10**9 - 1)}",
             },
-            headers=self._auth_headers(registration, applet.user),
+            headers=self._auth_headers(link, applet.user),
             on_response=lambda response, rt=runtime: self._on_poll_response(rt, response),
             timeout=self.config.poll_timeout,
         )
 
-    def _auth_headers(self, registration: ServiceRegistration, user: str) -> Dict[str, Any]:
-        headers: Dict[str, Any] = {"IFTTT-Service-Key": registration.service_key}
-        token = self.tokens.lookup(user, registration.slug)
+    def _auth_headers(self, link: ServiceRegistration, user: str) -> Dict[str, Any]:
+        headers: Dict[str, Any] = {"IFTTT-Service-Key": link.service_key}
+        token = self.tokens.lookup(user, link.slug)
         if token is not None:
             headers["Authorization"] = f"Bearer {token}"
         return headers
@@ -777,33 +887,19 @@ class IftttEngine(HttpNode):
     def _on_poll_response(self, runtime: _AppletRuntime, response: HttpResponse) -> None:
         runtime.poll_in_flight = False
         applet = runtime.applet
+        link = runtime.link
         metrics = self.metrics
-        breaker = self.breaker_for(applet.trigger.service_slug)
+        ok = response.ok
+        self._note_outcome(link, ok, response)
         new_events: List[Dict[str, Any]] = []
-        if response.ok:
-            if breaker is not None:
-                breaker.record_success(self.now)
-            if self.delivery is not None:
-                self.delivery.note_result(applet.trigger.service_slug, ok=True)
+        if ok:
             runtime.poll_attempts = 0
-            wire_events = (response.body or {}).get("data", [])
             # The wire carries newest-first; process in chronological order.
-            for wire in reversed(wire_events):
-                event_id = wire["meta"]["id"]
-                if event_id in runtime.seen_ids:
-                    continue
-                self._remember_event(runtime, event_id)
-                new_events.append(wire)
+            new_events = self._new_events(
+                runtime, reversed((response.body or {}).get("data", []))
+            )
         else:
             self.poll_failures += 1
-            if breaker is not None:
-                breaker.record_failure(self.now)
-            if self.delivery is not None:
-                self.delivery.note_result(
-                    applet.trigger.service_slug,
-                    ok=False,
-                    brownout=response_is_brownout(response),
-                )
             if metrics is not None:
                 metrics.counter(
                     f"{self._ns}.poll_failures", status=response.status
@@ -822,55 +918,72 @@ class IftttEngine(HttpNode):
                 "engine_poll_response",
                 applet_id=applet.applet_id,
                 status=response.status,
-                returned=len((response.body or {}).get("data", [])) if response.ok else 0,
+                returned=len((response.body or {}).get("data", [])) if ok else 0,
                 new=len(new_events),
             )
         runtime.policy.observe_events(len(new_events))
         for wire in new_events:
             self._process_event(runtime, wire)
-        if not response.ok:
+        if not ok:
             runtime.poll_attempts += 1
             retry = self.config.retry_policy
             if (
                 retry is not None
                 and not retry.exhausted(runtime.poll_attempts)
-                and (breaker is None or breaker.state is not BreakerState.OPEN)
+                and (link.breaker is None or link.breaker.state is not BreakerState.OPEN)
             ):
                 # Retry the failed poll on capped exponential backoff —
                 # unless the breaker just opened, in which case the shed
                 # path owns pacing until the service recovers.
                 self.poll_retries += 1
                 if metrics is not None:
-                    metrics.counter(
-                        f"{self._ns}.poll_retries", service=applet.trigger.service_slug
-                    ).inc()
+                    metrics.counter(f"{self._ns}.poll_retries", service=link.slug).inc()
                 delay = retry.backoff(runtime.poll_attempts, self.rng)
-                if self.delivery is not None:
+                if link.health is not None:
                     # Stretch the retry burst by the same health factor
                     # regular polls get — this is what turns a brownout's
                     # retry storm into a back-off.
-                    delay *= self.delivery.health_for(
-                        applet.trigger.service_slug
-                    ).stretch_factor(self.rng)
+                    delay *= link.health.stretch_factor(self.rng)
                 self._schedule_next_poll(runtime, delay)
                 return
             runtime.poll_attempts = 0  # burst over; fall back to the regular cadence
-        self._schedule_next_poll(
-            runtime,
-            runtime.policy.sample_interval(
-                self.rng,
-                metrics,
-                metric_name=self._n_poll_interval,
-                service=applet.trigger.service_slug,
-            ),
-        )
+        interval = self._interval(link, runtime.policy, self.rng)
+        if metrics is not None:
+            # §4 blames T2A on this distribution, so it is a first-class
+            # histogram, bound once per service record.  ``policy`` says
+            # who owns the cadence (vocabulary: docs/OBSERVABILITY.md).
+            histogram = link.poll_interval_seconds
+            if histogram is None:
+                histogram = link.poll_interval_seconds = metrics.histogram(
+                    self._n_poll_interval,
+                    policy=(
+                        "PushDeliveryPolicy" if link.push
+                        else "AdaptiveDeliveryPolicy" if self.delivery is not None
+                        else type(runtime.policy).__name__
+                    ),
+                    service=link.slug,
+                )
+            histogram.observe(interval)
+        self._schedule_next_poll(runtime, interval)
 
-    def _remember_event(self, runtime: _AppletRuntime, event_id: int) -> None:
-        runtime.seen_ids.add(event_id)
-        runtime.seen_order.append(event_id)
-        while len(runtime.seen_order) > self.config.dedupe_window:
-            oldest = runtime.seen_order.popleft()
-            runtime.seen_ids.discard(oldest)
+    def _new_events(
+        self, runtime: _AppletRuntime, wires: Iterable[Dict[str, Any]]
+    ) -> List[Dict[str, Any]]:
+        """Dedupe ``wires`` (chronological) against the applet's window of
+        seen ``meta.id``s, remembering — and returning — the new ones."""
+        seen, order = runtime.seen_ids, runtime.seen_order
+        window = self.config.dedupe_window
+        fresh = []
+        for wire in wires:
+            event_id = wire["meta"]["id"]
+            if event_id in seen:
+                continue
+            seen.add(event_id)
+            order.append(event_id)
+            while len(order) > window:
+                seen.discard(order.popleft())
+            fresh.append(wire)
+        return fresh
 
     # -- event processing: queries -> condition -> actions ----------------------------------
 
@@ -1026,8 +1139,7 @@ class IftttEngine(HttpNode):
         budget and dead-letters instead of looping forever.
         """
         record.attempts += 1
-        breaker = self.breaker_for(record.service_slug)
-        if breaker is not None and not breaker.allow(self.now):
+        if self._sheds(self._services[record.service_slug]):
             self.actions_shed += 1
             if self.metrics is not None:
                 self.metrics.counter(
@@ -1044,19 +1156,27 @@ class IftttEngine(HttpNode):
                 )
             self._note_action_failure(record)
             return
-        registration = self._services[record.service_slug]
+        self._post_action(record, self._on_action_result)
+
+    def _post_action(
+        self,
+        record: PendingAction,
+        on_result: Callable[[PendingAction, HttpResponse], None],
+    ) -> None:
+        """POST one action to its service (first sends, retries and
+        unbatched replay all leave through here)."""
+        link = self._services[record.service_slug]
         self.post(
-            registration.address,
+            link.address,
             ACTION_PATH + record.action_slug,
             body={"actionFields": record.fields, "user": record.user},
-            headers=self._auth_headers(registration, record.user),
-            on_response=lambda response, r=record: self._on_action_result(r, response),
+            headers=self._auth_headers(link, record.user),
+            on_response=lambda response: on_result(record, response),
             timeout=self.config.action_timeout,
         )
 
     def _on_action_result(self, record: PendingAction, response: HttpResponse) -> None:
         record.last_status = response.status
-        breaker = self.breaker_for(record.service_slug)
         metrics = self.metrics
         if metrics is not None:
             metrics.histogram(f"{self._ns}.action_rtt_seconds").observe(response.elapsed)
@@ -1069,11 +1189,9 @@ class IftttEngine(HttpNode):
                 status=response.status,
                 attempt=record.attempts,
             )
-        if response.ok:
-            if breaker is not None:
-                breaker.record_success(self.now)
-            if self.delivery is not None:
-                self.delivery.note_result(record.service_slug, ok=True)
+        ok = response.ok
+        self._note_outcome(self._services[record.service_slug], ok, response)
+        if ok:
             self.actions_delivered += 1
             if metrics is not None:
                 metrics.counter(
@@ -1081,14 +1199,6 @@ class IftttEngine(HttpNode):
                 ).inc()
             return
         self.action_failures += 1
-        if breaker is not None:
-            breaker.record_failure(self.now)
-        if self.delivery is not None:
-            self.delivery.note_result(
-                record.service_slug,
-                ok=False,
-                brownout=response_is_brownout(response),
-            )
         if metrics is not None:
             metrics.counter(f"{self._ns}.action_failures", status=response.status).inc()
         self._note_action_failure(record)
@@ -1096,10 +1206,10 @@ class IftttEngine(HttpNode):
     def _note_action_failure(self, record: PendingAction) -> None:
         """Retry a failed delivery, or seal it into the dead-letter sink."""
         retry = self.config.retry_policy
+        delivery = self.delivery
+        link = self._services[record.service_slug]
         if retry is not None and not retry.exhausted(record.attempts):
-            if self.delivery is not None and not self.delivery.admit_retry(
-                record.service_slug
-            ):
+            if delivery is not None and not delivery.admit_retry(link):
                 # Retry queue at its high watermark: shedding, not
                 # queueing.  The action is accounted, never silent.
                 self._dead_letter(record, "overload")
@@ -1111,11 +1221,9 @@ class IftttEngine(HttpNode):
                     f"{self._ns}.action_retries", service=record.service_slug
                 ).inc()
             delay = retry.backoff(record.attempts, self.rng)
-            if self.delivery is not None:
-                delay = self.delivery.stretch_retry_delay(
-                    record.service_slug, delay, self.rng
-                )
-                self.delivery.note_retry_enqueued(record.service_slug)
+            if delivery is not None:
+                delay = delivery.stretch_retry_delay(link, delay, self.rng)
+                delivery.note_retry_enqueued(link)
             if self.trace is not None:
                 self.trace.record(
                     self.now,
@@ -1139,7 +1247,7 @@ class IftttEngine(HttpNode):
         record, _ = self._retry_timers.pop(seq)
         self.actions_in_retry -= 1
         if self.delivery is not None:
-            self.delivery.note_retry_dequeued(record.service_slug)
+            self.delivery.note_retry_dequeued(self._services[record.service_slug])
         self._send_action(record)
 
     def _dead_letter(self, record: PendingAction, reason: str) -> None:
@@ -1163,13 +1271,25 @@ class IftttEngine(HttpNode):
 
     # -- realtime API -------------------------------------------------------------------------
 
+    def _webhook_sender(self, request: HttpRequest) -> ServiceRegistration:
+        """Authenticate an inbound webhook: the record of the published
+        service whose issued key it presents, else 404/401 — before any
+        counter moves (the ``service_slug`` header is outside input and
+        must not mint metric series)."""
+        link = self._services.get(request.header("service_slug", ""))
+        if link is None:
+            raise HttpError(404, "unknown service")
+        if request.header("IFTTT-Service-Key") != link.service_key:
+            raise HttpError(401, "bad service key")
+        return link
+
     def _handle_realtime_hint(self, request: HttpRequest):
+        link = self._webhook_sender(request)
         self.realtime_hints_received += 1
-        service_slug = request.header("service_slug", "")
-        honoured = self.config.honours_realtime_for(service_slug)
+        honoured = self.config.honours_realtime_for(link.slug)
         if self.metrics is not None:
             self.metrics.counter(
-                f"{self._ns}.realtime_hints", service=service_slug, honoured=honoured
+                f"{self._ns}.realtime_hints", service=link.slug, honoured=honoured
             ).inc()
         identities = [
             entry.get("trigger_identity") for entry in (request.body or {}).get("data", [])
@@ -1179,66 +1299,68 @@ class IftttEngine(HttpNode):
                 self.now,
                 self._ns,
                 "engine_realtime_hint",
-                service=service_slug,
+                service=link.slug,
                 honoured=honoured,
                 identities=len(identities),
             )
-        if honoured:
-            breaker = self._breakers.get(service_slug)
-            if breaker is not None and breaker.state is BreakerState.OPEN:
-                # Fallback: a fast poll against an open breaker is
-                # guaranteed to be shed, so park the hint instead.  The
-                # check runs on whichever engine *received* the hint —
-                # the service's home shard when one exists, or (under
-                # round_robin, where no shard owns a service) whichever
-                # shard the hint landed on — so the suppression state
-                # always lives on the breaker that would do the shedding.
-                self.realtime_hints_suppressed += 1
-                parked = self._suppressed_hints.setdefault(service_slug, {})
-                for identity in identities:
-                    parked[identity] = None
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        f"{self._ns}.realtime_hints_suppressed", service=service_slug
-                    ).inc()
-                if self.trace is not None:
-                    self.trace.record(
-                        self.now,
-                        self._ns,
-                        "engine_realtime_hint_suppressed",
-                        service=service_slug,
-                        identities=len(identities),
-                    )
-                return {"status": "received"}
+        if honoured and not self._park(link, identities, "engine_realtime_hint_suppressed"):
             self.realtime_hints_honoured += 1
-            if self.delivery is None:
-                for identity in identities:
-                    self._fast_poll_identity(identity)
-            else:
-                # Admission control, per identity (each identity is one
-                # outstanding fast poll): allow → immediate, defer →
-                # hint_defer_delay out, shed → the identity waits for
-                # its regular polling cadence.
-                for identity in identities:
-                    verdict = self.delivery.admit_hint(service_slug)
-                    if verdict == HINT_SHED:
-                        continue
-                    delay = (
-                        self.delivery.policy.hint_defer_delay
-                        if verdict == HINT_DEFER
-                        else 0.0
-                    )
-                    self._fast_poll_identity(identity, delay)
+            for identity in identities:
+                self._admit_fast_poll(link, identity)
         return {"status": "received"}
 
     def _handle_push_notification(self, request: HttpRequest):
         """``POST /ifttt/v1/webhooks/push`` — push-contract ingestion.
 
         Registered only when :attr:`EngineConfig.push_policy` is set;
-        the :class:`~repro.engine.push.PushController` owns batching,
-        backpressure, and the breaker-open parking fallback.
+        the :class:`~repro.engine.push.PushController` owns batching and
+        backpressure.
         """
-        return self.push.ingest(request.header("service_slug", ""), request)
+        return self.push.ingest(self._webhook_sender(request), request)
+
+    def _park(
+        self, link: ServiceRegistration, identities: List[str], trace_kind: str
+    ) -> bool:
+        """Park hinted/pushed identities while the service's breaker is
+        open; ``False`` (nothing parked) when it is not.
+
+        A fast poll — or a pushed payload's action — against an open
+        breaker is guaranteed to be shed, so the identities wait on the
+        record until :meth:`_resume_parked`.  This runs on whichever
+        engine *received* the webhook (the home shard, or under
+        round_robin whichever shard it landed on), so the parked state
+        lives with the breaker that would do the shedding.
+        """
+        breaker = link.breaker
+        if breaker is None or breaker.state is not BreakerState.OPEN:
+            return False
+        self.realtime_hints_suppressed += 1
+        for identity in identities:
+            link.parked[identity] = None
+        if self.metrics is not None:
+            self.metrics.counter(
+                f"{self._ns}.realtime_hints_suppressed", service=link.slug
+            ).inc()
+        if self.trace is not None:
+            self.trace.record(
+                self.now, self._ns, trace_kind,
+                service=link.slug, identities=len(identities),
+            )
+        return True
+
+    def _admit_fast_poll(self, link: ServiceRegistration, identity: str) -> None:
+        """Fast-poll one hinted identity, subject to watermark admission
+        (each identity is one outstanding fast poll): allow → immediate,
+        defer → ``hint_defer_delay`` out, shed → the identity waits for
+        its regular polling cadence."""
+        delay = 0.0
+        if self.delivery is not None:
+            verdict = self.delivery.admit_hint(link)
+            if verdict == HINT_SHED:
+                return
+            if verdict == HINT_DEFER:
+                delay = self.delivery.policy.hint_defer_delay
+        self._fast_poll_identity(identity, delay)
 
     def _fast_poll_identity(self, identity: str, delay: float = 0.0) -> None:
         for applet_id in self._by_identity.get(identity, ()):
@@ -1250,9 +1372,7 @@ class IftttEngine(HttpNode):
                         # second hint adds nothing but backlog drift.
                         continue
                     runtime.fast_poll_pending = True
-                    self.delivery.note_fast_poll_scheduled(
-                        runtime.applet.trigger.service_slug
-                    )
+                    self.delivery.note_fast_poll_scheduled(runtime.link)
                 self._schedule_next_poll(runtime, delay)
 
     def _clear_fast_poll(self, runtime: _AppletRuntime) -> None:
@@ -1260,27 +1380,25 @@ class IftttEngine(HttpNode):
         if runtime.fast_poll_pending:
             runtime.fast_poll_pending = False
             if self.delivery is not None:
-                self.delivery.note_fast_poll_done(
-                    runtime.applet.trigger.service_slug
-                )
+                self.delivery.note_fast_poll_done(runtime.link)
 
-    def _resume_suppressed_hints(self, service_slug: str) -> None:
+    def _resume_parked(self, link: ServiceRegistration) -> None:
         """Half-open probe succeeded: fire the fast polls parked while the
         service's breaker was open (each distinct identity once)."""
-        parked = self._suppressed_hints.pop(service_slug, None)
+        parked, link.parked = link.parked, {}
         if not parked:
             return
         self.realtime_hints_resumed += 1
         if self.metrics is not None:
             self.metrics.counter(
-                f"{self._ns}.realtime_hints_resumed", service=service_slug
+                f"{self._ns}.realtime_hints_resumed", service=link.slug
             ).inc()
         if self.trace is not None:
             self.trace.record(
                 self.now,
                 self._ns,
                 "engine_realtime_hint_resumed",
-                service=service_slug,
+                service=link.slug,
                 identities=len(parked),
             )
         for identity in parked:

@@ -21,60 +21,17 @@ from repro.simcore.rng import Rng
 
 
 class PollingPolicy(ABC):
-    """Decides how long the engine waits before the next poll of a trigger."""
+    """Decides how long the engine waits before the next poll of a trigger.
 
-    # Bound-histogram cache for :meth:`sample_interval`.  Class-level
-    # defaults keep subclass ``__init__``s (which do not call super())
-    # working; the first recorded sample promotes them to instance
-    # attributes.  ``_bound_sig`` is ``(registry, metric_name, labels)``
-    # — all three participate in the hit check, so a policy clone reused
-    # under a different registry or shard namespace
-    # (``engine.shard<i>.poll_interval_seconds``) transparently rebinds
-    # instead of writing into the wrong histogram
-    # (``tests/test_scheduler_equivalence.py`` pins this).
-    _bound_sig = None
-    _bound_hist = None
+    A policy knows nothing about service health, push rungs or metrics:
+    each applet holds a private clone, and the engine's one cadence
+    decision (``IftttEngine._interval``) combines its draw with the
+    trigger service's shared state and records the result.
+    """
 
     @abstractmethod
     def next_interval(self, rng: Rng) -> float:
         """Seconds until the next poll."""
-
-    def sample_interval(
-        self,
-        rng: Rng,
-        metrics=None,
-        metric_name: str = "engine.poll_interval_seconds",
-        **labels,
-    ) -> float:
-        """Draw the next interval, recording it when a registry is given.
-
-        The engine calls this instead of :meth:`next_interval` so the
-        distribution §4 blames for T2A latency (the polling interval) is
-        captured as a first-class histogram
-        (``engine.poll_interval_seconds``, or the engine's shard-scoped
-        name) rather than re-derived from trace scans.
-
-        This runs once per poll of every applet in the fleet, so the
-        histogram handle is cached on the policy after the first call:
-        the registry's get-or-create path (label dict copy + sorted
-        label tuple) is paid once per (policy, registry, metric, labels)
-        rather than once per poll.
-        """
-        interval = self.next_interval(rng)
-        if metrics is not None:
-            sig = self._bound_sig
-            if (
-                sig is None
-                or sig[0] is not metrics
-                or sig[1] != metric_name
-                or sig[2] != labels
-            ):
-                self._bound_hist = metrics.histogram(
-                    metric_name, policy=type(self).__name__, **labels
-                )
-                self._bound_sig = (metrics, metric_name, labels)
-            self._bound_hist.observe(interval)
-        return interval
 
     def observe_events(self, count: int) -> None:
         """Feedback hook: how many new events the last poll returned."""

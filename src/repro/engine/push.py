@@ -29,13 +29,19 @@ first-class delivery mode:
   re-earns the push rung only once its backlog drains below
   ``low_watermark``.
 * **Uniform health tracking.**  Push slots in *behind* the existing
-  resilience stack: an open breaker parks notifications in the same
-  per-service suppression dict realtime hints use (counted by
+  resilience stack, through the same two engine helpers realtime hints
+  use: an open breaker parks notifications on the service's record
+  (``IftttEngine._park``, counted by
   ``realtime_hints_suppressed``/``_resumed``) and resumes them as fast
-  polls on close; when a :class:`~repro.engine.delivery.DeliveryController`
-  is active, degraded-to-hint fast polls pass through its watermark
-  admission, so the PR 6 degradation ladder and ``overload`` shedding
-  apply to push traffic unchanged.
+  polls on close; degraded-to-hint entries drain through
+  ``IftttEngine._admit_fast_poll``, so when a
+  :class:`~repro.engine.delivery.DeliveryController` is active the
+  degradation ladder and ``overload`` shedding apply to push traffic
+  unchanged.
+
+The per-service ingestion state (:class:`PushServiceState`) hangs off
+the engine's :class:`~repro.engine.engine.ServiceRegistration` record
+(``link.push_state``); the controller keeps no table of its own.
 
 Safety net & restoration
 ------------------------
@@ -44,12 +50,14 @@ Applets on a push-contract service still poll — at
 ``safety_net_interval`` (a slow background sweep that catches anything
 a lost notification missed; the trigger buffer is a non-consuming ring
 and the engine dedupes by ``meta.id``, so double delivery is
-structurally impossible).  :class:`PushDeliveryPolicy` draws that
-constant with **no RNG consumption**; on the ``poll`` rung it delegates
-to the wrapped base policy verbatim, so a degraded-push service's
-interval distribution is *exactly* the base polling distribution —
-the push analogue of PR 6's restoration proof, pinned by
-``tests/test_push_equivalence.py``.
+structurally impossible).  There is no polling-policy wrapper: the
+engine's one cadence decision (``IftttEngine._interval``) returns that
+constant with **no RNG consumption** while the service's rung is push
+or hint; on the ``poll`` rung the applet's own policy draws verbatim
+(times the health stretch, if adaptive delivery is on), so a
+degraded-push service's interval distribution is *exactly* the base
+polling distribution — the push analogue of the adaptive restoration
+proof, pinned by ``tests/test_push_equivalence.py``.
 
 Deterministic tie-break (continuous-time tie hazard)
 ----------------------------------------------------
@@ -70,9 +78,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Optional, Tuple
 
-from repro.engine.poller import PollingPolicy
 from repro.obs.metrics import COUNT_BUCKETS
-from repro.simcore.rng import Rng
 
 #: The three delivery modes the testbeds and CLI compare
 #: (``repro chaos --delivery {poll,hint,push}``).
@@ -80,7 +86,7 @@ DELIVERY_MODES = ("poll", "hint", "push")
 
 #: Backpressure rungs, best to worst.  A service's rung decides how an
 #: arriving notification is treated *and* how its applets' poll
-#: intervals are drawn (see :class:`PushDeliveryPolicy`).
+#: intervals are drawn (see ``IftttEngine._interval``).
 RUNG_PUSH = 0
 RUNG_HINT = 1
 RUNG_POLL = 2
@@ -144,9 +150,9 @@ class PushPolicy:
 class PushServiceState:
     """Per-(service, engine) push ingestion state.
 
-    Shared by every :class:`PushDeliveryPolicy` wrapping an applet whose
-    trigger lives on the service — one service's backlog degrades every
-    applet aimed at it, mirroring ``ServiceHealth``.
+    One per contract service, on its registration record — one
+    service's backlog degrades every applet aimed at it, mirroring
+    ``ServiceHealth``.
     """
 
     __slots__ = (
@@ -177,47 +183,6 @@ class PushServiceState:
         self.parked = 0
 
 
-class PushDeliveryPolicy(PollingPolicy):
-    """Safety-net polling for applets on a push-contract service.
-
-    Wraps any :class:`~repro.engine.poller.PollingPolicy` (including an
-    :class:`~repro.engine.delivery.AdaptiveDeliveryPolicy`) around the
-    *shared* :class:`PushServiceState`:
-
-    * push/hint rung → the constant ``safety_net_interval``, with **no
-      RNG draw** (pushes deliver the events; polling is a slow sweep);
-    * poll rung (backlog at ``high_watermark``, hysteretic) → the base
-      policy's draw **verbatim**, so full fallback restores the exact
-      base interval distribution — the restoration proof mirror.
-    """
-
-    def __init__(
-        self, base: PollingPolicy, state: PushServiceState, policy: PushPolicy
-    ) -> None:
-        self.base = base
-        self.state = state
-        self.policy = policy
-
-    def next_interval(self, rng: Rng) -> float:
-        if self.state.rung == RUNG_POLL:
-            return self.base.next_interval(rng)
-        return self.policy.safety_net_interval
-
-    def observe_events(self, count: int) -> None:
-        self.base.observe_events(count)
-
-    def clone(self) -> "PushDeliveryPolicy":
-        # Fresh base clone per applet; the push state stays shared —
-        # it belongs to the (service, engine) pair, not the applet.
-        return PushDeliveryPolicy(self.base.clone(), self.state, self.policy)
-
-    def __repr__(self) -> str:
-        return (
-            f"<PushDeliveryPolicy rung={PUSH_RUNG_NAMES[self.state.rung]} "
-            f"base={self.base!r}>"
-        )
-
-
 class PushController:
     """Engine-side push ingestion: batching, backpressure, parking.
 
@@ -229,7 +194,6 @@ class PushController:
     def __init__(self, engine, policy: PushPolicy) -> None:
         self.engine = engine
         self.policy = policy
-        self._states: Dict[str, PushServiceState] = {}
         self.notifications_received = 0
         self.events_ingested = 0
         self.batches_drained = 0
@@ -239,81 +203,53 @@ class PushController:
 
     # -- state ------------------------------------------------------------------
 
-    def state_for(self, service_slug: str) -> PushServiceState:
+    def state_for(self, link) -> PushServiceState:
         """The (lazily created) ingestion state for one service."""
-        state = self._states.get(service_slug)
+        state = link.push_state
         if state is None:
-            state = self._states[service_slug] = PushServiceState(service_slug)
+            state = link.push_state = PushServiceState(link.slug)
             # Live from birth, like the breaker-state gauge: a contract
             # service that never degrades still reports the push rung.
             engine = self.engine
             if engine.metrics is not None:
                 engine.metrics.gauge(
-                    f"{engine._ns}.push.rung", service=service_slug
+                    f"{engine._ns}.push.rung", service=link.slug
                 ).set(RUNG_PUSH)
         return state
 
-    def wrap(self, base: PollingPolicy, service_slug: str) -> PushDeliveryPolicy:
-        """Wrap an applet's policy in safety-net polling for ``service_slug``."""
-        return PushDeliveryPolicy(base, self.state_for(service_slug), self.policy)
-
-    def rungs(self) -> Dict[str, int]:
-        """Current backpressure rung per contract service (0/1/2 =
-        push/hint/poll) — the values behind the ``{ns}.push.rung`` gauge."""
-        return {slug: s.rung for slug, s in sorted(self._states.items())}
-
     # -- ingestion --------------------------------------------------------------
 
-    def ingest(self, service_slug: str, request) -> Dict[str, Any]:
-        """Handle one push notification (the webhook handler body)."""
-        from repro.engine.resilience import BreakerState
-
+    def ingest(self, link, request) -> Dict[str, Any]:
+        """Handle one (authenticated) push notification."""
         engine = self.engine
-        state = self.state_for(service_slug)
+        state = self.state_for(link)
         self.notifications_received += 1
         state.notifications += 1
         entries = (request.body or {}).get("data", [])
         if engine.metrics is not None:
             engine.metrics.counter(
-                f"{engine._ns}.push.notifications", service=service_slug
+                f"{engine._ns}.push.notifications", service=link.slug
             ).inc()
         if engine.trace is not None:
             engine.trace.record(
                 engine.now,
                 engine._ns,
                 "engine_push_notification",
-                service=service_slug,
+                service=link.slug,
                 identities=len(entries),
             )
-        breaker = engine._breakers.get(service_slug)
-        if breaker is not None and breaker.state is BreakerState.OPEN:
-            # Same fallback as realtime hints: ingesting payloads for a
-            # service whose breaker is open would dispatch actions that
-            # are guaranteed to be shed, so park the identities on the
-            # shared suppression dict instead (payloads dropped — the
-            # buffer is a non-consuming ring, so the resume fast polls
-            # re-fetch them).  Runs on whichever engine *received* the
-            # push: the home shard when one exists, or (round_robin)
-            # whichever shard the contract last pointed at.
+        # Same fallback as realtime hints: ingesting payloads for a
+        # service whose breaker is open would dispatch actions that are
+        # guaranteed to be shed, so the identities are parked instead
+        # (payloads dropped — the buffer is a non-consuming ring, so the
+        # resume fast polls re-fetch them).
+        if engine._park(
+            link,
+            [entry.get("trigger_identity") for entry in entries],
+            "engine_push_parked",
+        ):
             self.notifications_parked += 1
             state.parked += 1
-            engine.realtime_hints_suppressed += 1
-            parked = engine._suppressed_hints.setdefault(service_slug, {})
-            for entry in entries:
-                parked[entry.get("trigger_identity")] = None
-            if engine.metrics is not None:
-                engine.metrics.counter(
-                    f"{engine._ns}.realtime_hints_suppressed",
-                    service=service_slug,
-                ).inc()
-            if engine.trace is not None:
-                engine.trace.record(
-                    engine.now,
-                    engine._ns,
-                    "engine_push_parked",
-                    service=service_slug,
-                    identities=len(entries),
-                )
             return {"status": "received"}
         for entry in entries:
             identity = entry.get("trigger_identity")
@@ -321,7 +257,7 @@ class PushController:
             # enqueue in chronological order.
             for wire in reversed(entry.get("events", [])):
                 self._admit(state, identity, wire)
-        self._arm_drain(state)
+        self._arm_drain(link)
         return {"status": "received"}
 
     def _admit(
@@ -393,7 +329,7 @@ class PushController:
 
     # -- the coalescing drain ---------------------------------------------------
 
-    def _arm_drain(self, state: PushServiceState) -> None:
+    def _arm_drain(self, link) -> None:
         """Arm one drain event ``batch_window`` out (idempotent while armed).
 
         The drain is a plain simulator event, so a drain coinciding with
@@ -401,18 +337,20 @@ class PushController:
         tie-break — the documented deterministic ordering for
         simultaneous push deliveries and poll wakes.
         """
+        state = link.push_state
         if state.drain_armed or not state.pending:
             return
         state.drain_armed = True
         self.engine.sim.schedule(
             self.policy.batch_window,
             self._drain,
-            state,
-            label=f"push-drain:{state.slug}",
+            link,
+            label=f"push-drain:{link.slug}",
         )
 
-    def _drain(self, state: PushServiceState) -> None:
+    def _drain(self, link) -> None:
         """Process up to ``max_batch`` pending entries; re-arm if backlogged."""
+        state = link.push_state
         state.drain_armed = False
         engine = self.engine
         batch = 0
@@ -421,9 +359,11 @@ class PushController:
             identity, wire = state.pending.popleft()
             batch += 1
             if wire is None:
-                self._fast_poll(state, identity)
+                # A hint-degraded entry drains as a fast poll, through
+                # exactly the admission an honoured realtime hint gets.
+                engine._admit_fast_poll(link, identity)
             else:
-                ingested += self._deliver(state, identity, wire)
+                ingested += self._deliver(identity, wire)
         state.drains += 1
         self.batches_drained += 1
         state.events_ingested += ingested
@@ -451,32 +391,9 @@ class PushController:
             )
         self._refresh_rung(state)
         if state.pending:
-            self._arm_drain(state)
+            self._arm_drain(link)
 
-    def _fast_poll(self, state: PushServiceState, identity: str) -> None:
-        """Drain one hint-degraded entry as a fast poll.
-
-        When a :class:`~repro.engine.delivery.DeliveryController` is
-        active the fast poll passes through its watermark admission —
-        exactly the treatment an honoured realtime hint gets — so the
-        PR 6 degradation ladder and shedding apply to push traffic too.
-        """
-        from repro.engine.delivery import HINT_DEFER, HINT_SHED
-
-        engine = self.engine
-        delivery = engine.delivery
-        if delivery is None:
-            engine._fast_poll_identity(identity)
-            return
-        verdict = delivery.admit_hint(state.slug)
-        if verdict == HINT_SHED:
-            return
-        delay = delivery.policy.hint_defer_delay if verdict == HINT_DEFER else 0.0
-        engine._fast_poll_identity(identity, delay)
-
-    def _deliver(
-        self, state: PushServiceState, identity: str, wire: Dict[str, Any]
-    ) -> int:
+    def _deliver(self, identity: str, wire: Dict[str, Any]) -> int:
         """Run one pushed event through dedupe → queries/filter → actions.
 
         Exactly the poll-response processing path minus the poll: the
@@ -485,15 +402,13 @@ class PushController:
         action dispatch, retry, and conservation accounting.
         """
         engine = self.engine
-        event_id = wire["meta"]["id"]
         delivered = 0
         for applet_id in tuple(engine._by_identity.get(identity, ())):
             runtime = engine._applets.get(applet_id)
             if runtime is None or not runtime.applet.enabled:
                 continue
-            if event_id in runtime.seen_ids:
+            if not engine._new_events(runtime, (wire,)):
                 continue
-            engine._remember_event(runtime, event_id)
             runtime.policy.observe_events(1)
             engine._process_event(runtime, wire)
             delivered += 1

@@ -44,10 +44,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.engine.resilience import DeadLetter, PendingAction, ReplayPolicy
 from repro.net.http import HttpResponse
 from repro.obs.metrics import COUNT_BUCKETS
-from repro.services.partner import ACTION_PATH, BATCH_ACTION_PATH, BatchActionRequest
+from repro.services.partner import BATCH_ACTION_PATH, BatchActionRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.engine import IftttEngine
+    from repro.engine.engine import IftttEngine, ServiceRegistration
 
 
 class ReplayController:
@@ -56,7 +56,9 @@ class ReplayController:
     One controller per engine (per *shard* in a fleet — replay is
     shard-local, like every other resilience mechanism).  The engine
     calls :meth:`on_service_healed` from its breaker-transition hook;
-    operators call :meth:`replay_service` directly.
+    operators call :meth:`replay_service` directly.  Both take the
+    service's registration record (``link``), which carries the
+    ``drain_scheduled`` flag and the ``replay_depth`` the watermarks read.
     """
 
     def __init__(self, engine: "IftttEngine", policy: ReplayPolicy) -> None:
@@ -74,55 +76,32 @@ class ReplayController:
         #: Burst envelope: first re-dispatch and last replayed delivery.
         self.first_dispatch_at: Optional[float] = None
         self.last_delivery_at: Optional[float] = None
-        #: Services with a drain already scheduled (dedupes heal events).
-        self._drain_scheduled: Dict[str, bool] = {}
 
     # -- triggers -------------------------------------------------------------
 
-    def on_service_healed(self, service_slug: str) -> None:
-        """Breaker-close hook: schedule a drain if the policy allows it."""
-        if not self.policy.replay_on_heal:
-            return
-        self._schedule_drain(service_slug)
-
-    def replay_service(self, service_slug: str) -> None:
-        """Explicit trigger: drain one service's dead letters now."""
-        self._drain(service_slug)
-
-    def _schedule_drain(self, service_slug: str) -> None:
-        if self._drain_scheduled.get(service_slug):
-            return
-        if not any(
-            letter.service_slug == service_slug and self._replayable(letter)
+    def on_service_healed(self, link: ServiceRegistration) -> None:
+        """Breaker-close hook: schedule a drain if the policy allows it
+        and the service has anything to replay."""
+        if self.policy.replay_on_heal and any(
+            letter.service_slug == link.slug and self._replayable(letter)
             for letter in self.engine.dead_letters
         ):
+            # Deferred by (at least) one zero-delay event so the drain
+            # never runs re-entrantly inside the response callback that
+            # closed the breaker.
+            self._schedule_drain(link, self.policy.drain_delay, "replay-drain")
+
+    def _schedule_drain(self, link: ServiceRegistration, delay: float, label: str) -> None:
+        if link.drain_scheduled:
             return
-        self._drain_scheduled[service_slug] = True
-        # Deferred by (at least) one zero-delay event so the drain never
-        # runs re-entrantly inside the response callback that closed the
-        # breaker.
+        link.drain_scheduled = True
         self.engine.sim.schedule(
-            self.policy.drain_delay,
-            self._scheduled_drain,
-            service_slug,
-            label=f"replay-drain:{service_slug}",
+            delay, self._scheduled_drain, link, label=f"{label}:{link.slug}"
         )
 
-    def _scheduled_drain(self, service_slug: str) -> None:
-        self._drain_scheduled[service_slug] = False
-        self._drain(service_slug)
-
-    def _defer_drain(self, service_slug: str) -> None:
-        """Retry a headroom-starved drain after the delivery backoff."""
-        if self._drain_scheduled.get(service_slug):
-            return
-        self._drain_scheduled[service_slug] = True
-        self.engine.sim.schedule(
-            self.engine.delivery.policy.replay_drain_backoff,
-            self._scheduled_drain,
-            service_slug,
-            label=f"replay-redrain:{service_slug}",
-        )
+    def _scheduled_drain(self, link: ServiceRegistration) -> None:
+        link.drain_scheduled = False
+        self.replay_service(link)
 
     def _replayable(self, letter: DeadLetter) -> bool:
         """Replaying for an uninstalled applet would resurrect the
@@ -131,8 +110,11 @@ class ReplayController:
 
     # -- the drain ------------------------------------------------------------
 
-    def _drain(self, service_slug: str) -> None:
+    def replay_service(self, link: ServiceRegistration) -> None:
+        """Drain one service's dead letters back into delivery now (the
+        explicit trigger, and what a scheduled drain runs)."""
         engine = self.engine
+        slug = link.slug
         drained: List[DeadLetter] = []
         kept: List[DeadLetter] = []
         # Delivery admission: a drain may only put as many records in
@@ -141,13 +123,13 @@ class ReplayController:
         # failures do.  Letters past the headroom stay sealed and a
         # re-drain is scheduled ``replay_drain_backoff`` out.
         headroom = (
-            engine.delivery.replay_headroom(service_slug)
+            engine.delivery.replay_headroom(link)
             if engine.delivery is not None
             else None
         )
         deferred = 0
         for letter in engine.dead_letters:
-            if letter.service_slug == service_slug and self._replayable(letter):
+            if letter.service_slug == slug and self._replayable(letter):
                 if headroom is not None and len(drained) >= headroom:
                     deferred += 1
                     kept.append(letter)
@@ -156,24 +138,25 @@ class ReplayController:
             else:
                 kept.append(letter)
         if deferred:
-            engine.delivery.note_replay_drain_deferred(service_slug)
-            self._defer_drain(service_slug)
+            engine.delivery.note_replay_drain_deferred(link)
+            self._schedule_drain(
+                link, engine.delivery.policy.replay_drain_backoff, "replay-redrain"
+            )
         if not drained:
             return
         engine.dead_letters[:] = kept
         records = [letter.to_pending() for letter in drained]
         engine.actions_in_replay += len(records)
-        if engine.delivery is not None:
-            engine.delivery.note_replay_enqueued(service_slug, len(records))
+        link.replay_depth += len(records)
         self.drains += 1
         self.dead_letters_replayed += len(records)
         ns = engine.metrics_namespace
         if engine.metrics is not None:
-            engine.metrics.counter(f"{ns}.replay.drains", service=service_slug).inc()
+            engine.metrics.counter(f"{ns}.replay.drains", service=slug).inc()
             engine.metrics.counter(
-                f"{ns}.replay.dead_letters_replayed", service=service_slug
+                f"{ns}.replay.dead_letters_replayed", service=slug
             ).inc(len(records))
-            engine.metrics.gauge(f"{ns}.replay.in_replay", service=service_slug).set(
+            engine.metrics.gauge(f"{ns}.replay.in_replay", service=slug).set(
                 engine.actions_in_replay
             )
         if engine.trace is not None:
@@ -181,52 +164,42 @@ class ReplayController:
                 engine.now,
                 ns,
                 "engine_replay_drain",
-                service=service_slug,
+                service=slug,
                 letters=len(records),
                 batching=self.policy.batching,
             )
-        if self.policy.batching:
-            limit = self.policy.batch_limit
-            for start in range(0, len(records), limit):
-                self._send_batch(service_slug, records[start:start + limit])
-        else:
-            for record in records:
-                self._send_single(record)
+        size = self.policy.batch_limit if self.policy.batching else 1
+        for start in range(0, len(records), size):
+            self._send(link, records[start:start + size])
 
     # -- dispatch -------------------------------------------------------------
 
-    def _mark_dispatch(self) -> None:
+    def _send(self, link: ServiceRegistration, records: List[PendingAction]) -> None:
+        """One replay request: a batch, or one action when batching is off."""
+        engine = self.engine
+        shed = engine._sheds(link)
+        for record in records:
+            record.attempts += 1
+        if shed:
+            # Breaker re-opened under the drain: each record has burnt
+            # one attempt and goes back to the ordinary failure pipeline
+            # (not through _refail: a shed is not a replay failure in
+            # the ``replay.actions_failed`` / ``in_replay`` families).
+            for record in records:
+                self._leave_replay(link)
+                self.actions_failed += 1
+                engine._note_action_failure(record)
+            if engine.metrics is not None:
+                engine.metrics.counter(
+                    f"{engine.metrics_namespace}.replay.actions_shed", service=link.slug
+                ).inc(len(records))
+            return
         self.requests_sent += 1
         if self.first_dispatch_at is None:
-            self.first_dispatch_at = self.engine.now
-
-    def _shed(self, records: List[PendingAction]) -> None:
-        """Breaker re-opened under the drain: burn one attempt each and
-        hand the records back to the ordinary failure pipeline."""
-        engine = self.engine
-        for record in records:
-            record.attempts += 1
-            engine.actions_in_replay -= 1
-            if engine.delivery is not None:
-                engine.delivery.note_replay_dequeued(record.service_slug)
-            self.actions_failed += 1
-            engine._note_action_failure(record)
-        if engine.metrics is not None:
-            engine.metrics.counter(
-                f"{engine.metrics_namespace}.replay.actions_shed",
-                service=records[0].service_slug,
-            ).inc(len(records))
-
-    def _send_batch(self, service_slug: str, records: List[PendingAction]) -> None:
-        engine = self.engine
-        breaker = engine.breaker_for(service_slug)
-        if breaker is not None and not breaker.allow(engine.now):
-            self._shed(records)
+            self.first_dispatch_at = engine.now
+        if not self.policy.batching:
+            engine._post_action(records[0], self._on_single_result)
             return
-        self._mark_dispatch()
-        for record in records:
-            record.attempts += 1
-        registration = engine._services[service_slug]
         batch = BatchActionRequest(entries=tuple(
             {
                 "action_slug": record.action_slug,
@@ -237,81 +210,59 @@ class ReplayController:
         ))
         ns = engine.metrics_namespace
         if engine.metrics is not None:
-            engine.metrics.counter(f"{ns}.replay.batches_sent", service=service_slug).inc()
+            engine.metrics.counter(f"{ns}.replay.batches_sent", service=link.slug).inc()
             engine.metrics.histogram(
-                f"{ns}.replay.batch_size", bounds=COUNT_BUCKETS, service=service_slug
+                f"{ns}.replay.batch_size", bounds=COUNT_BUCKETS, service=link.slug
             ).observe(len(records))
         engine.post(
-            registration.address,
+            link.address,
             BATCH_ACTION_PATH,
             body=batch.to_body(),
-            headers=engine._auth_headers(registration, records[0].user),
-            on_response=lambda response, recs=tuple(records): (
-                self._on_batch_result(list(recs), response)
-            ),
-            timeout=engine.config.action_timeout,
-        )
-
-    def _send_single(self, record: PendingAction) -> None:
-        engine = self.engine
-        breaker = engine.breaker_for(record.service_slug)
-        if breaker is not None and not breaker.allow(engine.now):
-            self._shed([record])
-            return
-        self._mark_dispatch()
-        record.attempts += 1
-        registration = engine._services[record.service_slug]
-        engine.post(
-            registration.address,
-            ACTION_PATH + record.action_slug,
-            body={"actionFields": record.fields, "user": record.user},
-            headers=engine._auth_headers(registration, record.user),
-            on_response=lambda response, r=record: self._on_single_result(r, response),
+            headers=engine._auth_headers(link, records[0].user),
+            on_response=lambda response: self._on_batch_result(link, records, response),
             timeout=engine.config.action_timeout,
         )
 
     # -- results --------------------------------------------------------------
 
-    def _on_batch_result(self, records: List[PendingAction], response: HttpResponse) -> None:
-        engine = self.engine
-        breaker = engine.breaker_for(records[0].service_slug)
+    def _on_batch_result(
+        self,
+        link: ServiceRegistration,
+        records: List[PendingAction],
+        response: HttpResponse,
+    ) -> None:
+        self.engine._note_outcome(link, response.ok)
         if not response.ok:
-            if breaker is not None:
-                breaker.record_failure(engine.now)
             for record in records:
                 record.last_status = response.status
-                self._refail(record)
+                self._refail(link, record)
             return
-        if breaker is not None:
-            breaker.record_success(engine.now)
         data = (response.body or {}).get("data", [])
         for index, record in enumerate(records):
             entry = data[index] if index < len(data) else {"status": 500}
             status = int(entry.get("status", 500))
             record.last_status = status
             if 200 <= status < 300:
-                self._delivered(record)
+                self._delivered(link, record)
             else:
-                self._refail(record)
+                self._refail(link, record)
 
     def _on_single_result(self, record: PendingAction, response: HttpResponse) -> None:
-        engine = self.engine
-        breaker = engine.breaker_for(record.service_slug)
+        link = self.engine._services[record.service_slug]
         record.last_status = response.status
+        self.engine._note_outcome(link, response.ok)
         if response.ok:
-            if breaker is not None:
-                breaker.record_success(engine.now)
-            self._delivered(record)
+            self._delivered(link, record)
         else:
-            if breaker is not None:
-                breaker.record_failure(engine.now)
-            self._refail(record)
+            self._refail(link, record)
 
-    def _delivered(self, record: PendingAction) -> None:
+    def _leave_replay(self, link: ServiceRegistration) -> None:
+        self.engine.actions_in_replay -= 1
+        link.replay_depth -= 1
+
+    def _delivered(self, link: ServiceRegistration, record: PendingAction) -> None:
         engine = self.engine
-        engine.actions_in_replay -= 1
-        if engine.delivery is not None:
-            engine.delivery.note_replay_dequeued(record.service_slug)
+        self._leave_replay(link)
         engine.actions_delivered += 1
         self.actions_delivered += 1
         self.last_delivery_at = engine.now
@@ -342,11 +293,9 @@ class ReplayController:
                 event_id=record.event_id,
             )
 
-    def _refail(self, record: PendingAction) -> None:
+    def _refail(self, link: ServiceRegistration, record: PendingAction) -> None:
         engine = self.engine
-        engine.actions_in_replay -= 1
-        if engine.delivery is not None:
-            engine.delivery.note_replay_dequeued(record.service_slug)
+        self._leave_replay(link)
         self.actions_failed += 1
         if engine.metrics is not None:
             ns = engine.metrics_namespace

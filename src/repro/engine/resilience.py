@@ -282,6 +282,19 @@ class DeadLetter:
         )
 
 
+def conservation_residual(stats: Dict[str, int]) -> int:
+    """``dispatched − delivered − in_retry − dead_lettered − in_replay``
+    of one :meth:`IftttEngine.stats` snapshot (or a sum of them) — the
+    actions silently lost, which the conservation invariant says is 0."""
+    return (
+        stats["actions_dispatched"]
+        - stats["actions_delivered"]
+        - stats["actions_in_retry"]
+        - stats["dead_letters"]
+        - stats["actions_in_replay"]
+    )
+
+
 @dataclass(frozen=True)
 class ReplayPolicy:
     """Tunables for dead-letter replay (:mod:`repro.engine.replay`).

@@ -57,7 +57,7 @@ from repro.engine.applet import Applet, ActionRef, QueryRef, TriggerRef
 from repro.engine.config import EngineConfig, SHARD_STRATEGIES
 from repro.engine.engine import IftttEngine
 from repro.engine.oauth import OAuthAuthority
-from repro.engine.resilience import DeadLetter
+from repro.engine.resilience import DeadLetter, conservation_residual
 from repro.net.address import Address
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.services.partner import PartnerService
@@ -113,7 +113,7 @@ class ShardedEngine:
     routes each call to the owning shard, so testbeds can swap one for
     the other.  Typical wiring::
 
-        fleet = ShardedEngine(network, config=EngineConfig(num_shards=4),
+        fleet = ShardedEngine(network, config=EngineConfig(), num_shards=4,
                               rng=rng.fork("engine"), trace=trace)
         fleet.publish_service(hue)
         fleet.connect_service("alice", hue, authority, "pw")
@@ -131,8 +131,8 @@ class ShardedEngine:
         config: Optional[EngineConfig] = None,
         rng: Optional[Rng] = None,
         trace: Optional[Trace] = None,
-        num_shards: Optional[int] = None,
-        shard_strategy: Optional[str] = None,
+        num_shards: int = 1,
+        shard_strategy: str = "service_hash",
         host_pattern: str = DEFAULT_HOST_PATTERN,
         service_time: float = 0.01,
         metrics=None,
@@ -140,10 +140,10 @@ class ShardedEngine:
         applet_id_stride: Optional[int] = None,
     ) -> None:
         self.config = config or EngineConfig()
-        self.num_shards = self.config.num_shards if num_shards is None else num_shards
+        self.num_shards = num_shards
         if self.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
-        self.strategy = shard_strategy or self.config.shard_strategy
+        self.strategy = shard_strategy
         if self.strategy not in SHARD_STRATEGIES:
             raise ValueError(
                 f"unknown shard strategy {self.strategy!r}; "
@@ -437,9 +437,8 @@ class ShardedEngine:
         for shard in self.shards:
             if shard.delivery is None:
                 continue
-            for slug, level in shard.delivery.levels().items():
-                if level > merged.get(slug, -1):
-                    merged[slug] = level
+            for link in shard.delivery.tracked():
+                merged[link.slug] = max(merged.get(link.slug, 0), link.level)
         return merged
 
     def replay_dead_letters(self, service_slug: Optional[str] = None) -> None:
@@ -459,15 +458,7 @@ class ShardedEngine:
         delivered + in_retry + dead_lettered + in_replay``; the
         ``*_lost`` entries report the residual, which must be 0.
         """
-        per_shard = []
-        for stats in self.shard_stats():
-            per_shard.append(
-                stats["actions_dispatched"]
-                - stats["actions_delivered"]
-                - stats["actions_in_retry"]
-                - stats["dead_letters"]
-                - stats["actions_in_replay"]
-            )
+        per_shard = [conservation_residual(stats) for stats in self.shard_stats()]
         return {"shard_lost": per_shard, "fleet_lost": sum(per_shard)}
 
     def __repr__(self) -> str:

@@ -184,25 +184,16 @@ class Network:
                 self.router.transmit(self, message)
                 return
             raise KeyError(f"message to unregistered address {message.dst}")
-        try:
-            if self.faults is None:
+        if self.faults is None:
+            try:
                 delay = self.path_delay(message)
-            else:
-                delay = self._faulted_path_delay(message)
-        except RoutingError:
-            self.messages_dropped += 1
-            if self.metrics is not None:
-                self.metrics.counter("net.messages_dropped").inc()
-            sender = self._nodes.get(message.src)
-            if sender is not None:
-                sender.on_transmit_failed(message, "no route")
-            return
-        if delay is None:  # lost in flight by fault injection
-            self.messages_dropped += 1
-            if self.metrics is not None:
-                self.metrics.counter("net.messages_dropped").inc()
-                self.metrics.counter("net.messages_lost").inc()
-            return
+            except RoutingError:
+                self._refuse(message)
+                return
+        else:
+            delay = self._leg_delay(message, message.src, message.dst)
+            if delay is None:
+                return
         metrics = self.metrics
         if metrics is not None:
             if metrics is not self._m_registry:
@@ -212,16 +203,48 @@ class Network:
             self._m_delivery.observe(delay)
         self.sim.schedule(delay, self._deliver, message, label="deliver")
 
-    def _faulted_path_delay(self, message: Message) -> Optional[float]:
-        """Per-hop delay with active fault adjustments; ``None`` = lost."""
-        path = self.route(message.src, message.dst)
+    def _drop(self, lost: bool = False) -> None:
+        """Count one dropped message (``lost``: in flight, by a fault)."""
+        self.messages_dropped += 1
+        if self.metrics is not None:
+            self.metrics.counter("net.messages_dropped").inc()
+            if lost:
+                self.metrics.counter("net.messages_lost").inc()
+
+    def _refuse(self, message: Message) -> None:
+        """No route: drop, and tell the sender synchronously."""
+        self._drop()
+        sender = self._nodes.get(message.src)
+        if sender is not None:
+            sender.on_transmit_failed(message, "no route")
+
+    def _leg_delay(
+        self, message: Message, src: Address, dst: Address, refuse: bool = True
+    ) -> Optional[float]:
+        """Sampled, fault-adjusted delay of one ``src`` → ``dst`` leg.
+
+        ``None`` means the message is gone and already accounted for: no
+        route (the sender is refused synchronously, or — ``refuse=False``,
+        for legs whose sender sits in another shard — the message is just
+        dropped), or lost in flight on a faulted link.
+        """
+        try:
+            path = self.route(src, dst)
+        except RoutingError:
+            if refuse:
+                self._refuse(message)
+            else:
+                self._drop()
+            return None
         faults = self.faults
         total = 0.0
         for link in path:
             delay = link.sample_delay(self.rng, message.size_bytes)
-            delay, dropped = faults.adjust(link, delay)
-            if dropped:
-                return None
+            if faults is not None:
+                delay, dropped = faults.adjust(link, delay)
+                if dropped:
+                    self._drop(lost=True)
+                    return None
             total += delay
         return total
 
@@ -240,28 +263,11 @@ class Network:
         if gateway is None or message.dst == gateway:
             self._deliver(message)
             return
-        try:
-            path = self.route(gateway, message.dst)
-        except RoutingError:
-            self.messages_dropped += 1
-            if self.metrics is not None:
-                self.metrics.counter("net.messages_dropped").inc()
+        delay = self._leg_delay(message, gateway, message.dst, refuse=False)
+        if delay is None:
             return
-        faults = self.faults
-        total = 0.0
-        for link in path:
-            delay = link.sample_delay(self.rng, message.size_bytes)
-            if faults is not None:
-                delay, dropped = faults.adjust(link, delay)
-                if dropped:
-                    self.messages_dropped += 1
-                    if self.metrics is not None:
-                        self.metrics.counter("net.messages_dropped").inc()
-                        self.metrics.counter("net.messages_lost").inc()
-                    return
-            total += delay
-        if total > 0.0:
-            self.sim.schedule(total, self._deliver, message, label="deliver")
+        if delay > 0.0:
+            self.sim.schedule(delay, self._deliver, message, label="deliver")
         else:
             self._deliver(message)
 
@@ -350,24 +356,20 @@ class CrossShardRouter:
         return home
 
     def transmit(self, src_net: Network, message: Message) -> None:
-        """Route one message from ``src_net`` into its destination shard."""
+        """Route one message from ``src_net`` into its destination shard.
+
+        The sender → gateway leg mirrors :meth:`Network.transmit` hop for
+        hop: no route is a synchronous connection-refused, an active
+        fault plan may inflate per-hop delay or lose the message.
+        """
         dst_shard, dst_net = self._locate(message.dst)
-        try:
-            delay = self._egress_delay(src_net, message)
-        except RoutingError:
-            src_net.messages_dropped += 1
-            if src_net.metrics is not None:
-                src_net.metrics.counter("net.messages_dropped").inc()
-            sender = src_net._nodes.get(message.src)
-            if sender is not None:
-                sender.on_transmit_failed(message, "no route")
-            return
-        if delay is None:  # lost in flight on a faulted source-side link
-            src_net.messages_dropped += 1
-            if src_net.metrics is not None:
-                src_net.metrics.counter("net.messages_dropped").inc()
-                src_net.metrics.counter("net.messages_lost").inc()
-            return
+        gateway = src_net.gateway
+        if gateway is None or message.src == gateway:
+            delay = 0.0
+        else:
+            delay = src_net._leg_delay(message, message.src, gateway)
+            if delay is None:
+                return
         hop = self.latency.sample(src_net.rng, message.size_bytes)
         delay += max(hop, self.stepper.lookahead)
         if src_net.metrics is not None:
@@ -380,25 +382,3 @@ class CrossShardRouter:
             message,
             src=self._shard_of[id(src_net)],
         )
-
-    def _egress_delay(self, src_net: Network, message: Message) -> Optional[float]:
-        """Sampled delay from the sender to its shard gateway.
-
-        Mirrors :meth:`Network.transmit` semantics hop for hop:
-        ``RoutingError`` propagates (connection refused), an active fault
-        plan may inflate per-hop delay or drop the message (``None``).
-        """
-        gateway = src_net.gateway
-        if gateway is None or message.src == gateway:
-            return 0.0
-        path = src_net.route(message.src, gateway)
-        faults = src_net.faults
-        total = 0.0
-        for link in path:
-            delay = link.sample_delay(src_net.rng, message.size_bytes)
-            if faults is not None:
-                delay, dropped = faults.adjust(link, delay)
-                if dropped:
-                    return None
-            total += delay
-        return total

@@ -402,14 +402,23 @@ class PartnerService(HttpNode):
             self.auth_failures += 1
             raise AuthError("bad bearer token")
 
-    def _handle_trigger_poll(self, request: HttpRequest):
-        rejected = self._check_outage()
+    def _gate(self, request: HttpRequest, brownout: bool = True):
+        """The preamble of every engine-facing handler: outage first
+        (with one brownout draw unless ``brownout=False``), then
+        authentication.  Returns the rejection response, or ``None``."""
+        rejected = self._check_outage() if brownout else self._check_hard_outage()
         if rejected is not None:
             return rejected
         try:
             self._authenticate(request)
         except AuthError as exc:
             return 401, {"errors": [{"message": str(exc)}]}
+        return None
+
+    def _handle_trigger_poll(self, request: HttpRequest):
+        rejected = self._gate(request)
+        if rejected is not None:
+            return rejected
         slug = request.path[len(TRIGGER_PATH):]
         endpoint = self._triggers.get(slug)
         if endpoint is None:
@@ -443,13 +452,9 @@ class PartnerService(HttpNode):
         return {"data": [event.to_wire() for event in events]}
 
     def _handle_action(self, request: HttpRequest):
-        rejected = self._check_outage()
+        rejected = self._gate(request)
         if rejected is not None:
             return rejected
-        try:
-            self._authenticate(request)
-        except AuthError as exc:
-            return 401, {"errors": [{"message": str(exc)}]}
         slug = request.path[len(ACTION_PATH):]
         endpoint = self._actions.get(slug)
         if endpoint is None:
@@ -483,13 +488,9 @@ class PartnerService(HttpNode):
         injector raises the node's per-request service time, which this
         endpoint already pays like any other.)
         """
-        rejected = self._check_hard_outage()
+        rejected = self._gate(request, brownout=False)
         if rejected is not None:
             return rejected
-        try:
-            self._authenticate(request)
-        except AuthError as exc:
-            return 401, {"errors": [{"message": str(exc)}]}
         try:
             batch = BatchActionRequest.from_body(request.body)
         except ValueError as exc:
@@ -541,13 +542,9 @@ class PartnerService(HttpNode):
         return {"data": results}
 
     def _handle_query(self, request: HttpRequest):
-        rejected = self._check_outage()
+        rejected = self._gate(request)
         if rejected is not None:
             return rejected
-        try:
-            self._authenticate(request)
-        except AuthError as exc:
-            return 401, {"errors": [{"message": str(exc)}]}
         slug = request.path[len(QUERY_PATH):]
         endpoint = self._queries.get(slug)
         if endpoint is None:

@@ -62,17 +62,16 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.engine.applet import ActionRef, TriggerRef
 from repro.engine.config import EngineConfig
 from repro.engine.delivery import (
-    AdaptiveDeliveryPolicy,
     DEGRADATION_LEVEL_NAMES,
     DeliveryPolicy,
     sampled_interval_quartiles,
 )
 from repro.engine.engine import IftttEngine
 from repro.engine.oauth import OAuthAuthority
-from repro.engine.push import DELIVERY_MODES, PushDeliveryPolicy, PushPolicy
+from repro.engine.push import DELIVERY_MODES, PushPolicy
 from repro.engine.poller import FixedPollingPolicy
 from repro.engine.replay import ReplayController
-from repro.engine.resilience import ReplayPolicy
+from repro.engine.resilience import ReplayPolicy, conservation_residual
 from repro.engine.sharding import (
     ShardedEngine,
     merged_fleet_snapshot,
@@ -413,21 +412,20 @@ class _QuartileDrift:
         return max(drifts) if drifts else 0.0
 
 
-def _delivery_extras(
-    engines: List[IftttEngine], probe_policy: Any = None
-) -> Dict[str, Any]:
+def _delivery_extras(engines: List[IftttEngine], probe: Any) -> Dict[str, Any]:
     """Post-run adaptive-delivery readout, folded across engines.
 
     Stretch factors and ladder levels are max-merged across engines —
     the same algebra the gauge merge applies to shard-scoped
     ``degradation_level`` families.  Overload dead letters are counted
     from the letters themselves (reason ``"overload"``) so the readout
-    is exact even without a :class:`DeliveryController`.  When
-    ``probe_policy`` is the victim applet's live
-    :class:`AdaptiveDeliveryPolicy`, its post-run interval distribution
-    is sampled against its wrapped base policy's — the probes run on a
-    private seeded RNG and touch no metrics, so they cannot perturb the
-    already-taken snapshot.
+    is exact even without a :class:`DeliveryController`.  ``probe`` is
+    the victim applet's engine runtime: when its trigger service has a
+    live health tracker, the post-run interval distribution — a fresh
+    clone of the applet's policy times the live stretch factor, i.e.
+    what the engine would draw on the poll rung — is sampled against
+    the bare policy's.  The probes run on a private seeded RNG and
+    touch no metrics, so they cannot perturb the already-taken snapshot.
     """
     stretch: Dict[str, float] = {}
     levels: Dict[str, int] = {}
@@ -438,10 +436,9 @@ def _delivery_extras(
                 overload[letter.service_slug] = overload.get(letter.service_slug, 0) + 1
         if engine.delivery is None:
             continue
-        for slug, health in engine.delivery.healths().items():
-            stretch[slug] = max(stretch.get(slug, 0.0), health.stretch)
-        for slug, level in engine.delivery.levels().items():
-            levels[slug] = max(levels.get(slug, 0), level)
+        for link in engine.delivery.tracked():
+            stretch[link.slug] = max(stretch.get(link.slug, 0.0), link.health.stretch)
+            levels[link.slug] = max(levels.get(link.slug, 0), link.level)
     extras: Dict[str, Any] = {
         "post_heal_stretch": stretch,
         "degradation_levels": levels,
@@ -449,15 +446,15 @@ def _delivery_extras(
         "post_heal_quartiles": None,
         "baseline_quartiles": None,
     }
-    if isinstance(probe_policy, PushDeliveryPolicy):
-        # Push wraps outermost; the adaptive restoration proof applies to
-        # the policy it wraps (push-mode applets poll at the safety net
-        # while the push rung holds, so their *polling* distribution is
-        # the wrapped policy's).
-        probe_policy = probe_policy.base
-    if isinstance(probe_policy, AdaptiveDeliveryPolicy):
-        extras["post_heal_quartiles"] = sampled_interval_quartiles(probe_policy.clone())
-        extras["baseline_quartiles"] = sampled_interval_quartiles(probe_policy.base.clone())
+    health = probe.link.health
+    if health is not None:
+        policy = probe.policy.clone()
+        extras["post_heal_quartiles"] = sampled_interval_quartiles(
+            lambda rng: policy.next_interval(rng) * health.stretch_factor(rng)
+        )
+        extras["baseline_quartiles"] = sampled_interval_quartiles(
+            probe.policy.clone().next_interval
+        )
     return extras
 
 
@@ -525,22 +522,16 @@ class ChaosResult(_QuartileDrift):
     post_heal_stretch: Dict[str, float] = field(default_factory=dict)
     degradation_levels: Dict[str, int] = field(default_factory=dict)
     overload_dead_letters_by_service: Dict[str, int] = field(default_factory=dict)
-    #: Victim-applet interval quartiles sampled post-run from the live
-    #: adaptive policy vs. its wrapped base — equal (within drift) once
-    #: the stretch has decayed, i.e. the §4 distribution is restored.
+    #: Victim-applet interval quartiles sampled post-run: its policy
+    #: under the live health stretch vs. the bare policy — equal (within
+    #: drift) once the stretch has decayed, i.e. §4's distribution is back.
     post_heal_quartiles: Optional[Tuple[float, float, float]] = None
     baseline_quartiles: Optional[Tuple[float, float, float]] = None
 
     @property
     def actions_silently_lost(self) -> int:
         """Dispatches unaccounted for — the invariant says zero."""
-        return (
-            self.actions_dispatched
-            - self.actions_delivered
-            - self.actions_dead_lettered
-            - self.actions_in_retry
-            - self.actions_in_replay
-        )
+        return conservation_residual(self.engine_stats)
 
     def t2a_max(self, phase: str) -> float:
         """Worst T2A in one phase (0.0 when the phase saw no deliveries)."""
@@ -679,17 +670,9 @@ class ChaosWorld:
             injected_at = float(fields["injected_at"])
             phase = _phase_of(scenario.plan, injected_at)
             t2a_by_phase.setdefault(phase, []).append(delivered_at - injected_at)
-        transitions = sorted(
-            (at, slug, old.value, new.value)
-            for slug, breaker in engine._breakers.items()
-            for at, old, new in breaker.transitions
-        )
         stats = engine.stats()
         snapshot = deterministic_snapshot(self.metrics)
-        extras = _delivery_extras(
-            [engine],
-            probe_policy=engine._applets[self.applet.applet_id].policy,
-        )
+        extras = _delivery_extras([engine], engine._applets[self.applet.applet_id])
         return ChaosResult(
             scenario=scenario.name,
             seed=self.seed,
@@ -702,7 +685,7 @@ class ChaosWorld:
             actions_in_retry=engine.actions_in_retry,
             actions_in_replay=engine.actions_in_replay,
             t2a_by_phase=t2a_by_phase,
-            breaker_transitions=transitions,
+            breaker_transitions=engine.breaker_transitions(),
             faults_activated=self.injector.activations,
             faults_deactivated=self.injector.deactivations,
             engine_stats=stats,
@@ -827,8 +810,8 @@ class ShardedChaosResult(_QuartileDrift):
     post_heal_stretch: Dict[str, float] = field(default_factory=dict)
     degradation_levels: Dict[str, int] = field(default_factory=dict)
     overload_dead_letters_by_service: Dict[str, int] = field(default_factory=dict)
-    #: Victim-applet interval quartiles sampled post-run from the live
-    #: adaptive policy vs. its wrapped base (victim shard's runtime).
+    #: Victim-applet interval quartiles sampled post-run: its policy
+    #: under the live health stretch vs. the bare policy (victim shard).
     post_heal_quartiles: Optional[Tuple[float, float, float]] = None
     baseline_quartiles: Optional[Tuple[float, float, float]] = None
     #: Epoch-stepping readout (``jobs=1`` is serial stepping,
@@ -841,14 +824,7 @@ class ShardedChaosResult(_QuartileDrift):
     @property
     def shard_silently_lost(self) -> List[int]:
         """Per-shard conservation residual — all zeros or the run failed."""
-        return [
-            stats["actions_dispatched"]
-            - stats["actions_delivered"]
-            - stats["actions_in_retry"]
-            - stats["dead_letters"]
-            - stats["actions_in_replay"]
-            for stats in self.shard_stats
-        ]
+        return [conservation_residual(stats) for stats in self.shard_stats]
 
     @property
     def actions_silently_lost(self) -> int:
@@ -1163,11 +1139,7 @@ class ShardedChaosWorld:
             )
         transitions_by_shard: Dict[int, List[Tuple[float, str, str, str]]] = {}
         for index, shard in enumerate(self.fleet.shards):
-            transitions = sorted(
-                (at, slug, old.value, new.value)
-                for slug, breaker in shard._breakers.items()
-                for at, old, new in breaker.transitions
-            )
+            transitions = shard.breaker_transitions()
             if transitions:
                 transitions_by_shard[index] = transitions
         events_observed = sum(
@@ -1189,7 +1161,7 @@ class ShardedChaosWorld:
         victim_engine = self.fleet.shards[self.victim_shard]
         extras = _delivery_extras(
             list(self.fleet.shards),
-            probe_policy=victim_engine._applets[self.applets[0].applet_id].policy,
+            victim_engine._applets[self.applets[0].applet_id],
         )
         fault_window: Dict[str, int] = {}
         for watcher in self.watchers:

@@ -5,8 +5,9 @@ Covers the three layers of ``repro.engine.delivery`` in isolation:
 * :class:`ServiceHealth` — EWMA dynamics, capped-exponential stretch
   growth, EWMA-gated decay, breaker suspension, and the no-RNG-draw
   contract while healthy;
-* :class:`AdaptiveDeliveryPolicy` — byte-equivalence to the wrapped
-  base policy whenever the service is healthy, for every polling-policy
+* the engine's cadence decision (``IftttEngine._interval``) under a
+  live :class:`ServiceHealth` — byte-equivalence to the applet's own
+  policy whenever the service is healthy, for every polling-policy
   family the engine ships;
 * :class:`DeliveryController` — watermarked hint/retry admission, the
   4-level degradation ladder, and its gauge/counter families.
@@ -23,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.delivery import (
-    AdaptiveDeliveryPolicy,
     BROWNOUT_MESSAGE,
     DEGRADATION_BREAKER_OPEN,
     DEGRADATION_HEALTHY,
@@ -194,7 +194,18 @@ def test_breaker_open_suspends_stretch():
     assert health.stretch_factor(rng) > 1.0
 
 
-# -- AdaptiveDeliveryPolicy -------------------------------------------------------
+# -- the cadence decision under a live ServiceHealth ------------------------------
+# (there is no policy wrapper: IftttEngine._interval multiplies the
+# applet's own draw by the service's shared stretch factor)
+
+
+def _adaptive_draw(policy, **policy_overrides):
+    """``(draw, health)``: an adaptive engine's cadence decision for
+    ``policy`` on its published service, and that service's live health."""
+    world, controller = _controller_world(**policy_overrides)
+    link = _link(world)
+    health = controller.health_for(link)
+    return (lambda rng: world.engine._interval(link, policy, rng)), health
 
 
 @pytest.mark.parametrize("base_factory", [
@@ -203,31 +214,22 @@ def test_breaker_open_suspends_stretch():
     lambda: AdaptivePollingPolicy(fast=5.0, slow=120.0),
 ], ids=["fixed", "production", "adaptive-poller"])
 def test_wrapper_byte_equivalent_to_base_when_healthy(base_factory):
-    health = ServiceHealth(DeliveryPolicy(), "svc")
-    wrapper = AdaptiveDeliveryPolicy(base_factory(), health)
-    assert sampled_interval_quartiles(wrapper) == sampled_interval_quartiles(base_factory())
+    draw, _ = _adaptive_draw(base_factory())
+    assert sampled_interval_quartiles(draw) == sampled_interval_quartiles(
+        base_factory().next_interval
+    )
 
 
 def test_wrapper_stretches_when_degraded_and_restores_after_heal():
-    health = ServiceHealth(DeliveryPolicy(stretch_jitter=0.0), "svc")
-    base = FixedPollingPolicy(10.0)
-    wrapper = AdaptiveDeliveryPolicy(base, health)
+    draw, health = _adaptive_draw(FixedPollingPolicy(10.0), stretch_jitter=0.0)
     rng = Rng(1)
-    assert wrapper.next_interval(rng) == 10.0
+    assert draw(rng) == 10.0
     health.record_failure()
     health.record_failure()
-    assert wrapper.next_interval(rng) == 10.0 * health.stretch
+    assert draw(rng) == 10.0 * health.stretch
     for _ in range(16):
         health.record_success()
-    assert wrapper.next_interval(rng) == 10.0
-
-
-def test_wrapper_clone_shares_health():
-    health = ServiceHealth(DeliveryPolicy(), "svc")
-    wrapper = AdaptiveDeliveryPolicy(FixedPollingPolicy(10.0), health)
-    clone = wrapper.clone()
-    assert clone is not wrapper and clone.base is not wrapper.base
-    assert clone.health is wrapper.health
+    assert draw(rng) == 10.0
 
 
 def test_response_is_brownout_sniffs_marker():
@@ -249,6 +251,12 @@ def _controller_world(**policy_overrides):
     return world, world.engine.delivery
 
 
+def _link(world):
+    """The engine's record of the world's one published service — what
+    every controller method takes."""
+    return world.engine.service_registration("svc")
+
+
 def test_engine_without_policy_has_no_controller():
     world = build_engine_world()
     assert world.engine.delivery is None
@@ -259,75 +267,79 @@ def test_engine_without_policy_has_no_controller():
 
 def test_hint_admission_watermarks():
     world, controller = _controller_world(hint_low_watermark=2, hint_high_watermark=4)
+    link = _link(world)
     for _ in range(2):
-        assert controller.admit_hint("svc") == HINT_ALLOW
-        controller.note_fast_poll_scheduled("svc")
+        assert controller.admit_hint(link) == HINT_ALLOW
+        controller.note_fast_poll_scheduled(link)
     # backlog == low watermark -> defer
-    assert controller.admit_hint("svc") == HINT_DEFER
-    controller.note_fast_poll_scheduled("svc")
-    controller.note_fast_poll_scheduled("svc")
+    assert controller.admit_hint(link) == HINT_DEFER
+    controller.note_fast_poll_scheduled(link)
+    controller.note_fast_poll_scheduled(link)
     # backlog == high watermark -> shed to polling
-    assert controller.admit_hint("svc") == HINT_SHED
+    assert controller.admit_hint(link) == HINT_SHED
     stats = controller.stats()
     assert stats["delivery_hints_deferred"] == 1
     assert stats["delivery_hints_shed"] == 1
     # Draining the backlog re-admits.
     for _ in range(4):
-        controller.note_fast_poll_done("svc")
-    assert controller.admit_hint("svc") == HINT_ALLOW
+        controller.note_fast_poll_done(link)
+    assert controller.admit_hint(link) == HINT_ALLOW
 
 
 def test_retry_admission_watermarks_and_overload():
     world, controller = _controller_world(retry_low_watermark=1, retry_high_watermark=2)
+    link = _link(world)
     rng = Rng(2)
-    assert controller.admit_retry("svc")
-    controller.note_retry_enqueued("svc")
+    assert controller.admit_retry(link)
+    controller.note_retry_enqueued(link)
     # depth >= low watermark: backoff is multiplied (deferred).
-    delay = controller.stretch_retry_delay("svc", 1.0, rng)
+    delay = controller.stretch_retry_delay(link, 1.0, rng)
     assert delay > 1.0
-    controller.note_retry_enqueued("svc")
+    controller.note_retry_enqueued(link)
     # depth >= high watermark: refused -> caller dead-letters as overload.
-    assert not controller.admit_retry("svc")
+    assert not controller.admit_retry(link)
     stats = controller.stats()
     assert stats["delivery_retries_deferred"] == 1
     assert stats["delivery_overload_dead_letters"] == 1
-    controller.note_retry_dequeued("svc")
-    assert controller.admit_retry("svc")
+    controller.note_retry_dequeued(link)
+    assert controller.admit_retry(link)
 
 
 def test_replay_headroom_respects_retry_watermark():
     world, controller = _controller_world(retry_low_watermark=2, retry_high_watermark=4)
-    assert controller.replay_headroom("svc") == 4
-    controller.note_retry_enqueued("svc")
-    controller.note_replay_enqueued("svc", 2)
-    assert controller.replay_headroom("svc") == 1
-    controller.note_replay_dequeued("svc")
-    assert controller.replay_headroom("svc") == 2
+    link = _link(world)
+    assert controller.replay_headroom(link) == 4
+    controller.note_retry_enqueued(link)
+    link.replay_depth += 2      # what a replay drain of two letters does
+    assert controller.replay_headroom(link) == 1
+    link.replay_depth -= 1      # one of them delivered
+    assert controller.replay_headroom(link) == 2
 
 
 def test_degradation_ladder_levels():
     world, controller = _controller_world(hint_low_watermark=1, hint_high_watermark=2)
     world.engine.metrics = MetricsRegistry()
-    slug = "svc"
-    assert controller.level_of(slug) == DEGRADATION_HEALTHY
-    health = controller.health_for(slug)
-    controller.note_result(slug, ok=False, brownout=True)
-    controller.note_result(slug, ok=False, brownout=True)
+    link = _link(world)
+    assert link.level == DEGRADATION_HEALTHY
+    health = controller.health_for(link)
+    controller.note_result(link, ok=False, brownout=True)
+    controller.note_result(link, ok=False, brownout=True)
     assert health.degraded
-    assert controller.level_of(slug) == DEGRADATION_STRETCHED
-    controller.note_fast_poll_scheduled(slug)
-    controller.note_fast_poll_scheduled(slug)
-    assert controller.level_of(slug) == DEGRADATION_SHEDDING
-    controller.on_breaker_transition(slug, BreakerState.CLOSED, BreakerState.OPEN)
-    assert controller.level_of(slug) == DEGRADATION_BREAKER_OPEN
-    controller.on_breaker_transition(slug, BreakerState.OPEN, BreakerState.CLOSED)
-    controller.note_fast_poll_done(slug)
-    controller.note_fast_poll_done(slug)
+    assert link.level == DEGRADATION_STRETCHED
+    controller.note_fast_poll_scheduled(link)
+    controller.note_fast_poll_scheduled(link)
+    assert link.level == DEGRADATION_SHEDDING
+    controller.on_breaker_transition(link, BreakerState.OPEN)
+    assert link.level == DEGRADATION_BREAKER_OPEN
+    controller.on_breaker_transition(link, BreakerState.CLOSED)
+    controller.note_fast_poll_done(link)
+    controller.note_fast_poll_done(link)
     for _ in range(16):
-        controller.note_result(slug, ok=True)
-    assert controller.level_of(slug) == DEGRADATION_HEALTHY
+        controller.note_result(link, ok=True)
+    assert link.level == DEGRADATION_HEALTHY
+    assert controller.tracked() == [link]
     # The gauge tracked every transition.
-    gauge = world.engine.metrics.gauge("engine.degradation_level", service=slug)
+    gauge = world.engine.metrics.gauge("engine.degradation_level", service="svc")
     assert gauge.value == DEGRADATION_HEALTHY
 
 
@@ -434,8 +446,7 @@ def test_interval_distribution_restored_after_any_brownout_schedule(
     (:data:`T2A_BASELINE_QUARTILES`, pinned by test_calibration) — so
     restoring this distribution *is* restoring the §4 baseline.
     """
-    health = ServiceHealth(DeliveryPolicy(), "svc")
-    wrapper = AdaptiveDeliveryPolicy(ProductionPollingPolicy(), health)
+    draw, health = _adaptive_draw(ProductionPollingPolicy())
     for failed in outcomes:
         if failed:
             health.record_failure(brownout=True)
@@ -448,9 +459,9 @@ def test_interval_distribution_restored_after_any_brownout_schedule(
         health.record_success()
     assert health.stretch == 1.0
     assert not health.degraded
-    healed = sampled_interval_quartiles(wrapper, seed=probe_seed, samples=500)
+    healed = sampled_interval_quartiles(draw, seed=probe_seed, samples=500)
     baseline = sampled_interval_quartiles(
-        ProductionPollingPolicy(), seed=probe_seed, samples=500
+        ProductionPollingPolicy().next_interval, seed=probe_seed, samples=500
     )
     assert healed == baseline
     assert len(T2A_BASELINE_QUARTILES) == 3  # the anchor the baseline encodes

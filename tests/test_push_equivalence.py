@@ -33,7 +33,6 @@ from repro.engine import (
     EngineConfig,
     FixedPollingPolicy,
     ProductionPollingPolicy,
-    PushDeliveryPolicy,
     PushPolicy,
     SHARD_STRATEGIES,
     ShardedEngine,
@@ -100,15 +99,16 @@ def run_world(
     config = engine_config_for(
         mode,
         poll_policy=FixedPollingPolicy(poll_interval),
-        num_shards=num_shards,
-        shard_strategy=strategy,
         poll_dispatch=dispatch,
         push_policy=(
             (push_policy or PushPolicy(safety_net_interval=poll_interval))
             if mode == "push" else None
         ),
     )
-    fleet = ShardedEngine(net, config=config, rng=rng.fork("engine"))
+    fleet = ShardedEngine(
+        net, config=config, rng=rng.fork("engine"),
+        num_shards=num_shards, shard_strategy=strategy,
+    )
     delivered = []  # (service_index, n, delivered_at)
     services = []
     for i in range(n_services):
@@ -279,26 +279,38 @@ class TestDegradedPushRestoration:
     """(d) the poll rung restores the exact base interval distribution."""
 
     def test_rung_decides_the_distribution(self):
-        from repro.engine.push import PushServiceState
+        from repro.engine.engine import IftttEngine
 
         base = ProductionPollingPolicy()
         policy = PushPolicy()
-        state = PushServiceState("svc")
-        wrapped = PushDeliveryPolicy(base.clone(), state, policy)
+        net = Network(Simulator(), Rng(seed=3, name="rung"))
+        engine = net.add_node(IftttEngine(
+            Address("engine.cloud"),
+            config=engine_config_for("push", push_policy=policy),
+        ))
+        engine.publish_service(net.add_node(PartnerService(
+            Address("svc.cloud"), slug="svc", push=True,
+        )))
+        link = engine.service_registration("svc")
+        state = engine.push.state_for(link)
+
+        def draw(rng, applet_policy=base.clone()):
+            return engine._interval(link, applet_policy, rng)
+
         # push rung: the constant safety net, no RNG consumption
         assert state.rung == RUNG_PUSH
-        assert sampled_interval_quartiles(wrapped.clone()) == (
+        assert sampled_interval_quartiles(draw) == (
             policy.safety_net_interval,
         ) * 3
         # poll rung: the base distribution, exactly (same seeded RNG,
-        # same draws — the wrapper adds nothing)
+        # same draws — the cadence decision adds nothing)
         state.rung = RUNG_POLL
-        assert sampled_interval_quartiles(wrapped.clone()) == (
-            sampled_interval_quartiles(base.clone())
+        assert sampled_interval_quartiles(draw) == (
+            sampled_interval_quartiles(base.clone().next_interval)
         )
         # heal: back to the safety net
         state.rung = RUNG_PUSH
-        assert sampled_interval_quartiles(wrapped.clone()) == (
+        assert sampled_interval_quartiles(draw) == (
             policy.safety_net_interval,
         ) * 3
 
@@ -317,8 +329,10 @@ class TestDegradedPushRestoration:
             config=engine_config_for("push", push_policy=policy),
             rng=rng.fork("engine"),
         ))
+        from repro.engine.push import PushServiceState
+
         controller = engine.push
-        state = controller.state_for("svc")
+        state = PushServiceState("svc")
         def wire(k):
             return {"meta": {"id": f"e{k}", "timestamp": 0}, "n": k}
 

@@ -67,10 +67,11 @@ def build_push_world(
         action_timeout=10.0,
         realtime_allowlist=frozenset(),
         push_policy=push_policy or PushPolicy(),
-        num_shards=num_shards,
-        shard_strategy=shard_strategy,
     )
-    fleet = ShardedEngine(net, config=config, rng=rng.fork("engine"), trace=trace)
+    fleet = ShardedEngine(
+        net, config=config, rng=rng.fork("engine"), trace=trace,
+        num_shards=num_shards, shard_strategy=shard_strategy,
+    )
     delivered = []
     sensor = net.add_node(PartnerService(
         Address("sensor.cloud"), slug=SENSOR, service_time=0.0,
@@ -174,7 +175,7 @@ class TestBreakerParking:
         # dict holds the identity, and both counter families ticked
         assert delivered == []
         assert engine.realtime_hints_suppressed == 1
-        assert SENSOR in engine._suppressed_hints
+        assert engine.service_registration(SENSOR).parked
         stats = engine.stats()
         assert stats["push_notifications_parked"] == 1
         assert stats["push_notifications_received"] == 1

@@ -11,8 +11,9 @@ and only wall-clock gauges plus the kernel event counters in
 
 This suite pins that contract with hypothesis over seeds and corpus
 shapes, end-to-end over the fleet workload, across all three shard
-strategies, plus the `sample_interval` bound-histogram cache regression
-(satellite: handle identity under shard namespacing).
+strategies, plus the regression tests for the per-service bound handles
+of ``{ns}.polls_sent`` / ``{ns}.poll_interval_seconds`` (registry swap,
+shard namespacing).
 """
 
 import json
@@ -48,6 +49,8 @@ from repro.obs.metrics import (
 from repro.services import ActionEndpoint, PartnerService, TriggerEndpoint
 from repro.simcore import Rng, Simulator
 from repro.testbed.workload import FleetWorld
+
+from tests.helpers import build_engine_world, install_ping_applet
 
 
 def snapshot_blob(metrics) -> bytes:
@@ -275,11 +278,12 @@ def run_sharded(mode: str, strategy: str, seed: int = 11):
         poll_policy=ProductionPollingPolicy(median=8.0, sigma=0.4, minimum=2.0),
         initial_poll_delay=0.5,
         initial_poll_jitter=3.0,
-        num_shards=3,
-        shard_strategy=strategy,
         poll_dispatch=mode,
     )
-    fleet = ShardedEngine(net, config=config, rng=rng.fork("engine"))
+    fleet = ShardedEngine(
+        net, config=config, rng=rng.fork("engine"),
+        num_shards=3, shard_strategy=strategy,
+    )
     delivered = []
     services = []
     for i in range(5):
@@ -336,7 +340,7 @@ class TestShardedEquivalence:
         assert all(heap["conservation"]) and all(timers["conservation"])
 
 
-# -- sample_interval handle-cache regression (satellite) ------------------------
+# -- per-service bound metric handles (satellite) -------------------------------
 
 
 def histogram_counts(metrics) -> dict:
@@ -349,55 +353,32 @@ def histogram_counts(metrics) -> dict:
 
 
 class TestSampleIntervalCache:
-    def test_handle_cached_per_policy(self):
-        policy = FixedPollingPolicy(5.0)
-        metrics = MetricsRegistry()
-        rng = Rng(1)
-        policy.sample_interval(rng, metrics)
-        first = policy._bound_hist
-        policy.sample_interval(rng, metrics)
-        assert policy._bound_hist is first
-        (count,) = histogram_counts(metrics).values()
-        assert count == 2
+    """The sampled-interval histogram (and the polls-sent counter) are
+    bound once per service record, not looked up per poll."""
 
-    def test_rebinds_on_new_registry(self):
-        policy = FixedPollingPolicy(5.0)
-        rng = Rng(1)
-        first_registry, second_registry = MetricsRegistry(), MetricsRegistry()
-        policy.sample_interval(rng, first_registry)
-        policy.sample_interval(rng, second_registry)
-        policy.sample_interval(rng, second_registry)
-        assert sum(histogram_counts(first_registry).values()) == 1
-        assert sum(histogram_counts(second_registry).values()) == 2
-
-    def test_rebinds_on_shard_namespaced_metric_name(self):
-        # a cloned policy observed under engine.shard<i>.* must not keep
-        # writing into the prototype's engine.* histogram
-        prototype = FixedPollingPolicy(5.0)
-        metrics = MetricsRegistry()
-        rng = Rng(1)
-        prototype.sample_interval(
-            rng, metrics, metric_name="engine.poll_interval_seconds"
+    def test_registry_swap_rebinds_service_handles(self):
+        # swapping engine.metrics mid-run must move both per-service
+        # handles to the new registry; the old one stops moving
+        world = build_engine_world()          # fixed 10 s polls from t=0.5
+        engine = world.engine
+        first, second = MetricsRegistry(), MetricsRegistry()
+        engine.metrics = first
+        install_ping_applet(engine)
+        world.sim.run_until(25.0)
+        link = engine.service_registration("svc")
+        assert link.polls_sent is first.counter("engine.polls_sent", service="svc")
+        assert link.polls_sent.value == 3
+        assert histogram_counts(first)["engine.poll_interval_seconds"] == 3
+        frozen = json.dumps(first.snapshot(), sort_keys=True)
+        engine.metrics = second
+        world.sim.run_until(55.0)
+        assert json.dumps(first.snapshot(), sort_keys=True) == frozen
+        assert link.polls_sent is second.counter("engine.polls_sent", service="svc")
+        assert link.polls_sent.value == 3
+        assert link.poll_interval_seconds is second.histogram(
+            "engine.poll_interval_seconds", policy="FixedPollingPolicy", service="svc"
         )
-        clone = prototype.clone()
-        clone.sample_interval(
-            rng, metrics, metric_name="engine.shard0.poll_interval_seconds"
-        )
-        clone.sample_interval(
-            rng, metrics, metric_name="engine.shard0.poll_interval_seconds"
-        )
-        by_name = histogram_counts(metrics)
-        assert by_name["engine.poll_interval_seconds"] == 1
-        assert by_name["engine.shard0.poll_interval_seconds"] == 2
-
-    def test_rebinds_on_label_change(self):
-        policy = FixedPollingPolicy(5.0)
-        metrics = MetricsRegistry()
-        rng = Rng(1)
-        policy.sample_interval(rng, metrics, shard="0")
-        bound_for_shard0 = policy._bound_hist
-        policy.sample_interval(rng, metrics, shard="1")
-        assert policy._bound_hist is not bound_for_shard0
+        assert histogram_counts(second)["engine.poll_interval_seconds"] == 3
 
     def test_sharded_fleet_namespaces_isolated(self):
         # end-to-end: per-shard poll_interval histograms receive exactly
@@ -409,10 +390,11 @@ class TestSampleIntervalCache:
         config = EngineConfig(
             poll_policy=FixedPollingPolicy(5.0),
             initial_poll_delay=0.5,
-            num_shards=2,
-            shard_strategy="round_robin",
         )
-        fleet = ShardedEngine(net, config=config, rng=rng.fork("engine"))
+        fleet = ShardedEngine(
+            net, config=config, rng=rng.fork("engine"),
+            num_shards=2, shard_strategy="round_robin",
+        )
         service = net.add_node(PartnerService(
             Address("svc.cloud"), slug="svc", service_time=0.0,
         ))

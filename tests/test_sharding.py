@@ -66,9 +66,11 @@ def build_fleet(
     net = Network(sim, rng.fork("network"), metrics=metrics)
     config = EngineConfig(
         poll_policy=FixedPollingPolicy(poll_interval), initial_poll_delay=0.5,
+    )
+    fleet = ShardedEngine(
+        net, config=config, rng=rng.fork("engine"),
         num_shards=num_shards, shard_strategy=strategy,
     )
-    fleet = ShardedEngine(net, config=config, rng=rng.fork("engine"))
     delivered: List[dict] = []
     services = []
     for i in range(n_services):
@@ -124,26 +126,28 @@ class TestConfigValidation:
     def test_strategies_registry(self):
         assert SHARD_STRATEGIES == ("service_hash", "round_robin", "popularity_balanced")
 
+    # The shard count and strategy are ShardedEngine kwargs (a plain
+    # engine has no use for them, so EngineConfig does not carry them).
+
     def test_defaults_single_shard(self):
-        config = EngineConfig()
-        assert config.num_shards == 1
-        assert config.shard_strategy == "service_hash"
+        fleet = ShardedEngine(Network(Simulator(), Rng(1)))
+        assert fleet.num_shards == 1 and len(fleet.shards) == 1
+        assert fleet.strategy == "service_hash"
 
     def test_zero_shards_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(num_shards=0)
+        with pytest.raises(ValueError, match="num_shards must be >= 1"):
+            ShardedEngine(Network(Simulator(), Rng(1)), num_shards=0)
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(shard_strategy="modulo")
+        with pytest.raises(ValueError, match="unknown shard strategy 'modulo'"):
+            ShardedEngine(Network(Simulator(), Rng(1)), shard_strategy="modulo")
 
     def test_coordinator_rejects_bad_overrides(self):
         sim = Simulator()
-        net = Network(sim, Rng(1))
-        with pytest.raises(ValueError):
-            ShardedEngine(net, num_shards=0)
-        with pytest.raises(ValueError):
-            ShardedEngine(net, shard_strategy="nope")
+        with pytest.raises(ValueError, match="1 shard networks for 2 shards"):
+            ShardedEngine([Network(sim, Rng(1))], num_shards=2)
+        with pytest.raises(ValueError, match="applet_id_stride must be >= 1"):
+            ShardedEngine(Network(sim, Rng(1)), applet_id_stride=0)
 
 
 class TestAssignment:
@@ -270,6 +274,9 @@ class TestIsolation:
         config = EngineConfig(breaker_policy=BreakerPolicy(failure_threshold=3))
         a = net.add_node(IftttEngine(Address("a.cloud"), config=config, rng=Rng(1)))
         b = net.add_node(IftttEngine(Address("b.cloud"), config=config, rng=Rng(2)))
+        service = net.add_node(PartnerService(Address("svc.cloud"), slug="svc"))
+        a.publish_service(service)
+        b.publish_service(service)
         for t in (1.0, 2.0, 3.0):
             a.breaker_for("svc").record_failure(t)
         assert a.breaker_for("svc").state is BreakerState.OPEN

@@ -246,8 +246,8 @@ class TestAppletIdRangeEnforcement:
             net,
             config=EngineConfig(
                 poll_policy=FixedPollingPolicy(5.0), initial_poll_delay=0.5,
-                num_shards=4, shard_strategy="round_robin",
             ),
+            num_shards=4, shard_strategy="round_robin",
             rng=rng.fork("engine"),
             service_time=0.0,
             expected_applets=250_000,
@@ -288,8 +288,8 @@ class TestAppletIdRangeEnforcement:
             net,
             config=EngineConfig(
                 poll_policy=FixedPollingPolicy(5.0), initial_poll_delay=0.5,
-                num_shards=2, shard_strategy="service_hash",
             ),
+            num_shards=2,
             rng=rng.fork("engine"),
             service_time=0.0,
             applet_id_stride=2,
