@@ -47,6 +47,7 @@ from repro.engine.resilience import (
 from repro.simcore.event import Event
 from repro.net.address import Address
 from repro.net.http import HttpError, HttpNode, HttpRequest, HttpResponse
+from repro.obs.bound import Bound
 from repro.obs.metrics import COUNT_BUCKETS
 from repro.services.partner import (
     ACTION_PATH,
@@ -102,11 +103,12 @@ class ServiceRegistration:
         "replay_depth",
         "push_state",
         "drain_scheduled",
-        "polls_sent",
-        "poll_interval_seconds",
+        "bound",
     )
 
-    def __init__(self, service: PartnerService, service_key: str, push: bool = False) -> None:
+    def __init__(
+        self, service: PartnerService, service_key: str, namespace: str, push: bool = False
+    ) -> None:
         self.slug = service.slug
         self.address = service.address
         self.service_key = service_key
@@ -127,10 +129,9 @@ class ServiceRegistration:
         self.replay_depth = 0
         self.push_state: Optional[PushServiceState] = None
         self.drain_scheduled = False        # a replay drain is already queued
-        #: Bound ``{ns}.polls_sent`` / ``{ns}.poll_interval_seconds``
-        #: handles (cleared by ``_hot_metrics`` on a registry swap).
-        self.polls_sent: Any = None
-        self.poll_interval_seconds: Any = None
+        #: The ``{namespace}.*{service=slug}`` instruments the engine and
+        #: its push/replay controllers record through per event.
+        self.bound = Bound(namespace, service=service.slug)
 
     def __repr__(self) -> str:
         return f"<ServiceRegistration {self.slug!r}>"
@@ -325,22 +326,11 @@ class IftttEngine(HttpNode):
         # the heap scheduler (one wake event per engine, batched pops)
         # or the seed per-applet timers.  See repro.engine.scheduler.
         self._scheduler = make_poll_scheduler(self, self.config.poll_dispatch)
-        # Hot-path metric handles.  The registry get-or-create path
-        # rebuilds a label dict and a sorted label tuple on every call;
-        # at fleet scale that dominates the dispatch loop, so the
-        # per-poll instruments are resolved once and cached.  The cache
-        # is keyed to the registry's identity: Node.metrics can change
-        # when the engine attaches to a network, and a swap invalidates
-        # every cached handle at once.
-        self._m_registry = None
-        self._m_poll_rtt = None
-        self._m_poll_batch = None
-        self._m_events_observed = None
-        self._n_polls_sent = f"{metrics_namespace}.polls_sent"
-        self._n_poll_rtt = f"{metrics_namespace}.poll_rtt_seconds"
-        self._n_poll_batch = f"{metrics_namespace}.poll_batch_new"
-        self._n_events_observed = f"{metrics_namespace}.events_observed"
-        self._n_poll_interval = f"{metrics_namespace}.poll_interval_seconds"
+        # Engine-wide per-event instruments (the per-service ones are on
+        # each ServiceRegistration).  The three poll-path series keep a
+        # table to themselves: see _hot_metrics.
+        self._bound = Bound(metrics_namespace)
+        self._poll_bound = Bound(metrics_namespace)
         self.add_route("POST", REALTIME_NOTIFY_PATH, self._handle_realtime_hint)
         if self.push is not None:
             self.add_route("POST", PUSH_NOTIFY_PATH, self._handle_push_notification)
@@ -364,7 +354,9 @@ class IftttEngine(HttpNode):
         # Contract negotiation: the service's push *capability* becomes
         # an accepted contract only when this engine runs a push policy.
         push = self.config.push_policy is not None and service.push
-        self._services[service.slug] = ServiceRegistration(service, key, push=push)
+        self._services[service.slug] = ServiceRegistration(
+            service, key, self._ns, push=push
+        )
         service.published(self.address, key, push=push)
         self.permissions.register_service(service.slug, service.trigger_slugs, service.action_slugs)
         return key
@@ -772,13 +764,16 @@ class IftttEngine(HttpNode):
     # -- the poll loop ----------------------------------------------------------------
 
     def _hot_metrics(self, metrics) -> None:
-        """(Re)bind the cached per-poll instrument handles to ``metrics``."""
-        self._m_registry = metrics
-        for link in self._services.values():
-            link.polls_sent = link.poll_interval_seconds = None
-        self._m_poll_rtt = metrics.histogram(self._n_poll_rtt)
-        self._m_poll_batch = metrics.histogram(self._n_poll_batch, bounds=COUNT_BUCKETS)
-        self._m_events_observed = metrics.counter(self._n_events_observed)
+        """The poll path has met a new registry: its three engine-wide
+        series are born *together*, empty (a polling engine reports
+        ``events_observed = 0`` before any event).  Everything else is
+        born by its first sample, but every snapshot so far shows these
+        three this way, so it stays; ``_poll_bound`` holds nothing else,
+        so its ``registry`` says whether the birth has happened."""
+        bound = self._poll_bound
+        bound.histogram(metrics, "poll_rtt_seconds")
+        bound.histogram(metrics, "poll_batch_new", COUNT_BUCKETS)
+        bound.counter(metrics, "events_observed")
 
     def _schedule_next_poll(self, runtime: _AppletRuntime, delay: float) -> None:
         if not runtime.applet.enabled:
@@ -846,14 +841,9 @@ class IftttEngine(HttpNode):
         self.polls_sent += 1
         metrics = self.metrics
         if metrics is not None:
-            if metrics is not self._m_registry:
+            if metrics is not self._poll_bound.registry:
                 self._hot_metrics(metrics)
-            counter = link.polls_sent
-            if counter is None:
-                counter = link.polls_sent = metrics.counter(
-                    self._n_polls_sent, service=link.slug
-                )
-            counter.inc()
+            link.bound.counter(metrics, "polls_sent").inc()
         if self.trace is not None:
             self.trace.record(
                 self.now,
@@ -905,12 +895,13 @@ class IftttEngine(HttpNode):
                     f"{self._ns}.poll_failures", status=response.status
                 ).inc()
         if metrics is not None:
-            if metrics is not self._m_registry:
+            bound = self._poll_bound
+            if metrics is not bound.registry:
                 self._hot_metrics(metrics)
-            self._m_poll_rtt.observe(response.elapsed)
-            self._m_poll_batch.observe(len(new_events))
+            bound.histogram(metrics, "poll_rtt_seconds").observe(response.elapsed)
+            bound.histogram(metrics, "poll_batch_new", COUNT_BUCKETS).observe(len(new_events))
             if new_events:
-                self._m_events_observed.inc(len(new_events))
+                bound.counter(metrics, "events_observed").inc(len(new_events))
         if self.trace is not None:
             self.trace.record(
                 self.now,
@@ -952,10 +943,12 @@ class IftttEngine(HttpNode):
             # §4 blames T2A on this distribution, so it is a first-class
             # histogram, bound once per service record.  ``policy`` says
             # who owns the cadence (vocabulary: docs/OBSERVABILITY.md).
-            histogram = link.poll_interval_seconds
-            if histogram is None:
-                histogram = link.poll_interval_seconds = metrics.histogram(
-                    self._n_poll_interval,
+            held = link.bound.held(metrics)
+            try:
+                histogram = held["poll_interval_seconds"]
+            except KeyError:
+                histogram = held["poll_interval_seconds"] = metrics.histogram(
+                    f"{self._ns}.poll_interval_seconds",
                     policy=(
                         "PushDeliveryPolicy" if link.push
                         else "AdaptiveDeliveryPolicy" if self.delivery is not None
@@ -1085,18 +1078,17 @@ class IftttEngine(HttpNode):
         self.actions_dispatched += 1
         metrics = self.metrics
         if metrics is not None:
-            metrics.counter(
-                f"{self._ns}.actions_dispatched", service=action.service_slug
-            ).inc()
+            bound = registration.bound
+            bound.counter(metrics, "actions_dispatched").inc()
             # Trigger-to-action latency as the engine sees it: action
             # dispatch time minus the event's ``meta.timestamp`` (when
             # the trigger condition was met at the service) — the §4
             # headline metric, dominated by the poll wait.
             triggered_at = wire_event.get("meta", {}).get("timestamp")
             if triggered_at is not None:
-                metrics.histogram(
-                    f"{self._ns}.t2a_seconds", service=action.service_slug
-                ).observe(max(0.0, self.now - triggered_at))
+                bound.histogram(metrics, "t2a_seconds").observe(
+                    max(0.0, self.now - triggered_at)
+                )
         if self.trace is not None:
             self.trace.record(
                 self.now,
@@ -1179,7 +1171,7 @@ class IftttEngine(HttpNode):
         record.last_status = response.status
         metrics = self.metrics
         if metrics is not None:
-            metrics.histogram(f"{self._ns}.action_rtt_seconds").observe(response.elapsed)
+            self._bound.histogram(metrics, "action_rtt_seconds").observe(response.elapsed)
         if self.trace is not None:
             self.trace.record(
                 self.now,
@@ -1190,13 +1182,12 @@ class IftttEngine(HttpNode):
                 attempt=record.attempts,
             )
         ok = response.ok
-        self._note_outcome(self._services[record.service_slug], ok, response)
+        link = self._services[record.service_slug]
+        self._note_outcome(link, ok, response)
         if ok:
             self.actions_delivered += 1
             if metrics is not None:
-                metrics.counter(
-                    f"{self._ns}.actions_delivered", service=record.service_slug
-                ).inc()
+                link.bound.counter(metrics, "actions_delivered").inc()
             return
         self.action_failures += 1
         if metrics is not None:
@@ -1287,10 +1278,16 @@ class IftttEngine(HttpNode):
         link = self._webhook_sender(request)
         self.realtime_hints_received += 1
         honoured = self.config.honours_realtime_for(link.slug)
-        if self.metrics is not None:
-            self.metrics.counter(
-                f"{self._ns}.realtime_hints", service=link.slug, honoured=honoured
-            ).inc()
+        metrics = self.metrics
+        if metrics is not None:
+            held = link.bound.held(metrics)
+            try:
+                hints = held[honoured]  # the bool is the key: two series at most
+            except KeyError:
+                hints = held[honoured] = metrics.counter(
+                    f"{self._ns}.realtime_hints", service=link.slug, honoured=honoured
+                )
+            hints.inc()
         identities = [
             entry.get("trigger_identity") for entry in (request.body or {}).get("data", [])
         ]

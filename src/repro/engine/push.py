@@ -226,10 +226,9 @@ class PushController:
         self.notifications_received += 1
         state.notifications += 1
         entries = (request.body or {}).get("data", [])
-        if engine.metrics is not None:
-            engine.metrics.counter(
-                f"{engine._ns}.push.notifications", service=link.slug
-            ).inc()
+        metrics = engine.metrics
+        if metrics is not None:
+            link.bound.counter(metrics, "push.notifications").inc()
         if engine.trace is not None:
             engine.trace.record(
                 engine.now,
@@ -271,24 +270,24 @@ class PushController:
             # the poll rung has already restored to the base policy).
             state.shed_to_poll += 1
             self.shed_to_poll += 1
-            if self.engine.metrics is not None:
-                self.engine.metrics.counter(
-                    f"{self.engine._ns}.push.shed_to_poll", service=state.slug
-                ).inc()
+            self._count_degraded(state, "push.shed_to_poll")
             return
         if rung == RUNG_HINT:
             # Degrade: keep the identity, drop the payload — the drain
             # turns it into a hint-style fast poll.
             state.degraded_to_hint += 1
             self.degraded_to_hint += 1
-            if self.engine.metrics is not None:
-                self.engine.metrics.counter(
-                    f"{self.engine._ns}.push.degraded_to_hint",
-                    service=state.slug,
-                ).inc()
+            self._count_degraded(state, "push.degraded_to_hint")
             state.pending.append((identity, None))
             return
         state.pending.append((identity, wire))
+
+    def _count_degraded(self, state: PushServiceState, name: str) -> None:
+        """Count one event that left the push rung (per event while degraded)."""
+        engine = self.engine
+        metrics = engine.metrics
+        if metrics is not None:
+            engine._services[state.slug].bound.counter(metrics, name).inc()
 
     def _refresh_rung(self, state: PushServiceState) -> None:
         """Recompute the ladder rung from the backlog (with hysteresis)."""
@@ -370,15 +369,10 @@ class PushController:
         self.events_ingested += ingested
         metrics = engine.metrics
         if metrics is not None:
-            metrics.histogram(
-                f"{engine._ns}.push.batch_size",
-                bounds=COUNT_BUCKETS,
-                service=state.slug,
-            ).observe(batch)
+            bound = link.bound
+            bound.histogram(metrics, "push.batch_size", COUNT_BUCKETS).observe(batch)
             if ingested:
-                metrics.counter(
-                    f"{engine._ns}.push.events_ingested", service=state.slug
-                ).inc(ingested)
+                bound.counter(metrics, "push.events_ingested").inc(ingested)
         if engine.trace is not None:
             engine.trace.record(
                 engine.now,
@@ -415,9 +409,10 @@ class PushController:
         if delivered:
             metrics = engine.metrics
             if metrics is not None:
-                if metrics is not engine._m_registry:
+                bound = engine._poll_bound
+                if metrics is not bound.registry:
                     engine._hot_metrics(metrics)
-                engine._m_events_observed.inc(delivered)
+                bound.counter(metrics, "events_observed").inc(delivered)
         return delivered
 
     # -- reporting --------------------------------------------------------------

@@ -208,12 +208,11 @@ class ReplayController:
             }
             for record in records
         ))
-        ns = engine.metrics_namespace
-        if engine.metrics is not None:
-            engine.metrics.counter(f"{ns}.replay.batches_sent", service=link.slug).inc()
-            engine.metrics.histogram(
-                f"{ns}.replay.batch_size", bounds=COUNT_BUCKETS, service=link.slug
-            ).observe(len(records))
+        metrics = engine.metrics
+        if metrics is not None:
+            bound = link.bound
+            bound.counter(metrics, "replay.batches_sent").inc()
+            bound.histogram(metrics, "replay.batch_size", COUNT_BUCKETS).observe(len(records))
         engine.post(
             link.address,
             BATCH_ACTION_PATH,
@@ -267,26 +266,21 @@ class ReplayController:
         self.actions_delivered += 1
         self.last_delivery_at = engine.now
         self.deliveries.append((engine.now, record))
-        ns = engine.metrics_namespace
-        if engine.metrics is not None:
-            engine.metrics.counter(
-                f"{ns}.replay.actions_delivered", service=record.service_slug
-            ).inc()
-            engine.metrics.counter(
-                f"{ns}.actions_delivered", service=record.service_slug
-            ).inc()
+        metrics = engine.metrics
+        if metrics is not None:
+            bound = link.bound
+            bound.counter(metrics, "replay.actions_delivered").inc()
+            bound.counter(metrics, "actions_delivered").inc()
             # Latency of the replayed event measured from its original
             # dispatch commitment — the T2A the user finally observes.
-            engine.metrics.histogram(
-                f"{ns}.replay.t2a_seconds", service=record.service_slug
-            ).observe(max(0.0, engine.now - record.created_at))
-            engine.metrics.gauge(
-                f"{ns}.replay.in_replay", service=record.service_slug
-            ).set(engine.actions_in_replay)
+            bound.histogram(metrics, "replay.t2a_seconds").observe(
+                max(0.0, engine.now - record.created_at)
+            )
+            bound.gauge(metrics, "replay.in_replay").set(engine.actions_in_replay)
         if engine.trace is not None:
             engine.trace.record(
                 engine.now,
-                ns,
+                engine.metrics_namespace,
                 "engine_replay_delivered",
                 applet_id=record.applet_id,
                 service=record.service_slug,
@@ -297,14 +291,10 @@ class ReplayController:
         engine = self.engine
         self._leave_replay(link)
         self.actions_failed += 1
-        if engine.metrics is not None:
-            ns = engine.metrics_namespace
-            engine.metrics.counter(
-                f"{ns}.replay.actions_failed", service=record.service_slug
-            ).inc()
-            engine.metrics.gauge(
-                f"{ns}.replay.in_replay", service=record.service_slug
-            ).set(engine.actions_in_replay)
+        metrics = engine.metrics
+        if metrics is not None:
+            link.bound.counter(metrics, "replay.actions_failed").inc()
+            link.bound.gauge(metrics, "replay.in_replay").set(engine.actions_in_replay)
         engine._note_action_failure(record)
 
     def stats(self) -> Dict[str, int]:

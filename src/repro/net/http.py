@@ -16,6 +16,7 @@ from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 from repro.net.address import Address
 from repro.net.message import Message
 from repro.net.node import Node
+from repro.obs.bound import Bound
 
 _request_ids = itertools.count(1)
 
@@ -137,6 +138,7 @@ class HttpNode(Node):
         self.timeouts = 0
         self.late_responses = 0
         self.connection_refused = 0
+        self._http_bound = Bound("http", node=address.host)  # per-request instruments
 
     # -- server side ---------------------------------------------------------
 
@@ -205,7 +207,7 @@ class HttpNode(Node):
         self.requests_issued += 1
         metrics = self.metrics
         if metrics is not None:
-            metrics.counter("http.requests_issued", node=self.address.host).inc()
+            self._http_bound.counter(metrics, "requests_issued").inc()
         sent_at = self.now
         timeout_event = None
         if on_response is not None:
@@ -301,10 +303,19 @@ class HttpNode(Node):
             response = self._dispatch(request)
             response.request_id = request.request_id
             if metrics is not None:
-                metrics.counter("http.requests_served", node=self.address.host).inc()
-                metrics.counter(
-                    "http.responses", status_class=f"{response.status // 100}xx"
-                ).inc()
+                self._http_bound.counter(metrics, "requests_served").inc()
+                # ``http.responses`` carries no node label; held per node
+                # under the int ``status // 100``, so the label string is
+                # built once per class.
+                held = self._http_bound.held(metrics)
+                status_class = response.status // 100
+                try:
+                    responses = held[status_class]
+                except KeyError:
+                    responses = held[status_class] = metrics.counter(
+                        "http.responses", status_class=f"{status_class}xx"
+                    )
+                responses.inc()
             if self.service_time > 0:
                 self.sim.schedule(
                     self.service_time, self._reply, message, response, label="http-service"
@@ -333,9 +344,7 @@ class HttpNode(Node):
                 timeout_event.cancel()
             response.elapsed = self.now - sent_at
             if metrics is not None:
-                metrics.histogram("http.rtt_seconds", node=self.address.host).observe(
-                    response.elapsed
-                )
+                self._http_bound.histogram(metrics, "rtt_seconds").observe(response.elapsed)
             callback(response)
         else:
             raise ValueError(f"unknown http payload type {payload['type']!r}")

@@ -10,6 +10,7 @@ from repro.net.link import Link
 from repro.net.latency import LatencyModel, cloud_internal_latency
 from repro.net.message import Message
 from repro.net.node import Node
+from repro.obs.bound import Bound
 from repro.simcore.rng import Rng
 from repro.simcore.simulator import Simulator
 
@@ -58,11 +59,7 @@ class Network:
         self._route_cache: Dict[tuple, List[Link]] = {}
         self.messages_delivered = 0
         self.messages_dropped = 0
-        # Cached per-message instrument handles (transmit runs once per
-        # message; the registry's get-or-create path is too slow there).
-        self._m_registry = None
-        self._m_delivery = None
-        self._m_delivered = None
+        self._bound = Bound("net")  # the per-message instruments
 
     # -- topology ----------------------------------------------------------
 
@@ -196,11 +193,7 @@ class Network:
                 return
         metrics = self.metrics
         if metrics is not None:
-            if metrics is not self._m_registry:
-                self._m_registry = metrics
-                self._m_delivery = metrics.histogram("net.delivery_seconds")
-                self._m_delivered = metrics.counter("net.messages_delivered")
-            self._m_delivery.observe(delay)
+            self._bound.histogram(metrics, "delivery_seconds").observe(delay)
         self.sim.schedule(delay, self._deliver, message, label="deliver")
 
     def _drop(self, lost: bool = False) -> None:
@@ -275,11 +268,7 @@ class Network:
         self.messages_delivered += 1
         metrics = self.metrics
         if metrics is not None:
-            if metrics is not self._m_registry:
-                self._m_registry = metrics
-                self._m_delivery = metrics.histogram("net.delivery_seconds")
-                self._m_delivered = metrics.counter("net.messages_delivered")
-            self._m_delivered.inc()
+            self._bound.counter(metrics, "messages_delivered").inc()
         self._nodes[message.dst].deliver(message)
 
     def __repr__(self) -> str:
@@ -372,8 +361,9 @@ class CrossShardRouter:
                 return
         hop = self.latency.sample(src_net.rng, message.size_bytes)
         delay += max(hop, self.stepper.lookahead)
-        if src_net.metrics is not None:
-            src_net.metrics.histogram("net.delivery_seconds").observe(delay)
+        metrics = src_net.metrics
+        if metrics is not None:
+            src_net._bound.histogram(metrics, "delivery_seconds").observe(delay)
         self.messages_routed += 1
         self.stepper.post(
             dst_shard,

@@ -4,14 +4,16 @@ A production-scale simulation needs more than the forensic
 :class:`~repro.simcore.trace.Trace`: hot paths (the engine poll loop,
 the HTTP layer, the network, the simulator kernel) update O(1)-memory
 counters, gauges, and histograms in a shared
-:class:`~repro.obs.metrics.MetricsRegistry`; histograms embed a P²
-streaming-quantile sketch so p50/p95/p99 stay cheap at million-event
-scale.  Snapshots are JSON-able, mergeable across shards, and exported
-by the CLI's ``--metrics`` flag.
+:class:`~repro.obs.metrics.MetricsRegistry`, holding them in a
+:class:`~repro.obs.bound.Bound` so get-or-create runs once per series;
+histograms embed a P² streaming-quantile sketch so p50/p95/p99 stay
+cheap at million-event scale.  Snapshots are JSON-able, mergeable
+across shards, and exported by the CLI's ``--metrics`` flag.
 
 See ``docs/OBSERVABILITY.md`` for naming conventions and usage.
 """
 
+from repro.obs.bound import Bound
 from repro.obs.metrics import (
     COUNT_BUCKETS,
     Counter,
@@ -39,6 +41,7 @@ from repro.obs.quantiles import (
 from repro.obs.bridge import bridge_trace, poll_latency_summary
 
 __all__ = [
+    "Bound",
     "COUNT_BUCKETS",
     "Counter",
     "DEFAULT_BUCKETS",

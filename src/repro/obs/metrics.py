@@ -27,6 +27,7 @@ P² estimates.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.quantiles import DEFAULT_QUANTILES, QuantileSketch
@@ -44,26 +45,10 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 COUNT_BUCKETS: Tuple[float, ...] = (0, 1, 2, 5, 10, 20, 50, 100, 250, 500)
 
 
-#: Interned label tuples: hot paths pass the same few label dicts
-#: millions of times, and re-sorting them per call shows up in fleet-
-#: scale profiles.  Zero- and one-label dicts (the overwhelming
-#: majority) skip the sort entirely; multi-label keys are interned via
-#: the cache below so equal label sets share one tuple object — which
-#: also makes the registry's ``(name, key)`` dict lookups compare by
-#: identity first.
-_label_key_cache: Dict[LabelItems, LabelItems] = {}
-
-
 def _label_key(labels: Dict[str, Any]) -> LabelItems:
-    if not labels:
-        return ()
-    if len(labels) == 1:
+    if len(labels) < 2:  # nothing to sort
         return tuple(labels.items())
-    key = tuple(sorted(labels.items()))
-    try:
-        return _label_key_cache.setdefault(key, key)
-    except TypeError:  # unhashable label value: fall back, uncached
-        return key
+    return tuple(sorted(labels.items()))
 
 
 class Metric:
@@ -159,18 +144,15 @@ class Histogram(Metric):
     def observe(self, value: float) -> None:
         """Absorb one sample."""
         value = float(value)
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.bucket_counts[lo] += 1
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.count == 1:
+            self.min = self.max = value
+        elif value < self.min:
+            self.min = value
+        elif value > self.max:
+            self.max = value
         self.sketch.observe(value)
 
     def mean(self) -> float:
@@ -199,10 +181,13 @@ class Histogram(Metric):
 class MetricsRegistry:
     """The root owner of all metrics for one run.
 
-    Hot paths call :meth:`counter` / :meth:`gauge` / :meth:`histogram`,
-    which get-or-create the named instrument; repeated calls with the
-    same name and labels return the same object, so call sites need not
-    cache (though they may, for the hottest loops).
+    :meth:`counter` / :meth:`gauge` / :meth:`histogram` get-or-create
+    the named instrument; repeated calls with the same name and labels
+    return the same object.  That is the interface for set-up and for
+    paths that fire per *incident* (a transition, a shed, a dead
+    letter).  Sites that record per *event* hold their instruments in a
+    :class:`~repro.obs.bound.Bound` instead, so get-or-create runs once
+    per series, not once per sample.
 
     ``scoped`` provides hierarchical naming: a scope prefixes every
     metric name with ``<prefix>.`` and merges its base labels into every
@@ -223,6 +208,11 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as {existing.kind}, "
                     f"not {cls.kind}"
                 )
+            if cls is Histogram and existing.bounds != tuple(kwargs["bounds"]):
+                raise ValueError(
+                    f"histogram {name!r} already registered with bounds "
+                    f"{existing.bounds}, not {tuple(kwargs['bounds'])}"
+                )
             return existing
         metric = cls(name, labels, **kwargs)
         self._metrics[key] = metric
@@ -239,7 +229,8 @@ class MetricsRegistry:
     def histogram(
         self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS, **labels: Any
     ) -> Histogram:
-        """Get or create a histogram (``bounds`` only applies on creation)."""
+        """Get or create a histogram; asking for an existing one with
+        other ``bounds`` is a ``ValueError`` (as merging them would be)."""
         return self._get(Histogram, name, labels, bounds=bounds)
 
     def scoped(self, prefix: str, **labels: Any) -> "ScopedRegistry":

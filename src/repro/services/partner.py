@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.net.address import Address
 from repro.net.http import HttpError, HttpNode, HttpRequest
+from repro.obs.bound import Bound
 from repro.obs.metrics import COUNT_BUCKETS
 from repro.services.buffer import TriggerBuffer, TriggerEvent
 from repro.services.endpoints import ActionEndpoint, QueryEndpoint, TriggerEndpoint
@@ -149,6 +150,7 @@ class PartnerService(HttpNode):
         #: free of fault checks.
         self.faults = None
         self.requests_rejected_by_faults = 0
+        self._bound = Bound("service", service=slug)  # per-request/-event instruments
         self.add_route("POST", TRIGGER_PATH, self._handle_trigger_poll)
         self.add_route("POST", ACTION_PATH, self._handle_action)
         self.add_route("POST", BATCH_ACTION_PATH, self._handle_batch_action)
@@ -267,10 +269,17 @@ class PartnerService(HttpNode):
         if endpoint is None:
             raise KeyError(f"service {self.slug} has no trigger {trigger_slug!r}")
         self.events_ingested += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "service.events_ingested", service=self.slug, trigger=trigger_slug
-            ).inc()
+        metrics = self.metrics
+        if metrics is not None:
+            held = self._bound.held(metrics)
+            key = ("events_ingested", trigger_slug)  # one series per trigger
+            try:
+                ingested = held[key]
+            except KeyError:
+                ingested = held[key] = metrics.counter(
+                    "service.events_ingested", service=self.slug, trigger=trigger_slug
+                )
+            ingested.inc()
         affected: List[str] = []
         pushed: List[Tuple[str, TriggerEvent]] = []
         for identity, (slug, fields, buffer) in self._identities.items():
@@ -322,10 +331,9 @@ class PartnerService(HttpNode):
         if self.engine_address is None:
             return
         self.push_notifications_sent += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "service.push_notifications_sent", service=self.slug
-            ).inc()
+        metrics = self.metrics
+        if metrics is not None:
+            self._bound.counter(metrics, "push_notifications_sent").inc()
         self.post(
             self.engine_address,
             PUSH_NOTIFY_PATH,
@@ -435,11 +443,11 @@ class PartnerService(HttpNode):
             entry = self._identities[identity]
         events = entry[2].fetch(limit)
         self.polls_served += 1
-        if self.metrics is not None:
-            self.metrics.counter("service.polls_served", service=self.slug).inc()
-            self.metrics.histogram(
-                "service.poll_batch_size", bounds=COUNT_BUCKETS, service=self.slug
-            ).observe(len(events))
+        metrics = self.metrics
+        if metrics is not None:
+            bound = self._bound
+            bound.counter(metrics, "polls_served").inc()
+            bound.histogram(metrics, "poll_batch_size", COUNT_BUCKETS).observe(len(events))
         if self.trace is not None:
             self.trace.record(
                 self.now,
@@ -496,11 +504,11 @@ class PartnerService(HttpNode):
         except ValueError as exc:
             return 400, {"errors": [{"message": str(exc)}]}
         self.batch_requests_served += 1
-        if self.metrics is not None:
-            self.metrics.counter("service.batch_requests_served", service=self.slug).inc()
-            self.metrics.histogram(
-                "service.batch_action_size", bounds=COUNT_BUCKETS, service=self.slug
-            ).observe(len(batch))
+        metrics = self.metrics
+        if metrics is not None:
+            bound = self._bound
+            bound.counter(metrics, "batch_requests_served").inc()
+            bound.histogram(metrics, "batch_action_size", COUNT_BUCKETS).observe(len(batch))
         results: List[Dict[str, Any]] = []
         for entry in batch.entries:
             slug = entry["action_slug"]

@@ -8,6 +8,7 @@ import itertools
 import time as _wall  # "time" is a parameter name in run_until
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro.obs.bound import Bound
 from repro.simcore.event import Event
 
 #: Canceled entries a heap may carry before :meth:`Simulator._maybe_compact`
@@ -78,9 +79,12 @@ class Simulator:
         self._seq = itertools.count()
         #: Optional :class:`~repro.obs.metrics.MetricsRegistry`; when set,
         #: every run reports events fired, simulated time, and the
-        #: wall-clock event rate.  Attached post-construction so the
-        #: kernel stays free of upward imports.
+        #: wall-clock event rate.  Attached post-construction; all the
+        #: kernel imports from above is the dependency-free ``Bound`` that
+        #: holds its four instruments (an epoch-stepped world reports a
+        #: run per shard per epoch).
         self.metrics = None
+        self._bound = Bound("sim")
 
     @property
     def now(self) -> float:
@@ -285,14 +289,15 @@ class Simulator:
         is wall-clock derived and therefore non-deterministic, but gauges
         never feed back into the simulation.
         """
-        if self.metrics is None or fired == 0:
+        metrics = self.metrics
+        if metrics is None or fired == 0:
             return
-        scope = self.metrics.scoped("sim")
-        scope.counter("events_fired").inc(fired)
-        scope.counter("runs").inc()
-        scope.gauge("time_seconds").set(self._now)
+        bound = self._bound
+        bound.counter(metrics, "events_fired").inc(fired)
+        bound.counter(metrics, "runs").inc()
+        bound.gauge(metrics, "time_seconds").set(self._now)
         if elapsed > 0:
-            scope.gauge("events_per_wallsec").set(fired / elapsed)
+            bound.gauge(metrics, "events_per_wallsec").set(fired / elapsed)
 
     def _peek(self) -> Optional[Event]:
         """Return the next live event without popping it, discarding canceled ones."""

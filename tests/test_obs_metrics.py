@@ -56,6 +56,21 @@ class TestCounter:
         with pytest.raises(ValueError):
             registry.gauge("x")
 
+    def test_bounds_conflict_raises(self):
+        # used to keep the first bounds silently, while merge_snapshots
+        # refuses the same mismatch; a site that holds its instrument
+        # would never have noticed
+        registry = MetricsRegistry()
+        sizes = registry.histogram("batch", bounds=COUNT_BUCKETS, service="hue")
+        assert registry.histogram("batch", bounds=list(COUNT_BUCKETS), service="hue") is sizes
+        with pytest.raises(ValueError, match="'batch'.*bounds"):
+            registry.histogram("batch", service="hue")
+        with pytest.raises(ValueError, match="'s.batch'"):
+            scope = registry.scoped("s")
+            scope.histogram("batch", bounds=(1, 2))
+            scope.histogram("batch", bounds=(1, 2, 3))
+        registry.histogram("batch", service="wemo")  # another series: its own bounds
+
 
 class TestGauge:
     def test_set_and_add(self):

@@ -1,16 +1,31 @@
 """Property-based accuracy tests for the streaming-quantile sketches.
 
-Driven by the seeded :class:`~repro.simcore.rng.Rng` (no external
-property-testing dependency): each property is checked across a grid of
+The accuracy properties are driven by the seeded
+:class:`~repro.simcore.rng.Rng`: each is checked across a grid of
 seeds, distributions, and quantile points, asserting the sketch stays
 within the error bounds documented in ``repro.obs.quantiles`` — rank
 error at most :data:`~repro.obs.quantiles.P2_RANK_ERROR_BOUND` against
 the exact :func:`~repro.simcore.rng.quantiles` of the same sample.
+
+The production P² code is one fused kernel over flat per-point state
+(``QuantileSketch.observe``).  :class:`TextbookP2` below is the
+five-list implementation straight from Jain & Chlamtac that it replaced,
+kept here as the oracle: ``TestKernelMatchesTextbook`` feeds both the
+same streams and requires *bit-identical* estimates and byte-identical
+histogram snapshots after every sample — every committed snapshot and
+``sim_fingerprint`` hashes those floats.
 """
 
+import json
+from typing import List, Sequence, Tuple
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import (
+    COUNT_BUCKETS,
+    DEFAULT_BUCKETS,
+    Histogram,
     P2Quantile,
     P2_RANK_ERROR_BOUND,
     QuantileSketch,
@@ -194,3 +209,229 @@ class TestReservoir:
         assert 5.0 <= merged.quantile(0.5) <= 1005.0
         assert merged.quantile(0.05) < 10.0
         assert merged.quantile(0.95) > 1000.0
+
+
+# -- the fused kernel against the textbook implementation ------------------------
+
+
+class TextbookP2:
+    """P² for one quantile, as published: five markers in parallel lists.
+
+    The reference implementation (this *was* ``repro.obs.P2Quantile``):
+    heights, actual positions, desired positions and their increments as
+    four five-element sequences, one ``_parabolic`` / ``_linear`` call
+    per adjusted marker.  Do not optimise it — it is what the production
+    kernel must reproduce bit for bit.
+    """
+
+    def __init__(self, q: float) -> None:
+        self.q = q
+        self._count = 0
+        self._heights: List[float] = []
+        self._positions: List[float] = [1.0, 2.0, 3.0, 4.0, 5.0]
+        self._desired: List[float] = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
+        self._increments: Tuple[float, ...] = (0.0, q / 2, q, (1 + q) / 2, 1.0)
+
+    def observe(self, value: float) -> None:
+        self._count += 1
+        if len(self._heights) < 5:
+            self._heights.append(float(value))
+            self._heights.sort()
+            return
+        heights, positions = self._heights, self._positions
+        if value < heights[0]:
+            heights[0] = float(value)
+            cell = 0
+        elif value >= heights[4]:
+            heights[4] = float(value)
+            cell = 3
+        else:
+            cell = 0
+            while value >= heights[cell + 1]:
+                cell += 1
+        for i in range(cell + 1, 5):
+            positions[i] += 1.0
+        for i in range(5):
+            self._desired[i] += self._increments[i]
+        for i in (1, 2, 3):
+            delta = self._desired[i] - positions[i]
+            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
+                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
+            ):
+                step = 1.0 if delta >= 1.0 else -1.0
+                candidate = self._parabolic(i, step)
+                if heights[i - 1] < candidate < heights[i + 1]:
+                    heights[i] = candidate
+                else:
+                    heights[i] = self._linear(i, step)
+                positions[i] += step
+
+    def _parabolic(self, i: int, step: float) -> float:
+        h, n = self._heights, self._positions
+        return h[i] + step / (n[i + 1] - n[i - 1]) * (
+            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
+            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
+        )
+
+    def _linear(self, i: int, step: float) -> float:
+        h, n = self._heights, self._positions
+        j = i + int(step)
+        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
+
+    def value(self) -> float:
+        if not self._heights:
+            raise ValueError("no observations yet")
+        if self._count < 5:
+            return exact_quantiles(self._heights, [self.q])[0]
+        return self._heights[2]
+
+
+class TextbookHistogram:
+    """``Histogram`` as it was: a hand-rolled bucket bisect, ``min``/``max``
+    builtins, and a bank of :class:`TextbookP2` — snapshot shape included."""
+
+    def __init__(self, bounds: Sequence[float], points: Sequence[float]) -> None:
+        self.bounds = tuple(float(b) for b in bounds)
+        self.bucket_counts = [0] * (len(self.bounds) + 1)
+        self.count = 0
+        self.total = 0.0
+        self.min = self.max = None
+        self.sketches = {q: TextbookP2(q) for q in sorted(points)}
+
+    def observe(self, value: float) -> None:
+        value = float(value)
+        lo, hi = 0, len(self.bounds)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if value <= self.bounds[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        self.bucket_counts[lo] += 1
+        self.count += 1
+        self.total += value
+        self.min = value if self.min is None else min(self.min, value)
+        self.max = value if self.max is None else max(self.max, value)
+        for sketch in self.sketches.values():
+            sketch.observe(value)
+
+    def snapshot(self) -> dict:
+        return {
+            "type": "histogram", "name": "h", "labels": {},
+            "count": self.count, "sum": self.total, "min": self.min, "max": self.max,
+            "bounds": list(self.bounds), "bucket_counts": list(self.bucket_counts),
+            "quantiles": {
+                str(q): sketch.value() for q, sketch in self.sketches.items()
+            } if self.count else {},
+        }
+
+
+def _kernel_stream(kind: str, seed: int, n: int) -> list:
+    """The stream shapes the registry actually sees, plus the adversarial ones."""
+    rng = Rng(seed=seed, name=f"kernel-{kind}")
+    if kind == "lognormal":      # latencies
+        return [rng.lognormal_median(90.0, 0.5) for _ in range(n)]
+    if kind == "ties":           # ``len(events)``: small ints, observed as ints
+        return [rng.choice((0, 0, 0, 1, 1, 2, 3, 5, 50)) for _ in range(n)]
+    if kind == "sorted":
+        return sorted(rng.exponential(15.0) for _ in range(n))
+    if kind == "reverse_sorted":
+        return sorted((rng.exponential(15.0) for _ in range(n)), reverse=True)
+    if kind == "constant":
+        return [3.0] * n
+    raise ValueError(kind)
+
+
+KERNEL_STREAMS = ("lognormal", "ties", "sorted", "reverse_sorted", "constant")
+POINT_SETS = st.lists(
+    st.sampled_from((0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999)),
+    min_size=1, max_size=4, unique=True,
+)
+#: Short streams exercise the exact-quantile fallback and the fifth-sample
+#: hand-over; long ones every adjustment branch, thousands of times.
+LENGTHS = st.one_of(st.integers(0, 7), st.integers(2000, 2600))
+
+
+class TestKernelMatchesTextbook:
+    @given(
+        kind=st.sampled_from(KERNEL_STREAMS), seed=st.integers(0, 2**16),
+        n=LENGTHS, points=POINT_SETS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sketch_is_bit_identical_after_every_sample(self, kind, seed, n, points):
+        stream = _kernel_stream(kind, seed, n)
+        sketch = QuantileSketch(points)
+        singles = {q: P2Quantile(q) for q in points}
+        oracles = {q: TextbookP2(q) for q in points}
+        assert sketch.values() == {}
+        for index, value in enumerate(stream):
+            sketch.observe(value)
+            for q in points:
+                singles[q].observe(value)
+                oracles[q].observe(value)
+            if index < 200 or index == n - 1:
+                want = {q: oracles[q].value() for q in sorted(points)}
+                # ``==`` on floats, on purpose: not approx
+                assert sketch.values() == want, (kind, seed, index)
+                assert {q: singles[q].value() for q in sorted(points)} == want
+                assert all(sketch.quantile(q) == want[q] for q in points)
+        assert sketch.count == n
+        assert all(single.count == n for single in singles.values())
+
+    @given(
+        kind=st.sampled_from(KERNEL_STREAMS), seed=st.integers(0, 2**16),
+        n=LENGTHS, points=POINT_SETS,
+        bounds=st.sampled_from((DEFAULT_BUCKETS, COUNT_BUCKETS)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_histogram_snapshot_is_byte_identical(self, kind, seed, n, points, bounds):
+        stream = _kernel_stream(kind, seed, n)
+        histogram = Histogram("h", {}, bounds=bounds, quantile_points=points)
+        oracle = TextbookHistogram(bounds, points)
+
+        def same() -> bool:
+            return json.dumps(histogram.snapshot(), sort_keys=True) == json.dumps(
+                oracle.snapshot(), sort_keys=True
+            )
+
+        assert same()
+        for index, value in enumerate(stream):
+            histogram.observe(value)
+            oracle.observe(value)
+            if index < 200:
+                assert same(), (kind, seed, index)
+        assert same(), (kind, seed, n)
+
+    def test_int_samples_snapshot_as_floats(self):
+        # ``len(events)`` is observed as an int; ``"min": 0`` would not be
+        # the byte the snapshots have always carried (``"min": 0.0``)
+        histogram = Histogram("h", {}, bounds=COUNT_BUCKETS)
+        for value in (0, 3, 1, 0, 2, 7, 0):
+            histogram.observe(value)
+        snapshot = histogram.snapshot()
+        assert '"min": 0.0' in json.dumps(snapshot) and '"max": 7.0' in json.dumps(snapshot)
+        assert all(isinstance(v, float) for v in snapshot["quantiles"].values())
+
+    def test_ties_and_new_maximum_land_in_the_cell_below(self):
+        # value == a marker height, and value >= the max marker: the
+        # textbook's ``>=`` scans put both in the lower cell
+        for stream in ([1, 2, 3, 4, 5, 3, 3, 5, 5, 9, 2, 2, 1, 1, 0],
+                       [5, 5, 5, 5, 5, 5, 4, 6, 5, 5]):
+            sketch, oracle = P2Quantile(0.5), TextbookP2(0.5)
+            for value in stream:
+                sketch.observe(value)
+                oracle.observe(value)
+                assert sketch.value() == oracle.value()
+
+    def test_contract_edges(self):
+        with pytest.raises(ValueError):
+            QuantileSketch(()).observe(1.0)
+        with pytest.raises(ValueError):
+            QuantileSketch((0.5, 1.0))
+        with pytest.raises(ValueError):
+            QuantileSketch((0.5,)).quantile(0.5)      # empty
+        sketch = QuantileSketch((0.5,))
+        sketch.observe(1.0)
+        with pytest.raises(KeyError):
+            sketch.quantile(0.9)                      # untracked
+        assert sketch.points == (0.5,) and P2Quantile(0.9).q == 0.9

@@ -354,7 +354,7 @@ def histogram_counts(metrics) -> dict:
 
 class TestSampleIntervalCache:
     """The sampled-interval histogram (and the polls-sent counter) are
-    bound once per service record, not looked up per poll."""
+    held by the service record's ``Bound``, not looked up per poll."""
 
     def test_registry_swap_rebinds_service_handles(self):
         # swapping engine.metrics mid-run must move both per-service
@@ -365,17 +365,17 @@ class TestSampleIntervalCache:
         engine.metrics = first
         install_ping_applet(engine)
         world.sim.run_until(25.0)
-        link = engine.service_registration("svc")
-        assert link.polls_sent is first.counter("engine.polls_sent", service="svc")
-        assert link.polls_sent.value == 3
+        held = engine.service_registration("svc").bound.held
+        assert held(first)["polls_sent"] is first.get("engine.polls_sent", service="svc")
+        assert held(first)["polls_sent"].value == 3
         assert histogram_counts(first)["engine.poll_interval_seconds"] == 3
         frozen = json.dumps(first.snapshot(), sort_keys=True)
         engine.metrics = second
         world.sim.run_until(55.0)
         assert json.dumps(first.snapshot(), sort_keys=True) == frozen
-        assert link.polls_sent is second.counter("engine.polls_sent", service="svc")
-        assert link.polls_sent.value == 3
-        assert link.poll_interval_seconds is second.histogram(
+        assert held(second)["polls_sent"] is second.get("engine.polls_sent", service="svc")
+        assert held(second)["polls_sent"].value == 3
+        assert held(second)["poll_interval_seconds"] is second.get(
             "engine.poll_interval_seconds", policy="FixedPollingPolicy", service="svc"
         )
         assert histogram_counts(second)["engine.poll_interval_seconds"] == 3
