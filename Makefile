@@ -4,12 +4,12 @@
 # needed): prepend the src/ layout to PYTHONPATH for all recipes.
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push bench-budget examples figures chaos chaos-check replay-check degrade-check push-check parallel-check ledger-check experiments-smoke experiments-full parity-check ci lint clean
+.PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push bench-budget examples figures chaos chaos-check replay-check degrade-check push-check parallel-check experiments-smoke determinism-check ledger-check experiments-full parity-check ci lint clean
 
 install:
 	pip install -e .
 
-test: chaos-check replay-check degrade-check push-check parallel-check ledger-check experiments-smoke bench-scale bench-push
+test: determinism-check ledger-check bench-scale bench-push
 	pytest tests/
 
 # Tier-1 + obs tests minus the multi-second soak/full-scale/example runs;
@@ -77,69 +77,20 @@ chaos:
 		echo; \
 	done
 
-# Determinism check: the same scenario + seed twice must produce
-# byte-identical metric snapshots, both single-engine and sharded
-# (docs/ROBUSTNESS.md, docs/SHARDING.md).
-chaos-check:
-	@for n in 1 4; do \
-		python -m repro chaos --scenario outage --seed 7 --shards $$n --snapshot .chaos-a.jsonl > /dev/null || exit 1; \
-		python -m repro chaos --scenario outage --seed 7 --shards $$n --snapshot .chaos-b.jsonl > /dev/null || exit 1; \
-		cmp .chaos-a.jsonl .chaos-b.jsonl || exit 1; \
-		echo "chaos determinism (--shards $$n): OK (snapshots byte-identical)"; \
-	done
-	@rm -f .chaos-a.jsonl .chaos-b.jsonl
+# Determinism gates: tools/parity.py runs its table (the one list of
+# pinned configurations) twice on the working tree, side A under
+# PYTHONHASHSEED=1 and side B under PYTHONHASHSEED=2, each row in a temp
+# directory, and byte-compares what the rows leave — snapshot, printed
+# summary, exit status (degrade-check's acceptance criteria are its
+# rows' exit 0).  Each alias below is one group of rows (table in
+# docs/ROBUSTNESS.md, "Determinism gates"); determinism-check is every
+# row once (~12 s).  The poll/hint/push and serial-vs-parallel
+# equivalence suites are tier-1 tests: they run under `pytest tests/`.
+chaos-check replay-check degrade-check push-check parallel-check experiments-smoke:
+	@python tools/parity.py $@
 
-# Replay determinism check: dead-letter replay with batched dispatch
-# must be bit-reproducible — same scenario + seed twice, byte-identical
-# snapshots (docs/ROBUSTNESS.md, "Replay & batching").
-replay-check:
-	@python -m repro chaos --scenario outage --seed 7 --replay --snapshot .replay-a.jsonl > /dev/null || exit 1
-	@python -m repro chaos --scenario outage --seed 7 --replay --snapshot .replay-b.jsonl > /dev/null || exit 1
-	@cmp .replay-a.jsonl .replay-b.jsonl || exit 1
-	@echo "replay determinism: OK (snapshots byte-identical)"
-	@rm -f .replay-a.jsonl .replay-b.jsonl
-
-# Degradation gate: the brownout scenario with adaptive delivery must
-# (a) pass every acceptance criterion — ≥3× victim request-rate drop,
-# no overload dead letters on healthy services, stretch decayed, §4
-# interval quartiles restored — and (b) be bit-reproducible: the same
-# scenario + seed twice, byte-identical snapshots *with adaptation on*
-# (docs/ROBUSTNESS.md, "Adaptive delivery & degradation ladder").
-degrade-check:
-	@python -m repro chaos --scenario brownout --seed 7 --adaptive --snapshot .degrade-a.jsonl > /dev/null || exit 1
-	@python -m repro chaos --scenario brownout --seed 7 --adaptive --snapshot .degrade-b.jsonl > /dev/null || exit 1
-	@cmp .degrade-a.jsonl .degrade-b.jsonl || exit 1
-	@echo "degrade acceptance + determinism: OK (snapshots byte-identical)"
-	@rm -f .degrade-a.jsonl .degrade-b.jsonl
-
-# Push-delivery determinism + equivalence gate (docs/DELIVERY.md):
-# (a) the same chaos scenario + seed under --delivery push must produce
-# byte-identical metric snapshots, single-engine and sharded; (b) the
-# poll/hint/push equivalence suite must pass across all shard strategies
-# and both poll-dispatch modes.
-push-check:
-	@for n in 1 4; do \
-		python -m repro chaos --scenario outage --seed 7 --shards $$n --delivery push --snapshot .push-a.jsonl > /dev/null || exit 1; \
-		python -m repro chaos --scenario outage --seed 7 --shards $$n --delivery push --snapshot .push-b.jsonl > /dev/null || exit 1; \
-		cmp .push-a.jsonl .push-b.jsonl || exit 1; \
-		echo "push determinism (--shards $$n): OK (snapshots byte-identical)"; \
-	done
-	@rm -f .push-a.jsonl .push-b.jsonl
-	@pytest tests/test_push_equivalence.py -q
-
-# Parallel-stepping equivalence gate (docs/SHARDING.md, "Epoch stepping
-# & the cross-shard floor"): serial (--jobs 1) and threaded (--jobs 4)
-# stepping of the same sharded chaos scenario must produce
-# byte-identical metric snapshots, and the serial-vs-parallel
-# equivalence suite must pass across shard strategies and poll-dispatch
-# modes.
-parallel-check:
-	@python -m repro chaos --scenario outage --seed 7 --shards 4 --jobs 1 --snapshot .par-a.jsonl > /dev/null || exit 1
-	@python -m repro chaos --scenario outage --seed 7 --shards 4 --jobs 4 --snapshot .par-b.jsonl > /dev/null || exit 1
-	@cmp .par-a.jsonl .par-b.jsonl || exit 1
-	@echo "parallel determinism: OK (jobs=1 vs jobs=4 snapshots byte-identical)"
-	@rm -f .par-a.jsonl .par-b.jsonl
-	@pytest tests/test_parallel_equivalence.py tests/test_simcore_parallel.py -q
+determinism-check:
+	@python tools/parity.py
 
 # Benchmark-adapter contract gate (benchmarks/ledger/README.md): the
 # ledger's own suite asserts every traced entry point is still defined
@@ -149,26 +100,13 @@ parallel-check:
 ledger-check:
 	@pytest benchmarks/ledger -q
 
-# Experiment-matrix smoke gate (EXPERIMENTS.md): run the committed
-# smoke spec twice — once subprocess-isolated in parallel, once
-# serially in-process — and require byte-identical results (the
-# determinism artifact CI gates on; run_meta.json carries the wall
-# clock and is excluded).
-experiments-smoke:
-	@python -m repro experiments EXPERIMENTS/matrix_smoke.json --jobs 4 --quiet --output .exp-smoke-a > /dev/null || exit 1
-	@python -m repro experiments EXPERIMENTS/matrix_smoke.json --in-process --quiet --output .exp-smoke-b > /dev/null || exit 1
-	@diff -r -q -x run_meta.json .exp-smoke-a .exp-smoke-b || { echo "experiments-smoke: DRIFT (results differ run over run)"; exit 1; }
-	@echo "experiments-smoke: OK (results byte-identical, jobs/in-process equivalent)"
-	@rm -rf .exp-smoke-a .exp-smoke-b
-
-# Byte-parity against a base commit (tools/parity.py, ~1 min):
-# `make parity-check BASE=<git-ref>` unpacks BASE beside the working
-# tree (git archive; no network) and cmp-s, on both, the 18 chaos
-# configurations (snapshots and printed summaries), the smoke matrix's
-# results.json and the five ledger sim_fingerprints + counts at seeds 7
-# and 11.  "Byte-identical to the parent" for a refactor is this one
-# command.  Deliberately not part of `ci`/`test`: a PR that intends a
-# behaviour change must be able to fail it on purpose.
+# Byte-parity against a base commit (~35 s): `make parity-check
+# BASE=<git-ref>` is the same runner with `git archive BASE` as side A —
+# the 18 single-variant chaos rows, the smoke matrix's results.json and
+# the five ledger sim_fingerprints + counts at seeds 7 and 11.
+# "Byte-identical to the parent" for a refactor is this one command.
+# Deliberately not part of `ci`/`test`: a PR that intends a behaviour
+# change must be able to fail it on purpose.
 parity-check:
 	@test -n "$(BASE)" || { echo "usage: make parity-check BASE=<git-ref>"; exit 2; }
 	python tools/parity.py $(BASE)
@@ -190,10 +128,10 @@ lint:
 	fi
 
 # What CI runs on every push/PR: lint, the tier-1 fast suite, the
-# ledger adapter-contract suite, and the experiment smoke gate — no
+# ledger adapter-contract suite and every determinism row — no
 # multi-minute bench regeneration.
-ci: lint test-fast ledger-check experiments-smoke
+ci: lint test-fast ledger-check determinism-check
 
 clean:
-	rm -rf figures/ .pytest_cache/ src/repro.egg-info/ .chaos-a.jsonl .chaos-b.jsonl .replay-a.jsonl .replay-b.jsonl .degrade-a.jsonl .degrade-b.jsonl .push-a.jsonl .push-b.jsonl .par-a.jsonl .par-b.jsonl .exp-smoke-a .exp-smoke-b experiment-results/ .bench-budget.json
+	rm -rf figures/ .pytest_cache/ src/repro.egg-info/ experiment-results/ .bench-budget.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

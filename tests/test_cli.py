@@ -79,6 +79,18 @@ class TestCommands:
         assert "IoT:" in out
         assert path.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["ecosystem", "--scale", "0.005", "--save"],
+        ["t2a", "--applet", "A2", "--runs", "1", "--metrics"],
+        ["chaos", "--scenario", "outage", "--snapshot"],
+    ])
+    def test_unwritable_output_path_is_a_clean_error(self, argv, capsys, tmp_path):
+        missing = tmp_path / "no-such-dir" / "out"
+        assert main(argv + [str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no-such-dir" in err
+        assert "Traceback" not in err
+
 
 class TestChaosCommand:
     def test_chaos_sharded_run(self, capsys):

@@ -27,8 +27,8 @@ strongest form of the claim:
     dead_lettered + in_replay`` holds per shard and fleet-wide in both
     stepping modes.
 
-``make parallel-check`` runs this file plus a CLI-level snapshot ``cmp``
-as the CI gate.
+``make parallel-check`` is the CLI-level counterpart: ``--jobs 1`` vs
+``--jobs 4`` in separate processes, byte-compared (``tools/parity.py``).
 """
 
 import json

@@ -1,0 +1,136 @@
+"""Tests for ``tools/parity.py``, the one determinism/parity runner.
+
+The runner is handed fake tables of ``python -c`` rows through
+``main(argv, table=...)``, so nothing here runs ``repro``; the real
+table is only inspected.
+"""
+
+import importlib.util
+import os
+import re
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_parity():
+    spec = importlib.util.spec_from_file_location(
+        "parity", os.path.join(ROOT, "tools", "parity.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+parity = _load_parity()
+Row = parity.Row
+
+STABLE = Row("stable", "g1", ("-c", "print(sorted({'a', 'b', 'c'}))"))
+HASH_ORDERED = Row("hash-ordered", "g2", ("-c", "print(list({'a', 'b', 'c', 'd', 'e', 'f'}))"))
+EXIT_ONE = (
+    "-c", "import sys; print('criteria'); print('VIOLATED by design', file=sys.stderr); sys.exit(1)"
+)
+
+
+class TestRunner:
+    def test_hash_seed_dependent_row_is_drift(self, capsys):
+        assert parity.main([], table=(STABLE, HASH_ORDERED)) == 1
+        out = capsys.readouterr().out
+        assert "stable: OK (1 artifacts byte-identical)" in out
+        assert "hash-ordered: DRIFT (summary.txt)" in out
+
+    def test_group_names_select_rows(self, capsys):
+        assert parity.main(["g1"], table=(STABLE, HASH_ORDERED)) == 0
+        out = capsys.readouterr().out
+        assert "hash-ordered" not in out
+        assert "determinism: OK (1 rows byte-identical, PYTHONHASHSEED=1 vs 2)" in out
+
+    def test_unexpected_exit_fails_and_shows_stderr(self, capsys):
+        assert parity.main([], table=(STABLE, Row("criteria", "g2", EXIT_ONE))) == 1
+        captured = capsys.readouterr()
+        assert "FAILED criteria: exit 1, not 0" in captured.err
+        assert "VIOLATED by design" in captured.err
+        # Both sides printed the same thing: the exit status is what failed it.
+        assert "criteria: OK" in captured.out
+
+    def test_expected_nonzero_exit_passes(self, capsys):
+        assert parity.main([], table=(STABLE, Row("criteria", "g2", EXIT_ONE, expect=1))) == 0
+        assert "FAILED" not in capsys.readouterr().err
+
+    def test_other_side_arguments_run_on_side_b(self, capsys):
+        row = Row("variants", "g1", ("-c", "print('a')"), other=("-c", "print('b')"))
+        assert parity.main([], table=(row,)) == 1
+        assert "variants: DRIFT (summary.txt)" in capsys.readouterr().out
+
+    def test_artifact_missing_from_one_side_is_drift(self, capsys):
+        write = "open('snapshot.jsonl', 'w').write('x')"
+        row = Row("one-sided", "g1", ("-c", write), other=("-c", "pass"))
+        assert parity.main([], table=(row,)) == 1
+        assert "one-sided: DRIFT (snapshot.jsonl)" in capsys.readouterr().out
+
+    def test_row_without_any_artifact_fails(self, capsys):
+        assert parity.main([], table=(Row("silent", "g1", ("-c", "pass")),)) == 1
+        assert "silent: DRIFT (no artifact produced)" in capsys.readouterr().out
+
+    def test_clean_run_leaves_cwd_and_repo_root_untouched(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(ROOT))
+        write = "open('snapshot.jsonl', 'w').write('x'); print('wrote snapshot.jsonl')"
+        assert parity.main([], table=(Row("writer", "g1", ("-c", write)),)) == 0
+        assert "writer: OK (2 artifacts byte-identical)" in capsys.readouterr().out
+        assert os.listdir(tmp_path) == []
+        assert sorted(os.listdir(ROOT)) == before
+
+    def test_ref_mixed_with_groups_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parity.main(["g1", "HEAD"], table=(STABLE,))
+        assert exc.value.code == 2
+
+
+class TestTable:
+    #: What `make parity-check` has enumerated since it was added; coverage
+    #: against a REF must not shrink.
+    CHAOS_ROWS = {
+        *(f"{scenario}-s{shards}"
+          for scenario in ("outage", "partition", "flappy", "brownout") for shards in "14"),
+        "replay-s1", "replay-s4", "adaptive-s1", "adaptive-s4", "hint-s1", "hint-s4",
+        "push-s1", "push-s4", "mix-hint", "mix-push",
+    }
+
+    def test_names_unique(self):
+        names = [row.name for row in parity.TABLE]
+        assert len(names) == len(set(names))
+
+    def test_the_18_chaos_rows_still_run_against_a_ref(self):
+        against_ref = {row.name: row for row in parity.TABLE if row.other is None}
+        assert set(against_ref) == self.CHAOS_ROWS
+        for row in against_ref.values():
+            assert row.args[:5] == ("-m", "repro", "chaos", "--seed", "7")
+        assert [row.name for row in against_ref.values() if row.expect] == ["mix-hint"]
+
+    def test_two_variant_rows(self):
+        assert {row.name for row in parity.TABLE if row.other} == {"parallel", "smoke"}
+
+    def test_every_row_is_in_exactly_one_makefile_alias(self):
+        with open(os.path.join(ROOT, "Makefile"), encoding="utf-8") as handle:
+            makefile = handle.read()
+        rules = re.findall(r"^([\w -]+):\n\t@python tools/parity\.py \$@$", makefile, re.M)
+        assert len(rules) == 1
+        aliases = rules[0].split()
+        assert len(aliases) == len(set(aliases))
+        # Every row's group is an alias (so each row is in exactly one),
+        # and no alias selects nothing.
+        assert {row.group for row in parity.TABLE} == set(aliases)
+
+    def test_docs_table_is_the_runners_table(self):
+        path = os.path.join(ROOT, "docs", "ROBUSTNESS.md")
+        with open(path, encoding="utf-8") as handle:
+            documented = re.findall(r"^\| `([\w-]+)` \| `([\w-]+)` \| `([^`]+)`", handle.read(), re.M)
+        assert [(name, group) for name, group, _ in documented] == [
+            (row.name, row.group) for row in parity.TABLE
+        ]
+        flags = {name: pinned for name, _, pinned in documented}
+        for row in parity.TABLE:
+            if row.args[:3] == ("-m", "repro", "chaos"):
+                assert flags[row.name] == " ".join(row.args[7:])
