@@ -155,6 +155,9 @@ class _AppletRuntime:
     the same string object the engine's identity index is keyed by.
     ``link`` is the trigger service's :class:`ServiceRegistration`; only
     stand-in harnesses that build runtimes by hand leave it ``None``.
+    ``seen_ids``/``seen_order`` are the dedupe window, ``None`` until the
+    applet's first event: usage is heavy-tailed (§3) and most polls come
+    back empty (§4), so most of a fleet never needs one.
     """
 
     __slots__ = (
@@ -187,8 +190,8 @@ class _AppletRuntime:
         self.policy = policy
         self.filter_expr = filter_expr
         self.link = link
-        self.seen_ids: Set[int] = set()
-        self.seen_order: Deque[int] = deque()
+        self.seen_ids: Optional[Set[int]] = None
+        self.seen_order: Optional[Deque[int]] = None
         self.poll_in_flight = False
         self.pending_poll_event: Any = None
         self.polls = 0
@@ -963,13 +966,21 @@ class IftttEngine(HttpNode):
         self, runtime: _AppletRuntime, wires: Iterable[Dict[str, Any]]
     ) -> List[Dict[str, Any]]:
         """Dedupe ``wires`` (chronological) against the applet's window of
-        seen ``meta.id``s, remembering — and returning — the new ones."""
+        seen ``meta.id``s, remembering — and returning — the new ones.
+
+        Called on every poll response, and most carry nothing: the window
+        (a set and a deque, ~1 KB empty) exists from the applet's first
+        event, not from install, so an idle applet does not own one.
+        """
         seen, order = runtime.seen_ids, runtime.seen_order
         window = self.config.dedupe_window
         fresh = []
         for wire in wires:
             event_id = wire["meta"]["id"]
-            if event_id in seen:
+            if seen is None:
+                seen = runtime.seen_ids = set()
+                order = runtime.seen_order = deque()
+            elif event_id in seen:
                 continue
             seen.add(event_id)
             order.append(event_id)

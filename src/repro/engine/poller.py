@@ -24,7 +24,8 @@ class PollingPolicy(ABC):
     """Decides how long the engine waits before the next poll of a trigger.
 
     A policy knows nothing about service health, push rungs or metrics:
-    each applet holds a private clone, and the engine's one cadence
+    each applet holds a clone (private wherever a policy learns; the
+    policy itself where it cannot change), and the engine's one cadence
     decision (``IftttEngine._interval``) combines its draw with the
     trigger service's shared state and records the result.
     """
@@ -43,9 +44,10 @@ class PollingPolicy(ABC):
         ``self`` here would silently share mutable policy state (EWMA
         activity, counters) across every applet of every engine that
         cloned from the same prototype — exactly the cross-shard leak
-        ``tests/test_sharding.py`` guards against.  Stateless subclasses
-        pay one cheap ``copy.copy``; stateful ones should still override
-        to reset learned state.
+        ``tests/test_sharding.py`` guards against.  Stateful subclasses
+        should override to reset learned state; only a class that never
+        assigns an attribute after ``__init__`` may return ``self`` (the
+        two below do: a million applets then hold one policy object).
         """
         return copy.copy(self)
 
@@ -85,14 +87,9 @@ class ProductionPollingPolicy(PollingPolicy):
         return max(self.minimum, interval)
 
     def clone(self) -> "ProductionPollingPolicy":
-        return ProductionPollingPolicy(
-            median=self.median,
-            sigma=self.sigma,
-            inflation_prob=self.inflation_prob,
-            inflation_min=self.inflation_min,
-            inflation_max=self.inflation_max,
-            minimum=self.minimum,
-        )
+        """``self``: parameters only, nothing learned, so nothing to keep
+        apart — a fleet's applets share the one object."""
+        return self
 
     def __repr__(self) -> str:
         return f"ProductionPollingPolicy(median={self.median}, sigma={self.sigma})"
@@ -110,7 +107,8 @@ class FixedPollingPolicy(PollingPolicy):
         return self.interval
 
     def clone(self) -> "FixedPollingPolicy":
-        return FixedPollingPolicy(self.interval)
+        """``self``, for :class:`ProductionPollingPolicy`'s reason."""
+        return self
 
     def __repr__(self) -> str:
         return f"FixedPollingPolicy({self.interval})"

@@ -47,6 +47,7 @@ experiments built on top (:mod:`repro.testbed.chaos`).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import re
 import zlib
@@ -182,9 +183,12 @@ class ShardedEngine:
             # Each shard gets its own config copy with a cloned polling
             # prototype, its own named RNG fork, a disjoint applet-id
             # range, and the engine.shard<i> metrics namespace — no
-            # mutable state crosses shard boundaries.
+            # mutable state crosses shard boundaries.  (The copy keeps the
+            # prototype one object per shard even where clone() is the
+            # policy itself; a shard's applets then share their shard's.)
             shard_config = replace(
-                self.config, poll_policy=self.config.poll_policy.clone()
+                self.config,
+                poll_policy=copy.copy(self.config.poll_policy.clone()),
             )
             shard = IftttEngine(
                 Address(host_pattern.format(shard=index)),

@@ -14,11 +14,15 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List
+from typing import Any, Deque, Dict, List, Tuple, Union
 
 _event_ids = itertools.count(1)
 
 DEFAULT_CAPACITY = 500
+
+#: What a buffer holds before its first event: the one shared empty
+#: sequence, which reads exactly as an empty ring does.
+_NO_EVENTS: Tuple[()] = ()
 
 
 @dataclass(frozen=True)
@@ -55,21 +59,31 @@ class TriggerEvent:
 
 
 class TriggerBuffer:
-    """A bounded ring of trigger events for one trigger identity."""
+    """A bounded ring of trigger events for one trigger identity.
+
+    One exists per polled identity, and at any instant most identities
+    have never seen an event (§3's heavy tail), so the ring itself — 760
+    bytes empty — is allocated by the first :meth:`append`, not here.
+    """
+
+    __slots__ = ("capacity", "_events", "total_appended", "dropped")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._events: Deque[TriggerEvent] = deque(maxlen=capacity)
+        self._events: Union[Deque[TriggerEvent], Tuple[()]] = _NO_EVENTS
         self.total_appended = 0
         self.dropped = 0
 
     def append(self, event: TriggerEvent) -> None:
         """Buffer one event; the oldest is dropped when full."""
-        if len(self._events) == self.capacity:
+        events = self._events
+        if events is _NO_EVENTS:
+            events = self._events = deque(maxlen=self.capacity)
+        elif len(events) == self.capacity:
             self.dropped += 1
-        self._events.append(event)
+        events.append(event)
         self.total_appended += 1
 
     def fetch(self, limit: int = 50) -> List[TriggerEvent]:

@@ -17,7 +17,8 @@ Implements the service side of the IFTTT web-based protocol observed in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.net.address import Address
 from repro.net.http import HttpError, HttpNode, HttpRequest
@@ -39,6 +40,10 @@ PUSH_NOTIFY_PATH = "/ifttt/v1/webhooks/push"
 #: Batched action dispatch (dead-letter replay catch-up).  Longest-prefix
 #: routing keeps it from shadowing single actions under ``ACTION_PATH``.
 BATCH_ACTION_PATH = "/ifttt/v1/actions/batch"
+
+#: The fields of every identity registered without any (most of a fleet):
+#: one shared read-only mapping instead of an empty dict apiece.
+_NO_FIELDS: Mapping[str, Any] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ class PartnerService(HttpNode):
         self._actions: Dict[str, ActionEndpoint] = {}
         self._queries: Dict[str, QueryEndpoint] = {}
         #: trigger identity -> (trigger slug, fields, buffer)
-        self._identities: Dict[str, Tuple[str, Dict[str, Any], TriggerBuffer]] = {}
+        self._identities: Dict[str, Tuple[str, Mapping[str, Any], TriggerBuffer]] = {}
         self._valid_tokens: Set[str] = set()
         self.polls_served = 0
         self.actions_executed = 0
@@ -242,7 +247,11 @@ class PartnerService(HttpNode):
         if trigger_slug not in self._triggers:
             raise KeyError(f"service {self.slug} has no trigger {trigger_slug!r}")
         if identity not in self._identities:
-            self._identities[identity] = (trigger_slug, dict(fields), TriggerBuffer(self.buffer_capacity))
+            self._identities[identity] = (
+                trigger_slug,
+                dict(fields) if fields else _NO_FIELDS,
+                TriggerBuffer(self.buffer_capacity),
+            )
 
     @property
     def known_identities(self) -> List[str]:
@@ -439,7 +448,9 @@ class PartnerService(HttpNode):
         limit = int(body.get("limit", 50))
         entry = self._identities.get(identity)
         if entry is None:  # first poll for this identity registers it
-            self.register_identity(slug, identity, fields)
+            # under the endpoint's own slug, not this request's slice of
+            # the path: one string per trigger, not one per identity
+            self.register_identity(endpoint.slug, identity, fields)
             entry = self._identities[identity]
         events = entry[2].fetch(limit)
         self.polls_served += 1

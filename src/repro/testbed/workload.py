@@ -33,7 +33,7 @@ from repro.services.endpoints import ActionEndpoint, TriggerEndpoint
 from repro.services.partner import PartnerService
 from repro.simcore.parallel import ShardedSimulator
 from repro.simcore.rng import Rng
-from repro.simcore.simulator import Simulator
+from repro.simcore.simulator import Simulator, collector_paused
 from repro.simcore.trace import Trace
 
 
@@ -164,19 +164,20 @@ class FleetWorld:
             self.engine.connect_service("fleet-user", self.content, authority, "pw")
         trigger = TriggerRef("content", "new_photo")
         action = ActionRef("content", "set_wallpaper", {"photo": "{{photo}}"})
-        for index in range(n_applets):
-            if shared_user:
-                user = "fleet-user"
-            else:
-                user = f"user{index:05d}"
-                authority.register_user(user, "pw")
-                self.engine.connect_service(user, self.content, authority, "pw")
-            self.engine.install_applet(
-                user=user,
-                name=f"wallpaper applet #{index}",
-                trigger=trigger,
-                action=action,
-            )
+        with collector_paused():  # everything installed stays: nothing to collect
+            for index in range(n_applets):
+                if shared_user:
+                    user = "fleet-user"
+                else:
+                    user = f"user{index:05d}"
+                    authority.register_user(user, "pw")
+                    self.engine.connect_service(user, self.content, authority, "pw")
+                self.engine.install_applet(
+                    user=user,
+                    name=f"wallpaper applet #{index}",
+                    trigger=trigger,
+                    action=action,
+                )
         if warmup:
             # let registration polls drain before measurement starts
             horizon = (
@@ -339,13 +340,14 @@ class ShardedFleetWorld:
             )
         trigger = TriggerRef("content", "new_photo")
         action = ActionRef("content", "set_wallpaper", {"photo": "{{photo}}"})
-        for index in range(n_applets):
-            self.fleet.install_applet(
-                user="fleet-user",
-                name=f"wallpaper applet #{index}",
-                trigger=trigger,
-                action=action,
-            )
+        with collector_paused():
+            for index in range(n_applets):
+                self.fleet.install_applet(
+                    user="fleet-user",
+                    name=f"wallpaper applet #{index}",
+                    trigger=trigger,
+                    action=action,
+                )
         if warmup:
             # Let registration polls drain so the first publication isn't
             # swallowed as pre-baseline history (mirrors FleetWorld;

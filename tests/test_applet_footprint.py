@@ -1,0 +1,199 @@
+"""An idle applet owns no event containers; a busy one behaves as before.
+
+The dedupe window of an applet (``_AppletRuntime.seen_ids`` /
+``seen_order``) is born by the applet's first event and the ring of a
+``TriggerBuffer`` by its first ``append`` — most of a fleet never sees
+either (docs/PERFORMANCE.md, "Where an applet's bytes go").  Pinned here:
+
+(a) ``IftttEngine._new_events`` against the eager set-and-deque it
+    replaced, kept below as the reference, over random poll/push
+    histories;
+(b) ``TriggerBuffer`` against a plain ``deque(maxlen=capacity)``;
+(c) what an idle applet costs, in ``tracemalloc`` bytes — the guard that
+    fails when an eager container comes back.
+"""
+
+import gc
+import tracemalloc
+from collections import deque
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import EngineConfig
+from repro.engine.push import PushPolicy
+from repro.services.buffer import TriggerBuffer, TriggerEvent
+from repro.testbed.workload import FleetWorld
+
+from tests.helpers import build_engine_world, default_engine_config, install_ping_applet
+
+# -- (a) the dedupe window vs the eager one it replaced ----------------------------
+
+WINDOW = 4
+
+
+class EagerWindow:
+    """``_new_events`` as it was when every applet was born with its
+    ``set()`` and ``deque()``."""
+
+    def __init__(self, window):
+        self.window = window
+        self.seen = set()
+        self.order = deque()
+
+    def new_events(self, wires):
+        fresh = []
+        for wire in wires:
+            event_id = wire["meta"]["id"]
+            if event_id in self.seen:
+                continue
+            self.seen.add(event_id)
+            self.order.append(event_id)
+            while len(self.order) > self.window:
+                self.seen.discard(self.order.popleft())
+            fresh.append(wire)
+        return fresh
+
+
+def wire(event_id):
+    return {"meta": {"id": event_id, "timestamp": 0.0}, "ingredients": {"n": event_id}}
+
+
+#: Ids from a range a little wider than the window, so histories repeat
+#: ids inside the window (duplicates) and after it has moved on
+#: (re-delivery past ``dedupe_window`` fires again, as it always has).
+event_ids = st.integers(min_value=0, max_value=3 * WINDOW)
+histories = st.lists(
+    st.one_of(
+        st.tuples(st.just("poll"), st.lists(event_ids, max_size=2 * WINDOW)),
+        st.tuples(st.just("push"), event_ids),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(history=histories)
+def test_new_events_matches_the_eager_window(history):
+    world = build_engine_world(
+        default_engine_config(dedupe_window=WINDOW, push_policy=PushPolicy()),
+        with_trace=False,
+    )
+    engine = world.engine
+    applet = install_ping_applet(engine)
+    runtime = engine._applets[applet.applet_id]
+    reference = EagerWindow(WINDOW)
+    assert runtime.seen_ids is None and runtime.seen_order is None
+    for kind, payload in history:
+        if kind == "poll":  # a poll response: any number of wires, often none
+            wires = [wire(event_id) for event_id in payload]
+            assert engine._new_events(runtime, wires) == reference.new_events(wires)
+        else:  # a pushed event reaches the same window through _deliver
+            pushed = wire(payload)
+            delivered = engine.push._deliver(runtime.identity, pushed)
+            assert delivered == len(reference.new_events((pushed,)))
+        if reference.order:
+            assert runtime.seen_ids == reference.seen
+            assert list(runtime.seen_order) == list(reference.order)
+        else:  # nothing fresh yet, however many empty polls came back
+            assert runtime.seen_ids is None and runtime.seen_order is None
+
+
+# -- (b) the trigger buffer vs a plain bounded deque -------------------------------
+
+buffer_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.none()),
+        st.tuples(st.just("fetch"), st.integers(min_value=0, max_value=8)),
+        st.tuples(st.just("len"), st.none()),
+        st.tuples(st.just("latest"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=5), ops=buffer_ops)
+def test_trigger_buffer_matches_a_bounded_deque(capacity, ops):
+    buffer = TriggerBuffer(capacity)
+    ring = deque(maxlen=capacity)
+    appended = 0
+    for op, limit in ops:
+        if op == "append":
+            event = TriggerEvent(event_id=appended, created_at=float(appended))
+            buffer.append(event)
+            ring.append(event)
+            appended += 1
+        elif op == "fetch":
+            assert buffer.fetch(limit) == list(reversed(ring))[:limit]
+        elif op == "len":
+            assert len(buffer) == len(ring)
+        elif ring:
+            assert buffer.latest() is ring[-1]
+        else:
+            with pytest.raises(IndexError):
+                buffer.latest()
+        assert buffer.total_appended == appended
+        assert buffer.dropped == max(0, appended - capacity)
+        assert repr(buffer) == f"<TriggerBuffer {len(ring)}/{capacity}>"
+        assert isinstance(buffer._events, deque) == (appended > 0)
+
+
+def test_trigger_buffer_is_slotted():
+    assert not hasattr(TriggerBuffer(), "__dict__")
+
+
+def test_polled_identity_is_registered_under_the_endpoint_slug():
+    world = build_engine_world(with_trace=False)
+    first = install_ping_applet(world.engine, {"note": "a"}, name="first")
+    second = install_ping_applet(world.engine, {"note": "b"}, name="second")
+    world.sim.run_until(5.0)
+    service = world.service
+    assert service.known_identities == sorted(
+        [first.trigger_identity, second.trigger_identity]
+    )
+    slugs = [service._identities[identity][0] for identity in service.known_identities]
+    # one string per trigger — not one slice of the request path per identity
+    assert slugs[0] is slugs[1] is service.trigger("ping").slug
+    assert service.ingest_event("ping", {"n": 1}) == 2
+    assert len(service.buffer_for(first.trigger_identity)) == 1
+
+
+# -- (c) what an idle applet costs ---------------------------------------------------
+
+FLEET = 2000
+#: Traced bytes per idle applet.  3,074 with the eager containers (one
+#: restored: 2,022 with the dedupe window, 1,806 with the buffer ring),
+#: 1,046 without; what is left is itemised in docs/PERFORMANCE.md.
+IDLE_APPLET_BUDGET = 1500
+
+
+def test_idle_applet_footprint():
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        world = FleetWorld(
+            FLEET, EngineConfig(initial_poll_jitter=120.0), seed=7,
+            with_trace=False, with_metrics=False, shared_user=True, warmup=False,
+        )
+        world.sim.run_until(250.0)  # every applet has polled; nothing was published
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    runtimes = list(world.engine._applets.values())
+    assert len(runtimes) == FLEET and all(runtime.polls >= 1 for runtime in runtimes)
+    assert all(runtime.seen_ids is None for runtime in runtimes)
+    assert all(runtime.seen_order is None for runtime in runtimes)
+    identities = world.content.known_identities
+    assert len(identities) == FLEET
+    assert not any(
+        isinstance(world.content.buffer_for(identity)._events, deque)
+        for identity in identities
+    )
+    assert (after - before) / FLEET <= IDLE_APPLET_BUDGET
