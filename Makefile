@@ -4,7 +4,7 @@
 # needed): prepend the src/ layout to PYTHONPATH for all recipes.
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push bench-budget examples figures chaos chaos-check replay-check degrade-check push-check parallel-check experiments-smoke determinism-check ledger-check experiments-full parity-check ci lint clean
+.PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push bench-budget examples figures chaos chaos-check replay-check degrade-check push-check experiments-smoke determinism-check ledger-check experiments-full parity-check ci lint clean
 
 install:
 	pip install -e .
@@ -85,9 +85,9 @@ chaos:
 # summary, exit status (degrade-check's acceptance criteria are its
 # rows' exit 0).  Each alias below is one group of rows (table in
 # docs/ROBUSTNESS.md, "Determinism gates"); determinism-check is every
-# row once (~12 s).  The poll/hint/push and serial-vs-parallel
-# equivalence suites are tier-1 tests: they run under `pytest tests/`.
-chaos-check replay-check degrade-check push-check parallel-check experiments-smoke:
+# row once (~11 s).  The poll/hint/push equivalence suite is a tier-1
+# test: it runs under `pytest tests/`.
+chaos-check replay-check degrade-check push-check experiments-smoke:
 	@python tools/parity.py $@
 
 determinism-check:

@@ -35,24 +35,10 @@ Produces ``BENCH_fleet_scale.json`` with three sections:
     identical action counts.  ``make bench-scale`` re-runs this gate (and
     validates the committed JSON's fields) in CI.
 
-``parallel``
-    Epoch-barriered sharded stepping
-    (:class:`~repro.testbed.workload.ShardedFleetWorld` on a
-    :class:`~repro.simcore.parallel.ShardedSimulator`, 4 shards) at the
-    same 10K / 100K / 1M sizes: serial stepping (``jobs=1``) vs threaded
-    stepping (``--jobs N``, default 4), with identical poll/event counts
-    asserted between the two.  ``cpu_cores`` is recorded alongside the
-    measured speedup because the stepping workers are *threads*: under
-    the CPython GIL on few cores the measured ratio is ≈1x and the column
-    documents exactly that — the determinism contract, not the wall
-    clock, is what the architecture guarantees on this hardware (see
-    docs/PERFORMANCE.md).
-
 Usage::
 
     python benchmarks/bench_fleet_scale.py                  # full run, writes JSON
     python benchmarks/bench_fleet_scale.py --quick          # small sizes, smoke test
-    python benchmarks/bench_fleet_scale.py --jobs 8         # threads for `parallel`
     python benchmarks/bench_fleet_scale.py --gate-only      # CI: snapshot gate only
     python benchmarks/bench_fleet_scale.py --check FILE     # CI: validate JSON fields
 """
@@ -78,8 +64,6 @@ QUICK_SIZES = (1_000, 2_000)
 DISPATCH_N = 100_000
 CHURN = 4
 SEED = 7
-PARALLEL_SHARDS = 4
-DEFAULT_JOBS = 4
 
 #: Fields the CI gate requires of every committed ``fleet`` entry.
 FLEET_FIELDS = ("n_applets", "events_per_sec", "polls_per_sec", "peak_rss_mb")
@@ -191,44 +175,6 @@ def measure_dispatch(mode: str, scenario: str, n: int, horizon: float) -> dict:
     }
 
 
-def measure_parallel(n_applets: int, horizon: float, num_shards: int, jobs: int) -> dict:
-    """The sharded fleet workload stepped with ``jobs`` worker threads."""
-    from repro.engine.config import EngineConfig
-    from repro.testbed.workload import ShardedFleetWorld
-
-    config = EngineConfig(initial_poll_jitter=120.0, poll_dispatch="heap")
-    t0 = time.perf_counter()
-    world = ShardedFleetWorld(
-        n_applets,
-        num_shards=num_shards,
-        jobs=jobs,
-        engine_config=config,
-        seed=SEED,
-        with_metrics=False,
-        warmup=False,
-    )
-    t1 = time.perf_counter()
-    world.run_until(horizon)
-    t2 = time.perf_counter()
-    world.shutdown()
-    events = world.stepper.fired_count
-    polls = world.fleet.stats()["polls_sent"]
-    return {
-        "n_applets": n_applets,
-        "num_shards": num_shards,
-        "jobs": jobs,
-        "horizon_sim_seconds": horizon,
-        "setup_seconds": round(t1 - t0, 3),
-        "run_seconds": round(t2 - t1, 3),
-        "sim_events_fired": events,
-        "polls_sent": polls,
-        "epochs": world.stepper.epochs,
-        "events_per_sec": round(events / (t2 - t1), 1),
-        "polls_per_sec": round(polls / (t2 - t1), 1),
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
-    }
-
-
 def measure_snapshot_gate(n_applets: int) -> dict:
     """Both dispatch modes over the instrumented fleet; snapshots must match."""
     import hashlib
@@ -267,7 +213,6 @@ def measure_snapshot_gate(n_applets: int) -> dict:
 CHILD_MEASURES = {
     "fleet": measure_fleet,
     "dispatch": measure_dispatch,
-    "parallel": measure_parallel,
     "snapshot_gate": measure_snapshot_gate,
 }
 
@@ -290,7 +235,7 @@ def run_child(measure: str, *args) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def run_full(sizes, output: str, isolate: bool = True, jobs: int = DEFAULT_JOBS) -> dict:
+def run_full(sizes, output: str, isolate: bool = True) -> dict:
     def run(measure, *args):
         if isolate:
             return run_child(measure, *args)
@@ -303,13 +248,6 @@ def run_full(sizes, output: str, isolate: bool = True, jobs: int = DEFAULT_JOBS)
         "seed": SEED,
         "fleet": [],
         "dispatch": {"n_applets": DISPATCH_N, "churn": CHURN, "scenarios": {}},
-        "parallel": {
-            "num_shards": PARALLEL_SHARDS,
-            "jobs": jobs,
-            "cpu_cores": os.cpu_count(),
-            "worker_model": "threads (CPython GIL applies)",
-            "sizes": [],
-        },
     }
 
     for size in sizes:
@@ -320,34 +258,6 @@ def run_full(sizes, output: str, isolate: bool = True, jobs: int = DEFAULT_JOBS)
             f"  events/sec={entry['events_per_sec']} "
             f"polls/sec={entry['polls_per_sec']} "
             f"peak_rss_mb={entry['peak_rss_mb']}",
-            flush=True,
-        )
-
-    for size in sizes:
-        print(f"[parallel] {size} applets, serial vs jobs={jobs} ...", flush=True)
-        serial = run("parallel", size, 250.0, PARALLEL_SHARDS, 1)
-        threaded = run("parallel", size, 250.0, PARALLEL_SHARDS, jobs)
-        speedup = round(
-            threaded["events_per_sec"] / serial["events_per_sec"], 2
-        )
-        report["parallel"]["sizes"].append({
-            "n_applets": size,
-            "serial": serial,
-            "parallel": threaded,
-            "speedup": speedup,
-            # the serial/parallel determinism contract, asserted on the
-            # observable workload counts (the full byte-level snapshot
-            # gate runs in `make parallel-check`)
-            "identical_counts": (
-                serial["sim_events_fired"] == threaded["sim_events_fired"]
-                and serial["polls_sent"] == threaded["polls_sent"]
-            ),
-        })
-        print(
-            f"  serial={serial['events_per_sec']} ev/s "
-            f"jobs={jobs}: {threaded['events_per_sec']} ev/s "
-            f"speedup={speedup}x identical_counts="
-            f"{report['parallel']['sizes'][-1]['identical_counts']}",
             flush=True,
         )
 
@@ -407,33 +317,12 @@ def check_report(path: str) -> int:
     gate = report.get("snapshot_gate", {})
     if gate.get("identical") is not True:
         errors.append("snapshot_gate.identical is not true")
-    parallel = report.get("parallel", {})
-    if "cpu_cores" not in parallel:
-        errors.append("parallel section missing 'cpu_cores'")
-    parallel_sizes = {
-        entry.get("n_applets") for entry in parallel.get("sizes", [])
-    }
-    for required in FLEET_SIZES:
-        if required not in parallel_sizes:
-            errors.append(f"parallel section missing size {required}")
-    for entry in parallel.get("sizes", []):
-        size = entry.get("n_applets")
-        for field in ("serial", "parallel", "speedup"):
-            if field not in entry:
-                errors.append(f"parallel[{size}] missing {field!r}")
-        if entry.get("identical_counts") is not True:
-            errors.append(
-                f"parallel[{size}] serial/parallel counts diverged "
-                "(identical_counts is not true)"
-            )
     for err in errors:
         print(f"bench-scale: {err}", file=sys.stderr)
     if not errors:
         print(
             f"bench-scale: {path} ok "
-            f"(sizes={sorted(sizes)}, speedup_vs_timers={report['speedup_vs_timers']}x, "
-            f"parallel sizes={sorted(parallel_sizes)} on "
-            f"{parallel['cpu_cores']} core(s))"
+            f"(sizes={sorted(sizes)}, speedup_vs_timers={report['speedup_vs_timers']}x)"
         )
     return 1 if errors else 0
 
@@ -470,11 +359,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check", metavar="FILE", help="validate a committed report's fields"
     )
-    parser.add_argument(
-        "--jobs", type=int, default=DEFAULT_JOBS, metavar="N",
-        help="worker threads for the parallel-stepping comparison "
-             f"(default {DEFAULT_JOBS})",
-    )
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
@@ -488,11 +372,8 @@ def main(argv=None) -> int:
     if args.gate_only:
         return run_gate(args.gate_size)
     sizes = QUICK_SIZES if args.quick else FLEET_SIZES
-    report = run_full(sizes, args.output, isolate=not args.quick, jobs=args.jobs)
-    ok = report["snapshot_gate"]["identical"] and all(
-        entry["identical_counts"] for entry in report["parallel"]["sizes"]
-    )
-    return 0 if ok else 1
+    report = run_full(sizes, args.output, isolate=not args.quick)
+    return 0 if report["snapshot_gate"]["identical"] else 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ Examples::
     python -m repro chaos --scenario outage --replay --snapshot replay.jsonl
     python -m repro chaos --scenario brownout --adaptive
     python -m repro chaos --scenario outage --delivery push --shards 4
-    python -m repro chaos --scenario outage --shards 4 --jobs 4
 """
 
 from __future__ import annotations
@@ -161,13 +160,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.jobs > 1 and args.shards < 2:
-        print(f"--jobs {args.jobs} needs --shards >= 2: the single-engine "
-              "world has one simulator to step", file=sys.stderr)
-        return 2
     if args.replay_batch_limit < 1:
         print(f"--replay-batch-limit must be >= 1, got {args.replay_batch_limit}",
               file=sys.stderr)
@@ -201,7 +193,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 args.scenario, seed=args.seed, plan=plan,
                 num_shards=args.shards, shard_strategy=args.shard_strategy,
                 replay=replay_policy, delivery=delivery_policy,
-                delivery_mode=args.delivery, jobs=args.jobs,
+                delivery_mode=args.delivery,
             )
         return run_chaos_scenario(
             args.scenario, seed=args.seed, plan=plan,
@@ -400,11 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--shard-strategy", default="service_hash",
                        choices=("service_hash", "round_robin", "popularity_balanced"),
                        help="applet-to-shard assignment strategy (see docs/SHARDING.md)")
-    chaos.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker threads stepping the shards (needs "
-                            "--shards >= 2; default 1 = serial stepping; "
-                            "byte-identical snapshots for any N; see "
-                            "docs/SHARDING.md)")
     chaos.add_argument("--replay", action="store_true",
                        help="enable dead-letter replay on heal and report the "
                             "catch-up burst, batched vs unbatched")

@@ -281,10 +281,11 @@ class CrossShardRouter:
     In an epoch-stepped sharded world
     (:class:`~repro.simcore.parallel.ShardedSimulator`) every shard owns
     a private :class:`Network`; a message addressed to a node in another
-    shard cannot be scheduled into that shard's heap directly — a shard
-    thread must never touch a neighbour's state.  Instead the source
-    network hands the message here and it crosses through the stepper's
-    per-shard mailbox, drained at the next epoch barrier:
+    shard cannot be scheduled into that shard's heap directly — one
+    cell, one heap, one registry; nothing is shared across cells except
+    the mailboxes.  Instead the source network hands the message here
+    and it crosses through the stepper's per-shard mailbox, drained at
+    the next epoch barrier:
 
     * the **source side** is charged the real topology cost: the sampled
       per-link delay from the sender to the shard's :attr:`Network.gateway`
@@ -297,7 +298,7 @@ class CrossShardRouter:
       delivers at ``s + hop ≥ t + L``, i.e. at or after the barrier;
     * every delay is sampled from the *source* shard's network RNG, so
       the draw order per shard — and therefore the whole fleet — is
-      deterministic regardless of thread interleaving.
+      deterministic regardless of the order cells are stepped in.
 
     Delivery lands in the destination network's :meth:`Network._ingress`
     path on the destination shard's simulator, in mailbox-drain order:

@@ -1,17 +1,15 @@
-"""Epoch-barriered parallel stepping for sharded simulations.
+"""Epoch-barriered stepping for sharded simulations.
 
 One global event heap serializes every shard of a
-:class:`~repro.engine.sharding.ShardedEngine` through a single clock, so
-fleet throughput is pinned to one core no matter how many shards exist.
-:class:`ShardedSimulator` removes that bottleneck: every shard gets its
-**own** :class:`~repro.simcore.simulator.Simulator` (own heap, own
-clock), and shards advance together in bounded **time epochs** under the
-classic conservative-synchronization contract:
+:class:`~repro.engine.sharding.ShardedEngine` through a single clock.
+:class:`ShardedSimulator` gives every shard its **own**
+:class:`~repro.simcore.simulator.Simulator` (own heap, own clock), and
+shards advance together in bounded **time epochs** under the classic
+conservative-synchronization contract:
 
-* Within an epoch ``[t, t + lookahead)`` each shard runs independently —
-  in one thread per shard when ``jobs > 1``, or round-robin in the
-  calling thread when ``jobs == 1`` ("serial stepping").  The per-shard
-  code path is *identical* in both modes.
+* Within an epoch ``[t, t + lookahead)`` each shard runs independently
+  of the others: the stepper runs them one after another, and nothing a
+  shard does inside the epoch can reach another shard's heap.
 * Cross-shard traffic (realtime hints, push notifications to a
   receiving shard, remote polls/actions, fleet-level fault-plan events)
   never touches another shard's heap directly: it is posted to a
@@ -22,36 +20,29 @@ classic conservative-synchronization contract:
   lookahead that makes the epoch width safe.
 * At each barrier the mailboxes are merged in a deterministic order —
   ``(deliver_at, source shard, per-source sequence)`` — before being
-  scheduled into the destination heaps.  Thread scheduling can reorder
-  *when* outbox entries are appended relative to each other across
-  shards, but never the sorted drain order, so parallel and serial
-  stepping execute byte-for-byte the same per-shard event sequences.
+  scheduled into the destination heaps.  The order in which shards are
+  stepped inside an epoch decides *when* outbox entries are appended
+  relative to each other across shards, but never the sorted drain
+  order, so every shard executes the same event sequence whatever that
+  order is.
 
 Determinism is therefore structural, not incidental: each shard's world
-(engine, network, RNG forks, metrics registry) is touched by exactly one
-thread inside an epoch, shard RNGs are independent forks
-(``rng.fork("shard<i>")``), and fleet results merge through the
-commutative snapshot algebra (`shard_snapshot` / `merged_fleet_snapshot`
-— counters add, gauges max), so serial and parallel stepping produce
-**byte-identical merged snapshots**.  ``make parallel-check`` gates
-exactly that, and ``tests/test_parallel_equivalence.py`` pins it across
-shard strategies and poll-dispatch modes.
-
-Wall-clock scaling follows the hardware: with the CPython GIL, threaded
-epochs overlap only the interpreter's release points, so single-process
-speedups require multiple cores plus a free-threaded build (or the
-fork-per-shard measurement mode in ``benchmarks/bench_fleet_scale.py``,
-which sidesteps the GIL entirely).  The architecture — and the
-determinism contract — is the same either way.
+(engine, network, RNG forks, metrics registry) is one cell with one heap
+— nothing is shared across cells except the mailboxes — shard RNGs are
+independent forks (``rng.fork("shard<i>")``), and fleet results merge
+through the commutative snapshot algebra (`shard_snapshot` /
+`merged_fleet_snapshot` — counters add, gauges max).  That mailbox order
+is also the seam a one-process-per-shard stepper would use: only
+:meth:`ShardedSimulator._step_epoch` knows how the cells are advanced
+(docs/PERFORMANCE.md records why it is a plain loop).
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional
 
-from repro.simcore.simulator import SimulationError, Simulator
+from repro.simcore.simulator import RunResult, SimulationError, Simulator
 
 #: Default epoch width / cross-shard latency floor, seconds.  Chosen at
 #: cloud-internal scale (≈ the p95 of one engine↔service hop): wide
@@ -84,31 +75,19 @@ class ShardedSimulator:
         carry; :meth:`post` enforces it.  Uncoupled fleets (no possible
         cross-shard traffic) run each shard straight to the target in
         one epoch.
-    jobs:
-        Worker threads for epoch stepping.  ``1`` = serial round-robin
-        stepping in the calling thread; ``N > 1`` steps up to N shards
-        concurrently.  Either way the per-shard execution is identical.
     """
 
-    def __init__(
-        self,
-        num_shards: int,
-        lookahead: float = DEFAULT_LOOKAHEAD,
-        jobs: int = 1,
-    ) -> None:
+    def __init__(self, num_shards: int, lookahead: float = DEFAULT_LOOKAHEAD) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         if lookahead <= 0:
             raise ValueError(f"lookahead must be positive, got {lookahead}")
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.num_shards = num_shards
         self.lookahead = float(lookahead)
-        self.jobs = jobs
         self.sims: List[Simulator] = [Simulator() for _ in range(num_shards)]
         # One outbox per source shard plus one controller outbox (index
-        # num_shards): during an epoch each shard thread appends only to
-        # its own outbox, so no lock is needed anywhere on the hot path.
+        # num_shards): a shard appends only to its own, so its entries'
+        # sequence numbers do not depend on what other shards sent.
         self._outboxes: List[List[MailboxEntry]] = [
             [] for _ in range(num_shards + 1)
         ]
@@ -116,7 +95,6 @@ class ShardedSimulator:
         self.epochs = 0
         self.mailbox_messages = 0
         self._coupled = False
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     # -- coupling ------------------------------------------------------------
 
@@ -146,10 +124,10 @@ class ShardedSimulator:
     ) -> None:
         """Enqueue ``fn(*args)`` for shard ``dst`` at ``deliver_at``.
 
-        ``src`` is the sending shard (its outbox is appended without
-        locking; each shard thread owns exactly one); ``None`` means the
-        controller — code running *between* epochs, e.g. a testbed
-        injecting fleet-level events before the run starts.
+        ``src`` is the sending shard (the entry goes to that shard's own
+        outbox); ``None`` means the controller — code running *between*
+        epochs, e.g. a testbed injecting fleet-level events before the
+        run starts.
         """
         source = self.num_shards if src is None else src
         self._outboxes[source].append(MailboxEntry((
@@ -166,10 +144,10 @@ class ShardedSimulator:
     def _drain_mailboxes(self) -> None:
         """Schedule every posted entry into its destination heap.
 
-        Runs only at barriers (no shard thread is stepping).  Entries are
+        Runs only at barriers (no shard is stepping).  Entries are
         sorted by ``(deliver_at, src, seq)`` — a total order independent
-        of thread interleaving — so destination heaps receive identical
-        event sequences under serial and parallel stepping.
+        of the order cells are stepped in — so destination heaps receive
+        the same event sequence on every run.
         """
         pending: List[MailboxEntry] = []
         for outbox in self._outboxes:
@@ -216,16 +194,7 @@ class ShardedSimulator:
 
     def _step_epoch(self, horizon: float) -> int:
         """Advance every shard to ``horizon``; returns events fired."""
-        sims = self.sims
-        if self.jobs > 1 and len(sims) > 1:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=min(self.jobs, len(sims)),
-                    thread_name_prefix="shard-step",
-                )
-            futures = [self._pool.submit(sim.run_until, horizon) for sim in sims]
-            return sum(future.result() for future in futures)
-        return sum(sim.run_until(horizon) for sim in sims)
+        return sum(sim.run_until(horizon) for sim in self.sims)
 
     def run_until(self, time: float) -> int:
         """Step every shard to ``time`` through epoch barriers.
@@ -246,30 +215,29 @@ class ShardedSimulator:
             self.epochs += 1
         return fired
 
-    def run(self, max_epochs: int = 1_000_000) -> int:
-        """Step until every heap and mailbox drains (bounded by epochs)."""
+    def run(self, max_epochs: int = 1_000_000) -> RunResult:
+        """Step until every heap and mailbox drains (bounded by epochs).
+
+        ``completed`` is ``False`` when ``max_epochs`` ended the run with
+        events or mailbox entries still pending; calling again resumes.
+        """
         fired = 0
         for _ in range(max_epochs):
             self._drain_mailboxes()
             bounds = [sim.peek_time() for sim in self.sims]
             live = [t for t in bounds if t is not None]
-            if not live and not any(self._outboxes):
-                break
+            if not live:
+                return RunResult(fired, True)
             horizon = max(live) if not self._coupled else min(live) + self.lookahead
             fired += self._step_epoch(max(horizon, self.now))
             self.epochs += 1
-        return fired
+        return RunResult(fired, not self.pending and not any(self._outboxes))
 
     def shutdown(self) -> None:
-        """Tear down the worker pool (idempotent; ``with``-free worlds
-        call it from their own close paths or rely on interpreter exit)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Frozen ``benchmarks/ledger/adapters.py``; removed by ROADMAP 1(a)."""
 
     def __repr__(self) -> str:
         return (
             f"<ShardedSimulator shards={self.num_shards} now={self.now:.6g} "
-            f"epochs={self.epochs} jobs={self.jobs} "
-            f"coupled={self._coupled}>"
+            f"epochs={self.epochs} coupled={self._coupled}>"
         )

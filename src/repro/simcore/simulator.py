@@ -95,9 +95,9 @@ class Simulator:
         self._live = 0  # scheduled, not yet fired, not canceled
         self._dead = 0  # canceled, still in the heap
         # Per-simulator event sequence: same-instant FIFO order needs only
-        # per-heap monotonicity, and independent counters keep concurrently
-        # stepped shard simulators (repro.simcore.parallel) free of any
-        # shared mutable state.
+        # per-heap monotonicity, and independent counters keep one shard's
+        # tie order (repro.simcore.parallel) from depending on how many
+        # events another shard scheduled.
         self._seq = itertools.count()
         #: Optional :class:`~repro.obs.metrics.MetricsRegistry`; when set,
         #: every run reports events fired, simulated time, and the

@@ -814,9 +814,7 @@ class ShardedChaosResult(_QuartileDrift):
     #: under the live health stretch vs. the bare policy (victim shard).
     post_heal_quartiles: Optional[Tuple[float, float, float]] = None
     baseline_quartiles: Optional[Tuple[float, float, float]] = None
-    #: Epoch-stepping readout (``jobs=1`` is serial stepping,
-    #: byte-identical to ``jobs>1`` by construction).
-    jobs: int = 1
+    #: Epoch-stepping readout.
     epochs: int = 0
     mailbox_messages: int = 0
     cross_shard_messages: int = 0
@@ -910,12 +908,10 @@ class ShardedChaosWorld:
     lookahead (50 ms) per hop.  That floor is the model's cost of
     leaving a shard, not a stepping artefact.
 
-    ``jobs=1`` steps the cells round-robin in the calling thread;
-    ``jobs>1`` steps them concurrently.  The per-cell execution is
-    identical either way, and cross-cell messages drain in the sorted
-    ``(deliver_at, src, seq)`` mailbox order, so the two modes produce
-    **byte-identical** deterministic snapshots — ``make parallel-check``
-    gates exactly that.
+    The stepper advances the cells one after another inside each epoch;
+    cross-cell messages drain in the sorted ``(deliver_at, src, seq)``
+    mailbox order, so the deterministic snapshot does not depend on the
+    order the cells are stepped in.
 
     (``__test__`` opts the class out of pytest collection.)
     """
@@ -933,15 +929,15 @@ class ShardedChaosWorld:
         replay: Optional[ReplayPolicy] = None,
         delivery: Optional[DeliveryPolicy] = None,
         delivery_mode: str = "poll",
-        jobs: int = 1,
+        jobs: int = 1,  # frozen benchmarks/ledger/adapters.py; removed by ROADMAP 1(a)
     ) -> None:
         self.seed = seed
-        self.stepper = ShardedSimulator(num_shards, jobs=jobs)
+        self.stepper = ShardedSimulator(num_shards)
         self.rng = Rng(seed=seed, name="chaos")
-        # One cell per shard: registry, network, core.  Each cell is
-        # touched by exactly one worker thread inside an epoch; the
-        # shared Trace is omitted on purpose (it would be a cross-thread
-        # mutation point and none of the sharded accounting reads it).
+        # One cell per shard: registry, network, core.  A cell has one
+        # heap and one registry; nothing is shared across cells except
+        # the mailboxes, so the shared Trace is omitted on purpose (none
+        # of the sharded accounting reads it).
         self.registries: List[MetricsRegistry] = []
         self.networks: List[Network] = []
         for index in range(num_shards):
@@ -976,12 +972,10 @@ class ShardedChaosWorld:
             self.router.attach(network, index)
             self.cores.append(core)
 
-        #: Per-cell ``(delivered_at, pair, fields)`` sink executions —
-        #: appended only by the owning cell's thread.
-        self._delivered: List[List[Tuple[float, int, Dict[str, Any]]]] = [
-            [] for _ in range(num_shards)
-        ]
-        self._events_injected = [0] * num_shards
+        #: ``(delivered_at, pair, fields)`` sink executions, in the order
+        #: the cells were stepped (not time order across cells).
+        self._delivered: List[Tuple[float, int, Dict[str, Any]]] = []
+        self._events_injected = 0
         self.sensors: List[PartnerService] = []
         self.sinks: List[PartnerService] = []
         #: pair -> home cell, and cell -> {slug: service} for plan splits.
@@ -1055,7 +1049,7 @@ class ShardedChaosWorld:
 
     def _sink_recorder(self, cell: int, pair: int):
         sim = self.stepper.sims[cell]
-        delivered = self._delivered[cell]
+        delivered = self._delivered
 
         def record(fields: Dict[str, Any]) -> None:
             delivered.append((sim.now, pair, dict(fields)))
@@ -1101,12 +1095,12 @@ class ShardedChaosWorld:
             for pair, cell in enumerate(self._pair_home):
                 sim = self.stepper.sims[cell]
                 sim.schedule(
-                    max(0.0, at - sim.now), self._inject, cell, pair, index, at,
+                    max(0.0, at - sim.now), self._inject, pair, index, at,
                     label=f"chaos-event#{index}.{pair}",
                 )
 
-    def _inject(self, cell: int, pair: int, index: int, planned_at: float) -> None:
-        self._events_injected[cell] += 1
+    def _inject(self, pair: int, index: int, planned_at: float) -> None:
+        self._events_injected += 1
         self.sensors[pair].ingest_event("tick", {"n": index, "injected_at": planned_at})
 
     def run(self, scenario: ChaosScenario, drain: float = DRAIN_SECONDS) -> ShardedChaosResult:
@@ -1119,7 +1113,6 @@ class ShardedChaosWorld:
         self.schedule_events(scenario.event_times)
         until = scenario.horizon + drain
         self.stepper.run_until(until)
-        self.stepper.shutdown()
         return self._result(scenario, plan, until)
 
     def _result(
@@ -1127,8 +1120,7 @@ class ShardedChaosWorld:
     ) -> ShardedChaosResult:
         t2a_by_shard: Dict[int, Dict[str, List[float]]] = {}
         delivered = sorted(
-            (record for cell in self._delivered for record in cell),
-            key=lambda record: (record[0], record[1]),
+            self._delivered, key=lambda record: (record[0], record[1])
         )
         for delivered_at, pair, fields in delivered:
             injected_at = float(fields["injected_at"])
@@ -1150,9 +1142,7 @@ class ShardedChaosWorld:
         )
         fleet_stats = self.fleet.stats()
         # The cell registries merge commutatively (counters add, gauges
-        # max), so the combined snapshot is independent of both cell
-        # order and stepping mode — the byte-identity `make
-        # parallel-check` pins.
+        # max), so the combined snapshot is independent of cell order.
         combined = merge_snapshots(
             *(registry.snapshot() for registry in self.registries)
         )
@@ -1173,7 +1163,7 @@ class ShardedChaosWorld:
             strategy=self.fleet.strategy,
             victim_shard=self.victim_shard,
             ran_until=until,
-            events_injected=sum(self._events_injected),
+            events_injected=self._events_injected,
             events_observed=events_observed,
             fleet_stats=fleet_stats,
             shard_stats=self.fleet.shard_stats(),
@@ -1190,7 +1180,6 @@ class ShardedChaosWorld:
                 fleet_stats["polls_sent"] + fleet_stats["actions_dispatched"],
             ),
             fault_window_requests=fault_window,
-            jobs=self.stepper.jobs,
             epochs=self.stepper.epochs,
             mailbox_messages=self.stepper.mailbox_messages,
             cross_shard_messages=self.router.messages_routed,
@@ -1210,7 +1199,6 @@ def run_sharded_chaos_scenario(
     replay: Optional[ReplayPolicy] = None,
     delivery: Optional[DeliveryPolicy] = None,
     delivery_mode: str = "poll",
-    jobs: int = 1,
 ) -> ShardedChaosResult:
     """Run one chaos scenario against a sharded fleet.
 
@@ -1224,19 +1212,16 @@ def run_sharded_chaos_scenario(
     ``delivery_mode`` selects poll/hint/push event delivery for every
     sensor, exactly as in :func:`run_chaos_scenario`; pushes route to
     each service's last-published shard (the home shard under
-    ``service_hash``).  ``jobs`` worker threads step the shards
-    (``jobs=1`` is serial stepping; snapshots are byte-identical).
+    ``service_hash``).
     """
     scenario = chaos_scenario(name, plan)
     world = ShardedChaosWorld(
         seed=seed, poll_interval=poll_interval,
         num_shards=num_shards, shard_strategy=shard_strategy, pairs=pairs,
         replay=replay, delivery=delivery, delivery_mode=delivery_mode,
-        jobs=jobs,
     )
     return world.run(scenario, drain=drain)
 
 
-#: The name ``benchmarks/ledger/adapters.py`` (frozen) imports the sharded
-#: world by; the next benchmark PR switches it over and removes this.
+# Frozen benchmarks/ledger/adapters.py; removed by ROADMAP 1(a).
 ParallelShardedChaosWorld = ShardedChaosWorld

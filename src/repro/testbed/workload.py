@@ -234,7 +234,6 @@ class ShardedFleetResult:
 
     n_applets: int
     num_shards: int
-    jobs: int
     publications: int
     actions_executed: int
     polls_sent: int
@@ -254,24 +253,21 @@ class ShardedFleetWorld:
     through one heap; this world gives each shard its own
     :class:`~repro.simcore.simulator.Simulator`, :class:`Network`,
     metrics registry, and content-service *replica*, stepped together by
-    a :class:`~repro.simcore.parallel.ShardedSimulator` (``jobs=1`` =
-    serial round-robin epochs, ``jobs>1`` = one thread per shard; the
-    per-shard code path is identical, so the two produce byte-identical
-    merged snapshots).  Publications are fleet-level events: they enter
-    through the stepper's controller mailbox, one ingest per replica, at
-    an epoch barrier.
+    a :class:`~repro.simcore.parallel.ShardedSimulator`.  Publications
+    are fleet-level events: they enter through the stepper's controller
+    mailbox, one ingest per replica, at an epoch barrier.
 
     Shard engines poll only their own shard's replica (each shard
     publishes its local replica under the shared ``content`` slug), so
-    the steady state is embarrassingly parallel — the shape that
-    motivates parallel stepping in the first place.
+    the world is uncoupled: no cross-shard traffic, one epoch per
+    ``run_until``.
     """
 
     def __init__(
         self,
         n_applets: int,
         num_shards: int = 4,
-        jobs: int = 1,
+        jobs: int = 1,  # frozen benchmarks/ledger/adapters.py; removed by ROADMAP 1(a)
         engine_config: Optional[EngineConfig] = None,
         seed: int = 5,
         with_metrics: bool = True,
@@ -280,10 +276,11 @@ class ShardedFleetWorld:
     ) -> None:
         self.n_applets = n_applets
         self.num_shards = num_shards
-        self.stepper = ShardedSimulator(num_shards, jobs=jobs)
+        self.stepper = ShardedSimulator(num_shards)
         self.rng = Rng(seed=seed, name="fleet")
-        # One world per shard: registry, network, content replica.  Each
-        # is touched by exactly one worker thread inside an epoch.
+        # One world per shard: registry, network, content replica.  A
+        # cell has one heap and one registry; nothing is shared across
+        # cells except the stepper's mailboxes.
         self.registries: List[Optional[MetricsRegistry]] = []
         self.networks: List[Network] = []
         for index in range(num_shards):
@@ -303,9 +300,8 @@ class ShardedFleetWorld:
             service_time=0.0,
             expected_applets=n_applets,
         )
-        # Per-shard action counters: each slot is written only by its
-        # shard's thread, so fleet totals need no lock.
-        self._actions = [0] * num_shards
+        #: Fleet-wide executed-action count, whichever replica ran it.
+        self.actions_executed = 0
         self.contents: List[PartnerService] = []
         for index in range(num_shards):
             replica = self.networks[index].add_node(PartnerService(
@@ -320,7 +316,7 @@ class ShardedFleetWorld:
             replica.add_action(ActionEndpoint(
                 slug="set_wallpaper",
                 name="Update wallpaper",
-                executor=self._recorder(index),
+                executor=self._record_action,
             ))
             shard = self.fleet.shards[index]
             self.networks[index].connect(
@@ -357,15 +353,8 @@ class ShardedFleetWorld:
                 config.initial_poll_delay + config.initial_poll_jitter + 5.0
             )
 
-    def _recorder(self, shard: int):
-        def record(fields: Dict) -> None:
-            self._actions[shard] += 1
-        return record
-
-    @property
-    def actions_executed(self) -> int:
-        """Fleet-wide executed-action count (read at barriers)."""
-        return sum(self._actions)
+    def _record_action(self, fields: Dict) -> None:
+        self.actions_executed += 1
 
     def publish(self, photo: str) -> None:
         """One fleet-level publication: every replica ingests the event.
@@ -395,9 +384,8 @@ class ShardedFleetWorld:
     def merged_snapshot(self) -> Optional[Dict]:
         """Fleet-wide ``engine.*`` totals folded from every shard registry.
 
-        Commutative (counters add, gauges max), so the serial and
-        parallel stepping modes must produce byte-identical results —
-        ``make parallel-check`` gates exactly that.
+        Commutative (counters add, gauges max), so the result does not
+        depend on the order shards are listed or stepped in.
         """
         if any(registry is None for registry in self.registries):
             return None
@@ -410,7 +398,6 @@ class ShardedFleetWorld:
         return ShardedFleetResult(
             n_applets=self.n_applets,
             num_shards=self.num_shards,
-            jobs=self.stepper.jobs,
             publications=publications,
             actions_executed=self.actions_executed,
             polls_sent=self.fleet.stats()["polls_sent"],
@@ -421,8 +408,7 @@ class ShardedFleetWorld:
         )
 
     def shutdown(self) -> None:
-        """Tear down the stepper's worker pool (no-op when ``jobs == 1``)."""
-        self.stepper.shutdown()
+        """Frozen ``benchmarks/ledger/adapters.py``; removed by ROADMAP 1(a)."""
 
 
 def run_fleet_experiment(

@@ -124,10 +124,12 @@ class TestChaosCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos", "--shards", "4", "--parallel"])
 
-    def test_chaos_jobs_without_shards_rejected(self, capsys):
-        assert main(["chaos", "--scenario", "outage", "--shards", "1",
-                     "--jobs", "2"]) == 2
-        assert "--jobs" in capsys.readouterr().err
+    def test_chaos_jobs_flag_removed(self, capsys):
+        # A stale script fails loudly instead of running something else.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--scenario", "outage", "--shards", "4", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_chaos_invalid_strategy_rejected(self):
         with pytest.raises(SystemExit):

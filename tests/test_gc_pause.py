@@ -2,16 +2,15 @@
 
 Two halves.  The *mechanics*: ``Simulator.run``/``run_until`` switch the
 collector off for the loop and put it back exactly as the caller had it,
-also when a callback raises and when shard simulators are stepped from
-two threads — and the two fleet worlds do the same around their install
-loops (``collector_paused``).  The *licence*: the pause is only sound
-while a run's garbage is acyclic (freed by reference counting alone), so
-whole worlds — a fleet's build, observed fleet, chaos scenarios with
-faults, retries, dead letters and cross-shard mailboxes — are run with
-the collector off and must leave nothing for ``gc.collect()`` to find.
-A change that makes the event path build reference cycles fails here
-before it can leak through a paused run (docs/PERFORMANCE.md, "Collector
-policy").
+also when a callback raises — and the two fleet worlds do the same
+around their install loops (``collector_paused``).  The *licence*: the
+pause is only sound while a run's garbage is acyclic (freed by
+reference counting alone), so whole worlds — a fleet's build, observed
+fleet, chaos scenarios with faults, retries, dead letters and
+cross-shard mailboxes — are run with the collector off and must leave
+nothing for ``gc.collect()`` to find.  A change that makes the event
+path build reference cycles fails here before it can leak through a
+paused run (docs/PERFORMANCE.md, "Collector policy").
 """
 
 import gc
@@ -87,16 +86,6 @@ class TestCollectorStateRestored:
         gc.enable()
         outer.run()
         assert seen == [False]
-        assert gc.isenabled()
-
-    def test_on_after_a_two_thread_sharded_run(self):
-        world = ShardedFleetWorld(120, num_shards=4, jobs=2, with_metrics=False)
-        gc.enable()
-        try:
-            world.run_publications(2, 300.0)
-        finally:
-            world.shutdown()
-        assert world.actions_executed > 0
         assert gc.isenabled()
 
 

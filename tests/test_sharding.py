@@ -4,8 +4,10 @@ Covers the :class:`~repro.engine.sharding.ShardedEngine` coordinator:
 seed-stable assignment, partition completeness, strategy behaviour
 (including popularity_balanced skew bounds), per-shard isolation of
 breakers / RNGs / polling policies / metrics scopes, the shard snapshot
-algebra (commutative merge), and the ``num_shards=1 ≡ plain engine``
-equivalence.  The isolation regressions exist because the historical
+algebra (commutative merge), the ``num_shards=1 ≡ plain engine``
+equivalence, and the epoch-stepped
+:class:`~repro.testbed.workload.ShardedFleetWorld` end to end.  The
+isolation regressions exist because the historical
 failure mode — mutable state shared through a cloned prototype or a
 module global — is invisible in single-engine suites.
 """
@@ -26,6 +28,7 @@ from repro.engine import (
     EngineConfig,
     FixedPollingPolicy,
     IftttEngine,
+    POLL_DISPATCH_MODES,
     PollingPolicy,
     SHARD_STRATEGIES,
     ShardedEngine,
@@ -37,9 +40,15 @@ from repro.engine import (
 from repro.engine.oauth import OAuthAuthority
 from repro.engine.sharding import APPLET_ID_STRIDE, shard_metric_ids
 from repro.net import Address, FixedLatency, Network
-from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.obs.metrics import (
+    MetricsRegistry,
+    deterministic_snapshot,
+    merge_snapshots,
+    snapshot_to_json_lines,
+)
 from repro.services import ActionEndpoint, PartnerService, TriggerEndpoint
 from repro.simcore import Rng, Simulator
+from repro.testbed.workload import ShardedFleetWorld
 
 N_SERVICES = 8
 
@@ -576,3 +585,42 @@ class TestFleetAccounting:
 
     def test_not_collected_by_pytest(self):
         assert ShardedEngine.__test__ is False
+
+
+class TestShardedFleetWorld:
+    """The split-simulator fleet, one :class:`Simulator` per shard."""
+
+    @given(
+        strategy=st.sampled_from(sorted(SHARD_STRATEGIES)),
+        dispatch=st.sampled_from(sorted(POLL_DISPATCH_MODES)),
+        seed=st.integers(min_value=0, max_value=2 ** 16),
+        n_applets=st.integers(min_value=6, max_value=24),
+        publications=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_every_publication_reaches_every_applet_repeatably(
+        self, strategy, dispatch, seed, n_applets, publications
+    ):
+        def run():
+            return ShardedFleetWorld(
+                n_applets,
+                num_shards=3,
+                engine_config=EngineConfig(
+                    poll_policy=FixedPollingPolicy(20.0),
+                    initial_poll_delay=0.5,
+                    poll_timeout=10.0,
+                    action_timeout=10.0,
+                    poll_dispatch=dispatch,
+                ),
+                seed=seed,
+                shard_strategy=strategy,
+            ).run_publications(publications, spacing=120.0)
+
+        first, again = run(), run()
+        assert first.actions_executed == n_applets * publications
+        assert first.polls_sent > 0
+        assert (first.polls_sent, first.events_fired) == (
+            again.polls_sent, again.events_fired)
+        assert snapshot_to_json_lines(
+            deterministic_snapshot(first.metrics_snapshot)
+        ) == snapshot_to_json_lines(deterministic_snapshot(again.metrics_snapshot))

@@ -110,7 +110,7 @@ class TestTable:
         assert [row.name for row in against_ref.values() if row.expect] == ["mix-hint"]
 
     def test_two_variant_rows(self):
-        assert {row.name for row in parity.TABLE if row.other} == {"parallel", "smoke"}
+        assert {row.name for row in parity.TABLE if row.other} == {"smoke"}
 
     def test_every_row_is_in_exactly_one_makefile_alias(self):
         with open(os.path.join(ROOT, "Makefile"), encoding="utf-8") as handle:

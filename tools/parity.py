@@ -58,12 +58,11 @@ class Row(NamedTuple):
     other: Optional[Tuple[str, ...]] = None  #: side B against itself (default: ``args``)
 
 
-def chaos(name: str, group: str, *extra: str, expect: int = 0,
-          other: Optional[Tuple[str, ...]] = None) -> Row:
+def chaos(name: str, group: str, *extra: str, expect: int = 0) -> Row:
     """A ``repro chaos --seed 7`` row.  The snapshot path is relative to the
     row's directory because the summary prints it and must not name the side."""
     head = ("-m", "repro", "chaos", "--seed", "7", "--snapshot", "snapshot.jsonl")
-    return Row(name, group, head + extra, expect, other and head + extra + other)
+    return Row(name, group, head + extra, expect)
 
 
 SMOKE = ("-m", "repro", "experiments", "{checkout}/EXPERIMENTS/matrix_smoke.json",
@@ -91,9 +90,7 @@ TABLE: Tuple[Row, ...] = (
     chaos("push-s1", "push-check", "--scenario", "outage", "--delivery", "push"),
     chaos("push-s4", "push-check", "--scenario", "outage", "--delivery", "push", "--shards", "4"),
     chaos("mix-push", "push-check", "--scenario", "outage", "--shards", "4", "--replay",
-          "--adaptive", "--delivery", "push", "--shard-strategy", "round_robin", "--jobs", "2"),
-    chaos("parallel", "parallel-check", "--scenario", "outage", "--shards", "4",
-          other=("--jobs", "4")),
+          "--adaptive", "--delivery", "push", "--shard-strategy", "round_robin"),
     Row("smoke", "experiments-smoke", SMOKE + ("--jobs", "4"), other=SMOKE + ("--in-process",)),
 )
 
