@@ -33,13 +33,11 @@ bench-verbose:
 
 # Fleet-scale perf gate (docs/PERFORMANCE.md): the committed
 # BENCH_fleet_scale.json must carry events/sec + peak RSS for
-# 10K/100K/1M applets and a passing heap-vs-timers snapshot gate;
-# then re-run the 10K dispatch-equivalence gate live.  Regenerate the
-# report with `python benchmarks/bench_fleet_scale.py --output
-# BENCH_fleet_scale.json` (several minutes; the 1M run dominates).
+# 10K/100K/1M applets.  Regenerate the report with `python
+# benchmarks/bench_fleet_scale.py --output BENCH_fleet_scale.json`
+# (several minutes; the 1M run dominates).
 bench-scale:
 	python benchmarks/bench_fleet_scale.py --check BENCH_fleet_scale.json
-	python benchmarks/bench_fleet_scale.py --gate-only
 
 # Push-delivery gate (docs/DELIVERY.md): the committed
 # BENCH_push_scale.json must carry the three-way poll/hint/push T2A
@@ -112,7 +110,7 @@ parity-check:
 	@test -n "$(BASE)" || { echo "usage: make parity-check BASE=<git-ref>"; exit 2; }
 	python tools/parity.py $(BASE)
 
-# The full nightly matrix (38 cells; a few minutes). Results land in
+# The full nightly matrix (32 cells; a few minutes). Results land in
 # experiment-results/ — results.txt is the human table.
 experiments-full:
 	python -m repro experiments EXPERIMENTS/matrix_full.json --jobs 8 --output experiment-results

@@ -43,10 +43,8 @@ behaviour §4 measures:
 * :mod:`repro.engine.sharding` — the :class:`ShardedEngine` coordinator
   that partitions applets across N engines with per-shard breakers,
   metrics scopes, and a mergeable fleet snapshot (``docs/SHARDING.md``).
-* :mod:`repro.engine.scheduler` — poll-dispatch strategies: the
-  fleet-scale heap scheduler (one wake event per engine, lazy
-  cancellation) and the seed per-applet-timer baseline, selected by
-  ``EngineConfig.poll_dispatch`` (``docs/PERFORMANCE.md``).
+* :mod:`repro.engine.scheduler` — the fleet-scale poll scheduler: one
+  wake event per engine, lazy cancellation (``docs/PERFORMANCE.md``).
 """
 
 from repro.engine.applet import Applet, TriggerRef, ActionRef, AppletState, QueryRef
@@ -99,12 +97,7 @@ from repro.engine.resilience import (
     ReplayPolicy,
     RetryPolicy,
 )
-from repro.engine.scheduler import (
-    HeapPollScheduler,
-    POLL_DISPATCH_MODES,
-    TimerPollScheduler,
-    make_poll_scheduler,
-)
+from repro.engine.scheduler import HeapPollScheduler
 from repro.engine.sharding import (
     ShardedEngine,
     merged_fleet_snapshot,
@@ -165,10 +158,7 @@ __all__ = [
     "PushPolicy",
     "PushController",
     "PushServiceState",
-    "POLL_DISPATCH_MODES",
     "HeapPollScheduler",
-    "TimerPollScheduler",
-    "make_poll_scheduler",
     "SHARD_STRATEGIES",
     "ShardedEngine",
     "stable_service_hash",

@@ -9,7 +9,6 @@ from repro.engine.delivery import DeliveryPolicy
 from repro.engine.poller import PollingPolicy, ProductionPollingPolicy
 from repro.engine.push import PushPolicy
 from repro.engine.resilience import BreakerPolicy, ReplayPolicy, RetryPolicy
-from repro.engine.scheduler import POLL_DISPATCH_MODES
 
 #: Services whose realtime hints production IFTTT is observed to honour.
 #: §4: "it is likely that IFTTT ... processes the real-time API hints for
@@ -111,17 +110,6 @@ class EngineConfig:
         watermarked backlog degrades the service push→hint→poll.
         Applets on contract services poll only at the policy's
         ``safety_net_interval``.  See ``docs/DELIVERY.md``.
-    poll_dispatch:
-        How scheduled polls become simulator events — one of
-        :data:`~repro.engine.scheduler.POLL_DISPATCH_MODES`.  ``heap``
-        (the default) runs the engine-internal heap scheduler: one wake
-        event per engine pops batches of due polls, with lazy
-        cancellation on uninstall.  ``timers`` is the seed dispatch (one
-        simulator event per poll) kept as the equivalence/benchmark
-        baseline.  The two are dispatch-equivalent — same poll times,
-        same order, same RNG consumption, identical deterministic
-        snapshots modulo kernel event counters; see
-        ``docs/PERFORMANCE.md`` and ``tests/test_scheduler_equivalence.py``.
     """
 
     poll_policy: PollingPolicy = field(default_factory=ProductionPollingPolicy)
@@ -141,17 +129,17 @@ class EngineConfig:
     replay_policy: Optional[ReplayPolicy] = None
     delivery_policy: Optional[DeliveryPolicy] = None
     push_policy: Optional[PushPolicy] = None
-    poll_dispatch: str = "heap"
+    poll_dispatch: str = "heap"  # frozen benchmarks/ledger/adapters.py; removed by ROADMAP 1(a)
 
     def __post_init__(self) -> None:
         if self.batch_limit <= 0:
             raise ValueError(f"batch_limit must be positive, got {self.batch_limit}")
         if self.dedupe_window <= 0:
             raise ValueError(f"dedupe_window must be positive, got {self.dedupe_window}")
-        if self.poll_dispatch not in POLL_DISPATCH_MODES:
+        if self.poll_dispatch != "heap":
             raise ValueError(
-                f"unknown poll_dispatch {self.poll_dispatch!r}; "
-                f"expected one of {POLL_DISPATCH_MODES}"
+                f"poll_dispatch={self.poll_dispatch!r}: the per-applet-timer "
+                "dispatch was removed; 'heap' is the only poll scheduler"
             )
 
     def honours_realtime_for(self, service_slug: str) -> bool:

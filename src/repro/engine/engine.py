@@ -37,7 +37,7 @@ from repro.engine.permissions import ServicePermissionModel
 from repro.engine.poller import PollingPolicy
 from repro.engine.push import RUNG_POLL, PushController, PushServiceState
 from repro.engine.replay import ReplayController
-from repro.engine.scheduler import make_poll_scheduler
+from repro.engine.scheduler import HeapPollScheduler
 from repro.engine.resilience import (
     BreakerState,
     CircuitBreaker,
@@ -144,9 +144,7 @@ class _AppletRuntime:
     drive, per-instance ``__dict__``s would cost hundreds of megabytes
     and defeat CPU caches on the poll hot path (see
     ``docs/PERFORMANCE.md``).  ``poll_gen``/``poll_scheduled`` belong to
-    the heap poll scheduler's lazy-cancellation protocol;
-    ``pending_poll_event`` belongs to the per-applet-timer baseline —
-    each dispatch mode leaves the other's fields untouched.
+    the poll scheduler's lazy-cancellation protocol.
     ``fast_poll_pending`` belongs to delivery admission control: it
     marks a hint-induced fast poll outstanding for this applet, so the
     per-service hint backlog stays exact under supersede/cancel.
@@ -168,7 +166,6 @@ class _AppletRuntime:
         "seen_ids",
         "seen_order",
         "poll_in_flight",
-        "pending_poll_event",
         "polls",
         "last_poll_at",
         "poll_attempts",
@@ -193,7 +190,6 @@ class _AppletRuntime:
         self.seen_ids: Optional[Set[int]] = None
         self.seen_order: Optional[Deque[int]] = None
         self.poll_in_flight = False
-        self.pending_poll_event: Any = None
         self.polls = 0
         self.last_poll_at: Optional[float] = None
         # consecutive failed attempts in the current retry burst
@@ -325,10 +321,9 @@ class IftttEngine(HttpNode):
             if self.config.push_policy is not None
             else None
         )
-        # Poll dispatch: how scheduled polls become simulator events —
-        # the heap scheduler (one wake event per engine, batched pops)
-        # or the seed per-applet timers.  See repro.engine.scheduler.
-        self._scheduler = make_poll_scheduler(self, self.config.poll_dispatch)
+        # Poll dispatch: one wake event per engine pops batches of due
+        # polls.  See repro.engine.scheduler.
+        self._scheduler = HeapPollScheduler(self)
         # Engine-wide per-event instruments (the per-service ones are on
         # each ServiceRegistration).  The three poll-path series keep a
         # table to themselves: see _hot_metrics.
@@ -554,7 +549,6 @@ class IftttEngine(HttpNode):
     def poll_dispatch_stats(self) -> Dict[str, Any]:
         """The poll scheduler's occupancy/lifecycle snapshot.
 
-        ``mode`` names the active dispatch strategy; heap mode adds
         ``heap_entries``/``live_entries``/``stale_entries`` (the
         lazy-cancellation ledger), ``compactions``, ``wakes``, and
         ``batched_polls``.  See ``docs/PERFORMANCE.md``.
@@ -805,7 +799,6 @@ class IftttEngine(HttpNode):
         return interval
 
     def _poll(self, runtime: _AppletRuntime) -> None:
-        runtime.pending_poll_event = None
         applet = runtime.applet
         link = runtime.link
         if runtime.fast_poll_pending:

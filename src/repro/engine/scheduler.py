@@ -1,40 +1,31 @@
-"""Poll-dispatch strategies: how applet polls become simulator events.
+"""The poll scheduler: how applet polls become simulator events.
 
-The seed engine scheduled **one simulator timer event per applet poll**
-(`sim.schedule(delay, engine._poll, runtime)`).  That is simple and
-exactly reproduces the paper's per-applet polling cadence, but it keeps
-one live :class:`~repro.simcore.event.Event` in the simulator heap per
-installed applet — at the ROADMAP's 1M-applet north star every kernel
-heap operation (including the ones for unrelated network deliveries)
-pays ``O(log 1M)`` comparisons against rich Event objects.
-
-:class:`HeapPollScheduler` replaces that with **one scheduler wake event
-per engine**: due polls live in an engine-internal binary heap of plain
-``(time, seq, runtime, generation)`` tuples (C-speed comparisons, no
-per-poll Event allocation), and a single simulator event pops every poll
-due at the wake time in one batch.  Cancellation (uninstall, disable,
-reschedule) is **lazy**: the applet's generation counter is bumped and
-the stale heap entry is discarded when it surfaces — with periodic
-compaction so uninstall storms cannot pin memory (see
-``docs/PERFORMANCE.md``).
+Each engine keeps **one scheduler wake event** in the simulator: due
+polls live in an engine-internal binary heap of plain ``(time, seq,
+runtime, generation)`` tuples (C-speed comparisons, no per-poll Event
+allocation), and the single wake event pops every poll due at its time
+in one batch.  Cancellation (uninstall, disable, reschedule) is
+**lazy**: the applet's generation counter is bumped and the stale heap
+entry is discarded when it surfaces — with periodic compaction so
+uninstall storms cannot pin memory (see ``docs/PERFORMANCE.md``).
 
 Determinism contract
 --------------------
-Both strategies fire the same polls at the same simulation times in the
-same order, consume the engine RNG identically, and therefore produce
-identical traces, T2A samples, and metric snapshots (modulo the kernel
-event counters in
-:data:`~repro.obs.metrics.DISPATCH_SENSITIVE_METRICS`, because one wake
-event can fire many polls).  ``tests/test_scheduler_equivalence.py``
-pins this equivalence property across seeds, corpora, and all shard
-strategies; ``benchmarks/bench_fleet_scale.py`` measures the speed gap.
+The scheduler fires the same polls at the same simulation times in the
+same order, and consumes the engine RNG identically, as one simulator
+timer event per poll would — the dispatch the paper's per-applet
+polling cadence describes.  ``tests/test_scheduler_equivalence.py``
+keeps that one-event-per-poll dispatch as its reference and pins
+identical traces, T2A samples and metric snapshots (modulo the kernel
+event counters, because one wake event can fire many polls) across
+seeds, corpora and all shard strategies.
 
 Ordering fine print: within one engine, polls scheduled for the same
-instant fire in scheduling order under both strategies (the internal
-heap's ``seq`` mirrors the simulator's event sequence).  Across engines
-(shards), simultaneous polls batch per shard under the heap scheduler;
-shard RNGs are independent forks, so per-shard behaviour — and the
-merged-snapshot algebra built on it — is unaffected.
+instant fire in scheduling order (the internal heap's ``seq`` mirrors
+the simulator's event sequence).  Across engines (shards), simultaneous
+polls batch per shard; shard RNGs are independent forks, so per-shard
+behaviour — and the merged-snapshot algebra built on it — is
+unaffected.
 """
 
 from __future__ import annotations
@@ -43,68 +34,9 @@ import itertools
 from heapq import heapify, heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Poll-dispatch strategies understood by
-#: :class:`~repro.engine.config.EngineConfig.poll_dispatch`.
-POLL_DISPATCH_MODES: tuple = ("heap", "timers")
-
 #: Compaction trigger: rebuild the internal heap once it holds at least
 #: this many entries *and* at least half of them are lazily-cancelled.
 COMPACT_MIN_ENTRIES = 1024
-
-
-class TimerPollScheduler:
-    """The seed dispatch: one simulator timer event per scheduled poll.
-
-    Kept verbatim as the baseline for the heap/timers equivalence suite
-    and the ``bench_fleet_scale`` speedup measurement.
-    """
-
-    mode = "timers"
-
-    __slots__ = ("engine",)
-
-    def __init__(self, engine) -> None:
-        self.engine = engine
-
-    def schedule(self, runtime, delay: float, initial: bool = False) -> None:
-        """Schedule (or reschedule) the applet's next poll ``delay`` out."""
-        if runtime.pending_poll_event is not None:
-            runtime.pending_poll_event.cancel()
-        runtime.pending_poll_event = self.engine.sim.schedule(
-            delay,
-            self.engine._poll,
-            runtime,
-            label="initial-poll" if initial else "poll",
-        )
-
-    def cancel(self, runtime) -> None:
-        """Cancel the applet's pending poll timer, if any."""
-        if runtime.pending_poll_event is not None:
-            runtime.pending_poll_event.cancel()
-            runtime.pending_poll_event = None
-
-    def pending_polls(self) -> int:
-        """Live (non-cancelled) scheduled polls."""
-        engine = self.engine
-        return sum(
-            1
-            for rt in engine._applets.values()
-            if rt.pending_poll_event is not None
-            and not rt.pending_poll_event.canceled
-        )
-
-    def stats(self) -> Dict[str, Any]:
-        """Introspection snapshot (shape shared with the heap scheduler)."""
-        live = self.pending_polls()
-        return {
-            "mode": self.mode,
-            "heap_entries": live,
-            "live_entries": live,
-            "stale_entries": 0,
-            "compactions": 0,
-            "wakes": 0,
-            "batched_polls": 0,
-        }
 
 
 class HeapPollScheduler:
@@ -112,8 +44,8 @@ class HeapPollScheduler:
 
     Entries are ``(time, seq, runtime, generation)`` tuples on a binary
     heap.  ``seq`` is a per-engine monotone counter, so same-instant
-    polls pop in scheduling order — the exact tie-break the simulator's
-    global event sequence gave the per-applet timers.  Because ``seq`` is
+    polls pop in scheduling order — the tie-break the simulator's global
+    event sequence gives one timer event per poll.  Because ``seq`` is
     unique, tuple comparison never reaches the runtime element, so the
     heap works at C tuple-comparison speed with no ``__lt__`` on runtime
     state.  ``generation`` is compared against the runtime's current
@@ -127,8 +59,6 @@ class HeapPollScheduler:
     cheap no-op; compaction (:meth:`_maybe_compact`) bounds how many
     stale entries an uninstall storm can leave behind.
     """
-
-    mode = "heap"
 
     __slots__ = (
         "engine",
@@ -190,7 +120,7 @@ class HeapPollScheduler:
                 return
             # A nearer poll arrived: pull the wake earlier.  The fresh
             # event takes a new simulator sequence number — the same one
-            # the per-applet timer for this poll would have taken.
+            # a timer event for this poll alone would have taken.
             wake.cancel()
         self._wake = self.engine.sim.schedule_at(
             due, self._fire, label="poll-wake"
@@ -251,7 +181,6 @@ class HeapPollScheduler:
     def stats(self) -> Dict[str, Any]:
         """Heap occupancy and lifecycle counters (for tests and reports)."""
         return {
-            "mode": self.mode,
             "heap_entries": len(self._heap),
             "live_entries": self.pending_polls(),
             "stale_entries": self.stale_entries,
@@ -259,15 +188,3 @@ class HeapPollScheduler:
             "wakes": self.wakes,
             "batched_polls": self.batched_polls,
         }
-
-
-def make_poll_scheduler(engine, mode: str):
-    """Build the poll scheduler named by ``mode`` (see
-    :data:`POLL_DISPATCH_MODES`)."""
-    if mode == "heap":
-        return HeapPollScheduler(engine)
-    if mode == "timers":
-        return TimerPollScheduler(engine)
-    raise ValueError(
-        f"unknown poll_dispatch {mode!r}; expected one of {POLL_DISPATCH_MODES}"
-    )

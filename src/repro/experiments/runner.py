@@ -28,10 +28,8 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from typing import Any, Dict, List, Tuple
 
-from repro.engine.config import EngineConfig
 from repro.experiments.results import CellResult, MatrixResults, RepeatOutcome
 from repro.experiments.spec import (
     Cell,
@@ -65,10 +63,7 @@ def _run_chaos(spec: ExperimentSpec, cell: Cell, seed: int) -> Tuple[List[float]
     params = cell.params
     knobs = cell.sweep.knobs
     scenario = chaos_scenario(params["scenario"], resolve_fault_plan(spec, cell))
-    config = replace(
-        chaos_engine_config(knobs["poll_interval"]),
-        poll_dispatch=params["poll_dispatch"],
-    )
+    config = chaos_engine_config(knobs["poll_interval"])
     sharded = params["shards"] > 1 or params["corpus_size"] > 1
     if sharded:
         world = ShardedChaosWorld(
@@ -125,11 +120,7 @@ def _run_t2a(spec: ExperimentSpec, cell: Cell, seed: int) -> Tuple[List[float], 
     params = cell.params
     knobs = cell.sweep.knobs
     testbed = Testbed(
-        TestbedConfig(
-            seed=seed,
-            engine_config=EngineConfig(poll_dispatch=params["poll_dispatch"]),
-            fault_plan=resolve_fault_plan(spec, cell),
-        )
+        TestbedConfig(seed=seed, fault_plan=resolve_fault_plan(spec, cell))
     )
     testbed.build()
     controller = TestController(testbed, timeout=knobs["timeout"])

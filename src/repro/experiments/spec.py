@@ -15,8 +15,7 @@ A spec is a JSON object::
             "shards": [1, 4],
             "shard_strategy": ["service_hash"],
             "corpus_size": [6],
-            "delivery_mode": ["poll", "push"],
-            "poll_dispatch": ["heap"]
+            "delivery_mode": ["poll", "push"]
           },
           "knobs": {"poll_interval": 5.0}
         },
@@ -43,14 +42,14 @@ Three kinds ship built in:
     ``scenario`` (built-in chaos scenario name), ``fault_plan``
     (``"builtin"`` keeps the scenario's plan; any other value names an
     entry of the spec's ``fault_plans``), ``shards``, ``shard_strategy``,
-    ``corpus_size`` (sensor/sink pairs), ``delivery_mode``,
-    ``poll_dispatch``.
+    ``corpus_size`` (sensor/sink pairs), ``delivery_mode``.
 ``t2a``
     The Figure 4 testbed: one Table 4 applet measured through
     :meth:`~repro.testbed.controller.TestController.measure_t2a`, with
     the ``fault_plan`` axis driving ``TestbedConfig.fault_plan``
     (``"baseline"`` = fault-free Figure 4 run).  Axes: ``applet``,
-    ``fault_plan``, ``poll_dispatch``.
+    ``fault_plan``.  The ``variant`` knob must name a service variant
+    every swept applet offers.
 ``fleet``
     The NASA-wallpaper fleet of :mod:`repro.testbed.workload`.  Axes:
     ``corpus_size`` (installed applets), ``delivery_mode``.
@@ -72,7 +71,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.config import SHARD_STRATEGIES
 from repro.engine.push import DELIVERY_MODES
-from repro.engine.scheduler import POLL_DISPATCH_MODES
 from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.testbed.applets import APPLET_SUITE
 from repro.testbed.chaos import CHAOS_SCENARIOS
@@ -124,12 +122,10 @@ AXES: Dict[str, Dict[str, Tuple[Any, Any]]] = {
         "shard_strategy": ("service_hash", _choice(SHARD_STRATEGIES)),
         "corpus_size": (1, _positive_int),
         "delivery_mode": ("poll", _choice(DELIVERY_MODES)),
-        "poll_dispatch": ("heap", _choice(POLL_DISPATCH_MODES)),
     },
     KIND_T2A: {
         "applet": ("A2", _choice(tuple(APPLET_SUITE))),
         "fault_plan": (BASELINE_PLAN, _any_string),
-        "poll_dispatch": ("heap", _choice(POLL_DISPATCH_MODES)),
     },
     KIND_FLEET: {
         "corpus_size": (150, _positive_int),
@@ -295,6 +291,14 @@ def _parse_sweep(index: int, data: Any, plan_names: Sequence[str]) -> Sweep:
                 f"sweep {name!r}: knob {knob!r} must be {typ.__name__}, got {value!r}"
             )
         knobs[knob] = value
+    if kind == KIND_T2A:
+        for applet in dict(axes)["applet"]:
+            variants = APPLET_SUITE[applet].variants
+            if knobs["variant"] not in variants:
+                raise ExperimentSpecError(
+                    f"sweep {name!r}: applet {applet} has no "
+                    f"{knobs['variant']!r} variant; valid variants are {sorted(variants)}"
+                )
     return Sweep(name=name, kind=kind, repeats=repeats, axes=tuple(axes), knobs=knobs)
 
 

@@ -420,17 +420,6 @@ def merge_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
 #: byte-identical determinism check must exclude them.
 WALLCLOCK_METRICS = frozenset({"sim.events_per_wallsec"})
 
-#: Kernel metrics that legitimately differ between poll-dispatch modes
-#: (``EngineConfig.poll_dispatch``): the heap scheduler fires one wake
-#: event per *batch* of due polls where the per-applet-timer baseline
-#: fires one per poll, so raw simulator event counts diverge even
-#: though every poll, RNG draw, trace record, and engine metric is
-#: identical.  The heap/timers equivalence gate compares snapshots with
-#: these (and :data:`WALLCLOCK_METRICS`) removed; within one mode they
-#: are fully deterministic and stay in :func:`deterministic_snapshot`.
-DISPATCH_SENSITIVE_METRICS = frozenset({"sim.events_fired", "sim.runs"})
-
-
 def deterministic_snapshot(source: Any) -> Dict[str, Any]:
     """A snapshot with wall-clock-dependent metrics filtered out.
 
@@ -446,24 +435,6 @@ def deterministic_snapshot(source: Any) -> Dict[str, Any]:
             entry
             for entry in snapshot["metrics"]
             if entry["name"] not in WALLCLOCK_METRICS
-        ]
-    }
-
-
-def dispatch_invariant_snapshot(source: Any) -> Dict[str, Any]:
-    """A :func:`deterministic_snapshot` that is also poll-dispatch-invariant.
-
-    Drops :data:`DISPATCH_SENSITIVE_METRICS` on top of the wall-clock
-    filter, so the same seeded scenario run under ``poll_dispatch="heap"``
-    and ``poll_dispatch="timers"`` serializes byte-identically — the
-    equivalence gate used by ``tests/test_scheduler_equivalence.py`` and
-    ``make bench-scale`` (see ``docs/PERFORMANCE.md``).
-    """
-    snapshot = source.snapshot() if isinstance(source, MetricsRegistry) else source
-    excluded = WALLCLOCK_METRICS | DISPATCH_SENSITIVE_METRICS
-    return {
-        "metrics": [
-            entry for entry in snapshot["metrics"] if entry["name"] not in excluded
         ]
     }
 

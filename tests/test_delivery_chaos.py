@@ -6,7 +6,7 @@ fault window than a non-adaptive engine sends) *without* hurting anyone
 else — zero overload dead letters on healthy services, healthy-shard
 T2A p95 within 5% of the non-adaptive run — and after heal the victim's
 poll-interval distribution must converge back to its baseline (§4),
-across every shard strategy and both poll-dispatch modes.
+across every shard strategy and under a fixed polling cadence.
 
 These are the acceptance criteria `make degrade-check` enforces on the
 CLI path; here they are pinned as regressions with the library API.
@@ -17,7 +17,6 @@ import pytest
 from repro.engine.config import EngineConfig
 from repro.engine.delivery import DeliveryPolicy
 from repro.engine.poller import FixedPollingPolicy
-from repro.engine.scheduler import POLL_DISPATCH_MODES
 from repro.engine.sharding import SHARD_STRATEGIES
 from repro.reporting.adaptive_report import (
     MAX_QUARTILE_DRIFT,
@@ -96,17 +95,15 @@ class TestNoRetryStormPlain:
         assert "drop" in table
 
 
-class TestPollDispatchModes:
-    """Convergence holds in both poll-dispatch engines (satellite 3)."""
+class TestFixedPollingConvergence:
+    """Convergence holds when every applet polls on a fixed 5 s cadence."""
 
-    @pytest.mark.parametrize("mode", POLL_DISPATCH_MODES)
-    def test_convergence_per_dispatch_mode(self, mode):
+    def test_convergence_under_fixed_polling(self):
         config = EngineConfig(
             poll_policy=FixedPollingPolicy(5.0),
             initial_poll_delay=0.5,
             poll_timeout=10.0,
             action_timeout=10.0,
-            poll_dispatch=mode,
         )
         world = ChaosWorld(seed=SEED, engine_config=config, delivery=DeliveryPolicy())
         result = world.run(chaos_scenario("brownout"))

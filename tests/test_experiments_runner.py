@@ -118,6 +118,29 @@ class TestSpecValidation:
         with pytest.raises(ExperimentSpecError, match="unknown axes"):
             parse_spec(data)
 
+    def test_removed_poll_dispatch_axis_is_unknown(self):
+        data = tiny_spec_data()
+        data["sweeps"][1]["axes"]["poll_dispatch"] = ["heap", "timers"]
+        with pytest.raises(ExperimentSpecError, match=r"unknown axes \['poll_dispatch'\]"):
+            parse_spec(data)
+
+    def test_misspelt_variant_knob(self):
+        data = tiny_spec_data()
+        data["sweeps"][0]["knobs"]["variant"] = "oficial"
+        with pytest.raises(ExperimentSpecError, match="applet A5 has no 'oficial' variant"):
+            parse_spec(data)
+
+    def test_variant_missing_from_a_swept_applet(self):
+        data = tiny_spec_data()
+        data["sweeps"][0]["axes"]["applet"] = ["A2", "A5"]
+        data["sweeps"][0]["knobs"]["variant"] = "e1"
+        with pytest.raises(
+            ExperimentSpecError,
+            match=r"'t2a': applet A5 has no 'e1' variant; "
+            r"valid variants are \['hosted_alexa', 'official'\]",
+        ):
+            parse_spec(data)
+
     def test_axis_value_out_of_domain(self):
         data = tiny_spec_data()
         data["sweeps"][0]["axes"]["applet"] = ["A99"]
@@ -193,13 +216,13 @@ class TestExpansion:
         spec = parse_spec(tiny_spec_data())
         chaos = [c for c in expand_cells(spec) if c.sweep.name == "chaos"]
         assert all(c.params["shards"] == 1 for c in chaos)
-        assert all(c.params["poll_dispatch"] == "heap" for c in chaos)
+        assert all("poll_dispatch" not in c.params for c in chaos)
 
     def test_committed_specs_parse(self):
         smoke = load_spec(SMOKE_SPEC)
         full = load_spec(FULL_SPEC)
         assert smoke.cell_count == 10
-        assert full.cell_count == 38
+        assert full.cell_count == 32
         # The full matrix must sweep the whole applet suite against a
         # fault plan alongside the Figure 4 baseline (the ISSUE-9 slice).
         t2a = [c for c in expand_cells(full) if c.sweep.kind == "t2a"]

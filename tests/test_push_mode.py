@@ -7,7 +7,7 @@ Satellite coverage for ISSUE 8:
   ``(time, priority, seq)`` total order (whichever was scheduled first
   fires first).  A crafted same-timestamp schedule replays
   byte-identically: same delivered order, same
-  ``dispatch_invariant_snapshot`` bytes.
+  ``deterministic_snapshot`` bytes.
 * **Breaker parking** — a push-contract service whose breaker is open
   at the *receiving* engine has its notifications parked on the shared
   hint-suppression dict (counted by ``realtime_hints_suppressed``) and
@@ -30,7 +30,7 @@ from repro.engine import (
 from repro.engine.oauth import OAuthAuthority
 from repro.engine.resilience import BreakerState
 from repro.net import Address, FixedLatency, Network
-from repro.obs.metrics import MetricsRegistry, dispatch_invariant_snapshot
+from repro.obs.metrics import MetricsRegistry, deterministic_snapshot
 from repro.services import ActionEndpoint, PartnerService, TriggerEndpoint
 from repro.simcore import Rng, Simulator
 from repro.simcore.trace import Trace
@@ -122,7 +122,7 @@ class TestSameInstantTieBreak:
             "drains": drains,
             "polls": polls,
             "snapshot": json.dumps(
-                dispatch_invariant_snapshot(metrics), sort_keys=True
+                deterministic_snapshot(metrics), sort_keys=True
             ).encode(),
             "stats": fleet.stats(),
         }

@@ -7,25 +7,24 @@ mid-run) must trigger compaction rather than pinning the heap at its
 pre-storm size, ``_retry_timers`` cancellation on uninstall must keep
 working (parked retries dead-letter, not leak), and the action
 conservation invariant ``dispatched == delivered + in_retry +
-dead_lettered + in_replay`` must survive the storm under both dispatch
-modes.
+dead_lettered + in_replay`` must survive the storm.  The storm itself
+must poll exactly as the one-event-per-poll reference (``_TimerOracle``)
+does, including across the compaction floor.
 """
 
-import pytest
-
 from repro.engine import EngineConfig, FixedPollingPolicy, RetryPolicy
-from repro.engine.scheduler import COMPACT_MIN_ENTRIES, POLL_DISPATCH_MODES
+from repro.engine.scheduler import COMPACT_MIN_ENTRIES, HeapPollScheduler
 from repro.net.http import HttpError
 
 from tests.helpers import build_engine_world, install_ping_applet
+from tests.test_scheduler_equivalence import _TimerOracle, dispatching_with
 
 
-def storm_world(mode: str, n_applets: int, **config_overrides):
+def storm_world(n_applets: int, **config_overrides):
     """A single-engine world with ``n_applets`` fast-polling applets."""
     config = EngineConfig(
         poll_policy=FixedPollingPolicy(2.0),
         initial_poll_delay=0.5,
-        poll_dispatch=mode,
         **config_overrides,
     )
     world = build_engine_world(config, with_trace=False)
@@ -49,7 +48,7 @@ class TestUninstallStormCompaction:
     def test_storm_compacts_stale_entries(self):
         # enough applets that the heap crosses the compaction floor
         n = COMPACT_MIN_ENTRIES * 2
-        world, applets = storm_world("heap", n)
+        world, applets = storm_world(n)
         world.sim.run_until(5.0)  # everyone polled at least once
         stats = world.engine.poll_dispatch_stats()
         assert stats["live_entries"] == n
@@ -70,7 +69,7 @@ class TestUninstallStormCompaction:
         assert world.engine.poll_dispatch_stats()["live_entries"] == n // 2
 
     def test_small_heaps_skip_compaction(self):
-        world, applets = storm_world("heap", 10)
+        world, applets = storm_world(10)
         world.sim.run_until(3.0)
         for applet in applets[:5]:
             world.engine.uninstall_applet(applet.applet_id)
@@ -82,21 +81,20 @@ class TestUninstallStormCompaction:
         assert world.engine.poll_dispatch_stats()["stale_entries"] == 0
 
     def test_uninstalled_applets_never_poll_again(self):
-        for mode in POLL_DISPATCH_MODES:
-            world, applets = storm_world(mode, 20)
-            world.sim.run_until(3.0)
-            victim = applets[3]
-            polls_before = world.engine.poll_count(victim.applet_id)
-            world.engine.uninstall_applet(victim.applet_id)
-            world.sim.run_until(20.0)
-            assert victim.applet_id not in [
-                rt.applet.applet_id for rt in world.engine._applets.values()
-            ]
-            assert world.engine.stats()["applets"] == 19, mode
-            assert polls_before >= 1
+        world, applets = storm_world(20)
+        world.sim.run_until(3.0)
+        victim = applets[3]
+        polls_before = world.engine.poll_count(victim.applet_id)
+        world.engine.uninstall_applet(victim.applet_id)
+        world.sim.run_until(20.0)
+        assert victim.applet_id not in [
+            rt.applet.applet_id for rt in world.engine._applets.values()
+        ]
+        assert world.engine.stats()["applets"] == 19
+        assert polls_before >= 1
 
     def test_reinstall_after_storm_polls_fresh(self):
-        world, applets = storm_world("heap", 50)
+        world, applets = storm_world(50)
         world.sim.run_until(3.0)
         for applet in applets:
             world.engine.uninstall_applet(applet.applet_id)
@@ -108,9 +106,8 @@ class TestUninstallStormCompaction:
 
 
 class TestDisableEnableChurn:
-    @pytest.mark.parametrize("mode", POLL_DISPATCH_MODES)
-    def test_disable_halts_enable_resumes(self, mode):
-        world, applets = storm_world(mode, 8)
+    def test_disable_halts_enable_resumes(self):
+        world, applets = storm_world(8)
         world.sim.run_until(3.0)
         target = applets[0]
         world.engine.disable_applet(target.applet_id)
@@ -122,7 +119,7 @@ class TestDisableEnableChurn:
         assert world.engine.poll_count(target.applet_id) > halted_at
 
     def test_rapid_toggle_leaves_one_live_entry(self):
-        world, applets = storm_world("heap", 5)
+        world, applets = storm_world(5)
         target = applets[0]
         for _ in range(25):
             world.engine.disable_applet(target.applet_id)
@@ -136,14 +133,13 @@ class TestDisableEnableChurn:
 
 
 class TestRetryTimersUnderStorm:
-    def retry_world(self, mode: str, n_applets: int = 12):
+    def retry_world(self, n_applets: int = 12):
         # Polls must keep succeeding (events have to be *observed* to
         # dispatch actions), so the fault is injected on the action
         # executor only — not via set_outage, which fails polls too.
         # base_delay=30 keeps failed actions parked in retry long enough
         # to storm them; breaker disabled so nothing gets shed instead.
         world, applets = storm_world(
-            mode,
             n_applets,
             retry_policy=RetryPolicy(max_attempts=4, base_delay=30.0, jitter=0.0),
             breaker_policy=None,
@@ -161,9 +157,8 @@ class TestRetryTimersUnderStorm:
 
         return world, applets, heal
 
-    @pytest.mark.parametrize("mode", POLL_DISPATCH_MODES)
-    def test_uninstall_cancels_parked_retries(self, mode):
-        world, applets, _ = self.retry_world(mode)
+    def test_uninstall_cancels_parked_retries(self):
+        world, applets, _ = self.retry_world()
         world.sim.run_until(1.5)  # registration polls done
         for i in range(4):
             world.service.ingest_event("ping", {"n": i})
@@ -190,9 +185,8 @@ class TestRetryTimersUnderStorm:
         assert engine.actions_delivered == 0
         assert conservation_holds(engine)
 
-    @pytest.mark.parametrize("mode", POLL_DISPATCH_MODES)
-    def test_conservation_through_fault_recovery(self, mode):
-        world, applets, heal = self.retry_world(mode)
+    def test_conservation_through_fault_recovery(self):
+        world, applets, heal = self.retry_world()
         world.sim.run_until(1.5)
         for i in range(3):
             world.service.ingest_event("ping", {"n": i})
@@ -211,21 +205,35 @@ class TestRetryTimersUnderStorm:
 
 
 class TestStormEquivalenceAcrossModes:
-    def test_storm_world_counters_match(self):
-        # the uninstall storm is dispatch-mode-invariant end to end
-        outcomes = {}
-        for mode in POLL_DISPATCH_MODES:
-            world, applets = storm_world(mode, 60)
-            world.sim.run_until(5.0)
+    """An uninstall storm polls exactly as the one-event-per-poll oracle."""
+
+    def storm(self, scheduler, n_applets: int, until: float, horizon: float):
+        with dispatching_with(scheduler):
+            world, applets = storm_world(n_applets)
+            world.sim.run_until(until)
             for applet in applets[::2]:
                 world.engine.uninstall_applet(applet.applet_id)
-            world.sim.run_until(20.0)
-            outcomes[mode] = {
-                "polls": world.engine.polls_sent,
-                "applets": world.engine.stats()["applets"],
-                "per_applet": [
-                    world.engine.poll_count(applet.applet_id)
-                    for applet in applets[1::2]
-                ],
-            }
-        assert outcomes["heap"] == outcomes["timers"]
+            world.sim.run_until(horizon)
+        outcome = {
+            "polls": world.engine.polls_sent,
+            "applets": world.engine.stats()["applets"],
+            "per_applet": [
+                world.engine.poll_count(applet.applet_id)
+                for applet in applets[1::2]
+            ],
+        }
+        return outcome, world.engine
+
+    def test_storm_world_counters_match(self):
+        heap, _ = self.storm(HeapPollScheduler, 60, until=5.0, horizon=20.0)
+        oracle, _ = self.storm(_TimerOracle, 60, until=5.0, horizon=20.0)
+        assert heap == oracle
+
+    def test_storm_across_the_compaction_floor_matches(self):
+        # half of 2 * COMPACT_MIN_ENTRIES uninstalled at once: the heap
+        # side compacts mid-storm, which must not move a single poll
+        n = 2 * COMPACT_MIN_ENTRIES
+        heap, engine = self.storm(HeapPollScheduler, n, until=5.0, horizon=15.0)
+        oracle, _ = self.storm(_TimerOracle, n, until=5.0, horizon=15.0)
+        assert engine.poll_dispatch_stats()["compactions"] >= 1
+        assert heap == oracle

@@ -1,22 +1,25 @@
-"""Heap-scheduler vs per-applet-timer dispatch equivalence (ISSUE 6).
+"""Heap-scheduler equivalence against a one-event-per-poll oracle (ISSUE 6).
 
 The heap scheduler's whole contract is *observational equivalence*: for
 the same seed and corpus it must fire the same polls at the same
-simulation times in the same order as the seed's per-applet timers,
-consuming the engine RNG identically — so traces, T2A samples, and
-deterministic metric snapshots (filtered through
-:func:`~repro.obs.metrics.dispatch_invariant_snapshot`) are identical,
-and only wall-clock gauges plus the kernel event counters in
-:data:`~repro.obs.metrics.DISPATCH_SENSITIVE_METRICS` may differ.
+simulation times in the same order as one simulator timer event per
+poll would, consuming the engine RNG identically — so traces, T2A
+samples, and deterministic metric snapshots (filtered through
+:func:`dispatch_invariant_snapshot`) are identical, and only wall-clock
+gauges plus the kernel event counters in
+:data:`DISPATCH_SENSITIVE_METRICS` may differ.
 
-This suite pins that contract with hypothesis over seeds and corpus
-shapes, end-to-end over the fleet workload, across all three shard
-strategies, plus the regression tests for the per-service bound handles
-of ``{ns}.polls_sent`` / ``{ns}.poll_interval_seconds`` (registry swap,
-shard namespacing).
+:class:`_TimerOracle` is that one-event-per-poll dispatch, kept here as
+the reference: :func:`dispatching_with` builds engines with it in place
+of ``HeapPollScheduler``.  This suite pins the contract with hypothesis
+over seeds and corpus shapes, end-to-end over the fleet workload, across
+all three shard strategies, plus the regression tests for the
+per-service bound handles of ``{ns}.polls_sent`` /
+``{ns}.poll_interval_seconds`` (registry swap, shard namespacing).
 """
 
 import json
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -34,23 +37,33 @@ from repro.engine import (
 from repro.engine.engine import _AppletRuntime
 from repro.engine.applet import Applet
 from repro.engine.oauth import OAuthAuthority
-from repro.engine.scheduler import (
-    HeapPollScheduler,
-    POLL_DISPATCH_MODES,
-    TimerPollScheduler,
-    make_poll_scheduler,
-)
+from repro.engine.scheduler import HeapPollScheduler
 from repro.net import Address, FixedLatency, Network
-from repro.obs.metrics import (
-    DISPATCH_SENSITIVE_METRICS,
-    MetricsRegistry,
-    dispatch_invariant_snapshot,
-)
+from repro.obs.metrics import WALLCLOCK_METRICS, MetricsRegistry
 from repro.services import ActionEndpoint, PartnerService, TriggerEndpoint
 from repro.simcore import Rng, Simulator
 from repro.testbed.workload import FleetWorld
 
 from tests.helpers import build_engine_world, install_ping_applet
+
+#: Kernel metrics that legitimately differ between the heap scheduler
+#: and the oracle: one wake event fires a whole *batch* of due polls
+#: where the oracle fires one event per poll, so raw simulator event
+#: counts diverge even though every poll, RNG draw, trace record, and
+#: engine metric is identical.  Within one dispatch they are fully
+#: deterministic and stay in ``deterministic_snapshot``.
+DISPATCH_SENSITIVE_METRICS = frozenset({"sim.events_fired", "sim.runs"})
+
+
+def dispatch_invariant_snapshot(metrics) -> dict:
+    """A registry snapshot minus wall-clock and dispatch-sensitive metrics."""
+    excluded = WALLCLOCK_METRICS | DISPATCH_SENSITIVE_METRICS
+    return {
+        "metrics": [
+            entry for entry in metrics.snapshot()["metrics"]
+            if entry["name"] not in excluded
+        ]
+    }
 
 
 def snapshot_blob(metrics) -> bytes:
@@ -58,16 +71,48 @@ def snapshot_blob(metrics) -> bytes:
     return json.dumps(dispatch_invariant_snapshot(metrics), sort_keys=True).encode()
 
 
+class _TimerOracle:
+    """The reference dispatch: one simulator timer event per scheduled poll.
+
+    Slow and obvious — every reschedule cancels the applet's live event
+    and schedules a fresh one — which is what makes it the reference.
+    """
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self.pending = {}  # runtime -> its one live poll Event
+
+    def schedule(self, runtime, delay: float, initial: bool = False) -> None:
+        self.cancel(runtime)
+        self.pending[runtime] = self.engine.sim.schedule(delay, self._fire, runtime)
+
+    def cancel(self, runtime) -> None:
+        event = self.pending.pop(runtime, None)
+        if event is not None:
+            event.cancel()
+
+    def _fire(self, runtime) -> None:
+        del self.pending[runtime]
+        self.engine._poll(runtime)
+
+
+@contextmanager
+def dispatching_with(scheduler):
+    """Every ``IftttEngine`` built inside uses ``scheduler`` for its polls."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.engine.engine.HeapPollScheduler", scheduler)
+        yield
+
+
 # -- scheduler-level harness ----------------------------------------------------
 
 
 class StubEngine:
-    """The minimal surface the schedulers need: sim, ``_poll``, ``_applets``."""
+    """The minimal surface a poll scheduler needs: ``sim`` and ``_poll``."""
 
-    def __init__(self, mode: str):
+    def __init__(self, scheduler=HeapPollScheduler):
         self.sim = Simulator()
-        self._applets = {}
-        self._scheduler = make_poll_scheduler(self, mode)
+        self._scheduler = scheduler(self)
         self.fired = []
 
     def add_runtime(self, applet_id: int) -> _AppletRuntime:
@@ -78,37 +123,24 @@ class StubEngine:
             trigger=TriggerRef("svc", "t"),
             action=ActionRef("svc", "a", {}),
         )
-        runtime = _AppletRuntime(applet=applet, policy=FixedPollingPolicy(10.0))
-        self._applets[applet_id] = runtime
-        return runtime
+        return _AppletRuntime(applet=applet, policy=FixedPollingPolicy(10.0))
 
     def _poll(self, runtime):
         self.fired.append((self.sim.now, runtime.applet.applet_id))
 
 
 class TestFactoryAndConfig:
-    def test_modes_registry(self):
-        assert POLL_DISPATCH_MODES == ("heap", "timers")
-
-    def test_factory_builds_each_mode(self):
-        assert isinstance(make_poll_scheduler(StubEngine("heap"), "heap"),
-                          HeapPollScheduler)
-        assert isinstance(make_poll_scheduler(StubEngine("heap"), "timers"),
-                          TimerPollScheduler)
-
-    def test_factory_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            make_poll_scheduler(StubEngine("heap"), "calendar")
-
     def test_config_rejects_unknown(self):
         with pytest.raises(ValueError):
             EngineConfig(poll_dispatch="cron")
+        with pytest.raises(ValueError, match="per-applet-timer dispatch was removed"):
+            EngineConfig(poll_dispatch="timers")
 
     def test_config_defaults_to_heap(self):
         assert EngineConfig().poll_dispatch == "heap"
 
     def test_negative_delay_rejected(self):
-        engine = StubEngine("heap")
+        engine = StubEngine()
         runtime = engine.add_runtime(1)
         with pytest.raises(ValueError):
             engine._scheduler.schedule(runtime, -1.0)
@@ -116,19 +148,21 @@ class TestFactoryAndConfig:
 
 class TestHeapSchedulerSemantics:
     def test_same_instant_polls_batch_under_one_wake(self):
-        engine = StubEngine("heap")
+        engine = StubEngine()
         runtimes = [engine.add_runtime(i) for i in range(50)]
         for runtime in runtimes:
             engine._scheduler.schedule(runtime, 5.0)
         engine.sim.run()
         stats = engine._scheduler.stats()
+        assert set(stats) == {"heap_entries", "live_entries", "stale_entries",
+                              "compactions", "wakes", "batched_polls"}
         assert stats["wakes"] == 1
         assert stats["batched_polls"] == 50
         # FIFO within the instant: scheduling order is firing order
         assert engine.fired == [(5.0, i) for i in range(50)]
 
     def test_timer_mode_fires_identically(self):
-        heap_engine, timer_engine = StubEngine("heap"), StubEngine("timers")
+        heap_engine, timer_engine = StubEngine(), StubEngine(_TimerOracle)
         for engine in (heap_engine, timer_engine):
             for i in range(20):
                 runtime = engine.add_runtime(i)
@@ -137,7 +171,7 @@ class TestHeapSchedulerSemantics:
         assert heap_engine.fired == timer_engine.fired
 
     def test_reschedule_supersedes_earlier_entry(self):
-        engine = StubEngine("heap")
+        engine = StubEngine()
         runtime = engine.add_runtime(1)
         engine._scheduler.schedule(runtime, 8.0)
         engine._scheduler.schedule(runtime, 2.0)  # hint pulls the poll earlier
@@ -147,7 +181,7 @@ class TestHeapSchedulerSemantics:
         assert stats["stale_entries"] == 0  # stale entry consumed on pop
 
     def test_cancel_is_lazy_and_accounted(self):
-        engine = StubEngine("heap")
+        engine = StubEngine()
         runtime = engine.add_runtime(1)
         engine._scheduler.schedule(runtime, 3.0)
         engine._scheduler.cancel(runtime)
@@ -158,7 +192,7 @@ class TestHeapSchedulerSemantics:
         assert engine._scheduler.stats()["stale_entries"] == 0
 
     def test_wake_pulled_earlier_by_nearer_poll(self):
-        engine = StubEngine("heap")
+        engine = StubEngine()
         late, early = engine.add_runtime(1), engine.add_runtime(2)
         engine._scheduler.schedule(late, 30.0)
         engine._scheduler.schedule(early, 1.0)
@@ -167,26 +201,22 @@ class TestHeapSchedulerSemantics:
         engine.sim.run()
         assert engine.fired == [(1.0, 2), (30.0, 1)]
 
-    def test_stats_shape_matches_across_modes(self):
-        keys = {"mode", "heap_entries", "live_entries", "stale_entries",
-                "compactions", "wakes", "batched_polls"}
-        for mode in POLL_DISPATCH_MODES:
-            engine = StubEngine(mode)
-            assert set(engine._scheduler.stats()) == keys
-
 
 # -- end-to-end fleet equivalence ----------------------------------------------
 
 
-def run_fleet(mode: str, n_applets: int, seed: int, publications: int):
-    """One instrumented fleet run; returns every dispatch-visible output."""
-    config = EngineConfig(
+def fleet_config() -> EngineConfig:
+    return EngineConfig(
         poll_policy=ProductionPollingPolicy(median=60.0, minimum=20.0),
         initial_poll_jitter=40.0,
-        poll_dispatch=mode,
     )
-    world = FleetWorld(n_applets, engine_config=config, seed=seed)
-    result = world.run_publications(publications=publications, spacing=150.0)
+
+
+def run_fleet(scheduler, n_applets: int, seed: int, publications: int):
+    """One instrumented fleet run; returns every dispatch-visible output."""
+    with dispatching_with(scheduler):
+        world = FleetWorld(n_applets, engine_config=fleet_config(), seed=seed)
+        result = world.run_publications(publications=publications, spacing=150.0)
     polls = [
         (rec.time, rec.get("applet_id"))
         for rec in world.trace.query(kind="engine_poll_sent")
@@ -196,7 +226,7 @@ def run_fleet(mode: str, n_applets: int, seed: int, publications: int):
         "latencies": result.latencies,  # the §4 T2A samples
         "actions": result.actions_executed,
         "snapshot": snapshot_blob(world.metrics),
-        "scheduler_mode": world.engine.poll_dispatch_stats()["mode"],
+        "scheduler": type(world.engine._scheduler),
     }
 
 
@@ -208,61 +238,54 @@ class TestFleetEquivalence:
     )
     @settings(max_examples=6, deadline=None)
     def test_same_seed_same_world(self, seed, n_applets, publications):
-        heap = run_fleet("heap", n_applets, seed, publications)
-        timers = run_fleet("timers", n_applets, seed, publications)
-        assert heap["scheduler_mode"] == "heap"
-        assert timers["scheduler_mode"] == "timers"
+        heap = run_fleet(HeapPollScheduler, n_applets, seed, publications)
+        oracle = run_fleet(_TimerOracle, n_applets, seed, publications)
+        assert heap["scheduler"] is HeapPollScheduler
+        assert oracle["scheduler"] is _TimerOracle
         # identical poll orderings, to the simulation instant
-        assert heap["polls"] == timers["polls"]
+        assert heap["polls"] == oracle["polls"]
         # identical T2A samples
-        assert heap["latencies"] == timers["latencies"]
-        assert heap["actions"] == timers["actions"]
+        assert heap["latencies"] == oracle["latencies"]
+        assert heap["actions"] == oracle["actions"]
         # byte-identical deterministic snapshot
-        assert heap["snapshot"] == timers["snapshot"]
+        assert heap["snapshot"] == oracle["snapshot"]
 
     def test_larger_fleet_pinned_case(self):
-        heap = run_fleet("heap", 120, seed=2017, publications=2)
-        timers = run_fleet("timers", 120, seed=2017, publications=2)
-        assert heap["polls"] == timers["polls"]
+        heap = run_fleet(HeapPollScheduler, 120, seed=2017, publications=2)
+        oracle = run_fleet(_TimerOracle, 120, seed=2017, publications=2)
+        assert heap["polls"] == oracle["polls"]
         assert len(heap["polls"]) > 200
-        assert heap["snapshot"] == timers["snapshot"]
+        assert heap["snapshot"] == oracle["snapshot"]
 
     def test_dispatch_sensitive_metrics_are_the_only_kernel_delta(self):
         # the full (unfiltered) snapshots may differ ONLY on the
         # documented kernel counters + wall-clock gauges
-        from repro.obs.metrics import WALLCLOCK_METRICS
-
         results = {}
-        for mode in POLL_DISPATCH_MODES:
-            config = EngineConfig(
-                poll_policy=ProductionPollingPolicy(median=60.0, minimum=20.0),
-                initial_poll_jitter=40.0,
-                poll_dispatch=mode,
-            )
-            world = FleetWorld(40, engine_config=config, seed=9)
-            world.run_publications(publications=1, spacing=150.0)
-            results[mode] = world.metrics.snapshot()
+        for scheduler in (HeapPollScheduler, _TimerOracle):
+            with dispatching_with(scheduler):
+                world = FleetWorld(40, engine_config=fleet_config(), seed=9)
+                world.run_publications(publications=1, spacing=150.0)
+            results[scheduler] = world.metrics.snapshot()
         excluded = WALLCLOCK_METRICS | DISPATCH_SENSITIVE_METRICS
         differing = {
-            entry["name"]
-            for heap_entry, timer_entry in zip(
-                results["heap"]["metrics"], results["timers"]["metrics"]
+            heap_entry["name"]
+            for heap_entry, oracle_entry in zip(
+                results[HeapPollScheduler]["metrics"], results[_TimerOracle]["metrics"]
             )
-            for entry in (heap_entry,)
-            if heap_entry != timer_entry
+            if heap_entry != oracle_entry
         }
         assert differing <= excluded
         # and the kernel counters DO differ (one wake fires many polls),
         # proving the filter earns its keep
-        heap_names = {e["name"] for e in results["heap"]["metrics"]}
+        heap_names = {e["name"] for e in results[HeapPollScheduler]["metrics"]}
         assert "sim.events_fired" in heap_names
 
 
 # -- sharded equivalence --------------------------------------------------------
 
 
-def run_sharded(mode: str, strategy: str, seed: int = 11):
-    """A 3-shard fleet over 5 services with event traffic, both modes."""
+def run_sharded(scheduler, strategy: str, seed: int = 11):
+    """A 3-shard fleet over 5 services with event traffic."""
     sim = Simulator()
     rng = Rng(seed=seed, name="equiv-shard")
     metrics = MetricsRegistry()
@@ -270,20 +293,21 @@ def run_sharded(mode: str, strategy: str, seed: int = 11):
     net = Network(sim, rng.fork("network"), metrics=metrics)
     # Jittered (continuous) poll times: cross-shard simultaneous polls
     # would batch per shard under the heap scheduler and interleave
-    # globally under timers, which is an equally valid order but changes
-    # what shared order-sensitive sketches (net.* quantiles) observe.
-    # Continuous times make exact cross-shard ties measure-zero, so the
-    # two modes produce the same global order — the property under test.
+    # globally under the oracle, which is an equally valid order but
+    # changes what shared order-sensitive sketches (net.* quantiles)
+    # observe.  Continuous times make exact cross-shard ties
+    # measure-zero, so both dispatches produce the same global order —
+    # the property under test.
     config = EngineConfig(
         poll_policy=ProductionPollingPolicy(median=8.0, sigma=0.4, minimum=2.0),
         initial_poll_delay=0.5,
         initial_poll_jitter=3.0,
-        poll_dispatch=mode,
     )
-    fleet = ShardedEngine(
-        net, config=config, rng=rng.fork("engine"),
-        num_shards=3, shard_strategy=strategy,
-    )
+    with dispatching_with(scheduler):
+        fleet = ShardedEngine(
+            net, config=config, rng=rng.fork("engine"),
+            num_shards=3, shard_strategy=strategy,
+        )
     delivered = []
     services = []
     for i in range(5):
@@ -320,7 +344,7 @@ def run_sharded(mode: str, strategy: str, seed: int = 11):
     return {
         "delivered": delivered,
         "snapshot": snapshot_blob(metrics),
-        "modes": [shard.poll_dispatch_stats()["mode"] for shard in fleet.shards],
+        "schedulers": [type(shard._scheduler) for shard in fleet.shards],
         "conservation": conservation,
     }
 
@@ -328,16 +352,16 @@ def run_sharded(mode: str, strategy: str, seed: int = 11):
 class TestShardedEquivalence:
     @pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
     def test_modes_agree_under_every_strategy(self, strategy):
-        heap = run_sharded("heap", strategy)
-        timers = run_sharded("timers", strategy)
-        assert heap["modes"] == ["heap"] * 3
-        assert timers["modes"] == ["timers"] * 3
-        assert heap["delivered"] == timers["delivered"]
+        heap = run_sharded(HeapPollScheduler, strategy)
+        oracle = run_sharded(_TimerOracle, strategy)
+        assert heap["schedulers"] == [HeapPollScheduler] * 3
+        assert oracle["schedulers"] == [_TimerOracle] * 3
+        assert heap["delivered"] == oracle["delivered"]
         assert len(heap["delivered"]) == 8
         # merged-snapshot algebra preserved: identical shard-scoped and
         # merged engine.* series, byte for byte
-        assert heap["snapshot"] == timers["snapshot"]
-        assert all(heap["conservation"]) and all(timers["conservation"])
+        assert heap["snapshot"] == oracle["snapshot"]
+        assert all(heap["conservation"]) and all(oracle["conservation"])
 
 
 # -- per-service bound metric handles (satellite) -------------------------------

@@ -28,7 +28,6 @@ from repro.engine import (
     EngineConfig,
     FixedPollingPolicy,
     IftttEngine,
-    POLL_DISPATCH_MODES,
     PollingPolicy,
     SHARD_STRATEGIES,
     ShardedEngine,
@@ -592,14 +591,13 @@ class TestShardedFleetWorld:
 
     @given(
         strategy=st.sampled_from(sorted(SHARD_STRATEGIES)),
-        dispatch=st.sampled_from(sorted(POLL_DISPATCH_MODES)),
         seed=st.integers(min_value=0, max_value=2 ** 16),
         n_applets=st.integers(min_value=6, max_value=24),
         publications=st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=6, deadline=None)
     def test_every_publication_reaches_every_applet_repeatably(
-        self, strategy, dispatch, seed, n_applets, publications
+        self, strategy, seed, n_applets, publications
     ):
         def run():
             return ShardedFleetWorld(
@@ -610,7 +608,6 @@ class TestShardedFleetWorld:
                     initial_poll_delay=0.5,
                     poll_timeout=10.0,
                     action_timeout=10.0,
-                    poll_dispatch=dispatch,
                 ),
                 seed=seed,
                 shard_strategy=strategy,
