@@ -17,8 +17,7 @@ Implements the online applet-execution phase exactly as §2.2 profiles it:
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.engine.applet import Applet, ActionRef, AppletState, QueryRef, TriggerRef
 from repro.engine.filters import Expr, FilterEvalError, parse as parse_filter
@@ -155,7 +154,9 @@ class _AppletRuntime:
     stand-in harnesses that build runtimes by hand leave it ``None``.
     ``seen_ids``/``seen_order`` are the dedupe window, ``None`` until the
     applet's first event: usage is heavy-tailed (§3) and most polls come
-    back empty (§4), so most of a fleet never needs one.
+    back empty (§4), so most of a fleet never needs one.  The order is a
+    ``list``, not a ``deque``: a fanned-out applet holds a few ids, and an
+    empty deque alone is 760 bytes.
     """
 
     __slots__ = (
@@ -188,7 +189,7 @@ class _AppletRuntime:
         self.filter_expr = filter_expr
         self.link = link
         self.seen_ids: Optional[Set[int]] = None
-        self.seen_order: Optional[Deque[int]] = None
+        self.seen_order: Optional[List[int]] = None
         self.poll_in_flight = False
         self.polls = 0
         self.last_poll_at: Optional[float] = None
@@ -962,8 +963,10 @@ class IftttEngine(HttpNode):
         seen ``meta.id``s, remembering — and returning — the new ones.
 
         Called on every poll response, and most carry nothing: the window
-        (a set and a deque, ~1 KB empty) exists from the applet's first
-        event, not from install, so an idle applet does not own one.
+        (a set and a list, ~300 B holding one id) exists from the applet's
+        first event, not from install, so an idle applet does not own one.
+        Eviction shifts the list, and only once ``dedupe_window`` ids are
+        held.
         """
         seen, order = runtime.seen_ids, runtime.seen_order
         window = self.config.dedupe_window
@@ -972,13 +975,13 @@ class IftttEngine(HttpNode):
             event_id = wire["meta"]["id"]
             if seen is None:
                 seen = runtime.seen_ids = set()
-                order = runtime.seen_order = deque()
+                order = runtime.seen_order = []
             elif event_id in seen:
                 continue
             seen.add(event_id)
             order.append(event_id)
             while len(order) > window:
-                seen.discard(order.popleft())
+                seen.discard(order.pop(0))
             fresh.append(wire)
         return fresh
 

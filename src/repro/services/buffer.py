@@ -12,9 +12,8 @@ as the IFTTT API specifies).
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Tuple, Union
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, NamedTuple, Tuple, Union
 
 _event_ids = itertools.count(1)
 
@@ -24,10 +23,16 @@ DEFAULT_CAPACITY = 500
 #: sequence, which reads exactly as an empty ring does.
 _NO_EVENTS: Tuple[()] = ()
 
+#: The ingredients of an event that exposes none, shared by all of them.
+_NO_INGREDIENTS: Mapping[str, Any] = MappingProxyType({})
 
-@dataclass(frozen=True)
-class TriggerEvent:
+
+class TriggerEvent(NamedTuple):
     """One occurrence of a trigger condition.
+
+    A tuple with named fields rather than a dataclass: one is buffered per
+    matching identity per publication, and a popular trigger fans out to
+    thousands (docs/PERFORMANCE.md, "Where a publication's bytes go").
 
     Attributes
     ----------
@@ -39,16 +44,23 @@ class TriggerEvent:
     ingredients:
         Values exposed to the action's field templating
         (e.g. ``{"subject": ..., "from": ...}`` for a new-email event).
+        Read-only: the events one publication buffers share one mapping.
     """
 
     event_id: int
     created_at: float
-    ingredients: Dict[str, Any] = field(default_factory=dict)
+    ingredients: Mapping[str, Any] = _NO_INGREDIENTS
 
     @staticmethod
-    def create(created_at: float, **ingredients: Any) -> "TriggerEvent":
+    def create(created_at: float, /, **ingredients: Any) -> "TriggerEvent":
         """Mint a new event with a fresh id."""
-        return TriggerEvent(event_id=next(_event_ids), created_at=created_at, ingredients=dict(ingredients))
+        return TriggerEvent.mint(created_at, MappingProxyType(ingredients))
+
+    @staticmethod
+    def mint(created_at: float, ingredients: Mapping[str, Any]) -> "TriggerEvent":
+        """Mint a new event with a fresh id around ``ingredients`` as given:
+        a read-only mapping, which the caller may share across events."""
+        return TriggerEvent(next(_event_ids), created_at, ingredients)
 
     def to_wire(self) -> Dict[str, Any]:
         """Serialize to the poll-response shape."""
@@ -62,8 +74,11 @@ class TriggerBuffer:
     """A bounded ring of trigger events for one trigger identity.
 
     One exists per polled identity, and at any instant most identities
-    have never seen an event (§3's heavy tail), so the ring itself — 760
-    bytes empty — is allocated by the first :meth:`append`, not here.
+    have never seen an event (§3's heavy tail), so the ring is allocated
+    by the first :meth:`append`, not here.  It is a ``list`` rather than
+    a ``deque(maxlen=capacity)``, whose 760 bytes a fanned-out identity
+    holding a few events would pay in full; evicting the oldest shifts
+    the list, which happens only once ``capacity`` events are held.
     """
 
     __slots__ = ("capacity", "_events", "total_appended", "dropped")
@@ -72,7 +87,7 @@ class TriggerBuffer:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._events: Union[Deque[TriggerEvent], Tuple[()]] = _NO_EVENTS
+        self._events: Union[List[TriggerEvent], Tuple[()]] = _NO_EVENTS
         self.total_appended = 0
         self.dropped = 0
 
@@ -80,10 +95,11 @@ class TriggerBuffer:
         """Buffer one event; the oldest is dropped when full."""
         events = self._events
         if events is _NO_EVENTS:
-            events = self._events = deque(maxlen=self.capacity)
-        elif len(events) == self.capacity:
-            self.dropped += 1
+            events = self._events = []
         events.append(event)
+        if len(events) > self.capacity:
+            del events[0]
+            self.dropped += 1
         self.total_appended += 1
 
     def fetch(self, limit: int = 50) -> List[TriggerEvent]:

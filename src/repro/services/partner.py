@@ -291,12 +291,16 @@ class PartnerService(HttpNode):
             ingested.inc()
         affected: List[str] = []
         pushed: List[Tuple[str, TriggerEvent]] = []
+        # extracted at the first match and shared by every identity's event
+        ingredients: Optional[Mapping[str, Any]] = None
         for identity, (slug, fields, buffer) in self._identities.items():
             if slug != trigger_slug:
                 continue
             if not endpoint.matcher(event, fields):
                 continue
-            fresh = TriggerEvent.create(self.now, **endpoint.ingredients(event))
+            if ingredients is None:
+                ingredients = MappingProxyType(dict(endpoint.ingredients(event)))
+            fresh = TriggerEvent.mint(self.now, ingredients)
             buffer.append(fresh)
             affected.append(identity)
             if self.push_contract:

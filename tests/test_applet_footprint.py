@@ -3,14 +3,18 @@
 The dedupe window of an applet (``_AppletRuntime.seen_ids`` /
 ``seen_order``) is born by the applet's first event and the ring of a
 ``TriggerBuffer`` by its first ``append`` — most of a fleet never sees
-either (docs/PERFORMANCE.md, "Where an applet's bytes go").  Pinned here:
+either (docs/PERFORMANCE.md, "Where an applet's bytes go").  Both are
+lists, and a publication's fanned-out events share one read-only
+ingredients mapping ("Where a publication's bytes go").  Pinned here:
 
 (a) ``IftttEngine._new_events`` against the eager set-and-deque it
     replaced, kept below as the reference, over random poll/push
     histories;
 (b) ``TriggerBuffer`` against a plain ``deque(maxlen=capacity)``;
 (c) what an idle applet costs, in ``tracemalloc`` bytes — the guard that
-    fails when an eager container comes back.
+    fails when an eager container comes back;
+(d) what a fanned-out event costs, in the same bytes, and that its
+    ingredients are extracted and stored once per publication.
 """
 
 import gc
@@ -73,16 +77,19 @@ histories = st.lists(
 )
 
 
+def engine_and_runtime(window):
+    world = build_engine_world(
+        default_engine_config(dedupe_window=window, push_policy=PushPolicy()),
+        with_trace=False,
+    )
+    applet = install_ping_applet(world.engine)
+    return world.engine, world.engine._applets[applet.applet_id]
+
+
 @settings(max_examples=150, deadline=None)
 @given(history=histories)
 def test_new_events_matches_the_eager_window(history):
-    world = build_engine_world(
-        default_engine_config(dedupe_window=WINDOW, push_policy=PushPolicy()),
-        with_trace=False,
-    )
-    engine = world.engine
-    applet = install_ping_applet(engine)
-    runtime = engine._applets[applet.applet_id]
+    engine, runtime = engine_and_runtime(WINDOW)
     reference = EagerWindow(WINDOW)
     assert runtime.seen_ids is None and runtime.seen_order is None
     for kind, payload in history:
@@ -98,6 +105,20 @@ def test_new_events_matches_the_eager_window(history):
             assert list(runtime.seen_order) == list(reference.order)
         else:  # nothing fresh yet, however many empty polls came back
             assert runtime.seen_ids is None and runtime.seen_order is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(window=st.integers(min_value=2, max_value=4), data=st.data())
+def test_small_windows_evict_like_the_eager_deque(window, data):
+    engine, runtime = engine_and_runtime(window)
+    reference = EagerWindow(window)
+    drawn = data.draw(st.lists(st.integers(min_value=0, max_value=3 * window), max_size=30))
+    # the first window + 1 ids are distinct, so every case evicts at least once
+    for event_id in [*range(window + 1), *drawn]:
+        wires = [wire(event_id)]  # one wire a poll: each eviction is compared as it happens
+        assert engine._new_events(runtime, wires) == reference.new_events(wires)
+        assert runtime.seen_ids == reference.seen
+        assert runtime.seen_order == list(reference.order)
 
 
 # -- (b) the trigger buffer vs a plain bounded deque -------------------------------
@@ -137,7 +158,7 @@ def test_trigger_buffer_matches_a_bounded_deque(capacity, ops):
         assert buffer.total_appended == appended
         assert buffer.dropped == max(0, appended - capacity)
         assert repr(buffer) == f"<TriggerBuffer {len(ring)}/{capacity}>"
-        assert isinstance(buffer._events, deque) == (appended > 0)
+        assert isinstance(buffer._events, list) == (appended > 0)
 
 
 def test_trigger_buffer_is_slotted():
@@ -193,7 +214,71 @@ def test_idle_applet_footprint():
     identities = world.content.known_identities
     assert len(identities) == FLEET
     assert not any(
-        isinstance(world.content.buffer_for(identity)._events, deque)
+        isinstance(world.content.buffer_for(identity)._events, list)
         for identity in identities
     )
     assert (after - before) / FLEET <= IDLE_APPLET_BUDGET
+
+
+# -- (d) what a fanned-out event costs ------------------------------------------------
+
+PUBLICATIONS = 3
+#: Traced bytes retained per (identity x publication) once every event is
+#: buffered and delivered.  924 with a frozen-dataclass event holding its
+#: own ingredients dict, a ``deque`` ring and a ``deque`` window (one
+#: restored: 476 with the dataclass, 492 with either deque, 491 with a
+#: mapping per event); 268 without.
+FANOUT_EVENT_BUDGET = 400
+
+
+def test_fanned_out_event_footprint():
+    # fanout_push's shape: watermarks provisioned to the fleet, so every
+    # event arrives in a push drain batch, none by poll
+    config = EngineConfig(
+        realtime_allowlist=frozenset(), initial_poll_jitter=120.0,
+        push_policy=PushPolicy(max_batch=200, low_watermark=FLEET, high_watermark=4 * FLEET),
+    )
+    world = FleetWorld(
+        FLEET, config, seed=7, push=True,
+        with_trace=False, with_metrics=False, shared_user=True,
+    )
+    endpoint = world.content.trigger("new_photo")
+    extract, extracted = endpoint.ingredients, []
+    endpoint.ingredients = lambda event: extracted.append(event) or extract(event)
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for index in range(PUBLICATIONS):
+            world.publish(f"photo-{index}")
+            world.sim.run_until(world.sim.now + 30.0)  # every event delivered in < 1 s
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    pushed = world.engine.stats()["push_events_ingested"]
+    assert world.actions_executed == pushed == FLEET * PUBLICATIONS
+    assert [event["photo"] for event in extracted] == [f"photo-{i}" for i in range(PUBLICATIONS)]
+    assert (after - before) / (FLEET * PUBLICATIONS) <= FANOUT_EVENT_BUDGET
+
+    identities = world.content.known_identities
+    assert len(identities) == FLEET
+    # oldest first: one column per publication, one row per identity
+    rows = [world.content.buffer_for(identity).fetch()[::-1] for identity in identities]
+    assert all(len(row) == PUBLICATIONS for row in rows)
+    for index, column in enumerate(zip(*rows)):
+        shared = column[0].ingredients
+        assert shared == {"photo": f"photo-{index}"}
+        assert all(event.ingredients is shared for event in column)
+        with pytest.raises(TypeError):
+            shared["photo"] = "overwritten"
+    assert len({id(event.ingredients) for event in rows[0]}) == PUBLICATIONS
+
+    first, second = rows[0][0], rows[1][0]
+    wire_a, wire_b, wire_again = first.to_wire(), second.to_wire(), first.to_wire()
+    wire_a["ingredients"]["photo"] = "overwritten"
+    assert first.ingredients == second.ingredients == {"photo": "photo-0"}
+    assert wire_b["ingredients"] == wire_again["ingredients"] == {"photo": "photo-0"}

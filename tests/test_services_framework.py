@@ -30,6 +30,11 @@ class TestTriggerEvent:
         assert wire["meta"]["timestamp"] == 5.0
         assert wire["ingredients"] == {"subject": "hi"}
 
+    def test_create_accepts_an_ingredient_named_created_at(self):
+        event = TriggerEvent.create(5.0, created_at="yesterday")
+        assert event.created_at == 5.0
+        assert event.ingredients == {"created_at": "yesterday"}
+
 
 class TestTriggerBuffer:
     def test_fetch_newest_first(self):
@@ -143,6 +148,17 @@ class TestPartnerService:
         assert hit == 1
         assert len(service.buffer_for("id-a")) == 1
         assert len(service.buffer_for("id-b")) == 0
+
+    @pytest.mark.parametrize(
+        "event", [{"created_at": "yesterday"}, {1: "one", "n": 2}], ids=["created_at", "int-key"]
+    )
+    def test_ingest_accepts_any_ingredient_key(self, wired_service, event):
+        _, _, service, _, _ = wired_service
+        service.register_identity("thing_happened", "id-1", {})
+        assert service.ingest_event("thing_happened", event) == 1
+        buffered = service.buffer_for("id-1").latest()
+        assert buffered.created_at == service.now
+        assert buffered.to_wire()["ingredients"] == event
 
     def test_poll_registers_identity_and_returns_events(self, wired_service):
         sim, _, service, engine, _ = wired_service
