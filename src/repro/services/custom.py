@@ -246,7 +246,7 @@ class CustomService(PartnerService):
         if self.trace is not None:
             self.trace.record(
                 self.now,
-                f"service:{self.slug}",
+                self.trace_source,
                 "service_proxy_event",
                 device_id=event["device_id"],
                 device_kind=event["kind"],

@@ -121,6 +121,9 @@ class PartnerService(HttpNode):
     ) -> None:
         super().__init__(address, service_time=service_time)
         self.slug = slug
+        #: The ``source`` of every record this service traces: one string,
+        #: not a fresh f-string per record.
+        self.trace_source = f"service:{slug}"
         self.trace = trace
         self.realtime = realtime
         self.push = push
@@ -308,7 +311,7 @@ class PartnerService(HttpNode):
         if self.trace is not None:
             self.trace.record(
                 self.now,
-                f"service:{self.slug}",
+                self.trace_source,
                 "service_event_buffered",
                 trigger=trigger_slug,
                 identities=len(affected),
@@ -466,9 +469,9 @@ class PartnerService(HttpNode):
         if self.trace is not None:
             self.trace.record(
                 self.now,
-                f"service:{self.slug}",
+                self.trace_source,
                 "service_poll_served",
-                trigger=slug,
+                trigger=endpoint.slug,  # equal to slug, and not a fresh slice
                 identity=identity,
                 returned=len(events),
             )
@@ -487,9 +490,9 @@ class PartnerService(HttpNode):
         if self.trace is not None:
             self.trace.record(
                 self.now,
-                f"service:{self.slug}",
+                self.trace_source,
                 "service_action_received",
-                action=slug,
+                action=endpoint.slug,
             )
         result = endpoint.executor(fields)
         return {"data": [{"id": f"{self.slug}:{slug}:{self.actions_executed}", "result": result}]}
@@ -557,7 +560,7 @@ class PartnerService(HttpNode):
         if self.trace is not None:
             self.trace.record(
                 self.now,
-                f"service:{self.slug}",
+                self.trace_source,
                 "service_batch_action_received",
                 entries=len(batch),
                 executed=sum(1 for r in results if r["status"] == 200),
@@ -579,7 +582,7 @@ class PartnerService(HttpNode):
         if self.trace is not None:
             self.trace.record(
                 self.now,
-                f"service:{self.slug}",
+                self.trace_source,
                 "service_query_served",
                 query=slug,
                 rows=len(rows),

@@ -6,19 +6,24 @@ test controller) appends :class:`TraceRecord` entries to a shared
 sequential clustering) are pure queries over this trace — mirroring how
 the paper instrumented its testbed at multiple vantage points.
 
-Recording is *lazy*: unless a sink is attached (:meth:`Trace.attach_sink`),
-:meth:`Trace.record` stores a plain ``(time, source, kind, detail)`` tuple
-and the frozen :class:`TraceRecord` dataclass is only materialized when a
-query actually reads the entry.  At fleet scale the engine records one
-entry per poll, so skipping four ``object.__setattr__`` calls per record
-on the hot path is a measurable win; analyses see identical objects
-either way.
+Recording is *lazy* and *flat*: :meth:`Trace.record` stores one tuple
+``(time, shape_id, *detail.values())``, where the shape
+``(source, kind, detail keys)`` is interned once per trace in a shape
+table.  A vantage point records a handful of shapes thousands of times,
+so the source, kind and keys are held once per shape and the per-record
+``detail`` dict is never kept.  The frozen :class:`TraceRecord` is built
+only when a query reads an entry, with a fresh ``detail`` dict zipped
+from the shape's keys and the entry's values — so a record handed out
+can be mutated without rewriting the append-only store.  Filters on
+``kind``, ``source`` and which detail keys a record carries are decided
+once per shape, not once per record.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 
@@ -48,8 +53,15 @@ class TraceRecord:
         return self.detail.get(key, default)
 
 
-#: Internal storage shape: ``(time, source, kind, detail)``.
-_Entry = Tuple[float, str, str, Dict[str, Any]]
+#: What a shape interns: ``(source, kind, detail keys in order)``.
+_Shape = Tuple[str, str, Tuple[str, ...]]
+
+#: Internal storage: ``(time, shape_id, *detail values)``.
+_Entry = Tuple[Any, ...]
+
+#: Per shape id: ``None`` when no record of the shape can match a filter,
+#: else the ``(entry index, wanted value)`` pairs still to check per record.
+_Plan = List[Optional[Tuple[Tuple[int, Any], ...]]]
 
 
 class Trace:
@@ -70,35 +82,84 @@ class Trace:
         if max_records is not None and max_records <= 0:
             raise ValueError(f"max_records must be positive, got {max_records}")
         self.max_records = max_records
-        self.dropped = 0
         self.total_recorded = 0
+        self._cleared = 0  # records dropped by clear(), so dropped stays derivable
         self._records: Deque[_Entry] = deque(maxlen=max_records)
+        self._shapes: List[_Shape] = []
+        self._shape_ids: Dict[_Shape, int] = {}
         self._sinks: List[Callable[[TraceRecord], None]] = []
 
     def attach_sink(self, sink: Callable[[TraceRecord], None]) -> None:
         """Stream every future record to ``sink`` as it is written.
 
-        Attaching a sink switches :meth:`record` from the lazy tuple path
-        to eager :class:`TraceRecord` materialization (the sink needs the
-        object); the in-memory store and all queries are unaffected.
+        Attaching a sink makes :meth:`record` also build a
+        :class:`TraceRecord` per record (the sink needs the object); the
+        in-memory store and all queries are unaffected.
         """
         self._sinks.append(sink)
 
+    @property
+    def dropped(self) -> int:
+        """Records evicted by the ``max_records`` cap (0 when unbounded)."""
+        return self.total_recorded - len(self._records) - self._cleared
+
     def record(self, time: float, source: str, kind: str, **detail: Any) -> None:
         """Append a record (evicting the oldest when bounded)."""
-        if self.max_records is not None and len(self._records) == self.max_records:
-            self.dropped += 1
-        self._records.append((time, source, kind, detail))
+        try:
+            shape_id = self._shape_ids[source, kind, tuple(detail)]
+        except KeyError:
+            shape = (source, kind, tuple(detail))
+            shape_id = self._shape_ids[shape] = len(self._shapes)
+            self._shapes.append(shape)
+        self._records.append((time, shape_id, *detail.values()))
         self.total_recorded += 1
         if self._sinks:
             rec = TraceRecord(time=time, source=source, kind=kind, detail=detail)
             for sink in self._sinks:
                 sink(rec)
 
-    @staticmethod
-    def _materialize(entry: _Entry) -> TraceRecord:
-        time, source, kind, detail = entry
-        return TraceRecord(time=time, source=source, kind=kind, detail=detail)
+    def _materialize(self, entry: _Entry) -> TraceRecord:
+        source, kind, keys = self._shapes[entry[1]]
+        return TraceRecord(
+            time=entry[0], source=source, kind=kind, detail=dict(zip(keys, entry[2:]))
+        )
+
+    def _plan(
+        self, kind: Optional[str], source: Optional[str], detail_equals: Dict[str, Any]
+    ) -> _Plan:
+        plan: _Plan = []
+        for s_source, s_kind, keys in self._shapes:
+            if (kind is not None and s_kind != kind) or (source is not None and s_source != source):
+                plan.append(None)
+            elif any(wanted is not None for key, wanted in detail_equals.items() if key not in keys):
+                plan.append(None)  # a key the shape lacks reads as None in all its records
+            else:
+                plan.append(tuple(
+                    (keys.index(key) + 2, wanted)
+                    for key, wanted in detail_equals.items() if key in keys
+                ))
+        return plan
+
+    def _select(
+        self,
+        kind: Optional[str],
+        source: Optional[str],
+        since: Optional[float],
+        until: Optional[float],
+        detail_equals: Dict[str, Any],
+    ) -> Iterator[_Entry]:
+        plan = self._plan(kind, source, detail_equals)
+        for entry in self._records:
+            checks = plan[entry[1]]
+            if checks is None:
+                continue
+            if since is not None and entry[0] < since:
+                continue
+            if until is not None and entry[0] > until:
+                continue
+            if checks and any(entry[index] != wanted for index, wanted in checks):
+                continue
+            yield entry
 
     def __len__(self) -> int:
         return len(self._records)
@@ -111,6 +172,7 @@ class Trace:
 
     def clear(self) -> None:
         """Drop all records (used between experiment runs)."""
+        self._cleared += len(self._records)
         self._records.clear()
 
     def query(
@@ -125,25 +187,13 @@ class Trace:
         """Filter records by kind, source, time window, and detail equality.
 
         ``detail_equals`` keyword arguments must match the record's detail
-        dict exactly (e.g. ``trace.query(kind="poll", applet_id=3)``).
-        Only matching entries are materialized into :class:`TraceRecord`
-        objects; non-matches are rejected on the raw storage tuples.
+        dict exactly (e.g. ``trace.query(kind="poll", applet_id=3)``); a
+        key the record lacks reads as ``None``.  Only matching entries are
+        materialized into :class:`TraceRecord` objects; non-matches are
+        rejected on the raw storage tuples.
         """
         out: List[TraceRecord] = []
-        for entry in self._records:
-            e_time, e_source, e_kind, e_detail = entry
-            if kind is not None and e_kind != kind:
-                continue
-            if source is not None and e_source != source:
-                continue
-            if since is not None and e_time < since:
-                continue
-            if until is not None and e_time > until:
-                continue
-            if detail_equals and any(
-                e_detail.get(k) != v for k, v in detail_equals.items()
-            ):
-                continue
+        for entry in self._select(kind, source, since, until, detail_equals):
             rec = self._materialize(entry)
             if where is not None and not where(rec):
                 continue
@@ -162,15 +212,14 @@ class Trace:
 
     def times(self, kind: str, **detail_equals: Any) -> List[float]:
         """Timestamps of all matching records, in order."""
-        if not detail_equals:
-            return [entry[0] for entry in self._records if entry[2] == kind]
-        return [rec.time for rec in self.query(kind=kind, **detail_equals)]
+        return [entry[0] for entry in self._select(kind, None, None, None, detail_equals)]
 
     def kinds(self) -> Dict[str, int]:
         """Histogram of record kinds."""
         counts: Dict[str, int] = {}
-        for entry in self._records:
-            counts[entry[2]] = counts.get(entry[2], 0) + 1
+        for shape_id, n in Counter(map(itemgetter(1), self._records)).items():
+            kind = self._shapes[shape_id][1]
+            counts[kind] = counts.get(kind, 0) + n
         return counts
 
     def __repr__(self) -> str:
