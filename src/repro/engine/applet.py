@@ -13,7 +13,7 @@ import enum
 import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 _TEMPLATE_RE = re.compile(r"\{\{\s*([A-Za-z0-9_]+)\s*\}\}")
 
@@ -44,7 +44,7 @@ class ActionRef:
     action_slug: str
     fields: Dict[str, Any] = field(default_factory=dict)
 
-    def resolve_fields(self, ingredients: Dict[str, Any]) -> Dict[str, Any]:
+    def resolve_fields(self, ingredients: Mapping[str, Any]) -> Dict[str, Any]:
         """Substitute ``{{ingredient}}`` templates using trigger ingredients.
 
         Non-string fields pass through unchanged; unknown ingredient names

@@ -56,6 +56,7 @@ from repro.services.partner import (
     TRIGGER_PATH,
     PartnerService,
 )
+from repro.services.buffer import TriggerEvent
 from repro.simcore.rng import Rng
 from repro.simcore.trace import Trace
 
@@ -878,10 +879,10 @@ class IftttEngine(HttpNode):
         metrics = self.metrics
         ok = response.ok
         self._note_outcome(link, ok, response)
-        new_events: List[Dict[str, Any]] = []
+        new_events: List[TriggerEvent] = []
         if ok:
             runtime.poll_attempts = 0
-            # The wire carries newest-first; process in chronological order.
+            # The response carries newest-first; process in chronological order.
             new_events = self._new_events(
                 runtime, reversed((response.body or {}).get("data", []))
             )
@@ -910,8 +911,8 @@ class IftttEngine(HttpNode):
                 new=len(new_events),
             )
         runtime.policy.observe_events(len(new_events))
-        for wire in new_events:
-            self._process_event(runtime, wire)
+        for event in new_events:
+            self._process_event(runtime, event)
         if not ok:
             runtime.poll_attempts += 1
             retry = self.config.retry_policy
@@ -957,10 +958,10 @@ class IftttEngine(HttpNode):
         self._schedule_next_poll(runtime, interval)
 
     def _new_events(
-        self, runtime: _AppletRuntime, wires: Iterable[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        """Dedupe ``wires`` (chronological) against the applet's window of
-        seen ``meta.id``s, remembering — and returning — the new ones.
+        self, runtime: _AppletRuntime, events: Iterable[TriggerEvent]
+    ) -> List[TriggerEvent]:
+        """Dedupe ``events`` (chronological) against the applet's window of
+        seen ``event_id``s, remembering — and returning — the new ones.
 
         Called on every poll response, and most carry nothing: the window
         (a set and a list, ~300 B holding one id) exists from the applet's
@@ -971,8 +972,8 @@ class IftttEngine(HttpNode):
         seen, order = runtime.seen_ids, runtime.seen_order
         window = self.config.dedupe_window
         fresh = []
-        for wire in wires:
-            event_id = wire["meta"]["id"]
+        for event in events:
+            event_id = event.event_id
             if seen is None:
                 seen = runtime.seen_ids = set()
                 order = runtime.seen_order = []
@@ -982,28 +983,28 @@ class IftttEngine(HttpNode):
             order.append(event_id)
             while len(order) > window:
                 seen.discard(order.pop(0))
-            fresh.append(wire)
+            fresh.append(event)
         return fresh
 
     # -- event processing: queries -> condition -> actions ----------------------------------
 
-    def _process_event(self, runtime: _AppletRuntime, wire_event: Dict[str, Any]) -> None:
+    def _process_event(self, runtime: _AppletRuntime, event: TriggerEvent) -> None:
         """Run one trigger event through queries, the filter, and actions."""
         applet = runtime.applet
         if applet.queries:
-            self._run_queries(runtime, wire_event, list(applet.queries), {})
+            self._run_queries(runtime, event, list(applet.queries), {})
         else:
-            self._finish_event(runtime, wire_event, {})
+            self._finish_event(runtime, event, {})
 
     def _run_queries(
         self,
         runtime: _AppletRuntime,
-        wire_event: Dict[str, Any],
+        event: TriggerEvent,
         remaining: List[QueryRef],
         results: Dict[str, Any],
     ) -> None:
         if not remaining:
-            self._finish_event(runtime, wire_event, results)
+            self._finish_event(runtime, event, results)
             return
         query = remaining[0]
         registration = self._services[query.service_slug]
@@ -1015,7 +1016,7 @@ class IftttEngine(HttpNode):
             else:
                 self.query_failures += 1
                 results[q.query_slug] = []
-            self._run_queries(runtime, wire_event, remaining[1:], results)
+            self._run_queries(runtime, event, remaining[1:], results)
 
         self.post(
             registration.address,
@@ -1029,11 +1030,10 @@ class IftttEngine(HttpNode):
     def _finish_event(
         self,
         runtime: _AppletRuntime,
-        wire_event: Dict[str, Any],
+        event: TriggerEvent,
         query_results: Dict[str, Any],
     ) -> None:
         applet = runtime.applet
-        ingredients = wire_event.get("ingredients", {})
         if runtime.filter_expr is not None:
             # Single-row query results flatten to the row dict so filter
             # code can say ``queries.thermostat.temperature < 25``.
@@ -1042,7 +1042,7 @@ class IftttEngine(HttpNode):
                 for slug, rows in query_results.items()
             }
             namespace = {
-                "trigger": dict(ingredients),
+                "trigger": dict(event.ingredients),
                 "queries": flattened,
                 "meta": {"time": self.now, "applet_id": applet.applet_id},
             }
@@ -1066,21 +1066,20 @@ class IftttEngine(HttpNode):
                     self.trace.record(
                         self.now, self._ns, "engine_filter_skipped",
                         applet_id=applet.applet_id,
-                        event_id=wire_event["meta"]["id"],
+                        event_id=event.event_id,
                     )
                 return
         for action in (applet.action, *applet.extra_actions):
-            self._dispatch_action(runtime, action, wire_event)
+            self._dispatch_action(runtime, action, event)
 
     # -- action dispatch ------------------------------------------------------------------
 
     def _dispatch_action(
-        self, runtime: _AppletRuntime, action: ActionRef, wire_event: Dict[str, Any]
+        self, runtime: _AppletRuntime, action: ActionRef, event: TriggerEvent
     ) -> None:
         applet = runtime.applet
         registration = self._services[action.service_slug]
-        ingredients = wire_event.get("ingredients", {})
-        fields = action.resolve_fields(ingredients)
+        fields = action.resolve_fields(event.ingredients)
         applet.executions += 1
         self.actions_dispatched += 1
         metrics = self.metrics
@@ -1088,21 +1087,19 @@ class IftttEngine(HttpNode):
             bound = registration.bound
             bound.counter(metrics, "actions_dispatched").inc()
             # Trigger-to-action latency as the engine sees it: action
-            # dispatch time minus the event's ``meta.timestamp`` (when
-            # the trigger condition was met at the service) — the §4
+            # dispatch time minus the event's ``created_at`` (when the
+            # trigger condition was met at the service) — the §4
             # headline metric, dominated by the poll wait.
-            triggered_at = wire_event.get("meta", {}).get("timestamp")
-            if triggered_at is not None:
-                bound.histogram(metrics, "t2a_seconds").observe(
-                    max(0.0, self.now - triggered_at)
-                )
+            bound.histogram(metrics, "t2a_seconds").observe(
+                max(0.0, self.now - event.created_at)
+            )
         if self.trace is not None:
             self.trace.record(
                 self.now,
                 self._ns,
                 "engine_action_sent",
                 applet_id=applet.applet_id,
-                event_id=wire_event["meta"]["id"],
+                event_id=event.event_id,
                 action=action.action_slug,
                 service=action.service_slug,
             )
@@ -1125,7 +1122,7 @@ class IftttEngine(HttpNode):
             action_slug=action.action_slug,
             fields=fields,
             user=applet.user,
-            event_id=wire_event["meta"]["id"],
+            event_id=event.event_id,
             created_at=self.now,
         )
         self._send_action(record)

@@ -13,8 +13,11 @@ first-class delivery mode:
   it (``ServiceRegistration.push``), and the service then POSTs event
   payloads to ``/ifttt/v1/webhooks/push`` instead of mere realtime
   hints.  This generalizes the Alexa-style allowlist: hints name
-  identities and still cost a fetch poll; pushes carry the wire events
-  inline, so delivery skips the poll round-trip entirely.
+  identities and still cost a fetch poll; pushes carry the buffered
+  ``TriggerEvent`` records inline, so delivery skips the poll round-trip
+  entirely.  The body is validated whole before anything is admitted:
+  a malformed one is answered 400, naming the field, and counted in
+  ``engine.push.malformed``.
 * **Ingestion batching.**  Notifications land in a per-service pending
   queue and are drained by a coalescing simulator event: the first
   arrival arms one drain ``batch_window`` seconds out, later arrivals
@@ -49,7 +52,7 @@ Safety net & restoration
 Applets on a push-contract service still poll — at
 ``safety_net_interval`` (a slow background sweep that catches anything
 a lost notification missed; the trigger buffer is a non-consuming ring
-and the engine dedupes by ``meta.id``, so double delivery is
+and the engine dedupes by ``event_id``, so double delivery is
 structurally impossible).  There is no polling-policy wrapper: the
 engine's one cadence decision (``IftttEngine._interval``) returns that
 constant with **no RNG consumption** while the service's rung is push
@@ -78,7 +81,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Optional, Tuple
 
+from repro.net.http import HttpError
 from repro.obs.metrics import COUNT_BUCKETS
+from repro.services.buffer import TriggerEvent
 
 #: The three delivery modes the testbeds and CLI compare
 #: (``repro chaos --delivery {poll,hint,push}``).
@@ -147,6 +152,25 @@ class PushPolicy:
             )
 
 
+def _malformed(entries: Any) -> Optional[str]:
+    """The first field of a push body's ``data`` that breaks the contract
+    — a list of ``{"trigger_identity": str, "events": [TriggerEvent, ...]}``
+    entries — or ``None`` when the whole body is well formed."""
+    if not isinstance(entries, list):
+        return "data must be a list"
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            return f"data[{index}] must be an object"
+        if not isinstance(entry.get("trigger_identity"), str):
+            return f"data[{index}].trigger_identity must be a str"
+        events = entry.get("events")
+        if not isinstance(events, list) or not all(
+            isinstance(event, TriggerEvent) for event in events
+        ):
+            return f"data[{index}].events must be a list of TriggerEvent"
+    return None
+
+
 class PushServiceState:
     """Per-(service, engine) push ingestion state.
 
@@ -170,9 +194,9 @@ class PushServiceState:
 
     def __init__(self, slug: str) -> None:
         self.slug = slug
-        #: FIFO of ``(identity, wire_event_or_None)`` — ``None`` payload
+        #: FIFO of ``(identity, event_or_None)`` — ``None`` payload
         #: marks a hint-degraded entry that drains as a fast poll.
-        self.pending: Deque[Tuple[str, Optional[Dict[str, Any]]]] = deque()
+        self.pending: Deque[Tuple[str, Optional[TriggerEvent]]] = deque()
         self.rung = RUNG_PUSH
         self.drain_armed = False
         self.notifications = 0
@@ -220,12 +244,25 @@ class PushController:
     # -- ingestion --------------------------------------------------------------
 
     def ingest(self, link, request) -> Dict[str, Any]:
-        """Handle one (authenticated) push notification."""
+        """Handle one (authenticated) push notification.
+
+        A malformed body is rejected whole — 400 naming the first bad
+        field, counted in ``engine.push.malformed{service}`` — before any
+        other counter moves or any event is admitted.
+        """
         engine = self.engine
+        body = request.body
+        entries = body.get("data") if isinstance(body, dict) else None
+        problem = _malformed(entries)
+        if problem is not None:
+            if engine.metrics is not None:
+                engine.metrics.counter(
+                    f"{engine._ns}.push.malformed", service=link.slug
+                ).inc()
+            raise HttpError(400, f"malformed push notification: {problem}")
         state = self.state_for(link)
         self.notifications_received += 1
         state.notifications += 1
-        entries = (request.body or {}).get("data", [])
         metrics = engine.metrics
         if metrics is not None:
             link.bound.counter(metrics, "push.notifications").inc()
@@ -244,23 +281,22 @@ class PushController:
         # resume fast polls re-fetch them).
         if engine._park(
             link,
-            [entry.get("trigger_identity") for entry in entries],
+            [entry["trigger_identity"] for entry in entries],
             "engine_push_parked",
         ):
             self.notifications_parked += 1
             state.parked += 1
             return {"status": "received"}
         for entry in entries:
-            identity = entry.get("trigger_identity")
-            # The wire carries newest-first (poll-response shape);
-            # enqueue in chronological order.
-            for wire in reversed(entry.get("events", [])):
-                self._admit(state, identity, wire)
+            identity = entry["trigger_identity"]
+            # Newest-first, as a poll response; enqueue in chronological order.
+            for event in reversed(entry["events"]):
+                self._admit(state, identity, event)
         self._arm_drain(link)
         return {"status": "received"}
 
     def _admit(
-        self, state: PushServiceState, identity: str, wire: Dict[str, Any]
+        self, state: PushServiceState, identity: str, event: TriggerEvent
     ) -> None:
         """Enqueue one pushed event, walking the backpressure ladder."""
         self._refresh_rung(state)
@@ -280,7 +316,7 @@ class PushController:
             self._count_degraded(state, "push.degraded_to_hint")
             state.pending.append((identity, None))
             return
-        state.pending.append((identity, wire))
+        state.pending.append((identity, event))
 
     def _count_degraded(self, state: PushServiceState, name: str) -> None:
         """Count one event that left the push rung (per event while degraded)."""
@@ -355,14 +391,14 @@ class PushController:
         batch = 0
         ingested = 0
         while state.pending and batch < self.policy.max_batch:
-            identity, wire = state.pending.popleft()
+            identity, event = state.pending.popleft()
             batch += 1
-            if wire is None:
+            if event is None:
                 # A hint-degraded entry drains as a fast poll, through
                 # exactly the admission an honoured realtime hint gets.
                 engine._admit_fast_poll(link, identity)
             else:
-                ingested += self._deliver(identity, wire)
+                ingested += self._deliver(identity, event)
         state.drains += 1
         self.batches_drained += 1
         state.events_ingested += ingested
@@ -387,7 +423,7 @@ class PushController:
         if state.pending:
             self._arm_drain(link)
 
-    def _deliver(self, identity: str, wire: Dict[str, Any]) -> int:
+    def _deliver(self, identity: str, event: TriggerEvent) -> int:
         """Run one pushed event through dedupe → queries/filter → actions.
 
         Exactly the poll-response processing path minus the poll: the
@@ -401,10 +437,10 @@ class PushController:
             runtime = engine._applets.get(applet_id)
             if runtime is None or not runtime.applet.enabled:
                 continue
-            if not engine._new_events(runtime, (wire,)):
+            if not engine._new_events(runtime, (event,)):
                 continue
             runtime.policy.observe_events(1)
-            engine._process_event(runtime, wire)
+            engine._process_event(runtime, event)
             delivered += 1
         if delivered:
             metrics = engine.metrics

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, NamedTuple, Tuple, Union
-
-_event_ids = itertools.count(1)
+from typing import Any, List, Mapping, NamedTuple, Tuple, Union
 
 DEFAULT_CAPACITY = 500
 
@@ -28,17 +26,22 @@ _NO_INGREDIENTS: Mapping[str, Any] = MappingProxyType({})
 
 
 class TriggerEvent(NamedTuple):
-    """One occurrence of a trigger condition.
+    """One occurrence of a trigger condition — and its wire form.
 
     A tuple with named fields rather than a dataclass: one is buffered per
     matching identity per publication, and a popular trigger fans out to
     thousands (docs/PERFORMANCE.md, "Where a publication's bytes go").
+    Poll responses and push notifications carry the buffered record
+    itself, not a copy (docs/PROTOCOL.md, "The trigger event record"):
+    it is immutable and its ingredients are read-only, so a consumer
+    cannot rewrite what the service holds.
 
     Attributes
     ----------
     event_id:
-        Globally unique id (the protocol's ``meta.id``); the engine
-        deduplicates on it across polls.
+        Unique within a world (the protocol's ``meta.id``); the engine
+        deduplicates on it across polls.  A service mints it from its
+        simulator's :attr:`~repro.simcore.simulator.Simulator.event_ids`.
     created_at:
         When the trigger condition was met (``meta.timestamp``).
     ingredients:
@@ -52,22 +55,9 @@ class TriggerEvent(NamedTuple):
     ingredients: Mapping[str, Any] = _NO_INGREDIENTS
 
     @staticmethod
-    def create(created_at: float, /, **ingredients: Any) -> "TriggerEvent":
-        """Mint a new event with a fresh id."""
-        return TriggerEvent.mint(created_at, MappingProxyType(ingredients))
-
-    @staticmethod
-    def mint(created_at: float, ingredients: Mapping[str, Any]) -> "TriggerEvent":
-        """Mint a new event with a fresh id around ``ingredients`` as given:
-        a read-only mapping, which the caller may share across events."""
-        return TriggerEvent(next(_event_ids), created_at, ingredients)
-
-    def to_wire(self) -> Dict[str, Any]:
-        """Serialize to the poll-response shape."""
-        return {
-            "meta": {"id": self.event_id, "timestamp": self.created_at},
-            "ingredients": dict(self.ingredients),
-        }
+    def create(event_id: int, created_at: float, /, **ingredients: Any) -> "TriggerEvent":
+        """An event around a read-only copy of ``ingredients``."""
+        return TriggerEvent(event_id, created_at, MappingProxyType(ingredients))
 
 
 class TriggerBuffer:
@@ -106,7 +96,7 @@ class TriggerBuffer:
         """Up to ``limit`` most recent events, newest first (poll semantics).
 
         Fetching does not consume: IFTTT polls are idempotent reads and the
-        engine deduplicates by ``meta.id``.
+        engine deduplicates by ``event_id``.
         """
         if limit < 0:
             raise ValueError(f"limit must be non-negative, got {limit}")

@@ -296,6 +296,7 @@ class PartnerService(HttpNode):
         pushed: List[Tuple[str, TriggerEvent]] = []
         # extracted at the first match and shared by every identity's event
         ingredients: Optional[Mapping[str, Any]] = None
+        event_ids = self.sim.event_ids
         for identity, (slug, fields, buffer) in self._identities.items():
             if slug != trigger_slug:
                 continue
@@ -303,7 +304,7 @@ class PartnerService(HttpNode):
                 continue
             if ingredients is None:
                 ingredients = MappingProxyType(dict(endpoint.ingredients(event)))
-            fresh = TriggerEvent.mint(self.now, ingredients)
+            fresh = TriggerEvent(next(event_ids), self.now, ingredients)
             buffer.append(fresh)
             affected.append(identity)
             if self.push_contract:
@@ -339,7 +340,7 @@ class PartnerService(HttpNode):
         """POST the fresh events (with payloads) to the contract engine.
 
         One notification per publication, carrying every affected
-        identity's new event in poll-response wire shape (newest-first
+        identity's buffered event, as a poll response does (newest-first
         within each identity) — the engine ingests them through its
         dedupe, so a later safety-net poll re-returning the same events
         cannot double-deliver.
@@ -355,7 +356,7 @@ class PartnerService(HttpNode):
             PUSH_NOTIFY_PATH,
             body={
                 "data": [
-                    {"trigger_identity": identity, "events": [event.to_wire()]}
+                    {"trigger_identity": identity, "events": [event]}
                     for identity, event in entries
                 ]
             },
@@ -475,7 +476,9 @@ class PartnerService(HttpNode):
                 identity=identity,
                 returned=len(events),
             )
-        return {"data": [event.to_wire() for event in events]}
+        # the buffered records themselves: immutable, so by value without
+        # a copy (docs/PROTOCOL.md, "The trigger event record")
+        return {"data": events}
 
     def _handle_action(self, request: HttpRequest):
         rejected = self._gate(request)

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Optional, Tuple
-
-_seq_counter = itertools.count()
 
 
 class Event:
@@ -27,6 +24,9 @@ class Event:
         Tie-break between events at the same time; lower fires first.
     label:
         Optional human-readable tag used by traces and ``repr``.
+    seq:
+        The FIFO tie-break, unique per heap; ``Simulator.schedule_at``
+        draws it from the simulator's own counter.
     """
 
     __slots__ = (
@@ -40,7 +40,8 @@ class Event:
         args: Tuple[Any, ...] = (),
         priority: int = 0,
         label: Optional[str] = None,
-        seq: Optional[int] = None,
+        *,
+        seq: int,
     ) -> None:
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
@@ -48,7 +49,7 @@ class Event:
         self.callback = callback
         self.args = args
         self.priority = priority
-        self.seq = next(_seq_counter) if seq is None else seq
+        self.seq = seq
         self.label = label
         self._canceled = False
         #: The owning simulator while the event sits in its heap (set by

@@ -85,6 +85,10 @@ class ShardedSimulator:
         self.num_shards = num_shards
         self.lookahead = float(lookahead)
         self.sims: List[Simulator] = [Simulator() for _ in range(num_shards)]
+        # One world, one trigger-event id source: a publication fans out
+        # on whichever shard hosts the service, from the same counter.
+        for sim in self.sims[1:]:
+            sim.event_ids = self.sims[0].event_ids
         # One outbox per source shard plus one controller outbox (index
         # num_shards): a shard appends only to its own, so its entries'
         # sequence numbers do not depend on what other shards sent.

@@ -99,6 +99,12 @@ class Simulator:
         # tie order (repro.simcore.parallel) from depending on how many
         # events another shard scheduled.
         self._seq = itertools.count()
+        #: The world's trigger-event id source (``TriggerEvent.event_id``,
+        #: the protocol's ``meta.id``), drawn by every service attached
+        #: to this simulator; one per world, so two worlds built in one
+        #: process mint the same ids.  The shards of a
+        #: :class:`~repro.simcore.parallel.ShardedSimulator` share one.
+        self.event_ids = itertools.count(1)
         #: Optional :class:`~repro.obs.metrics.MetricsRegistry`; when set,
         #: every run reports events fired, simulated time, and the
         #: wall-clock event rate.  Attached post-construction; all the
@@ -165,7 +171,7 @@ class Simulator:
         if time < self._now:
             raise SimulationError(f"cannot schedule at t={time} < now={self._now}")
         seq = next(self._seq)
-        event = Event(time, callback, args, priority, label, seq)
+        event = Event(time, callback, args, priority, label, seq=seq)
         event._owner = self
         heapq.heappush(self._heap, (event.time, priority, seq, event))
         self._live += 1

@@ -14,7 +14,10 @@ ingredients mapping ("Where a publication's bytes go").  Pinned here:
 (c) what an idle applet costs, in ``tracemalloc`` bytes — the guard that
     fails when an eager container comes back;
 (d) what a fanned-out event costs, in the same bytes, and that its
-    ingredients are extracted and stored once per publication.
+    ingredients are extracted and stored once per publication;
+(e) what a publication's burst costs while it is in flight: poll
+    responses and push notifications carry the buffered record, not a
+    copy ("Where a fetched event's bytes go").
 """
 
 import gc
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 from repro.engine import EngineConfig
 from repro.engine.push import PushPolicy
 from repro.services.buffer import TriggerBuffer, TriggerEvent
+from repro.services.partner import TRIGGER_PATH
 from repro.testbed.workload import FleetWorld
 
 from tests.helpers import build_engine_world, default_engine_config, install_ping_applet
@@ -46,22 +50,22 @@ class EagerWindow:
         self.seen = set()
         self.order = deque()
 
-    def new_events(self, wires):
+    def new_events(self, events):
         fresh = []
-        for wire in wires:
-            event_id = wire["meta"]["id"]
+        for event in events:
+            event_id = event.event_id
             if event_id in self.seen:
                 continue
             self.seen.add(event_id)
             self.order.append(event_id)
             while len(self.order) > self.window:
                 self.seen.discard(self.order.popleft())
-            fresh.append(wire)
+            fresh.append(event)
         return fresh
 
 
-def wire(event_id):
-    return {"meta": {"id": event_id, "timestamp": 0.0}, "ingredients": {"n": event_id}}
+def record(event_id):
+    return TriggerEvent.create(event_id, 0.0, n=event_id)
 
 
 #: Ids from a range a little wider than the window, so histories repeat
@@ -93,11 +97,11 @@ def test_new_events_matches_the_eager_window(history):
     reference = EagerWindow(WINDOW)
     assert runtime.seen_ids is None and runtime.seen_order is None
     for kind, payload in history:
-        if kind == "poll":  # a poll response: any number of wires, often none
-            wires = [wire(event_id) for event_id in payload]
-            assert engine._new_events(runtime, wires) == reference.new_events(wires)
+        if kind == "poll":  # a poll response: any number of records, often none
+            events = [record(event_id) for event_id in payload]
+            assert engine._new_events(runtime, events) == reference.new_events(events)
         else:  # a pushed event reaches the same window through _deliver
-            pushed = wire(payload)
+            pushed = record(payload)
             delivered = engine.push._deliver(runtime.identity, pushed)
             assert delivered == len(reference.new_events((pushed,)))
         if reference.order:
@@ -115,8 +119,8 @@ def test_small_windows_evict_like_the_eager_deque(window, data):
     drawn = data.draw(st.lists(st.integers(min_value=0, max_value=3 * window), max_size=30))
     # the first window + 1 ids are distinct, so every case evicts at least once
     for event_id in [*range(window + 1), *drawn]:
-        wires = [wire(event_id)]  # one wire a poll: each eviction is compared as it happens
-        assert engine._new_events(runtime, wires) == reference.new_events(wires)
+        events = [record(event_id)]  # one a poll: each eviction is compared as it happens
+        assert engine._new_events(runtime, events) == reference.new_events(events)
         assert runtime.seen_ids == reference.seen
         assert runtime.seen_order == list(reference.order)
 
@@ -231,17 +235,21 @@ PUBLICATIONS = 3
 FANOUT_EVENT_BUDGET = 400
 
 
-def test_fanned_out_event_footprint():
-    # fanout_push's shape: watermarks provisioned to the fleet, so every
-    # event arrives in a push drain batch, none by poll
+def lean_push_fleet():
+    """``fanout_push``'s shape: watermarks provisioned to the fleet, so
+    every event arrives in a push drain batch, none by poll."""
     config = EngineConfig(
         realtime_allowlist=frozenset(), initial_poll_jitter=120.0,
         push_policy=PushPolicy(max_batch=200, low_watermark=FLEET, high_watermark=4 * FLEET),
     )
-    world = FleetWorld(
+    return FleetWorld(
         FLEET, config, seed=7, push=True,
         with_trace=False, with_metrics=False, shared_user=True,
     )
+
+
+def test_fanned_out_event_footprint():
+    world = lean_push_fleet()
     endpoint = world.content.trigger("new_photo")
     extract, extracted = endpoint.ingredients, []
     endpoint.ingredients = lambda event: extracted.append(event) or extract(event)
@@ -277,8 +285,51 @@ def test_fanned_out_event_footprint():
             shared["photo"] = "overwritten"
     assert len({id(event.ingredients) for event in rows[0]}) == PUBLICATIONS
 
-    first, second = rows[0][0], rows[1][0]
-    wire_a, wire_b, wire_again = first.to_wire(), second.to_wire(), first.to_wire()
-    wire_a["ingredients"]["photo"] = "overwritten"
-    assert first.ingredients == second.ingredients == {"photo": "photo-0"}
-    assert wire_b["ingredients"] == wire_again["ingredients"] == {"photo": "photo-0"}
+    # a poll returns the buffered records themselves, which nobody can rewrite
+    engine, runtime = world.engine, next(iter(world.engine._applets.values()))
+    got = []
+    engine.post(
+        world.content.address, TRIGGER_PATH + "new_photo",
+        body={"trigger_identity": runtime.identity, "limit": 50},
+        headers=engine._auth_headers(runtime.link, runtime.applet.user),
+        on_response=got.append,
+    )
+    world.sim.run_until(world.sim.now + 1.0)
+    buffered = world.content.buffer_for(runtime.identity).fetch()
+    returned = got[0].body["data"]
+    assert got[0].ok and len(returned) == len(buffered) == PUBLICATIONS
+    assert all(event is held for event, held in zip(returned, buffered))
+    with pytest.raises(TypeError):
+        returned[0].ingredients["photo"] = "overwritten"
+
+
+# -- (e) what a publication's burst costs ----------------------------------------------
+
+#: Traced peak above the level before a publication, per pushed identity,
+#: for publications 2 and 3 (the first also builds every identity's ring
+#: and window: 1,225 B with a wire copy per fetch, 1,102 B without).
+#: 916 B with the copy — three dicts per event per fetch — and about
+#: 550 B carrying the buffered record.
+FANOUT_BURST_BUDGET = 700
+
+
+def test_fanned_out_event_burst():
+    world = lean_push_fleet()
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    bursts = []
+    try:
+        for index in range(PUBLICATIONS):
+            level, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            world.publish(f"photo-{index}")
+            world.sim.run_until(world.sim.now + 30.0)  # every event delivered in < 1 s
+            _, peak = tracemalloc.get_traced_memory()
+            bursts.append((peak - level) / FLEET)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert world.engine.stats()["push_events_ingested"] == FLEET * PUBLICATIONS
+    assert max(bursts[1:]) <= FANOUT_BURST_BUDGET, bursts

@@ -8,6 +8,7 @@ from repro.testbed.chaos import (
     CHAOS_SCENARIOS,
     SINK_SLUG,
     ChaosWorld,
+    ShardedChaosWorld,
     chaos_scenario,
     run_chaos_scenario,
 )
@@ -111,6 +112,34 @@ class TestDeterminism:
         a = run_chaos_scenario("outage", seed=13)
         b = run_chaos_scenario("outage", seed=14)
         assert snapshot_to_json_lines(a.snapshot) != snapshot_to_json_lines(b.snapshot)
+
+    def test_back_to_back_worlds_mint_the_same_event_ids(self):
+        # a world mints from its own simulator, not a process-global counter
+        def traced_ids():
+            world = ChaosWorld(seed=7)
+            world.run(CHAOS_SCENARIOS["outage"])
+            return [(r.time, r.kind, r.detail["event_id"])
+                    for r in world.trace if "event_id" in r.detail]
+
+        first = traced_ids()
+        assert first and min(event_id for *_, event_id in first) == 1
+        assert traced_ids() == first
+
+    def test_sharded_world_mints_from_one_source(self):
+        def buffered_ids():
+            world = ShardedChaosWorld(seed=7, num_shards=4)
+            world.run(CHAOS_SCENARIOS["outage"])
+            return sorted(
+                event.event_id
+                for sensor in world.sensors
+                for identity in sensor.known_identities
+                for event in sensor.buffer_for(identity).fetch(limit=sensor.buffer_capacity)
+            )
+
+        first = buffered_ids()
+        # one counter across the shards: no id minted twice, none skipped
+        assert first == list(range(1, len(first) + 1))
+        assert buffered_ids() == first
 
     def test_wallclock_gauges_filtered_from_snapshot(self, outage_result):
         names = {e["name"] for e in outage_result.snapshot["metrics"]}

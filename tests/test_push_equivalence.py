@@ -42,7 +42,7 @@ from repro.engine.push import DELIVERY_MODES, RUNG_HINT, RUNG_POLL, RUNG_PUSH
 from repro.engine.delivery import sampled_interval_quartiles
 from repro.net import Address, FixedLatency, Network
 from repro.obs.metrics import MetricsRegistry
-from repro.services import ActionEndpoint, PartnerService, TriggerEndpoint
+from repro.services import ActionEndpoint, PartnerService, TriggerEndpoint, TriggerEvent
 from repro.simcore import Rng, Simulator
 
 
@@ -323,11 +323,8 @@ class TestDegradedPushRestoration:
 
         controller = engine.push
         state = PushServiceState("svc")
-        def wire(k):
-            return {"meta": {"id": f"e{k}", "timestamp": 0}, "n": k}
-
         for k in range(12):
-            controller._admit(state, "identity", wire(k))
+            controller._admit(state, "identity", TriggerEvent.create(k, 0.0, n=k))
         # 0..3 admitted at push, 4..7 degraded (backlog in [low, high)),
         # 8..11 shed once the backlog reached the high mark
         assert state.rung == RUNG_POLL

@@ -151,11 +151,8 @@ class TestBoundedTrace:
 
     @staticmethod
     def _key(rec):
-        # Event ids come from a process-global counter (services.buffer),
-        # so they differ between two in-process runs; everything else in
-        # the record must match exactly.
-        detail = {k: v for k, v in rec.detail.items() if k not in ("event_id", "id")}
-        return (rec.time, rec.source, rec.kind, detail)
+        # event ids included: each world mints its own from 1
+        return (rec.time, rec.source, rec.kind, rec.detail)
 
     def test_bounded_trace_is_exact_suffix_of_unbounded(self, runs):
         unbounded, bounded = runs

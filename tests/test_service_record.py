@@ -12,7 +12,8 @@ here:
       live at its birth), so an untouched service leaves no series and
       each gauge appears at its documented instant;
 (iii) inbound webhooks are authenticated against the record before any
-      counter moves;
+      counter moves, and a malformed push body is rejected whole, 400,
+      before anything is admitted;
 (iv)  ROADMAP 3(c)'s acceptance: a Zapier-shaped engine is a pure
       ``EngineConfig`` — no fourth ``PollingPolicy`` wrapper.
 """
@@ -36,7 +37,7 @@ from repro.engine.push import RUNG_HINT, RUNG_POLL, RUNG_PUSH, PushPolicy
 from repro.engine.resilience import BreakerState, ReplayPolicy
 from repro.net import Address, FixedLatency, HttpNode
 from repro.obs.metrics import MetricsRegistry, deterministic_snapshot
-from repro.services import ActionEndpoint, PartnerService
+from repro.services import ActionEndpoint, PartnerService, TriggerEvent
 from repro.services.partner import PUSH_NOTIFY_PATH, REALTIME_NOTIFY_PATH
 from repro.simcore import Rng
 from repro.testbed.chaos import CHAOS_SCENARIOS, ChaosWorld
@@ -186,16 +187,14 @@ def _webhook_world():
     return world, applet, rogue
 
 
-def _post_webhook(world, rogue, path, headers, applet):
-    identity = applet.trigger_identity
+def _post_webhook(world, rogue, path, headers, applet, body=None):
+    if body is None:
+        body = {"data": [{
+            "trigger_identity": applet.trigger_identity,
+            "events": [TriggerEvent.create(999, 0.0, n=1)],
+        }]}
     got = []
-    rogue.post(
-        world.engine.address, path, headers=headers, on_response=got.append,
-        body={"data": [{
-            "trigger_identity": identity,
-            "events": [{"meta": {"id": 999, "timestamp": 0.0}, "ingredients": {"n": 1}}],
-        }]},
-    )
+    rogue.post(world.engine.address, path, headers=headers, on_response=got.append, body=body)
     world.sim.run_until(world.sim.now + 1.0)
     return got[0]
 
@@ -233,6 +232,52 @@ def test_webhook_accepts_the_issued_key(path, counter):
     )
     assert response.status == 200 and response.body == {"status": "received"}
     assert world.engine.stats()[counter] == 1
+
+
+def malformed_push_bodies(identity):
+    """Push bodies an authenticated sender might get wrong, each with the
+    field the 400 names."""
+    return {
+        "event-without-meta": (
+            {"data": [{"trigger_identity": identity, "events": [{"ingredients": {"n": 1}}]}]},
+            "data[0].events must be a list of TriggerEvent",
+        ),
+        "events-not-a-list": (
+            {"data": [{"trigger_identity": identity, "events": 5}]},
+            "data[0].events must be a list of TriggerEvent",
+        ),
+        "entry-without-identity": (
+            {"data": [{"trigger_identity": identity, "events": []},
+                      {"events": [TriggerEvent.create(999, 0.0, n=1)]}]},
+            "data[1].trigger_identity must be a str",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["event-without-meta", "events-not-a-list", "entry-without-identity"]
+)
+def test_malformed_push_fails_at_the_boundary(case):
+    world, applet, rogue = _webhook_world()
+    engine = world.engine
+    key = engine.service_registration("svc").service_key
+    body, field = malformed_push_bodies(applet.trigger_identity)[case]
+    before = (engine.stats(), engine.poll_count(applet.applet_id))
+    response = _post_webhook(
+        world, rogue, PUSH_NOTIFY_PATH, {"service_slug": "svc", "IFTTT-Service-Key": key},
+        applet, body=body,
+    )
+    assert response.status == 400
+    assert response.body == {"error": f"malformed push notification: {field}"}
+    # nothing admitted: no stats key moved, no push state, no fast poll
+    assert (engine.stats(), engine.poll_count(applet.applet_id)) == before
+    assert engine.service_registration("svc").push_state is None
+    assert engine.metrics.value("engine.push.malformed", service="svc") == 1
+    # the run goes on, polling as before, and no action ever fires
+    world.sim.run_until(world.sim.now + 30.0)
+    assert engine.poll_count(applet.applet_id) > before[1]
+    assert engine.stats()["push_events_ingested"] == 0
+    assert world.executed == []
 
 
 # -- (iv) Zapier's execution model is a configuration ------------------------------

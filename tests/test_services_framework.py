@@ -18,20 +18,30 @@ from repro.simcore import Rng, Simulator
 
 
 class TestTriggerEvent:
-    def test_ids_unique_and_increasing(self):
-        a = TriggerEvent.create(1.0)
-        b = TriggerEvent.create(2.0)
-        assert b.event_id > a.event_id
+    def test_ids_unique_and_increasing(self, wired_service):
+        _, _, service, _, _ = wired_service
+        service.register_identity("thing_happened", "id-1", {})
+        service.register_identity("thing_happened", "id-2", {})
+        service.ingest_event("thing_happened", {})
+        service.ingest_event("thing_happened", {})
+        ids = [event.event_id for event in service.buffer_for("id-1").fetch()[::-1]]
+        ids += [event.event_id for event in service.buffer_for("id-2").fetch()[::-1]]
+        # minted per identity per publication from the world's one source
+        assert sorted(ids) == [1, 2, 3, 4] and ids[0] < ids[1]
 
     def test_wire_format(self):
-        event = TriggerEvent.create(5.0, subject="hi")
-        wire = event.to_wire()
-        assert wire["meta"]["id"] == event.event_id
-        assert wire["meta"]["timestamp"] == 5.0
-        assert wire["ingredients"] == {"subject": "hi"}
+        # the record is the wire form: meta.id, meta.timestamp, ingredients
+        event = TriggerEvent.create(7, 5.0, subject="hi")
+        assert event.event_id == 7
+        assert event.created_at == 5.0
+        assert event.ingredients == {"subject": "hi"}
+        with pytest.raises(TypeError):
+            event.ingredients["subject"] = "rewritten"
+        with pytest.raises(AttributeError):
+            event.event_id = 8
 
     def test_create_accepts_an_ingredient_named_created_at(self):
-        event = TriggerEvent.create(5.0, created_at="yesterday")
+        event = TriggerEvent.create(1, 5.0, created_at="yesterday")
         assert event.created_at == 5.0
         assert event.ingredients == {"created_at": "yesterday"}
 
@@ -39,7 +49,7 @@ class TestTriggerEvent:
 class TestTriggerBuffer:
     def test_fetch_newest_first(self):
         buffer = TriggerBuffer()
-        events = [TriggerEvent.create(float(t)) for t in range(5)]
+        events = [TriggerEvent.create(t, float(t)) for t in range(5)]
         for event in events:
             buffer.append(event)
         fetched = buffer.fetch(limit=3)
@@ -47,14 +57,14 @@ class TestTriggerBuffer:
 
     def test_fetch_does_not_consume(self):
         buffer = TriggerBuffer()
-        buffer.append(TriggerEvent.create(1.0))
+        buffer.append(TriggerEvent.create(1, 1.0))
         assert len(buffer.fetch()) == 1
         assert len(buffer.fetch()) == 1
 
     def test_capacity_drops_oldest(self):
         buffer = TriggerBuffer(capacity=3)
         for t in range(5):
-            buffer.append(TriggerEvent.create(float(t)))
+            buffer.append(TriggerEvent.create(t, float(t)))
         assert len(buffer) == 3
         assert buffer.dropped == 2
         assert buffer.latest().created_at == 4.0
@@ -69,8 +79,8 @@ class TestTriggerBuffer:
            st.integers(min_value=0, max_value=80))
     def test_fetch_never_exceeds_limit_or_contents(self, times, limit):
         buffer = TriggerBuffer(capacity=50)
-        for t in times:
-            buffer.append(TriggerEvent.create(t))
+        for event_id, t in enumerate(times):
+            buffer.append(TriggerEvent.create(event_id, t))
         fetched = buffer.fetch(limit=limit)
         assert len(fetched) <= min(limit, len(buffer))
         # newest-appended first (insertion order, not timestamp order)
@@ -158,7 +168,7 @@ class TestPartnerService:
         assert service.ingest_event("thing_happened", event) == 1
         buffered = service.buffer_for("id-1").latest()
         assert buffered.created_at == service.now
-        assert buffered.to_wire()["ingredients"] == event
+        assert dict(buffered.ingredients) == event
 
     def test_poll_registers_identity_and_returns_events(self, wired_service):
         sim, _, service, engine, _ = wired_service
@@ -184,7 +194,8 @@ class TestPartnerService:
         sim.run()
         data = responses[0].body["data"]
         assert len(data) == 1  # limit respected
-        assert data[0]["ingredients"]["n"] == 2  # newest first
+        assert data[0].ingredients["n"] == 2  # newest first
+        assert data[0] is service.buffer_for("id-1").latest()  # the record, not a copy
 
     def test_poll_unknown_trigger_404(self, wired_service):
         sim, _, service, engine, _ = wired_service

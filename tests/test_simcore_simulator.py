@@ -14,43 +14,48 @@ from tests.helpers import live_scan
 
 class TestEvent:
     def test_orders_by_time(self):
-        early = Event(1.0, lambda: None)
-        late = Event(2.0, lambda: None)
+        early = Event(1.0, lambda: None, seq=1)
+        late = Event(2.0, lambda: None, seq=0)
         assert early < late
 
     def test_same_time_orders_by_priority_then_seq(self):
-        first = Event(1.0, lambda: None, priority=0)
-        second = Event(1.0, lambda: None, priority=1)
+        first = Event(1.0, lambda: None, priority=0, seq=1)
+        second = Event(1.0, lambda: None, priority=1, seq=0)
         assert first < second
-        a = Event(1.0, lambda: None)
-        b = Event(1.0, lambda: None)
+        a = Event(1.0, lambda: None, seq=0)
+        b = Event(1.0, lambda: None, seq=1)
         assert a < b  # FIFO via sequence numbers
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            Event(-0.1, lambda: None)
+            Event(-0.1, lambda: None, seq=0)
 
     def test_cancel_prevents_fire(self):
         fired = []
-        event = Event(0.0, lambda: fired.append(1))
+        event = Event(0.0, lambda: fired.append(1), seq=0)
         event.cancel()
         event.fire()
         assert fired == []
         assert event.canceled
 
     def test_cancel_is_idempotent(self):
-        event = Event(0.0, lambda: None)
+        event = Event(0.0, lambda: None, seq=0)
         event.cancel()
         event.cancel()
         assert event.canceled
 
     def test_fire_passes_args(self):
         got = []
-        Event(0.0, lambda a, b: got.append((a, b)), args=(1, 2)).fire()
+        Event(0.0, lambda a, b: got.append((a, b)), args=(1, 2), seq=0).fire()
         assert got == [(1, 2)]
 
+    def test_seq_is_required(self):
+        # no process-global fallback: the owning simulator numbers its heap
+        with pytest.raises(TypeError):
+            Event(1.0, lambda: None)
+
     def test_repr_mentions_label(self):
-        assert "poll" in repr(Event(1.0, lambda: None, label="poll"))
+        assert "poll" in repr(Event(1.0, lambda: None, label="poll", seq=0))
 
 
 class TestSimulator:
