@@ -15,44 +15,17 @@ the same separation the paper had between collection and analysis.
 * :mod:`repro.analysis.growthstats` — the weekly growth paragraph.
 """
 
-from repro.analysis.classify import ServiceClassifier
-from repro.analysis.tables import table1, table2, table3, UR_ET_AL_DATASET
-from repro.analysis.heatmap import interaction_heatmap, heatmap_intensity
-from repro.analysis.distributions import (
-    ranked_add_counts,
-    add_count_top_shares,
-    log_rank_series,
-)
-from repro.analysis.usercontrib import user_contribution_stats, UserContribution
-from repro.analysis.growthstats import growth_percentages, weekly_series
-from repro.analysis.iotstats import iot_shares, IotShares
-from repro.analysis.churn import churn_between, weekly_churn, ChurnReport
-from repro.analysis.permissions_study import run_permission_study, PermissionStudyResult
-from repro.analysis.history import fit_exponential, GrowthFit, STUDY_POINTS
+from repro import _lazy
 
-__all__ = [
-    "ServiceClassifier",
-    "table1",
-    "table2",
-    "table3",
-    "UR_ET_AL_DATASET",
-    "interaction_heatmap",
-    "heatmap_intensity",
-    "ranked_add_counts",
-    "add_count_top_shares",
-    "log_rank_series",
-    "user_contribution_stats",
-    "UserContribution",
-    "growth_percentages",
-    "weekly_series",
-    "iot_shares",
-    "IotShares",
-    "churn_between",
-    "weekly_churn",
-    "ChurnReport",
-    "run_permission_study",
-    "PermissionStudyResult",
-    "fit_exponential",
-    "GrowthFit",
-    "STUDY_POINTS",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "classify": ("ServiceClassifier",),
+    "tables": ("table1", "table2", "table3", "UR_ET_AL_DATASET"),
+    "heatmap": ("interaction_heatmap", "heatmap_intensity"),
+    "distributions": ("ranked_add_counts", "add_count_top_shares", "log_rank_series"),
+    "usercontrib": ("user_contribution_stats", "UserContribution"),
+    "growthstats": ("growth_percentages", "weekly_series"),
+    "iotstats": ("iot_shares", "IotShares"),
+    "churn": ("churn_between", "weekly_churn", "ChurnReport"),
+    "permissions_study": ("run_permission_study", "PermissionStudyResult"),
+    "history": ("fit_exponential", "GrowthFit", "STUDY_POINTS"),
+})

@@ -16,24 +16,11 @@ ecosystem."
   with growth queries and JSON persistence.
 """
 
-from repro.crawler.parser import (
-    parse_index_page,
-    parse_service_page,
-    parse_applet_page,
-    ParseError,
-)
-from repro.crawler.snapshot import CrawlSnapshot, CrawledService, CrawledApplet
-from repro.crawler.crawler import IftttCrawler
-from repro.crawler.store import SnapshotStore
+from repro import _lazy
 
-__all__ = [
-    "parse_index_page",
-    "parse_service_page",
-    "parse_applet_page",
-    "ParseError",
-    "CrawlSnapshot",
-    "CrawledService",
-    "CrawledApplet",
-    "IftttCrawler",
-    "SnapshotStore",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "parser": ("parse_index_page", "parse_service_page", "parse_applet_page", "ParseError"),
+    "snapshot": ("CrawlSnapshot", "CrawledService", "CrawledApplet"),
+    "crawler": ("IftttCrawler",),
+    "store": ("SnapshotStore",),
+})

@@ -18,36 +18,14 @@ so this package generates a corpus with the same published statistics:
 Every §3 analysis and the crawler pipeline run against this corpus.
 """
 
-from repro.ecosystem.categories import Category, CATEGORIES, category, iot_categories
-from repro.ecosystem.corpus import (
-    ServiceRecord,
-    TriggerRecord,
-    ActionRecord,
-    AppletRecord,
-    Corpus,
-)
-from repro.ecosystem.model import EcosystemParams
-from repro.ecosystem.popularity import zipf_add_counts, top_share, fit_zipf_alpha
-from repro.ecosystem.interactions import fit_interaction_matrix
-from repro.ecosystem.generator import EcosystemGenerator
-from repro.ecosystem.growth import GrowthSchedule, WEEKS_IN_STUDY
+from repro import _lazy
 
-__all__ = [
-    "Category",
-    "CATEGORIES",
-    "category",
-    "iot_categories",
-    "ServiceRecord",
-    "TriggerRecord",
-    "ActionRecord",
-    "AppletRecord",
-    "Corpus",
-    "EcosystemParams",
-    "zipf_add_counts",
-    "top_share",
-    "fit_zipf_alpha",
-    "fit_interaction_matrix",
-    "EcosystemGenerator",
-    "GrowthSchedule",
-    "WEEKS_IN_STUDY",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "categories": ("Category", "CATEGORIES", "category", "iot_categories"),
+    "corpus": ("ServiceRecord", "TriggerRecord", "ActionRecord", "AppletRecord", "Corpus"),
+    "model": ("EcosystemParams",),
+    "popularity": ("zipf_add_counts", "top_share", "fit_zipf_alpha"),
+    "interactions": ("fit_interaction_matrix",),
+    "generator": ("EcosystemGenerator",),
+    "growth": ("GrowthSchedule", "WEEKS_IN_STUDY"),
+})

@@ -47,121 +47,37 @@ behaviour §4 measures:
   wake event per engine, lazy cancellation (``docs/PERFORMANCE.md``).
 """
 
-from repro.engine.applet import Applet, TriggerRef, ActionRef, AppletState, QueryRef
-from repro.engine.config import EngineConfig, SHARD_STRATEGIES
-from repro.engine.poller import (
-    PollingPolicy,
-    ProductionPollingPolicy,
-    FixedPollingPolicy,
-    AdaptivePollingPolicy,
-)
-from repro.engine.delivery import (
-    DEGRADATION_LEVEL_NAMES,
-    DeliveryController,
-    DeliveryPolicy,
-    ServiceHealth,
-    sampled_interval_quartiles,
-)
-from repro.engine.push import (
-    DELIVERY_MODES,
-    PUSH_RUNG_NAMES,
-    PushController,
-    PushPolicy,
-    PushServiceState,
-)
-from repro.engine.oauth import OAuthAuthority, OAuthGrant
-from repro.engine.engine import (
-    AppletIdRangeError,
-    IftttEngine,
-    ServiceRegistration,
-)
-from repro.engine.permissions import (
-    Scope,
-    ServicePermissionModel,
-    PerEndpointPermissionModel,
-    excess_privilege,
-)
-from repro.engine.loops import (
-    StaticLoopAnalyzer,
-    RuntimeLoopDetector,
-    LoopFinding,
-)
-from repro.engine.local import LocalEngine, HybridScheduler
-from repro.engine.replay import ReplayController
-from repro.engine.resilience import (
-    BreakerPolicy,
-    BreakerState,
-    CircuitBreaker,
-    DeadLetter,
-    PendingAction,
-    ReplayPolicy,
-    RetryPolicy,
-)
-from repro.engine.scheduler import HeapPollScheduler
-from repro.engine.sharding import (
-    ShardedEngine,
-    merged_fleet_snapshot,
-    shard_snapshot,
-    stable_service_hash,
-)
-from repro.engine.filters import (
-    FilterSyntaxError,
-    FilterEvalError,
-    parse as parse_filter,
-    evaluate as evaluate_filter,
-)
+from repro import _lazy
 
-__all__ = [
-    "Applet",
-    "TriggerRef",
-    "ActionRef",
-    "AppletState",
-    "QueryRef",
-    "FilterSyntaxError",
-    "FilterEvalError",
-    "parse_filter",
-    "evaluate_filter",
-    "EngineConfig",
-    "PollingPolicy",
-    "ProductionPollingPolicy",
-    "FixedPollingPolicy",
-    "AdaptivePollingPolicy",
-    "OAuthAuthority",
-    "OAuthGrant",
-    "AppletIdRangeError",
-    "IftttEngine",
-    "ServiceRegistration",
-    "Scope",
-    "ServicePermissionModel",
-    "PerEndpointPermissionModel",
-    "excess_privilege",
-    "StaticLoopAnalyzer",
-    "RuntimeLoopDetector",
-    "LoopFinding",
-    "LocalEngine",
-    "HybridScheduler",
-    "RetryPolicy",
-    "BreakerPolicy",
-    "BreakerState",
-    "CircuitBreaker",
-    "PendingAction",
-    "DeadLetter",
-    "ReplayPolicy",
-    "ReplayController",
-    "DeliveryPolicy",
-    "DeliveryController",
-    "ServiceHealth",
-    "DEGRADATION_LEVEL_NAMES",
-    "sampled_interval_quartiles",
-    "DELIVERY_MODES",
-    "PUSH_RUNG_NAMES",
-    "PushPolicy",
-    "PushController",
-    "PushServiceState",
-    "HeapPollScheduler",
-    "SHARD_STRATEGIES",
-    "ShardedEngine",
-    "stable_service_hash",
-    "shard_snapshot",
-    "merged_fleet_snapshot",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "applet": ("Applet", "TriggerRef", "ActionRef", "AppletState", "QueryRef"),
+    "config": ("EngineConfig", "SHARD_STRATEGIES"),
+    "poller": (
+        "PollingPolicy", "ProductionPollingPolicy", "FixedPollingPolicy", "AdaptivePollingPolicy",
+    ),
+    "delivery": (
+        "DEGRADATION_LEVEL_NAMES", "DeliveryController", "DeliveryPolicy", "ServiceHealth",
+        "sampled_interval_quartiles",
+    ),
+    "push": (
+        "DELIVERY_MODES", "PUSH_RUNG_NAMES", "PushController", "PushPolicy", "PushServiceState",
+    ),
+    "oauth": ("OAuthAuthority", "OAuthGrant"),
+    "engine": ("AppletIdRangeError", "IftttEngine", "ServiceRegistration"),
+    "permissions": (
+        "Scope", "ServicePermissionModel", "PerEndpointPermissionModel", "excess_privilege",
+    ),
+    "loops": ("StaticLoopAnalyzer", "RuntimeLoopDetector", "LoopFinding"),
+    "local": ("LocalEngine", "HybridScheduler"),
+    "replay": ("ReplayController",),
+    "resilience": (
+        "BreakerPolicy", "BreakerState", "CircuitBreaker", "DeadLetter", "PendingAction",
+        "ReplayPolicy", "RetryPolicy",
+    ),
+    "scheduler": ("HeapPollScheduler",),
+    "sharding": ("ShardedEngine", "merged_fleet_snapshot", "shard_snapshot", "stable_service_hash"),
+    "filters": (
+        "FilterSyntaxError", "FilterEvalError", ("parse_filter", "parse"),
+        ("evaluate_filter", "evaluate"),
+    ),
+})

@@ -24,41 +24,14 @@ Modules
     Cell/matrix result records and their deterministic JSON form.
 """
 
-from repro.experiments.spec import (
-    Cell,
-    ExperimentSpec,
-    ExperimentSpecError,
-    Sweep,
-    cell_seed,
-    expand_cells,
-    load_spec,
-)
-from repro.experiments.results import (
-    CellResult,
-    MatrixResults,
-    RepeatOutcome,
-)
-from repro.experiments.runner import run_cell, run_matrix
-from repro.experiments.stats import (
-    bootstrap_median_interval,
-    mean_confidence_interval,
-    pooled_quartiles,
-)
+from repro import _lazy
 
-__all__ = [
-    "Cell",
-    "CellResult",
-    "ExperimentSpec",
-    "ExperimentSpecError",
-    "MatrixResults",
-    "RepeatOutcome",
-    "Sweep",
-    "bootstrap_median_interval",
-    "cell_seed",
-    "expand_cells",
-    "load_spec",
-    "mean_confidence_interval",
-    "pooled_quartiles",
-    "run_cell",
-    "run_matrix",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "spec": (
+        "Cell", "ExperimentSpec", "ExperimentSpecError", "Sweep", "cell_seed", "expand_cells",
+        "load_spec",
+    ),
+    "results": ("CellResult", "MatrixResults", "RepeatOutcome"),
+    "runner": ("run_cell", "run_matrix"),
+    "stats": ("bootstrap_median_interval", "mean_confidence_interval", "pooled_quartiles"),
+})

@@ -18,30 +18,12 @@ scenario harness lives in :mod:`repro.testbed.chaos`.  Semantics and
 determinism guarantees are documented in ``docs/ROBUSTNESS.md``.
 """
 
-from repro.faults.plan import (
-    FaultPlan,
-    FaultPlanError,
-    FaultSpec,
-    link_down,
-    link_latency,
-    link_loss,
-    service_brownout,
-    service_flap,
-    service_outage,
-)
-from repro.faults.injector import FaultInjector, NetworkFaultState, ServiceFaultState
+from repro import _lazy
 
-__all__ = [
-    "FaultPlan",
-    "FaultPlanError",
-    "FaultSpec",
-    "FaultInjector",
-    "NetworkFaultState",
-    "ServiceFaultState",
-    "service_outage",
-    "service_brownout",
-    "service_flap",
-    "link_down",
-    "link_loss",
-    "link_latency",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "plan": (
+        "FaultPlan", "FaultPlanError", "FaultSpec", "link_down", "link_latency", "link_loss",
+        "service_brownout", "service_flap", "service_outage",
+    ),
+    "injector": ("FaultInjector", "NetworkFaultState", "ServiceFaultState"),
+})

@@ -38,6 +38,7 @@ Fault kinds
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -51,6 +52,21 @@ LINK_LATENCY = "link_latency"
 SERVICE_KINDS = frozenset({SERVICE_OUTAGE, SERVICE_BROWNOUT, SERVICE_FLAP})
 LINK_KINDS = frozenset({LINK_DOWN, LINK_LOSS, LINK_LATENCY})
 ALL_KINDS = SERVICE_KINDS | LINK_KINDS
+
+#: The parameters each kind reads besides ``kind``, ``at`` and
+#: ``duration``; every other field must keep its neutral default.
+KIND_PARAMETERS = {
+    SERVICE_OUTAGE: ("service",),
+    SERVICE_BROWNOUT: ("service", "error_rate", "extra_latency"),
+    SERVICE_FLAP: ("service", "period", "duty"),
+    LINK_DOWN: ("a", "b"),
+    LINK_LOSS: ("a", "b", "loss"),
+    LINK_LATENCY: ("a", "b", "multiplier", "extra"),
+}
+_NUMBER_FIELDS = (
+    "at", "duration", "error_rate", "extra_latency", "loss", "multiplier", "extra",
+    "period", "duty",
+)
 
 
 class FaultPlanError(ValueError):
@@ -88,9 +104,27 @@ class FaultSpec:
 
     def validate(self) -> "FaultSpec":
         """Check internal consistency; returns self for chaining."""
-        if self.kind not in ALL_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in ALL_KINDS:
             raise FaultPlanError(
                 f"unknown fault kind {self.kind!r}; expected one of {sorted(ALL_KINDS)}"
+            )
+        for name in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise FaultPlanError(
+                    f"{self.kind}: {name!r} must be a finite number, got {value!r}"
+                )
+        for name in ("service", "a", "b"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise FaultPlanError(f"{self.kind}: {name!r} must be a string, got {value!r}")
+        unread = sorted(set(self.to_dict()) - {"kind", "at", "duration",
+                                               *KIND_PARAMETERS[self.kind]})
+        if unread:
+            raise FaultPlanError(
+                f"{self.kind} does not read {unread}; it takes "
+                f"{list(KIND_PARAMETERS[self.kind])}"
             )
         if self.at < 0 or self.duration <= 0:
             raise FaultPlanError(
@@ -202,6 +236,9 @@ class FaultPlan:
         if isinstance(data, list):  # bare list of specs is accepted too
             entries = data
         elif isinstance(data, dict) and isinstance(data.get("faults"), list):
+            unknown = sorted(set(data) - {"faults"})
+            if unknown:
+                raise FaultPlanError(f"unknown fault plan keys {unknown}; expected only 'faults'")
             entries = data["faults"]
         else:
             raise FaultPlanError(

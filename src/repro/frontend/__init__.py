@@ -8,16 +8,9 @@ study week.  The page structure mirrors what the paper reverse-engineered
 action, action service, author, and add count.
 """
 
-from repro.frontend.pages import (
-    render_index_page,
-    render_service_page,
-    render_applet_page,
-)
-from repro.frontend.site import SimulatedIftttSite
+from repro import _lazy
 
-__all__ = [
-    "render_index_page",
-    "render_service_page",
-    "render_applet_page",
-    "SimulatedIftttSite",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "pages": ("render_index_page", "render_service_page", "render_applet_page"),
+    "site": ("SimulatedIftttSite",),
+})

@@ -18,30 +18,16 @@ of them as network nodes speaking the corresponding protocol shape:
   (:mod:`repro.iot.proxy`, :mod:`repro.iot.gateway`).
 """
 
-from repro.iot.device import Device, DeviceError
-from repro.iot.hue import HueLamp, HueHub
-from repro.iot.wemo import WemoSwitch
-from repro.iot.alexa import EchoDevice, AlexaCloud
-from repro.iot.smartthings import SmartThingsHub, GenericDevice
-from repro.iot.nest import NestThermostat
-from repro.iot.proxy import LocalProxy
-from repro.iot.gateway import GatewayRouter
-from repro.iot.registry import DeviceType, DEVICE_CATALOG, device_types_by_category
+from repro import _lazy
 
-__all__ = [
-    "Device",
-    "DeviceError",
-    "HueLamp",
-    "HueHub",
-    "WemoSwitch",
-    "EchoDevice",
-    "AlexaCloud",
-    "SmartThingsHub",
-    "GenericDevice",
-    "NestThermostat",
-    "LocalProxy",
-    "GatewayRouter",
-    "DeviceType",
-    "DEVICE_CATALOG",
-    "device_types_by_category",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "device": ("Device", "DeviceError"),
+    "hue": ("HueLamp", "HueHub"),
+    "wemo": ("WemoSwitch",),
+    "alexa": ("EchoDevice", "AlexaCloud"),
+    "smartthings": ("SmartThingsHub", "GenericDevice"),
+    "nest": ("NestThermostat",),
+    "proxy": ("LocalProxy",),
+    "gateway": ("GatewayRouter",),
+    "registry": ("DeviceType", "DEVICE_CATALOG", "device_types_by_category"),
+})

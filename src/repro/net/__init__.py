@@ -8,38 +8,17 @@ per-hop delay comes from calibrated latency models, and an HTTP-like
 request/response layer on top carries the IFTTT partner-service protocol.
 """
 
-from repro.net.address import Address
-from repro.net.message import Message
-from repro.net.latency import (
-    LatencyModel,
-    FixedLatency,
-    UniformLatency,
-    LognormalLatency,
-    lan_latency,
-    wan_latency,
-    cloud_internal_latency,
-)
-from repro.net.link import Link
-from repro.net.node import Node
-from repro.net.network import Network, RoutingError
-from repro.net.http import HttpRequest, HttpResponse, HttpNode, HttpError
+from repro import _lazy
 
-__all__ = [
-    "Address",
-    "Message",
-    "LatencyModel",
-    "FixedLatency",
-    "UniformLatency",
-    "LognormalLatency",
-    "lan_latency",
-    "wan_latency",
-    "cloud_internal_latency",
-    "Link",
-    "Node",
-    "Network",
-    "RoutingError",
-    "HttpRequest",
-    "HttpResponse",
-    "HttpNode",
-    "HttpError",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "address": ("Address",),
+    "message": ("Message",),
+    "latency": (
+        "LatencyModel", "FixedLatency", "UniformLatency", "LognormalLatency", "lan_latency",
+        "wan_latency", "cloud_internal_latency",
+    ),
+    "link": ("Link",),
+    "node": ("Node",),
+    "network": ("Network", "RoutingError"),
+    "http": ("HttpRequest", "HttpResponse", "HttpNode", "HttpError"),
+})

@@ -13,51 +13,18 @@ across shards, and exported by the CLI's ``--metrics`` flag.
 See ``docs/OBSERVABILITY.md`` for naming conventions and usage.
 """
 
-from repro.obs.bound import Bound
-from repro.obs.metrics import (
-    COUNT_BUCKETS,
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ScopedRegistry,
-    WALLCLOCK_METRICS,
-    deterministic_snapshot,
-    merge_snapshots,
-    snapshot_from_json_lines,
-    snapshot_to_json_lines,
-)
-from repro.obs.quantiles import (
-    DEFAULT_QUANTILES,
-    P2Quantile,
-    P2_RANK_ERROR_BOUND,
-    QuantileSketch,
-    ReservoirSample,
-    rank_error,
-)
-from repro.obs.bridge import bridge_trace, poll_latency_summary
+from repro import _lazy
 
-__all__ = [
-    "Bound",
-    "COUNT_BUCKETS",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_QUANTILES",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "P2Quantile",
-    "P2_RANK_ERROR_BOUND",
-    "QuantileSketch",
-    "ReservoirSample",
-    "ScopedRegistry",
-    "WALLCLOCK_METRICS",
-    "bridge_trace",
-    "deterministic_snapshot",
-    "merge_snapshots",
-    "poll_latency_summary",
-    "rank_error",
-    "snapshot_from_json_lines",
-    "snapshot_to_json_lines",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "bound": ("Bound",),
+    "metrics": (
+        "COUNT_BUCKETS", "Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram", "MetricsRegistry",
+        "ScopedRegistry", "WALLCLOCK_METRICS", "deterministic_snapshot", "merge_snapshots",
+        "snapshot_from_json_lines", "snapshot_to_json_lines",
+    ),
+    "quantiles": (
+        "DEFAULT_QUANTILES", "P2Quantile", "P2_RANK_ERROR_BOUND", "QuantileSketch",
+        "ReservoirSample", "rank_error",
+    ),
+    "bridge": ("bridge_trace", "poll_latency_summary"),
+})

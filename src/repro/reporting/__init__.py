@@ -4,46 +4,18 @@ The benchmark harness prints the same rows/series the paper reports;
 these helpers keep that presentation code out of the analysis layer.
 """
 
-from repro.reporting.table import render_table
-from repro.reporting.cdf import cdf_points, cdf_at, summarize_latencies
-from repro.reporting.figures import (
-    write_csv,
-    export_cdf,
-    export_heatmap,
-    export_rank_series,
-    export_all_figures,
-)
-from repro.reporting.metrics_report import (
-    render_metrics_summary,
-    write_metrics_json,
-)
-from repro.reporting.experiment_report import (
-    experiment_fault_comparison,
-    render_experiment_json,
-    render_experiment_table,
-)
-from repro.reporting.replay_report import render_replay_comparison
-from repro.reporting.adaptive_report import (
-    adaptive_delivery_violations,
-    render_adaptive_comparison,
-)
+from repro import _lazy
 
-__all__ = [
-    "render_table",
-    "render_experiment_table",
-    "render_experiment_json",
-    "experiment_fault_comparison",
-    "render_replay_comparison",
-    "render_adaptive_comparison",
-    "adaptive_delivery_violations",
-    "cdf_points",
-    "cdf_at",
-    "summarize_latencies",
-    "write_csv",
-    "export_cdf",
-    "export_heatmap",
-    "export_rank_series",
-    "export_all_figures",
-    "render_metrics_summary",
-    "write_metrics_json",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "table": ("render_table",),
+    "cdf": ("cdf_points", "cdf_at", "summarize_latencies"),
+    "figures": (
+        "write_csv", "export_cdf", "export_heatmap", "export_rank_series", "export_all_figures",
+    ),
+    "metrics_report": ("render_metrics_summary", "write_metrics_json"),
+    "experiment_report": (
+        "experiment_fault_comparison", "render_experiment_json", "render_experiment_table",
+    ),
+    "replay_report": ("render_replay_comparison",),
+    "adaptive_report": ("adaptive_delivery_violations", "render_adaptive_comparison"),
+})

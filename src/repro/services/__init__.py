@@ -17,40 +17,16 @@ concrete services:
   E1/E2/E3.
 """
 
-from repro.services.buffer import TriggerEvent, TriggerBuffer
-from repro.services.endpoints import TriggerEndpoint, ActionEndpoint, QueryEndpoint, Channel
-from repro.services.partner import BatchActionRequest, PartnerService, AuthError
-from repro.services.custom import CustomService
-from repro.services.official import (
-    OfficialHueService,
-    OfficialWemoService,
-    OfficialAlexaService,
-    OfficialGmailService,
-    OfficialSheetsService,
-    OfficialDriveService,
-    OfficialNestService,
-    OfficialSmartThingsService,
-    OfficialWeatherService,
-)
+from repro import _lazy
 
-__all__ = [
-    "TriggerEvent",
-    "TriggerBuffer",
-    "TriggerEndpoint",
-    "ActionEndpoint",
-    "QueryEndpoint",
-    "Channel",
-    "PartnerService",
-    "BatchActionRequest",
-    "AuthError",
-    "CustomService",
-    "OfficialHueService",
-    "OfficialWemoService",
-    "OfficialAlexaService",
-    "OfficialGmailService",
-    "OfficialSheetsService",
-    "OfficialDriveService",
-    "OfficialNestService",
-    "OfficialSmartThingsService",
-    "OfficialWeatherService",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "buffer": ("TriggerEvent", "TriggerBuffer"),
+    "endpoints": ("TriggerEndpoint", "ActionEndpoint", "QueryEndpoint", "Channel"),
+    "partner": ("BatchActionRequest", "PartnerService", "AuthError"),
+    "custom": ("CustomService",),
+    "official": (
+        "OfficialHueService", "OfficialWemoService", "OfficialAlexaService", "OfficialGmailService",
+        "OfficialSheetsService", "OfficialDriveService", "OfficialNestService",
+        "OfficialSmartThingsService", "OfficialWeatherService",
+    ),
+})

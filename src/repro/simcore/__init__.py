@@ -19,25 +19,13 @@ Example
 [5.0]
 """
 
-from repro.simcore.event import Event
-from repro.simcore.simulator import RunResult, Simulator, SimulationError
-from repro.simcore.parallel import DEFAULT_LOOKAHEAD, ShardedSimulator
-from repro.simcore.process import Process, Timeout, Signal, Interrupt
-from repro.simcore.rng import Rng
-from repro.simcore.trace import Trace, TraceRecord
+from repro import _lazy
 
-__all__ = [
-    "DEFAULT_LOOKAHEAD",
-    "Event",
-    "RunResult",
-    "ShardedSimulator",
-    "Simulator",
-    "SimulationError",
-    "Process",
-    "Timeout",
-    "Signal",
-    "Interrupt",
-    "Rng",
-    "Trace",
-    "TraceRecord",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "event": ("Event",),
+    "simulator": ("RunResult", "Simulator", "SimulationError"),
+    "parallel": ("DEFAULT_LOOKAHEAD", "ShardedSimulator"),
+    "process": ("Process", "Timeout", "Signal", "Interrupt"),
+    "rng": ("Rng",),
+    "trace": ("Trace", "TraceRecord"),
+})

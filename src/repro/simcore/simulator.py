@@ -168,7 +168,7 @@ class Simulator:
         label: Optional[str] = None,
     ) -> Event:
         """Schedule ``callback(*args)`` at the absolute simulation time ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN, which compares false
             raise SimulationError(f"cannot schedule at t={time} < now={self._now}")
         seq = next(self._seq)
         event = Event(time, callback, args, priority, label, seq=seq)

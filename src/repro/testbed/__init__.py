@@ -22,71 +22,26 @@ The experiment modules reproduce each §4 measurement:
   partition, flappy soak) proving the engine's resilience guarantees.
 """
 
-from repro.testbed.testbed import Testbed, TestbedConfig
-from repro.testbed.applets import AppletSpec, APPLET_SUITE, applet_spec
-from repro.testbed.controller import TestController, T2AMeasurement
-from repro.testbed.scenarios import Scenario, build_scenario, run_scenario_t2a
-from repro.testbed.chaos import (
-    CHAOS_SCENARIOS,
-    ChaosResult,
-    ChaosScenario,
-    ChaosWorld,
-    chaos_scenario,
-    run_chaos_scenario,
-)
-from repro.testbed.t2a import run_official_t2a, T2AResults
-from repro.testbed.sequential import run_sequential_experiment, SequentialResult, find_clusters
-from repro.testbed.concurrent import run_concurrent_experiment, ConcurrentResult
-from repro.testbed.loops import (
-    run_explicit_loop_experiment,
-    run_implicit_loop_experiment,
-    LoopExperimentResult,
-)
-from repro.testbed.timeline import capture_timeline, TimelineEntry
-from repro.testbed.workload import FleetWorld, FleetResult, run_fleet_experiment
-from repro.testbed.decomposition import StageBreakdown, run_decomposition, mean_shares
-from repro.testbed.scenario_gen import DailyScenario, ScenarioStats, diurnal_rate
-from repro.testbed.corpus_bridge import CorpusWorld, build_corpus_world, materialize_service
+from repro import _lazy
 
-__all__ = [
-    "Testbed",
-    "TestbedConfig",
-    "AppletSpec",
-    "APPLET_SUITE",
-    "applet_spec",
-    "TestController",
-    "T2AMeasurement",
-    "Scenario",
-    "build_scenario",
-    "run_scenario_t2a",
-    "CHAOS_SCENARIOS",
-    "ChaosResult",
-    "ChaosScenario",
-    "ChaosWorld",
-    "chaos_scenario",
-    "run_chaos_scenario",
-    "run_official_t2a",
-    "T2AResults",
-    "run_sequential_experiment",
-    "SequentialResult",
-    "find_clusters",
-    "run_concurrent_experiment",
-    "ConcurrentResult",
-    "run_explicit_loop_experiment",
-    "run_implicit_loop_experiment",
-    "LoopExperimentResult",
-    "capture_timeline",
-    "TimelineEntry",
-    "FleetWorld",
-    "FleetResult",
-    "run_fleet_experiment",
-    "StageBreakdown",
-    "run_decomposition",
-    "mean_shares",
-    "DailyScenario",
-    "ScenarioStats",
-    "diurnal_rate",
-    "CorpusWorld",
-    "build_corpus_world",
-    "materialize_service",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "testbed": ("Testbed", "TestbedConfig"),
+    "applets": ("AppletSpec", "APPLET_SUITE", "applet_spec"),
+    "controller": ("TestController", "T2AMeasurement"),
+    "scenarios": ("Scenario", "build_scenario", "run_scenario_t2a"),
+    "chaos": (
+        "CHAOS_SCENARIOS", "ChaosResult", "ChaosScenario", "ChaosWorld", "chaos_scenario",
+        "run_chaos_scenario",
+    ),
+    "t2a": ("run_official_t2a", "T2AResults"),
+    "sequential": ("run_sequential_experiment", "SequentialResult", "find_clusters"),
+    "concurrent": ("run_concurrent_experiment", "ConcurrentResult"),
+    "loops": (
+        "run_explicit_loop_experiment", "run_implicit_loop_experiment", "LoopExperimentResult",
+    ),
+    "timeline": ("capture_timeline", "TimelineEntry"),
+    "workload": ("FleetWorld", "FleetResult", "run_fleet_experiment"),
+    "decomposition": ("StageBreakdown", "run_decomposition", "mean_shares"),
+    "scenario_gen": ("DailyScenario", "ScenarioStats", "diurnal_rate"),
+    "corpus_bridge": ("CorpusWorld", "build_corpus_world", "materialize_service"),
+})

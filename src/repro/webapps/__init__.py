@@ -11,18 +11,12 @@ devices, which push through the local proxy) — so each app exposes
 cursored ``GET`` listing endpoints alongside its action endpoints.
 """
 
-from repro.webapps.base import WebApp
-from repro.webapps.gmail import Gmail, Email
-from repro.webapps.gdrive import GoogleDrive, DriveFile
-from repro.webapps.sheets import GoogleSheets
-from repro.webapps.weather import WeatherService
+from repro import _lazy
 
-__all__ = [
-    "WebApp",
-    "Gmail",
-    "Email",
-    "GoogleDrive",
-    "DriveFile",
-    "GoogleSheets",
-    "WeatherService",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(globals(), {
+    "base": ("WebApp",),
+    "gmail": ("Gmail", "Email"),
+    "gdrive": ("GoogleDrive", "DriveFile"),
+    "sheets": ("GoogleSheets",),
+    "weather": ("WeatherService",),
+})

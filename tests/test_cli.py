@@ -178,6 +178,30 @@ class TestChaosCommand:
         assert "silently-lost=0" in out
 
 
+    @pytest.mark.parametrize("fault, field", [
+        ('"at": NaN, "duration": 10.0', "'at'"),
+        ('"at": "30", "duration": 10.0', "'at'"),
+        ('"at": 20.0, "duration": true', "'duration'"),
+        ('"at": 20.0, "duration": 10.0, "loss": 0.5', "'loss'"),
+    ])
+    def test_chaos_malformed_plan_exits_2_naming_the_field(self, capsys, tmp_path,
+                                                           fault, field):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(
+            '{"faults": [{"kind": "service_outage", "service": "chaos_sink", '
+            + fault + "}]}"
+        )
+        assert main(["chaos", "--scenario", "outage", "--faults", str(plan_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load fault plan" in err and field in err
+
+    def test_chaos_plan_with_unknown_top_level_key_exits_2(self, capsys, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text('{"faults": [], "x": 1}')
+        assert main(["chaos", "--scenario", "outage", "--faults", str(plan_path)]) == 2
+        assert "'x'" in capsys.readouterr().err
+
+
 class TestNewCommands:
     def test_decompose(self, capsys):
         assert main(["decompose", "--runs", "5"]) == 0

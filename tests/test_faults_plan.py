@@ -55,6 +55,65 @@ class TestFaultSpecValidation:
             link_latency("a", "b", at=0.0, duration=1.0, multiplier=0.5)
 
 
+class TestMalformedSpecsFailAtTheBoundary:
+    """Every malformed field is a :class:`FaultPlanError` that names it."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("at", float("nan")),
+        ("at", float("inf")),
+        ("at", "30"),
+        ("at", None),
+        ("duration", True),
+        ("duration", float("nan")),
+        ("duration", [10]),
+    ])
+    def test_non_numeric_time_rejected(self, field, value):
+        data = {"kind": "service_outage", "service": "x", "at": 1.0, "duration": 2.0}
+        data[field] = value
+        with pytest.raises(FaultPlanError, match=repr(field)):
+            FaultSpec.from_dict(data)
+
+    @pytest.mark.parametrize("data, field", [
+        ({"kind": "service_brownout", "error_rate": False}, "error_rate"),
+        ({"kind": "service_brownout", "extra_latency": float("nan")}, "extra_latency"),
+        ({"kind": "service_flap", "period": "20"}, "period"),
+        ({"kind": "service_flap", "duty": float("nan")}, "duty"),
+    ])
+    def test_non_numeric_parameter_rejected(self, data, field):
+        data = {"service": "x", "at": 0.0, "duration": 1.0, **data}
+        with pytest.raises(FaultPlanError, match=repr(field)):
+            FaultSpec.from_dict(data)
+
+    def test_non_string_target_rejected(self):
+        with pytest.raises(FaultPlanError, match="'service'"):
+            FaultSpec.from_dict({"kind": "service_outage", "service": 7, "at": 0,
+                                 "duration": 1})
+        with pytest.raises(FaultPlanError, match="unknown fault kind"):
+            FaultSpec.from_dict({"kind": ["service_outage"], "at": 0, "duration": 1})
+
+    @pytest.mark.parametrize("data, field", [
+        ({"kind": "service_outage", "service": "x", "loss": 0.5}, "loss"),
+        ({"kind": "service_outage", "service": "x", "a": "h1"}, "a"),
+        ({"kind": "service_brownout", "service": "x", "duty": 0.2}, "duty"),
+        ({"kind": "service_flap", "service": "x", "error_rate": 0.3}, "error_rate"),
+        ({"kind": "link_down", "a": "h1", "b": "h2", "service": "x"}, "service"),
+        ({"kind": "link_loss", "a": "h1", "b": "h2", "loss": 0.1, "extra": 1.0}, "extra"),
+        ({"kind": "link_latency", "a": "h1", "b": "h2", "loss": 0.1}, "loss"),
+    ])
+    def test_parameter_the_kind_does_not_read_rejected(self, data, field):
+        with pytest.raises(FaultPlanError, match=f"does not read .*'{field}'"):
+            FaultSpec.from_dict({"at": 0.0, "duration": 1.0, **data})
+
+    def test_neutral_values_of_unread_parameters_accepted(self):
+        spec = FaultSpec.from_dict({"kind": "service_outage", "service": "x", "at": 0,
+                                    "duration": 1, "loss": 0.0, "period": 20})
+        assert spec == service_outage("x", at=0, duration=1)
+
+    def test_unknown_top_level_key_rejected(self):
+        with pytest.raises(FaultPlanError, match="'x'"):
+            FaultPlan.from_json('{"faults": [], "x": 1}')
+
+
 class TestPlanSerialization:
     def plan(self):
         return FaultPlan((

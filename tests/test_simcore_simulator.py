@@ -90,6 +90,14 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
+    def test_schedule_at_nan_rejected(self, sim):
+        # NaN compares false both ways; it must not slip in ahead of every event.
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending == 0
+
     def test_run_until_advances_clock_to_target(self, sim):
         sim.schedule(1.0, lambda: None)
         sim.run_until(10.0)
