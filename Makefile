@@ -4,7 +4,7 @@
 # needed): prepend the src/ layout to PYTHONPATH for all recipes.
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push bench-budget examples figures chaos chaos-check replay-check degrade-check push-check experiments-smoke determinism-check ledger-check experiments-full parity-check ci lint clean
+.PHONY: install test test-fast test-shard bench-scale bench-push bench-budget examples figures chaos chaos-check replay-check degrade-check push-check experiments-smoke determinism-check ledger-check experiments-full parity-check ci lint clean
 
 install:
 	pip install -e .
@@ -24,12 +24,6 @@ test-fast:
 # see docs/SHARDING.md.
 test-shard:
 	pytest tests/test_sharding.py tests/test_sharding_chaos.py -q
-
-bench:
-	pytest benchmarks/ --benchmark-only
-
-bench-verbose:
-	pytest benchmarks/ --benchmark-only -s
 
 # Fleet-scale perf gate (docs/PERFORMANCE.md): the committed
 # BENCH_fleet_scale.json must carry events/sec + peak RSS for

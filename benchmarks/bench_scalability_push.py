@@ -6,26 +6,17 @@ workload may be too high: IoT workload is known to be highly bursty; for
 IFTTT it is likely also the case (consider popular applets such as
 'update wallpaper with new NASA photo')".
 
-Two entry points:
-
-* the pytest-benchmark test runs a 150-applet fleet through all three
-  delivery modes and pins the qualitative trade-off: polling smears
-  requests across each applet's schedule (low peak rate, minutes of
-  latency); payload-less realtime *hints* deliver sub-second latency but
-  every publication slams the engine and trigger service with the whole
-  fleet's polls at once (§6's concern); the payload-carrying *push*
-  contract (:mod:`repro.engine.push`) keeps the sub-second latency while
-  batch coalescing absorbs the spike — events arrive without any
-  engine-originated request at all.
-
-* the CLI produces ``BENCH_push_scale.json``: the same three-way
-  comparison at 10K / 100K / 1M applets (lean ``FleetWorld``, each
-  (mode, size) pair in its own subprocess so peak RSS and GC state don't
-  bleed), reporting T2A quartiles and the engine request load over the
-  measurement window.  ``make bench-push`` validates the committed JSON's
-  fields and the acceptance headline — push T2A median under 10 s where
-  polling sits near the paper's 58 s quartile, with the engine's request
-  load cut at least 2x.
+The script produces ``BENCH_push_scale.json``: the three-way
+comparison at 10K / 100K / 1M applets (lean ``FleetWorld``, each
+(mode, size) pair in its own subprocess so peak RSS and GC state don't
+bleed), reporting T2A quartiles and the engine request load over the
+measurement window.  ``make bench-push`` validates the committed JSON's
+fields and the acceptance headline — push T2A median under 10 s where
+polling sits near the paper's 58 s quartile, with the engine's request
+load cut at least 2x.  The same trade-off at 150 applets (hints are
+sub-second but spike the engine; push keeps the latency and batches the
+spike away) is a tier-1 test:
+``tests/test_paper_fidelity.py::test_s6_push_burst_at_fleet_scale``.
 
 Usage::
 
@@ -49,8 +40,6 @@ SRC = os.path.join(REPO_ROOT, "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-from repro.reporting import render_table  # noqa: E402
-from repro.testbed.workload import run_fleet_experiment  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_push_scale.json")
 FLEET_SIZES = (10_000, 100_000, 1_000_000)
@@ -269,52 +258,6 @@ def main(argv=None) -> int:
     sizes = QUICK_SIZES if args.quick else FLEET_SIZES
     run_full(sizes, args.output, isolate=not args.quick)
     return 0
-
-
-# -- pytest-benchmark entry point ------------------------------------------------
-
-
-def run_bench():
-    return {
-        mode: run_fleet_experiment(
-            n_applets=150, publications=4, seed=5, delivery_mode=mode
-        )
-        for mode in MODES
-    }
-
-
-def test_bench_scalability_push(benchmark):
-    results = benchmark.pedantic(run_bench, rounds=1, iterations=1)
-
-    print("\n§6 scalability — 150-applet fleet on one popular trigger")
-    print(render_table(
-        ["mode", "median T2A (s)", "engine requests", "peak polls/s", "peak/mean"],
-        [
-            [name, round(r.median_latency(), 2), r.polls_sent,
-             r.peak_polls_per_second(), round(r.burstiness(), 1)]
-            for name, r in results.items()
-        ],
-    ))
-    print("-> hints win latency but turn every publication into an "
-          "instantaneous fleet-wide poll spike (the §6 concern); the push "
-          "contract keeps the latency win while batch coalescing absorbs "
-          "the spike and drops the request load outright")
-
-    poll, hint, push = results["poll"], results["hint"], results["push"]
-    # every applet executed on every publication under all three modes
-    assert poll.actions_executed == hint.actions_executed == 600
-    assert push.actions_executed == 600
-    # latency: hint and push are orders of magnitude faster than polling
-    assert hint.median_latency() < 1.0
-    assert push.median_latency() < 1.0
-    assert poll.median_latency() > 30.0
-    # load: the hint spike approaches the whole fleet size; push batches
-    # it away and cuts total engine-originated requests at least 2x
-    assert hint.peak_polls_per_second() > 100
-    assert poll.peak_polls_per_second() < 30
-    assert push.peak_polls_per_second() < 30
-    assert hint.burstiness() > 5 * poll.burstiness()
-    assert poll.polls_sent >= 2 * push.polls_sent
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ we implement one concrete answer:
   or must go to the cloud engine, and handles fail-over when the local
   engine goes down.
 
-The ablation bench compares T2A latency and WAN message volume between
-cloud-only and hybrid placement.
+§6's ablation (``tests/test_paper_fidelity.py``) compares T2A latency
+and WAN message volume between cloud-only and hybrid placement.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ Two models are implemented:
   grants only the scopes required by the endpoints actually used by the
   user's installed applets.
 
-:func:`excess_privilege` quantifies the gap between the two — the §6
-ablation bench reports it across applet mixes.
+:func:`excess_privilege` quantifies the gap between the two — §6's
+ablation (``tests/test_paper_fidelity.py``) checks it on the Table 4 mix.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ class ProductionPollingPolicy(PollingPolicy):
 
     Parameters were calibrated so that simulated T2A latency for
     poll-bound applets matches the paper's quartiles (58/84/122 s) and
-    tail (~15 min); see ``tests/test_calibration.py``.
+    tail (~15 min); see ``tests/test_paper_fidelity.py::test_fig4_*``.
     """
 
     def __init__(
@@ -119,9 +119,9 @@ class AdaptivePollingPolicy(PollingPolicy):
 
     Maintains an exponentially-weighted activity estimate from the
     observed per-poll event counts; the interval interpolates between
-    ``fast`` (active trigger) and ``slow`` (idle trigger).  The ablation
-    bench shows this recovers most of E3's latency win at a fraction of
-    its poll volume.
+    ``fast`` (active trigger) and ``slow`` (idle trigger).  It recovers
+    most of E3's latency win at a fraction of its poll volume
+    (``tests/test_paper_fidelity.py::test_s6_polling_policy_design_space``).
     """
 
     def __init__(

@@ -66,6 +66,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -133,17 +134,25 @@ AXES: Dict[str, Dict[str, Tuple[Any, Any]]] = {
     },
 }
 
-#: Per-kind knob vocabulary: name -> (default, type).  Knobs are scalar
-#: settings shared by every cell of a sweep (not swept axes).
-KNOBS: Dict[str, Dict[str, Tuple[Any, type]]] = {
-    KIND_CHAOS: {"poll_interval": (5.0, float), "drain": (90.0, float)},
+#: Per-kind knob vocabulary: name -> (default, type, range).  Knobs are
+#: scalar settings shared by every cell of a sweep (not swept axes).  A
+#: float knob must be finite, and a numeric knob must lie in its range
+#: (a key of ``_RANGES``).
+KNOBS: Dict[str, Dict[str, Tuple[Any, type, Optional[str]]]] = {
+    KIND_CHAOS: {"poll_interval": (5.0, float, "> 0"), "drain": (90.0, float, ">= 0")},
     KIND_T2A: {
-        "runs": (10, int),
-        "spacing": (150.0, float),
-        "variant": ("official", str),
-        "timeout": (1800.0, float),
+        "runs": (10, int, ">= 1"),
+        "spacing": (150.0, float, "> 0"),
+        "variant": ("official", str, None),
+        "timeout": (1800.0, float, "> 0"),
     },
-    KIND_FLEET: {"publications": (3, int)},
+    KIND_FLEET: {"publications": (3, int, ">= 1")},
+}
+
+_RANGES = {
+    "> 0": lambda value: value > 0,
+    ">= 0": lambda value: value >= 0,
+    ">= 1": lambda value: value >= 1,
 }
 
 MAX_CELLS = 4096
@@ -282,13 +291,21 @@ def _parse_sweep(index: int, data: Any, plan_names: Sequence[str]) -> Sweep:
             f"valid knobs are {sorted(knob_vocab)}"
         )
     knobs: Dict[str, Any] = {}
-    for knob, (default, typ) in knob_vocab.items():
+    for knob, (default, typ, bound) in knob_vocab.items():
         value = raw_knobs.get(knob, default)
         if typ is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
         if not isinstance(value, typ) or isinstance(value, bool):
             raise ExperimentSpecError(
                 f"sweep {name!r}: knob {knob!r} must be {typ.__name__}, got {value!r}"
+            )
+        if typ is float and not math.isfinite(value):
+            raise ExperimentSpecError(
+                f"sweep {name!r}: knob {knob!r} must be finite, got {value!r}"
+            )
+        if bound is not None and not _RANGES[bound](value):
+            raise ExperimentSpecError(
+                f"sweep {name!r}: knob {knob!r} must be {bound}, got {value!r}"
             )
         knobs[knob] = value
     if kind == KIND_T2A:

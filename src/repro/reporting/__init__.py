@@ -1,6 +1,6 @@
 """Rendering helpers for tables and figure series.
 
-The benchmark harness prints the same rows/series the paper reports;
+The CLI prints the same rows/series the paper reports;
 these helpers keep that presentation code out of the analysis layer.
 """
 

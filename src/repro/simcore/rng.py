@@ -167,5 +167,8 @@ def quantiles(values: Sequence[float], points: Sequence[float]) -> List[float]:
         low = int(math.floor(pos))
         high = min(low + 1, n - 1)
         frac = pos - low
-        out.append(ordered[low] * (1 - frac) + ordered[high] * frac)
+        value = ordered[low] * (1 - frac) + ordered[high] * frac
+        # Rounding can step outside the neighbours (two subnormal halves
+        # sum to 0.0); a quantile never leaves them.
+        out.append(min(max(value, ordered[low]), ordered[high]))
     return out

@@ -140,7 +140,7 @@ class TestHeatmap:
     def test_social_sync_hotspot(self, small_snapshot):
         matrix = interaction_heatmap(small_snapshot)
         # (10,10) social->social is a known hotspot
-        assert matrix[9][9] > 0.02 * sum(row_sums(matrix))
+        assert matrix[9][9] > 0.03 * sum(row_sums(matrix))
 
     def test_timeloc_action_column_empty(self, small_snapshot):
         matrix = interaction_heatmap(small_snapshot)
@@ -167,8 +167,9 @@ class TestDistributions:
 
     def test_top_shares_match_paper_shape(self, small_snapshot):
         shares = add_count_top_shares(small_snapshot)
-        assert shares[0.01] == pytest.approx(0.84, abs=0.06)
-        assert shares[0.10] == pytest.approx(0.97, abs=0.04)
+        # paper: the top 1% (10%) of applets hold 84.1% (97.6%) of adds
+        assert abs(shares[0.01] - 0.841) < 0.05
+        assert abs(shares[0.10] - 0.976) < 0.04
 
     def test_log_rank_series_covers_range(self, small_snapshot):
         series = log_rank_series(small_snapshot)
@@ -182,18 +183,19 @@ class TestDistributions:
 class TestUserContribution:
     def test_stats_match_paper(self, small_snapshot):
         stats = user_contribution_stats(small_snapshot)
-        assert stats.user_made_applet_fraction == pytest.approx(0.98, abs=0.02)
-        assert stats.user_made_add_fraction == pytest.approx(0.86, abs=0.06)
+        assert abs(stats.user_made_applet_fraction - 0.98) < 0.02
+        assert abs(stats.user_made_add_fraction - 0.86) < 0.06
         assert stats.dominated_by_users()
 
     def test_user_channel_tail(self, small_snapshot):
         stats = user_contribution_stats(small_snapshot)
-        assert 0.05 < stats.top1pct_user_applet_share < 0.35
-        assert 0.3 < stats.top10pct_user_applet_share < 0.65
+        # paper: the top 1% (10%) of users contribute 18% (49%) of applets
+        assert abs(stats.top1pct_user_applet_share - 0.18) < 0.08
+        assert abs(stats.top10pct_user_applet_share - 0.49) < 0.12
 
     def test_channels_outnumber_services(self, small_snapshot):
         stats = user_contribution_stats(small_snapshot)
-        assert stats.user_channels > len(small_snapshot.services)
+        assert stats.user_channels > 1000  # paper: 135,544 against ~400 services
 
 
 class TestIotShares:
@@ -215,10 +217,10 @@ class TestIotShares:
 class TestGrowthStats:
     def test_percentages_positive(self, snapshot_store):
         growth = growth_percentages(snapshot_store)
-        assert growth["services"] == pytest.approx(11.0, abs=6.0)
-        assert growth["triggers"] == pytest.approx(31.0, abs=10.0)
-        assert growth["actions"] == pytest.approx(27.0, abs=10.0)
-        assert growth["add_count"] == pytest.approx(19.0, abs=6.0)
+        assert abs(growth["services"] - 11.0) < 5.0
+        assert abs(growth["triggers"] - 31.0) < 8.0
+        assert abs(growth["actions"] - 27.0) < 8.0
+        assert abs(growth["add_count"] - 19.0) < 5.0
 
     def test_weekly_series(self, snapshot_store):
         series = weekly_series(snapshot_store, "services")

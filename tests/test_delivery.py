@@ -443,7 +443,7 @@ def test_interval_distribution_restored_after_any_brownout_schedule(
 
     ``ProductionPollingPolicy`` is the seed distribution calibrated so
     poll-bound T2A matches the paper's 58/84/122 s quartiles
-    (:data:`T2A_BASELINE_QUARTILES`, pinned by test_calibration) — so
+    (:data:`T2A_BASELINE_QUARTILES`, pinned by test_paper_fidelity) — so
     restoring this distribution *is* restoring the §4 baseline.
     """
     draw, health = _adaptive_draw(ProductionPollingPolicy())

@@ -201,6 +201,30 @@ class TestSpecValidation:
         with pytest.raises(ExperimentSpecError, match="limit"):
             parse_spec(data)
 
+    @pytest.mark.parametrize("sweep, knob, value, rule", [
+        (1, "poll_interval", float("nan"), "finite"),
+        (1, "poll_interval", -5.0, "> 0"),
+        (1, "drain", float("inf"), "finite"),
+        (1, "drain", -10.0, ">= 0"),
+        (0, "runs", -3, ">= 1"),
+        (0, "runs", 0, ">= 1"),
+        (0, "spacing", float("nan"), "finite"),
+        (0, "timeout", 0.0, "> 0"),
+        (2, "publications", -2, ">= 1"),
+        (2, "publications", 0, ">= 1"),
+    ])
+    def test_knob_out_of_range(self, sweep, knob, value, rule):
+        # Each of these once ran: a NaN spacing or an infinite drain hung
+        # the cell, runs=-3 was recorded as a valid empty result, a NaN
+        # poll interval failed mid-run.
+        data = tiny_spec_data()
+        data["sweeps"][sweep]["knobs"][knob] = value
+        name = data["sweeps"][sweep]["name"]
+        with pytest.raises(
+            ExperimentSpecError, match=rf"sweep '{name}': knob '{knob}' must be {rule}, got"
+        ):
+            parse_spec(data)
+
 
 # -- expansion + seeds -----------------------------------------------------------------
 
@@ -414,6 +438,14 @@ class TestCli:
         bad.write_text(json.dumps({"name": "x", "sweeps": []}))
         assert cli_main(["experiments", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_out_of_range_knob_exits_2(self, tmp_path, capsys):
+        data = tiny_spec_data()
+        data["sweeps"][1]["knobs"]["drain"] = float("inf")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))  # "drain": Infinity
+        assert cli_main(["experiments", str(bad), "--list"]) == 2
+        assert "sweep 'chaos': knob 'drain' must be finite" in capsys.readouterr().err
 
     def test_single_cell_then_full_run_round_trip(self, tmp_path, capsys):
         data = tiny_spec_data()

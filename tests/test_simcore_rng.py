@@ -1,7 +1,7 @@
 """Tests for the seeded RNG and its distributions (incl. property tests)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simcore import Rng
@@ -126,6 +126,7 @@ class TestQuantiles:
             quantiles([1, 2], (1.5,))
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200))
+    @example([5e-324, 5e-324])  # the interpolated median once underflowed to 0.0
     def test_quantiles_bounded_by_extremes(self, values):
         q0, q50, q100 = quantiles(values, (0.0, 0.5, 1.0))
         assert q0 == min(values)
