@@ -43,21 +43,15 @@ bench-scale:
 bench-push:
 	python benchmarks/bench_scalability_push.py --check BENCH_push_scale.json
 
-# Performance-budget gate (docs/PERFORMANCE.md, "Where a fetched event's
-# bytes go"): a fresh, short ledger pass must not be worse than the
-# committed BENCH_push_burst.json — end-to-end timings within the
-# bounds BENCHMARK.json fixes (25 %, RSS 5 %), every count and
-# sim_fingerprint identical.  Wall-clock sensitive (~2 min), so it runs in
-# the nightly job, not in `make ci` or `make test`.  (The earlier budgets
-# stay as their PRs' records: against BENCH_trace_memory.json's 47.7 MiB
-# fanout_push could now grow 9 % inside the 5 % RSS bound; against
-# BENCH_fanout_memory.json's 50 MiB fanout_observed could grow 35 %, as
-# fanout_push could against BENCH_applet_memory.json's 63 MiB, the two
-# fleets against BENCH_obs_path.json's 85 MiB and the observed workloads
-# could slow 1.5x against BENCH_poll_path.json.)
+# Performance-budget gate (docs/PERFORMANCE.md, "Folding in batches"):
+# a fresh, short ledger pass must not be worse than the committed
+# BENCH_obs_fold.json — end-to-end timings within the bounds
+# BENCHMARK.json fixes (25 %, RSS 5 %), every count and sim_fingerprint
+# identical.  Wall-clock sensitive (~2 min), so it runs in the nightly
+# job, not in `make ci` or `make test`.
 bench-budget:
 	python benchmarks/ledger/run.py --seconds 5 --output .bench-budget.json
-	python benchmarks/ledger/run.py --compare BENCH_push_burst.json .bench-budget.json
+	python benchmarks/ledger/run.py --compare BENCH_obs_fold.json .bench-budget.json
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null && echo OK; done

@@ -120,7 +120,6 @@ def pooled_quartiles(samples: Sequence[float]) -> Optional[Tuple[float, float, f
     if not samples:
         return None
     sketch = QuantileSketch(points=QUARTILE_POINTS)
-    for value in samples:
-        sketch.observe(float(value))
+    sketch.observe_many([float(value) for value in samples])
     values = sketch.values()
     return tuple(sorted(values[q] for q in QUARTILE_POINTS))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from math import isfinite
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.quantiles import DEFAULT_QUANTILES, QuantileSketch
@@ -43,6 +44,12 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 #: Buckets for small non-negative counts (poll batch sizes and the like).
 COUNT_BUCKETS: Tuple[float, ...] = (0, 1, 2, 5, 10, 20, 50, 100, 250, 500)
+
+#: Samples a histogram buffers before folding them in: large enough that
+#: the per-fold cost (a call, one loop set-up per tracked quantile) is a
+#: small share of a sample's, small enough that the buffer stays a fixed,
+#: small cost per series.
+FOLD_BATCH = 256
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelItems:
@@ -99,12 +106,19 @@ class Gauge(Metric):
         self.value = 0.0
 
     def set(self, value: float) -> None:
-        """Record the latest level."""
-        self.value = float(value)
+        """Record the latest level (a ``ValueError`` unless finite)."""
+        value = float(value)
+        if not isfinite(value):
+            raise ValueError(f"{self!r}: set({value!r}) is not a finite level")
+        self.value = value
 
     def add(self, delta: float) -> None:
-        """Shift the level by ``delta`` (may be negative)."""
-        self.value += float(delta)
+        """Shift the level by ``delta`` (may be negative; the level must
+        stay finite)."""
+        value = self.value + float(delta)
+        if not isfinite(value):
+            raise ValueError(f"{self!r}: add({delta!r}) leaves the level at {value!r}")
+        self.value = value
 
     def snapshot(self) -> Dict[str, Any]:
         return {"type": self.kind, "name": self.name, "labels": self.labels,
@@ -118,6 +132,17 @@ class Histogram(Metric):
     everything above the last edge, so ``len(bucket_counts) ==
     len(bounds) + 1``.  The sketch gives O(1)-memory p50/p95/p99 that the
     buckets alone could only resolve to bucket width.
+
+    :meth:`observe` only checks and buffers a sample.  The buffer folds
+    into the buckets, count, sum, min/max and sketch once it holds
+    :data:`FOLD_BATCH` samples, and before any read (``count``,
+    ``total``, ``min``, ``max``, ``bucket_counts``, ``sketch``,
+    :meth:`quantile`, :meth:`mean`, :meth:`snapshot`).  A fold applies
+    the samples in arrival order, so every read is bit-identical to
+    absorbing each sample as it came, and memory stays O(1): the
+    buckets, a few scalars, the sketch and fewer than ``FOLD_BATCH``
+    pending floats.  A sample that is not finite (NaN, ±inf) is a
+    ``ValueError`` at the call.
     """
 
     kind = "histogram"
@@ -134,47 +159,105 @@ class Histogram(Metric):
         if not ordered or any(b <= a for a, b in zip(ordered, ordered[1:])):
             raise ValueError(f"bounds must be strictly increasing, got {bounds}")
         self.bounds = ordered
-        self.bucket_counts = [0] * (len(ordered) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.sketch = QuantileSketch(quantile_points)
+        self._bucket_counts = [0] * (len(ordered) + 1)
+        self._count = 0
+        self._total = 0.0
+        self._min: Optional[float] = None
+        self._max: Optional[float] = None
+        self._sketch = QuantileSketch(quantile_points)
+        self._pending: List[float] = []
 
     def observe(self, value: float) -> None:
-        """Absorb one sample."""
+        """Absorb one sample (a ``ValueError`` unless finite)."""
         value = float(value)
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.total += value
-        if self.count == 1:
-            self.min = self.max = value
-        elif value < self.min:
-            self.min = value
-        elif value > self.max:
-            self.max = value
-        self.sketch.observe(value)
+        if not isfinite(value):
+            raise ValueError(f"{self!r}: sample {value!r} is not finite")
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= FOLD_BATCH:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Absorb the pending samples, in arrival order."""
+        values = self._pending
+        if not values:
+            return
+        self._pending = []
+        bounds, buckets = self.bounds, self._bucket_counts
+        total = self._total
+        if self._count:
+            low, high = self._min, self._max
+        else:
+            low = high = values[0]
+        for value in values:
+            buckets[bisect_left(bounds, value)] += 1
+            total += value
+            if value < low:
+                low = value
+            elif value > high:
+                high = value
+        self._count += len(values)
+        self._total, self._min, self._max = total, low, high
+        self._sketch.observe_many(values)
+
+    @property
+    def count(self) -> int:
+        """Number of samples absorbed."""
+        self._fold()
+        return self._count
+
+    @property
+    def total(self) -> float:
+        """Sum of all samples."""
+        self._fold()
+        return self._total
+
+    @property
+    def min(self) -> Optional[float]:
+        """Smallest sample (``None`` when empty)."""
+        self._fold()
+        return self._min
+
+    @property
+    def max(self) -> Optional[float]:
+        """Largest sample (``None`` when empty)."""
+        self._fold()
+        return self._max
+
+    @property
+    def bucket_counts(self) -> List[int]:
+        """Samples per bucket; the last is the overflow bucket."""
+        self._fold()
+        return self._bucket_counts
+
+    @property
+    def sketch(self) -> QuantileSketch:
+        """The P² sketch of every sample absorbed."""
+        self._fold()
+        return self._sketch
 
     def mean(self) -> float:
         """Arithmetic mean of all samples (NaN when empty)."""
-        return self.total / self.count if self.count else float("nan")
+        self._fold()
+        return self._total / self._count if self._count else float("nan")
 
     def quantile(self, q: float) -> float:
         """P² estimate for one of the tracked quantile points."""
         return self.sketch.quantile(q)
 
     def snapshot(self) -> Dict[str, Any]:
+        self._fold()
         return {
             "type": self.kind,
             "name": self.name,
             "labels": self.labels,
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
+            "count": self._count,
+            "sum": self._total,
+            "min": self._min,
+            "max": self._max,
             "bounds": list(self.bounds),
-            "bucket_counts": list(self.bucket_counts),
-            "quantiles": {str(q): v for q, v in self.sketch.values().items()},
+            "bucket_counts": list(self._bucket_counts),
+            "quantiles": {str(q): v for q, v in self._sketch.values().items()},
         }
 
 

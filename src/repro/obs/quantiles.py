@@ -42,7 +42,8 @@ class QuantileSketch:
 
     This is what :class:`~repro.obs.metrics.Histogram` embeds: one
     ``observe`` feeds every tracked quantile, so p50/p95/p99 of a
-    million-event latency stream cost a handful of floats each.
+    million-event latency stream cost a handful of floats each.  The
+    histogram feeds it in batches through :meth:`observe_many`.
 
     Per quantile the algorithm keeps five markers — the minimum, the
     maximum, the target quantile and the two mid-quantiles between them.
@@ -56,11 +57,13 @@ class QuantileSketch:
         [h1, h2, h3,  n1, n2, n3,  d1, d2, d3,  i1, i2, i3]
          heights      positions    desired      desired-position increments
 
-    :meth:`observe` is the one place the marker arithmetic lives.  It
-    performs the original paper's floating-point operations in the
-    paper's order — desired positions are *repeated additions*, never
-    ``q * n`` — so estimates are bit-identical to the five-list textbook
-    form, which ``tests/test_obs_quantiles.py`` keeps as its oracle.
+    :meth:`observe_many` is the one place the marker arithmetic lives;
+    :meth:`observe` is its one-value case.  It performs the original
+    paper's floating-point operations in the paper's order — desired
+    positions are *repeated additions*, never ``q * n`` — and each
+    quantile's state sees the stream in stream order, so estimates are
+    bit-identical to the five-list textbook form fed one value at a time,
+    which ``tests/test_obs_quantiles.py`` keeps as its oracle.
     """
 
     def __init__(self, points: Sequence[float] = DEFAULT_QUANTILES) -> None:
@@ -82,88 +85,109 @@ class QuantileSketch:
 
     def observe(self, value: float) -> None:
         """Absorb one observation into every tracked quantile."""
-        count = self._count = self._count + 1
-        if count <= 5:
+        self.observe_many((float(value),))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Absorb ``values`` (floats, in stream order) into every tracked quantile.
+
+        The same estimates, bit for bit, as :meth:`observe` on each value
+        in turn, however a stream is cut into calls.  The update runs
+        marker-major: one quantile's twelve floats stay in locals for the
+        whole of ``values``, and the running min, max and count the
+        interior markers are adjusted against are replayed per quantile.
+        """
+        count = self._count
+        if count < 5:
             # Initialization phase: collect the first five values sorted.
-            insort(self._first, float(value))
-            if count == 5:
-                self._lo, h1, h2, h3, self._hi = self._first
-                self._markers = [
-                    [h1, h2, h3, 2.0, 3.0, 4.0,
-                     1 + 2 * q, 1 + 4 * q, 3 + 2 * q, q / 2, q, (1 + q) / 2]
-                    for q in self.points
-                ]
-            return
-        lo, hi = self._lo, self._hi
-        if value < lo:
-            lo = self._lo = float(value)
-        elif value >= hi:
-            hi = self._hi = float(value)
-        top = float(count)  # the max marker's position; the min marker's is 1.0
+            taken = min(5 - count, len(values))
+            for value in values[:taken]:
+                insort(self._first, value)
+            count = self._count = count + taken
+            if count < 5:
+                return
+            self._lo, h1, h2, h3, self._hi = self._first
+            self._markers = [
+                [h1, h2, h3, 2.0, 3.0, 4.0,
+                 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, q / 2, q, (1 + q) / 2]
+                for q in self.points
+            ]
+            values = values[taken:]
+            if not values:
+                return
+        start_lo, start_hi, start_top = self._lo, self._hi, float(count)
         for marker in self._markers:
             h1, h2, h3, n1, n2, n3, d1, d2, d3, i1, i2, i3 = marker
-            # Markers above the observation's cell move up one position
-            # (ties and ``value >= hi`` land in the cell below).
-            if value >= h1:
-                if value >= h2:
-                    if not value >= h3:
+            lo, hi, top = start_lo, start_hi, start_top
+            for value in values:
+                if value < lo:
+                    lo = value
+                elif value >= hi:
+                    hi = value
+                top += 1.0  # the max marker's position; the min marker's is 1.0
+                # Markers above the observation's cell move up one position
+                # (ties and ``value >= hi`` land in the cell below).
+                if value >= h1:
+                    if value >= h2:
+                        if not value >= h3:
+                            n3 += 1.0
+                    else:
+                        n2 += 1.0
                         n3 += 1.0
                 else:
+                    n1 += 1.0
                     n2 += 1.0
                     n3 += 1.0
-            else:
-                n1 += 1.0
-                n2 += 1.0
-                n3 += 1.0
-            d1 += i1
-            d2 += i2
-            d3 += i3
-            # Adjust the three interior markers, in order, if they drifted:
-            # the parabolic prediction, or — when it would leave the bracket
-            # of its neighbours — linear interpolation toward the neighbour.
-            delta = d1 - n1
-            if (delta >= 1.0 and n2 - n1 > 1.0) or (delta <= -1.0 and 1.0 - n1 < -1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                height = h1 + step / (n2 - 1.0) * (
-                    (n1 - 1.0 + step) * (h2 - h1) / (n2 - n1)
-                    + (n2 - n1 - step) * (h1 - lo) / (n1 - 1.0)
-                )
-                if not lo < height < h2:
-                    height = (
-                        h1 + step * (h2 - h1) / (n2 - n1) if step > 0.0
-                        else h1 + step * (lo - h1) / (1.0 - n1)
+                d1 += i1
+                d2 += i2
+                d3 += i3
+                # Adjust the three interior markers, in order, if they drifted:
+                # the parabolic prediction, or — when it would leave the bracket
+                # of its neighbours — linear interpolation toward the neighbour.
+                delta = d1 - n1
+                if (delta >= 1.0 and n2 - n1 > 1.0) or (delta <= -1.0 and 1.0 - n1 < -1.0):
+                    step = 1.0 if delta >= 1.0 else -1.0
+                    height = h1 + step / (n2 - 1.0) * (
+                        (n1 - 1.0 + step) * (h2 - h1) / (n2 - n1)
+                        + (n2 - n1 - step) * (h1 - lo) / (n1 - 1.0)
                     )
-                h1 = height
-                n1 += step
-            delta = d2 - n2
-            if (delta >= 1.0 and n3 - n2 > 1.0) or (delta <= -1.0 and n1 - n2 < -1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                height = h2 + step / (n3 - n1) * (
-                    (n2 - n1 + step) * (h3 - h2) / (n3 - n2)
-                    + (n3 - n2 - step) * (h2 - h1) / (n2 - n1)
-                )
-                if not h1 < height < h3:
-                    height = (
-                        h2 + step * (h3 - h2) / (n3 - n2) if step > 0.0
-                        else h2 + step * (h1 - h2) / (n1 - n2)
+                    if not lo < height < h2:
+                        height = (
+                            h1 + step * (h2 - h1) / (n2 - n1) if step > 0.0
+                            else h1 + step * (lo - h1) / (1.0 - n1)
+                        )
+                    h1 = height
+                    n1 += step
+                delta = d2 - n2
+                if (delta >= 1.0 and n3 - n2 > 1.0) or (delta <= -1.0 and n1 - n2 < -1.0):
+                    step = 1.0 if delta >= 1.0 else -1.0
+                    height = h2 + step / (n3 - n1) * (
+                        (n2 - n1 + step) * (h3 - h2) / (n3 - n2)
+                        + (n3 - n2 - step) * (h2 - h1) / (n2 - n1)
                     )
-                h2 = height
-                n2 += step
-            delta = d3 - n3
-            if (delta >= 1.0 and top - n3 > 1.0) or (delta <= -1.0 and n2 - n3 < -1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                height = h3 + step / (top - n2) * (
-                    (n3 - n2 + step) * (hi - h3) / (top - n3)
-                    + (top - n3 - step) * (h3 - h2) / (n3 - n2)
-                )
-                if not h2 < height < hi:
-                    height = (
-                        h3 + step * (hi - h3) / (top - n3) if step > 0.0
-                        else h3 + step * (h2 - h3) / (n2 - n3)
+                    if not h1 < height < h3:
+                        height = (
+                            h2 + step * (h3 - h2) / (n3 - n2) if step > 0.0
+                            else h2 + step * (h1 - h2) / (n1 - n2)
+                        )
+                    h2 = height
+                    n2 += step
+                delta = d3 - n3
+                if (delta >= 1.0 and top - n3 > 1.0) or (delta <= -1.0 and n2 - n3 < -1.0):
+                    step = 1.0 if delta >= 1.0 else -1.0
+                    height = h3 + step / (top - n2) * (
+                        (n3 - n2 + step) * (hi - h3) / (top - n3)
+                        + (top - n3 - step) * (h3 - h2) / (n3 - n2)
                     )
-                h3 = height
-                n3 += step
+                    if not h2 < height < hi:
+                        height = (
+                            h3 + step * (hi - h3) / (top - n3) if step > 0.0
+                            else h3 + step * (h2 - h3) / (n2 - n3)
+                        )
+                    h3 = height
+                    n3 += step
             marker[:9] = (h1, h2, h3, n1, n2, n3, d1, d2, d3)
+        self._lo, self._hi = lo, hi
+        self._count = count + len(values)
 
     def quantile(self, q: float) -> float:
         """Estimate for one of the tracked points.

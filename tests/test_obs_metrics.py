@@ -5,17 +5,25 @@ commutativity, and the JSON-lines export round trip.
 """
 
 import json
+import pickle
+import re
+import tracemalloc
 
 import pytest
 
 from repro.obs import (
     COUNT_BUCKETS,
+    Histogram,
     MetricsRegistry,
     merge_snapshots,
     snapshot_from_json_lines,
     snapshot_to_json_lines,
 )
+from repro.obs.metrics import FOLD_BATCH
 from repro.simcore.rng import Rng
+
+#: What no level and no sample may be: each would poison its series.
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 
 class TestCounter:
@@ -79,6 +87,24 @@ class TestGauge:
         gauge.add(-3.5)
         assert gauge.value == 6.5
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_a_non_finite_level_naming_series_and_value(self, bad):
+        gauge = MetricsRegistry().gauge("depth", service="hue")
+        gauge.set(4)
+        named = re.escape("depth{service=hue}") + ".*" + re.escape(repr(bad))
+        with pytest.raises(ValueError, match=named):
+            gauge.set(bad)
+        with pytest.raises(ValueError, match=named):
+            gauge.add(bad)
+        assert gauge.value == 4.0
+
+    def test_rejects_an_add_that_overflows(self):
+        gauge = MetricsRegistry().gauge("depth")
+        gauge.set(1.5e308)
+        with pytest.raises(ValueError, match="inf"):
+            gauge.add(1.5e308)
+        assert gauge.value == 1.5e308
+
 
 class TestHistogram:
     def test_counts_sum_min_max(self):
@@ -113,6 +139,56 @@ class TestHistogram:
         histogram = MetricsRegistry().histogram("batch", bounds=COUNT_BUCKETS)
         histogram.observe(0)
         assert histogram.bucket_counts[0] == 1
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_a_non_finite_sample_at_the_call(self, bad):
+        # 1..6, the bad value, 7..39: a NaN used to be counted in the
+        # <= 1 ms bucket, turn ``sum`` into NaN and shift p50; an infinity
+        # made ``sum``/``max`` infinite and every quantile NaN; either put
+        # a bare NaN/Infinity in the snapshot line
+        registry, clean = MetricsRegistry(), MetricsRegistry()
+        histogram = registry.histogram("lat", service="hue")
+        for value in range(1, 7):
+            histogram.observe(value)
+            clean.histogram("lat", service="hue").observe(value)
+        named = re.escape("lat{service=hue}") + ".*" + re.escape(repr(bad))
+        with pytest.raises(ValueError, match=named):
+            histogram.observe(bad)
+        for value in range(7, 40):
+            histogram.observe(value)
+            clean.histogram("lat", service="hue").observe(value)
+        line = json.dumps(histogram.snapshot(), sort_keys=True, allow_nan=False)
+        assert line == json.dumps(clean.histogram("lat", service="hue").snapshot(),
+                                  sort_keys=True)
+        assert histogram.count == 39 and histogram.quantile(0.5) == 20.0
+
+    def test_memory_stays_bounded_without_a_read(self):
+        # Samples are buffered and folded FOLD_BATCH at a time, so 100K
+        # samples with no read leave fewer than FOLD_BATCH pending.  The
+        # footprint is what a copy of the histogram allocates (unpickling
+        # re-creates every object it holds, floats included; tracing the
+        # observes themselves would be needlessly slow): the buckets,
+        # scalars and sketch (~4 KiB) plus at most FOLD_BATCH - 1 pending
+        # floats (32 B each with the list slot) stay under 16 KiB, where
+        # an unbounded buffer would hold ~3 MiB.
+        histogram = Histogram("lat", {})
+        for index in range(100_000):
+            histogram.observe(index * 0.001)
+        assert len(histogram._pending) < FOLD_BATCH
+        blob = pickle.dumps(histogram)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            copy = pickle.loads(blob)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert after - before < 16 * 1024, after - before
+        assert copy.snapshot() == histogram.snapshot()
+        assert histogram.count == 100_000 and not histogram._pending
 
 
 class TestScopes:

@@ -7,12 +7,14 @@ within the error bounds documented in ``repro.obs.quantiles`` — rank
 error at most :data:`~repro.obs.quantiles.P2_RANK_ERROR_BOUND` against
 the exact :func:`~repro.simcore.rng.quantiles` of the same sample.
 
-The production P² code is one fused kernel over flat per-point state
-(``QuantileSketch.observe``).  :class:`TextbookP2` below is the
-five-list implementation straight from Jain & Chlamtac that it replaced,
-kept here as the oracle: ``TestKernelMatchesTextbook`` feeds both the
-same streams and requires *bit-identical* estimates and byte-identical
-histogram snapshots after every sample — every committed snapshot and
+The production P² code is one kernel over flat per-point state
+(``QuantileSketch.observe_many``, which a histogram feeds in batches).
+:class:`TextbookP2` below is the five-list implementation straight from
+Jain & Chlamtac that it replaced, kept here as the oracle fed one sample
+at a time: ``TestKernelMatchesTextbook`` feeds both the same streams and
+requires *bit-identical* estimates and byte-identical histogram
+snapshots after every sample, at arbitrary read points and however the
+stream is cut into batches — every committed snapshot and
 ``sim_fingerprint`` hashes those floats.
 """
 
@@ -401,6 +403,65 @@ class TestKernelMatchesTextbook:
             if index < 200:
                 assert same(), (kind, seed, index)
         assert same(), (kind, seed, n)
+
+    @given(
+        kind=st.sampled_from(KERNEL_STREAMS), seed=st.integers(0, 2**16),
+        n=LENGTHS, points=POINT_SETS,
+        bounds=st.sampled_from((DEFAULT_BUCKETS, COUNT_BUCKETS)), data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_histogram_reads_between_folds_match_textbook(
+        self, kind, seed, n, points, bounds, data
+    ):
+        # A read folds whatever is pending, wherever it lands relative to
+        # the FOLD_BATCH boundaries; no read may change what later reads see.
+        stream = _kernel_stream(kind, seed, n)
+        reads = set(data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=24)))
+        histogram = Histogram("h", {}, bounds=bounds, quantile_points=points)
+        oracle = TextbookHistogram(bounds, points)
+        for index, value in enumerate(stream):
+            histogram.observe(value)
+            oracle.observe(value)
+            if index not in reads:
+                continue
+            read = data.draw(st.sampled_from(("snapshot", "count", "quantile")))
+            if read == "snapshot":
+                assert json.dumps(histogram.snapshot(), sort_keys=True) == json.dumps(
+                    oracle.snapshot(), sort_keys=True
+                ), (kind, seed, index)
+            elif read == "count":
+                assert histogram.count == oracle.count == index + 1
+            else:
+                q = data.draw(st.sampled_from(sorted(points)))
+                assert histogram.quantile(q) == oracle.sketches[q].value(), (kind, seed, index)
+        assert json.dumps(histogram.snapshot(), sort_keys=True) == json.dumps(
+            oracle.snapshot(), sort_keys=True
+        ), (kind, seed, n)
+
+    @given(
+        kind=st.sampled_from(KERNEL_STREAMS), seed=st.integers(0, 2**16),
+        n=LENGTHS, points=POINT_SETS, data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_observe_many_is_bit_identical_however_the_stream_is_cut(
+        self, kind, seed, n, points, data
+    ):
+        stream = [float(value) for value in _kernel_stream(kind, seed, n)]
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=12)))  # repeats: empty chunks
+        sketch = QuantileSketch(points)
+        oracles = {q: TextbookP2(q) for q in points}
+        done = 0
+        for cut in cuts + [n]:
+            chunk = stream[done:cut]
+            sketch.observe_many(chunk)
+            for value in chunk:
+                for oracle in oracles.values():
+                    oracle.observe(value)
+            done = cut
+            assert sketch.count == done
+            if done:
+                want = {q: oracles[q].value() for q in sorted(points)}
+                assert sketch.values() == want, (kind, seed, cuts, done)
 
     def test_int_samples_snapshot_as_floats(self):
         # ``len(events)`` is observed as an int; ``"min": 0`` would not be
