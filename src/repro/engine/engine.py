@@ -653,12 +653,12 @@ class IftttEngine(HttpNode):
                 ).set(BreakerState.CLOSED.level)
         return breaker
 
-    def _sheds(self, link: ServiceRegistration) -> bool:
-        """Whether the service's breaker refuses a request right now — the
-        gate before every poll, action and replay send (and, at the
-        first one, the breaker's birth)."""
+    def _sheds(self, link: ServiceRegistration, now: float) -> bool:
+        """Whether the service's breaker refuses a request at ``now`` (the
+        current time) — the gate before every poll, action and replay
+        send (and, at the first one, the breaker's birth)."""
         breaker = link.breaker or self._breaker(link)
-        return breaker is not None and not breaker.allow(self.now)
+        return breaker is not None and not breaker.allow(now)
 
     def _note_outcome(
         self,
@@ -775,7 +775,7 @@ class IftttEngine(HttpNode):
         bound.counter(metrics, "events_observed")
 
     def _schedule_next_poll(self, runtime: _AppletRuntime, delay: float) -> None:
-        if not runtime.applet.enabled:
+        if runtime.applet.state is not AppletState.ENABLED:  # ``enabled``, without its frame
             return
         self._scheduler.schedule(runtime, delay)
 
@@ -809,9 +809,15 @@ class IftttEngine(HttpNode):
             runtime.fast_poll_pending = False
             if self.delivery is not None:
                 self.delivery.note_fast_poll_done(link)
-        if not applet.enabled or runtime.poll_in_flight:
+        if applet.state is not AppletState.ENABLED or runtime.poll_in_flight:
             return
-        if self._sheds(link):
+        # Every poll passes here: the clock and the registry are read
+        # once each, without the ``now`` / ``metrics`` property frames.
+        now = self.now
+        metrics = self._metrics
+        if metrics is None:
+            metrics = self.network.metrics
+        if self._sheds(link, now):
             # Open breaker: shed the poll instead of hammering a failing
             # service.  The attempt still counts toward the applet's poll
             # tally (the engine *tried*), but no request leaves the node;
@@ -819,11 +825,11 @@ class IftttEngine(HttpNode):
             # breaker once the recovery timeout passes.
             runtime.polls += 1
             self.polls_shed += 1
-            if self.metrics is not None:
-                self.metrics.counter(f"{self._ns}.polls_shed", service=link.slug).inc()
+            if metrics is not None:
+                metrics.counter(f"{self._ns}.polls_shed", service=link.slug).inc()
             if self.trace is not None:
                 self.trace.record(
-                    self.now,
+                    now,
                     self._ns,
                     "engine_poll_shed",
                     applet_id=applet.applet_id,
@@ -835,24 +841,24 @@ class IftttEngine(HttpNode):
             return
         runtime.poll_in_flight = True
         runtime.polls += 1
-        runtime.last_poll_at = self.now
+        runtime.last_poll_at = now
         self.polls_sent += 1
-        metrics = self.metrics
         if metrics is not None:
             if metrics is not self._poll_bound.registry:
                 self._hot_metrics(metrics)
             link.bound.counter(metrics, "polls_sent").inc()
         if self.trace is not None:
             self.trace.record(
-                self.now,
+                now,
                 self._ns,
                 "engine_poll_sent",
                 applet_id=applet.applet_id,
                 identity=runtime.identity,
                 trigger=applet.trigger.trigger_slug,
             )
-        self.post(
+        self.request(
             link.address,
+            "POST",
             TRIGGER_PATH + applet.trigger.trigger_slug,
             body={
                 "trigger_identity": runtime.identity,
@@ -876,7 +882,9 @@ class IftttEngine(HttpNode):
         runtime.poll_in_flight = False
         applet = runtime.applet
         link = runtime.link
-        metrics = self.metrics
+        metrics = self._metrics  # ``self.metrics``, without its frame
+        if metrics is None:
+            metrics = self.network.metrics
         ok = response.ok
         self._note_outcome(link, ok, response)
         new_events: List[TriggerEvent] = []
@@ -1135,7 +1143,7 @@ class IftttEngine(HttpNode):
         budget and dead-letters instead of looping forever.
         """
         record.attempts += 1
-        if self._sheds(self._services[record.service_slug]):
+        if self._sheds(self._services[record.service_slug], self.now):
             self.actions_shed += 1
             if self.metrics is not None:
                 self.metrics.counter(
@@ -1162,8 +1170,9 @@ class IftttEngine(HttpNode):
         """POST one action to its service (first sends, retries and
         unbatched replay all leave through here)."""
         link = self._services[record.service_slug]
-        self.post(
+        self.request(
             link.address,
+            "POST",
             ACTION_PATH + record.action_slug,
             body={"actionFields": record.fields, "user": record.user},
             headers=self._auth_headers(link, record.user),
@@ -1271,10 +1280,11 @@ class IftttEngine(HttpNode):
         service whose issued key it presents, else 404/401 — before any
         counter moves (the ``service_slug`` header is outside input and
         must not mint metric series)."""
-        link = self._services.get(request.header("service_slug", ""))
+        headers = request.headers
+        link = self._services.get(headers.get("service_slug", ""))
         if link is None:
             raise HttpError(404, "unknown service")
-        if request.header("IFTTT-Service-Key") != link.service_key:
+        if headers.get("IFTTT-Service-Key") != link.service_key:
             raise HttpError(401, "bad service key")
         return link
 

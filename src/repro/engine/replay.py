@@ -177,7 +177,7 @@ class ReplayController:
     def _send(self, link: ServiceRegistration, records: List[PendingAction]) -> None:
         """One replay request: a batch, or one action when batching is off."""
         engine = self.engine
-        shed = engine._sheds(link)
+        shed = engine._sheds(link, engine.now)
         for record in records:
             record.attempts += 1
         if shed:

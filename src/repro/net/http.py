@@ -17,6 +17,7 @@ from repro.net.address import Address
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.obs.bound import Bound
+from repro.simcore.simulator import SimulationError
 
 _request_ids = itertools.count(1)
 
@@ -205,14 +206,24 @@ class HttpNode(Node):
             method.upper(), path, body, dict(headers) if headers else {}, src=self.address
         )
         self.requests_issued += 1
-        metrics = self.metrics
+        # ``self.metrics`` / ``self.now`` / ``self.sim.schedule``, read
+        # once each without their property frames.
+        network = self.network
+        if network is None:
+            raise RuntimeError(f"node {self.address} is not attached to a network")
+        metrics = self._metrics
+        if metrics is None:
+            metrics = network.metrics
         if metrics is not None:
             self._http_bound.counter(metrics, "requests_issued").inc()
-        sent_at = self.now
+        sim = network.sim
+        sent_at = sim._now
         timeout_event = None
         if on_response is not None:
-            timeout_event = self.sim.schedule(
-                timeout, self._on_timeout, req.request_id, label="http-timeout"
+            if timeout < 0:
+                raise SimulationError(f"cannot schedule into the past (delay={timeout})")
+            timeout_event = sim.schedule_at(
+                sent_at + timeout, self._on_timeout, req.request_id, label="http-timeout"
             )
             self._pending[req.request_id] = (on_response, timeout_event, sent_at)
         self.send(dst, HTTP_PROTOCOL, {"type": "request", "request": req}, size_bytes=size_bytes)
@@ -296,7 +307,9 @@ class HttpNode(Node):
             self.on_non_http_message(message)
             return
         payload = message.payload
-        metrics = self.metrics
+        metrics = self._metrics
+        if metrics is None and self.network is not None:
+            metrics = self.network.metrics
         if payload["type"] == "request":
             request: HttpRequest = payload["request"]
             self.requests_served += 1
@@ -316,9 +329,11 @@ class HttpNode(Node):
                         "http.responses", status_class=f"{status_class}xx"
                     )
                 responses.inc()
-            if self.service_time > 0:
-                self.sim.schedule(
-                    self.service_time, self._reply, message, response, label="http-service"
+            service_time = self.service_time
+            if service_time > 0:
+                sim = self.sim
+                sim.schedule_at(
+                    sim._now + service_time, self._reply, message, response, label="http-service"
                 )
             else:
                 self._reply(message, response)

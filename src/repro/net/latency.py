@@ -10,8 +10,18 @@ network was never the bottleneck).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from math import exp, isfinite, log
+from random import NV_MAGICCONST
 
 from repro.simcore.rng import Rng
+
+
+def _finite_non_negative(name: str, value: float) -> float:
+    """``value`` as a float, or ``ValueError`` naming the field."""
+    value = float(value)
+    if not (isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    return value
 
 
 class LatencyModel(ABC):
@@ -30,9 +40,7 @@ class FixedLatency(LatencyModel):
     """Constant delay (useful for deterministic unit tests)."""
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        self.delay = float(delay)
+        self.delay = _finite_non_negative("delay", delay)
 
     def sample(self, rng: Rng, size_bytes: int = 0) -> float:
         return self.delay
@@ -48,10 +56,10 @@ class UniformLatency(LatencyModel):
     """Delay uniform in [low, high]."""
 
     def __init__(self, low: float, high: float) -> None:
-        if not 0 <= low <= high:
+        self.low = _finite_non_negative("low", low)
+        self.high = _finite_non_negative("high", high)
+        if self.low > self.high:
             raise ValueError(f"need 0 <= low <= high, got {low}, {high}")
-        self.low = float(low)
-        self.high = float(high)
 
     def sample(self, rng: Rng, size_bytes: int = 0) -> float:
         return rng.uniform(self.low, self.high)
@@ -77,18 +85,43 @@ class LognormalLatency(LatencyModel):
         per_byte: float = 0.0,
         floor: float = 0.0,
     ) -> None:
-        if median <= 0:
-            raise ValueError(f"median must be positive, got {median}")
-        if sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {sigma}")
-        self.median = float(median)
-        self.sigma = float(sigma)
-        self.per_byte = float(per_byte)
-        self.floor = float(floor)
+        median = float(median)
+        if not (isfinite(median) and median > 0.0):
+            raise ValueError(f"median must be finite and positive, got {median}")
+        self.median = median
+        self.sigma = _finite_non_negative("sigma", sigma)
+        self.per_byte = _finite_non_negative("per_byte", per_byte)
+        self.floor = _finite_non_negative("floor", floor)
+        self._mu = log(median)
 
     def sample(self, rng: Rng, size_bytes: int = 0) -> float:
-        base = rng.lognormal_median(self.median, self.sigma) if self.sigma else self.median
-        return max(self.floor, base) + self.per_byte * size_bytes
+        """``max(floor, rng.lognormal_median(median, sigma)) + per_byte * size``
+        (``median`` in place of the draw when ``sigma`` is 0).
+
+        The draw is the standard library's ``lognormvariate`` (its
+        Kinderman–Monahan ``normalvariate`` loop, then ``exp``) written
+        out over the same stream, with ``log(median)`` taken once: the
+        same ``random()`` calls and float operations in the same order,
+        so the value and the stream state are bit-identical, in one
+        frame instead of four.
+        """
+        sigma = self.sigma
+        if sigma:
+            random = rng._random.random  # the stream lognormal_median draws from
+            while True:
+                u1 = random()
+                u2 = 1.0 - random()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                zz = z * z / 4.0
+                if zz <= -log(u2):
+                    break
+            base = exp(self._mu + z * sigma)
+        else:
+            base = self.median
+        floor = self.floor
+        if not base > floor:  # max(floor, base)
+            base = floor
+        return base + self.per_byte * size_bytes
 
     def mean_estimate(self) -> float:
         return self.median

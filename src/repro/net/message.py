@@ -46,8 +46,8 @@ class Message:
         msg_id: Optional[int] = None,
         headers: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if size_bytes < 0:
-            raise ValueError(f"size_bytes must be non-negative, got {size_bytes}")
+        if type(size_bytes) is not int or size_bytes < 0:  # also refuses bool and NaN
+            raise ValueError(f"size_bytes must be a non-negative int, got {size_bytes!r}")
         self.src = src
         self.dst = dst
         self.protocol = protocol

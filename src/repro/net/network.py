@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.net.address import Address
 from repro.net.link import Link
@@ -12,7 +12,7 @@ from repro.net.message import Message
 from repro.net.node import Node
 from repro.obs.bound import Bound
 from repro.simcore.rng import Rng
-from repro.simcore.simulator import Simulator
+from repro.simcore.simulator import SimulationError, Simulator
 
 
 class RoutingError(RuntimeError):
@@ -53,10 +53,13 @@ class Network:
         #: gateway gates cross-shard sends, so an engine partitioned from
         #: its core cannot reach remote shards either.
         self.gateway: Optional[Address] = None
-        self._nodes: Dict[Address, Node] = {}
+        # Nodes and cached routes are keyed by ``Address.host``: every
+        # message looks both up, and a ``str`` hashes in C from its
+        # cached hash where the dataclass ``__hash__`` is two calls.
+        self._nodes: Dict[str, Node] = {}
         self._links: Dict[FrozenSet[Address], Link] = {}
         self._adjacency: Dict[Address, List[Link]] = {}
-        self._route_cache: Dict[tuple, List[Link]] = {}
+        self._route_cache: Dict[Tuple[str, str], List[Link]] = {}
         self.messages_delivered = 0
         self.messages_dropped = 0
         self._bound = Bound("net")  # the per-message instruments
@@ -65,9 +68,9 @@ class Network:
 
     def add_node(self, node: Node) -> Node:
         """Register a node; its address must be unique."""
-        if node.address in self._nodes:
+        if node.address.host in self._nodes:
             raise ValueError(f"duplicate node address {node.address}")
-        self._nodes[node.address] = node
+        self._nodes[node.address.host] = node
         self._adjacency.setdefault(node.address, [])
         node.attach(self)
         return node
@@ -75,13 +78,13 @@ class Network:
     def node(self, address: Address) -> Node:
         """Look up a node by address."""
         try:
-            return self._nodes[address]
+            return self._nodes[address.host]
         except KeyError:
             raise KeyError(f"no node at address {address}") from None
 
     def has_node(self, address: Address) -> bool:
         """Whether an address is registered."""
-        return address in self._nodes
+        return address.host in self._nodes
 
     @property
     def nodes(self) -> List[Node]:
@@ -91,7 +94,7 @@ class Network:
     def connect(self, a: Address, b: Address, latency: LatencyModel) -> Link:
         """Create a bidirectional link between two registered nodes."""
         for end in (a, b):
-            if end not in self._nodes:
+            if end.host not in self._nodes:
                 raise KeyError(f"cannot link unregistered address {end}")
         key = frozenset((a, b))
         if key in self._links:
@@ -124,7 +127,7 @@ class Network:
 
     def route(self, src: Address, dst: Address) -> List[Link]:
         """Minimum-hop path from ``src`` to ``dst`` over up links (BFS)."""
-        key = (src, dst)
+        key = (src.host, dst.host)
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
@@ -157,12 +160,33 @@ class Network:
         return path
 
     def path_delay(self, message: Message) -> float:
-        """Sample the end-to-end delay for a message along its route."""
+        """Sample the end-to-end delay for a message along its route.
+
+        Fault-free; raises :class:`RoutingError` when no path exists.
+        """
+        return self._sample_path(self.route(message.src, message.dst), message, None)
+
+    def _sample_path(self, path: List[Link], message: Message, faults) -> Optional[float]:
+        """The route-sampling loop: each link on ``path`` counts the
+        message and adds one delay drawn from its latency model (what
+        :meth:`Link.sample_delay` does, without its frame).
+
+        With ``faults`` each hop is fault-adjusted, and ``None`` means the
+        message was lost in flight (already counted as dropped).
+        """
         rng = self.rng
         size_bytes = message.size_bytes
         total = 0  # int, as ``sum`` starts: an empty route costs exactly ``0``
-        for link in self.route(message.src, message.dst):
-            total += link.sample_delay(rng, size_bytes)
+        for link in path:
+            link.messages_forwarded += 1
+            link.bytes_forwarded += size_bytes
+            delay = link.latency.sample(rng, size_bytes)
+            if faults is not None:
+                delay, dropped = faults.adjust(link, delay)
+                if dropped:
+                    self._drop(lost=True)
+                    return None
+            total += delay
         return total
 
     def transmit(self, message: Message) -> None:
@@ -176,25 +200,30 @@ class Network:
         In-flight loss injected by an active fault plan keeps classic
         timeout semantics: the message silently vanishes mid-path.
         """
-        if message.dst not in self._nodes:
+        src = message.src
+        dst = message.dst
+        if dst.host not in self._nodes:
             if self.router is not None:
                 self.router.transmit(self, message)
                 return
-            raise KeyError(f"message to unregistered address {message.dst}")
-        if self.faults is None:
+            raise KeyError(f"message to unregistered address {dst}")
+        path = self._route_cache.get((src.host, dst.host))
+        if path is None:
             try:
-                delay = self.path_delay(message)
+                path = self.route(src, dst)
             except RoutingError:
                 self._refuse(message)
                 return
-        else:
-            delay = self._leg_delay(message, message.src, message.dst)
-            if delay is None:
-                return
+        delay = self._sample_path(path, message, self.faults)
+        if delay is None:
+            return
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
         metrics = self.metrics
         if metrics is not None:
             self._bound.histogram(metrics, "delivery_seconds").observe(delay)
-        self.sim.schedule(delay, self._deliver, message, label="deliver")
+        sim = self.sim
+        sim.schedule_at(sim._now + delay, self._deliver, message, label="deliver")
 
     def _drop(self, lost: bool = False) -> None:
         """Count one dropped message (``lost``: in flight, by a fault)."""
@@ -207,7 +236,7 @@ class Network:
     def _refuse(self, message: Message) -> None:
         """No route: drop, and tell the sender synchronously."""
         self._drop()
-        sender = self._nodes.get(message.src)
+        sender = self._nodes.get(message.src.host)
         if sender is not None:
             sender.on_transmit_failed(message, "no route")
 
@@ -229,17 +258,7 @@ class Network:
             else:
                 self._drop()
             return None
-        faults = self.faults
-        total = 0.0
-        for link in path:
-            delay = link.sample_delay(self.rng, message.size_bytes)
-            if faults is not None:
-                delay, dropped = faults.adjust(link, delay)
-                if dropped:
-                    self._drop(lost=True)
-                    return None
-            total += delay
-        return total
+        return self._sample_path(path, message, self.faults)
 
     def _ingress(self, message: Message) -> None:
         """Final intra-shard leg of a cross-shard delivery (gateway → dst).
@@ -269,7 +288,9 @@ class Network:
         metrics = self.metrics
         if metrics is not None:
             self._bound.counter(metrics, "messages_delivered").inc()
-        self._nodes[message.dst].deliver(message)
+        node = self._nodes[message.dst.host]
+        node.messages_received += 1
+        node.on_message(message)
 
     def __repr__(self) -> str:
         return f"<Network nodes={len(self._nodes)} links={len(self._links)}>"
@@ -315,7 +336,7 @@ class CrossShardRouter:
         self.latency = latency if latency is not None else cloud_internal_latency()
         self._networks: List[Network] = []
         self._shard_of: Dict[int, int] = {}  # id(network) -> shard index
-        self._homes: Dict[Address, tuple] = {}  # dst -> (shard, network)
+        self._homes: Dict[str, tuple] = {}  # dst host -> (shard, network)
         self.messages_routed = 0
 
     def attach(self, network: Network, shard: int) -> Network:
@@ -328,7 +349,7 @@ class CrossShardRouter:
         return network
 
     def _locate(self, dst: Address) -> tuple:
-        home = self._homes.get(dst)
+        home = self._homes.get(dst.host)
         if home is None:
             matches = [
                 (self._shard_of[id(network)], network)
@@ -342,7 +363,7 @@ class CrossShardRouter:
                     f"address {dst} registered in {len(matches)} shards; "
                     "cross-shard destinations must be unique"
                 )
-            home = self._homes[dst] = matches[0]
+            home = self._homes[dst.host] = matches[0]
         return home
 
     def transmit(self, src_net: Network, message: Message) -> None:

@@ -53,8 +53,15 @@ class Node:
 
     @property
     def now(self) -> float:
-        """Current simulation time."""
-        return self.sim.now
+        """Current simulation time.
+
+        One frame: read on every request and response, so it goes to the
+        simulator's clock directly rather than through :attr:`sim`.
+        """
+        network = self.network
+        if network is None:
+            raise RuntimeError(f"node {self.address} is not attached to a network")
+        return network.sim._now
 
     def attach(self, network: "Network") -> None:
         """Called by :meth:`Network.add_node`; may be overridden for setup."""
@@ -70,13 +77,9 @@ class Node:
         self.network.transmit(message)
         return message
 
-    def deliver(self, message: Message) -> None:
-        """Entry point invoked by the network on arrival."""
-        self.messages_received += 1
-        self.on_message(message)
-
     def on_message(self, message: Message) -> None:
-        """Handle an arriving message.  Default: ignore."""
+        """Handle an arriving message (the network counts it in
+        ``messages_received`` first).  Default: ignore."""
 
     def on_transmit_failed(self, message: Message, reason: str) -> None:
         """Synchronous notification that a sent message could not be routed.

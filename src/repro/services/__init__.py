@@ -22,7 +22,7 @@ from repro import _lazy
 __getattr__, __dir__, __all__ = _lazy.exports(globals(), {
     "buffer": ("TriggerEvent", "TriggerBuffer"),
     "endpoints": ("TriggerEndpoint", "ActionEndpoint", "QueryEndpoint", "Channel"),
-    "partner": ("BatchActionRequest", "PartnerService", "AuthError"),
+    "partner": ("BatchActionRequest", "PartnerService"),
     "custom": ("CustomService",),
     "official": (
         "OfficialHueService", "OfficialWemoService", "OfficialAlexaService", "OfficialGmailService",

@@ -80,10 +80,6 @@ class BatchActionRequest:
         return BatchActionRequest(entries=entries)
 
 
-class AuthError(RuntimeError):
-    """Service-side authentication failure."""
-
-
 class PartnerService(HttpNode):
     """A partner service: trigger/action endpoints behind IFTTT auth.
 
@@ -416,28 +412,29 @@ class PartnerService(HttpNode):
 
     # -- protocol handlers ------------------------------------------------------------
 
-    def _authenticate(self, request: HttpRequest) -> None:
-        if self.service_keys and request.header("IFTTT-Service-Key") not in self.service_keys:
+    def _gate(self, request: HttpRequest, brownout: bool = True):
+        """The preamble of every engine-facing handler: outage first
+        (with one brownout draw unless ``brownout=False``), then
+        authentication.  Returns the rejection response, or ``None``.
+
+        Every poll passes here, so the healthy path is this one frame:
+        the outage and brownout helpers are called only when an outage
+        or a fault state is set.
+        """
+        if self.outage:
+            return self._check_hard_outage()
+        if brownout and self.faults is not None and self._brownout_rejects():
+            return 503, {"errors": [{"message": "service browning out"}]}
+        headers = request.headers
+        if self.service_keys and headers.get("IFTTT-Service-Key") not in self.service_keys:
             self.auth_failures += 1
-            raise AuthError("bad service key")
-        token = request.header("Authorization", "")
+            return 401, {"errors": [{"message": "bad service key"}]}
+        token = headers.get("Authorization", "")
         if self._valid_tokens and not (
             token.startswith("Bearer ") and token[len("Bearer "):] in self._valid_tokens
         ):
             self.auth_failures += 1
-            raise AuthError("bad bearer token")
-
-    def _gate(self, request: HttpRequest, brownout: bool = True):
-        """The preamble of every engine-facing handler: outage first
-        (with one brownout draw unless ``brownout=False``), then
-        authentication.  Returns the rejection response, or ``None``."""
-        rejected = self._check_outage() if brownout else self._check_hard_outage()
-        if rejected is not None:
-            return rejected
-        try:
-            self._authenticate(request)
-        except AuthError as exc:
-            return 401, {"errors": [{"message": str(exc)}]}
+            return 401, {"errors": [{"message": "bad bearer token"}]}
         return None
 
     def _handle_trigger_poll(self, request: HttpRequest):

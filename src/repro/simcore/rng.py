@@ -49,7 +49,21 @@ class Rng:
         return self._random.uniform(low, high)
 
     def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high] inclusive."""
+        """Uniform integer in [low, high] inclusive.
+
+        For plain ints this is ``random.randint``'s own draw (``randrange``
+        → ``_randbelow``: rejection-sample ``getrandbits`` over the width)
+        in one frame, so the value and the stream are bit-identical;
+        anything else goes to ``random.randint`` for its checks.
+        """
+        if type(low) is int and type(high) is int and low <= high:
+            width = high - low + 1
+            getrandbits = self._random.getrandbits
+            bits = width.bit_length()
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            return low + r
         return self._random.randint(low, high)
 
     def random(self) -> float:
