@@ -20,10 +20,13 @@ test-fast:
 		--ignore=tests/test_scenario_soak.py \
 		--ignore=tests/test_examples.py
 
-# The multi-engine sharding suites (unit + property + chaos isolation);
-# see docs/SHARDING.md.
+# The coupled-world suites: multi-engine sharding (unit + property +
+# chaos isolation), the epoch stepper against its reference loop, and
+# the delivery and push chaos worlds; see docs/SHARDING.md.
 test-shard:
-	pytest tests/test_sharding.py tests/test_sharding_chaos.py -q
+	pytest tests/test_sharding.py tests/test_sharding_chaos.py \
+		tests/test_simcore_parallel.py tests/test_delivery_chaos.py \
+		tests/test_push_chaos.py -q
 
 # Fleet-scale perf gate (docs/PERFORMANCE.md): the committed
 # BENCH_fleet_scale.json must carry events/sec + peak RSS for
@@ -43,15 +46,15 @@ bench-scale:
 bench-push:
 	python benchmarks/bench_scalability_push.py --check BENCH_push_scale.json
 
-# Performance-budget gate (docs/PERFORMANCE.md, "Where a hop goes"):
-# a fresh, short ledger pass must not be worse than the committed
-# BENCH_hop_path.json — end-to-end timings within the bounds
-# BENCHMARK.json fixes (25 %, RSS 5 %), every count and sim_fingerprint
-# identical.  Wall-clock sensitive (~2 min), so it runs in the nightly
-# job, not in `make ci` or `make test`.
+# Performance-budget gate (docs/PERFORMANCE.md, "Where a coupled
+# operation goes"): a fresh, short ledger pass must not be worse than
+# the committed BENCH_coupled_path.json — end-to-end timings within the
+# bounds BENCHMARK.json fixes (25 %, RSS 5 %), every count and
+# sim_fingerprint identical.  Wall-clock sensitive (~2 min), so it runs
+# in the nightly job, not in `make ci` or `make test`.
 bench-budget:
 	python benchmarks/ledger/run.py --seconds 5 --output .bench-budget.json
-	python benchmarks/ledger/run.py --compare BENCH_hop_path.json .bench-budget.json
+	python benchmarks/ledger/run.py --compare BENCH_coupled_path.json .bench-budget.json
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null && echo OK; done

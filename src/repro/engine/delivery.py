@@ -94,6 +94,9 @@ DEGRADATION_LEVEL_NAMES: Tuple[str, ...] = (
     "healthy", "stretched", "shedding", "breaker_open",
 )
 
+#: ``ServiceHealth.breaker_level`` of an open breaker (the ladder's top rung).
+_BREAKER_OPEN_LEVEL = BreakerState.OPEN.level
+
 #: The paper's §4 T2A quartiles for poll-bound applets — the latency
 #: distribution the baseline (unstretched) polling interval induces.
 #: The post-heal acceptance check is anchored here: once stretch decays
@@ -380,7 +383,9 @@ class DeliveryController:
 
     def note_result(self, link, ok: bool, brownout: bool = False) -> None:
         """Feed one poll/action outcome into the service's health."""
-        health = self.health_for(link)
+        health = link.health
+        if health is None:
+            health = self.health_for(link)
         if ok:
             health.record_success()
         else:
@@ -422,22 +427,25 @@ class DeliveryController:
 
     # -- the degradation ladder ------------------------------------------------
 
-    def _compute_level(self, link) -> int:
-        health = link.health
-        if health is not None and health.breaker_level == BreakerState.OPEN.level:
-            return DEGRADATION_BREAKER_OPEN
-        if (
-            link.hint_backlog >= self.policy.hint_high_watermark
-            or link.retry_depth >= self.policy.retry_high_watermark
-        ):
-            return DEGRADATION_SHEDDING
-        if health is not None and health.degraded:
-            return DEGRADATION_STRETCHED
-        return DEGRADATION_HEALTHY
-
     def refresh_level(self, link) -> None:
-        """Recompute the ladder level; emit gauge/counter/trace on change."""
-        new = self._compute_level(link)
+        """Recompute the ladder level; emit gauge/counter/trace on change.
+
+        Every outcome and every queue move passes here, so the ladder is
+        read inline, top rung first.
+        """
+        health = link.health
+        policy = self.policy
+        if health is not None and health.breaker_level == _BREAKER_OPEN_LEVEL:
+            new = DEGRADATION_BREAKER_OPEN
+        elif (
+            link.hint_backlog >= policy.hint_high_watermark
+            or link.retry_depth >= policy.retry_high_watermark
+        ):
+            new = DEGRADATION_SHEDDING
+        elif health is not None and health.stretch > 1.0:  # ``degraded``
+            new = DEGRADATION_STRETCHED
+        else:
+            new = DEGRADATION_HEALTHY
         old = link.level
         if new == old:
             return

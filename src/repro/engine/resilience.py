@@ -76,17 +76,24 @@ class RetryPolicy:
         return attempts >= self.max_attempts
 
 
+#: Each breaker state's numeric level for gauges, by state value.
+_BREAKER_LEVELS = {"closed": 0, "half_open": 1, "open": 2}
+
+
 class BreakerState(enum.Enum):
-    """Circuit-breaker states, ordered by severity."""
+    """Circuit-breaker states, ordered by severity.
+
+    ``level`` is the state's numeric level for gauges (closed=0,
+    half_open=1, open=2): a plain attribute looked up once per member,
+    read on every outcome the degradation ladder sees.
+    """
 
     CLOSED = "closed"
     HALF_OPEN = "half_open"
     OPEN = "open"
 
-    @property
-    def level(self) -> int:
-        """Numeric level for gauges (closed=0, half_open=1, open=2)."""
-        return {"closed": 0, "half_open": 1, "open": 2}[self.value]
+    def __init__(self, value: str) -> None:
+        self.level = _BREAKER_LEVELS[value]
 
 
 @dataclass(frozen=True)

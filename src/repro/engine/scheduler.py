@@ -62,6 +62,7 @@ class HeapPollScheduler:
 
     __slots__ = (
         "engine",
+        "_sim",
         "_heap",
         "_seq",
         "_wake",
@@ -74,6 +75,9 @@ class HeapPollScheduler:
 
     def __init__(self, engine) -> None:
         self.engine = engine
+        # The engine's simulator, resolved by the first schedule(): the
+        # scheduler is built before its engine joins a network.
+        self._sim = None
         self._heap: List[Tuple[float, int, Any, int]] = []
         self._seq = itertools.count()
         self._wake: Optional[Any] = None  # the armed simulator Event
@@ -95,7 +99,10 @@ class HeapPollScheduler:
             self.stale_entries += 1
         runtime.poll_gen += 1
         runtime.poll_scheduled = True
-        due = self.engine.sim.now + delay
+        sim = self._sim
+        if sim is None:
+            sim = self._sim = self.engine.sim
+        due = sim._now + delay
         heappush(self._heap, (due, next(self._seq), runtime, runtime.poll_gen))
         self._arm_wake(due)
 
@@ -122,18 +129,15 @@ class HeapPollScheduler:
             # event takes a new simulator sequence number — the same one
             # a timer event for this poll alone would have taken.
             wake.cancel()
-        self._wake = self.engine.sim.schedule_at(
-            due, self._fire, label="poll-wake"
-        )
+        self._wake = self._sim.schedule_at(due, self._fire, label="poll-wake")
 
     def _fire(self) -> None:
         """Pop and dispatch every poll due now, then re-arm."""
         self._wake = None
         self.wakes += 1
-        engine = self.engine
-        now = engine.sim.now
+        now = self._sim._now
         heap = self._heap
-        poll = engine._poll
+        poll = self.engine._poll
         batch = 0
         self._firing = True
         try:
@@ -150,7 +154,8 @@ class HeapPollScheduler:
         self.batched_polls += batch
         if heap:
             self._arm_wake(heap[0][0])
-        self._maybe_compact()
+        if len(self._heap) >= COMPACT_MIN_ENTRIES:  # the common miss, inline
+            self._maybe_compact()
 
     # -- lazy-cancellation hygiene ------------------------------------------
 

@@ -250,14 +250,16 @@ class Network:
         for legs whose sender sits in another shard — the message is just
         dropped), or lost in flight on a faulted link.
         """
-        try:
-            path = self.route(src, dst)
-        except RoutingError:
-            if refuse:
-                self._refuse(message)
-            else:
-                self._drop()
-            return None
+        path = self._route_cache.get((src.host, dst.host))
+        if path is None:
+            try:
+                path = self.route(src, dst)
+            except RoutingError:
+                if refuse:
+                    self._refuse(message)
+                else:
+                    self._drop()
+                return None
         return self._sample_path(path, message, self.faults)
 
     def _ingress(self, message: Message) -> None:
@@ -272,14 +274,15 @@ class Network:
         connection-refused across shards).
         """
         gateway = self.gateway
-        if gateway is None or message.dst == gateway:
+        if gateway is None or message.dst.host == gateway.host:
             self._deliver(message)
             return
         delay = self._leg_delay(message, gateway, message.dst, refuse=False)
         if delay is None:
             return
         if delay > 0.0:
-            self.sim.schedule(delay, self._deliver, message, label="deliver")
+            sim = self.sim
+            sim.schedule_at(sim._now + delay, self._deliver, message, label="deliver")
         else:
             self._deliver(message)
 
@@ -335,7 +338,7 @@ class CrossShardRouter:
         #: ``stepper.lookahead`` (see class docstring).
         self.latency = latency if latency is not None else cloud_internal_latency()
         self._networks: List[Network] = []
-        self._shard_of: Dict[int, int] = {}  # id(network) -> shard index
+        self._shard_of: Dict[Network, int] = {}  # by identity
         self._homes: Dict[str, tuple] = {}  # dst host -> (shard, network)
         self.messages_routed = 0
 
@@ -343,27 +346,26 @@ class CrossShardRouter:
         """Register one shard's network and install the transmit hook."""
         network.router = self
         self._networks.append(network)
-        self._shard_of[id(network)] = shard
+        self._shard_of[network] = shard
         self._homes.clear()  # nodes may be added after earlier attaches
         self.stepper.mark_coupled()
         return network
 
     def _locate(self, dst: Address) -> tuple:
-        home = self._homes.get(dst.host)
-        if home is None:
-            matches = [
-                (self._shard_of[id(network)], network)
-                for network in self._networks
-                if network.has_node(dst)
-            ]
-            if not matches:
-                raise KeyError(f"message to unregistered address {dst}")
-            if len(matches) > 1:
-                raise ValueError(
-                    f"address {dst} registered in {len(matches)} shards; "
-                    "cross-shard destinations must be unique"
-                )
-            home = self._homes[dst.host] = matches[0]
+        """Find, and remember in ``_homes``, the shard ``dst`` lives in."""
+        matches = [
+            (self._shard_of[network], network)
+            for network in self._networks
+            if network.has_node(dst)
+        ]
+        if not matches:
+            raise KeyError(f"message to unregistered address {dst}")
+        if len(matches) > 1:
+            raise ValueError(
+                f"address {dst} registered in {len(matches)} shards; "
+                "cross-shard destinations must be unique"
+            )
+        home = self._homes[dst.host] = matches[0]
         return home
 
     def transmit(self, src_net: Network, message: Message) -> None:
@@ -373,24 +375,32 @@ class CrossShardRouter:
         hop: no route is a synchronous connection-refused, an active
         fault plan may inflate per-hop delay or lose the message.
         """
-        dst_shard, dst_net = self._locate(message.dst)
+        src = message.src
+        home = self._homes.get(message.dst.host)
+        if home is None:
+            home = self._locate(message.dst)
+        dst_shard, dst_net = home
         gateway = src_net.gateway
-        if gateway is None or message.src == gateway:
+        # An ``Address`` is its ``host``: comparing the strings is the
+        # dataclass ``__eq__`` without its frame.
+        if gateway is None or src.host == gateway.host:
             delay = 0.0
         else:
-            delay = src_net._leg_delay(message, message.src, gateway)
+            delay = src_net._leg_delay(message, src, gateway)
             if delay is None:
                 return
         hop = self.latency.sample(src_net.rng, message.size_bytes)
-        delay += max(hop, self.stepper.lookahead)
+        stepper = self.stepper
+        lookahead = stepper.lookahead
+        delay += lookahead if lookahead > hop else hop  # max(), without its call
         metrics = src_net.metrics
         if metrics is not None:
             src_net._bound.histogram(metrics, "delivery_seconds").observe(delay)
         self.messages_routed += 1
-        self.stepper.post(
+        stepper.post(
             dst_shard,
-            src_net.sim.now + delay,
+            src_net.sim._now + delay,
             dst_net._ingress,
             message,
-            src=self._shard_of[id(src_net)],
+            src=self._shard_of[src_net],
         )

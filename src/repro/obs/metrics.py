@@ -447,6 +447,27 @@ def _quantiles_from_buckets(
     return out
 
 
+def _copy_entry(entry: Dict[str, Any]) -> Dict[str, Any]:
+    """``json.loads(json.dumps(entry))`` for one snapshot entry, without
+    the text round trip.
+
+    An entry's fields are scalars or flat containers of scalars: the
+    ``labels`` dict, a histogram's ``bounds`` / ``bucket_counts`` lists
+    and its ``quantiles`` dict, all keyed by strings.  So one level of
+    copying gives the JSON copy: dicts stay dicts in key order, lists
+    and tuples become lists, and scalars come back equal.
+    """
+    copied = {}
+    for key, value in entry.items():
+        kind = type(value)
+        if kind is dict:
+            value = dict(value)
+        elif kind is list or kind is tuple:
+            value = list(value)
+        copied[key] = value
+    return copied
+
+
 def merge_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
     """Combine registry snapshots from independent shards.
 
@@ -462,7 +483,7 @@ def merge_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
             key = (entry["name"], _label_key(entry["labels"]))
             current = merged.get(key)
             if current is None:
-                merged[key] = json.loads(json.dumps(entry))  # deep copy
+                merged[key] = _copy_entry(entry)
                 continue
             if current["type"] != entry["type"]:
                 raise ValueError(

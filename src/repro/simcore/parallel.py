@@ -39,10 +39,11 @@ is also the seam a one-process-per-shard stepper would use: only
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, List, Optional
 
 from repro.simcore.simulator import RunResult, SimulationError, Simulator
+
+_INF = float("inf")
 
 #: Default epoch width / cross-shard latency floor, seconds.  Chosen at
 #: cloud-internal scale (≈ the p95 of one engine↔service hop): wide
@@ -80,8 +81,12 @@ class ShardedSimulator:
     def __init__(self, num_shards: int, lookahead: float = DEFAULT_LOOKAHEAD) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if lookahead <= 0:
-            raise ValueError(f"lookahead must be positive, got {lookahead}")
+        # NaN and inf fail the chained compare; a bool is not a width.
+        if isinstance(lookahead, bool) or not 0 < lookahead < _INF:
+            raise ValueError(
+                f"lookahead must be a positive, finite number of seconds, "
+                f"got {lookahead!r}"
+            )
         self.num_shards = num_shards
         self.lookahead = float(lookahead)
         self.sims: List[Simulator] = [Simulator() for _ in range(num_shards)]
@@ -95,7 +100,7 @@ class ShardedSimulator:
         self._outboxes: List[List[MailboxEntry]] = [
             [] for _ in range(num_shards + 1)
         ]
-        self._seqs = [itertools.count() for _ in range(num_shards + 1)]
+        self._seqs = [0] * (num_shards + 1)  # each outbox's next sequence number
         self.epochs = 0
         self.mailbox_messages = 0
         self._coupled = False
@@ -134,8 +139,11 @@ class ShardedSimulator:
         run starts.
         """
         source = self.num_shards if src is None else src
+        seqs = self._seqs
+        seq = seqs[source]
+        seqs[source] = seq + 1
         self._outboxes[source].append(MailboxEntry((
-            deliver_at, source, next(self._seqs[source]), dst, fn, args,
+            deliver_at, source, seq, dst, fn, args,
         )))
 
     def broadcast(
@@ -164,10 +172,10 @@ class ShardedSimulator:
         sims = self.sims
         for deliver_at, _src, _seq, dst, fn, args in pending:
             sim = sims[dst]
-            if deliver_at < sim.now:
+            if deliver_at < sim._now:
                 raise SimulationError(
                     f"cross-shard message for shard {dst} at t={deliver_at} "
-                    f"arrived after its clock ({sim.now}); the sender "
+                    f"arrived after its clock ({sim._now}); the sender "
                     f"violated the {self.lookahead}s lookahead floor"
                 )
             sim.schedule_at(deliver_at, fn, *args, label="mailbox")
@@ -197,8 +205,63 @@ class ShardedSimulator:
     # -- epoch stepping ------------------------------------------------------
 
     def _step_epoch(self, horizon: float) -> int:
-        """Advance every shard to ``horizon``; returns events fired."""
-        return sum(sim.run_until(horizon) for sim in self.sims)
+        """Advance every shard to ``horizon``; returns events fired.
+
+        Only a shard with a live event at or before ``horizon`` is entered
+        (its :meth:`Simulator.run_until`).  Any other shard just has its
+        clock set to ``horizon``, which is all an empty ``run_until``
+        does, after the same drop of cancelled entries from the top of
+        its heap.  A shard whose clock is already past ``horizon`` is
+        entered too, so that ``run_until`` refuses the step as before.
+        """
+        fired = 0
+        for sim in self.sims:
+            heap = sim._heap
+            if heap and heap[0][3]._canceled:
+                sim._peek()
+            if (heap and heap[0][0] <= horizon) or horizon < sim._now:
+                fired += sim.run_until(horizon)
+            else:
+                sim._now = horizon
+        return fired
+
+    def _cross_empty_epochs(self, horizon: float, time: float) -> float:
+        """Count the empty epochs ending at ``horizon`` and after it.
+
+        Returns the first barrier at which some shard has work, or
+        ``time``.  An epoch is empty when no shard has a live event at or
+        before its barrier and no clock is past it: every shard's
+        ``run_until`` would fire nothing and only move its clock.  The
+        mailboxes are drained, and an epoch that fires nothing posts
+        nothing, so the whole run of empty epochs is crossed without
+        entering a shard.  Each barrier is computed with the float
+        additions :meth:`run_until` makes, so the grid, ``epochs`` and
+        every clock end up as if each empty epoch had been stepped.
+        This only reads the cells; :meth:`_step_epoch` moves them.
+        """
+        due = _INF
+        sims = self.sims
+        for sim in sims:
+            if sim._now > horizon:
+                return horizon
+            heap = sim._heap
+            if heap and heap[0][3]._canceled:
+                sim._peek()
+            if heap and heap[0][0] < due:
+                due = heap[0][0]
+        if due <= horizon:
+            return horizon
+        lookahead = self.lookahead
+        while due > horizon < time:
+            self.epochs += 1
+            crossed = horizon
+            horizon += lookahead
+            if not horizon < time:  # min(time, horizon + lookahead)
+                horizon = time
+        # Every clock to the last crossed barrier, where stepping would
+        # have left it; no shard has work there, so none is entered.
+        self._step_epoch(crossed)
+        return horizon
 
     def run_until(self, time: float) -> int:
         """Step every shard to ``time`` through epoch barriers.
@@ -206,15 +269,35 @@ class ShardedSimulator:
         Returns the total number of events fired by this call.  On
         return all shard clocks equal ``time`` and every cross-shard
         message produced on the way has been delivered or scheduled.
+        ``time`` must not be NaN or before :attr:`now`
+        (:class:`SimulationError`); ``time == now`` is a no-op.
+
+        Coupled barriers fall on the grid ``h <- min(time, h +
+        lookahead)`` from the fleet clock; a run of epochs in which no
+        shard has work is counted, not stepped
+        (:meth:`_cross_empty_epochs`).
         """
-        fired = 0
+        now = self.now
+        if not time >= now:  # also rejects NaN, which compares false
+            raise SimulationError(f"cannot run until t={time} < now={now}")
+        sims = self.sims
+        outboxes = self._outboxes
         lookahead = self.lookahead
+        fired = 0
         while True:
-            self._drain_mailboxes()
-            now = self.now
+            if any(outboxes):
+                self._drain_mailboxes()
+            now = _INF  # the fleet clock, :attr:`now`
+            for sim in sims:
+                if sim._now < now:
+                    now = sim._now
             if now >= time:
                 break
-            horizon = time if not self._coupled else min(time, now + lookahead)
+            horizon = now + lookahead
+            if not self._coupled or not horizon < time:
+                horizon = time
+            else:
+                horizon = self._cross_empty_epochs(horizon, time)
             fired += self._step_epoch(horizon)
             self.epochs += 1
         return fired

@@ -242,13 +242,15 @@ class Simulator:
         :meth:`step`/:meth:`run_until` resumes instead of raising
         ``SimulationError("event heap corrupted: time went backwards")``.
         """
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN, which compares false
             raise SimulationError(f"cannot run until t={time} < now={self._now}")
         fired = self._fire_until(time, max_events)
-        remaining = self._peek()
-        completed = not self._stopped and (remaining is None or remaining.time > time)
-        if completed:
-            self._now = max(self._now, time)
+        # The fire loop drops cancelled entries before it breaks, so the
+        # top of the heap, if any, is the next live event.
+        heap = self._heap
+        completed = not self._stopped and (not heap or heap[0][0] > time)
+        if completed and time > self._now:
+            self._now = time
         return RunResult(fired, completed)
 
     def _fire_until(self, horizon: float, max_events: Optional[int]) -> int:

@@ -57,7 +57,7 @@ least :data:`~repro.simcore.parallel.DEFAULT_LOOKAHEAD` (50 ms).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.applet import ActionRef, TriggerRef
 from repro.engine.config import EngineConfig
@@ -666,9 +666,10 @@ class ChaosWorld:
     def _result(self, scenario: ChaosScenario, until: float) -> ChaosResult:
         engine = self.engine
         t2a_by_phase: Dict[str, List[float]] = {}
+        phase_of = _phase_classifier(scenario.plan)
         for delivered_at, fields in self.delivered:
             injected_at = float(fields["injected_at"])
-            phase = _phase_of(scenario.plan, injected_at)
+            phase = phase_of(injected_at)
             t2a_by_phase.setdefault(phase, []).append(delivered_at - injected_at)
         stats = engine.stats()
         snapshot = deterministic_snapshot(self.metrics)
@@ -699,15 +700,25 @@ class ChaosWorld:
         )
 
 
-def _phase_of(plan: FaultPlan, t: float) -> str:
-    """Which fault phase an injection time falls into."""
-    if not plan.specs:
+def _phase_classifier(plan: FaultPlan) -> Callable[[float], str]:
+    """Which fault phase (before / during / after) an injection time falls
+    into under ``plan``.
+
+    The plan's fault windows and ``end_time`` are read once here, not
+    once per delivered action.
+    """
+    windows = tuple((spec.at, spec.end) for spec in plan)
+    end_time = plan.end_time
+
+    def phase_of(t: float) -> str:
+        for at, end in windows:
+            if at <= t < end:
+                return "during"
+        if windows and t >= end_time:
+            return "after"
         return "before"
-    if any(spec.at <= t < spec.end for spec in plan):
-        return "during"
-    if t >= plan.end_time:
-        return "after"
-    return "before"
+
+    return phase_of
 
 
 def run_chaos_scenario(
@@ -1091,11 +1102,15 @@ class ShardedChaosWorld:
 
     def schedule_events(self, times: Tuple[float, ...]) -> None:
         """Schedule each event cadence entry into every pair's home cell."""
+        sims = self.stepper.sims
+        homes = [
+            (pair, sims[cell], sims[cell].now) for pair, cell in enumerate(self._pair_home)
+        ]
         for index, at in enumerate(times):
-            for pair, cell in enumerate(self._pair_home):
-                sim = self.stepper.sims[cell]
+            for pair, sim, now in homes:
+                delay = at - now
                 sim.schedule(
-                    max(0.0, at - sim.now), self._inject, pair, index, at,
+                    delay if delay > 0.0 else 0.0, self._inject, pair, index, at,
                     label=f"chaos-event#{index}.{pair}",
                 )
 
@@ -1122,10 +1137,11 @@ class ShardedChaosWorld:
         delivered = sorted(
             self._delivered, key=lambda record: (record[0], record[1])
         )
+        phase_of = _phase_classifier(plan)
         for delivered_at, pair, fields in delivered:
             injected_at = float(fields["injected_at"])
             shard = self.fleet.shard_of(self.applets[pair].applet_id)
-            phase = _phase_of(plan, injected_at)
+            phase = phase_of(injected_at)
             t2a_by_shard.setdefault(shard, {}).setdefault(phase, []).append(
                 delivered_at - injected_at
             )

@@ -1,14 +1,17 @@
 """Acceptance tests for the chaos scenarios (ISSUE: fault injection)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.faults import FaultPlan, service_outage
+from repro.faults import FaultPlan, service_brownout, service_outage
 from repro.obs.metrics import snapshot_to_json_lines
 from repro.testbed.chaos import (
     CHAOS_SCENARIOS,
     SINK_SLUG,
     ChaosWorld,
     ShardedChaosWorld,
+    _phase_classifier,
     chaos_scenario,
     run_chaos_scenario,
 )
@@ -166,3 +169,47 @@ class TestScenarioRegistry:
 
     def test_world_not_collected_by_pytest(self):
         assert ChaosWorld.__test__ is False
+
+
+def _reference_phase_of(plan: FaultPlan, t: float) -> str:
+    """Phase classification as it read the plan for every delivered action."""
+    if not plan.specs:
+        return "before"
+    if any(spec.at <= t < spec.end for spec in plan):
+        return "during"
+    if t >= plan.end_time:
+        return "after"
+    return "before"
+
+
+_windows = st.lists(
+    st.tuples(st.floats(0.0, 300.0), st.floats(0.001, 200.0), st.booleans()), max_size=5,
+)
+
+
+class TestPhaseWindows:
+    """Result assembly reads a plan's fault windows once per result; the
+    phase of each injection time must be what reading the plan gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(windows=_windows, extra=st.lists(st.floats(-10.0, 600.0), max_size=5))
+    def test_equals_reading_the_plan_per_time(self, windows, extra):
+        plan = FaultPlan(tuple(
+            service_brownout(f"s{i}", at=at, duration=duration) if brownout
+            else service_outage(f"s{i}", at=at, duration=duration)
+            for i, (at, duration, brownout) in enumerate(windows)
+        ))
+        phase_of = _phase_classifier(plan)
+        # exactly at each window's edges, and just around them
+        edges = [t for spec in plan for t in (spec.at, spec.end)] + [plan.end_time]
+        times = edges + [t - 1e-9 for t in edges] + [t + 1e-9 for t in edges] + extra
+        for t in times:
+            assert phase_of(t) == _reference_phase_of(plan, t), t
+
+    def test_edges(self):
+        plan = FaultPlan((service_outage("s", at=60.0, duration=60.0),))
+        phase_of = _phase_classifier(plan)
+        assert [phase_of(t) for t in (59.9, 60.0, 119.9, 120.0)] == [
+            "before", "during", "during", "after",
+        ]
+        assert _phase_classifier(FaultPlan(()))(1e9) == "before"

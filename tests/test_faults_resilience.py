@@ -50,6 +50,15 @@ class TestRetryPolicy:
 
 
 class TestCircuitBreaker:
+    def test_state_levels_are_the_gauge_mapping(self):
+        # ``level`` is looked up once per member now; the gauge values
+        # must be the mapping the property built on every read.
+        mapping = {"closed": 0, "half_open": 1, "open": 2}
+        assert [(state.value, state.level) for state in BreakerState] == list(mapping.items())
+        for state in BreakerState:
+            assert state.level == mapping[state.value]
+            assert BreakerState(state.value).level == state.level
+
     def test_opens_after_threshold(self):
         breaker = CircuitBreaker(BreakerPolicy(failure_threshold=3))
         for t in (1.0, 2.0):

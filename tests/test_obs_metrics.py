@@ -9,7 +9,11 @@ import pickle
 import re
 import tracemalloc
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     COUNT_BUCKETS,
@@ -19,6 +23,7 @@ from repro.obs import (
     snapshot_from_json_lines,
     snapshot_to_json_lines,
 )
+from repro.obs import metrics as metrics_module
 from repro.obs.metrics import FOLD_BATCH
 from repro.simcore.rng import Rng
 
@@ -300,6 +305,71 @@ class TestSnapshotsAndMerge:
         b.gauge("x").set(1)
         with pytest.raises(ValueError):
             merge_snapshots(a.snapshot(), b.snapshot())
+
+
+#: Label values of both types a real registry mixes (shard ids, slugs).
+_label_values = st.one_of(st.integers(-3, 40), st.sampled_from(["hue", "wemo", "0", ""]))
+
+
+@st.composite
+def _registry_snapshots(draw):
+    """1-4 registry snapshots whose series overlap, with int/str labels;
+    the kind is fixed by the name, so every pair of snapshots merges."""
+    snapshots = []
+    for _ in range(draw(st.integers(1, 4))):
+        registry = MetricsRegistry()
+        for kind, name, labels, samples in draw(st.lists(st.tuples(
+            st.sampled_from(["counter", "gauge", "histogram"]),
+            st.sampled_from(["a", "b"]),
+            st.dictionaries(st.sampled_from(["service", "shard", "code"]), _label_values,
+                            max_size=3),
+            st.lists(st.floats(0.0, 3000.0), max_size=5),
+        ), max_size=8)):
+            name = f"{kind}.{name}"
+            if kind == "counter":
+                registry.counter(name, **labels).inc(len(samples))
+            elif kind == "gauge":
+                for sample in samples:
+                    registry.gauge(name, **labels).set(sample)
+            else:
+                histogram = registry.histogram(name, **labels)
+                for sample in samples:
+                    histogram.observe(sample)
+        snapshots.append(registry.snapshot())
+    return snapshots
+
+
+class TestMergeCopiesEntries:
+    """``merge_snapshots`` copies a series' first entry structurally; the
+    result must be the one the JSON round-trip copy gave."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(snapshots=_registry_snapshots())
+    def test_equals_the_json_round_trip_copy(self, snapshots):
+        merged = merge_snapshots(*snapshots)
+        with mock.patch.object(
+            metrics_module, "_copy_entry", lambda entry: json.loads(json.dumps(entry)),
+        ):
+            reference = merge_snapshots(*snapshots)
+        assert merged == reference
+        assert json.dumps(merged) == json.dumps(reference)
+        assert json.dumps(merged, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+    def test_output_shares_nothing_with_its_inputs(self):
+        snapshot = _populated_registry(1).snapshot()
+        before = json.dumps(snapshot)
+        for entry in merge_snapshots(snapshot)["metrics"]:
+            for value in entry.values():
+                if isinstance(value, (dict, list)):
+                    value.clear()
+        assert json.dumps(snapshot) == before
+
+    def test_tuples_come_back_as_lists(self):
+        entry = {"type": "histogram", "name": "h", "labels": {"shard": 0},
+                 "bounds": (1.0, 2.0), "bucket_counts": (0, 1, 0)}
+        copied = metrics_module._copy_entry(entry)
+        assert copied == json.loads(json.dumps(entry))
+        assert type(copied["bounds"]) is list
 
 
 class TestJsonExport:

@@ -1,5 +1,10 @@
-"""Unit tests for epoch-barriered sharded stepping plus ISSUE 10's
-simcore regressions.
+"""Unit tests for epoch-barriered sharded stepping plus simcore
+regressions.
+
+The stepper enters only the shards that have work and crosses runs of
+empty epochs without entering any; ``TestAgainstTheReferenceStepper``
+keeps the loop that entered every shard in every epoch and requires the
+same fires, clocks and counters from both on drawn schedules.
 
 Three bugfix regressions ride along with the :class:`ShardedSimulator`
 unit coverage, each written to fail against the pre-fix code:
@@ -17,7 +22,15 @@ unit coverage, each written to fail against the pre-fix code:
   path (schedule / fire / cancel / cancel-after-fire).
 """
 
+import math
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     ActionRef,
@@ -31,6 +44,7 @@ from repro.engine import (
 from repro.engine.oauth import OAuthAuthority
 from repro.engine.sharding import APPLET_ID_STRIDE, derive_applet_id_stride
 from repro.net import Address, FixedLatency, Network
+from repro.obs import MetricsRegistry
 from repro.services import ActionEndpoint, PartnerService, TriggerEndpoint
 from repro.simcore import (
     DEFAULT_LOOKAHEAD,
@@ -325,6 +339,16 @@ class TestShardedSimulatorBasics:
         with pytest.raises(ValueError):
             ShardedSimulator(2, lookahead=0.0)
 
+    @pytest.mark.parametrize("lookahead", [math.nan, math.inf, -math.inf, True, False, -0.5])
+    def test_lookahead_must_be_a_finite_positive_width(self, lookahead):
+        # A NaN or infinite width used to collapse a coupled run into one
+        # epoch that then died at the first drain, blaming the sender.
+        with pytest.raises(ValueError, match="lookahead"):
+            ShardedSimulator(2, lookahead=lookahead)
+
+    def test_integer_lookahead_is_a_width(self):
+        assert ShardedSimulator(2, lookahead=1).lookahead == 1.0
+
     def test_clock_is_the_slowest_shard(self):
         stepper = ShardedSimulator(3)
         stepper.sims[0].schedule_at(1.0, lambda: None)
@@ -466,3 +490,227 @@ class TestDefaultLookahead:
     def test_exported_and_positive(self):
         assert DEFAULT_LOOKAHEAD > 0
         assert ShardedSimulator(2).lookahead == DEFAULT_LOOKAHEAD
+
+
+# -- horizons that are not a time ---------------------------------------------
+
+
+class TestHorizonValidation:
+    def test_nan_horizon_is_refused_by_the_kernel(self):
+        # It used to fire every pending event, even one at t = 1e6, and
+        # report the run completed.
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1e6, fired.append, "far")
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run_until(math.nan)
+        assert fired == [] and sim.now == 0.0
+
+    def test_nan_horizon_is_refused_by_the_stepper(self):
+        # It used to spin for ever, so the call runs in a child with a
+        # timeout: a hang fails the test instead of the suite.
+        code = textwrap.dedent("""
+            import math
+            from repro.simcore import ShardedSimulator, SimulationError
+            for coupled in (False, True):
+                stepper = ShardedSimulator(2, lookahead=0.5)
+                if coupled:
+                    stepper.mark_coupled()
+                try:
+                    stepper.run_until(math.nan)
+                except SimulationError as exc:
+                    assert "nan" in str(exc), exc
+                else:
+                    raise SystemExit("run_until(nan) returned")
+        """)
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["repro"].__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+
+    def test_past_horizon_is_refused_by_the_stepper(self):
+        stepper = ShardedSimulator(2, lookahead=0.5)
+        stepper.mark_coupled()
+        stepper.run_until(3.0)
+        with pytest.raises(SimulationError, match=r"t=2\.0 < now=3\.0"):
+            stepper.run_until(2.0)
+        assert stepper.now == 3.0
+
+    def test_horizon_equal_to_now_is_a_no_op(self):
+        stepper = ShardedSimulator(2, lookahead=0.5)
+        stepper.mark_coupled()
+        stepper.run_until(3.0)
+        epochs = stepper.epochs
+        assert stepper.run_until(3.0) == 0
+        assert stepper.epochs == epochs and stepper.now == 3.0
+
+
+# -- the stepper against the loop that entered every shard ---------------------
+
+
+class _ReferenceStepper(ShardedSimulator):
+    """The epoch loop before empty epochs were skipped: every shard's
+    ``run_until`` is entered at every barrier.  Slow, and the oracle."""
+
+    def _step_epoch(self, horizon):
+        return sum(sim.run_until(horizon) for sim in self.sims)
+
+    def run_until(self, time):
+        fired = 0
+        lookahead = self.lookahead
+        while True:
+            self._drain_mailboxes()
+            now = self.now
+            if now >= time:
+                break
+            horizon = time if not self._coupled else min(time, now + lookahead)
+            fired += self._step_epoch(horizon)
+            self.epochs += 1
+        return fired
+
+
+#: Event instants are multiples of 1/8 s, so with a binary lookahead they
+#: fall exactly on barriers; a later band leaves long idle gaps.
+_GRID = 0.125
+_instants = st.one_of(
+    st.integers(0, 96).map(lambda n: n * _GRID),
+    st.integers(320, 480).map(lambda n: n * _GRID),
+)
+
+
+@st.composite
+def _epoch_schedules(draw):
+    shards = draw(st.integers(1, 4))
+    shard = st.integers(0, shards - 1)
+    events = draw(st.lists(
+        st.tuples(
+            shard, _instants, st.sampled_from(["plain", "post", "stop", "chain"]),
+            shard, st.integers(1, 3),
+        ),
+        max_size=24,
+    ))
+    mail = draw(st.lists(st.tuples(shard, _instants), max_size=4))
+    event_times = [event[1] for event in events]
+    targets = draw(st.lists(
+        _instants | st.sampled_from(event_times) if event_times else _instants,
+        min_size=1, max_size=6,
+    ))
+    return {
+        "shards": shards,
+        "lookahead": draw(st.sampled_from([0.25, 0.5, 1.0, 0.1, 0.3])),
+        "coupled": draw(st.booleans() | st.just(True)),
+        "events": events,
+        "mail": mail,
+        "targets": sorted(targets),
+    }
+
+
+def _drive(cls, spec):
+    """Run one drawn schedule on a ``cls`` stepper; return all it shows."""
+    stepper = cls(spec["shards"], lookahead=spec["lookahead"])
+    if spec["coupled"]:
+        stepper.mark_coupled()
+    registries = []
+    for sim in stepper.sims:
+        sim.metrics = MetricsRegistry()
+        registries.append(sim.metrics)
+    lookahead = stepper.lookahead
+    fires = []
+
+    def arrive(shard, label):
+        fires.append((shard, stepper.sims[shard].now, label))
+
+    def fire(shard, label, kind, dst, k):
+        sim = stepper.sims[shard]
+        # The fleet clock reads every shard's clock mid-epoch, so a
+        # shard left behind by a skipped or crossed epoch shows here.
+        fires.append((shard, sim.now, label, stepper.now))
+        if kind == "post":
+            # k = 1 from an event on a barrier is mail due exactly at the
+            # next barrier.
+            stepper.post(dst, sim.now + k * lookahead, arrive, dst, label + ">mail", src=shard)
+        elif kind == "stop":
+            sim.stop()
+        elif kind == "chain":
+            sim.schedule(k * _GRID, fire, shard, label + ">chain", "plain", dst, k)
+
+    for index, (shard, at, kind, dst, k) in enumerate(spec["events"]):
+        stepper.sims[shard].schedule_at(at, fire, shard, f"e{index}", kind, dst, k)
+    for index, (dst, at) in enumerate(spec["mail"]):
+        stepper.post(dst, at, arrive, dst, f"m{index}")
+
+    calls = []
+    for target in spec["targets"]:
+        try:
+            outcome = ("fired", int(stepper.run_until(target)))
+        except SimulationError as exc:
+            outcome = ("raised", str(exc))
+        calls.append((
+            target, outcome, [sim.now for sim in stepper.sims],
+            stepper.epochs, stepper.mailbox_messages,
+        ))
+        if outcome[0] == "raised":
+            break
+    counters = [
+        (registry.total("sim.events_fired"), registry.total("sim.runs"))
+        for registry in registries
+    ]
+    return fires, calls, counters, stepper.fired_count
+
+
+class TestAgainstTheReferenceStepper:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_epoch_schedules())
+    def test_same_fires_clocks_and_counters(self, spec):
+        assert _drive(ShardedSimulator, spec) == _drive(_ReferenceStepper, spec)
+
+    def test_a_shard_whose_only_event_is_at_the_target(self):
+        spec = {
+            "shards": 3, "lookahead": 0.5, "coupled": True,
+            "events": [(1, 4.0, "plain", 0, 1)], "mail": [], "targets": [4.0],
+        }
+        result = _drive(ShardedSimulator, spec)
+        assert result == _drive(_ReferenceStepper, spec)
+        fires, calls, _counters, _fired = result
+        assert fires == [(1, 4.0, "e0", 3.5)]
+        assert calls == [(4.0, ("fired", 1), [4.0, 4.0, 4.0], 8, 0)]
+
+    def test_mail_due_exactly_at_a_barrier(self):
+        spec = {
+            "shards": 2, "lookahead": 0.5, "coupled": True,
+            "events": [(0, 1.0, "post", 1, 1), (1, 1.5, "plain", 0, 1)],
+            "mail": [], "targets": [3.0],
+        }
+        result = _drive(ShardedSimulator, spec)
+        assert result == _drive(_ReferenceStepper, spec)
+        # The mail lands at the 1.5 barrier, after shard 1's own event
+        # there (scheduled first, so it fires first).
+        assert result[0] == [(0, 1.0, "e0", 0.5), (1, 1.5, "e1", 1.5), (1, 1.5, "e0>mail")]
+
+    def test_empty_epochs_are_crossed_not_entered(self):
+        stepper = ShardedSimulator(4, lookahead=1.0)
+        stepper.mark_coupled()
+        entered = [0] * 4
+
+        def counting(sim, index):
+            run_until = sim.run_until
+
+            def wrapped(horizon, max_events=None):
+                entered[index] += 1
+                return run_until(horizon, max_events)
+
+            sim.run_until = wrapped
+
+        for index, sim in enumerate(stepper.sims):
+            counting(sim, index)
+        stepper.sims[0].schedule_at(0.5, lambda: None)
+        stepper.sims[2].schedule_at(50.0, lambda: None)
+        assert stepper.run_until(100.0) == 2
+        # The grid is unchanged (one epoch a second), but only the two
+        # epochs with work enter a shard, and only the shard that has it.
+        assert stepper.epochs == 100
+        assert entered == [1, 0, 1, 0]
+        assert [sim.now for sim in stepper.sims] == [100.0] * 4
