@@ -4,7 +4,7 @@
 # needed): prepend the src/ layout to PYTHONPATH for all recipes.
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test test-fast test-shard bench-scale bench-push bench-budget examples figures chaos chaos-check replay-check degrade-check push-check experiments-smoke determinism-check ledger-check experiments-full parity-check ci lint clean
+.PHONY: install test test-fast test-shard bench-scale bench-push bench-budget examples figures chaos chaos-check replay-check degrade-check push-check experiments-smoke testbed-check determinism-check ledger-check experiments-full parity-check ci lint clean
 
 install:
 	pip install -e .
@@ -77,9 +77,9 @@ chaos:
 # summary, exit status (degrade-check's acceptance criteria are its
 # rows' exit 0).  Each alias below is one group of rows (table in
 # docs/ROBUSTNESS.md, "Determinism gates"); determinism-check is every
-# row once (~11 s).  The poll/hint/push equivalence suite is a tier-1
+# row once (~20 s).  The poll/hint/push equivalence suite is a tier-1
 # test: it runs under `pytest tests/`.
-chaos-check replay-check degrade-check push-check experiments-smoke:
+chaos-check replay-check degrade-check push-check experiments-smoke testbed-check:
 	@python tools/parity.py $@
 
 determinism-check:
@@ -93,9 +93,10 @@ determinism-check:
 ledger-check:
 	@pytest benchmarks/ledger -q
 
-# Byte-parity against a base commit (~35 s): `make parity-check
+# Byte-parity against a base commit (~55 s): `make parity-check
 # BASE=<git-ref>` is the same runner with `git archive BASE` as side A —
-# the 18 single-variant chaos rows, the smoke matrix's results.json and
+# the 18 single-variant chaos rows, the 10 testbed rows, the smoke
+# matrix's results.json and
 # the five ledger sim_fingerprints + counts at seeds 7 and 11.
 # "Byte-identical to the parent" for a refactor is this one command.
 # Deliberately not part of `ci`/`test`: a PR that intends a behaviour

@@ -69,6 +69,12 @@ class TestRunner:
         assert parity.main([], table=(row,)) == 1
         assert "one-sided: DRIFT (snapshot.jsonl)" in capsys.readouterr().out
 
+    def test_wall_clock_lines_are_not_pinned(self, capsys):
+        write = ("import os; print('sim.events_per_wallsec', os.getpid()); "
+                 "open('metrics.jsonl', 'w').write(f'sim.events_per_wallsec {os.getpid()}\\nx\\n')")
+        assert parity.main([], table=(Row("wall", "g1", ("-c", write)),)) == 0
+        assert "wall: OK (2 artifacts byte-identical)" in capsys.readouterr().out
+
     def test_row_without_any_artifact_fails(self, capsys):
         assert parity.main([], table=(Row("silent", "g1", ("-c", "pass")),)) == 1
         assert "silent: DRIFT (no artifact produced)" in capsys.readouterr().out
@@ -102,12 +108,22 @@ class TestTable:
         names = [row.name for row in parity.TABLE]
         assert len(names) == len(set(names))
 
+    TESTBED_ROWS = {
+        *(f"t2a-A{index}-official" for index in range(1, 8)),
+        "t2a-A1-E2", "t2a-A4-E2", "day-in-the-life",
+    }
+
     def test_the_18_chaos_rows_still_run_against_a_ref(self):
         against_ref = {row.name: row for row in parity.TABLE if row.other is None}
-        assert set(against_ref) == self.CHAOS_ROWS
-        for row in against_ref.values():
-            assert row.args[:5] == ("-m", "repro", "chaos", "--seed", "7")
+        assert set(against_ref) == self.CHAOS_ROWS | self.TESTBED_ROWS
+        for name in self.CHAOS_ROWS:
+            assert against_ref[name].args[:5] == ("-m", "repro", "chaos", "--seed", "7")
         assert [row.name for row in against_ref.values() if row.expect] == ["mix-hint"]
+
+    def test_testbed_rows_are_one_group(self):
+        assert {row.name for row in parity.TABLE if row.group == "testbed-check"} == (
+            self.TESTBED_ROWS
+        )
 
     def test_two_variant_rows(self):
         assert {row.name for row in parity.TABLE if row.other} == {"smoke"}

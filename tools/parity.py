@@ -6,7 +6,8 @@
 
 Both are one loop — run ``TABLE`` on side A and on side B, each row in
 its own scratch directory, and ``cmp`` everything the rows left behind.
-What is pinned is the table below and nothing else.
+What is pinned is the table below and nothing else; a line naming a
+wall-clock metric (``sim.events_per_wallsec``) is left out of the compare.
 
 **Against itself** both sides are the working tree, side A under
 ``PYTHONHASHSEED=1`` and side B under ``PYTHONHASHSEED=2``: separate
@@ -34,7 +35,6 @@ leaves the scratch directory (path printed); otherwise nothing outlives it.
 from __future__ import annotations
 
 import argparse
-import filecmp
 import os
 import shutil
 import subprocess
@@ -65,8 +65,19 @@ def chaos(name: str, group: str, *extra: str, expect: int = 0) -> Row:
     return Row(name, group, head + extra, expect)
 
 
+def t2a(applet: str, scenario: str) -> Row:
+    """A ``repro t2a`` row on the §4 testbed: every official service and
+    Our Service run in it, whichever applet is measured."""
+    args = ("-m", "repro", "t2a", "--applet", applet, "--scenario", scenario,
+            "--runs", "3", "--metrics", "metrics.jsonl")
+    return Row(f"t2a-{applet}-{scenario}", "testbed-check", args)
+
+
 SMOKE = ("-m", "repro", "experiments", "{checkout}/EXPERIMENTS/matrix_smoke.json",
          "--quiet", "--output", ".")
+#: Metrics read from the host's wall clock (``repro.obs.WALLCLOCK_METRICS``):
+#: a line naming one is not pinned.
+WALLCLOCK = (b"sim.events_per_wallsec",)
 
 TABLE: Tuple[Row, ...] = (
     *(
@@ -92,6 +103,12 @@ TABLE: Tuple[Row, ...] = (
     chaos("mix-push", "push-check", "--scenario", "outage", "--shards", "4", "--replay",
           "--adaptive", "--delivery", "push", "--shard-strategy", "round_robin"),
     Row("smoke", "experiments-smoke", SMOKE + ("--jobs", "4"), other=SMOKE + ("--in-process",)),
+    # The §4 testbed: the official services (A1-A7), Our Service (E2) and,
+    # through the day-long example, Nest, Weather, SmartThings and queries.
+    *(t2a(f"A{index}", "official") for index in range(1, 8)),
+    t2a("A1", "E2"),
+    t2a("A4", "E2"),
+    Row("day-in-the-life", "testbed-check", ("{checkout}/examples/day_in_the_life.py",)),
 )
 
 
@@ -172,11 +189,21 @@ def artifacts(out: str) -> List[str]:
     ]
 
 
+def pinned(path: str) -> Optional[bytes]:
+    """The bytes of ``path`` without its wall-clock lines; ``None`` if absent."""
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as handle:
+        return b"".join(line for line in handle if not any(name in line for name in WALLCLOCK))
+
+
 def differing(a_out: str, b_out: str) -> List[str]:
-    """Artifacts present on one side only or differing bytewise."""
+    """Artifacts present on one side only or differing in their pinned bytes."""
     names = sorted(set(artifacts(a_out)) | set(artifacts(b_out)))
-    _, mismatch, errors = filecmp.cmpfiles(a_out, b_out, names, shallow=False)
-    return sorted(mismatch + errors)
+    return [
+        name for name in names
+        if pinned(os.path.join(a_out, name)) != pinned(os.path.join(b_out, name))
+    ]
 
 
 def main(argv=None, table: Sequence[Row] = TABLE) -> int:
@@ -227,10 +254,11 @@ def main(argv=None, table: Sequence[Row] = TABLE) -> int:
             else:
                 print(f"{label}: {name}: OK ({total} artifacts byte-identical)")
         if ok and ref is not None:
-            pinned = artifacts(b_out)
+            names = [os.path.basename(name) for name in artifacts(b_out)]
             print(
-                f"{label}: OK ({len(pinned)} artifacts byte-identical to {ref}: "
-                f"{sum(name.endswith('.jsonl') for name in pinned)} chaos snapshots + "
+                f"{label}: OK ({len(names)} artifacts byte-identical to {ref}: "
+                f"{names.count('snapshot.jsonl')} chaos snapshots + "
+                f"{names.count('metrics.jsonl')} testbed metrics + "
                 f"{len(rows)} summaries, smoke-matrix results.json, ledger fingerprints at seeds "
                 f"{'/'.join(FINGERPRINT_SEEDS)})"
             )
