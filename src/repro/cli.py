@@ -76,11 +76,18 @@ def _emit_metrics(source, path: str) -> None:
 
 def _cmd_t2a(args: argparse.Namespace) -> int:
     from repro.reporting import summarize_latencies
+    from repro.testbed.applets import variant_error
     from repro.testbed.scenarios import SCENARIOS, build_scenario
 
     if args.scenario not in SCENARIOS:
         print(f"unknown scenario {args.scenario!r}; choose from {sorted(SCENARIOS)}",
               file=sys.stderr)
+        return 2
+    if variant_error(args.applet, SCENARIOS[args.scenario].applet_variant):
+        supported = [name for name, known in SCENARIOS.items()
+                     if not variant_error(args.applet, known.applet_variant)]
+        print(f"applet {args.applet} does not run under scenario {args.scenario}; "
+              f"its scenarios are {supported}", file=sys.stderr)
         return 2
     testbed, controller, chosen = build_scenario(args.scenario, seed=args.seed)
     latencies = controller.measure_t2a(

@@ -73,7 +73,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.engine.config import SHARD_STRATEGIES
 from repro.engine.push import DELIVERY_MODES
 from repro.faults.plan import FaultPlan, FaultPlanError
-from repro.testbed.applets import APPLET_SUITE
+from repro.testbed.applets import APPLET_SUITE, variant_error
 from repro.testbed.chaos import CHAOS_SCENARIOS
 
 
@@ -310,12 +310,9 @@ def _parse_sweep(index: int, data: Any, plan_names: Sequence[str]) -> Sweep:
         knobs[knob] = value
     if kind == KIND_T2A:
         for applet in dict(axes)["applet"]:
-            variants = APPLET_SUITE[applet].variants
-            if knobs["variant"] not in variants:
-                raise ExperimentSpecError(
-                    f"sweep {name!r}: applet {applet} has no "
-                    f"{knobs['variant']!r} variant; valid variants are {sorted(variants)}"
-                )
+            error = variant_error(applet, knobs["variant"])
+            if error:
+                raise ExperimentSpecError(f"sweep {name!r}: {error}")
     return Sweep(name=name, kind=kind, repeats=repeats, axes=tuple(axes), knobs=knobs)
 
 

@@ -18,6 +18,7 @@ becomes slow).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Optional
 
 from repro.net.address import Address
@@ -26,10 +27,19 @@ from repro.services.endpoints import (
     ActionEndpoint,
     TriggerEndpoint,
     field_channel,
+    project,
     static_channels,
+    when,
+)
+from repro.services.official import (
+    add_row,
+    has_attachments,
+    on_mailbox,
+    send_email,
+    upload_file,
+    with_attachments,
 )
 from repro.services.partner import PartnerService
-from repro.simcore.process import Process, Timeout
 from repro.simcore.trace import Trace
 
 
@@ -59,12 +69,6 @@ class CustomService(PartnerService):
     ) -> None:
         super().__init__(address, slug=slug, trace=trace, realtime=realtime, service_time=0.005)
         self.proxy = proxy
-        self._gmail: Optional[Address] = None
-        self._gmail_user: Optional[str] = None
-        self._sheets: Optional[Address] = None
-        self._drive: Optional[Address] = None
-        self._last_msg_id = 0
-        self._poll_processes: Dict[str, Process] = {}
         self.add_route("POST", "/proxy/event", self._handle_proxy_event)
         self.add_route("POST", "/events/alexa", self._handle_alexa_intent)
         self._declare_iot_endpoints()
@@ -72,163 +76,70 @@ class CustomService(PartnerService):
     # -- endpoint declarations -------------------------------------------------------
 
     def _declare_iot_endpoints(self) -> None:
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="wemo_activated",
-                name="WeMo switch turned on (via proxy)",
-                matcher=lambda event, fields: event.get("kind") == "wemo_switch"
-                and event.get("on") is True,
-                ingredients=lambda event: {"device_id": event.get("device_id", "")},
-                reads_channels=field_channel("wemo", "device_id"),
-            )
-        )
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="wemo_deactivated",
-                name="WeMo switch turned off (via proxy)",
-                matcher=lambda event, fields: event.get("kind") == "wemo_switch"
-                and event.get("on") is False,
-                ingredients=lambda event: {"device_id": event.get("device_id", "")},
-                reads_channels=field_channel("wemo", "device_id"),
-            )
-        )
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="hue_light_on",
-                name="Hue light turned on (via proxy)",
-                matcher=lambda event, fields: event.get("kind") == "hue_lamp"
-                and event.get("on") is True,
-                ingredients=lambda event: {"lamp_id": event.get("device_id", "")},
-                reads_channels=field_channel("hue", "lamp_id"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="turn_on_hue",
-                name="Turn on Hue light (via proxy)",
-                executor=lambda fields: self._proxy_hue(fields, {"on": True}),
-                writes_channels=field_channel("hue", "lamp_id"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="turn_off_hue",
-                name="Turn off Hue light (via proxy)",
-                executor=lambda fields: self._proxy_hue(fields, {"on": False}),
-                writes_channels=field_channel("hue", "lamp_id"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="blink_hue",
-                name="Blink Hue light (via proxy)",
-                executor=lambda fields: self._proxy_hue(fields, {"effect": "blink"}),
-                writes_channels=field_channel("hue", "lamp_id"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="activate_wemo",
-                name="Turn WeMo switch on (via proxy)",
-                executor=lambda fields: self._proxy_wemo(fields, True),
-                writes_channels=field_channel("wemo", "device_id"),
-            )
-        )
+        wemo, hue = field_channel("wemo", "device_id"), field_channel("hue", "lamp_id")
+        for slug, name, kind, on, ingredients, channel in (
+            ("wemo_activated", "WeMo switch turned on (via proxy)", "wemo_switch", True,
+             project("device_id"), wemo),
+            ("wemo_deactivated", "WeMo switch turned off (via proxy)", "wemo_switch", False,
+             project("device_id"), wemo),
+            ("hue_light_on", "Hue light turned on (via proxy)", "hue_lamp", True,
+             project(lamp_id="device_id"), hue),
+        ):
+            self.add_trigger(TriggerEndpoint(slug, name, when(kind=kind, on=on), ingredients, channel))
+        for slug, name, executor, channel in (
+            ("turn_on_hue", "Turn on Hue light (via proxy)", partial(self._proxy_hue, on=True), hue),
+            ("turn_off_hue", "Turn off Hue light (via proxy)", partial(self._proxy_hue, on=False),
+             hue),
+            ("blink_hue", "Blink Hue light (via proxy)", partial(self._proxy_hue, effect="blink"),
+             hue),
+            ("activate_wemo", "Turn WeMo switch on (via proxy)",
+             partial(self._proxy_wemo, on=True), wemo),
+        ):
+            self.add_action(ActionEndpoint(slug, name, executor, channel))
         # Alexa triggers (used when this service "hosts" Alexa, §4).
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="alexa_phrase",
-                name="Alexa phrase said (hosted)",
-                matcher=lambda event, fields: event.get("intent") == "say_phrase"
-                and (not fields.get("phrase") or fields["phrase"] == event.get("phrase")),
-                ingredients=lambda event: {"phrase": event.get("phrase", "")},
-                reads_channels=static_channels(("alexa", "voice")),
-            )
-        )
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="alexa_song_played",
-                name="Alexa song played (hosted)",
-                matcher=lambda event, fields: event.get("intent") == "song_played",
-                ingredients=lambda event: {"song": event.get("song", "")},
-                reads_channels=static_channels(("alexa", "music")),
-            )
-        )
+        self.add_trigger(TriggerEndpoint(
+            "alexa_phrase", "Alexa phrase said (hosted)",
+            when(intent="say_phrase", narrow_by="phrase"), project("phrase"),
+            static_channels(("alexa", "voice")),
+        ))
+        self.add_trigger(TriggerEndpoint(
+            "alexa_song_played", "Alexa song played (hosted)", when(intent="song_played"),
+            project("song"), static_channels(("alexa", "music")),
+        ))
 
     # -- web-app wiring ------------------------------------------------------------------
 
     def connect_gmail(self, gmail: Address, user_email: str, poll_interval: float = 10.0) -> None:
         """Wire Gmail: declares mail trigger/action endpoints and a poll loop."""
-        self._gmail = gmail
-        self._gmail_user = user_email
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="gmail_new_email",
-                name="Any new email (our service)",
-                ingredients=lambda event: {
-                    "subject": event.get("subject", ""),
-                    "from": event.get("from", ""),
-                },
-                reads_channels=static_channels(("gmail_inbox", "me")),
-            )
-        )
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="gmail_new_attachment",
-                name="New email with attachment (our service)",
-                matcher=lambda event, fields: bool(event.get("attachments")),
-                ingredients=lambda event: {
-                    "subject": event.get("subject", ""),
-                    "attachments": list(event.get("attachments", [])),
-                    "attachment": (event.get("attachments") or [""])[0],
-                },
-                reads_channels=static_channels(("gmail_inbox", "me")),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="send_email",
-                name="Send an email (our service)",
-                executor=self._send_email,
-                writes_channels=static_channels(("gmail_inbox", "me")),
-            )
-        )
-
-        def loop():
-            while True:
-                self.get(
-                    gmail,
-                    "/api/messages",
-                    body={"user": user_email, "since_id": self._last_msg_id},
-                    on_response=self._on_mailbox,
-                )
-                yield Timeout(poll_interval)
-
-        self._poll_processes["gmail"] = Process(self.sim, loop(), name=f"{self.slug}.mailpoll")
+        inbox = static_channels(("gmail_inbox", "me"))
+        self.add_trigger(TriggerEndpoint(
+            "gmail_new_email", "Any new email (our service)",
+            ingredients=project("subject", "from"), reads_channels=inbox,
+        ))
+        self.add_trigger(TriggerEndpoint(
+            "gmail_new_attachment", "New email with attachment (our service)", has_attachments,
+            partial(with_attachments, project("subject")), inbox,
+        ))
+        self.add_action(ActionEndpoint(
+            "send_email", "Send an email (our service)",
+            partial(send_email, self, gmail, user_email, user_email or "our-service"), inbox,
+        ))
+        self.poll_app(gmail, "/api/messages", {"user": user_email}, poll_interval,
+                      partial(on_mailbox, self, "gmail_new_email", "gmail_new_attachment"))
 
     def connect_sheets(self, sheets: Address) -> None:
         """Wire Google Sheets: declares the add-row action."""
-        self._sheets = sheets
-        self.add_action(
-            ActionEndpoint(
-                slug="add_row",
-                name="Add row to spreadsheet (our service)",
-                executor=self._add_row,
-                writes_channels=field_channel("sheets", "sheet"),
-            )
-        )
+        self.add_action(ActionEndpoint(
+            "add_row", "Add row to spreadsheet (our service)", partial(add_row, self, sheets),
+            field_channel("sheets", "sheet"),
+        ))
 
     def connect_drive(self, drive: Address) -> None:
         """Wire Google Drive: declares the upload-file action."""
-        self._drive = drive
-        self.add_action(
-            ActionEndpoint(
-                slug="upload_file",
-                name="Upload file (our service)",
-                executor=self._upload_file,
-                writes_channels=field_channel("drive", "user"),
-            )
-        )
+        self.add_action(ActionEndpoint(
+            "upload_file", "Upload file (our service)",
+            partial(upload_file, self, drive, "/our-service"), field_channel("drive", "user"),
+        ))
 
     def host_alexa(self, alexa_cloud: Address) -> None:
         """Register as an Alexa-cloud intent consumer (the hosted-Alexa test)."""
@@ -261,15 +172,6 @@ class CustomService(PartnerService):
             self.ingest_event(slug, intent)
         return {"ok": True}
 
-    def _on_mailbox(self, response) -> None:
-        if not response.ok:
-            return
-        for message in (response.body or {}).get("messages", []):
-            self._last_msg_id = max(self._last_msg_id, message["msg_id"])
-            self.ingest_event("gmail_new_email", message)
-            if message.get("attachments"):
-                self.ingest_event("gmail_new_attachment", message)
-
     # -- action executors -----------------------------------------------------------------------
 
     def _require_proxy(self) -> Address:
@@ -277,15 +179,14 @@ class CustomService(PartnerService):
             raise RuntimeError(f"service {self.slug} has no local proxy configured")
         return self.proxy
 
-    def _proxy_hue(self, fields: Dict[str, Any], command: Dict[str, Any]) -> Dict[str, Any]:
+    def _proxy_hue(self, fields: Dict[str, Any], **command: Any) -> Dict[str, Any]:
         lamp_id = fields.get("lamp_id", "")
-        merged = dict(command)
         if "color" in fields:
-            merged["color"] = fields["color"]
+            command["color"] = fields["color"]
         self.post(
             self._require_proxy(),
             "/proxy/command",
-            body={"target": "hue", "lamp_id": lamp_id, "command": merged},
+            body={"target": "hue", "lamp_id": lamp_id, "command": command},
         )
         return {"lamp_id": lamp_id}
 
@@ -297,42 +198,3 @@ class CustomService(PartnerService):
             body={"target": "wemo", "device_id": device_id, "on": on},
         )
         return {"device_id": device_id, "on": on}
-
-    def _send_email(self, fields: Dict[str, Any]) -> Dict[str, Any]:
-        if self._gmail is None:
-            raise RuntimeError("gmail is not connected to this service")
-        self.post(
-            self._gmail,
-            "/api/send",
-            body={
-                "to": fields.get("to", self._gmail_user),
-                "from": self._gmail_user or "our-service",
-                "subject": fields.get("subject", ""),
-                "body": fields.get("body", ""),
-            },
-        )
-        return {"to": fields.get("to", self._gmail_user)}
-
-    def _add_row(self, fields: Dict[str, Any]) -> Dict[str, Any]:
-        if self._sheets is None:
-            raise RuntimeError("sheets is not connected to this service")
-        sheet = fields.get("sheet", "default")
-        cells = fields.get("cells")
-        if not isinstance(cells, list):
-            cells = [fields.get("row", "")]
-        self.post(self._sheets, f"/api/sheets/{sheet}/rows", body={"cells": cells})
-        return {"sheet": sheet}
-
-    def _upload_file(self, fields: Dict[str, Any]) -> Dict[str, Any]:
-        if self._drive is None:
-            raise RuntimeError("drive is not connected to this service")
-        self.post(
-            self._drive,
-            "/api/upload",
-            body={
-                "user": fields.get("user", "me"),
-                "name": fields.get("name", "attachment"),
-                "folder": fields.get("folder", "/our-service"),
-            },
-        )
-        return {"name": fields.get("name", "attachment")}

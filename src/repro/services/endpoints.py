@@ -16,8 +16,8 @@ implicit-loop findings and to ablate the paper's §6 recommendation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 #: An abstract resource affected by an action or observed by a trigger.
 Channel = Tuple[str, str]
@@ -31,15 +31,6 @@ ChannelFn = Callable[[Dict[str, Any]], FrozenSet[Channel]]
 def match_all(event: Dict[str, Any], fields: Dict[str, Any]) -> bool:
     """Default matcher: every upstream event matches every identity."""
     return True
-
-
-def match_fields_subset(event: Dict[str, Any], fields: Dict[str, Any]) -> bool:
-    """Matcher requiring every trigger field to equal the event's value.
-
-    Fields absent from the event are treated as non-matching, so an applet
-    with ``{"phrase": "good night"}`` only fires on that exact phrase.
-    """
-    return all(event.get(key) == value for key, value in fields.items())
 
 
 def _no_channels(fields: Dict[str, Any]) -> FrozenSet[Channel]:
@@ -135,14 +126,75 @@ class QueryEndpoint:
             raise ValueError(f"invalid query slug {self.slug!r}")
 
 
+# -- the declaration vocabulary ---------------------------------------------------
+#
+# Frozen dataclasses with ``__call__``: a declared endpoint pickles and
+# compares by value, and holds no reference to its service.
+
+
+@dataclass(frozen=True)
+class _When:
+    constants: Tuple[Tuple[str, Any], ...]
+    narrow_by: Optional[str]
+
+    def __call__(self, event: Dict[str, Any], fields: Dict[str, Any]) -> bool:
+        for key, value in self.constants:
+            if value is True or value is False:
+                if event.get(key) is not value:  # by identity: on=1 is not on=True
+                    return False
+            elif event.get(key) != value:
+                return False
+        narrow = self.narrow_by
+        return narrow is None or not fields.get(narrow) or fields[narrow] == event.get(narrow)
+
+
+def when(*, narrow_by: Optional[str] = None, **constants: Any) -> Matcher:
+    """Matcher: each event field in ``constants`` equals its value (a
+    ``True``/``False`` constant by identity), and, when the identity sets
+    a non-empty ``narrow_by`` trigger field, the event's field equals it.
+
+    ``when(on=True, narrow_by="lamp_id")`` fires an identity with fields
+    ``{"lamp_id": "lamp1"}`` on lamp1 turning on, one with no ``lamp_id``
+    on any lamp turning on.
+    """
+    return _When(tuple(constants.items()), narrow_by)
+
+
+@dataclass(frozen=True)
+class _Project:
+    sources: Tuple[Tuple[str, str], ...]
+
+    def __call__(self, event: Dict[str, Any]) -> Dict[str, Any]:
+        return {name: event.get(source, "") for name, source in self.sources}
+
+
+def project(*names: str, **renames: str) -> IngredientExtractor:
+    """Ingredients: each of ``names`` copied from the event, each
+    ``name=source`` renamed from it, ``""`` when the event lacks it."""
+    return _Project(tuple((name, name) for name in names) + tuple(renames.items()))
+
+
+@dataclass(frozen=True)
+class _Static:
+    channels: FrozenSet[Channel]
+
+    def __call__(self, fields: Dict[str, Any]) -> FrozenSet[Channel]:
+        return self.channels
+
+
 def static_channels(*channels: Channel) -> ChannelFn:
     """Channel function ignoring fields: always the given channels."""
-    fixed = frozenset(channels)
+    return _Static(frozenset(channels))
 
-    def fn(fields: Dict[str, Any]) -> FrozenSet[Channel]:
-        return fixed
 
-    return fn
+@dataclass(frozen=True)
+class _FieldChannel:
+    kind: str
+    field_name: str
+    default: str
+
+    def __call__(self, fields: Dict[str, Any]) -> FrozenSet[Channel]:
+        return frozenset({(self.kind, str(fields.get(self.field_name, self.default)))})
 
 
 def field_channel(kind: str, field_name: str, default: str = "*") -> ChannelFn:
@@ -151,8 +203,4 @@ def field_channel(kind: str, field_name: str, default: str = "*") -> ChannelFn:
     ``field_channel("sheets", "sheet")`` maps fields ``{"sheet": "songs"}``
     to the channel ``("sheets", "songs")``.
     """
-
-    def fn(fields: Dict[str, Any]) -> FrozenSet[Channel]:
-        return frozenset({(kind, str(fields.get(field_name, default)))})
-
-    return fn
+    return _FieldChannel(kind, field_name, default)

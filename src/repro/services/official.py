@@ -14,11 +14,18 @@ reaches its devices or data:
   APIs directly — §2.2's "polling approach for web apps".
 * **Nest** and **SmartThings** receive device/hub push over their own
   transports.
+
+Endpoints are declared with :mod:`repro.services.endpoints`'
+vocabulary (``when``, ``project``, the channel functions); the few
+shapes one endpoint uses are the named functions below.  Each web app
+has one client here — the mailbox cursor handler, send-email, add-row,
+upload — shared with :mod:`repro.services.custom`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from functools import partial
+from typing import Any, Dict, List, Optional
 
 from repro.iot.nest import NEST_PROTOCOL
 from repro.iot.wemo import UPNP
@@ -27,14 +34,142 @@ from repro.net.http import HttpRequest
 from repro.net.message import Message
 from repro.services.endpoints import (
     ActionEndpoint,
+    IngredientExtractor,
     QueryEndpoint,
     TriggerEndpoint,
     field_channel,
+    project,
     static_channels,
+    when,
 )
 from repro.services.partner import PartnerService
-from repro.simcore.process import Process, Timeout
 from repro.simcore.trace import Trace
+
+# -- shapes a single endpoint uses ---------------------------------------------------------
+
+
+def has_attachments(event: Dict[str, Any], fields: Dict[str, Any]) -> bool:
+    """Gmail's new-attachment matcher."""
+    return bool(event.get("attachments"))
+
+
+def with_attachments(base: IngredientExtractor, event: Dict[str, Any]) -> Dict[str, Any]:
+    """``base``'s ingredients, then the attachment list and the first attachment."""
+    ingredients = base(event)
+    ingredients["attachments"] = list(event.get("attachments", []))
+    ingredients["attachment"] = (event.get("attachments") or [""])[0]
+    return ingredients
+
+
+def rises_above(event: Dict[str, Any], fields: Dict[str, Any]) -> bool:
+    """Nest: the ambient reading is above the identity's ``threshold_c``."""
+    return event.get("key") == "ambient_c" and float(event.get("value", 0.0)) > float(
+        fields.get("threshold_c", 1e9)
+    )
+
+
+def drops_below(event: Dict[str, Any], fields: Dict[str, Any]) -> bool:
+    """Nest: the ambient reading is below the identity's ``threshold_c``."""
+    return event.get("key") == "ambient_c" and float(event.get("value", 1e9)) < float(
+        fields.get("threshold_c", -1e9)
+    )
+
+
+def temperature(event: Dict[str, Any]) -> Dict[str, Any]:
+    """Nest's ingredients: the reading, ``None`` when absent."""
+    return {"temperature_c": event.get("value")}
+
+
+def device_state(event: Dict[str, Any]) -> Dict[str, Any]:
+    """SmartThings' ingredients: the value is ``None`` when absent."""
+    return {
+        "device_id": event.get("device_id", ""),
+        "key": event.get("key", ""),
+        "value": event.get("value"),
+    }
+
+
+def new_row(event: Dict[str, Any]) -> Dict[str, Any]:
+    """Sheets' new-row ingredients: the row number defaults to ``0``."""
+    return {"sheet": event.get("sheet", ""), "row": event.get("row", 0)}
+
+
+def row_count(counts: Dict[str, int], fields: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Sheets' row-count query, answered from the mirrored activity stream.
+
+    The service tracks row counts from the ``row_added`` activity it
+    already polls, so the engine sees a single round trip.
+    """
+    sheet = str(fields.get("sheet", "default"))
+    return [{"sheet": sheet, "rows": counts.get(sheet, 0)}]
+
+
+def current_conditions(
+    conditions: Dict[str, str], location: str, fields: Dict[str, Any]
+) -> List[Dict[str, Any]]:
+    """Weather's current-conditions query, from the last polled change."""
+    location = str(fields.get("location", location))
+    return [{"location": location, "condition": conditions.get(location, "unknown")}]
+
+
+# -- one client per web app (official services and Our Service) --------------------------
+
+
+def on_mailbox(
+    service: PartnerService, new_email: str, new_attachment: str, response
+) -> None:
+    """Gmail: advance the mailbox cursor and ingest each message as
+    ``new_email``, and as ``new_attachment`` when it carries one."""
+    if not response.ok:
+        return
+    for message in (response.body or {}).get("messages", []):
+        service.app_cursor = max(service.app_cursor, message["msg_id"])
+        service.ingest_event(new_email, message)
+        if message.get("attachments"):
+            service.ingest_event(new_attachment, message)
+
+
+def send_email(
+    service: PartnerService, gmail: Address, user: str, sender: str, fields: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Gmail: send a message, to ``user`` unless the fields say otherwise."""
+    service.post(
+        gmail,
+        "/api/send",
+        body={
+            "to": fields.get("to", user),
+            "from": sender,
+            "subject": fields.get("subject", ""),
+            "body": fields.get("body", ""),
+        },
+    )
+    return {"to": fields.get("to", user)}
+
+
+def add_row(service: PartnerService, sheets: Address, fields: Dict[str, Any]) -> Dict[str, Any]:
+    """Sheets: append ``cells`` (or the one ``row`` value) to a sheet."""
+    sheet = fields.get("sheet", "default")
+    cells = fields.get("cells")
+    if not isinstance(cells, list):
+        cells = [fields.get("row", "")]
+    service.post(sheets, f"/api/sheets/{sheet}/rows", body={"cells": cells})
+    return {"sheet": sheet}
+
+
+def upload_file(
+    service: PartnerService, drive: Address, folder: str, fields: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Drive: upload a file, into ``folder`` unless the fields say otherwise."""
+    service.post(
+        drive,
+        "/api/upload",
+        body={
+            "user": fields.get("user", "me"),
+            "name": fields.get("name", "attachment"),
+            "folder": fields.get("folder", folder),
+        },
+    )
+    return {"name": fields.get("name", "attachment")}
 
 
 class OfficialHueService(PartnerService):
@@ -43,80 +178,36 @@ class OfficialHueService(PartnerService):
     def __init__(self, address: Address, hub: Address, trace: Optional[Trace] = None) -> None:
         super().__init__(address, slug="philips_hue", trace=trace, service_time=0.02)
         self.hub = hub
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="light_turned_on",
-                name="Light turned on",
-                matcher=lambda event, fields: event.get("on") is True
-                and (not fields.get("lamp_id") or fields["lamp_id"] == event.get("lamp_id")),
-                ingredients=lambda event: {"lamp_id": event.get("lamp_id", "")},
-                reads_channels=field_channel("hue", "lamp_id"),
-            )
-        )
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="light_turned_off",
-                name="Light turned off",
-                matcher=lambda event, fields: event.get("on") is False
-                and (not fields.get("lamp_id") or fields["lamp_id"] == event.get("lamp_id")),
-                ingredients=lambda event: {"lamp_id": event.get("lamp_id", "")},
-                reads_channels=field_channel("hue", "lamp_id"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="turn_on_lights",
-                name="Turn on lights",
-                executor=lambda fields: self._command(fields, {"on": True}),
-                writes_channels=field_channel("hue", "lamp_id"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="turn_off_lights",
-                name="Turn off lights",
-                executor=lambda fields: self._command(fields, {"on": False}),
-                writes_channels=field_channel("hue", "lamp_id"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="change_color",
-                name="Change color",
-                executor=lambda fields: self._command(
-                    fields, {"on": True, "color": fields.get("color", "white")}
-                ),
-                writes_channels=field_channel("hue", "lamp_id"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="blink_lights",
-                name="Blink lights",
-                executor=lambda fields: self._command(fields, {"effect": "blink"}),
-                writes_channels=field_channel("hue", "lamp_id"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="turn_on_color_loop",
-                name="Turn on color loop",
-                executor=lambda fields: self._command(fields, {"on": True, "effect": "colorloop"}),
-                writes_channels=field_channel("hue", "lamp_id"),
-            )
-        )
+        lamp = field_channel("hue", "lamp_id")
+        for slug, name, on in (("light_turned_on", "Light turned on", True),
+                               ("light_turned_off", "Light turned off", False)):
+            self.add_trigger(TriggerEndpoint(
+                slug, name, when(on=on, narrow_by="lamp_id"), project("lamp_id"), lamp
+            ))
+        for slug, name, executor in (
+            ("turn_on_lights", "Turn on lights", partial(self._command, on=True)),
+            ("turn_off_lights", "Turn off lights", partial(self._command, on=False)),
+            ("change_color", "Change color", self._change_color),
+            ("blink_lights", "Blink lights", partial(self._command, effect="blink")),
+            ("turn_on_color_loop", "Turn on color loop",
+             partial(self._command, on=True, effect="colorloop")),
+        ):
+            self.add_action(ActionEndpoint(slug, name, executor, lamp))
         self.add_route("POST", "/events/hue", self._handle_hub_event)
 
     def connect(self) -> None:
         """Subscribe to the home hub's event push (call once nodes are wired)."""
         self.post(self.hub, "/api/subscribe", body={"callback": self.address.host})
 
-    def _command(self, fields: Dict[str, Any], command: Dict[str, Any]) -> Dict[str, Any]:
+    def _command(self, fields: Dict[str, Any], **command: Any) -> Dict[str, Any]:
         lamp_id = fields.get("lamp_id", "")
         if not lamp_id:
             raise ValueError("hue action requires a lamp_id field")
         self.request(self.hub, "PUT", f"/api/lights/{lamp_id}/state", body=command)
         return {"lamp_id": lamp_id, "command": command}
+
+    def _change_color(self, fields: Dict[str, Any]) -> Dict[str, Any]:
+        return self._command(fields, on=True, color=fields.get("color", "white"))
 
     def _handle_hub_event(self, request: HttpRequest):
         body = request.body or {}
@@ -133,42 +224,15 @@ class OfficialWemoService(PartnerService):
     def __init__(self, address: Address, trace: Optional[Trace] = None) -> None:
         super().__init__(address, slug="wemo", trace=trace, service_time=0.02)
         self._switches: Dict[str, Address] = {}
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="switch_activated",
-                name="Switch turned on",
-                matcher=lambda event, fields: event.get("on") is True
-                and (not fields.get("device_id") or fields["device_id"] == event.get("device_id")),
-                ingredients=lambda event: {"device_id": event.get("device_id", "")},
-                reads_channels=field_channel("wemo", "device_id"),
-            )
-        )
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="switch_deactivated",
-                name="Switch turned off",
-                matcher=lambda event, fields: event.get("on") is False
-                and (not fields.get("device_id") or fields["device_id"] == event.get("device_id")),
-                ingredients=lambda event: {"device_id": event.get("device_id", "")},
-                reads_channels=field_channel("wemo", "device_id"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="activate_switch",
-                name="Turn switch on",
-                executor=lambda fields: self._set_switch(fields, True),
-                writes_channels=field_channel("wemo", "device_id"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="deactivate_switch",
-                name="Turn switch off",
-                executor=lambda fields: self._set_switch(fields, False),
-                writes_channels=field_channel("wemo", "device_id"),
-            )
-        )
+        switch = field_channel("wemo", "device_id")
+        for slug, name, on in (("switch_activated", "Switch turned on", True),
+                               ("switch_deactivated", "Switch turned off", False)):
+            self.add_trigger(TriggerEndpoint(
+                slug, name, when(on=on, narrow_by="device_id"), project("device_id"), switch
+            ))
+        for slug, name, on in (("activate_switch", "Turn switch on", True),
+                               ("deactivate_switch", "Turn switch off", False)):
+            self.add_action(ActionEndpoint(slug, name, partial(self._set_switch, on=on), switch))
 
     def connect_switch(self, device_id: str, switch: Address) -> None:
         """UPnP-subscribe to one switch."""
@@ -201,52 +265,18 @@ class OfficialAlexaService(PartnerService):
     def __init__(self, address: Address, alexa_cloud: Address, trace: Optional[Trace] = None) -> None:
         super().__init__(address, slug="amazon_alexa", trace=trace, realtime=True, service_time=0.02)
         self.alexa_cloud = alexa_cloud
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="say_phrase",
-                name="Say a specific phrase",
-                matcher=lambda event, fields: event.get("intent") == "say_phrase"
-                and (not fields.get("phrase") or fields["phrase"] == event.get("phrase")),
-                ingredients=lambda event: {"phrase": event.get("phrase", "")},
-                reads_channels=static_channels(("alexa", "voice")),
-            )
-        )
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="todo_item_added",
-                name="Item added to your to-do list",
-                matcher=lambda event, fields: event.get("intent") == "todo_item_added",
-                ingredients=lambda event: {"item": event.get("item", "")},
-                reads_channels=static_channels(("alexa", "todo")),
-            )
-        )
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="shopping_item_added",
-                name="Item added to your shopping list",
-                matcher=lambda event, fields: event.get("intent") == "shopping_item_added",
-                ingredients=lambda event: {"item": event.get("item", "")},
-                reads_channels=static_channels(("alexa", "shopping")),
-            )
-        )
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="shopping_list_asked",
-                name="Ask what's on your shopping list",
-                matcher=lambda event, fields: event.get("intent") == "shopping_list_asked",
-                ingredients=lambda event: {},
-                reads_channels=static_channels(("alexa", "shopping")),
-            )
-        )
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="song_played",
-                name="New song played",
-                matcher=lambda event, fields: event.get("intent") == "song_played",
-                ingredients=lambda event: {"song": event.get("song", "")},
-                reads_channels=static_channels(("alexa", "music")),
-            )
-        )
+        for slug, name, narrow_by, ingredients, channel in (
+            ("say_phrase", "Say a specific phrase", "phrase", ("phrase",), "voice"),
+            ("todo_item_added", "Item added to your to-do list", None, ("item",), "todo"),
+            ("shopping_item_added", "Item added to your shopping list", None, ("item",),
+             "shopping"),
+            ("shopping_list_asked", "Ask what's on your shopping list", None, (), "shopping"),
+            ("song_played", "New song played", None, ("song",), "music"),
+        ):
+            self.add_trigger(TriggerEndpoint(
+                slug, name, when(intent=slug, narrow_by=narrow_by), project(*ingredients),
+                static_channels(("alexa", channel)),
+            ))
         self.add_route("POST", "/events/alexa", self._handle_intent)
 
     def connect(self) -> None:
@@ -275,82 +305,24 @@ class OfficialGmailService(PartnerService):
         self.gmail = gmail
         self.user_email = user_email
         self.poll_interval = poll_interval
-        self._last_msg_id = 0
-        self._poll_process: Optional[Process] = None
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="new_email",
-                name="Any new email in inbox",
-                ingredients=lambda event: {
-                    "subject": event.get("subject", ""),
-                    "from": event.get("from", ""),
-                    "body": event.get("body", ""),
-                },
-                reads_channels=static_channels(("gmail_inbox", "me")),
-            )
-        )
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="new_attachment",
-                name="New email with attachment",
-                matcher=lambda event, fields: bool(event.get("attachments")),
-                ingredients=lambda event: {
-                    "subject": event.get("subject", ""),
-                    "from": event.get("from", ""),
-                    "attachments": list(event.get("attachments", [])),
-                    "attachment": (event.get("attachments") or [""])[0],
-                },
-                reads_channels=static_channels(("gmail_inbox", "me")),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="send_email",
-                name="Send an email",
-                executor=self._send_email,
-                writes_channels=static_channels(("gmail_inbox", "me")),
-            )
-        )
+        inbox = static_channels(("gmail_inbox", "me"))
+        self.add_trigger(TriggerEndpoint(
+            "new_email", "Any new email in inbox",
+            ingredients=project("subject", "from", "body"), reads_channels=inbox,
+        ))
+        self.add_trigger(TriggerEndpoint(
+            "new_attachment", "New email with attachment", has_attachments,
+            partial(with_attachments, project("subject", "from")), inbox,
+        ))
+        self.add_action(ActionEndpoint(
+            "send_email", "Send an email",
+            partial(send_email, self, gmail, user_email, user_email), inbox,
+        ))
 
-    def start_polling(self) -> Process:
-        """Spawn the service's internal mailbox poll loop (§2.2's app polling)."""
-        if self._poll_process is not None and self._poll_process.alive:
-            return self._poll_process
-
-        def loop():
-            while True:
-                self.get(
-                    self.gmail,
-                    "/api/messages",
-                    body={"user": self.user_email, "since_id": self._last_msg_id},
-                    on_response=self._on_mailbox,
-                )
-                yield Timeout(self.poll_interval)
-
-        self._poll_process = Process(self.sim, loop(), name=f"{self.slug}.mailpoll")
-        return self._poll_process
-
-    def _on_mailbox(self, response) -> None:
-        if not response.ok:
-            return
-        for message in (response.body or {}).get("messages", []):
-            self._last_msg_id = max(self._last_msg_id, message["msg_id"])
-            self.ingest_event("new_email", message)
-            if message.get("attachments"):
-                self.ingest_event("new_attachment", message)
-
-    def _send_email(self, fields: Dict[str, Any]) -> Dict[str, Any]:
-        self.post(
-            self.gmail,
-            "/api/send",
-            body={
-                "to": fields.get("to", self.user_email),
-                "from": self.user_email,
-                "subject": fields.get("subject", ""),
-                "body": fields.get("body", ""),
-            },
-        )
-        return {"to": fields.get("to", self.user_email)}
+    def start_polling(self) -> None:
+        """Start the mailbox poll loop (§2.2's app polling); idempotent."""
+        self.poll_app(self.gmail, "/api/messages", {"user": self.user_email},
+                      self.poll_interval, partial(on_mailbox, self, "new_email", "new_attachment"))
 
 
 class OfficialSheetsService(PartnerService):
@@ -366,84 +338,35 @@ class OfficialSheetsService(PartnerService):
         super().__init__(address, slug="google_sheets", trace=trace, service_time=0.02)
         self.sheets = sheets
         self.poll_interval = poll_interval
-        self._last_activity_id = 0
-        self._poll_process: Optional[Process] = None
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="new_row",
-                name="New row added to spreadsheet",
-                matcher=lambda event, fields: not fields.get("sheet")
-                or fields["sheet"] == event.get("sheet"),
-                ingredients=lambda event: {"sheet": event.get("sheet", ""), "row": event.get("row", 0)},
-                reads_channels=field_channel("sheets", "sheet"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="add_row",
-                name="Add row to spreadsheet",
-                executor=self._add_row,
-                writes_channels=field_channel("sheets", "sheet"),
-            )
-        )
-        self.add_query(
-            QueryEndpoint(
-                slug="row_count",
-                name="Number of rows in spreadsheet",
-                executor=self._row_count,
-                reads_channels=field_channel("sheets", "sheet"),
-            )
-        )
         self._row_counts: Dict[str, int] = {}
+        sheet = field_channel("sheets", "sheet")
+        self.add_trigger(TriggerEndpoint(
+            "new_row", "New row added to spreadsheet", when(narrow_by="sheet"), new_row, sheet
+        ))
+        self.add_action(ActionEndpoint(
+            "add_row", "Add row to spreadsheet", partial(add_row, self, sheets), sheet
+        ))
+        self.add_query(QueryEndpoint(
+            "row_count", "Number of rows in spreadsheet", partial(row_count, self._row_counts),
+            sheet,
+        ))
 
-    def _row_count(self, fields: Dict[str, Any]) -> Any:
-        """Rows currently in a sheet, from the mirrored activity stream.
-
-        The service tracks row counts from the ``row_added`` activity it
-        already polls, so the query answers from local state — the engine
-        sees a single round trip.
-        """
-        sheet = str(fields.get("sheet", "default"))
-        return [{"sheet": sheet, "rows": self._row_counts.get(sheet, 0)}]
-
-    def start_polling(self) -> Process:
-        """Spawn the spreadsheet-activity poll loop."""
-        if self._poll_process is not None and self._poll_process.alive:
-            return self._poll_process
-
-        def loop():
-            while True:
-                # The sheets app's activity log is global; track a cursor.
-                self.get(
-                    self.sheets,
-                    "/api/activity",
-                    body={"since_id": self._last_activity_id},
-                    on_response=self._on_activity,
-                )
-                yield Timeout(self.poll_interval)
-
-        self._poll_process = Process(self.sim, loop(), name=f"{self.slug}.activitypoll")
-        return self._poll_process
+    def start_polling(self) -> None:
+        """Start the spreadsheet-activity poll loop; idempotent.  The sheets
+        app's activity log is global: one cursor covers every sheet."""
+        self.poll_app(self.sheets, "/api/activity", {}, self.poll_interval, self._on_activity)
 
     def _on_activity(self, response) -> None:
         if not response.ok:
             return
         for record in (response.body or {}).get("activity", []):
-            self._last_activity_id = max(self._last_activity_id, record["id"])
+            self.app_cursor = max(self.app_cursor, record["id"])
             if record.get("activity") == "row_added":
                 sheet = str(record.get("sheet", "default"))
                 self._row_counts[sheet] = max(
                     self._row_counts.get(sheet, 0), int(record.get("row", 0))
                 )
                 self.ingest_event("new_row", record)
-
-    def _add_row(self, fields: Dict[str, Any]) -> Dict[str, Any]:
-        sheet = fields.get("sheet", "default")
-        cells = fields.get("cells")
-        if not isinstance(cells, list):
-            cells = [fields.get("row", "")]
-        self.post(self.sheets, f"/api/sheets/{sheet}/rows", body={"cells": cells})
-        return {"sheet": sheet}
 
 
 class OfficialDriveService(PartnerService):
@@ -452,26 +375,10 @@ class OfficialDriveService(PartnerService):
     def __init__(self, address: Address, drive: Address, trace: Optional[Trace] = None) -> None:
         super().__init__(address, slug="google_drive", trace=trace, service_time=0.02)
         self.drive = drive
-        self.add_action(
-            ActionEndpoint(
-                slug="upload_file",
-                name="Upload file from URL",
-                executor=self._upload,
-                writes_channels=field_channel("drive", "user"),
-            )
-        )
-
-    def _upload(self, fields: Dict[str, Any]) -> Dict[str, Any]:
-        self.post(
-            self.drive,
-            "/api/upload",
-            body={
-                "user": fields.get("user", "me"),
-                "name": fields.get("name", "attachment"),
-                "folder": fields.get("folder", "/ifttt"),
-            },
-        )
-        return {"name": fields.get("name", "attachment")}
+        self.add_action(ActionEndpoint(
+            "upload_file", "Upload file from URL", partial(upload_file, self, drive, "/ifttt"),
+            field_channel("drive", "user"),
+        ))
 
 
 class OfficialNestService(PartnerService):
@@ -480,34 +387,16 @@ class OfficialNestService(PartnerService):
     def __init__(self, address: Address, trace: Optional[Trace] = None) -> None:
         super().__init__(address, slug="nest_thermostat", trace=trace, service_time=0.02)
         self._thermostats: Dict[str, Address] = {}
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="temperature_rises_above",
-                name="Temperature rises above",
-                matcher=lambda event, fields: event.get("key") == "ambient_c"
-                and float(event.get("value", 0.0)) > float(fields.get("threshold_c", 1e9)),
-                ingredients=lambda event: {"temperature_c": event.get("value")},
-                reads_channels=field_channel("nest", "device_id"),
-            )
-        )
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="temperature_drops_below",
-                name="Temperature drops below",
-                matcher=lambda event, fields: event.get("key") == "ambient_c"
-                and float(event.get("value", 1e9)) < float(fields.get("threshold_c", -1e9)),
-                ingredients=lambda event: {"temperature_c": event.get("value")},
-                reads_channels=field_channel("nest", "device_id"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="set_temperature",
-                name="Set temperature",
-                executor=self._set_temperature,
-                writes_channels=field_channel("nest", "device_id"),
-            )
-        )
+        nest = field_channel("nest", "device_id")
+        self.add_trigger(TriggerEndpoint(
+            "temperature_rises_above", "Temperature rises above", rises_above, temperature, nest
+        ))
+        self.add_trigger(TriggerEndpoint(
+            "temperature_drops_below", "Temperature drops below", drops_below, temperature, nest
+        ))
+        self.add_action(ActionEndpoint(
+            "set_temperature", "Set temperature", self._set_temperature, nest
+        ))
 
     def connect_thermostat(self, device_id: str, thermostat: Address) -> None:
         """Track one thermostat's cloud session (the device pushes to us)."""
@@ -546,28 +435,12 @@ class OfficialSmartThingsService(PartnerService):
     def __init__(self, address: Address, hub: Address, trace: Optional[Trace] = None) -> None:
         super().__init__(address, slug="smartthings", trace=trace, service_time=0.02)
         self.hub = hub
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="device_state_changed",
-                name="Any device state changed",
-                matcher=lambda event, fields: not fields.get("device_id")
-                or fields["device_id"] == event.get("device_id"),
-                ingredients=lambda event: {
-                    "device_id": event.get("device_id", ""),
-                    "key": event.get("key", ""),
-                    "value": event.get("value"),
-                },
-                reads_channels=field_channel("smartthings", "device_id"),
-            )
-        )
-        self.add_action(
-            ActionEndpoint(
-                slug="control_device",
-                name="Control a device",
-                executor=self._control,
-                writes_channels=field_channel("smartthings", "device_id"),
-            )
-        )
+        device = field_channel("smartthings", "device_id")
+        self.add_trigger(TriggerEndpoint(
+            "device_state_changed", "Any device state changed", when(narrow_by="device_id"),
+            device_state, device,
+        ))
+        self.add_action(ActionEndpoint("control_device", "Control a device", self._control, device))
         self.add_route("POST", "/events/smartthings", self._handle_hub_event)
 
     def connect(self) -> None:
@@ -606,67 +479,31 @@ class OfficialWeatherService(PartnerService):
         self.weather = weather
         self.location = location
         self.poll_interval = poll_interval
-        self._last_change_id = 0
-        self._poll_process: Optional[Process] = None
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="rain_starts",
-                name="It starts raining",
-                matcher=lambda event, fields: event.get("condition") == "rain",
-                ingredients=lambda event: {"location": event.get("location", "")},
-                reads_channels=static_channels(("weather", "conditions")),
-            )
-        )
-        self.add_trigger(
-            TriggerEndpoint(
-                slug="condition_changes",
-                name="Current condition changes",
-                ingredients=lambda event: {
-                    "location": event.get("location", ""),
-                    "condition": event.get("condition", ""),
-                },
-                reads_channels=static_channels(("weather", "conditions")),
-            )
-        )
-
-        self.add_query(
-            QueryEndpoint(
-                slug="current_conditions",
-                name="Current weather conditions",
-                executor=self._current_conditions,
-                reads_channels=static_channels(("weather", "conditions")),
-            )
-        )
         self._last_condition: Dict[str, str] = {}
+        conditions = static_channels(("weather", "conditions"))
+        self.add_trigger(TriggerEndpoint(
+            "rain_starts", "It starts raining", when(condition="rain"), project("location"),
+            conditions,
+        ))
+        self.add_trigger(TriggerEndpoint(
+            "condition_changes", "Current condition changes",
+            ingredients=project("location", "condition"), reads_channels=conditions,
+        ))
+        self.add_query(QueryEndpoint(
+            "current_conditions", "Current weather conditions",
+            partial(current_conditions, self._last_condition, location), conditions,
+        ))
 
-    def _current_conditions(self, fields: Dict[str, Any]) -> Any:
-        location = str(fields.get("location", self.location))
-        return [{"location": location,
-                 "condition": self._last_condition.get(location, "unknown")}]
-
-    def start_polling(self) -> Process:
-        """Spawn the weather-change poll loop."""
-        if self._poll_process is not None and self._poll_process.alive:
-            return self._poll_process
-
-        def loop():
-            while True:
-                self.get(
-                    self.weather,
-                    "/api/changes",
-                    body={"location": self.location, "since_id": self._last_change_id},
-                    on_response=self._on_changes,
-                )
-                yield Timeout(self.poll_interval)
-
-        self._poll_process = Process(self.sim, loop(), name=f"{self.slug}.weatherpoll")
-        return self._poll_process
+    def start_polling(self) -> None:
+        """Start the weather-change poll loop; idempotent."""
+        self.poll_app(self.weather, "/api/changes", {"location": self.location},
+                      self.poll_interval, self._on_changes)
 
     def _on_changes(self, response) -> None:
         if not response.ok:
             return
         for record in (response.body or {}).get("changes", []):
-            self._last_change_id = max(self._last_change_id, record["id"])
+            self.app_cursor = max(self.app_cursor, record["id"])
             self._last_condition[str(record.get("location", ""))] = str(
                 record.get("condition", "unknown")
             )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.net.address import Address
 from repro.net.http import HttpError, HttpNode, HttpRequest
@@ -155,6 +155,9 @@ class PartnerService(HttpNode):
         self.faults = None
         self.requests_rejected_by_faults = 0
         self._bound = Bound("service", service=slug)  # per-request/-event instruments
+        #: The ``since_id`` cursor of :meth:`poll_app`, advanced by its handler.
+        self.app_cursor = 0
+        self._app_poll: Optional[Tuple[Address, str, Dict[str, Any], float, Callable]] = None
         self.add_route("POST", TRIGGER_PATH, self._handle_trigger_poll)
         self.add_route("POST", ACTION_PATH, self._handle_action)
         self.add_route("POST", BATCH_ACTION_PATH, self._handle_batch_action)
@@ -588,6 +591,28 @@ class PartnerService(HttpNode):
                 rows=len(rows),
             )
         return {"data": rows}
+
+    # -- web-app polling ----------------------------------------------------------------
+
+    def poll_app(
+        self, app: Address, path: str, query: Dict[str, Any], interval: float,
+        on_response: Callable[[Any], None],
+    ) -> None:
+        """Poll a web app's API (§2.2's polling approach for web apps),
+        now and every ``interval`` seconds; a second call is a no-op.
+
+        Each tick GETs ``path`` on ``app`` with ``query`` plus the
+        ``since_id`` cursor :attr:`app_cursor`, which ``on_response``
+        advances, then schedules the next tick.
+        """
+        if self._app_poll is None:
+            self._app_poll = (app, path, query, interval, on_response)
+            self._poll_app()
+
+    def _poll_app(self) -> None:
+        app, path, query, interval, on_response = self._app_poll
+        self.get(app, path, body={**query, "since_id": self.app_cursor}, on_response=on_response)
+        self.sim.schedule(interval, self._poll_app)
 
     # -- loop-analysis support -----------------------------------------------------------
 

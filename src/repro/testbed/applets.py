@@ -330,6 +330,14 @@ def applet_spec(key: str) -> AppletSpec:
         raise KeyError(f"unknown applet key {key!r}; expected A1..A7") from None
 
 
+def variant_error(key: str, variant: str) -> Optional[str]:
+    """Why applet ``key`` cannot run under service ``variant``, or ``None``."""
+    variants = APPLET_SUITE[key].variants
+    if variant in variants:
+        return None
+    return f"applet {key} has no {variant!r} variant; valid variants are {sorted(variants)}"
+
+
 def applet_keys(group: Optional[str] = None) -> List[str]:
     """All applet keys, optionally restricted to a group ("A1-A4"/"A5-A7")."""
     return [k for k, spec in APPLET_SUITE.items() if group is None or spec.group == group]

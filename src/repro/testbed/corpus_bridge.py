@@ -13,7 +13,8 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from functools import partial
+from typing import Any, Dict, List, Optional, Set
 
 from repro.ecosystem.corpus import AppletRecord, Corpus, ServiceRecord
 from repro.engine.applet import ActionRef, Applet, TriggerRef
@@ -28,6 +29,10 @@ from repro.services.partner import PartnerService
 from repro.simcore.rng import Rng
 from repro.simcore.simulator import Simulator
 from repro.simcore.trace import Trace
+
+
+def _record_action(executed: List[str], slug: str, fields: Dict[str, Any]) -> None:
+    executed.append(slug)
 
 
 def materialize_service(record: ServiceRecord, trace: Optional[Trace] = None) -> PartnerService:
@@ -47,7 +52,7 @@ def materialize_service(record: ServiceRecord, trace: Optional[Trace] = None) ->
         slug = action.slug.split(".", 1)[-1]
         service.add_action(ActionEndpoint(
             slug=slug, name=action.name,
-            executor=lambda fields, s=slug, svc=service: svc.executed_actions.append(s),
+            executor=partial(_record_action, service.executed_actions, slug),
         ))
     return service
 

@@ -29,7 +29,7 @@ from repro.net.address import Address
 from repro.net.latency import cloud_internal_latency
 from repro.net.network import Network
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
-from repro.services.endpoints import ActionEndpoint, TriggerEndpoint
+from repro.services.endpoints import ActionEndpoint, TriggerEndpoint, project
 from repro.services.partner import PartnerService
 from repro.simcore.parallel import ShardedSimulator
 from repro.simcore.rng import Rng
@@ -149,7 +149,7 @@ class FleetWorld:
         self.content.add_trigger(TriggerEndpoint(
             slug="new_photo",
             name="New photo published",
-            ingredients=lambda event: {"photo": event.get("photo", "")},
+            ingredients=project("photo"),
         ))
         self.content.add_action(ActionEndpoint(
             slug="set_wallpaper",
@@ -311,7 +311,7 @@ class ShardedFleetWorld:
             replica.add_trigger(TriggerEndpoint(
                 slug="new_photo",
                 name="New photo published",
-                ingredients=lambda event: {"photo": event.get("photo", "")},
+                ingredients=project("photo"),
             ))
             replica.add_action(ActionEndpoint(
                 slug="set_wallpaper",

@@ -35,6 +35,20 @@ class TestCommands:
         assert main(["t2a", "--scenario", "E9", "--runs", "1"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", ["E1", "E2", "E3"])
+    def test_t2a_applet_without_the_scenarios_variant(self, capsys, monkeypatch, scenario):
+        import repro.testbed.scenarios as scenarios
+
+        def build_nothing(*args, **kwargs):
+            raise AssertionError("the pair is rejected before a testbed is built")
+
+        monkeypatch.setattr(scenarios, "build_scenario", build_nothing)
+        assert main(["t2a", "--applet", "A5", "--scenario", scenario, "--runs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"applet A5 does not run under scenario {scenario}" in err
+        assert "its scenarios are ['official']" in err
+        assert "e2" not in err
+
     def test_timeline(self, capsys):
         assert main(["timeline", "--seed", "5"]) == 0
         out = capsys.readouterr().out

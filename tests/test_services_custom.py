@@ -86,7 +86,7 @@ class TestProxyActionPath:
     def test_missing_proxy_raises(self):
         service = CustomService(Address("lonely.cloud"))
         with pytest.raises(RuntimeError):
-            service._proxy_hue({"lamp_id": "l"}, {"on": True})
+            service.action("turn_on_hue").executor({"lamp_id": "l"})
 
 
 class TestWebAppPaths:
@@ -116,13 +116,12 @@ class TestWebAppPaths:
         assert gmail.inbox("you@g")[0].subject == "yo"
 
     def test_unwired_webapp_actions_raise(self):
+        # A web-app action is declared by its connect_* call, not before.
         service = CustomService(Address("lonely.cloud"))
-        with pytest.raises(RuntimeError):
-            service._add_row({"sheet": "s"})
-        with pytest.raises(RuntimeError):
-            service._upload_file({})
-        with pytest.raises(RuntimeError):
-            service._send_email({})
+        for slug in ("add_row", "upload_file", "send_email"):
+            assert slug not in service.action_slugs
+            with pytest.raises(KeyError):
+                service.action(slug)
 
 
 class TestHostedAlexa:

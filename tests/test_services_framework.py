@@ -12,7 +12,7 @@ from repro.services import (
     TriggerEndpoint,
     TriggerEvent,
 )
-from repro.services.endpoints import field_channel, match_fields_subset, static_channels
+from repro.services.endpoints import field_channel, static_channels, when
 from repro.services.partner import ACTION_PATH, TRIGGER_PATH
 from repro.simcore import Rng, Simulator
 
@@ -94,12 +94,6 @@ class TestEndpointDeclarations:
         with pytest.raises(ValueError):
             ActionEndpoint(slug="", name="x")
 
-    def test_match_fields_subset(self):
-        assert match_fields_subset({"phrase": "hi", "x": 1}, {"phrase": "hi"})
-        assert not match_fields_subset({"phrase": "hi"}, {"phrase": "bye"})
-        assert not match_fields_subset({}, {"phrase": "hi"})
-        assert match_fields_subset({"anything": 1}, {})
-
     def test_static_channels(self):
         fn = static_channels(("hue", "lamp1"), ("hue", "lamp2"))
         assert fn({}) == frozenset({("hue", "lamp1"), ("hue", "lamp2")})
@@ -123,7 +117,7 @@ def wired_service():
         TriggerEndpoint(
             slug="exact_phrase",
             name="Exact phrase",
-            matcher=match_fields_subset,
+            matcher=when(narrow_by="phrase"),
         )
     )
     service.add_action(

@@ -175,9 +175,11 @@ class TestOfficialGmail:
         assert attachment_event.ingredients["attachment"] == "f.txt"
 
     def test_start_polling_idempotent(self, gm):
-        sim, _, service = gm
-        first = service._poll_process
-        assert service.start_polling() is first
+        sim, gmail, service = gm
+        service.start_polling()
+        sim.run_until(21.0)
+        # One loop: mailbox GETs at t = 0, 5, 10, 15, 20.
+        assert gmail.requests_served == 5
 
     def test_send_email_action(self, gm):
         sim, gmail, service = gm
@@ -212,9 +214,9 @@ class TestOfficialSheetsAndDrive:
         sheets.append_row("log", ["a"])
         sheets.append_row("log", ["b"])
         sim.run_until(12.0)
-        rows = service._row_count({"sheet": "log"})
-        assert rows == [{"sheet": "log", "rows": 2}]
-        assert service._row_count({"sheet": "empty"}) == [{"sheet": "empty", "rows": 0}]
+        row_count = service._queries["row_count"].executor
+        assert row_count({"sheet": "log"}) == [{"sheet": "log", "rows": 2}]
+        assert row_count({"sheet": "empty"}) == [{"sheet": "empty", "rows": 0}]
 
     def test_drive_upload_action(self, world):
         sim, net = world
@@ -295,5 +297,5 @@ class TestOfficialWeather:
         sim.run_until(15.0)
         assert len(service.buffer_for("id-rain")) == 1
         assert len(service.buffer_for("id-any")) == 2
-        rows = service._current_conditions({"location": "home"})
+        rows = service._queries["current_conditions"].executor({"location": "home"})
         assert rows == [{"location": "home", "condition": "rain"}]
