@@ -17,6 +17,7 @@ Implements the online applet-execution phase exactly as §2.2 profiles it:
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.engine.applet import Applet, ActionRef, AppletState, QueryRef, TriggerRef
@@ -285,6 +286,14 @@ class IftttEngine(HttpNode):
         # behalf.
         self._retry_timers: Dict[int, Tuple[PendingAction, Event]] = {}
         self._retry_seq = itertools.count()
+        # What the reply to each outstanding request completes, by its
+        # request id: a poll's runtime, an action's record, a query's
+        # ``(runtime, event, remaining, results)``, a replay batch's
+        # ``(link, records)``.  The callback that the reply (or its
+        # timeout, or a refusal) calls pops it, so every request callback
+        # is a bound method, not a closure made per request, and a world
+        # in flight pickles.
+        self._awaiting: Dict[int, Any] = {}
         # Realtime-hint fallback: hints for a service whose breaker is
         # open are parked on its record instead of scheduling fast polls
         # that are guaranteed to be shed; they resume when the half-open
@@ -638,10 +647,7 @@ class IftttEngine(HttpNode):
         policy = self.config.breaker_policy
         if breaker is None and policy is not None:
             breaker = link.breaker = CircuitBreaker(
-                policy,
-                on_transition=lambda old, new, at: (
-                    self._on_breaker_transition(link, old, new, at)
-                ),
+                policy, on_transition=partial(self._on_breaker_transition, link)
             )
             # The state gauge is live from birth, not first-transition:
             # a service whose breaker never trips still reports closed=0,
@@ -655,8 +661,9 @@ class IftttEngine(HttpNode):
 
     def _sheds(self, link: ServiceRegistration, now: float) -> bool:
         """Whether the service's breaker refuses a request at ``now`` (the
-        current time) — the gate before every poll, action and replay
-        send (and, at the first one, the breaker's birth)."""
+        current time) — the gate before every action and replay send,
+        and, written out, every poll (and, at the first one, the
+        breaker's birth)."""
         breaker = link.breaker or self._breaker(link)
         return breaker is not None and not breaker.allow(now)
 
@@ -675,10 +682,11 @@ class IftttEngine(HttpNode):
         """
         breaker = link.breaker
         if breaker is not None:
+            now = self.network.sim._now  # ``self.now``, without its frame
             if ok:
-                breaker.record_success(self.now)
+                breaker.record_success(now)
             else:
-                breaker.record_failure(self.now)
+                breaker.record_failure(now)
         if response is not None and self.delivery is not None:
             self.delivery.note_result(
                 link, ok, brownout=not ok and response_is_brownout(response)
@@ -812,12 +820,17 @@ class IftttEngine(HttpNode):
         if applet.state is not AppletState.ENABLED or runtime.poll_in_flight:
             return
         # Every poll passes here: the clock and the registry are read
-        # once each, without the ``now`` / ``metrics`` property frames.
-        now = self.now
+        # once each, without the ``now`` / ``metrics`` property frames,
+        # and the breaker gate is ``_sheds`` without its frame.
+        network = self.network
+        now = network.sim._now
         metrics = self._metrics
         if metrics is None:
-            metrics = self.network.metrics
-        if self._sheds(link, now):
+            metrics = network.metrics
+        breaker = link.breaker
+        if breaker is None:
+            breaker = self._breaker(link)
+        if breaker is not None and not breaker.allow(now):
             # Open breaker: shed the poll instead of hammering a failing
             # service.  The attempt still counts toward the applet's poll
             # tally (the engine *tried*), but no request leaves the node;
@@ -856,7 +869,7 @@ class IftttEngine(HttpNode):
                 identity=runtime.identity,
                 trigger=applet.trigger.trigger_slug,
             )
-        self.request(
+        request = self.request(
             link.address,
             "POST",
             TRIGGER_PATH + applet.trigger.trigger_slug,
@@ -867,33 +880,35 @@ class IftttEngine(HttpNode):
                 "request_id": f"req-{self.rng.randint(10**8, 10**9 - 1)}",
             },
             headers=self._auth_headers(link, applet.user),
-            on_response=lambda response, rt=runtime: self._on_poll_response(rt, response),
+            on_response=self._on_poll_response,
             timeout=self.config.poll_timeout,
         )
+        self._awaiting[request.request_id] = runtime
 
     def _auth_headers(self, link: ServiceRegistration, user: str) -> Dict[str, Any]:
         headers: Dict[str, Any] = {"IFTTT-Service-Key": link.service_key}
-        token = self.tokens.lookup(user, link.slug)
+        token = self.tokens._tokens.get((user, link.slug))  # ``lookup``, without its frame
         if token is not None:
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
-    def _on_poll_response(self, runtime: _AppletRuntime, response: HttpResponse) -> None:
+    def _on_poll_response(self, response: HttpResponse) -> None:
+        runtime = self._awaiting.pop(response.request_id)
         runtime.poll_in_flight = False
         applet = runtime.applet
         link = runtime.link
         metrics = self._metrics  # ``self.metrics``, without its frame
         if metrics is None:
             metrics = self.network.metrics
-        ok = response.ok
+        ok = 200 <= response.status < 300  # ``response.ok``, without its frame
         self._note_outcome(link, ok, response)
         new_events: List[TriggerEvent] = []
         if ok:
             runtime.poll_attempts = 0
-            # The response carries newest-first; process in chronological order.
-            new_events = self._new_events(
-                runtime, reversed((response.body or {}).get("data", []))
-            )
+            data = (response.body or {}).get("data")
+            if data:  # most polls come back empty: nothing to dedupe
+                # The response carries newest-first; process in chronological order.
+                new_events = self._new_events(runtime, reversed(data))
         else:
             self.poll_failures += 1
             if metrics is not None:
@@ -1017,23 +1032,26 @@ class IftttEngine(HttpNode):
         query = remaining[0]
         registration = self._services[query.service_slug]
         self.queries_sent += 1
-
-        def on_response(response, q=query):
-            if response.ok:
-                results[q.query_slug] = (response.body or {}).get("data", [])
-            else:
-                self.query_failures += 1
-                results[q.query_slug] = []
-            self._run_queries(runtime, event, remaining[1:], results)
-
-        self.post(
+        request = self.post(
             registration.address,
             QUERY_PATH + query.query_slug,
             body={"queryFields": dict(query.fields), "user": runtime.applet.user},
             headers=self._auth_headers(registration, runtime.applet.user),
-            on_response=on_response,
+            on_response=self._on_query_response,
             timeout=self.config.poll_timeout,
         )
+        self._awaiting[request.request_id] = (runtime, event, remaining, results)
+
+    def _on_query_response(self, response: HttpResponse) -> None:
+        """Record the answer to ``remaining[0]``, then run the rest."""
+        runtime, event, remaining, results = self._awaiting.pop(response.request_id)
+        slug = remaining[0].query_slug
+        if response.ok:
+            results[slug] = (response.body or {}).get("data", [])
+        else:
+            self.query_failures += 1
+            results[slug] = []
+        self._run_queries(runtime, event, remaining[1:], results)
 
     def _finish_event(
         self,
@@ -1163,24 +1181,25 @@ class IftttEngine(HttpNode):
         self._post_action(record, self._on_action_result)
 
     def _post_action(
-        self,
-        record: PendingAction,
-        on_result: Callable[[PendingAction, HttpResponse], None],
+        self, record: PendingAction, on_result: Callable[[HttpResponse], None]
     ) -> None:
         """POST one action to its service (first sends, retries and
-        unbatched replay all leave through here)."""
+        unbatched replay all leave through here); ``on_result`` pops
+        ``record`` from ``_awaiting`` by the response's request id."""
         link = self._services[record.service_slug]
-        self.request(
+        request = self.request(
             link.address,
             "POST",
             ACTION_PATH + record.action_slug,
             body={"actionFields": record.fields, "user": record.user},
             headers=self._auth_headers(link, record.user),
-            on_response=lambda response: on_result(record, response),
+            on_response=on_result,
             timeout=self.config.action_timeout,
         )
+        self._awaiting[request.request_id] = record
 
-    def _on_action_result(self, record: PendingAction, response: HttpResponse) -> None:
+    def _on_action_result(self, response: HttpResponse) -> None:
+        record = self._awaiting.pop(response.request_id)
         record.last_status = response.status
         metrics = self.metrics
         if metrics is not None:

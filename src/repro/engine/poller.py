@@ -17,7 +17,19 @@ from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
+from math import exp, isfinite, log
+from random import NV_MAGICCONST
+
 from repro.simcore.rng import Rng
+
+
+def _finite(name: str, value: float) -> float:
+    """``value`` unchanged, or ``ValueError`` naming the field when it is
+    NaN or ±inf (which every comparison below would let through: a NaN
+    fails every bound test, and ``max(minimum, nan)`` is ``minimum``)."""
+    if not isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 class PollingPolicy(ABC):
@@ -69,22 +81,44 @@ class ProductionPollingPolicy(PollingPolicy):
         inflation_max: float = 6.0,
         minimum: float = 50.0,
     ) -> None:
+        self.median = _finite("median", median)
+        self.sigma = _finite("sigma", sigma)
+        self.minimum = _finite("minimum", minimum)
         if median <= 0 or minimum < 0:
             raise ValueError("median must be positive and minimum non-negative")
         if not 0 <= inflation_prob <= 1:
             raise ValueError(f"inflation_prob must be in [0, 1], got {inflation_prob}")
-        self.median = median
-        self.sigma = sigma
         self.inflation_prob = inflation_prob
-        self.inflation_min = inflation_min
-        self.inflation_max = inflation_max
-        self.minimum = minimum
+        self.inflation_min = _finite("inflation_min", inflation_min)
+        self.inflation_max = _finite("inflation_max", inflation_max)
+        self._mu = log(median)
 
     def next_interval(self, rng: Rng) -> float:
-        interval = rng.lognormal_median(self.median, self.sigma)
-        if rng.bernoulli(self.inflation_prob):
-            interval *= rng.uniform(self.inflation_min, self.inflation_max)
-        return max(self.minimum, interval)
+        """``max(minimum, rng.lognormal_median(median, sigma))``, times
+        ``rng.uniform(inflation_min, inflation_max)`` first when
+        ``rng.bernoulli(inflation_prob)`` — written out over the same
+        stream, as :meth:`LognormalLatency.sample` writes out the hop
+        draw: the standard library's Kinderman–Monahan loop, then
+        ``exp``, with ``log(median)`` taken once.  The same ``random()``
+        calls and float operations in the same order, so the interval
+        and the stream state are bit-identical, in one frame instead of
+        five.
+        """
+        random = rng._random.random  # the stream lognormal_median draws from
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            zz = z * z / 4.0
+            if zz <= -log(u2):
+                break
+        interval = exp(self._mu + z * self.sigma)
+        if random() < self.inflation_prob:
+            low = self.inflation_min
+            interval *= low + (self.inflation_max - low) * random()
+        minimum = self.minimum
+        # ``max(minimum, interval)``, whose tie goes to ``minimum``
+        return interval if interval > minimum else minimum
 
     def clone(self) -> "ProductionPollingPolicy":
         """``self``: parameters only, nothing learned, so nothing to keep
@@ -99,8 +133,8 @@ class FixedPollingPolicy(PollingPolicy):
     """Poll at a fixed interval — E3's 1 s frequent-polling engine."""
 
     def __init__(self, interval: float = 1.0) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
+        if not isfinite(interval) or interval <= 0:
+            raise ValueError(f"interval must be finite and positive, got {interval}")
         self.interval = interval
 
     def next_interval(self, rng: Rng) -> float:
@@ -131,6 +165,8 @@ class AdaptivePollingPolicy(PollingPolicy):
         ewma_alpha: float = 0.3,
         jitter: float = 0.1,
     ) -> None:
+        _finite("slow", slow)
+        _finite("jitter", jitter)
         if not 0 < fast <= slow:
             raise ValueError(f"need 0 < fast <= slow, got {fast}, {slow}")
         if not 0 < ewma_alpha <= 1:

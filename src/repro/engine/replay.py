@@ -213,23 +213,20 @@ class ReplayController:
             bound = link.bound
             bound.counter(metrics, "replay.batches_sent").inc()
             bound.histogram(metrics, "replay.batch_size", COUNT_BUCKETS).observe(len(records))
-        engine.post(
+        request = engine.post(
             link.address,
             BATCH_ACTION_PATH,
             body=batch.to_body(),
             headers=engine._auth_headers(link, records[0].user),
-            on_response=lambda response: self._on_batch_result(link, records, response),
+            on_response=self._on_batch_result,
             timeout=engine.config.action_timeout,
         )
+        engine._awaiting[request.request_id] = (link, records)
 
     # -- results --------------------------------------------------------------
 
-    def _on_batch_result(
-        self,
-        link: ServiceRegistration,
-        records: List[PendingAction],
-        response: HttpResponse,
-    ) -> None:
+    def _on_batch_result(self, response: HttpResponse) -> None:
+        link, records = self.engine._awaiting.pop(response.request_id)
         self.engine._note_outcome(link, response.ok)
         if not response.ok:
             for record in records:
@@ -246,7 +243,8 @@ class ReplayController:
             else:
                 self._refail(link, record)
 
-    def _on_single_result(self, record: PendingAction, response: HttpResponse) -> None:
+    def _on_single_result(self, response: HttpResponse) -> None:
+        record = self.engine._awaiting.pop(response.request_id)
         link = self.engine._services[record.service_slug]
         record.last_status = response.status
         self.engine._note_outcome(link, response.ok)

@@ -56,7 +56,7 @@ class HeapPollScheduler:
     One wake event is kept in the simulator for the earliest entry; it
     is pulled earlier whenever a nearer poll is pushed, and re-armed
     after each batch.  A wake that surfaces only stale entries is a
-    cheap no-op; compaction (:meth:`_maybe_compact`) bounds how many
+    cheap no-op; compaction (:meth:`_compact`) bounds how many
     stale entries an uninstall storm can leave behind.
     """
 
@@ -91,8 +91,8 @@ class HeapPollScheduler:
 
     def schedule(self, runtime, delay: float, initial: bool = False) -> None:
         """Push the applet's next poll; supersedes any earlier entry."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule a poll into the past (delay={delay})")
+        if not delay >= 0:  # also NaN, before anything is pushed or cancelled
+            raise ValueError(f"delay must be a non-negative number, got {delay}")
         if runtime.poll_scheduled:
             # The superseded entry stays in the heap; the generation bump
             # below marks it stale.
@@ -104,7 +104,12 @@ class HeapPollScheduler:
             sim = self._sim = self.engine.sim
         due = sim._now + delay
         heappush(self._heap, (due, next(self._seq), runtime, runtime.poll_gen))
-        self._arm_wake(due)
+        # Most polls land behind the armed wake, which then stays put.
+        # Mid-batch reschedules land in the heap only: _fire re-arms once
+        # at the true earliest entry when the batch ends.
+        wake = self._wake
+        if (wake is None or due < wake.time) and not self._firing:
+            self._arm_wake(due)
 
     def cancel(self, runtime) -> None:
         """Lazily cancel the applet's scheduled poll (O(1))."""
@@ -112,22 +117,27 @@ class HeapPollScheduler:
             runtime.poll_scheduled = False
             runtime.poll_gen += 1
             self.stale_entries += 1
-            self._maybe_compact()
+            heap = self._heap
+            # Never mid-batch: _fire is still popping the list a rebuild
+            # would replace, and tests the rule itself when it ends.
+            if (
+                len(heap) >= COMPACT_MIN_ENTRIES
+                and self.stale_entries * 2 >= len(heap)
+                and not self._firing
+            ):
+                self._compact()
 
     # -- the wake event -----------------------------------------------------
 
     def _arm_wake(self, due: float) -> None:
-        if self._firing:
-            # Mid-batch reschedules land in the heap only; _fire re-arms
-            # once at the true earliest entry when the batch ends.
-            return
+        """Arm the wake at ``due``, earlier than the armed one, if any.
+
+        The nearer poll pulls the wake earlier; the fresh event takes a
+        new simulator sequence number — the same one a timer event for
+        this poll alone would have taken.
+        """
         wake = self._wake
         if wake is not None:
-            if wake.time <= due:
-                return
-            # A nearer poll arrived: pull the wake earlier.  The fresh
-            # event takes a new simulator sequence number — the same one
-            # a timer event for this poll alone would have taken.
             wake.cancel()
         self._wake = self._sim.schedule_at(due, self._fire, label="poll-wake")
 
@@ -152,25 +162,27 @@ class HeapPollScheduler:
         finally:
             self._firing = False
         self.batched_polls += batch
+        heap = self._heap
         if heap:
-            self._arm_wake(heap[0][0])
-        if len(self._heap) >= COMPACT_MIN_ENTRIES:  # the common miss, inline
-            self._maybe_compact()
+            # No wake is armed (it was cleared above, and the batch armed
+            # none), so this is _arm_wake without its frame.
+            self._wake = self._sim.schedule_at(heap[0][0], self._fire, label="poll-wake")
+        if len(heap) >= COMPACT_MIN_ENTRIES and self.stale_entries * 2 >= len(heap):
+            self._compact()
 
     # -- lazy-cancellation hygiene ------------------------------------------
 
-    def _maybe_compact(self) -> None:
-        """Drop stale entries once they dominate a large heap.
+    def _compact(self) -> None:
+        """Drop stale entries: called once they dominate a large heap.
 
-        Triggered opportunistically from :meth:`cancel` and after each
-        wake batch, so an uninstall storm (50% of the fleet removed at
-        once) cannot leave the heap pinned at its pre-storm size.  The
+        The rule — at least :data:`COMPACT_MIN_ENTRIES` entries, at least
+        half of them stale — is tested inline by :meth:`cancel` and after
+        each wake batch, so an uninstall storm (50% of the fleet removed
+        at once) cannot leave the heap pinned at its pre-storm size.  The
         rebuild preserves entry tuples (and therefore heap order), so
         compaction is invisible to the dispatch sequence.
         """
         heap = self._heap
-        if len(heap) < COMPACT_MIN_ENTRIES or self.stale_entries * 2 < len(heap):
-            return
         kept = [entry for entry in heap if entry[2].poll_gen == entry[3]]
         heapify(kept)
         self._heap = kept

@@ -157,7 +157,11 @@ class HttpNode(Node):
         self._route_memo.clear()
 
     def _dispatch(self, request: HttpRequest) -> HttpResponse:
-        handler = self._match_route(request.method, request.path)
+        # A memo hit is ``_match_route`` without its frame: every request
+        # after a path's first, since ``request`` upper-cases the method.
+        handler = self._route_memo.get((request.method, request.path))
+        if handler is None:
+            handler = self._match_route(request.method, request.path)
         if handler is None:
             return HttpResponse(status=404, body={"error": "not found", "path": request.path})
         try:
@@ -202,15 +206,19 @@ class HttpNode(Node):
         size_bytes: int = 512,
     ) -> HttpRequest:
         """Issue a request; the callback fires with the response or a 599."""
-        req = HttpRequest(
-            method.upper(), path, body, dict(headers) if headers else {}, src=self.address
-        )
-        self.requests_issued += 1
+        if on_response is not None and not timeout >= 0:  # before anything is counted
+            if timeout < 0:
+                raise SimulationError(f"cannot schedule into the past (delay={timeout})")
+            raise ValueError(f"timeout must be a non-negative number, got {timeout}")
         # ``self.metrics`` / ``self.now`` / ``self.sim.schedule``, read
         # once each without their property frames.
         network = self.network
         if network is None:
             raise RuntimeError(f"node {self.address} is not attached to a network")
+        req = HttpRequest(
+            method.upper(), path, body, dict(headers) if headers else {}, src=self.address
+        )
+        self.requests_issued += 1
         metrics = self._metrics
         if metrics is None:
             metrics = network.metrics
@@ -220,8 +228,6 @@ class HttpNode(Node):
         sent_at = sim._now
         timeout_event = None
         if on_response is not None:
-            if timeout < 0:
-                raise SimulationError(f"cannot schedule into the past (delay={timeout})")
             timeout_event = sim.schedule_at(
                 sent_at + timeout, self._on_timeout, req.request_id, label="http-timeout"
             )
@@ -357,7 +363,7 @@ class HttpNode(Node):
             callback, timeout_event, sent_at = entry
             if timeout_event is not None:
                 timeout_event.cancel()
-            response.elapsed = self.now - sent_at
+            response.elapsed = self.network.sim._now - sent_at  # ``self.now``, one frame less
             if metrics is not None:
                 self._http_bound.histogram(metrics, "rtt_seconds").observe(response.elapsed)
             callback(response)

@@ -462,7 +462,9 @@ class PartnerService(HttpNode):
             entry = self._identities[identity]
         events = entry[2].fetch(limit)
         self.polls_served += 1
-        metrics = self.metrics
+        metrics = self._metrics  # ``self.metrics``, without its frame
+        if metrics is None:
+            metrics = self.network.metrics
         if metrics is not None:
             bound = self._bound
             bound.counter(metrics, "polls_served").inc()

@@ -178,10 +178,16 @@ class Simulator:
         return event
 
     def _note_canceled(self) -> None:
-        """:meth:`Event.cancel`'s ledger hook for an event still in the heap."""
-        self._live -= 1
-        self._dead += 1
-        self._maybe_compact()
+        """:meth:`Event.cancel`'s ledger hook for an event still in the heap.
+
+        Once a poll (its HTTP timeout), so the rule of
+        :meth:`_maybe_compact` is tested here and the rebuild entered only
+        when it holds.
+        """
+        live = self._live = self._live - 1
+        dead = self._dead = self._dead + 1
+        if dead >= COMPACT_MIN_DEAD and dead > live:
+            self._maybe_compact()
 
     def _maybe_compact(self) -> None:
         """Rebuild the heap without its canceled entries once they dominate.
