@@ -154,16 +154,3 @@ ANCHOR_SERVICES: List[AnchorService] = [
     AnchorService("Egg Minder", 1, triggers=("Eggs running low",), trigger_weight=0.05),
     AnchorService("NASA", 7, triggers=("New picture of the day",), trigger_weight=1.0),
 ]
-
-
-def iot_anchor_names() -> List[str]:
-    """Names of the IoT anchors (categories 1-4)."""
-    return [anchor.name for anchor in ANCHOR_SERVICES if anchor.category_index <= 4]
-
-
-def anchors_by_category() -> dict:
-    """Anchors grouped by category index."""
-    grouped: dict = {}
-    for anchor in ANCHOR_SERVICES:
-        grouped.setdefault(anchor.category_index, []).append(anchor)
-    return grouped

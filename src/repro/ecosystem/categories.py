@@ -81,11 +81,6 @@ def iot_service_share() -> float:
     return sum(cat.pct_services for cat in iot_categories())
 
 
-def service_share_weights() -> List[float]:
-    """Per-category service-count weights (sums to ~100)."""
-    return [cat.pct_services for cat in CATEGORIES]
-
-
 def trigger_addcount_weights() -> List[float]:
     """Per-category trigger add-count weights."""
     return [cat.trigger_ac_pct for cat in CATEGORIES]

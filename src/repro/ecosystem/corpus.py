@@ -175,10 +175,6 @@ class Corpus:
         """Applet by id."""
         return self.applets[applet_id]
 
-    def category_of_service(self, slug: str) -> int:
-        """Ground-truth category index of a service."""
-        return self.services[slug].category_index
-
     def applet_id_bounds(self) -> Tuple[int, int]:
         """Smallest and largest allocated applet id."""
         if not self.applets:

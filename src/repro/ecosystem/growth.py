@@ -9,7 +9,7 @@ Nov 2016 - Apr 2017); we index them week 0..24.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 #: Number of weekly snapshots (Table 2: "25, one each week").
 WEEKS_IN_STUDY = 25
@@ -70,10 +70,6 @@ class GrowthSchedule:
         if rng.bernoulli(fraction):
             return rng.randint(1, self.weeks - 1)
         return 0
-
-    def snapshot_weeks(self) -> List[int]:
-        """All snapshot indices, 0..final."""
-        return list(range(self.weeks))
 
 
 def snapshot_date(week: int) -> str:

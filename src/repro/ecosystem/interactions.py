@@ -104,13 +104,3 @@ def fit_interaction_matrix() -> List[List[float]]:
         trigger_addcount_weights(),
         action_addcount_weights(),
     )
-
-
-def flatten_cells(matrix: List[List[float]]):
-    """(trigger_cat_index, action_cat_index, weight) triples, 1-indexed."""
-    cells = []
-    for i, row in enumerate(matrix):
-        for j, weight in enumerate(row):
-            if weight > 0:
-                cells.append((i + 1, j + 1, weight))
-    return cells

@@ -170,10 +170,6 @@ class Sweep:
     axes: Tuple[Tuple[str, Tuple[Any, ...]], ...]
     knobs: Mapping[str, Any] = field(default_factory=dict)
 
-    def axis_values(self) -> Dict[str, Tuple[Any, ...]]:
-        """The axes as an ordered mapping."""
-        return dict(self.axes)
-
     @property
     def cell_count(self) -> int:
         """Cells this sweep expands into (product of axis sizes)."""

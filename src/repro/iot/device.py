@@ -49,11 +49,6 @@ class Device(Node):
         if subscriber not in self.subscribers:
             self.subscribers.append(subscriber)
 
-    def unsubscribe(self, subscriber: Address) -> None:
-        """Stop pushing events to ``subscriber``."""
-        if subscriber in self.subscribers:
-            self.subscribers.remove(subscriber)
-
     def set_state(self, key: str, value: Any, cause: str = "local") -> bool:
         """Set one state key; returns True if the value actually changed.
 

@@ -98,11 +98,6 @@ class SmartThingsHub(HttpNode):
         self._state_mirror[device.device_id] = dict(device.state)
         device.subscribe(self.address)
 
-    @property
-    def device_ids(self):
-        """IDs of all paired devices."""
-        return sorted(self._devices)
-
     def command_device(self, device_id: str, value: Any) -> None:
         """Send an actuation command over the device link."""
         if device_id not in self._devices:

@@ -11,6 +11,7 @@ as the IFTTT API specifies).
 
 from __future__ import annotations
 
+import copyreg
 import itertools
 from types import MappingProxyType
 from typing import Any, List, Mapping, NamedTuple, Tuple, Union
@@ -23,6 +24,25 @@ _NO_EVENTS: Tuple[()] = ()
 
 #: The ingredients of an event that exposes none, shared by all of them.
 _NO_INGREDIENTS: Mapping[str, Any] = MappingProxyType({})
+
+
+def _read_only(items: dict) -> Mapping[str, Any]:
+    """Rebuild a pickled read-only mapping."""
+    return MappingProxyType(items)
+
+
+def _reduce_read_only(proxy: Mapping[str, Any]):
+    """Pickle a ``MappingProxyType`` as a copy of what it shows.
+
+    Ingredients are read-only views, which :mod:`pickle` cannot save on
+    its own; registered with :mod:`copyreg` so a world holding buffered
+    events pickles mid-run.  A mapping many events share is saved once,
+    so it stays shared after a round trip.
+    """
+    return _read_only, (dict(proxy),)
+
+
+copyreg.pickle(MappingProxyType, _reduce_read_only)
 
 
 class TriggerEvent(NamedTuple):

@@ -3,10 +3,10 @@
 This package provides the deterministic, seeded discrete-event core on
 which every other subsystem (network, devices, the IFTTT engine, the
 testbed) runs.  It is deliberately small: an event heap
-(:class:`~repro.simcore.simulator.Simulator`), generator-based processes
-(:class:`~repro.simcore.process.Process`), a seeded random source with the
-distributions the calibration needs (:class:`~repro.simcore.rng.Rng`), and
-a structured trace recorder (:class:`~repro.simcore.trace.Trace`).
+(:class:`~repro.simcore.simulator.Simulator`) whose scheduled callbacks
+drive all simulated work; a seeded random source with the distributions
+the calibration needs (:class:`~repro.simcore.rng.Rng`); and a structured
+trace recorder (:class:`~repro.simcore.trace.Trace`).
 
 Example
 -------
@@ -25,7 +25,6 @@ __getattr__, __dir__, __all__ = _lazy.exports(globals(), {
     "event": ("Event",),
     "simulator": ("RunResult", "Simulator", "SimulationError"),
     "parallel": ("DEFAULT_LOOKAHEAD", "ShardedSimulator"),
-    "process": ("Process", "Timeout", "Signal", "Interrupt"),
     "rng": ("Rng",),
     "trace": ("Trace", "TraceRecord"),
 })

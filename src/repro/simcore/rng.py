@@ -82,10 +82,6 @@ class Rng:
         """k distinct elements sampled without replacement."""
         return self._random.sample(seq, k)
 
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        """One item drawn proportionally to ``weights``."""
-        return self._random.choices(items, weights=weights, k=1)[0]
-
     def weighted_index(self, weights: Sequence[float]) -> int:
         """Index drawn proportionally to ``weights``."""
         total = float(sum(weights))

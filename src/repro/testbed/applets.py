@@ -29,7 +29,7 @@ A7   Keep a google spreadsheet of songs you listen to    Alexa -> WebApp
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.engine.applet import ActionRef, TriggerRef
 
@@ -336,8 +336,3 @@ def variant_error(key: str, variant: str) -> Optional[str]:
     if variant in variants:
         return None
     return f"applet {key} has no {variant!r} variant; valid variants are {sorted(variants)}"
-
-
-def applet_keys(group: Optional[str] = None) -> List[str]:
-    """All applet keys, optionally restricted to a group ("A1-A4"/"A5-A7")."""
-    return [k for k, spec in APPLET_SUITE.items() if group is None or spec.group == group]

@@ -56,6 +56,7 @@ least :data:`~repro.simcore.parallel.DEFAULT_LOOKAHEAD` (50 ms).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -619,7 +620,7 @@ class ChaosWorld:
         self.sensor.add_trigger(TriggerEndpoint(slug="tick", name="Tick"))
         self.sink.add_action(ActionEndpoint(
             slug="deliver", name="Deliver",
-            executor=lambda fields: self.delivered.append((self.sim.now, dict(fields))),
+            executor=self._record_delivery,
         ))
         for service in (self.sensor, self.sink):
             self.engine.publish_service(service)
@@ -653,6 +654,10 @@ class ChaosWorld:
     def _inject(self, index: int, planned_at: float) -> None:
         self.events_injected += 1
         self.sensor.ingest_event("tick", {"n": index, "injected_at": planned_at})
+
+    def _record_delivery(self, fields: Dict[str, Any]) -> None:
+        """The sink's executor."""
+        self.delivered.append((self.sim.now, dict(fields)))
 
     def run(self, scenario: ChaosScenario, drain: float = DRAIN_SECONDS) -> ChaosResult:
         """Apply the scenario's plan, drive its events, settle, account."""
@@ -1016,7 +1021,7 @@ class ShardedChaosWorld:
             ))
             sink.add_action(ActionEndpoint(
                 slug="deliver", name="Deliver",
-                executor=self._sink_recorder(sink_cell, pair),
+                executor=functools.partial(self._record_sink, sink_cell, pair),
             ))
             for cell, node in ((sensor_cell, sensor), (sink_cell, sink)):
                 self.networks[cell].connect(
@@ -1058,14 +1063,9 @@ class ShardedChaosWorld:
             for index in range(num_shards)
         ]
 
-    def _sink_recorder(self, cell: int, pair: int):
-        sim = self.stepper.sims[cell]
-        delivered = self._delivered
-
-        def record(fields: Dict[str, Any]) -> None:
-            delivered.append((sim.now, pair, dict(fields)))
-
-        return record
+    def _record_sink(self, cell: int, pair: int, fields: Dict[str, Any]) -> None:
+        """Pair ``pair``'s sink executor, on its home cell ``cell``."""
+        self._delivered.append((self.stepper.sims[cell].now, pair, dict(fields)))
 
     def retarget(self, plan: FaultPlan) -> FaultPlan:
         """An unsharded plan, aimed at the victim pair and shard."""

@@ -12,16 +12,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Any, Callable, Dict
 
-from repro.simcore.process import Process, Timeout
+from repro.simcore.event import Event
 from repro.simcore.rng import Rng
+from repro.webapps.weather import CONDITIONS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.testbed.testbed import Testbed
 
 HOUR = 3600.0
 DAY = 24 * HOUR
+
+#: Seconds between ambient temperature readings.
+TEMPERATURE_PERIOD = 900.0
+
+_PHRASES = ("Alexa, trigger light off", "Alexa, trigger movie time",
+            "Alexa, play something mellow", "Alexa, add milk to my shopping list")
+_SENDERS = ("boss@corp", "newsletter@list", "friend@mail", "alerts@bank")
 
 
 def diurnal_rate(t: float, base_per_hour: float, morning_peak: float = 7.5,
@@ -50,18 +58,24 @@ class ScenarioStats:
 
 
 class DailyScenario:
-    """Spawns the household processes onto a built testbed.
+    """Arms the household drivers on a built testbed.
 
-    Each driver is a generator process sampling inter-event gaps from the
-    diurnal rate via thinning (sample at the peak rate, accept with
-    probability rate(t)/peak).
+    Each driver is one armed simulator event whose wake, a bound method,
+    does the driver's work and re-arms it.  The switch, voice and email
+    drivers sample inter-event gaps from the diurnal rate via thinning
+    (sample at the peak rate, accept with probability rate(t)/peak);
+    weather dwells for exponential spells and temperature ticks every
+    :data:`TEMPERATURE_PERIOD`.  A scenario in flight is plain data, so
+    its testbed pickles mid-run.
     """
 
     def __init__(self, testbed: "Testbed", seed: int = 1) -> None:
         self.testbed = testbed
         self.rng = Rng(seed=seed, name="scenario")
         self.stats = ScenarioStats()
-        self._processes: List[Process] = []
+        #: Each driver's armed event, in start order.
+        self._armed: Dict[str, Event] = {}
+        self._emails_sent = 0
 
     def start(
         self,
@@ -70,77 +84,68 @@ class DailyScenario:
         emails_per_hour: float = 4.0,
         weather_dwell_hours: float = 6.0,
     ) -> "DailyScenario":
-        """Spawn all drivers; returns self for chaining."""
-        sim = self.testbed.sim
-        self._processes = [
-            Process(sim, self._switch_driver(switch_per_hour), name="scenario.switch"),
-            Process(sim, self._voice_driver(voice_per_hour), name="scenario.voice"),
-            Process(sim, self._email_driver(emails_per_hour), name="scenario.email"),
-            Process(sim, self._weather_driver(weather_dwell_hours), name="scenario.weather"),
-            Process(sim, self._temperature_driver(), name="scenario.temperature"),
-        ]
+        """Arm all drivers; returns self for chaining."""
+        self._arm_thinned("switch", switch_per_hour, self._press_switch)
+        self._arm_thinned("voice", voice_per_hour, self._speak)
+        self._arm_thinned("email", emails_per_hour, self._send_email)
+        dwell = weather_dwell_hours * HOUR
+        self._arm("weather", self.rng.exponential(dwell), self._weather_wake, dwell)
+        self._arm("temperature", TEMPERATURE_PERIOD, self._temperature_wake)
         return self
 
     def stop(self) -> None:
-        """Interrupt all drivers."""
-        for process in self._processes:
-            process.interrupt("scenario stopped")
+        """Cancel every driver's armed event."""
+        for event in self._armed.values():
+            event.cancel()
+        self._armed.clear()
 
     # -- drivers -----------------------------------------------------------------
 
-    def _thinned_wait(self, base_per_hour: float):
-        """Yield Timeouts until the next accepted diurnal event."""
-        peak = base_per_hour * 1.15  # max of the diurnal envelope
-        while True:
-            gap = self.rng.exponential(HOUR / peak)
-            yield Timeout(gap)
-            rate = diurnal_rate(self.testbed.sim.now, base_per_hour)
-            if self.rng.random() < rate / peak:
-                return
+    def _arm(self, kind: str, delay: float, wake: Callable[..., None], *args: Any) -> None:
+        self._armed[kind] = self.testbed.sim.schedule(
+            delay, wake, *args, label=f"scenario.{kind}.timeout"
+        )
 
-    def _switch_driver(self, per_hour: float):
-        while True:
-            yield from self._thinned_wait(per_hour)
-            self.testbed.wemo.press()
-            self.stats.switch_presses += 1
+    def _arm_thinned(self, kind: str, per_hour: float, act: Callable[[], None]) -> None:
+        """Arm the next thinning sample: a gap drawn at the envelope's peak."""
+        peak = per_hour * 1.15  # max of the diurnal envelope
+        self._arm(kind, self.rng.exponential(HOUR / peak), self._thinned_wake, kind, per_hour, act)
 
-    def _voice_driver(self, per_hour: float):
-        phrases = ("Alexa, trigger light off", "Alexa, trigger movie time",
-                   "Alexa, play something mellow", "Alexa, add milk to my shopping list")
-        while True:
-            yield from self._thinned_wait(per_hour)
-            self.testbed.echo.hear(self.rng.choice(phrases))
-            self.stats.voice_commands += 1
+    def _thinned_wake(self, kind: str, per_hour: float, act: Callable[[], None]) -> None:
+        rate = diurnal_rate(self.testbed.sim.now, per_hour)
+        if self.rng.random() < rate / (per_hour * 1.15):
+            act()
+        self._arm_thinned(kind, per_hour, act)
 
-    def _email_driver(self, per_hour: float):
+    def _press_switch(self) -> None:
+        self.testbed.wemo.press()
+        self.stats.switch_presses += 1
+
+    def _speak(self) -> None:
+        self.testbed.echo.hear(self.rng.choice(_PHRASES))
+        self.stats.voice_commands += 1
+
+    def _send_email(self) -> None:
         from repro.testbed.testbed import TEST_EMAIL
 
-        senders = ("boss@corp", "newsletter@list", "friend@mail", "alerts@bank")
-        count = 0
-        while True:
-            yield from self._thinned_wait(per_hour)
-            count += 1
-            self.testbed.gmail.deliver_email(
-                to=TEST_EMAIL,
-                sender=self.rng.choice(senders),
-                subject=f"scenario mail {count}",
-                attachments=("doc.pdf",) if self.rng.bernoulli(0.2) else (),
-            )
-            self.stats.emails += 1
+        self._emails_sent += 1
+        self.testbed.gmail.deliver_email(
+            to=TEST_EMAIL,
+            sender=self.rng.choice(_SENDERS),
+            subject=f"scenario mail {self._emails_sent}",
+            attachments=("doc.pdf",) if self.rng.bernoulli(0.2) else (),
+        )
+        self.stats.emails += 1
 
-    def _weather_driver(self, dwell_hours: float):
-        from repro.webapps.weather import CONDITIONS
+    def _weather_wake(self, dwell: float) -> None:
+        self.testbed.weather.set_conditions("home", self.rng.choice(CONDITIONS))
+        self.stats.weather_changes += 1
+        self._arm("weather", self.rng.exponential(dwell), self._weather_wake, dwell)
 
-        while True:
-            yield Timeout(self.rng.exponential(dwell_hours * HOUR))
-            self.testbed.weather.set_conditions("home", self.rng.choice(CONDITIONS))
-            self.stats.weather_changes += 1
-
-    def _temperature_driver(self, period: float = 900.0):
+    def _temperature_wake(self) -> None:
         """Ambient temperature follows a smooth daily sinusoid + noise."""
-        while True:
-            yield Timeout(period)
-            hour = (self.testbed.sim.now % DAY) / HOUR
-            ambient = 20.0 + 4.0 * math.sin((hour - 9.0) / 24.0 * 2 * math.pi)
-            self.testbed.nest.sense_ambient(round(ambient + self.rng.normal(0, 0.3), 2))
-            self.stats.temperature_updates += 1
+        hour = (self.testbed.sim.now % DAY) / HOUR
+        ambient = 20.0 + 4.0 * math.sin((hour - 9.0) / 24.0 * 2 * math.pi)
+        self.testbed.nest.sense_ambient(round(ambient + self.rng.normal(0, 0.3), 2))
+        self.stats.temperature_updates += 1
+        self._arm("temperature", TEMPERATURE_PERIOD, self._temperature_wake)

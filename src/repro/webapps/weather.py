@@ -3,9 +3,9 @@
 IFTTT's canonical example applet — "turn your hue lights blue whenever it
 starts to rain" (§2) — needs a weather provider on the trigger side.  The
 service holds current conditions per location and logs condition changes
-as activity, which a partner service polls.  An optional autonomous
-weather process drives random condition changes for long-running
-experiments.
+as activity, which a partner service polls.  For long-running
+experiments, :class:`~repro.testbed.scenario_gen.DailyScenario`'s
+weather driver walks the conditions at random.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from typing import Dict, Optional
 
 from repro.net.address import Address
 from repro.net.http import HttpRequest
-from repro.simcore.process import Process, Timeout
-from repro.simcore.rng import Rng
 from repro.simcore.trace import Trace
 from repro.webapps.base import WebApp
 
@@ -53,14 +51,6 @@ class WeatherService(WebApp):
     def current(self, location: str) -> Optional[str]:
         """The current condition for a location (None if never set)."""
         return self._conditions.get(location)
-
-    def start_weather_process(self, location: str, rng: Rng, mean_dwell: float = 3600.0) -> Process:
-        """Spawn a process that randomly walks the location's conditions."""
-        def weather() :
-            while True:
-                yield Timeout(rng.exponential(mean_dwell))
-                self.set_conditions(location, rng.choice(CONDITIONS))
-        return Process(self.sim, weather(), name=f"weather:{location}")
 
     def _handle_current(self, request: HttpRequest):
         location = (request.body or {}).get("location")

@@ -182,9 +182,3 @@ class TestWeather:
         sim.run()
         conditions = [c["condition"] for c in got[0].body["changes"]]
         assert conditions == ["clear", "rain"]
-
-    def test_weather_process_changes_conditions(self, cloud):
-        sim, _, _, _, _, weather = cloud
-        weather.start_weather_process("home", Rng(5), mean_dwell=100.0)
-        sim.run_until(2000.0)
-        assert weather.current("home") is not None
