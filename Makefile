@@ -46,15 +46,15 @@ bench-scale:
 bench-push:
 	python benchmarks/bench_scalability_push.py --check BENCH_push_scale.json
 
-# Performance-budget gate (docs/PERFORMANCE.md, "Where a hop goes"):
-# a fresh, short ledger pass must not be worse than
-# the committed BENCH_poll_ends.json — end-to-end timings within the
+# Performance-budget gate (docs/PERFORMANCE.md, "Where an observation
+# goes"): a fresh, short ledger pass must not be worse than
+# the committed BENCH_obs_buckets.json — end-to-end timings within the
 # bounds BENCHMARK.json fixes (25 %, RSS 5 %), every count and
 # sim_fingerprint identical.  Wall-clock sensitive (~2 min), so it runs
 # in the nightly job, not in `make ci` or `make test`.
 bench-budget:
 	python benchmarks/ledger/run.py --seconds 5 --output .bench-budget.json
-	python benchmarks/ledger/run.py --compare BENCH_poll_ends.json .bench-budget.json
+	python benchmarks/ledger/run.py --compare BENCH_obs_buckets.json .bench-budget.json
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null && echo OK; done
@@ -98,12 +98,15 @@ ledger-check:
 # the 18 single-variant chaos rows, the 10 testbed rows, the smoke
 # matrix's results.json and
 # the five ledger sim_fingerprints + counts at seeds 7 and 11.
-# "Byte-identical to the parent" for a refactor is this one command.
+# "Byte-identical to the parent" for a refactor is this one command; a
+# change that means to move outputs declares which fields may differ and
+# passes EXPECT=<declaration> (`make parity-check BASE=<parent>
+# EXPECT=DRIFT.json`), and everything else must still be identical.
 # Deliberately not part of `ci`/`test`: a PR that intends a behaviour
 # change must be able to fail it on purpose.
 parity-check:
-	@test -n "$(BASE)" || { echo "usage: make parity-check BASE=<git-ref>"; exit 2; }
-	python tools/parity.py $(BASE)
+	@test -n "$(BASE)" || { echo "usage: make parity-check BASE=<git-ref> [EXPECT=DRIFT.json]"; exit 2; }
+	python tools/parity.py $(BASE) $(if $(EXPECT),--expect $(EXPECT))
 
 # The full nightly matrix (32 cells; a few minutes). Results land in
 # experiment-results/ — results.txt is the human table.

@@ -19,7 +19,7 @@ Modules
     orchestration with subprocess-isolated cells.
 :mod:`repro.experiments.stats`
     Dependency-free t-intervals and bootstrap confidence intervals,
-    plus P2-quantile pooling (reusing :mod:`repro.obs.quantiles`).
+    plus exact quartiles of a pooled sample.
 :mod:`repro.experiments.results`
     Cell/matrix result records and their deterministic JSON form.
 """

@@ -91,7 +91,7 @@ class CellResult:
         return pooled
 
     def quartiles(self) -> Optional[Tuple[float, float, float]]:
-        """p25/p50/p75 of the pooled T2A samples (P2 sketch)."""
+        """Exact p25/p50/p75 of the pooled T2A samples."""
         return pooled_quartiles(self.pooled_samples)
 
     def median_interval(self) -> Optional[Dict[str, Any]]:

@@ -8,17 +8,14 @@ Two confidence-interval constructions, both deterministic:
 * :func:`bootstrap_median_interval` — a seeded percentile bootstrap of
   the median over one pooled sample, for cells that only ran once.
 
-Quartile pooling reuses the P2 streaming sketches of
-:mod:`repro.obs.quantiles` (the same estimator the metrics registry's
-histograms run), so a cell's reported p25/p50/p75 is computed by the
-observability stack's own machinery rather than a second ad-hoc path.
+A cell's pooled p25/p50/p75 are the exact quantiles of its pooled
+sample, which the cell holds in memory anyway.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.quantiles import QuantileSketch
 from repro.simcore.rng import Rng, quantiles as exact_quantiles
 
 #: The quartile points every cell reports (paper tables use p25/p50/p75).
@@ -108,18 +105,8 @@ def bootstrap_median_interval(
 
 
 def pooled_quartiles(samples: Sequence[float]) -> Optional[Tuple[float, float, float]]:
-    """p25/p50/p75 of a pooled sample via the P2 streaming sketch.
-
-    Mirrors what a registry histogram would report for the same stream
-    (exact below five observations, five-marker P2 estimate beyond).
-    The three independently-tracked markers can cross by a hair on
-    tightly clustered samples, so the estimates are monotone-rearranged
-    (sorted) before being returned.  Returns ``None`` for an empty
-    sample.
-    """
+    """Exact p25/p50/p75 of a pooled sample (linear interpolation, as
+    :func:`repro.simcore.rng.quantiles`); ``None`` for an empty sample."""
     if not samples:
         return None
-    sketch = QuantileSketch(points=QUARTILE_POINTS)
-    sketch.observe_many([float(value) for value in samples])
-    values = sketch.values()
-    return tuple(sorted(values[q] for q in QUARTILE_POINTS))
+    return tuple(exact_quantiles(samples, QUARTILE_POINTS))

@@ -6,9 +6,10 @@ the HTTP layer, the network, the simulator kernel) update O(1)-memory
 counters, gauges, and histograms in a shared
 :class:`~repro.obs.metrics.MetricsRegistry`, holding them in a
 :class:`~repro.obs.bound.Bound` so get-or-create runs once per series;
-histograms embed a P² streaming-quantile sketch so p50/p95/p99 stay
-cheap at million-event scale.  Snapshots are JSON-able, mergeable
-across shards, and exported by the CLI's ``--metrics`` flag.
+histograms count samples into fixed log-spaced buckets, from which
+p50/p95/p99 are read, so a series costs the same at million-event
+scale.  Snapshots are JSON-able, mergeable across shards, and exported
+by the CLI's ``--metrics`` flag.
 
 See ``docs/OBSERVABILITY.md`` for naming conventions and usage.
 """
@@ -19,12 +20,8 @@ __getattr__, __dir__, __all__ = _lazy.exports(globals(), {
     "bound": ("Bound",),
     "metrics": (
         "COUNT_BUCKETS", "Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram", "MetricsRegistry",
-        "ScopedRegistry", "WALLCLOCK_METRICS", "deterministic_snapshot", "merge_snapshots",
-        "snapshot_from_json_lines", "snapshot_to_json_lines",
-    ),
-    "quantiles": (
-        "DEFAULT_QUANTILES", "P2Quantile", "P2_RANK_ERROR_BOUND", "QuantileSketch",
-        "ReservoirSample", "rank_error",
+        "QUANTILES", "ScopedRegistry", "WALLCLOCK_METRICS", "deterministic_snapshot",
+        "merge_snapshots", "snapshot_from_json_lines", "snapshot_to_json_lines",
     ),
     "bridge": ("bridge_trace", "poll_latency_summary"),
 })

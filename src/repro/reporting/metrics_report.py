@@ -43,7 +43,7 @@ def render_metrics_summary(
     """A compact table of every non-empty metric in a snapshot.
 
     Counters and gauges render their value; histograms render count,
-    mean, and the sketched p50/p95/p99.
+    mean, and the p50/p95/p99 read from their buckets.
     """
     snapshot = _as_snapshot(source)
     rows: List[List[str]] = []

@@ -84,7 +84,11 @@ class DailyScenario:
         emails_per_hour: float = 4.0,
         weather_dwell_hours: float = 6.0,
     ) -> "DailyScenario":
-        """Arm all drivers; returns self for chaining."""
+        """Arm all drivers; returns self for chaining.  A scenario already
+        armed is a ``RuntimeError`` (a second set of drivers would outlive
+        :meth:`stop`); one that was stopped may start again."""
+        if self._armed:
+            raise RuntimeError("scenario already started; stop() it before starting again")
         self._arm_thinned("switch", switch_per_hour, self._press_switch)
         self._arm_thinned("voice", voice_per_hour, self._speak)
         self._arm_thinned("email", emails_per_hour, self._send_email)

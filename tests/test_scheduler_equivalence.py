@@ -294,8 +294,8 @@ def run_sharded(scheduler, strategy: str, seed: int = 11):
     # Jittered (continuous) poll times: cross-shard simultaneous polls
     # would batch per shard under the heap scheduler and interleave
     # globally under the oracle, which is an equally valid order but
-    # changes what shared order-sensitive sketches (net.* quantiles)
-    # observe.  Continuous times make exact cross-shard ties
+    # changes what shared order-sensitive state (the float sum of a
+    # net.* histogram) observes.  Continuous times make exact cross-shard ties
     # measure-zero, so both dispatches produce the same global order —
     # the property under test.
     config = EngineConfig(

@@ -6,6 +6,7 @@ table is only inspected.
 """
 
 import importlib.util
+import json
 import os
 import re
 
@@ -92,6 +93,97 @@ class TestRunner:
         with pytest.raises(SystemExit) as exc:
             parity.main(["g1", "HEAD"], table=(STABLE,))
         assert exc.value.code == 2
+
+
+def _sides(root, files):
+    """Side A's and side B's output trees: ``files`` maps ``row/artifact``
+    to the two sides' texts."""
+    outs = [root / "a", root / "b"]
+    for name, texts in files.items():
+        for out, text in zip(outs, texts):
+            path = out / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    return [str(out) for out in outs]
+
+
+def _histogram_line(count, quantiles):
+    return json.dumps({"type": "histogram", "name": "lat", "labels": {}, "count": count,
+                       "quantiles": quantiles}, sort_keys=True)
+
+
+QUANTILES_MAY_MOVE = [("*/snapshot.jsonl", "histogram.quantiles")]
+
+
+class TestExpect:
+    """``--expect``: a declared drift passes, anything else is named."""
+
+    def test_a_declared_difference_passes(self, tmp_path, capsys):
+        a, b = _sides(tmp_path, {"outage-s1/snapshot.jsonl": (
+            _histogram_line(3, {"0.5": 1.0}), _histogram_line(3, {"0.5": 1.5}))})
+        assert parity.judge(a, b, "parity-check", QUANTILES_MAY_MOVE)
+        assert "outage-s1: OK (1 artifacts, drift only as declared: histogram.quantiles)" in (
+            capsys.readouterr().out
+        )
+
+    def test_an_undeclared_difference_fails_naming_artifact_and_field(self, tmp_path, capsys):
+        a, b = _sides(tmp_path, {"outage-s1/snapshot.jsonl": (
+            _histogram_line(3, {"0.5": 1.0}), _histogram_line(4, {"0.5": 1.5}))})
+        assert not parity.judge(a, b, "parity-check", QUANTILES_MAY_MOVE)
+        assert "outage-s1: DRIFT (snapshot.jsonl: line 1 (lat) count)" in capsys.readouterr().out
+
+    def test_a_declared_field_that_did_not_move_is_reported(self, tmp_path, capsys):
+        line = _histogram_line(3, {"0.5": 1.0})
+        a, b = _sides(tmp_path, {"outage-s1/snapshot.jsonl": (line, line)})
+        assert not parity.judge(a, b, "parity-check", QUANTILES_MAY_MOVE)
+        out = capsys.readouterr().out
+        assert "outage-s1: OK (1 artifacts byte-identical)" in out
+        assert "DECLARED BUT UNCHANGED: histogram.quantiles in */snapshot.jsonl" in out
+
+    def test_an_artifact_no_declaration_covers_stays_byte_compared(self, tmp_path, capsys):
+        a, b = _sides(tmp_path, {"outage-s1/summary.txt": ("p50=1 \n", "p50=1\n")})
+        assert not parity.judge(a, b, "parity-check", [("t2a-*/summary.txt", "* histogram.p50")])
+        assert "outage-s1: DRIFT (summary.txt)" in capsys.readouterr().out
+
+    def test_a_text_table_compares_token_by_token(self, tmp_path, capsys):
+        # A wider p50 re-pads every row and the rule; the quartile line's
+        # p50 is not the table's and must not move.
+        before = ("n=3 p50=37.8s\nmetric  type       value\n------  ---------  -----------\n"
+                  "lat     histogram  n=3 p50=0.1\nhits    counter    4          \n")
+        after = ("n=3 p50=37.8s\nmetric  type       value\n------  ---------  ------------\n"
+                 "lat     histogram  n=3 p50=0.12\nhits    counter    4           \n")
+        declared = [("t2a-*/summary.txt", "* histogram.p50")]
+        a, b = _sides(tmp_path, {"t2a-A1-official/summary.txt": (before, after)})
+        assert parity.judge(a, b, "parity-check", declared)
+        assert "t2a-A1-official: OK" in capsys.readouterr().out
+        a, b = _sides(tmp_path / "quartile", {"t2a-A1-official/summary.txt": (
+            before, after.replace("p50=37.8s", "p50=38.0s"))})
+        assert not parity.judge(a, b, "parity-check", declared)
+        assert "DRIFT (summary.txt: line 1 'p50=37.8s' vs 'p50=38.0s')" in (
+            capsys.readouterr().out
+        )
+
+    def test_json_paths_take_a_wildcard_per_key_or_index(self, tmp_path, capsys):
+        def results(quartiles, n):
+            return json.dumps({"cells": [{"n": n, "t2a_quartiles": quartiles}]})
+
+        declared = [("smoke/results.json", "cells.*.t2a_quartiles")]
+        a, b = _sides(tmp_path, {"smoke/results.json": (results([1, 2, 3], 9),
+                                                        results([1, 2.5, 3], 9))})
+        assert parity.judge(a, b, "parity-check", declared)
+        a, b = _sides(tmp_path / "n", {"smoke/results.json": (results([1, 2, 3], 9),
+                                                              results([1, 2.5, 3], 9.0))})
+        assert not parity.judge(a, b, "parity-check", declared)
+        assert "smoke: DRIFT (results.json: cells.0.n)" in capsys.readouterr().out
+
+    def test_expect_needs_a_ref(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            parity.main(["--expect", os.path.join(ROOT, "DRIFT.json")], table=(STABLE,))
+        assert exc.value.code == 2
+
+    def test_the_committed_declaration_reads(self):
+        expected = parity.read_expectations(os.path.join(ROOT, "DRIFT.json"))
+        assert expected and all(glob and field for glob, field in expected)
 
 
 class TestTable:

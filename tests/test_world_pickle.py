@@ -192,3 +192,26 @@ def test_scenario_stop_cancels_every_driver():
     testbed.run_for(DAY)
     assert astuple(scenario.stats) == stats
     assert len(testbed.trace) == recorded
+
+
+def test_a_second_start_is_refused_before_it_draws():
+    # A second start() used to arm a second set of drivers over the first,
+    # which stop() then left firing: a day after stop(), 104 temperature
+    # updates where there had been 8.
+    period = 600.0
+    testbed = Testbed(TestbedConfig(
+        seed=5, gmail_poll_interval=period, sheets_poll_interval=period,
+        weather_poll_interval=period,
+    )).build()
+    scenario = DailyScenario(testbed, seed=3).start(weather_dwell_hours=0.5)
+    rng = pickle.dumps(scenario.rng)
+    with pytest.raises(RuntimeError, match="already started"):
+        scenario.start(weather_dwell_hours=0.5)
+    assert pickle.dumps(scenario.rng) == rng
+    testbed.run_for(2 * HOUR)
+    scenario.stop()
+    testbed.run_for(period + 60.0)
+    stats = astuple(scenario.stats)
+    testbed.run_for(DAY)
+    assert astuple(scenario.stats) == stats
+    assert scenario.start() is scenario  # stopped, so it may start again
