@@ -207,10 +207,22 @@ class TestTable:
 
     def test_the_18_chaos_rows_still_run_against_a_ref(self):
         against_ref = {row.name: row for row in parity.TABLE if row.other is None}
-        assert set(against_ref) == self.CHAOS_ROWS | self.TESTBED_ROWS
+        assert set(against_ref) == self.CHAOS_ROWS | self.TESTBED_ROWS | {"shapes"}
         for name in self.CHAOS_ROWS:
             assert against_ref[name].args[:5] == ("-m", "repro", "chaos", "--seed", "7")
         assert [row.name for row in against_ref.values() if row.expect] == ["mix-hint"]
+
+    def test_shapes_row_pins_every_world_shape(self):
+        (row,) = [row for row in parity.TABLE if row.name == "shapes"]
+        assert row.group == "chaos-check" and "--in-process" in row.args
+        path = row.args[3].replace("{checkout}", ROOT)
+        with open(path, encoding="utf-8") as handle:
+            sweeps = json.load(handle)["sweeps"]
+        shapes = {(axes["shards"][0], axes["corpus_size"][0], mode)
+                  for axes in (sweep["axes"] for sweep in sweeps)
+                  for mode in axes["delivery_mode"]}
+        assert shapes == {(shards, pairs, mode) for shards, pairs in ((1, 3), (2, 1), (4, 6))
+                          for mode in ("poll", "push")}
 
     def test_testbed_rows_are_one_group(self):
         assert {row.name for row in parity.TABLE if row.group == "testbed-check"} == (

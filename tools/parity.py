@@ -21,7 +21,8 @@ chaos-check``), and ``make determinism-check`` runs every row.
 **Against a REF** side A is ``git archive REF`` (nothing is left
 registered in ``.git``, no network is touched) run with *this* tree's
 table, so a REF that predates a flag fails loudly.  The single-variant
-rows run on both sides, plus ``EXPERIMENTS/matrix_smoke.json
+rows run on both sides (the ``shapes`` row's ``EXPERIMENTS/chaos_shapes.json``
+cells among them), plus ``EXPERIMENTS/matrix_smoke.json
 --in-process`` → ``results.json`` and the five ledger workloads'
 ``sim_fingerprint`` and every ``count`` line of ``benchmarks/ledger/run.py
 --seconds 1 --repeats 1 --trace 0`` at seeds 7 and 11 (14 s a side, so
@@ -102,6 +103,9 @@ def t2a(applet: str, scenario: str) -> Row:
 
 SMOKE = ("-m", "repro", "experiments", "{checkout}/EXPERIMENTS/matrix_smoke.json",
          "--quiet", "--output", ".")
+#: Every world shape a chaos cell picks (shards, pairs): (1, 3), (2, 1), (4, 6).
+SHAPES = ("-m", "repro", "experiments", "{checkout}/EXPERIMENTS/chaos_shapes.json",
+          "--in-process", "--quiet", "--output", ".")
 #: Metrics read from the host's wall clock (``repro.obs.WALLCLOCK_METRICS``):
 #: a line naming one is not pinned.
 WALLCLOCK = (b"sim.events_per_wallsec",)
@@ -112,6 +116,7 @@ TABLE: Tuple[Row, ...] = (
         for scenario in ("outage", "partition", "flappy", "brownout")
         for shards in ("1", "4")
     ),
+    Row("shapes", "chaos-check", SHAPES),
     chaos("replay-s1", "replay-check", "--scenario", "outage", "--replay"),
     chaos("replay-s4", "replay-check", "--scenario", "outage", "--replay", "--shards", "4"),
     # degrade-check is acceptance *and* determinism: exit 0 means every
@@ -442,7 +447,8 @@ def main(argv=None, table: Sequence[Row] = TABLE) -> int:
                 f"{label}: OK ({len(names)} artifacts {match}: "
                 f"{names.count('snapshot.jsonl')} chaos snapshots + "
                 f"{names.count('metrics.jsonl')} testbed metrics + "
-                f"{len(rows)} summaries, smoke-matrix results.json, ledger readings at seeds "
+                f"{len(rows)} summaries, chaos-shapes and smoke-matrix results, ledger "
+                f"readings at seeds "
                 f"{'/'.join(FINGERPRINT_SEEDS)})"
             )
         elif ok:
