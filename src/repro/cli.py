@@ -152,13 +152,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan, FaultPlanError
     from repro.obs.metrics import snapshot_to_json_lines
-    from repro.testbed.chaos import (
-        CHAOS_SCENARIOS,
-        SENSOR_SLUG,
-        SINK_SLUG,
-        run_chaos_scenario,
-        run_sharded_chaos_scenario,
-    )
+    from repro.testbed.chaos import CHAOS_SCENARIOS, run_chaos_scenario
 
     if args.scenario not in CHAOS_SCENARIOS:
         print(f"unknown chaos scenario {args.scenario!r}; "
@@ -195,15 +189,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         delivery = DeliveryPolicy()
 
     def _run(replay_policy, delivery_policy):
-        if args.shards > 1:
-            return run_sharded_chaos_scenario(
-                args.scenario, seed=args.seed, plan=plan,
-                num_shards=args.shards, shard_strategy=args.shard_strategy,
-                replay=replay_policy, delivery=delivery_policy,
-                delivery_mode=args.delivery,
-            )
         return run_chaos_scenario(
             args.scenario, seed=args.seed, plan=plan,
+            shards=args.shards, shard_strategy=args.shard_strategy,
             replay=replay_policy, delivery=delivery_policy,
             delivery_mode=args.delivery,
         )
@@ -230,17 +218,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         results.append(baseline)
         print()
         print(render_adaptive_comparison(result, baseline))
-        effective_plan = plan if plan is not None else CHAOS_SCENARIOS[args.scenario].plan
         victims = {
-            spec.service for spec in effective_plan
+            spec.service for spec in result.plan
             if spec.kind == SERVICE_BROWNOUT and spec.service
         }
-        if args.shards > 1:
-            # Sharded worlds retarget the unsharded vocabulary at pair 0.
-            victims = {
-                f"{slug}0" if slug in (SENSOR_SLUG, SINK_SLUG) else slug
-                for slug in victims
-            }
         adaptive_violations = adaptive_delivery_violations(result, baseline, victims)
     exit_code = 0
     for run in results:

@@ -49,13 +49,10 @@ class EngineConfig:
     dedupe_window:
         How many recent event ids the engine remembers per trigger
         identity for deduplication.
-    static_loop_check:
-        Reject applet installs that would create a detectable loop.
-        Default False — the paper confirms production IFTTT performs no
-        such "syntax check".
     runtime_loop_detection:
         Attach a :class:`~repro.engine.loops.RuntimeLoopDetector` and
-        disable applets that trip it.  Default False (ditto).
+        disable applets that trip it.  Default False — the paper
+        confirms production IFTTT performs no loop check at all.
     runtime_loop_threshold, runtime_loop_window:
         The runtime detector's rate limit: more than ``threshold``
         executions of one applet within ``window`` seconds flags a loop.
@@ -120,7 +117,6 @@ class EngineConfig:
     action_timeout: float = 30.0
     poll_timeout: float = 30.0
     dedupe_window: int = 2000
-    static_loop_check: bool = False
     runtime_loop_detection: bool = False
     runtime_loop_threshold: int = 10
     runtime_loop_window: float = 60.0

@@ -31,7 +31,7 @@ from repro.engine.delivery import (
     ServiceHealth,
     response_is_brownout,
 )
-from repro.engine.loops import RuntimeLoopDetector, StaticLoopAnalyzer, LoopError
+from repro.engine.loops import RuntimeLoopDetector
 from repro.engine.oauth import OAuthAuthority, TokenCache
 from repro.engine.permissions import ServicePermissionModel
 from repro.engine.poller import PollingPolicy
@@ -423,11 +423,10 @@ class IftttEngine(HttpNode):
         filter code is validated (parsed) at install time, as the real
         platform validates filter code at save time.
 
-        Raises ``KeyError`` for unpublished services,
+        Raises ``KeyError`` for unpublished services and
         :class:`~repro.engine.filters.FilterSyntaxError` for invalid
-        filter code, and :class:`~repro.engine.loops.LoopError` if static
-        loop checking is enabled and the new applet closes a channel
-        cycle.
+        filter code.  Like production IFTTT, it never rejects an applet
+        for closing a loop (§4: "no syntax check is performed").
         """
         referenced = [trigger.service_slug, action.service_slug]
         referenced += [ref.service_slug for ref in extra_actions]
@@ -460,15 +459,6 @@ class IftttEngine(HttpNode):
             queries=tuple(queries),
             filter_code=filter_code,
         )
-        if self.config.static_loop_check:
-            analyzer = StaticLoopAnalyzer(
-                {slug: link.service for slug, link in self._services.items()}
-            )
-            cycle = analyzer.cycle_introduced_by(
-                [rt.applet for rt in self._applets.values() if rt.applet.user == user], applet
-            )
-            if cycle is not None:
-                raise LoopError(f"applet would create a loop: {[a.describe() for a in cycle]}")
         link = self._services[trigger.service_slug]
         # The applet polls on a private clone of the base policy; what the
         # service's shared health and push rung do to it is decided per

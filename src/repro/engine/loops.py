@@ -24,15 +24,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.engine.applet import Applet
 from repro.services.endpoints import Channel
 from repro.services.partner import PartnerService
-
-
-class LoopError(RuntimeError):
-    """Raised when static checking rejects an applet install."""
 
 
 @dataclass(frozen=True)
@@ -154,21 +150,6 @@ class StaticLoopAnalyzer:
     def _canonical(cycle: Tuple[int, ...]) -> Tuple[int, ...]:
         pivot = cycle.index(min(cycle))
         return cycle[pivot:] + cycle[:pivot]
-
-    def cycle_introduced_by(
-        self, existing: Sequence[Applet], candidate: Applet
-    ) -> Optional[List[Applet]]:
-        """The cycle the candidate applet would create, or ``None``.
-
-        This is the "syntax check" the paper confirms IFTTT does *not*
-        perform; the engine runs it only when
-        ``EngineConfig.static_loop_check`` is enabled.
-        """
-        combined = list(existing) + [candidate]
-        for finding in self.find_cycles(combined):
-            if any(a.applet_id == candidate.applet_id for a in finding.applets):
-                return list(finding.applets)
-        return None
 
 
 class RuntimeLoopDetector:

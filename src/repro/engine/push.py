@@ -176,21 +176,12 @@ class PushServiceState:
 
     One per contract service, on its registration record — one
     service's backlog degrades every applet aimed at it, mirroring
-    ``ServiceHealth``.
+    ``ServiceHealth``.  What it ingested, degraded, shed or parked is
+    counted once: in the :class:`PushController`'s engine totals and the
+    per-service ``push.*`` counters.
     """
 
-    __slots__ = (
-        "slug",
-        "pending",
-        "rung",
-        "drain_armed",
-        "notifications",
-        "events_ingested",
-        "degraded_to_hint",
-        "shed_to_poll",
-        "drains",
-        "parked",
-    )
+    __slots__ = ("slug", "pending", "rung", "drain_armed")
 
     def __init__(self, slug: str) -> None:
         self.slug = slug
@@ -199,12 +190,6 @@ class PushServiceState:
         self.pending: Deque[Tuple[str, Optional[TriggerEvent]]] = deque()
         self.rung = RUNG_PUSH
         self.drain_armed = False
-        self.notifications = 0
-        self.events_ingested = 0
-        self.degraded_to_hint = 0
-        self.shed_to_poll = 0
-        self.drains = 0
-        self.parked = 0
 
 
 class PushController:
@@ -262,7 +247,6 @@ class PushController:
             raise HttpError(400, f"malformed push notification: {problem}")
         state = self.state_for(link)
         self.notifications_received += 1
-        state.notifications += 1
         metrics = engine.metrics
         if metrics is not None:
             link.bound.counter(metrics, "push.notifications").inc()
@@ -285,7 +269,6 @@ class PushController:
             "engine_push_parked",
         ):
             self.notifications_parked += 1
-            state.parked += 1
             return {"status": "received"}
         for entry in entries:
             identity = entry["trigger_identity"]
@@ -304,14 +287,12 @@ class PushController:
         if rung == RUNG_POLL:
             # Shed: the identity waits for its polling cadence (which
             # the poll rung has already restored to the base policy).
-            state.shed_to_poll += 1
             self.shed_to_poll += 1
             self._count_degraded(state, "push.shed_to_poll")
             return
         if rung == RUNG_HINT:
             # Degrade: keep the identity, drop the payload — the drain
             # turns it into a hint-style fast poll.
-            state.degraded_to_hint += 1
             self.degraded_to_hint += 1
             self._count_degraded(state, "push.degraded_to_hint")
             state.pending.append((identity, None))
@@ -399,9 +380,7 @@ class PushController:
                 engine._admit_fast_poll(link, identity)
             else:
                 ingested += self._deliver(identity, event)
-        state.drains += 1
         self.batches_drained += 1
-        state.events_ingested += ingested
         self.events_ingested += ingested
         metrics = engine.metrics
         if metrics is not None:

@@ -13,9 +13,9 @@ results.
 
 Three cell kinds map onto the reproduction's existing worlds:
 
-``chaos``  → :class:`~repro.testbed.chaos.ChaosWorld`, or the one
-             sharded world :class:`~repro.testbed.chaos.ShardedChaosWorld`
-             (epoch-stepped, serial) when ``shards`` or ``corpus_size`` > 1
+``chaos``  → :func:`~repro.testbed.chaos.run_chaos_scenario`, with
+             ``corpus_size`` as its sensor/sink pairs; it picks the world
+             and returns one :class:`~repro.testbed.chaos.ChaosResult`
 ``t2a``    → :class:`~repro.testbed.testbed.Testbed` +
              :meth:`~repro.testbed.controller.TestController.measure_t2a`
 ``fleet``  → :func:`~repro.testbed.workload.run_fleet_experiment`
@@ -42,19 +42,10 @@ from repro.experiments.spec import (
     resolve_fault_plan,
 )
 from repro.obs.metrics import deterministic_snapshot
-from repro.testbed.chaos import (
-    ChaosWorld,
-    ShardedChaosWorld,
-    chaos_engine_config,
-    chaos_scenario,
-)
+from repro.testbed.chaos import chaos_engine_config, run_chaos_scenario
 from repro.testbed.controller import TestController
 from repro.testbed.testbed import Testbed, TestbedConfig
 from repro.testbed.workload import run_fleet_experiment
-
-#: Phase order used to flatten chaos T2A samples deterministically.
-PHASE_ORDER = ("before", "during", "after")
-
 
 # -- kind runners ------------------------------------------------------------------
 
@@ -62,58 +53,26 @@ PHASE_ORDER = ("before", "during", "after")
 def _run_chaos(spec: ExperimentSpec, cell: Cell, seed: int) -> Tuple[List[float], Dict[str, Any], Dict[str, Any]]:
     params = cell.params
     knobs = cell.sweep.knobs
-    scenario = chaos_scenario(params["scenario"], resolve_fault_plan(spec, cell))
-    config = chaos_engine_config(knobs["poll_interval"])
-    sharded = params["shards"] > 1 or params["corpus_size"] > 1
-    if sharded:
-        world = ShardedChaosWorld(
-            seed=seed,
-            num_shards=params["shards"],
-            shard_strategy=params["shard_strategy"],
-            pairs=params["corpus_size"],
-            engine_config=config,
-            delivery_mode=params["delivery_mode"],
-        )
-    else:
-        world = ChaosWorld(
-            seed=seed,
-            engine_config=config,
-            delivery_mode=params["delivery_mode"],
-        )
-    result = world.run(scenario, drain=knobs["drain"])
-
-    samples: List[float] = []
-    if sharded:
-        for shard in range(result.num_shards):
-            by_phase = result.t2a_by_shard.get(shard, {})
-            for phase in PHASE_ORDER:
-                samples.extend(by_phase.get(phase, []))
-        stats = result.fleet_stats
-        counters = {
-            "actions_dead_lettered": stats["dead_letters"],
-            "actions_delivered": stats["actions_delivered"],
-            "actions_dispatched": stats["actions_dispatched"],
-            "actions_in_replay": stats["actions_in_replay"],
-            "actions_in_retry": stats["actions_in_retry"],
-        }
-    else:
-        for phase in PHASE_ORDER:
-            samples.extend(result.t2a_by_phase.get(phase, []))
-        counters = {
-            "actions_dead_lettered": result.actions_dead_lettered,
-            "actions_delivered": result.actions_delivered,
-            "actions_dispatched": result.actions_dispatched,
-            "actions_in_replay": result.actions_in_replay,
-            "actions_in_retry": result.actions_in_retry,
-        }
-    counters.update(
-        actions_silently_lost=result.actions_silently_lost,
-        events_injected=result.events_injected,
-        events_observed=result.events_observed,
-        faults_activated=result.faults_activated,
-        faults_deactivated=result.faults_deactivated,
+    result = run_chaos_scenario(
+        params["scenario"], seed, resolve_fault_plan(spec, cell),
+        shards=params["shards"], shard_strategy=params["shard_strategy"],
+        pairs=params["corpus_size"], engine_config=chaos_engine_config(knobs["poll_interval"]),
+        drain=knobs["drain"], delivery_mode=params["delivery_mode"],
     )
-    return samples, counters, result.snapshot
+    stats = result.fleet_stats
+    counters = {
+        "actions_dead_lettered": stats["dead_letters"],
+        "actions_delivered": stats["actions_delivered"],
+        "actions_dispatched": stats["actions_dispatched"],
+        "actions_in_replay": stats["actions_in_replay"],
+        "actions_in_retry": stats["actions_in_retry"],
+        "actions_silently_lost": result.actions_silently_lost,
+        "events_injected": result.events_injected,
+        "events_observed": result.events_observed,
+        "faults_activated": result.faults_activated,
+        "faults_deactivated": result.faults_deactivated,
+    }
+    return result.t2a_values(range(result.num_shards)), counters, result.snapshot
 
 
 def _run_t2a(spec: ExperimentSpec, cell: Cell, seed: int) -> Tuple[List[float], Dict[str, Any], Dict[str, Any]]:

@@ -17,7 +17,7 @@ after heal, and post-heal quartile drift within tolerance.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.reporting.table import render_table
 
@@ -27,25 +27,9 @@ MIN_DROP_RATIO = 3.0
 MAX_QUARTILE_DRIFT = 0.10
 
 
-def _stats(result: Any) -> Dict[str, int]:
-    """The engine counter dict of a plain or sharded chaos result."""
-    stats = getattr(result, "engine_stats", None)
-    return stats if stats is not None else result.fleet_stats
-
-
-def _t2a_by_phase(result: Any) -> Dict[str, List[float]]:
-    """Fault-phase T2A samples, folded across shards when needed."""
-    by_phase = getattr(result, "t2a_by_phase", None)
-    if by_phase is not None:
-        return by_phase
-    merged: Dict[str, List[float]] = {}
-    for shard_phases in result.t2a_by_shard.values():
-        for phase, values in shard_phases.items():
-            merged.setdefault(phase, []).extend(values)
-    return merged
-
-
-def _mean(values: List[float]) -> float:
+def _phase_mean(result: Any, phase: str) -> float:
+    """Mean T2A of one fault phase across every shard (0.0 if none)."""
+    values = result.t2a_values(range(result.num_shards), phase)
     return sum(values) / len(values) if values else 0.0
 
 
@@ -71,8 +55,7 @@ def drop_ratio(baseline: Any, adaptive: Any, slug: str) -> float:
 
 def render_adaptive_comparison(adaptive: Any, baseline: Any) -> str:
     """A side-by-side table of the adaptive vs plain chaos run."""
-    a_stats, b_stats = _stats(adaptive), _stats(baseline)
-    a_t2a, b_t2a = _t2a_by_phase(adaptive), _t2a_by_phase(baseline)
+    a_stats, b_stats = adaptive.fleet_stats, baseline.fleet_stats
     rows: List[List[Any]] = []
     for slug in sorted(set(adaptive.fault_window_requests) | set(baseline.fault_window_requests)):
         ratio = drop_ratio(baseline, adaptive, slug)
@@ -100,13 +83,13 @@ def render_adaptive_comparison(adaptive: Any, baseline: Any) -> str:
         ],
         [
             "t2a mean during fault (s)",
-            f"{_mean(a_t2a.get('during', [])):.2f}",
-            f"{_mean(b_t2a.get('during', [])):.2f}",
+            f"{_phase_mean(adaptive, 'during'):.2f}",
+            f"{_phase_mean(baseline, 'during'):.2f}",
         ],
         [
             "t2a mean after heal (s)",
-            f"{_mean(a_t2a.get('after', [])):.2f}",
-            f"{_mean(b_t2a.get('after', [])):.2f}",
+            f"{_phase_mean(adaptive, 'after'):.2f}",
+            f"{_phase_mean(baseline, 'after'):.2f}",
         ],
     ])
     if adaptive.post_heal_stretch:

@@ -19,7 +19,9 @@ The experiment modules reproduce each §4 measurement:
 * :mod:`repro.testbed.concurrent` — Figure 7 (same-trigger divergence).
 * :mod:`repro.testbed.loops` — the explicit/implicit infinite loops.
 * :mod:`repro.testbed.chaos` — fault-plan chaos scenarios (outage,
-  partition, flappy soak) proving the engine's resilience guarantees.
+  partition, flappy soak, brownout) proving the engine's resilience
+  guarantees, on one engine or a sharded fleet: one entry point
+  (``run_chaos_scenario``), one result (``ChaosResult``).
 """
 
 from repro import _lazy

@@ -17,7 +17,7 @@ precisely:
   ``(scenario, seed)`` serializes byte-identically run after run
   (``make chaos-check``).
 
-Three scenarios ship built in:
+Four scenarios ship built in:
 
 ``outage``
     A 60 s full outage of the action service, landing on top of an
@@ -52,16 +52,23 @@ breaker opens and recovers while the other shards' T2A matches a
 fault-free run — on top of the fleet-wide conservation invariant.  Each
 shard is an epoch-stepped simulator cell; a hop between cells costs at
 least :data:`~repro.simcore.parallel.DEFAULT_LOOKAHEAD` (50 ms).
+
+:func:`run_chaos_scenario` is the one entry point and the only code
+that picks a world: one shard and one pair build a :class:`ChaosWorld`,
+anything else a :class:`ShardedChaosWorld`.  Both worlds report through
+one readout into one :class:`ChaosResult`, in the fleet's vocabulary: a
+one-engine run is a fleet of one shard (shard 0, the victim) with no
+shard strategy, so a reader never asks which world ran.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.applet import ActionRef, TriggerRef
-from repro.engine.config import EngineConfig
+from repro.engine.config import SHARD_STRATEGIES, EngineConfig
 from repro.engine.delivery import (
     DEGRADATION_LEVEL_NAMES,
     DeliveryPolicy,
@@ -73,11 +80,7 @@ from repro.engine.push import DELIVERY_MODES, PushPolicy
 from repro.engine.poller import FixedPollingPolicy
 from repro.engine.replay import ReplayController
 from repro.engine.resilience import ReplayPolicy, conservation_residual
-from repro.engine.sharding import (
-    ShardedEngine,
-    merged_fleet_snapshot,
-    stable_service_hash,
-)
+from repro.engine.sharding import ShardedEngine, stable_service_hash
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     FaultPlan,
@@ -117,8 +120,9 @@ CHAOS_USER = "chaos"
 DRAIN_SECONDS = 90.0
 
 
-def chaos_engine_config(poll_interval: float) -> EngineConfig:
-    """The engine config every chaos world runs unless handed its own."""
+def chaos_engine_config(poll_interval: float = 5.0) -> EngineConfig:
+    """The engine config every chaos world runs unless handed its own:
+    the one place a chaos world's poll interval is set."""
     return EngineConfig(
         poll_policy=FixedPollingPolicy(poll_interval),
         initial_poll_delay=0.5,
@@ -129,7 +133,6 @@ def chaos_engine_config(poll_interval: float) -> EngineConfig:
 
 def _world_config(
     engine_config: Optional[EngineConfig],
-    poll_interval: float,
     replay: Optional[ReplayPolicy],
     delivery: Optional[DeliveryPolicy],
     delivery_mode: str,
@@ -150,7 +153,7 @@ def _world_config(
             f"unknown delivery_mode {delivery_mode!r}; "
             f"expected one of {DELIVERY_MODES}"
         )
-    config = engine_config or chaos_engine_config(poll_interval)
+    config = engine_config or chaos_engine_config()
     if replay is not None:
         config = replace(config, replay_policy=replay)
     if delivery is not None:
@@ -399,20 +402,6 @@ def _replay_report(
     )
 
 
-class _QuartileDrift:
-    """The quartile-restoration readout both result records share."""
-
-    @property
-    def post_heal_quartile_drift(self) -> float:
-        """Worst relative deviation of the post-heal quartiles from the
-        base policy's (0.0 when the run measured no quartiles)."""
-        post, base = self.post_heal_quartiles, self.baseline_quartiles
-        if post is None or base is None:
-            return 0.0
-        drifts = [abs(p - b) / b for p, b in zip(post, base) if b > 0]
-        return max(drifts) if drifts else 0.0
-
-
 def _delivery_extras(engines: List[IftttEngine], probe: Any) -> Dict[str, Any]:
     """Post-run adaptive-delivery readout, folded across engines.
 
@@ -459,67 +448,48 @@ def _delivery_extras(engines: List[IftttEngine], probe: Any) -> Dict[str, Any]:
     return extras
 
 
-def _delivery_summary_lines(result: Any) -> List[str]:
-    """Human-readable lines for the adaptive-delivery readout (shared by
-    :class:`ChaosResult` and :class:`ShardedChaosResult`)."""
-    lines: List[str] = []
-    if result.fault_window_requests:
-        window = " ".join(
-            f"{slug}={count}"
-            for slug, count in sorted(result.fault_window_requests.items())
-        )
-        lines.append(f"  fault-window arrivals: {window}")
-    if result.post_heal_stretch:
-        stretch = " ".join(
-            f"{slug}={value:.2f}"
-            for slug, value in sorted(result.post_heal_stretch.items())
-        )
-        levels = " ".join(
-            f"{slug}={DEGRADATION_LEVEL_NAMES[level]}"
-            for slug, level in sorted(result.degradation_levels.items())
-        )
-        lines.append(f"  delivery: post-heal stretch {stretch}; levels {levels}")
-        if result.overload_dead_letters_by_service:
-            shed = " ".join(
-                f"{slug}={count}"
-                for slug, count in sorted(result.overload_dead_letters_by_service.items())
-            )
-            lines.append(f"  delivery: overload dead letters {shed}")
-        if result.post_heal_quartiles is not None and result.baseline_quartiles is not None:
-            post = "/".join(f"{q:.1f}" for q in result.post_heal_quartiles)
-            base = "/".join(f"{q:.1f}" for q in result.baseline_quartiles)
-            lines.append(
-                f"  delivery: post-heal interval quartiles {post}s "
-                f"(base {base}s, drift {result.post_heal_quartile_drift:.1%})"
-            )
-    return lines
+#: The fault phases, in the order a shard's T2A samples are read out.
+PHASES = ("before", "during", "after")
 
 
 @dataclass
-class ChaosResult(_QuartileDrift):
-    """Everything a chaos run proves, in one record."""
+class ChaosResult:
+    """Everything a chaos run proves, in one record, for either world.
+
+    The record speaks the fleet's vocabulary: per-shard engine counters
+    and T2A samples, fleet totals, and the victim shard the plan was
+    aimed at.  A :class:`ChaosWorld` run is a fleet of one shard — shard
+    0, its victim — with no shard :attr:`strategy` and no epochs.
+    """
 
     scenario: str
     seed: int
+    #: The fault plan the world applied: the scenario's own for one
+    #: engine, retargeted at the victim pair for a sharded world.
+    plan: FaultPlan
+    num_shards: int
+    #: The shard strategy; ``None`` for the one-engine world.
+    strategy: Optional[str]
+    victim_shard: int
     ran_until: float
     events_injected: int
     events_observed: int
-    actions_dispatched: int
-    actions_delivered: int
-    actions_dead_lettered: int
-    actions_in_retry: int
-    actions_in_replay: int
-    t2a_by_phase: Dict[str, List[float]]
-    breaker_transitions: List[Tuple[float, str, str, str]]
+    fleet_stats: Dict[str, int]
+    shard_stats: List[Dict[str, int]]
+    #: shard -> fault phase -> T2A samples for deliveries it owned.
+    t2a_by_shard: Dict[int, Dict[str, List[float]]]
+    #: shard -> its breakers' ``(at, service, old, new)`` transitions;
+    #: a shard whose breakers never moved is absent.
+    breaker_transitions_by_shard: Dict[int, List[Tuple[float, str, str, str]]]
     faults_activated: int
     faults_deactivated: int
-    engine_stats: Dict[str, int]
     snapshot: Dict[str, Any] = field(repr=False)
     replay: Optional[ReplayReport] = None
     #: slug -> requests that arrived inside that service's fault windows
     #: (sampled exactly by the :class:`_FaultWindowWatcher`).
     fault_window_requests: Dict[str, int] = field(default_factory=dict)
-    #: Adaptive-delivery readout — empty without a ``delivery=`` policy.
+    #: Adaptive-delivery readout, max-merged across shards — empty
+    #: without a ``delivery=`` policy.
     post_heal_stretch: Dict[str, float] = field(default_factory=dict)
     degradation_levels: Dict[str, int] = field(default_factory=dict)
     overload_dead_letters_by_service: Dict[str, int] = field(default_factory=dict)
@@ -528,50 +498,247 @@ class ChaosResult(_QuartileDrift):
     #: drift) once the stretch has decayed, i.e. §4's distribution is back.
     post_heal_quartiles: Optional[Tuple[float, float, float]] = None
     baseline_quartiles: Optional[Tuple[float, float, float]] = None
+    #: Epoch-stepping readout (0 for the one-engine world).
+    epochs: int = 0
+    mailbox_messages: int = 0
+    cross_shard_messages: int = 0
+
+    @property
+    def shard_silently_lost(self) -> List[int]:
+        """Per-shard conservation residual — all zeros or the run failed."""
+        return [conservation_residual(stats) for stats in self.shard_stats]
 
     @property
     def actions_silently_lost(self) -> int:
-        """Dispatches unaccounted for — the invariant says zero."""
-        return conservation_residual(self.engine_stats)
+        """Dispatches unaccounted for, fleet-wide — the invariant says zero."""
+        return sum(self.shard_silently_lost)
+
+    @property
+    def shard_loads(self) -> List[int]:
+        """Installed applets per shard."""
+        return [stats["applets"] for stats in self.shard_stats]
+
+    @property
+    def healthy_shards(self) -> List[int]:
+        """Every shard except the victim."""
+        return [s for s in range(self.num_shards) if s != self.victim_shard]
+
+    @property
+    def post_heal_quartile_drift(self) -> float:
+        """Worst relative deviation of the post-heal quartiles from the
+        base policy's (0.0 when the run measured no quartiles)."""
+        post, base = self.post_heal_quartiles, self.baseline_quartiles
+        if post is None or base is None:
+            return 0.0
+        drifts = [abs(p - b) / b for p, b in zip(post, base) if b > 0]
+        return max(drifts) if drifts else 0.0
+
+    def t2a_values(self, shards: Iterable[int], phase: Optional[str] = None) -> List[float]:
+        """T2A samples for a set of shards, shard by shard, each in
+        :data:`PHASES` order (one phase, or all of them)."""
+        values: List[float] = []
+        for shard in shards:
+            by_phase = self.t2a_by_shard.get(shard, {})
+            for key in PHASES if phase is None else (phase,):
+                values.extend(by_phase.get(key, ()))
+        return values
 
     def t2a_max(self, phase: str) -> float:
-        """Worst T2A in one phase (0.0 when the phase saw no deliveries)."""
-        values = self.t2a_by_phase.get(phase, [])
+        """Worst T2A in one phase, fleet-wide (0.0 when the phase saw no
+        deliveries)."""
+        values = self.t2a_values(range(self.num_shards), phase)
         return max(values) if values else 0.0
 
     def summary(self) -> str:
-        """A human-readable multi-line report."""
-        lines = [
-            f"chaos scenario {self.scenario!r} (seed {self.seed}, "
-            f"t={self.ran_until:g}s)",
+        """A human-readable multi-line report: the engine's retries, T2A
+        per phase and breaker moves for one engine; the victim, loads
+        and one line per shard for a fleet."""
+        one_engine = self.strategy is None
+        stats = self.fleet_stats
+        if one_engine:
+            lines = [
+                f"chaos scenario {self.scenario!r} (seed {self.seed}, "
+                f"t={self.ran_until:g}s)",
+            ]
+        else:
+            lines = [
+                f"sharded chaos scenario {self.scenario!r} "
+                f"(seed {self.seed}, shards={self.num_shards}, "
+                f"strategy={self.strategy}, t={self.ran_until:g}s)",
+                f"  victim shard: {self.victim_shard} "
+                f"(loads: {self.shard_loads})",
+            ]
+        lines += [
             f"  events:  injected={self.events_injected} "
             f"observed={self.events_observed}",
-            f"  actions: dispatched={self.actions_dispatched} "
-            f"delivered={self.actions_delivered} "
-            f"dead-lettered={self.actions_dead_lettered} "
-            f"in-retry={self.actions_in_retry} "
+            f"  actions: dispatched={stats['actions_dispatched']} "
+            f"delivered={stats['actions_delivered']} "
+            f"dead-lettered={stats['dead_letters']} "
+            f"in-retry={stats['actions_in_retry']} "
             f"silently-lost={self.actions_silently_lost}",
             f"  faults:  activated={self.faults_activated} "
             f"deactivated={self.faults_deactivated}",
-            f"  engine:  retries poll={self.engine_stats['poll_retries']} "
-            f"action={self.engine_stats['action_retries']}; shed "
-            f"polls={self.engine_stats['polls_shed']} "
-            f"actions={self.engine_stats['actions_shed']}",
         ]
+        if one_engine:
+            lines.append(
+                f"  engine:  retries poll={stats['poll_retries']} "
+                f"action={stats['action_retries']}; shed "
+                f"polls={stats['polls_shed']} "
+                f"actions={stats['actions_shed']}"
+            )
         if self.replay is not None:
             lines.extend(self.replay.summary_lines())
-        lines.extend(_delivery_summary_lines(self))
-        for phase in ("before", "during", "after"):
-            values = self.t2a_by_phase.get(phase, [])
+        lines.extend(self._delivery_lines())
+        lines.extend(self._phase_lines() if one_engine else self._shard_lines())
+        return "\n".join(lines)
+
+    def _phase_lines(self) -> List[str]:
+        """The one engine's T2A per fault phase and its breaker moves."""
+        lines = []
+        for phase in PHASES:
+            values = self.t2a_values([0], phase)
             if values:
                 mean = sum(values) / len(values)
                 lines.append(
                     f"  t2a[{phase:6s}]: n={len(values)} mean={mean:.2f}s "
                     f"max={max(values):.2f}s"
                 )
-        for at, service, old, new in self.breaker_transitions:
+        for at, service, old, new in self.breaker_transitions_by_shard.get(0, []):
             lines.append(f"  breaker {service}: {old} -> {new} at t={at:.2f}s")
-        return "\n".join(lines)
+        return lines
+
+    def _shard_lines(self) -> List[str]:
+        """One line per shard, each followed by its breaker moves."""
+        lines = []
+        for shard in range(self.num_shards):
+            tag = " (victim)" if shard == self.victim_shard else ""
+            per = self.shard_stats[shard]
+            t2a = self.t2a_values([shard])
+            mean = sum(t2a) / len(t2a) if t2a else 0.0
+            lines.append(
+                f"  shard {shard}{tag}: applets={per['applets']} "
+                f"delivered={per['actions_delivered']} "
+                f"dead-lettered={per['dead_letters']} "
+                f"shed={per['actions_shed']} "
+                f"t2a mean={mean:.2f}s n={len(t2a)}"
+            )
+            for at, service, old, new in self.breaker_transitions_by_shard.get(shard, []):
+                lines.append(
+                    f"    breaker {service}: {old} -> {new} at t={at:.2f}s"
+                )
+        return lines
+
+    def _delivery_lines(self) -> List[str]:
+        """Human-readable lines for the adaptive-delivery readout."""
+        lines: List[str] = []
+        if self.fault_window_requests:
+            window = " ".join(
+                f"{slug}={count}"
+                for slug, count in sorted(self.fault_window_requests.items())
+            )
+            lines.append(f"  fault-window arrivals: {window}")
+        if self.post_heal_stretch:
+            stretch = " ".join(
+                f"{slug}={value:.2f}"
+                for slug, value in sorted(self.post_heal_stretch.items())
+            )
+            levels = " ".join(
+                f"{slug}={DEGRADATION_LEVEL_NAMES[level]}"
+                for slug, level in sorted(self.degradation_levels.items())
+            )
+            lines.append(f"  delivery: post-heal stretch {stretch}; levels {levels}")
+            if self.overload_dead_letters_by_service:
+                shed = " ".join(
+                    f"{slug}={count}"
+                    for slug, count in sorted(self.overload_dead_letters_by_service.items())
+                )
+                lines.append(f"  delivery: overload dead letters {shed}")
+            if self.post_heal_quartiles is not None and self.baseline_quartiles is not None:
+                post = "/".join(f"{q:.1f}" for q in self.post_heal_quartiles)
+                base = "/".join(f"{q:.1f}" for q in self.baseline_quartiles)
+                lines.append(
+                    f"  delivery: post-heal interval quartiles {post}s "
+                    f"(base {base}s, drift {self.post_heal_quartile_drift:.1%})"
+                )
+        return lines
+
+
+def _chaos_result(
+    scenario: ChaosScenario,
+    plan: FaultPlan,
+    seed: int,
+    until: float,
+    *,
+    engines: Sequence[IftttEngine],
+    registries: Sequence[MetricsRegistry],
+    delivered: Iterable[Tuple[float, int, Dict[str, Any]]],
+    injectors: Sequence[FaultInjector],
+    watchers: Sequence[_FaultWindowWatcher],
+    events_injected: int,
+    fleet_stats: Dict[str, int],
+    victim_applet: int,
+    victim_shard: int = 0,
+    strategy: Optional[str] = None,
+    epochs: int = 0,
+    mailbox_messages: int = 0,
+    cross_shard_messages: int = 0,
+) -> ChaosResult:
+    """The one readout both chaos worlds feed; shard ``i`` is
+    ``engines[i]`` recording into ``registries[i]``.
+
+    ``delivered`` holds ``(delivered_at, shard, fields)`` sink executions
+    in the order their T2A samples are kept; ``victim_applet`` (on the
+    victim shard) is the applet whose post-run poll intervals are
+    sampled.  The registries merge commutatively (counters add, gauges
+    max), so the snapshot does not depend on shard order; one registry
+    merges to its own snapshot.
+    """
+    phase_of = _phase_classifier(plan)
+    t2a_by_shard: Dict[int, Dict[str, List[float]]] = {}
+    for delivered_at, shard, fields in delivered:
+        injected_at = float(fields["injected_at"])
+        t2a_by_shard.setdefault(shard, {}).setdefault(phase_of(injected_at), []).append(
+            delivered_at - injected_at
+        )
+    fault_window: Dict[str, int] = {}
+    for watcher in watchers:
+        fault_window.update(watcher.requests)
+    return ChaosResult(
+        scenario=scenario.name,
+        seed=seed,
+        plan=plan,
+        num_shards=len(engines),
+        strategy=strategy,
+        victim_shard=victim_shard,
+        ran_until=until,
+        events_injected=events_injected,
+        events_observed=sum(
+            int(registry.total(f"{engine.metrics_namespace}.events_observed"))
+            for engine, registry in zip(engines, registries)
+        ),
+        fleet_stats=fleet_stats,
+        shard_stats=[engine.stats() for engine in engines],
+        t2a_by_shard=t2a_by_shard,
+        breaker_transitions_by_shard={
+            shard: transitions
+            for shard, engine in enumerate(engines)
+            if (transitions := engine.breaker_transitions())
+        },
+        faults_activated=sum(injector.activations for injector in injectors),
+        faults_deactivated=sum(injector.deactivations for injector in injectors),
+        snapshot=deterministic_snapshot(
+            merge_snapshots(*(registry.snapshot() for registry in registries))
+        ),
+        replay=_replay_report(
+            [engine.replay for engine in engines], until,
+            fleet_stats["polls_sent"] + fleet_stats["actions_dispatched"],
+        ),
+        fault_window_requests=fault_window,
+        epochs=epochs,
+        mailbox_messages=mailbox_messages,
+        cross_shard_messages=cross_shard_messages,
+        **_delivery_extras(engines, engines[victim_shard]._applets[victim_applet]),
+    )
 
 
 class ChaosWorld:
@@ -585,7 +752,6 @@ class ChaosWorld:
     def __init__(
         self,
         seed: int = 7,
-        poll_interval: float = 5.0,
         engine_config: Optional[EngineConfig] = None,
         replay: Optional[ReplayPolicy] = None,
         delivery: Optional[DeliveryPolicy] = None,
@@ -598,7 +764,7 @@ class ChaosWorld:
         self.metrics = MetricsRegistry()
         self.sim.metrics = self.metrics
         self.network = Network(self.sim, self.rng.fork("network"), metrics=self.metrics)
-        config = _world_config(engine_config, poll_interval, replay, delivery, delivery_mode)
+        config = _world_config(engine_config, replay, delivery, delivery_mode)
         self.engine = self.network.add_node(IftttEngine(
             Address(ENGINE_HOST), config=config,
             rng=self.rng.fork("engine"), trace=self.trace, service_time=0.0,
@@ -666,42 +832,19 @@ class ChaosWorld:
         self.schedule_events(scenario.event_times)
         until = scenario.horizon + drain
         self.sim.run_until(until)
-        return self._result(scenario, until)
+        return self._result(scenario, scenario.plan, until)
 
-    def _result(self, scenario: ChaosScenario, until: float) -> ChaosResult:
-        engine = self.engine
-        t2a_by_phase: Dict[str, List[float]] = {}
-        phase_of = _phase_classifier(scenario.plan)
-        for delivered_at, fields in self.delivered:
-            injected_at = float(fields["injected_at"])
-            phase = phase_of(injected_at)
-            t2a_by_phase.setdefault(phase, []).append(delivered_at - injected_at)
-        stats = engine.stats()
-        snapshot = deterministic_snapshot(self.metrics)
-        extras = _delivery_extras([engine], engine._applets[self.applet.applet_id])
-        return ChaosResult(
-            scenario=scenario.name,
-            seed=self.seed,
-            ran_until=until,
+    def _result(self, scenario: ChaosScenario, plan: FaultPlan, until: float) -> ChaosResult:
+        return _chaos_result(
+            scenario, plan, self.seed, until,
+            engines=[self.engine],
+            registries=[self.metrics],
+            delivered=((at, 0, fields) for at, fields in self.delivered),
+            injectors=[self.injector],
+            watchers=[self.watcher],
             events_injected=self.events_injected,
-            events_observed=int(self.metrics.total("engine.events_observed")),
-            actions_dispatched=engine.actions_dispatched,
-            actions_delivered=engine.actions_delivered,
-            actions_dead_lettered=len(engine.dead_letters),
-            actions_in_retry=engine.actions_in_retry,
-            actions_in_replay=engine.actions_in_replay,
-            t2a_by_phase=t2a_by_phase,
-            breaker_transitions=engine.breaker_transitions(),
-            faults_activated=self.injector.activations,
-            faults_deactivated=self.injector.deactivations,
-            engine_stats=stats,
-            snapshot=snapshot,
-            replay=_replay_report(
-                [engine.replay], until,
-                stats["polls_sent"] + stats["actions_dispatched"],
-            ),
-            fault_window_requests=dict(self.watcher.requests),
-            **extras,
+            fleet_stats=self.engine.stats(),
+            victim_applet=self.applet.applet_id,
         )
 
 
@@ -724,37 +867,6 @@ def _phase_classifier(plan: FaultPlan) -> Callable[[float], str]:
         return "before"
 
     return phase_of
-
-
-def run_chaos_scenario(
-    name: str,
-    seed: int = 7,
-    plan: Optional[FaultPlan] = None,
-    poll_interval: float = 5.0,
-    drain: float = DRAIN_SECONDS,
-    replay: Optional[ReplayPolicy] = None,
-    delivery: Optional[DeliveryPolicy] = None,
-    delivery_mode: str = "poll",
-) -> ChaosResult:
-    """Run one chaos scenario end to end and return its accounting.
-
-    ``plan`` overrides the scenario's built-in fault plan (the event
-    schedule is kept), which is how ``--faults PLAN.json`` plugs in.
-    ``replay`` enables dead-letter replay with the given policy (see
-    ``--replay``); the result then carries a :class:`ReplayReport`.
-    ``delivery`` enables health-aware adaptive delivery (see
-    ``--adaptive``); the result then carries post-heal stretch, ladder
-    levels, and interval-quartile measurements.  ``delivery_mode``
-    selects how sensor events reach the engine — ``poll`` (default),
-    ``hint`` (realtime hints, all honoured), or ``push`` (payload
-    notifications under the push contract; see ``--delivery``).
-    """
-    scenario = chaos_scenario(name, plan)
-    world = ChaosWorld(
-        seed=seed, poll_interval=poll_interval, replay=replay, delivery=delivery,
-        delivery_mode=delivery_mode,
-    )
-    return world.run(scenario, drain=drain)
 
 
 # -- sharded chaos ----------------------------------------------------------------
@@ -794,113 +906,6 @@ def retarget_plan_for_shards(
     return FaultPlan(tuple(specs))
 
 
-@dataclass
-class ShardedChaosResult(_QuartileDrift):
-    """A fleet-wide chaos run: per-shard accounting plus fleet totals."""
-
-    scenario: str
-    seed: int
-    num_shards: int
-    strategy: str
-    victim_shard: int
-    ran_until: float
-    events_injected: int
-    events_observed: int
-    fleet_stats: Dict[str, int]
-    shard_stats: List[Dict[str, int]]
-    #: shard -> fault phase -> T2A samples for deliveries it owned.
-    t2a_by_shard: Dict[int, Dict[str, List[float]]]
-    breaker_transitions_by_shard: Dict[int, List[Tuple[float, str, str, str]]]
-    faults_activated: int
-    faults_deactivated: int
-    assignments: Dict[str, int]
-    shard_loads: List[int]
-    snapshot: Dict[str, Any] = field(repr=False)
-    merged_engine_snapshot: Dict[str, Any] = field(repr=False)
-    replay: Optional[ReplayReport] = None
-    #: slug -> requests that arrived inside that service's fault windows
-    #: (sampled exactly by the :class:`_FaultWindowWatcher`).
-    fault_window_requests: Dict[str, int] = field(default_factory=dict)
-    #: Adaptive-delivery readout, max-merged across shards — empty
-    #: without a ``delivery=`` policy.
-    post_heal_stretch: Dict[str, float] = field(default_factory=dict)
-    degradation_levels: Dict[str, int] = field(default_factory=dict)
-    overload_dead_letters_by_service: Dict[str, int] = field(default_factory=dict)
-    #: Victim-applet interval quartiles sampled post-run: its policy
-    #: under the live health stretch vs. the bare policy (victim shard).
-    post_heal_quartiles: Optional[Tuple[float, float, float]] = None
-    baseline_quartiles: Optional[Tuple[float, float, float]] = None
-    #: Epoch-stepping readout.
-    epochs: int = 0
-    mailbox_messages: int = 0
-    cross_shard_messages: int = 0
-
-    @property
-    def shard_silently_lost(self) -> List[int]:
-        """Per-shard conservation residual — all zeros or the run failed."""
-        return [conservation_residual(stats) for stats in self.shard_stats]
-
-    @property
-    def actions_silently_lost(self) -> int:
-        """Fleet-wide conservation residual (sum of the per-shard ones)."""
-        return sum(self.shard_silently_lost)
-
-    def t2a_values(self, shards, phase: Optional[str] = None) -> List[float]:
-        """T2A samples for a set of shards (one phase, or all phases)."""
-        values: List[float] = []
-        for shard in shards:
-            by_phase = self.t2a_by_shard.get(shard, {})
-            phases = [phase] if phase is not None else sorted(by_phase)
-            for key in phases:
-                values.extend(by_phase.get(key, []))
-        return values
-
-    @property
-    def healthy_shards(self) -> List[int]:
-        """Every shard except the victim."""
-        return [s for s in range(self.num_shards) if s != self.victim_shard]
-
-    def summary(self) -> str:
-        """A human-readable multi-line fleet report."""
-        stats = self.fleet_stats
-        lines = [
-            f"sharded chaos scenario {self.scenario!r} "
-            f"(seed {self.seed}, shards={self.num_shards}, "
-            f"strategy={self.strategy}, t={self.ran_until:g}s)",
-            f"  victim shard: {self.victim_shard} "
-            f"(loads: {self.shard_loads})",
-            f"  events:  injected={self.events_injected} "
-            f"observed={self.events_observed}",
-            f"  actions: dispatched={stats['actions_dispatched']} "
-            f"delivered={stats['actions_delivered']} "
-            f"dead-lettered={stats['dead_letters']} "
-            f"in-retry={stats['actions_in_retry']} "
-            f"silently-lost={self.actions_silently_lost}",
-            f"  faults:  activated={self.faults_activated} "
-            f"deactivated={self.faults_deactivated}",
-        ]
-        if self.replay is not None:
-            lines.extend(self.replay.summary_lines())
-        lines.extend(_delivery_summary_lines(self))
-        for shard in range(self.num_shards):
-            tag = " (victim)" if shard == self.victim_shard else ""
-            per = self.shard_stats[shard]
-            t2a = self.t2a_values([shard])
-            mean = sum(t2a) / len(t2a) if t2a else 0.0
-            lines.append(
-                f"  shard {shard}{tag}: applets={per['applets']} "
-                f"delivered={per['actions_delivered']} "
-                f"dead-lettered={per['dead_letters']} "
-                f"shed={per['actions_shed']} "
-                f"t2a mean={mean:.2f}s n={len(t2a)}"
-            )
-            for at, service, old, new in self.breaker_transitions_by_shard.get(shard, []):
-                lines.append(
-                    f"    breaker {service}: {old} -> {new} at t={at:.2f}s"
-                )
-        return "\n".join(lines)
-
-
 class ShardedChaosWorld:
     """The chaos topology scaled out to a sharded engine fleet.
 
@@ -937,7 +942,6 @@ class ShardedChaosWorld:
     def __init__(
         self,
         seed: int = 7,
-        poll_interval: float = 5.0,
         num_shards: int = 4,
         shard_strategy: str = "service_hash",
         pairs: int = SHARDED_PAIRS,
@@ -947,6 +951,8 @@ class ShardedChaosWorld:
         delivery_mode: str = "poll",
         jobs: int = 1,  # frozen benchmarks/ledger/adapters.py; removed by ROADMAP 1(a)
     ) -> None:
+        if pairs < 1:
+            raise ValueError(f"pairs must be >= 1, got {pairs}")
         self.seed = seed
         self.stepper = ShardedSimulator(num_shards)
         self.rng = Rng(seed=seed, name="chaos")
@@ -967,7 +973,7 @@ class ShardedChaosWorld:
         self.router = CrossShardRouter(self.stepper)
         self.fleet = ShardedEngine(
             self.networks,
-            config=_world_config(engine_config, poll_interval, replay, delivery, delivery_mode),
+            config=_world_config(engine_config, replay, delivery, delivery_mode),
             rng=self.rng.fork("engine"),
             num_shards=num_shards,
             shard_strategy=shard_strategy,
@@ -1118,7 +1124,7 @@ class ShardedChaosWorld:
         self._events_injected += 1
         self.sensors[pair].ingest_event("tick", {"n": index, "injected_at": planned_at})
 
-    def run(self, scenario: ChaosScenario, drain: float = DRAIN_SECONDS) -> ShardedChaosResult:
+    def run(self, scenario: ChaosScenario, drain: float = DRAIN_SECONDS) -> ChaosResult:
         """Retarget the plan at the victim, drive events, settle, account."""
         plan = self.retarget(scenario.plan)
         for cell, subplan in enumerate(self._split_plan(plan)):
@@ -1130,112 +1136,81 @@ class ShardedChaosWorld:
         self.stepper.run_until(until)
         return self._result(scenario, plan, until)
 
-    def _result(
-        self, scenario: ChaosScenario, plan: FaultPlan, until: float
-    ) -> ShardedChaosResult:
-        t2a_by_shard: Dict[int, Dict[str, List[float]]] = {}
-        delivered = sorted(
-            self._delivered, key=lambda record: (record[0], record[1])
-        )
-        phase_of = _phase_classifier(plan)
-        for delivered_at, pair, fields in delivered:
-            injected_at = float(fields["injected_at"])
-            shard = self.fleet.shard_of(self.applets[pair].applet_id)
-            phase = phase_of(injected_at)
-            t2a_by_shard.setdefault(shard, {}).setdefault(phase, []).append(
-                delivered_at - injected_at
-            )
-        transitions_by_shard: Dict[int, List[Tuple[float, str, str, str]]] = {}
-        for index, shard in enumerate(self.fleet.shards):
-            transitions = shard.breaker_transitions()
-            if transitions:
-                transitions_by_shard[index] = transitions
-        events_observed = sum(
-            int(self.registries[index].total(
-                f"{shard.metrics_namespace}.events_observed"
-            ))
-            for index, shard in enumerate(self.fleet.shards)
-        )
-        fleet_stats = self.fleet.stats()
-        # The cell registries merge commutatively (counters add, gauges
-        # max), so the combined snapshot is independent of cell order.
-        combined = merge_snapshots(
-            *(registry.snapshot() for registry in self.registries)
-        )
-        snapshot = deterministic_snapshot(combined)
-        merged = merged_fleet_snapshot(combined)
-        victim_engine = self.fleet.shards[self.victim_shard]
-        extras = _delivery_extras(
-            list(self.fleet.shards),
-            victim_engine._applets[self.applets[0].applet_id],
-        )
-        fault_window: Dict[str, int] = {}
-        for watcher in self.watchers:
-            fault_window.update(watcher.requests)
-        return ShardedChaosResult(
-            scenario=scenario.name,
-            seed=self.seed,
-            num_shards=self.fleet.num_shards,
-            strategy=self.fleet.strategy,
-            victim_shard=self.victim_shard,
-            ran_until=until,
+    def _result(self, scenario: ChaosScenario, plan: FaultPlan, until: float) -> ChaosResult:
+        shard_of = [self.fleet.shard_of(applet.applet_id) for applet in self.applets]
+        delivered = sorted(self._delivered, key=lambda record: (record[0], record[1]))
+        return _chaos_result(
+            scenario, plan, self.seed, until,
+            engines=self.fleet.shards,
+            registries=self.registries,
+            delivered=((at, shard_of[pair], fields) for at, pair, fields in delivered),
+            injectors=self.injectors,
+            watchers=self.watchers,
             events_injected=self._events_injected,
-            events_observed=events_observed,
-            fleet_stats=fleet_stats,
-            shard_stats=self.fleet.shard_stats(),
-            t2a_by_shard=t2a_by_shard,
-            breaker_transitions_by_shard=transitions_by_shard,
-            faults_activated=sum(i.activations for i in self.injectors),
-            faults_deactivated=sum(i.deactivations for i in self.injectors),
-            assignments=self.fleet.assignments(),
-            shard_loads=self.fleet.shard_loads(),
-            snapshot=snapshot,
-            merged_engine_snapshot=merged,
-            replay=_replay_report(
-                [shard.replay for shard in self.fleet.shards], until,
-                fleet_stats["polls_sent"] + fleet_stats["actions_dispatched"],
-            ),
-            fault_window_requests=fault_window,
+            fleet_stats=self.fleet.stats(),
+            victim_applet=self.applets[0].applet_id,
+            victim_shard=self.victim_shard,
+            strategy=self.fleet.strategy,
             epochs=self.stepper.epochs,
             mailbox_messages=self.stepper.mailbox_messages,
             cross_shard_messages=self.router.messages_routed,
-            **extras,
         )
 
 
-def run_sharded_chaos_scenario(
+def run_chaos_scenario(
     name: str,
     seed: int = 7,
-    num_shards: int = 4,
-    shard_strategy: str = "service_hash",
     plan: Optional[FaultPlan] = None,
-    poll_interval: float = 5.0,
-    pairs: int = SHARDED_PAIRS,
+    *,
+    shards: int = 1,
+    shard_strategy: str = "service_hash",
+    pairs: Optional[int] = None,
+    engine_config: Optional[EngineConfig] = None,
     drain: float = DRAIN_SECONDS,
     replay: Optional[ReplayPolicy] = None,
     delivery: Optional[DeliveryPolicy] = None,
     delivery_mode: str = "poll",
-) -> ShardedChaosResult:
-    """Run one chaos scenario against a sharded fleet.
+) -> ChaosResult:
+    """Run one chaos scenario end to end and return its accounting.
 
-    ``plan`` (still in the unsharded vocabulary — it is retargeted at
-    the victim pair automatically) overrides the scenario's built-in
-    fault plan, mirroring :func:`run_chaos_scenario`.  ``replay``
-    enables shard-local dead-letter replay on every shard; the result
-    then carries a fleet-folded :class:`ReplayReport`.  ``delivery``
-    enables shard-local adaptive delivery on every shard (victim-shard
-    health stretches; healthy shards stay at baseline).
-    ``delivery_mode`` selects poll/hint/push event delivery for every
-    sensor, exactly as in :func:`run_chaos_scenario`; pushes route to
-    each service's last-published shard (the home shard under
-    ``service_hash``).
+    The one place a world is picked: one shard and one sensor/sink pair
+    run a :class:`ChaosWorld`, anything else a :class:`ShardedChaosWorld`
+    of ``shards`` shards placed by ``shard_strategy``.  ``pairs=None``
+    means 1 for one shard and :data:`SHARDED_PAIRS` for a fleet.
+
+    ``plan`` overrides the scenario's built-in fault plan (the event
+    schedule is kept), which is how ``--faults PLAN.json`` plugs in; it
+    speaks the one-engine vocabulary, and a sharded world retargets it
+    at its victim pair (the result's ``plan`` is the one applied).
+    ``engine_config`` replaces :func:`chaos_engine_config`.  ``replay``
+    enables dead-letter replay on every engine (see ``--replay``); the
+    result then carries a :class:`ReplayReport`.  ``delivery`` enables
+    health-aware adaptive delivery (see ``--adaptive``); the result then
+    carries post-heal stretch, ladder levels, and interval-quartile
+    measurements.  ``delivery_mode`` selects how sensor events reach the
+    engine — ``poll`` (default), ``hint`` (realtime hints, all
+    honoured), or ``push`` (payload notifications under the push
+    contract; see ``--delivery``); a fleet routes pushes to each
+    service's last-published shard.
     """
+    if shard_strategy not in SHARD_STRATEGIES:
+        # Checked here too: one shard builds no fleet to reject it.
+        raise ValueError(
+            f"unknown shard strategy {shard_strategy!r}; expected one of {SHARD_STRATEGIES}"
+        )
     scenario = chaos_scenario(name, plan)
-    world = ShardedChaosWorld(
-        seed=seed, poll_interval=poll_interval,
-        num_shards=num_shards, shard_strategy=shard_strategy, pairs=pairs,
-        replay=replay, delivery=delivery, delivery_mode=delivery_mode,
+    if pairs is None:
+        pairs = 1 if shards == 1 else SHARDED_PAIRS
+    options = dict(
+        engine_config=engine_config, replay=replay, delivery=delivery,
+        delivery_mode=delivery_mode,
     )
+    if shards == 1 and pairs == 1:
+        world = ChaosWorld(seed, **options)
+    else:
+        world = ShardedChaosWorld(
+            seed, num_shards=shards, shard_strategy=shard_strategy, pairs=pairs, **options
+        )
     return world.run(scenario, drain=drain)
 
 

@@ -13,9 +13,12 @@ Finding: E1 ≈ E2 ≫ E3, so "the performance bottleneck is the IFTTT
 engine itself".
 
 Beyond the paper's happy-path scenarios, the chaos scenarios of
-:mod:`repro.testbed.chaos` (re-exported here) drive the same machinery
-under fault plans: outage-during-burst, partition-heal, and a
-flappy-service soak.  ``python -m repro chaos --scenario outage``.
+:mod:`repro.testbed.chaos` drive the same machinery under fault plans:
+outage-during-burst, partition-heal, a flappy-service soak and a
+brownout, on one engine or a sharded fleet, through one entry point
+(:func:`~repro.testbed.chaos.run_chaos_scenario`) and one result
+(:class:`~repro.testbed.chaos.ChaosResult`).
+``python -m repro chaos --scenario outage``.
 """
 
 from __future__ import annotations
@@ -28,13 +31,6 @@ from repro.engine.poller import FixedPollingPolicy
 from repro.testbed.applets import E1 as VARIANT_E1
 from repro.testbed.applets import E2 as VARIANT_E2
 from repro.testbed.applets import OFFICIAL
-from repro.testbed.chaos import (  # noqa: F401 — chaos lives beside E1-E3
-    CHAOS_SCENARIOS,
-    ChaosResult,
-    ChaosScenario,
-    chaos_scenario,
-    run_chaos_scenario,
-)
 from repro.testbed.controller import TestController
 from repro.testbed.testbed import Testbed, TestbedConfig
 

@@ -94,9 +94,9 @@ def nofault_result():
 @pytest.fixture(scope="session")
 def sharded_outage_result():
     """The same outage scenario against a 4-shard fleet (same seed)."""
-    from repro.testbed.chaos import run_sharded_chaos_scenario
+    from repro.testbed.chaos import run_chaos_scenario
 
-    return run_sharded_chaos_scenario("outage", seed=7, num_shards=4)
+    return run_chaos_scenario("outage", seed=7, shards=4)
 
 
 @pytest.fixture(scope="session")
@@ -104,8 +104,6 @@ def sharded_nofault_result():
     """A fault-free 4-shard run of the outage cadence — the isolation
     baseline sharded chaos tests compare healthy shards against."""
     from repro.faults import FaultPlan
-    from repro.testbed.chaos import run_sharded_chaos_scenario
+    from repro.testbed.chaos import run_chaos_scenario
 
-    return run_sharded_chaos_scenario(
-        "outage", seed=7, num_shards=4, plan=FaultPlan(())
-    )
+    return run_chaos_scenario("outage", seed=7, shards=4, plan=FaultPlan(()))

@@ -31,7 +31,6 @@ from repro.testbed.chaos import (
     ChaosWorld,
     chaos_scenario,
     run_chaos_scenario,
-    run_sharded_chaos_scenario,
 )
 
 SEED = 7
@@ -115,10 +114,10 @@ class TestFixedPollingConvergence:
 @pytest.fixture(scope="module", params=sorted(SHARD_STRATEGIES))
 def sharded_runs(request):
     strategy = request.param
-    adaptive = run_sharded_chaos_scenario(
-        "brownout", seed=SEED, shard_strategy=strategy, delivery=DeliveryPolicy()
+    adaptive = run_chaos_scenario(
+        "brownout", seed=SEED, shards=4, shard_strategy=strategy, delivery=DeliveryPolicy()
     )
-    baseline = run_sharded_chaos_scenario("brownout", seed=SEED, shard_strategy=strategy)
+    baseline = run_chaos_scenario("brownout", seed=SEED, shards=4, shard_strategy=strategy)
     return strategy, adaptive, baseline
 
 
@@ -129,7 +128,7 @@ class TestNoRetryStormSharded:
     def test_same_victim_shard(self, sharded_runs):
         _, adaptive, baseline = sharded_runs
         assert adaptive.victim_shard == baseline.victim_shard
-        assert adaptive.assignments == baseline.assignments
+        assert adaptive.shard_loads == baseline.shard_loads
 
     def test_victim_request_rate_drops_3x(self, sharded_runs):
         _, adaptive, baseline = sharded_runs
@@ -171,14 +170,13 @@ class TestAdaptiveDeterminism:
         assert first.snapshot == second.snapshot
 
     def test_sharded_adaptive_snapshots_identical(self):
-        first = run_sharded_chaos_scenario(
-            "brownout", seed=SEED, delivery=DeliveryPolicy()
+        first = run_chaos_scenario(
+            "brownout", seed=SEED, shards=4, delivery=DeliveryPolicy()
         )
-        second = run_sharded_chaos_scenario(
-            "brownout", seed=SEED, delivery=DeliveryPolicy()
+        second = run_chaos_scenario(
+            "brownout", seed=SEED, shards=4, delivery=DeliveryPolicy()
         )
         assert first.snapshot == second.snapshot
-        assert first.merged_engine_snapshot == second.merged_engine_snapshot
 
     def test_adaptive_off_matches_pre_delivery_baseline(self):
         """An engine configured without a delivery policy produces the

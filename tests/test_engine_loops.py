@@ -107,15 +107,6 @@ class TestStaticLoopAnalyzer:
         only = applet(1, ("gmail", "new_email"), ("sheets", "add_row"), af={"sheet": "log"})
         assert len(analyzer.find_cycles([only])) == 1
 
-    def test_cycle_introduced_by(self):
-        analyzer = StaticLoopAnalyzer(make_services())
-        forward = applet(1, ("gmail", "new_email"), ("sheets", "add_row"), af={"sheet": "log"})
-        reverse = applet(2, ("sheets", "new_row"), ("gmail", "send_email"), tf={"sheet": "log"})
-        assert analyzer.cycle_introduced_by([forward], reverse) is not None
-        harmless = applet(3, ("sheets", "new_row"), ("sheets", "add_row"),
-                          tf={"sheet": "a"}, af={"sheet": "b"})
-        assert analyzer.cycle_introduced_by([forward], harmless) is None
-
     def test_unknown_service_yields_no_channels(self):
         analyzer = StaticLoopAnalyzer({})
         orphan = applet(1, ("ghost", "t"), ("ghost", "a"))

@@ -235,10 +235,7 @@ class TestHeldEqualsLookedUp:
         assert len(calls) > 1000  # the reference really did look up per sample
 
     def test_sharded_outage_run(self, sharded_outage_result, unbound):
-        from repro.testbed.chaos import run_sharded_chaos_scenario
+        from repro.testbed.chaos import run_chaos_scenario
 
-        looked_up = run_sharded_chaos_scenario("outage", seed=7, num_shards=4)
+        looked_up = run_chaos_scenario("outage", seed=7, shards=4)
         assert blob(looked_up.snapshot) == blob(sharded_outage_result.snapshot)
-        assert blob(looked_up.merged_engine_snapshot) == blob(
-            sharded_outage_result.merged_engine_snapshot
-        )

@@ -30,7 +30,6 @@ from repro.simcore.rng import quantiles
 from repro.testbed.chaos import (
     SENSOR_SLUG,
     run_chaos_scenario,
-    run_sharded_chaos_scenario,
 )
 
 SEED = 7
@@ -54,18 +53,18 @@ def push_outage():
 class TestPushBrownout:
     def test_conservation(self, push_brownout):
         assert push_brownout.actions_silently_lost == 0
-        assert push_brownout.actions_dead_lettered == 0
+        assert push_brownout.fleet_stats["dead_letters"] == 0
 
     def test_zero_poll_retry_storm(self, push_brownout):
         # Polling mode fights the browning sensor with poll retries;
         # push mode barely polls it, so the storm never starts.
-        assert push_brownout.engine_stats["poll_retries"] == 0
-        assert push_brownout.engine_stats["action_retries"] == 0
+        assert push_brownout.fleet_stats["poll_retries"] == 0
+        assert push_brownout.fleet_stats["action_retries"] == 0
 
     def test_t2a_flat_through_the_fault(self, push_brownout):
         # Payloads ride notifications: the sensor's degraded *serving*
         # path (polls) is off the delivery path entirely.
-        during = push_brownout.t2a_by_phase["during"]
+        during = push_brownout.t2a_values([0], "during")
         assert during, "fault window delivered nothing"
         assert mean(during) < 1.0
         assert push_brownout.t2a_max("during") < 2.0
@@ -81,16 +80,16 @@ class TestPushOutage:
 
     def test_conservation_with_dead_letters(self, push_outage):
         assert push_outage.actions_silently_lost == 0
-        assert push_outage.actions_dead_lettered > 0
-        assert push_outage.engine_stats["action_retries"] > 0
+        assert push_outage.fleet_stats["dead_letters"] > 0
+        assert push_outage.fleet_stats["action_retries"] > 0
 
     def test_breaker_cycled(self, push_outage):
-        states = [(old, new) for _, _, old, new in push_outage.breaker_transitions]
+        states = [(old, new) for _, _, old, new in push_outage.breaker_transitions_by_shard[0]]
         assert ("closed", "open") in states
         assert ("half_open", "closed") in states
 
     def test_t2a_recovers_after_heal(self, push_outage):
-        after = push_outage.t2a_by_phase["after"]
+        after = push_outage.t2a_values([0], "after")
         assert after
         assert mean(after) < 5.0
 
@@ -98,12 +97,12 @@ class TestPushOutage:
 @pytest.fixture(scope="module", params=sorted(SHARD_STRATEGIES))
 def sharded_push_runs(request):
     strategy = request.param
-    adaptive = run_sharded_chaos_scenario(
-        "brownout", seed=SEED, shard_strategy=strategy,
+    adaptive = run_chaos_scenario(
+        "brownout", seed=SEED, shards=4, shard_strategy=strategy,
         delivery=DeliveryPolicy(), delivery_mode="push",
     )
-    baseline = run_sharded_chaos_scenario(
-        "brownout", seed=SEED, shard_strategy=strategy, delivery_mode="push",
+    baseline = run_chaos_scenario(
+        "brownout", seed=SEED, shards=4, shard_strategy=strategy, delivery_mode="push",
     )
     return strategy, adaptive, baseline
 
@@ -155,13 +154,12 @@ class TestPushDeterminism:
         assert first.snapshot == second.snapshot
 
     def test_sharded_push_snapshots_identical(self):
-        first = run_sharded_chaos_scenario("outage", seed=SEED, delivery_mode="push")
-        second = run_sharded_chaos_scenario("outage", seed=SEED, delivery_mode="push")
+        first = run_chaos_scenario("outage", seed=SEED, shards=4, delivery_mode="push")
+        second = run_chaos_scenario("outage", seed=SEED, shards=4, delivery_mode="push")
         assert first.snapshot == second.snapshot
-        assert first.merged_engine_snapshot == second.merged_engine_snapshot
 
     def test_push_off_leaves_no_push_metrics(self):
         result = run_chaos_scenario("brownout", seed=SEED)
         families = {key.split("{", 1)[0] for key in result.snapshot}
         assert not any(".push." in family for family in families)
-        assert result.engine_stats["push_notifications_received"] == 0
+        assert result.fleet_stats["push_notifications_received"] == 0

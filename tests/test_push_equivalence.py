@@ -329,8 +329,8 @@ class TestDegradedPushRestoration:
         # 8..11 shed once the backlog reached the high mark
         assert state.rung == RUNG_POLL
         assert len(state.pending) == 8
-        assert state.degraded_to_hint == 4
-        assert state.shed_to_poll == 4
+        assert controller.degraded_to_hint == 4
+        assert controller.shed_to_poll == 4
         # hysteresis: still poll-rung while the backlog sits between
         # the watermarks
         state.pending.popleft()

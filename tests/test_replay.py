@@ -22,9 +22,10 @@ from repro.engine import (
     ReplayPolicy,
     RetryPolicy,
 )
+from repro.engine.sharding import merged_fleet_snapshot
 from repro.net.http import HttpError
 from repro.services.partner import BatchActionRequest
-from repro.testbed.chaos import run_chaos_scenario, run_sharded_chaos_scenario
+from repro.testbed.chaos import run_chaos_scenario
 
 from tests.helpers import build_engine_world, default_engine_config, install_ping_applet
 
@@ -335,7 +336,7 @@ class TestChaosReplayReport:
         assert batched.replay.requests_sent == 1
         assert batched.actions_silently_lost == 0
         assert single.actions_silently_lost == 0
-        assert batched.actions_dead_lettered == 0        # sink fully drained
+        assert batched.fleet_stats["dead_letters"] == 0  # sink fully drained
 
     def test_replay_report_burst_metrics(self):
         result = run_chaos_scenario("outage", seed=7, replay=ReplayPolicy())
@@ -350,7 +351,7 @@ class TestChaosReplayReport:
     def test_no_replay_means_no_report(self):
         result = run_chaos_scenario("outage", seed=7)
         assert result.replay is None
-        assert result.actions_in_replay == 0
+        assert result.fleet_stats["actions_in_replay"] == 0
 
 
 SHARD_STRATEGY = st.sampled_from(
@@ -362,8 +363,8 @@ SHARD_STRATEGY = st.sampled_from(
 def test_conservation_through_outage_heal_replay(strategy, seed):
     """The extended invariant survives a full outage→heal→replay cycle,
     per shard and in the merged fleet snapshot, under every strategy."""
-    result = run_sharded_chaos_scenario(
-        "outage", seed=seed, num_shards=3, shard_strategy=strategy,
+    result = run_chaos_scenario(
+        "outage", seed=seed, shards=3, shard_strategy=strategy,
         replay=ReplayPolicy(),
     )
     # Per shard: dispatched == delivered + in_retry + dead + in_replay.
@@ -378,7 +379,7 @@ def test_conservation_through_outage_heal_replay(strategy, seed):
     # The merged fleet snapshot states the same conservation in counter
     # space: the dead_letters counter only ever increments, so the
     # drained letters reappear as replay.dead_letters_replayed.
-    merged = result.merged_engine_snapshot["metrics"]
+    merged = merged_fleet_snapshot(result.snapshot)["metrics"]
 
     def total(name):
         return sum(e["value"] for e in merged if e["name"] == name)

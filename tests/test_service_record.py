@@ -299,8 +299,9 @@ def test_zapier_shaped_engine_is_pure_config():
         CHAOS_SCENARIOS["outage"]
     )
     assert result.actions_silently_lost == 0
-    assert result.actions_dead_lettered == 0 and result.actions_in_replay == 0
-    assert result.events_observed == result.events_injected == result.actions_delivered
+    stats = result.fleet_stats
+    assert stats["dead_letters"] == 0 and stats["actions_in_replay"] == 0
+    assert result.events_observed == result.events_injected == stats["actions_delivered"]
     # hints, not the 60 s cadence, carry delivery: sub-second before the
     # outage, and after it never a full poll interval even while the
     # sink's breaker is still finding its way closed

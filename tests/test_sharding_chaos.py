@@ -14,6 +14,7 @@ of each other built-in scenario.
 
 import pytest
 
+from repro.engine.sharding import merged_fleet_snapshot
 from repro.faults import FaultPlan, link_down, service_outage
 from repro.obs.metrics import snapshot_to_json_lines
 from repro.testbed.chaos import (
@@ -24,7 +25,7 @@ from repro.testbed.chaos import (
     SINK_SLUG,
     ShardedChaosWorld,
     retarget_plan_for_shards,
-    run_sharded_chaos_scenario,
+    run_chaos_scenario,
 )
 
 
@@ -33,7 +34,7 @@ def scenario_results(sharded_outage_result):
     """Built-in scenario name -> its seed-7, four-shard run."""
     return {
         name: sharded_outage_result if name == "outage"
-        else run_sharded_chaos_scenario(name, seed=7, num_shards=4)
+        else run_chaos_scenario(name, seed=7, shards=4)
         for name in CHAOS_SCENARIOS
     }
 
@@ -65,7 +66,7 @@ class TestOutageIsolation:
         # single-engine world delivers.
         r = sharded_outage_result
         healthy = r.t2a_values(r.healthy_shards)
-        baseline = [v for vs in nofault_result.t2a_by_phase.values() for v in vs]
+        baseline = nofault_result.t2a_values([0])
         assert p95(healthy) <= p95(baseline) * 1.05
 
     def test_healthy_shards_match_sharded_nofault_run(
@@ -96,7 +97,7 @@ class TestOutageIsolation:
     def test_conservation_in_merged_snapshot(self, sharded_outage_result):
         # The merged engine.* counters must state the same invariant the
         # per-shard stats do — merging may not invent or lose actions.
-        merged = sharded_outage_result.merged_engine_snapshot["metrics"]
+        merged = merged_fleet_snapshot(sharded_outage_result.snapshot)["metrics"]
 
         def total(name):
             return sum(e["value"] for e in merged if e["name"] == name)
@@ -166,8 +167,8 @@ class TestFlappyIsolation:
 class TestOtherStrategiesEndToEnd:
     @pytest.mark.parametrize("strategy", ["round_robin", "popularity_balanced"])
     def test_outage_conserves_under_strategy(self, strategy):
-        r = run_sharded_chaos_scenario(
-            "outage", seed=7, num_shards=4, shard_strategy=strategy)
+        r = run_chaos_scenario(
+            "outage", seed=7, shards=4, shard_strategy=strategy)
         assert r.strategy == strategy
         assert r.actions_silently_lost == 0
         assert r.events_observed == r.events_injected
@@ -203,7 +204,7 @@ class TestPlanRetargeting:
         # A plan written in the single-engine vocabulary (e.g. from
         # --faults PLAN.json) must work unchanged against a fleet.
         plan = FaultPlan((service_outage(SINK_SLUG, at=20.0, duration=10.0),))
-        r = run_sharded_chaos_scenario("outage", seed=7, num_shards=4, plan=plan)
+        r = run_chaos_scenario("outage", seed=7, shards=4, plan=plan)
         assert r.faults_activated == 1
         assert r.actions_silently_lost == 0
         assert set(r.breaker_transitions_by_shard) <= {r.victim_shard}
@@ -220,12 +221,12 @@ class TestPlanRetargeting:
 
 class TestShardedDeterminism:
     def test_same_seed_same_snapshot_bytes(self):
-        a = run_sharded_chaos_scenario("outage", seed=13, num_shards=4)
-        b = run_sharded_chaos_scenario("outage", seed=13, num_shards=4)
+        a = run_chaos_scenario("outage", seed=13, shards=4)
+        b = run_chaos_scenario("outage", seed=13, shards=4)
         assert snapshot_to_json_lines(a.snapshot) == snapshot_to_json_lines(b.snapshot)
         assert a.t2a_by_shard == b.t2a_by_shard
         assert a.breaker_transitions_by_shard == b.breaker_transitions_by_shard
-        assert a.assignments == b.assignments
+        assert a.shard_loads == b.shard_loads
 
     @pytest.mark.parametrize("scenario", sorted(CHAOS_SCENARIOS))
     def test_default_world_is_epoch_stepped(self, scenario, scenario_results):
@@ -240,8 +241,8 @@ class TestShardedDeterminism:
         assert r.shard_silently_lost == [0] * r.num_shards
 
     def test_shard_count_changes_snapshot(self):
-        a = run_sharded_chaos_scenario("outage", seed=13, num_shards=2)
-        b = run_sharded_chaos_scenario("outage", seed=13, num_shards=4)
+        a = run_chaos_scenario("outage", seed=13, shards=2)
+        b = run_chaos_scenario("outage", seed=13, shards=4)
         assert snapshot_to_json_lines(a.snapshot) != snapshot_to_json_lines(b.snapshot)
 
     def test_wallclock_gauges_filtered(self, sharded_outage_result):
@@ -252,5 +253,5 @@ class TestShardedDeterminism:
         # Six sensor slugs hash onto all four shards — "the other
         # shards" is never vacuous in the isolation assertions above.
         r = sharded_outage_result
-        assert sorted(set(r.assignments.values())) == [0, 1, 2, 3]
+        assert len(r.shard_loads) == 4
         assert all(load > 0 for load in r.shard_loads)

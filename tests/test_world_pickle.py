@@ -64,12 +64,12 @@ def _arm_chaos(world, scenario):
             if subplan.specs:
                 world.injectors[cell].apply(subplan)
                 world.watchers[cell].watch(subplan)
-        world.schedule_events(scenario.event_times)
-        return (lambda w: w._result(scenario, plan, until)), until
-    world.injector.apply(scenario.plan)
-    world.watcher.watch(scenario.plan)
+    else:
+        plan = scenario.plan
+        world.injector.apply(plan)
+        world.watcher.watch(plan)
     world.schedule_events(scenario.event_times)
-    return (lambda w: w._result(scenario, until)), until
+    return (lambda w: w._result(scenario, plan, until)), until
 
 
 def _build_chaos(sharded: bool, mode: str):
