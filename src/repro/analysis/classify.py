@@ -96,13 +96,3 @@ class ServiceClassifier:
             1 for service in services if self.classify(service) == truth.get(service.slug)
         )
         return hits / len(services)
-
-    def confusion(
-        self, services: Iterable[CrawledService], truth: Dict[str, int]
-    ) -> Dict[Tuple[int, int], int]:
-        """(true, predicted) -> count, for classifier diagnostics."""
-        table: Dict[Tuple[int, int], int] = {}
-        for service in services:
-            key = (truth.get(service.slug, 14), self.classify(service))
-            table[key] = table.get(key, 0) + 1
-        return table

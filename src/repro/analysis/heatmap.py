@@ -42,23 +42,3 @@ def row_sums(matrix: List[List[int]]) -> List[int]:
 def col_sums(matrix: List[List[int]]) -> List[int]:
     """Per-action-category totals (Table 1's action AC marginals)."""
     return [sum(matrix[i][j] for i in range(len(matrix))) for j in range(len(matrix[0]))]
-
-
-def render_ascii(matrix: List[List[int]], shades: str = " .:-=+*#%@") -> str:
-    """A terminal rendering of the heat map (log-scaled shading)."""
-    import math
-
-    peak = max((cell for row in matrix for cell in row), default=0)
-    if peak == 0:
-        return "(empty heat map)"
-    lines = ["    " + " ".join(f"{j + 1:>2}" for j in range(len(matrix[0])))]
-    for i, row in enumerate(matrix):
-        cells = []
-        for cell in row:
-            if cell <= 0:
-                cells.append(" ")
-            else:
-                level = math.log1p(cell) / math.log1p(peak)
-                cells.append(shades[min(len(shades) - 1, int(level * (len(shades) - 1)))])
-        lines.append(f"{i + 1:>3} " + "  ".join(cells))
-    return "\n".join(lines)

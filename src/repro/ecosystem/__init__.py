@@ -21,7 +21,7 @@ Every §3 analysis and the crawler pipeline run against this corpus.
 from repro import _lazy
 
 __getattr__, __dir__, __all__ = _lazy.exports(globals(), {
-    "categories": ("Category", "CATEGORIES", "category", "iot_categories"),
+    "categories": ("Category", "CATEGORIES", "iot_categories"),
     "corpus": ("ServiceRecord", "TriggerRecord", "ActionRecord", "AppletRecord", "Corpus"),
     "model": ("EcosystemParams",),
     "popularity": ("zipf_add_counts", "top_share", "fit_zipf_alpha"),

@@ -9,7 +9,7 @@ action belongs to a service of the category).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,6 @@ CATEGORIES: List[Category] = [
     Category(14, "Other", "other", 8.3, 1.3, 0.2, False,
              ("misc", "tool", "utility")),
 ]
-
-_BY_INDEX: Dict[int, Category] = {cat.index: cat for cat in CATEGORIES}
-
-
-def category(index: int) -> Category:
-    """Look up a category by its Table 1 index (1-14)."""
-    try:
-        return _BY_INDEX[index]
-    except KeyError:
-        raise KeyError(f"category index must be 1..14, got {index}") from None
 
 
 def iot_categories() -> List[Category]:

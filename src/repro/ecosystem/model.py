@@ -76,8 +76,3 @@ class EcosystemParams:
     def scaled_users(self) -> int:
         """User-channel count after scaling."""
         return max(50, int(self.n_user_channels * self.scale))
-
-    @staticmethod
-    def small(scale: float = 0.02, seed: int = 2017) -> "EcosystemParams":
-        """A fast test-sized parameter set (6400 applets at scale=0.02)."""
-        return EcosystemParams(scale=scale, seed=seed)

@@ -32,7 +32,7 @@ from repro.engine.delivery import (
     response_is_brownout,
 )
 from repro.engine.loops import RuntimeLoopDetector
-from repro.engine.oauth import OAuthAuthority, TokenCache
+from repro.engine.oauth import OAuthAuthority
 from repro.engine.permissions import ServicePermissionModel
 from repro.engine.poller import PollingPolicy
 from repro.engine.push import RUNG_POLL, PushController, PushServiceState
@@ -240,7 +240,7 @@ class IftttEngine(HttpNode):
         # by a ShardedEngine, giving each shard its own metrics scope).
         self.metrics_namespace = metrics_namespace
         self._ns = metrics_namespace
-        self.tokens = TokenCache()
+        self.tokens: Dict[Tuple[str, str], str] = {}  # (user, service slug) -> token
         self.permissions = ServicePermissionModel()
         # The one slug-keyed table; all per-service state is on the record.
         self._services: Dict[str, ServiceRegistration] = {}
@@ -398,7 +398,7 @@ class IftttEngine(HttpNode):
             raise KeyError(f"service {service.slug!r} is not published")
         code = authority.authorize(user, password)
         grant = authority.exchange(code)
-        self.tokens.store(grant)
+        self.tokens[(grant.user, grant.service_slug)] = grant.access_token
         service.grant_token(grant.access_token)
         self.permissions.grant_all_scopes(user, service.slug)
         return grant.access_token
@@ -877,7 +877,7 @@ class IftttEngine(HttpNode):
 
     def _auth_headers(self, link: ServiceRegistration, user: str) -> Dict[str, Any]:
         headers: Dict[str, Any] = {"IFTTT-Service-Key": link.service_key}
-        token = self.tokens._tokens.get((user, link.slug))  # ``lookup``, without its frame
+        token = self.tokens.get((user, link.slug))
         if token is not None:
             headers["Authorization"] = f"Bearer {token}"
         return headers

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set
 
 _code_counter = itertools.count(1)
 
@@ -78,32 +78,6 @@ class OAuthAuthority:
         """Whether a bearer token is currently valid."""
         return token in self._tokens
 
-    def revoke(self, token: str) -> None:
-        """Invalidate a token (user disconnects the service)."""
-        self._tokens.discard(token)
-
     def _mint_token(self, user: str) -> str:
         blob = f"{self.service_slug}|{user}|{next(_code_counter)}"
         return "tok-" + hashlib.sha1(blob.encode()).hexdigest()[:20]
-
-
-class TokenCache:
-    """The engine-side cache of access tokens, keyed by (user, service)."""
-
-    def __init__(self) -> None:
-        self._tokens: Dict[Tuple[str, str], str] = {}
-
-    def store(self, grant: OAuthGrant) -> None:
-        """Cache a grant's token."""
-        self._tokens[(grant.user, grant.service_slug)] = grant.access_token
-
-    def lookup(self, user: str, service_slug: str) -> Optional[str]:
-        """The cached token for (user, service), or None."""
-        return self._tokens.get((user, service_slug))
-
-    def forget(self, user: str, service_slug: str) -> None:
-        """Drop a cached token."""
-        self._tokens.pop((user, service_slug), None)
-
-    def __len__(self) -> int:
-        return len(self._tokens)

@@ -261,21 +261,9 @@ class ShardedEngine:
             return next(self._rr_counter) % self.num_shards
         return self.shard_for_trigger_service(trigger_slug)
 
-    def assignments(self) -> Dict[str, int]:
-        """The sticky trigger-service -> shard map decided so far."""
-        return dict(self._service_shard)
-
     def shard_loads(self) -> List[int]:
         """Installed-applet count per shard."""
         return list(self._shard_loads)
-
-    def load_skew(self) -> float:
-        """Max/mean shard load ratio (1.0 = perfectly balanced, 0 if empty)."""
-        total = sum(self._shard_loads)
-        if total == 0:
-            return 0.0
-        mean = total / self.num_shards
-        return max(self._shard_loads) / mean
 
     # -- service publication / user connection -----------------------------------
 

@@ -212,10 +212,6 @@ class FaultPlan:
         """Slugs of all services the plan touches."""
         return sorted({spec.service for spec in self.specs if spec.service})
 
-    def extended(self, *specs: FaultSpec) -> "FaultPlan":
-        """A new plan with extra faults appended."""
-        return FaultPlan(self.specs + tuple(specs))
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self, indent: Optional[int] = 2) -> str:

@@ -29,5 +29,5 @@ __getattr__, __dir__, __all__ = _lazy.exports(globals(), {
     "nest": ("NestThermostat",),
     "proxy": ("LocalProxy",),
     "gateway": ("GatewayRouter",),
-    "registry": ("DeviceType", "DEVICE_CATALOG", "device_types_by_category"),
+    "registry": ("DeviceType", "DEVICE_CATALOG"),
 })

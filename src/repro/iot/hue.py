@@ -100,11 +100,6 @@ class HueHub(HttpNode):
         self._state_mirror[lamp.device_id] = dict(lamp.state)
         lamp.subscribe(self.address)
 
-    @property
-    def lamp_ids(self):
-        """IDs of all paired lamps."""
-        return sorted(self._lamps)
-
     def command_lamp(self, lamp_id: str, command: Dict[str, Any]) -> None:
         """Send a Zigbee command to a paired lamp."""
         if lamp_id not in self._lamps:

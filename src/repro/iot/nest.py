@@ -57,10 +57,6 @@ class NestThermostat(Device):
         """The on-board sensor observes a new ambient temperature."""
         self.set_state("ambient_c", float(ambient_c), cause="sensor")
 
-    def set_away(self, away: bool) -> None:
-        """Home/away detection flips (a popular Nest trigger)."""
-        self.set_state("home", not away, cause="sensor")
-
     def on_message(self, message: Message) -> None:
         if message.protocol != NEST_PROTOCOL:
             return

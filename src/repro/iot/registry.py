@@ -11,7 +11,7 @@ one authoritative list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,3 @@ DEVICE_CATALOG: List[DeviceType] = [
     DeviceType("fitness_band", "Fitness band", 3, ("daily_summary", "sleep_logged", "goal_reached"), ()),
     DeviceType("car", "Connected car", 4, ("ignition_on", "low_fuel", "arrived_home"), ("precondition_cabin",)),
 ]
-
-
-def device_types_by_category() -> Dict[int, List[DeviceType]]:
-    """Group the catalog by Table 1 category index."""
-    grouped: Dict[int, List[DeviceType]] = {}
-    for dtype in DEVICE_CATALOG:
-        grouped.setdefault(dtype.category, []).append(dtype)
-    return grouped

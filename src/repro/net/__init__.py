@@ -14,7 +14,7 @@ __getattr__, __dir__, __all__ = _lazy.exports(globals(), {
     "address": ("Address",),
     "message": ("Message",),
     "latency": (
-        "LatencyModel", "FixedLatency", "UniformLatency", "LognormalLatency", "lan_latency",
+        "LatencyModel", "FixedLatency", "LognormalLatency", "lan_latency",
         "wan_latency", "cloud_internal_latency",
     ),
     "link": ("Link",),

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 class Address:
     """A hostname-like node identity, e.g. ``Address("hue-hub.home")``.
 
-    Addresses are plain frozen strings with a ``zone`` convention: the part
-    after the last dot names the network zone (``home`` for LAN devices,
-    ``cloud`` for internet-hosted entities).  The zone is advisory — actual
-    reachability is defined by the link topology.
+    By convention the part after the last dot names the network zone
+    (``home`` for LAN devices, ``cloud`` for internet-hosted entities).
+    The zone is advisory — actual reachability is defined by the link
+    topology.
     """
 
     host: str
@@ -20,12 +20,6 @@ class Address:
     def __post_init__(self) -> None:
         if not self.host:
             raise ValueError("address host must be non-empty")
-
-    @property
-    def zone(self) -> str:
-        """Zone suffix of the host (text after the last dot), or ``""``."""
-        _, dot, suffix = self.host.rpartition(".")
-        return suffix if dot else ""
 
     def __str__(self) -> str:
         return self.host

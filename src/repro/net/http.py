@@ -98,11 +98,6 @@ class HttpResponse:
         """True for 2xx statuses."""
         return 200 <= self.status < 300
 
-    @property
-    def timed_out(self) -> bool:
-        """True when the client gave up waiting (synthetic status 599)."""
-        return self.status == 599
-
     def __repr__(self) -> str:
         return f"<HttpResponse #{self.request_id} {self.status}>"
 
@@ -149,11 +144,6 @@ class HttpNode(Node):
         if key in self._routes:
             raise ValueError(f"route {method} {path_prefix} already registered on {self.address}")
         self._routes[key] = handler
-        self._route_memo.clear()
-
-    def remove_route(self, method: str, path_prefix: str) -> None:
-        """Unbind a previously added route."""
-        self._routes.pop((method.upper(), path_prefix), None)
         self._route_memo.clear()
 
     def _dispatch(self, request: HttpRequest) -> HttpResponse:

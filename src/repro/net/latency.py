@@ -31,10 +31,6 @@ class LatencyModel(ABC):
     def sample(self, rng: Rng, size_bytes: int = 0) -> float:
         """Draw a one-way delay for a message of the given size."""
 
-    def mean_estimate(self) -> float:
-        """Rough expected delay, used only for diagnostics/topology summaries."""
-        return 0.0
-
 
 class FixedLatency(LatencyModel):
     """Constant delay (useful for deterministic unit tests)."""
@@ -45,30 +41,8 @@ class FixedLatency(LatencyModel):
     def sample(self, rng: Rng, size_bytes: int = 0) -> float:
         return self.delay
 
-    def mean_estimate(self) -> float:
-        return self.delay
-
     def __repr__(self) -> str:
         return f"FixedLatency({self.delay!r})"
-
-
-class UniformLatency(LatencyModel):
-    """Delay uniform in [low, high]."""
-
-    def __init__(self, low: float, high: float) -> None:
-        self.low = _finite_non_negative("low", low)
-        self.high = _finite_non_negative("high", high)
-        if self.low > self.high:
-            raise ValueError(f"need 0 <= low <= high, got {low}, {high}")
-
-    def sample(self, rng: Rng, size_bytes: int = 0) -> float:
-        return rng.uniform(self.low, self.high)
-
-    def mean_estimate(self) -> float:
-        return (self.low + self.high) / 2.0
-
-    def __repr__(self) -> str:
-        return f"UniformLatency({self.low!r}, {self.high!r})"
 
 
 class LognormalLatency(LatencyModel):
@@ -122,9 +96,6 @@ class LognormalLatency(LatencyModel):
         if not base > floor:  # max(floor, base)
             base = floor
         return base + self.per_byte * size_bytes
-
-    def mean_estimate(self) -> float:
-        return self.median
 
     def __repr__(self) -> str:
         return f"LognormalLatency(median={self.median!r}, sigma={self.sigma!r})"

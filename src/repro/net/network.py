@@ -86,11 +86,6 @@ class Network:
         """Whether an address is registered."""
         return address.host in self._nodes
 
-    @property
-    def nodes(self) -> List[Node]:
-        """All registered nodes."""
-        return list(self._nodes.values())
-
     def connect(self, a: Address, b: Address, latency: LatencyModel) -> Link:
         """Create a bidirectional link between two registered nodes."""
         for end in (a, b):
@@ -109,11 +104,6 @@ class Network:
     def link_between(self, a: Address, b: Address) -> Optional[Link]:
         """The direct link between two addresses, if any."""
         return self._links.get(frozenset((a, b)))
-
-    @property
-    def links(self) -> List[Link]:
-        """All links in the topology."""
-        return list(self._links.values())
 
     def set_link_state(self, a: Address, b: Address, up: bool) -> None:
         """Bring a link up or down; routes are recomputed lazily."""

@@ -23,5 +23,5 @@ __getattr__, __dir__, __all__ = _lazy.exports(globals(), {
         "QUANTILES", "ScopedRegistry", "WALLCLOCK_METRICS", "deterministic_snapshot",
         "merge_snapshots", "snapshot_from_json_lines", "snapshot_to_json_lines",
     ),
-    "bridge": ("bridge_trace", "poll_latency_summary"),
+    "bridge": ("bridge_trace",),
 })

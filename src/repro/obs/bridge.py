@@ -1,16 +1,11 @@
 """Bridge from the raw :class:`~repro.simcore.trace.Trace` to metrics.
 
-The §4 analyses were written as full scans over the trace; at roadmap
-scale (millions of users) those scans dominate runtime.  The bridge
-folds a trace into a :class:`~repro.obs.metrics.MetricsRegistry` in one
-pass, so downstream consumers (reporting, dashboards, benches) read
-pre-aggregated counters and histograms instead.
-
-Everything the bridge derives is also available live — the engine, the
-network, and the services emit the same families directly when built
-with a registry — which makes the bridge double as a *cross-check*:
-``tests/test_obs_integration.py`` asserts the folded trace and the live
-instrumentation agree.
+The bridge folds a trace into a :class:`~repro.obs.metrics.MetricsRegistry`
+in one pass.  Everything it derives is also available live — the
+engine, the network, and the services emit the same families directly
+when built with a registry — so the fold is the reference the live
+instrumentation is checked against: ``tests/test_obs_integration.py``
+asserts the folded trace and the live instruments agree.
 """
 
 from __future__ import annotations
@@ -79,21 +74,3 @@ def bridge_trace(
                     rec.get("new", 0)
                 )
     return registry
-
-
-def poll_latency_summary(trace: Trace, prefix: str = "trace") -> Dict[str, float]:
-    """Convenience: §4 poll-latency landmarks from a folded trace.
-
-    Returns ``{"n": ..., "p50": ..., "p95": ..., "p99": ...}`` for the
-    poll round-trip histogram (empty dict when the trace has no polls).
-    """
-    registry = bridge_trace(trace, prefix=prefix)
-    histogram = registry.get(f"{prefix}.poll_rtt_seconds")
-    if histogram is None or histogram.count == 0:
-        return {}
-    return {
-        "n": float(histogram.count),
-        "p50": histogram.quantile(0.5),
-        "p95": histogram.quantile(0.95),
-        "p99": histogram.quantile(0.99),
-    }

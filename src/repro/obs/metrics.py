@@ -336,10 +336,6 @@ class MetricsRegistry:
         entries.sort(key=_entry_sort_key)
         return {"metrics": entries}
 
-    def to_json_lines(self) -> str:
-        """One JSON object per metric, one per line (for file export)."""
-        return snapshot_to_json_lines(self.snapshot())
-
     def __repr__(self) -> str:
         return f"<MetricsRegistry {len(self._metrics)} metrics>"
 

@@ -16,13 +16,6 @@ def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
     return [(value, (index + 1) / n) for index, value in enumerate(ordered)]
 
 
-def cdf_at(samples: Sequence[float], value: float) -> float:
-    """Empirical CDF evaluated at one value (fraction of samples <= it)."""
-    if not samples:
-        raise ValueError("samples must be non-empty")
-    return sum(1 for s in samples if s <= value) / len(samples)
-
-
 def summarize_latencies(samples: Sequence[float]) -> Dict[str, float]:
     """The summary statistics the paper quotes for latency figures."""
     if not samples:

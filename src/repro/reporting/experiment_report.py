@@ -1,16 +1,13 @@
 """Render an experiment matrix's aggregated results.
 
-The text form is one row per cell — sweep, swept parameters, sample
-count, T2A quartiles, and the median confidence interval — grouped by
-sweep in cell order, the same order ``results.json`` carries.  The JSON
-form is the results dict itself (already canonical); ``render_experiment_json``
-just re-serializes it byte-stably for printing.
+One row per cell — sweep, swept parameters, sample count, T2A
+quartiles, and the median confidence interval — grouped by sweep in
+cell order, the same order ``results.json`` carries.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Mapping
+from typing import Any, List, Mapping
 
 from repro.reporting.table import render_table
 
@@ -79,43 +76,3 @@ def render_experiment_table(results: Mapping[str, Any]) -> str:
         f"({len(rows)} cells, spec {results.get('spec_sha256', '')[:12]})"
     )
     return title + "\n" + render_table(headers, rows)
-
-
-def render_experiment_json(results: Mapping[str, Any]) -> str:
-    """Canonical JSON of a matrix results dict."""
-    return json.dumps(results, indent=2, sort_keys=True)
-
-
-def experiment_fault_comparison(results: Mapping[str, Any]) -> List[Dict[str, Any]]:
-    """Pair each t2a cell's fault-plan slice with its baseline.
-
-    Returns one record per (applet, fault_plan != baseline) cell with
-    the baseline quartiles of the same applet alongside — the
-    "T2A-under-faults next to the Figure 4 baseline" view.
-    """
-    baselines: Dict[str, Any] = {}
-    for cell in results.get("cells", []):
-        if cell.get("kind") != "t2a":
-            continue
-        params = cell.get("params", {})
-        if params.get("fault_plan") == "baseline":
-            baselines[params.get("applet")] = cell
-    comparison: List[Dict[str, Any]] = []
-    for cell in results.get("cells", []):
-        if cell.get("kind") != "t2a":
-            continue
-        params = cell.get("params", {})
-        if params.get("fault_plan") == "baseline":
-            continue
-        base = baselines.get(params.get("applet"))
-        comparison.append(
-            {
-                "applet": params.get("applet"),
-                "fault_plan": params.get("fault_plan"),
-                "quartiles": cell.get("t2a_quartiles"),
-                "median_ci": cell.get("median_ci"),
-                "baseline_quartiles": base.get("t2a_quartiles") if base else None,
-                "baseline_median_ci": base.get("median_ci") if base else None,
-            }
-        )
-    return comparison

@@ -74,11 +74,6 @@ class TriggerEvent(NamedTuple):
     created_at: float
     ingredients: Mapping[str, Any] = _NO_INGREDIENTS
 
-    @staticmethod
-    def create(event_id: int, created_at: float, /, **ingredients: Any) -> "TriggerEvent":
-        """An event around a read-only copy of ``ingredients``."""
-        return TriggerEvent(event_id, created_at, MappingProxyType(ingredients))
-
 
 class TriggerBuffer:
     """A bounded ring of trigger events for one trigger identity.
@@ -124,10 +119,6 @@ class TriggerBuffer:
 
     def __len__(self) -> int:
         return len(self._events)
-
-    def latest(self) -> TriggerEvent:
-        """The most recent event; raises ``IndexError`` when empty."""
-        return self._events[-1]
 
     def __repr__(self) -> str:
         return f"<TriggerBuffer {len(self._events)}/{self.capacity}>"

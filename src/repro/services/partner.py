@@ -188,11 +188,6 @@ class PartnerService(HttpNode):
         return endpoint
 
     @property
-    def query_slugs(self) -> List[str]:
-        """Slugs of all exposed queries."""
-        return sorted(self._queries)
-
-    @property
     def trigger_slugs(self) -> List[str]:
         """Slugs of all exposed triggers."""
         return sorted(self._triggers)
@@ -234,10 +229,6 @@ class PartnerService(HttpNode):
     def grant_token(self, token: str) -> None:
         """Mark an OAuth2 access token as valid for this service."""
         self._valid_tokens.add(token)
-
-    def revoke_token(self, token: str) -> None:
-        """Invalidate an access token."""
-        self._valid_tokens.discard(token)
 
     def register_identity(self, trigger_slug: str, identity: str, fields: Dict[str, Any]) -> None:
         """Create the event buffer for one trigger identity.

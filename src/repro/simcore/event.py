@@ -84,14 +84,10 @@ class Event:
         if not self._canceled:
             self.callback(*self.args)
 
-    def sort_key(self) -> Tuple[float, int, int]:
-        """The firing order: the simulator's heap entries lead with it."""
-        return (self.time, self.priority, self.seq)
-
     def __lt__(self, other: "Event") -> bool:
         # The public ordering contract, field by field (no tuples built).
-        # The simulator's own heap compares ``sort_key``-prefixed entry
-        # tuples in C instead and never lands here.
+        # The simulator's own heap compares ``(time, priority, seq)``-prefixed
+        # entry tuples in C instead and never lands here.
         if self.time != other.time:
             return self.time < other.time
         if self.priority != other.priority:

@@ -116,11 +116,6 @@ class ShardedSimulator:
         """
         self._coupled = True
 
-    @property
-    def coupled(self) -> bool:
-        """Whether epochs are bounded by the conservative lookahead."""
-        return self._coupled
-
     # -- mailboxes -----------------------------------------------------------
 
     def post(

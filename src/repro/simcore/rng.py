@@ -18,9 +18,9 @@ T = TypeVar("T")
 class Rng:
     """A named, seeded random stream.
 
-    Thin wrapper over :class:`random.Random` adding the heavy-tailed
-    distributions used for calibration (Zipf, bounded Pareto, lognormal
-    parameterized by median/sigma) and convenience sampling helpers.
+    Thin wrapper over :class:`random.Random` adding the distributions
+    used for calibration (exponential, Poisson, lognormal parameterized
+    by median/sigma) and convenience sampling helpers.
 
     ``fork(name)`` derives an independent child stream deterministically,
     so subsystems can be given their own streams without coupling their
@@ -82,19 +82,6 @@ class Rng:
         """k distinct elements sampled without replacement."""
         return self._random.sample(seq, k)
 
-    def weighted_index(self, weights: Sequence[float]) -> int:
-        """Index drawn proportionally to ``weights``."""
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        target = self._random.random() * total
-        cumulative = 0.0
-        for i, w in enumerate(weights):
-            cumulative += w
-            if target < cumulative:
-                return i
-        return len(weights) - 1
-
     # -- distributions -----------------------------------------------------
 
     def exponential(self, mean: float) -> float:
@@ -116,25 +103,6 @@ class Rng:
     def normal(self, mean: float, stddev: float) -> float:
         """Gaussian draw."""
         return self._random.gauss(mean, stddev)
-
-    def zipf_rank_weights(self, n: int, alpha: float) -> List[float]:
-        """Weights ``1 / rank**alpha`` for ranks 1..n (not normalized)."""
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        return [1.0 / (rank ** alpha) for rank in range(1, n + 1)]
-
-    def bounded_pareto(self, alpha: float, low: float, high: float) -> float:
-        """Pareto draw truncated to [low, high] via inverse-CDF sampling."""
-        if not 0 < low < high:
-            raise ValueError(f"need 0 < low < high, got low={low} high={high}")
-        u = self._random.random()
-        la, ha = low ** alpha, high ** alpha
-        return (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / alpha)
-
-    def pareto_int(self, alpha: float, minimum: int = 1) -> int:
-        """Heavy-tailed positive integer: ``floor(minimum * pareto)``."""
-        draw = self._random.paretovariate(alpha)
-        return max(minimum, int(minimum * draw))
 
     def poisson(self, lam: float) -> int:
         """Poisson draw (Knuth for small lambda, normal approx for large)."""

@@ -68,7 +68,7 @@ class Simulator:
 
     The simulator owns a binary heap of ``(time, priority, seq, event)``
     entries — one per scheduled :class:`~repro.simcore.event.Event`, in
-    the event's own ``sort_key`` order — and a virtual clock ``now``
+    the event's own ``__lt__`` order — and a virtual clock ``now``
     (seconds, float).  Time only moves when events fire; between events
     nothing happens, so simulated experiments that span days of virtual
     time run in milliseconds.

@@ -87,16 +87,6 @@ class Trace:
         self._records: Deque[_Entry] = deque(maxlen=max_records)
         self._shapes: List[_Shape] = []
         self._shape_ids: Dict[_Shape, int] = {}
-        self._sinks: List[Callable[[TraceRecord], None]] = []
-
-    def attach_sink(self, sink: Callable[[TraceRecord], None]) -> None:
-        """Stream every future record to ``sink`` as it is written.
-
-        Attaching a sink makes :meth:`record` also build a
-        :class:`TraceRecord` per record (the sink needs the object); the
-        in-memory store and all queries are unaffected.
-        """
-        self._sinks.append(sink)
 
     @property
     def dropped(self) -> int:
@@ -113,10 +103,6 @@ class Trace:
             self._shapes.append(shape)
         self._records.append((time, shape_id, *detail.values()))
         self.total_recorded += 1
-        if self._sinks:
-            rec = TraceRecord(time=time, source=source, kind=kind, detail=detail)
-            for sink in self._sinks:
-                sink(rec)
 
     def _materialize(self, entry: _Entry) -> TraceRecord:
         source, kind, keys = self._shapes[entry[1]]

@@ -121,11 +121,3 @@ class TestController:
             gap = testbed.rng.uniform(0.2 * spacing, 1.8 * spacing)
             testbed.run_for(gap)
         return latencies
-
-    @property
-    def completed_fraction(self) -> float:
-        """Fraction of all measurements whose action executed in time."""
-        if not self.measurements:
-            return 0.0
-        done = sum(1 for m in self.measurements if m.completed)
-        return done / len(self.measurements)

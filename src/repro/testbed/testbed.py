@@ -34,7 +34,6 @@ from repro.services.official import (
     OfficialWeatherService,
     OfficialWemoService,
 )
-from repro.services.partner import PartnerService
 from repro.simcore.rng import Rng
 from repro.simcore.simulator import Simulator
 from repro.simcore.trace import Trace
@@ -319,13 +318,6 @@ class Testbed:
             self.engine.connect_service(TEST_USER, service, authority, TEST_PASSWORD)
 
     # -- conveniences ---------------------------------------------------------------------
-
-    def service_by_slug(self, slug: str) -> PartnerService:
-        """Look up any published service by slug."""
-        for service in self.all_services():
-            if service.slug == slug:
-                return service
-        raise KeyError(f"no service with slug {slug!r}")
 
     def run_for(self, seconds: float) -> None:
         """Advance simulated time by ``seconds``."""

@@ -58,8 +58,3 @@ class WebApp(HttpNode):
             if rec["id"] > since_id and (activity is None or rec["activity"] == activity)
         ]
         return matches[:limit]
-
-    @property
-    def activity_count(self) -> int:
-        """Total number of activity records."""
-        return len(self._activity)

@@ -72,10 +72,6 @@ class GoogleSheets(WebApp):
         self.create_sheet(name)
         self._notifications[name] = (gmail, owner_email)
 
-    def disable_notifications(self, name: str) -> None:
-        """Turn the notify-on-edit feature off for one sheet."""
-        self._notifications.pop(name, None)
-
     def _maybe_notify(self, name: str, row_index: int) -> None:
         subscription = self._notifications.get(name)
         if subscription is None or self.network is None:

@@ -9,7 +9,6 @@ from repro.ecosystem import (
     Corpus,
     EcosystemGenerator,
     EcosystemParams,
-    category,
     fit_interaction_matrix,
     fit_zipf_alpha,
     iot_categories,
@@ -45,16 +44,12 @@ class TestCategories:
     def test_service_shares_sum_to_100(self):
         assert sum(c.pct_services for c in CATEGORIES) == pytest.approx(100.0, abs=0.5)
 
-    def test_lookup(self):
-        assert category(13).name == "Email"
-        with pytest.raises(KeyError):
-            category(0)
-
     def test_table1_headline_values(self):
-        assert category(1).pct_services == 37.7
-        assert category(7).trigger_ac_pct == 20.0
-        assert category(9).action_ac_pct == 27.4
-        assert category(12).action_ac_pct == 0.0
+        by_index = {c.index: c for c in CATEGORIES}
+        assert by_index[1].pct_services == 37.7
+        assert by_index[7].trigger_ac_pct == 20.0
+        assert by_index[9].action_ac_pct == 27.4
+        assert by_index[12].action_ac_pct == 0.0
 
 
 class TestPopularity:
@@ -170,9 +165,6 @@ class TestParams:
         params = EcosystemParams(scale=0.1)
         assert params.scaled_applets == 32_000
         assert params.scaled_users == 13_554
-
-    def test_small_preset(self):
-        assert EcosystemParams.small().scaled_applets == 6400
 
 
 class TestGenerator:

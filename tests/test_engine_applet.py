@@ -16,7 +16,7 @@ from repro.engine import (
     TriggerRef,
     excess_privilege,
 )
-from repro.engine.oauth import OAuthAuthority, OAuthError, TokenCache
+from repro.engine.oauth import OAuthAuthority, OAuthError
 from repro.engine.permissions import action_scope, required_scopes, trigger_scope
 from repro.simcore import Rng
 
@@ -109,24 +109,6 @@ class TestOAuth:
         authority.exchange(code)
         with pytest.raises(OAuthError):
             authority.exchange(code)
-
-    def test_revoke(self):
-        authority = OAuthAuthority("gmail")
-        authority.register_user("alice", "pw")
-        grant = authority.exchange(authority.authorize("alice", "pw"))
-        authority.revoke(grant.access_token)
-        assert not authority.validate(grant.access_token)
-
-    def test_token_cache(self):
-        authority = OAuthAuthority("gmail")
-        authority.register_user("alice", "pw")
-        grant = authority.exchange(authority.authorize("alice", "pw"))
-        cache = TokenCache()
-        cache.store(grant)
-        assert cache.lookup("alice", "gmail") == grant.access_token
-        assert cache.lookup("alice", "hue") is None
-        cache.forget("alice", "gmail")
-        assert cache.lookup("alice", "gmail") is None
 
 
 class TestPermissions:

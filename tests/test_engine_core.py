@@ -46,7 +46,7 @@ class TestPublication:
 
     def test_connect_caches_token_and_grants(self):
         sim, engine, service, _, _ = build_world()
-        token = engine.tokens.lookup("alice", "svc")
+        token = engine.tokens.get(("alice", "svc"))
         assert token is not None
         assert engine.permissions.granted("alice")
 

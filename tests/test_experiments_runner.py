@@ -30,7 +30,7 @@ from repro.experiments.stats import (
     pooled_quartiles,
     t_critical,
 )
-from repro.reporting import experiment_fault_comparison, render_experiment_table
+from repro.reporting import render_experiment_table
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SMOKE_SPEC = os.path.join(REPO, "EXPERIMENTS", "matrix_smoke.json")
@@ -412,15 +412,6 @@ class TestReporting:
         assert "experiment matrix 'tiny'" in text
         for sweep in ("t2a", "chaos", "fleet"):
             assert sweep in text
-
-    def test_fault_comparison_pairs_baseline(self, tmp_path):
-        results = self._results(tmp_path)
-        pairs = experiment_fault_comparison(results.to_dict())
-        assert len(pairs) == 1
-        (pair,) = pairs
-        assert pair["applet"] == "A5"
-        assert pair["fault_plan"] == "plan_a"
-        assert pair["baseline_quartiles"] is not None
 
 
 # -- CLI round trip --------------------------------------------------------------------

@@ -56,15 +56,6 @@ class TestRouting:
         with pytest.raises(ValueError):
             server.add_route("GET", "/x", lambda req: 2)
 
-    def test_remove_route(self):
-        sim, client, server = build_pair()
-        server.add_route("GET", "/x", lambda req: 1)
-        server.remove_route("GET", "/x")
-        got = []
-        client.get(server.address, "/x", on_response=got.append)
-        sim.run()
-        assert got[0].status == 404
-
 
 class TestHandlerReturnShapes:
     def test_bare_body_is_200(self):
@@ -113,7 +104,6 @@ class TestTimeoutsAndTiming:
         got = []
         client.get(server.address, "/x", on_response=got.append, timeout=5.0)
         sim.run()
-        assert got[0].timed_out
         assert got[0].status == 599
         assert client.timeouts == 1
 
@@ -130,7 +120,6 @@ class TestTimeoutsAndTiming:
         sim.run()
         assert sim.now < 1.0
         assert got[0].status == 503
-        assert not got[0].timed_out
         assert got[0].body["error"] == "connection refused"
         assert client.connection_refused == 1
         assert client.timeouts == 0

@@ -79,7 +79,7 @@ def test_route_cache_consistent_after_link_flap(edges):
     if not nx.has_path(graph, 0, 9):
         return
     before = len(net.route(nodes[0].address, nodes[9].address))
-    links = net.links
+    links = list(net._links.values())
     if not links:
         return
     target = links[0]

@@ -8,7 +8,7 @@ trace, record for record.
 
 import pytest
 
-from repro.obs import bridge_trace, poll_latency_summary
+from repro.obs import bridge_trace
 from repro.testbed.controller import TestController
 from repro.testbed.testbed import Testbed, TestbedConfig
 
@@ -94,12 +94,6 @@ class TestBridgeCrossCheck:
             folded = bridged.get(bridged_name)
             assert live.count == folded.count > 0
             assert live.total == pytest.approx(folded.total)
-
-    def test_poll_latency_summary_landmarks(self, measured_testbed):
-        testbed, _ = measured_testbed
-        summary = poll_latency_summary(testbed.trace)
-        assert summary["n"] > 0
-        assert 0 < summary["p50"] <= summary["p95"] <= summary["p99"]
 
 
 class TestDisabledMetrics:

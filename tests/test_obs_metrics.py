@@ -377,7 +377,7 @@ class TestJsonExport:
 
     def test_one_line_per_metric(self):
         registry = _populated_registry(5)
-        text = registry.to_json_lines()
+        text = snapshot_to_json_lines(registry.snapshot())
         assert len(text.splitlines()) == len(registry)
 
     def test_round_trip_then_merge_matches_direct_merge(self):

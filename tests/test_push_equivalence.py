@@ -324,7 +324,7 @@ class TestDegradedPushRestoration:
         controller = engine.push
         state = PushServiceState("svc")
         for k in range(12):
-            controller._admit(state, "identity", TriggerEvent.create(k, 0.0, n=k))
+            controller._admit(state, "identity", TriggerEvent(k, 0.0, {"n": k}))
         # 0..3 admitted at push, 4..7 degraded (backlog in [low, high)),
         # 8..11 shed once the backlog reached the high mark
         assert state.rung == RUNG_POLL

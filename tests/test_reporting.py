@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.reporting import cdf_at, cdf_points, render_table, summarize_latencies
+from repro.reporting import cdf_points, render_table, summarize_latencies
 
 
 class TestRenderTable:
@@ -30,14 +30,6 @@ class TestCdf:
 
     def test_points_empty(self):
         assert cdf_points([]) == []
-
-    def test_cdf_at(self):
-        samples = [1.0, 2.0, 3.0, 4.0]
-        assert cdf_at(samples, 2.5) == 0.5
-        assert cdf_at(samples, 0.0) == 0.0
-        assert cdf_at(samples, 10.0) == 1.0
-        with pytest.raises(ValueError):
-            cdf_at([], 1.0)
 
     def test_summary(self):
         summary = summarize_latencies([10.0, 20.0, 30.0, 40.0])

@@ -191,7 +191,7 @@ def _post_webhook(world, rogue, path, headers, applet, body=None):
     if body is None:
         body = {"data": [{
             "trigger_identity": applet.trigger_identity,
-            "events": [TriggerEvent.create(999, 0.0, n=1)],
+            "events": [TriggerEvent(999, 0.0, {"n": 1})],
         }]}
     got = []
     rogue.post(world.engine.address, path, headers=headers, on_response=got.append, body=body)
@@ -248,7 +248,7 @@ def malformed_push_bodies(identity):
         ),
         "entry-without-identity": (
             {"data": [{"trigger_identity": identity, "events": []},
-                      {"events": [TriggerEvent.create(999, 0.0, n=1)]}]},
+                      {"events": [TriggerEvent(999, 0.0, {"n": 1})]}]},
             "data[1].trigger_identity must be a str",
         ),
     }

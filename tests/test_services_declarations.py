@@ -241,7 +241,7 @@ class TestPicklable:
         endpoints = 0
         for service in testbed.all_services():
             declared = [service.trigger(slug) for slug in service.trigger_slugs]
-            declared += [service._queries[slug] for slug in service.query_slugs]
+            declared += list(service._queries.values())
             for endpoint in declared:
                 data = pickle.dumps(endpoint)
                 assert type(service).__name__.encode() not in data, (service.slug, endpoint.slug)

@@ -171,7 +171,7 @@ class TestOfficialGmail:
         sim.run_until(12.0)
         assert len(service.buffer_for("id-m")) == 2
         assert len(service.buffer_for("id-a")) == 1
-        attachment_event = service.buffer_for("id-a").latest()
+        attachment_event = service.buffer_for("id-a").fetch(1)[0]
         assert attachment_event.ingredients["attachment"] == "f.txt"
 
     def test_start_polling_idempotent(self, gm):

@@ -83,32 +83,6 @@ class TestDistributions:
         with pytest.raises(ValueError):
             rng.poisson(-1.0)
 
-    def test_bounded_pareto_range(self, rng):
-        for _ in range(500):
-            value = rng.bounded_pareto(1.2, 1.0, 100.0)
-            assert 1.0 <= value <= 100.0
-
-    def test_bounded_pareto_rejects_bad_bounds(self, rng):
-        with pytest.raises(ValueError):
-            rng.bounded_pareto(1.2, 10.0, 1.0)
-
-    def test_weighted_index_respects_weights(self, rng):
-        counts = [0, 0]
-        for _ in range(4000):
-            counts[rng.weighted_index([1.0, 3.0])] += 1
-        assert counts[1] / 4000 == pytest.approx(0.75, abs=0.04)
-
-    def test_weighted_index_rejects_zero_weights(self, rng):
-        with pytest.raises(ValueError):
-            rng.weighted_index([0.0, 0.0])
-
-    def test_zipf_rank_weights_shape(self, rng):
-        weights = rng.zipf_rank_weights(5, 1.0)
-        assert weights == [1.0, 0.5, pytest.approx(1 / 3), 0.25, 0.2]
-
-    def test_pareto_int_minimum(self, rng):
-        assert all(rng.pareto_int(1.5, minimum=10) >= 10 for _ in range(100))
-
 
 class TestQuantiles:
     def test_simple_median(self):

@@ -20,9 +20,9 @@ def fast_testbed():
 
 class TestBuild:
     def test_build_is_idempotent(self, fast_testbed):
-        before = len(fast_testbed.network.nodes)
+        before = len(fast_testbed.network._nodes)
         fast_testbed.build()
-        assert len(fast_testbed.network.nodes) == before
+        assert len(fast_testbed.network._nodes) == before
 
     def test_all_services_published(self, fast_testbed):
         slugs = set(fast_testbed.engine.published_slugs)
@@ -32,17 +32,12 @@ class TestBuild:
 
     def test_user_connected_to_every_service(self, fast_testbed):
         for service in fast_testbed.all_services():
-            assert fast_testbed.engine.tokens.lookup(TEST_USER, service.slug)
+            assert fast_testbed.engine.tokens.get((TEST_USER, service.slug))
 
     def test_topology_reaches_devices(self, fast_testbed):
         net = fast_testbed.network
         path = net.route(fast_testbed.engine.address, fast_testbed.hue_hub.address)
         assert len(path) >= 3  # engine - internet - gateway - hub
-
-    def test_service_by_slug(self, fast_testbed):
-        assert fast_testbed.service_by_slug("wemo") is fast_testbed.wemo_service
-        with pytest.raises(KeyError):
-            fast_testbed.service_by_slug("ghost")
 
 
 class TestAppletSuite:
@@ -85,7 +80,7 @@ class TestControllerMeasurement:
         latencies = controller.measure_t2a("A2", runs=3, spacing=10.0)
         assert len(latencies) == 3
         assert all(lat > 0 for lat in latencies)
-        assert controller.completed_fraction == 1.0
+        assert all(m.completed for m in controller.measurements)
 
     def test_e2_variant_uses_custom_service(self, fast_testbed):
         controller = TestController(fast_testbed, timeout=120.0)

@@ -151,14 +151,6 @@ class TestGoogleSheets:
         assert len(inbox) == 1
         assert "modified" in inbox[0].subject
 
-    def test_disable_notifications(self, cloud):
-        sim, _, gmail, _, sheets, _ = cloud
-        sheets.enable_notifications("log", gmail.address, "owner@g")
-        sheets.disable_notifications("log")
-        sheets.append_row("log", ["x"])
-        sim.run()
-        assert gmail.inbox("owner@g") == []
-
 
 class TestWeather:
     def test_set_and_current(self, cloud):

@@ -23,7 +23,7 @@ class TestActivityLog:
         first = app.log_activity("thing", n=1)
         second = app.log_activity("thing", n=2)
         assert second["id"] == first["id"] + 1
-        assert app.activity_count == 2
+        assert len(app._activity) == 2
 
     def test_since_cursor(self, app_world):
         _, app, _ = app_world
