@@ -63,7 +63,9 @@ __getattr__, __dir__, __all__ = _lazy.exports(globals(), {
         "DELIVERY_MODES", "PUSH_RUNG_NAMES", "PushController", "PushPolicy", "PushServiceState",
     ),
     "oauth": ("OAuthAuthority", "OAuthGrant"),
-    "engine": ("AppletIdRangeError", "IftttEngine", "ServiceRegistration"),
+    "engine": (
+        "AppletIdRangeError", "DuplicateIdentityError", "IftttEngine", "ServiceRegistration",
+    ),
     "permissions": (
         "Scope", "ServicePermissionModel", "PerEndpointPermissionModel", "excess_privilege",
     ),

@@ -83,7 +83,6 @@ class AppletState(enum.Enum):
     DISABLED = "disabled"
 
 
-@dataclass
 class Applet:
     """One installed trigger-action rule.
 
@@ -101,26 +100,70 @@ class Applet:
         The endpoint references.
     author:
         Publishing user or service, for the §3 user-contribution analysis.
+    extra_actions:
+        Extra actions beyond ``action`` — modern IFTTT's multi-action
+        applets ("if A then B and C" as one rule, cf. §4's concurrency
+        workaround of installing two applets).
+    queries:
+        Queries executed per trigger event; results feed the filter.
+    filter_code:
+        Optional condition (see :mod:`repro.engine.filters`); the action
+        only runs when it evaluates truthy over
+        ``{"trigger": ingredients, "queries": {...}, "meta": {...}}``.
     """
 
-    applet_id: int
-    name: str
-    user: str
-    trigger: TriggerRef
-    action: ActionRef
-    author: Optional[str] = None
-    state: AppletState = AppletState.ENABLED
-    executions: int = 0
-    #: Extra actions beyond ``action`` — modern IFTTT's multi-action
-    #: applets ("if A then B and C" as one rule, cf. §4's concurrency
-    #: workaround of installing two applets).
-    extra_actions: Tuple["ActionRef", ...] = ()
-    #: Queries executed per trigger event; results feed the filter.
-    queries: Tuple[QueryRef, ...] = ()
-    #: Optional condition (see :mod:`repro.engine.filters`); the action
-    #: only runs when it evaluates truthy over
-    #: ``{"trigger": ingredients, "queries": {...}, "meta": {...}}``.
-    filter_code: Optional[str] = None
+    # One per installed applet: slotted and hand-written, as ``Message``
+    # is (``dataclass(slots=True)`` needs Python 3.10; setup.cfg says
+    # 3.9).  ``__slots__`` is the field order ``__init__`` and ``==`` use.
+    __slots__ = (
+        "applet_id",
+        "name",
+        "user",
+        "trigger",
+        "action",
+        "author",
+        "state",
+        "executions",
+        "extra_actions",
+        "queries",
+        "filter_code",
+    )
+
+    def __init__(
+        self,
+        applet_id: int,
+        name: str,
+        user: str,
+        trigger: TriggerRef,
+        action: ActionRef,
+        author: Optional[str] = None,
+        state: AppletState = AppletState.ENABLED,
+        executions: int = 0,
+        extra_actions: Tuple[ActionRef, ...] = (),
+        queries: Tuple[QueryRef, ...] = (),
+        filter_code: Optional[str] = None,
+    ) -> None:
+        self.applet_id = applet_id
+        self.name = name
+        self.user = user
+        self.trigger = trigger
+        self.action = action
+        self.author = author
+        self.state = state
+        self.executions = executions
+        self.extra_actions = extra_actions
+        self.queries = queries
+        self.filter_code = filter_code
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self.__slots__
+        return tuple(getattr(self, name) for name in fields) == tuple(
+            getattr(other, name) for name in fields
+        )
+
+    __hash__ = None  # mutable and compared by value
 
     @property
     def enabled(self) -> bool:

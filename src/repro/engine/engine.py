@@ -61,6 +61,10 @@ from repro.services.buffer import TriggerEvent
 from repro.simcore.rng import Rng
 from repro.simcore.trace import Trace
 
+#: A dedupe window of at most this many ids is searched as a list; past
+#: it, the window keeps a set of its ids beside the list.
+WINDOW_LIST_MAX = 8
+
 
 class AppletIdRangeError(RuntimeError):
     """An engine tried to allocate an applet id outside its shard range.
@@ -70,6 +74,16 @@ class AppletIdRangeError(RuntimeError):
     stride); silently crossing into a neighbour's range would make
     ``ShardedEngine.engine_for()`` route lifecycle calls to the wrong
     shard, so the overflow is an error at install time.
+    """
+
+
+class DuplicateIdentityError(ValueError):
+    """An applet's trigger identity is already held by another applet.
+
+    An identity hashes its applet id (:meth:`TriggerRef.identity`), so
+    two applets of one engine can share one only by a hash collision.
+    The engine's identity index maps each identity to one applet id;
+    the install is refused before the applet is indexed or scheduled.
     """
 
 
@@ -154,11 +168,13 @@ class _AppletRuntime:
     the same string object the engine's identity index is keyed by.
     ``link`` is the trigger service's :class:`ServiceRegistration`; only
     stand-in harnesses that build runtimes by hand leave it ``None``.
-    ``seen_ids``/``seen_order`` are the dedupe window, ``None`` until the
-    applet's first event: usage is heavy-tailed (§3) and most polls come
-    back empty (§4), so most of a fleet never needs one.  The order is a
-    ``list``, not a ``deque``: a fanned-out applet holds a few ids, and an
-    empty deque alone is 760 bytes.
+    ``seen_order`` is the dedupe window, ``None`` until the applet's
+    first event: usage is heavy-tailed (§3) and most polls come back
+    empty (§4), so most of a fleet never needs one.  It is a ``list``,
+    not a ``deque``: a fanned-out applet holds a few ids, and an empty
+    deque alone is 760 bytes.  ``seen_ids`` is the same ids as a set,
+    ``None`` until the window holds more than :data:`WINDOW_LIST_MAX`
+    of them; an empty set alone is 216 bytes.
     """
 
     __slots__ = (
@@ -245,7 +261,8 @@ class IftttEngine(HttpNode):
         # The one slug-keyed table; all per-service state is on the record.
         self._services: Dict[str, ServiceRegistration] = {}
         self._applets: Dict[int, _AppletRuntime] = {}
-        self._by_identity: Dict[str, List[int]] = {}
+        # trigger identity -> the applet id polling it (one applet each)
+        self._by_identity: Dict[str, int] = {}
         # Shards carve out disjoint id ranges via applet_id_start, so a
         # fleet-wide applet id never collides across engines.
         # applet_id_limit caps how many ids this engine may allocate:
@@ -462,19 +479,28 @@ class IftttEngine(HttpNode):
         link = self._services[trigger.service_slug]
         # The applet polls on a private clone of the base policy; what the
         # service's shared health and push rung do to it is decided per
-        # poll (_interval).  Both are born here, health first.
-        if self.delivery is not None:
-            self.delivery.health_for(link)
-        if link.push:
-            self.push.state_for(link)
+        # poll (_interval).
         runtime = _AppletRuntime(
             applet=applet,
             policy=self.config.poll_policy.clone(),
             filter_expr=filter_expr,
             link=link,
         )
-        self._applets[applet.applet_id] = runtime
-        self._by_identity.setdefault(runtime.identity, []).append(applet.applet_id)
+        identity = runtime.identity
+        owner = self._by_identity.get(identity)
+        if owner is not None:
+            raise DuplicateIdentityError(
+                f"applet #{applet_id} ({name!r}) has trigger identity "
+                f"{identity!r}, already held by applet #{owner} "
+                f"({self._applets[owner].applet.name!r})"
+            )
+        # Health and push state are born here, health first.
+        if self.delivery is not None:
+            self.delivery.health_for(link)
+        if link.push:
+            self.push.state_for(link)
+        self._applets[applet_id] = runtime
+        self._by_identity[identity] = applet_id
         first_poll = self.config.initial_poll_delay
         if self.config.initial_poll_jitter > 0:
             first_poll += self.rng.uniform(0, self.config.initial_poll_jitter)
@@ -535,12 +561,7 @@ class IftttEngine(HttpNode):
             if self.delivery is not None:
                 self.delivery.note_retry_dequeued(self._services[record.service_slug])
             self._dead_letter(record, "applet_removed")
-        identity = runtime.identity
-        owners = self._by_identity.get(identity, [])
-        if applet_id in owners:
-            owners.remove(applet_id)
-        if not owners:
-            self._by_identity.pop(identity, None)
+        del self._by_identity[runtime.identity]
         return runtime.applet
 
     def poll_count(self, applet_id: int) -> int:
@@ -977,25 +998,31 @@ class IftttEngine(HttpNode):
         seen ``event_id``s, remembering — and returning — the new ones.
 
         Called on every poll response, and most carry nothing: the window
-        (a set and a list, ~300 B holding one id) exists from the applet's
-        first event, not from install, so an idle applet does not own one.
-        Eviction shifts the list, and only once ``dedupe_window`` ids are
-        held.
+        (a list, ~90 B holding one id) exists from the applet's first
+        event, not from install, so an idle applet does not own one.  Up
+        to :data:`WINDOW_LIST_MAX` ids it is searched as a list; the set
+        is built when it grows past that.  Eviction shifts the list, and
+        only once ``dedupe_window`` ids are held.
         """
         seen, order = runtime.seen_ids, runtime.seen_order
         window = self.config.dedupe_window
         fresh = []
         for event in events:
             event_id = event.event_id
-            if seen is None:
-                seen = runtime.seen_ids = set()
+            if order is None:
                 order = runtime.seen_order = []
-            elif event_id in seen:
+            elif event_id in (order if seen is None else seen):
                 continue
-            seen.add(event_id)
             order.append(event_id)
-            while len(order) > window:
-                seen.discard(order.pop(0))
+            if seen is None:
+                while len(order) > window:
+                    del order[0]
+                if len(order) > WINDOW_LIST_MAX:
+                    seen = runtime.seen_ids = set(order)
+            else:
+                seen.add(event_id)
+                while len(order) > window:
+                    seen.discard(order.pop(0))
             fresh.append(event)
         return fresh
 
@@ -1383,17 +1410,20 @@ class IftttEngine(HttpNode):
         self._fast_poll_identity(identity, delay)
 
     def _fast_poll_identity(self, identity: str, delay: float = 0.0) -> None:
-        for applet_id in self._by_identity.get(identity, ()):
-            runtime = self._applets[applet_id]
-            if runtime.applet.enabled and not runtime.poll_in_flight:
-                if self.delivery is not None:
-                    if runtime.fast_poll_pending:
-                        # Already has a fast poll in flight-to-fire; a
-                        # second hint adds nothing but backlog drift.
-                        continue
-                    runtime.fast_poll_pending = True
-                    self.delivery.note_fast_poll_scheduled(runtime.link)
-                self._schedule_next_poll(runtime, delay)
+        applet_id = self._by_identity.get(identity)
+        if applet_id is None:
+            return
+        runtime = self._applets[applet_id]
+        if not runtime.applet.enabled or runtime.poll_in_flight:
+            return
+        if self.delivery is not None:
+            if runtime.fast_poll_pending:
+                # Already has a fast poll in flight-to-fire; a second
+                # hint adds nothing but backlog drift.
+                return
+            runtime.fast_poll_pending = True
+            self.delivery.note_fast_poll_scheduled(runtime.link)
+        self._schedule_next_poll(runtime, delay)
 
     def _clear_fast_poll(self, runtime: _AppletRuntime) -> None:
         """Release a cancelled applet's outstanding fast-poll slot."""

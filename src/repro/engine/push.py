@@ -406,29 +406,26 @@ class PushController:
         """Run one pushed event through dedupe → queries/filter → actions.
 
         Exactly the poll-response processing path minus the poll: the
-        event enters ``seen_ids`` (so the safety-net poll won't re-fire
-        it) and flows through ``_process_event`` into the ordinary
-        action dispatch, retry, and conservation accounting.
+        event enters the applet's dedupe window (so the safety-net poll
+        won't re-fire it) and flows through ``_process_event`` into the
+        ordinary action dispatch, retry, and conservation accounting.
+        An identity names one applet, so this delivers 0 or 1 times.
         """
         engine = self.engine
-        delivered = 0
-        for applet_id in tuple(engine._by_identity.get(identity, ())):
-            runtime = engine._applets.get(applet_id)
-            if runtime is None or not runtime.applet.enabled:
-                continue
-            if not engine._new_events(runtime, (event,)):
-                continue
-            runtime.policy.observe_events(1)
-            engine._process_event(runtime, event)
-            delivered += 1
-        if delivered:
-            metrics = engine.metrics
-            if metrics is not None:
-                bound = engine._poll_bound
-                if metrics is not bound.registry:
-                    engine._hot_metrics(metrics)
-                bound.counter(metrics, "events_observed").inc(delivered)
-        return delivered
+        runtime = engine._applets.get(engine._by_identity.get(identity))
+        if runtime is None or not runtime.applet.enabled:
+            return 0
+        if not engine._new_events(runtime, (event,)):
+            return 0
+        runtime.policy.observe_events(1)
+        engine._process_event(runtime, event)
+        metrics = engine.metrics
+        if metrics is not None:
+            bound = engine._poll_bound
+            if metrics is not bound.registry:
+                engine._hot_metrics(metrics)
+            bound.counter(metrics, "events_observed").inc(1)
+        return 1
 
     # -- reporting --------------------------------------------------------------
 

@@ -46,6 +46,16 @@ BATCH_ACTION_PATH = "/ifttt/v1/actions/batch"
 _NO_FIELDS: Mapping[str, Any] = MappingProxyType({})
 
 
+class _Identity(TriggerBuffer):
+    """One registered trigger identity: its event ring, the trigger slug
+    it was registered under and its trigger fields, in one slotted object
+    (there is one per polled identity).  Built by
+    :meth:`PartnerService.register_identity`, which sets the two fields
+    after the ring's own ``__init__``: a first poll enters one frame."""
+
+    __slots__ = ("trigger_slug", "fields")
+
+
 @dataclass(frozen=True)
 class BatchActionRequest:
     """Several same-service action executions coalesced into one request.
@@ -136,8 +146,8 @@ class PartnerService(HttpNode):
         self._triggers: Dict[str, TriggerEndpoint] = {}
         self._actions: Dict[str, ActionEndpoint] = {}
         self._queries: Dict[str, QueryEndpoint] = {}
-        #: trigger identity -> (trigger slug, fields, buffer)
-        self._identities: Dict[str, Tuple[str, Mapping[str, Any], TriggerBuffer]] = {}
+        #: trigger identity -> its buffer, trigger slug and fields
+        self._identities: Dict[str, _Identity] = {}
         self._valid_tokens: Set[str] = set()
         self.polls_served = 0
         self.actions_executed = 0
@@ -240,11 +250,9 @@ class PartnerService(HttpNode):
         if trigger_slug not in self._triggers:
             raise KeyError(f"service {self.slug} has no trigger {trigger_slug!r}")
         if identity not in self._identities:
-            self._identities[identity] = (
-                trigger_slug,
-                dict(fields) if fields else _NO_FIELDS,
-                TriggerBuffer(self.buffer_capacity),
-            )
+            record = self._identities[identity] = _Identity(self.buffer_capacity)
+            record.trigger_slug = trigger_slug
+            record.fields = dict(fields) if fields else _NO_FIELDS
 
     @property
     def known_identities(self) -> List[str]:
@@ -253,7 +261,7 @@ class PartnerService(HttpNode):
 
     def buffer_for(self, identity: str) -> TriggerBuffer:
         """The event buffer of a registered identity."""
-        return self._identities[identity][2]
+        return self._identities[identity]
 
     # -- event ingestion -----------------------------------------------------------
 
@@ -287,10 +295,10 @@ class PartnerService(HttpNode):
         # extracted at the first match and shared by every identity's event
         ingredients: Optional[Mapping[str, Any]] = None
         event_ids = self.sim.event_ids
-        for identity, (slug, fields, buffer) in self._identities.items():
-            if slug != trigger_slug:
+        for identity, buffer in self._identities.items():
+            if buffer.trigger_slug != trigger_slug:
                 continue
-            if not endpoint.matcher(event, fields):
+            if not endpoint.matcher(event, buffer.fields):
                 continue
             if ingredients is None:
                 ingredients = MappingProxyType(dict(endpoint.ingredients(event)))
@@ -445,13 +453,13 @@ class PartnerService(HttpNode):
             return 400, {"errors": [{"message": "missing trigger_identity"}]}
         fields = body.get("triggerFields", {})
         limit = int(body.get("limit", 50))
-        entry = self._identities.get(identity)
-        if entry is None:  # first poll for this identity registers it
+        buffer = self._identities.get(identity)
+        if buffer is None:  # first poll for this identity registers it
             # under the endpoint's own slug, not this request's slice of
             # the path: one string per trigger, not one per identity
             self.register_identity(endpoint.slug, identity, fields)
-            entry = self._identities[identity]
-        events = entry[2].fetch(limit)
+            buffer = self._identities[identity]
+        events = buffer.fetch(limit)
         self.polls_served += 1
         metrics = self._metrics  # ``self.metrics``, without its frame
         if metrics is None:

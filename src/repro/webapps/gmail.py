@@ -9,7 +9,7 @@ notification feature closes the implicit infinite loop of §4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.address import Address

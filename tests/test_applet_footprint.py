@@ -1,15 +1,16 @@
 """An idle applet owns no event containers; a busy one behaves as before.
 
-The dedupe window of an applet (``_AppletRuntime.seen_ids`` /
-``seen_order``) is born by the applet's first event and the ring of a
-``TriggerBuffer`` by its first ``append`` — most of a fleet never sees
-either (docs/PERFORMANCE.md, "Where an applet's bytes go").  Both are
-lists, and a publication's fanned-out events share one read-only
+The dedupe window of an applet (``_AppletRuntime.seen_order``) is born
+by the applet's first event, its set (``seen_ids``) only once it holds
+more than ``WINDOW_LIST_MAX`` ids, and the ring of a ``TriggerBuffer``
+by its first ``append`` — most of a fleet never sees any of them
+(docs/PERFORMANCE.md, "Where an applet's bytes go").  Window and ring
+are lists, and a publication's fanned-out events share one read-only
 ingredients mapping ("Where a publication's bytes go").  Pinned here:
 
 (a) ``IftttEngine._new_events`` against the eager set-and-deque it
     replaced, kept below as the reference, over random poll/push
-    histories;
+    histories, with windows on both sides of ``WINDOW_LIST_MAX``;
 (b) ``TriggerBuffer`` against a plain ``deque(maxlen=capacity)``;
 (c) what an idle applet costs, in ``tracemalloc`` bytes — the guard that
     fails when an eager container comes back;
@@ -30,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineConfig
+from repro.engine.engine import WINDOW_LIST_MAX
 from repro.engine.push import PushPolicy
 from repro.services.buffer import TriggerBuffer, TriggerEvent
 from repro.services.partner import TRIGGER_PATH
@@ -91,12 +93,20 @@ def engine_and_runtime(window):
     return world.engine, world.engine._applets[applet.applet_id]
 
 
-@settings(max_examples=150, deadline=None)
-@given(history=histories)
-def test_new_events_matches_the_eager_window(history):
-    engine, runtime = engine_and_runtime(WINDOW)
-    reference = EagerWindow(WINDOW)
-    assert runtime.seen_ids is None and runtime.seen_order is None
+def assert_same_window(runtime, reference):
+    """The applet's window holds the eager one's ids in its order, as a
+    list alone up to ``WINDOW_LIST_MAX`` ids and with their set past it."""
+    if not reference.order:  # nothing fresh yet, however many empty polls came back
+        assert runtime.seen_ids is None and runtime.seen_order is None
+        return
+    assert runtime.seen_order == list(reference.order)
+    if len(reference.order) > WINDOW_LIST_MAX:
+        assert runtime.seen_ids == reference.seen
+    else:
+        assert runtime.seen_ids is None
+
+
+def replay_history(engine, runtime, reference, history):
     for kind, payload in history:
         if kind == "poll":  # a poll response: any number of records, often none
             events = [record(event_id) for event_id in payload]
@@ -105,11 +115,40 @@ def test_new_events_matches_the_eager_window(history):
             pushed = record(payload)
             delivered = engine.push._deliver(runtime.identity, pushed)
             assert delivered == len(reference.new_events((pushed,)))
-        if reference.order:
-            assert runtime.seen_ids == reference.seen
-            assert list(runtime.seen_order) == list(reference.order)
-        else:  # nothing fresh yet, however many empty polls came back
-            assert runtime.seen_ids is None and runtime.seen_order is None
+        assert_same_window(runtime, reference)
+
+
+@settings(max_examples=150, deadline=None)
+@given(history=histories)
+def test_new_events_matches_the_eager_window(history):
+    engine, runtime = engine_and_runtime(WINDOW)
+    reference = EagerWindow(WINDOW)
+    assert runtime.seen_ids is None and runtime.seen_order is None
+    replay_history(engine, runtime, reference, history)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    window=st.integers(min_value=WINDOW_LIST_MAX - 1, max_value=2 * WINDOW_LIST_MAX),
+    data=st.data(),
+)
+def test_windows_across_the_list_limit_match_the_eager_window(window, data):
+    engine, runtime = engine_and_runtime(window)
+    reference = EagerWindow(window)
+    ids = st.integers(min_value=0, max_value=3 * window)
+    history = data.draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("poll"), st.lists(ids, max_size=2 * window)),
+                st.tuples(st.just("push"), ids),
+            ),
+            max_size=30,
+        )
+    )
+    # window + 1 distinct ids first: every case fills the window and
+    # evicts, and a window wider than WINDOW_LIST_MAX builds its set
+    replay_history(engine, runtime, reference, [("poll", list(range(window + 1))), *history])
+    assert (runtime.seen_ids is not None) == (window > WINDOW_LIST_MAX)
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,8 +161,8 @@ def test_small_windows_evict_like_the_eager_deque(window, data):
     for event_id in [*range(window + 1), *drawn]:
         events = [record(event_id)]  # one a poll: each eviction is compared as it happens
         assert engine._new_events(runtime, events) == reference.new_events(events)
-        assert runtime.seen_ids == reference.seen
         assert runtime.seen_order == list(reference.order)
+        assert runtime.seen_ids is None  # never more than WINDOW_LIST_MAX ids
 
 
 # -- (b) the trigger buffer vs a plain bounded deque -------------------------------
@@ -173,9 +212,13 @@ def test_polled_identity_is_registered_under_the_endpoint_slug():
     assert service.known_identities == sorted(
         [first.trigger_identity, second.trigger_identity]
     )
-    slugs = [service._identities[identity][0] for identity in service.known_identities]
+    records = [service.buffer_for(identity) for identity in service.known_identities]
+    # one slotted record an identity: its ring, trigger slug and fields
+    assert not any(hasattr(held, "__dict__") for held in records)
     # one string per trigger — not one slice of the request path per identity
-    assert slugs[0] is slugs[1] is service.trigger("ping").slug
+    assert records[0].trigger_slug is records[1].trigger_slug is service.trigger("ping").slug
+    # registered without trigger fields: both share the one empty mapping
+    assert records[0].fields is records[1].fields and records[0].fields == {}
     assert service.ingest_event("ping", {"n": 1}) == 2
     assert len(service.buffer_for(first.trigger_identity)) == 1
 
@@ -183,10 +226,14 @@ def test_polled_identity_is_registered_under_the_endpoint_slug():
 # -- (c) what an idle applet costs ---------------------------------------------------
 
 FLEET = 2000
-#: Traced bytes per idle applet.  3,074 with the eager containers (one
-#: restored: 2,022 with the dedupe window, 1,806 with the buffer ring),
-#: 1,046 without; what is left is itemised in docs/PERFORMANCE.md.
-IDLE_APPLET_BUDGET = 1500
+#: Traced bytes per idle applet: 853, itemised in docs/PERFORMANCE.md.
+#: 3,074 with the eager dedupe window and buffer ring, 1,038 with the
+#: one-element ``_by_identity`` list, the dataclass ``Applet``'s
+#: ``__dict__`` and the ``(slug, fields, buffer)`` identity tuple (one
+#: restored: 925, 902 and 901).  The 37 B of headroom (4 %) is for
+#: interpreter drift, less than any one of them: the guard fails if one
+#: comes back.
+IDLE_APPLET_BUDGET = 890
 
 
 def test_idle_applet_footprint():
@@ -223,11 +270,13 @@ def test_idle_applet_footprint():
 
 PUBLICATIONS = 3
 #: Traced bytes retained per (identity x publication) once every event is
-#: buffered and delivered.  924 with a frozen-dataclass event holding its
-#: own ingredients dict, a ``deque`` ring and a ``deque`` window (one
-#: restored: 476 with the dataclass, 492 with either deque, 491 with a
-#: mapping per event); 268 without.
-FANOUT_EVENT_BUDGET = 400
+#: buffered and delivered: 198.  924 with a frozen-dataclass event
+#: holding its own ingredients dict, a ``deque`` ring and a ``deque``
+#: window (one restored: 476 with the dataclass, 492 with either deque,
+#: 491 with a mapping per event); 270 with a set in every window, where
+#: three ids now stay a list (``WINDOW_LIST_MAX``).  The 42 B of headroom
+#: (21 %) is less than that set's 72.
+FANOUT_EVENT_BUDGET = 240
 
 
 def lean_push_fleet():

@@ -29,7 +29,6 @@ from repro.engine.delivery import (
     DEGRADATION_HEALTHY,
     DEGRADATION_SHEDDING,
     DEGRADATION_STRETCHED,
-    DeliveryController,
     DeliveryPolicy,
     HINT_ALLOW,
     HINT_DEFER,

@@ -1,5 +1,7 @@
 """Tests for applet data model, OAuth, permissions, and polling policies."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -83,6 +85,43 @@ class TestApplet:
     def test_trigger_identity_property(self):
         applet = make_applet(applet_id=7, user="carol")
         assert applet.trigger_identity == applet.trigger.identity(7, "carol")
+
+    def test_slotted_with_the_dataclass_defaults(self):
+        applet = make_applet()
+        assert not hasattr(applet, "__dict__")
+        assert (applet.author, applet.state, applet.executions) == (None, AppletState.ENABLED, 0)
+        assert (applet.extra_actions, applet.queries, applet.filter_code) == ((), (), None)
+        with pytest.raises(AttributeError):
+            applet.nickname = "x"
+
+    def test_equality_is_by_value(self):
+        assert make_applet() == make_applet()
+        assert make_applet() != make_applet(applet_id=2)
+        changed = make_applet()
+        changed.executions += 1
+        assert changed != make_applet()
+        assert make_applet() != "not an applet"
+        with pytest.raises(TypeError):
+            hash(make_applet())
+
+    def test_repr(self):
+        applet = make_applet(applet_id=7)
+        assert repr(applet) == "<Applet #7 gmail.new_email -> philips_hue.turn_on_lights [enabled]>"
+
+    def test_pickle_round_trip(self):
+        applet = Applet(
+            applet_id=9, name="both", user="dora",
+            trigger=TriggerRef("gmail", "new_email", {"folder": "inbox"}),
+            action=ActionRef("philips_hue", "turn_on_lights", {"lamp_id": "l1"}),
+            author="maker", state=AppletState.DISABLED, executions=4,
+            extra_actions=(ActionRef("sheets", "add_row"),),
+            filter_code="trigger.n > 1",
+        )
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(applet, protocol))
+            assert copy == applet and copy is not applet
+            assert repr(copy) == repr(applet)
+            assert copy.state is AppletState.DISABLED
 
 
 class TestOAuth:

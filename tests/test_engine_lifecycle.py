@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.engine import ActionRef, EngineConfig, FixedPollingPolicy, IftttEngine, TriggerRef
+from repro.engine import (
+    ActionRef,
+    Applet,
+    DuplicateIdentityError,
+    EngineConfig,
+    FixedPollingPolicy,
+    IftttEngine,
+    TriggerRef,
+)
 from repro.engine.oauth import OAuthAuthority
 from repro.ecosystem.corpus import Corpus
 from repro.net import Address, FixedLatency, Network
@@ -78,6 +86,46 @@ class TestUninstall:
         service.ingest_event("t", {"n": 1})
         sim.run_until(30.0)
         assert len(executed) == 1  # the surviving applet executed
+
+
+class TestIdentityIndex:
+    """``_by_identity`` maps each trigger identity to the one applet id
+    polling it."""
+
+    def test_each_identity_maps_to_its_applet(self, world):
+        _, engine, _, _ = world
+        applets = [install(engine) for _ in range(3)]
+        assert engine._by_identity == {
+            applet.trigger_identity: applet.applet_id for applet in applets
+        }
+
+    def test_uninstall_leaves_no_entry(self, world):
+        sim, engine, _, _ = world
+        applets = [install(engine) for _ in range(3)]
+        sim.run_until(2.0)
+        for applet in applets:
+            engine.uninstall_applet(applet.applet_id)
+        assert engine._by_identity == {}
+
+    def test_duplicate_identity_is_refused(self, world, monkeypatch):
+        sim, engine, _, _ = world
+        first = install(engine)
+        index, runtimes = dict(engine._by_identity), dict(engine._applets)
+        pending = sim.pending
+        # an identity hashes its applet id: only a collision repeats one
+        taken = first.trigger_identity
+        monkeypatch.setattr(Applet, "trigger_identity", property(lambda _: taken))
+        with pytest.raises(DuplicateIdentityError) as refused:
+            engine.install_applet(
+                user="u", name="twin", trigger=TriggerRef("svc", "t"), action=ActionRef("svc", "a")
+            )
+        message = str(refused.value)
+        assert f"applet #{first.applet_id + 1} ('twin')" in message
+        assert f"applet #{first.applet_id} ('p')" in message
+        assert engine._by_identity == index and engine._applets == runtimes
+        assert sim.pending == pending  # no first poll was scheduled
+        monkeypatch.undo()
+        assert install(engine).applet_id == first.applet_id + 2
 
 
 class TestEngineStats:

@@ -570,6 +570,18 @@ class TestFleetAccounting:
         assert ({a.applet_id for a in world.fleet.applets}
                 == {a.applet_id for a in applets})
 
+    def test_uninstall_leaves_no_identity_entry_on_any_shard(self):
+        world = build_fleet(num_shards=4)
+        applets = [install(world.fleet, i % N_SERVICES, name=f"a{i}") for i in range(12)]
+        world.sim.run_until(2.0)
+        for applet in applets:
+            owner = world.fleet.engine_for(applet.applet_id)
+            assert owner._by_identity[applet.trigger_identity] == applet.applet_id
+        assert sum(len(shard._by_identity) for shard in world.fleet.shards) == 12
+        for applet in applets:
+            world.fleet.uninstall_applet(applet.applet_id)
+        assert [shard._by_identity for shard in world.fleet.shards] == [{}] * 4
+
     def test_repr(self):
         world = build_fleet(num_shards=4)
         assert "shards=4" in repr(world.fleet)

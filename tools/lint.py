@@ -5,7 +5,10 @@ Hermetic environments (no network, no ruff wheel) still need the lint
 gate to run, so this checker implements exactly the rule set selected
 in ``ruff.toml`` and nothing more:
 
-* F401  unused import (skipped in ``__init__.py``, honours ``__all__``)
+* F401  unused import (skipped in ``__init__.py``, honours ``__all__``):
+        used means loaded somewhere in the code, as a name, the root of
+        an attribute, or a name inside a string annotation; a mention
+        in a docstring, comment or other string is not a use
 * E711  comparison to ``None`` with ``==`` / ``!=``
 * E712  comparison to ``True`` / ``False`` with ``==`` / ``!=``
 * E722  bare ``except:``
@@ -59,6 +62,47 @@ def _dotted_root(name: str) -> str:
     return name.split(".", 1)[0]
 
 
+def _annotations(tree: ast.AST) -> Iterator[ast.expr]:
+    """Every annotation expression in *tree*: arguments, returns and
+    annotated assignments."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.arg):
+            if node.annotation is not None:
+                yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _name_loads(tree: ast.AST) -> "set[str]":
+    """The identifiers *tree* loads as ``Name`` nodes (an attribute
+    chain's root is one)."""
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _loaded_names(tree: ast.AST) -> "set[str]":
+    """The names *tree* loads, counting those inside string annotations
+    (``Optional["Foo"]``, ``-> "Foo"``) as ruff does."""
+    loaded = _name_loads(tree)
+    pending = list(_annotations(tree))
+    while pending:
+        for node in ast.walk(pending.pop()):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value.strip(), mode="eval").body
+                except SyntaxError:
+                    continue
+                loaded |= _name_loads(parsed)
+                pending.append(parsed)  # it may hold a string annotation of its own
+    return loaded
+
+
 def check_file(path: str) -> List[Finding]:
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
@@ -74,8 +118,9 @@ def check_file(path: str) -> List[Finding]:
         if not _suppressed(lines, lineno, code):
             findings.append((path, lineno, code, message))
 
-    # -- F401: imports whose bound name never appears again ----------------
+    # -- F401: imports whose bound name the code never loads ---------------
     if os.path.basename(path) != "__init__.py":
+        loaded = _loaded_names(tree)
         exported: "set[str]" = set()
         for node in ast.walk(tree):
             if (
@@ -101,11 +146,7 @@ def check_file(path: str) -> List[Finding]:
             for alias, bound in names:
                 if bound in exported or bound.startswith("_"):
                     continue
-                # Count whole-word occurrences anywhere in the file
-                # (covers string annotations and docstring references);
-                # more than the import line itself means "used".
-                uses = len(re.findall(rf"\b{re.escape(bound)}\b", source))
-                if uses <= 1:
+                if bound not in loaded:
                     flag(node, "F401", f"{alias.name!r} imported but unused")
 
     for node in ast.walk(tree):
