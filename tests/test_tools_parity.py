@@ -218,11 +218,17 @@ class TestTable:
         path = row.args[3].replace("{checkout}", ROOT)
         with open(path, encoding="utf-8") as handle:
             sweeps = json.load(handle)["sweeps"]
-        shapes = {(axes["shards"][0], axes["corpus_size"][0], mode)
+        shapes = {(scenario, axes["shards"][0], axes["corpus_size"][0], mode)
                   for axes in (sweep["axes"] for sweep in sweeps)
+                  for scenario in axes["scenario"]
                   for mode in axes["delivery_mode"]}
-        assert shapes == {(shards, pairs, mode) for shards, pairs in ((1, 3), (2, 1), (4, 6))
-                          for mode in ("poll", "push")}
+        assert shapes == {("outage", shards, pairs, mode)
+                          for shards, pairs in ((1, 3), (2, 1), (4, 6))
+                          for mode in ("poll", "push")} | {
+            (scenario, 1, 1, mode)
+            for scenario in ("outage", "partition", "flappy", "brownout")
+            for mode in ("hint", "push")
+        }
 
     def test_testbed_rows_are_one_group(self):
         assert {row.name for row in parity.TABLE if row.group == "testbed-check"} == (

@@ -103,7 +103,8 @@ def t2a(applet: str, scenario: str) -> Row:
 
 SMOKE = ("-m", "repro", "experiments", "{checkout}/EXPERIMENTS/matrix_smoke.json",
          "--quiet", "--output", ".")
-#: Every world shape a chaos cell picks (shards, pairs): (1, 3), (2, 1), (4, 6).
+#: Every world shape a chaos cell picks (shards, pairs): (1, 3), (2, 1), (4, 6), and
+#: (1, 1) under every scenario with hints and push.
 SHAPES = ("-m", "repro", "experiments", "{checkout}/EXPERIMENTS/chaos_shapes.json",
           "--in-process", "--quiet", "--output", ".")
 #: Metrics read from the host's wall clock (``repro.obs.WALLCLOCK_METRICS``):
