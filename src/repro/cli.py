@@ -196,7 +196,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             delivery_mode=args.delivery,
         )
 
-    result = _run(replay_policies[0], delivery)
+    try:
+        result = _run(replay_policies[0], delivery)
+    except FaultPlanError as exc:
+        print(f"cannot apply fault plan {args.faults}: {exc}", file=sys.stderr)
+        return 2
     results = [result]
     print(result.summary())
     if args.replay:

@@ -1,15 +1,15 @@
 """Chaos scenarios: fault plans driven against a dedicated trigger/action world.
 
 A :class:`ChaosWorld` is the smallest topology that exercises every
-resilience mechanism end to end — one engine, one trigger ("sensor")
-service, one action ("sink") service, joined through a core router — so
-the effects of a :class:`~repro.faults.plan.FaultPlan` can be measured
-precisely:
+resilience mechanism end to end — engines, trigger ("sensor") services
+and action ("sink") services, joined through a core router per cell —
+so the effects of a :class:`~repro.faults.plan.FaultPlan` can be
+measured precisely:
 
 * every injected event carries its injection time, so trigger-to-action
   latency is measured at the *delivery* point (the sink's executor), not
   just at dispatch — retries and breaker shedding are visible in T2A;
-* the engine's action accounting (delivered + dead-lettered + in-retry)
+* the engines' action accounting (delivered + dead-lettered + in-retry)
   is checked against dispatches: a chaos run proves no action is
   silently lost;
 * the world snapshots its metrics via
@@ -43,29 +43,32 @@ Four scenarios ship built in:
     the base policy's — the ≥3× request-rate drop and the §4
     distribution restoration are both pinned by ``make degrade-check``.
 
-:class:`ShardedChaosWorld` scales the same experiments to a
-:class:`~repro.engine.sharding.ShardedEngine` fleet: several
-sensor/sink pairs spread across N shards, with every scenario's fault
-retargeted to exactly one "victim" pair (and, for partitions, its home
-shard's uplink).  A sharded run proves *isolation* — the victim shard's
-breaker opens and recovers while the other shards' T2A matches a
-fault-free run — on top of the fleet-wide conservation invariant.  Each
-shard is an epoch-stepped simulator cell; a hop between cells costs at
-least :data:`~repro.simcore.parallel.DEFAULT_LOOKAHEAD` (50 ms).
+One world class covers every shape.  By default it is one engine, one
+sensor and one sink: the *one-engine* world, under the unsuffixed names
+(``chaos_sensor``, ``chaos_sink``, ``engine.ifttt.cloud``) the built-in
+plans speak.  With more shards or pairs the same class scales the
+experiments to a :class:`~repro.engine.sharding.ShardedEngine` fleet:
+several sensor/sink pairs spread across N shards, with every scenario's
+fault retargeted to exactly one "victim" pair (and, for partitions, its
+home shard's uplink).  A sharded run proves *isolation* — the victim
+shard's breaker opens and recovers while the other shards' T2A matches
+a fault-free run — on top of the fleet-wide conservation invariant.
+Every shard is an epoch-stepped simulator cell; a hop between cells
+costs at least :data:`~repro.simcore.parallel.DEFAULT_LOOKAHEAD`
+(50 ms).  The one-engine world is the same build with one cell and no
+cross-shard router.
 
-:func:`run_chaos_scenario` is the one entry point and the only code
-that picks a world: one shard and one pair build a :class:`ChaosWorld`,
-anything else a :class:`ShardedChaosWorld`.  Both worlds report through
-one readout into one :class:`ChaosResult`, in the fleet's vocabulary: a
+:func:`run_chaos_scenario` builds a world and runs it.  Every run
+reports through one :class:`ChaosResult`, in the fleet's vocabulary: a
 one-engine run is a fleet of one shard (shard 0, the victim) with no
-shard strategy, so a reader never asks which world ran.
+shard strategy, so a reader never asks which shape ran.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.applet import ActionRef, TriggerRef
 from repro.engine.config import SHARD_STRATEGIES, EngineConfig
@@ -104,12 +107,9 @@ from repro.services.partner import PartnerService
 from repro.simcore.parallel import ShardedSimulator
 from repro.simcore.rng import Rng
 from repro.simcore.simulator import Simulator
-from repro.simcore.trace import Trace
 
 ENGINE_HOST = "engine.ifttt.cloud"
 CORE_HOST = "core.internet"
-SENSOR_HOST = "sensor.cloud"
-SINK_HOST = "sink.cloud"
 SENSOR_SLUG = "chaos_sensor"
 SINK_SLUG = "chaos_sink"
 CHAOS_USER = "chaos"
@@ -454,18 +454,18 @@ PHASES = ("before", "during", "after")
 
 @dataclass
 class ChaosResult:
-    """Everything a chaos run proves, in one record, for either world.
+    """Everything a chaos run proves, in one record, for every world shape.
 
     The record speaks the fleet's vocabulary: per-shard engine counters
     and T2A samples, fleet totals, and the victim shard the plan was
-    aimed at.  A :class:`ChaosWorld` run is a fleet of one shard — shard
-    0, its victim — with no shard :attr:`strategy` and no epochs.
+    aimed at.  A one-engine run is a fleet of one shard — shard 0, its
+    victim — with no shard :attr:`strategy`.
     """
 
     scenario: str
     seed: int
-    #: The fault plan the world applied: the scenario's own for one
-    #: engine, retargeted at the victim pair for a sharded world.
+    #: The fault plan the world applied, retargeted at the victim pair
+    #: (the scenario's own on the one-engine world).
     plan: FaultPlan
     num_shards: int
     #: The shard strategy; ``None`` for the one-engine world.
@@ -498,7 +498,9 @@ class ChaosResult:
     #: drift) once the stretch has decayed, i.e. §4's distribution is back.
     post_heal_quartiles: Optional[Tuple[float, float, float]] = None
     baseline_quartiles: Optional[Tuple[float, float, float]] = None
-    #: Epoch-stepping readout (0 for the one-engine world).
+    #: Epoch-stepping readout.  The one-engine world's one cell runs
+    #: uncoupled: one epoch per ``run_until``, and no mailbox or
+    #: cross-shard traffic.
     epochs: int = 0
     mailbox_messages: int = 0
     cross_shard_messages: int = 0
@@ -663,191 +665,6 @@ class ChaosResult:
         return lines
 
 
-def _chaos_result(
-    scenario: ChaosScenario,
-    plan: FaultPlan,
-    seed: int,
-    until: float,
-    *,
-    engines: Sequence[IftttEngine],
-    registries: Sequence[MetricsRegistry],
-    delivered: Iterable[Tuple[float, int, Dict[str, Any]]],
-    injectors: Sequence[FaultInjector],
-    watchers: Sequence[_FaultWindowWatcher],
-    events_injected: int,
-    fleet_stats: Dict[str, int],
-    victim_applet: int,
-    victim_shard: int = 0,
-    strategy: Optional[str] = None,
-    epochs: int = 0,
-    mailbox_messages: int = 0,
-    cross_shard_messages: int = 0,
-) -> ChaosResult:
-    """The one readout both chaos worlds feed; shard ``i`` is
-    ``engines[i]`` recording into ``registries[i]``.
-
-    ``delivered`` holds ``(delivered_at, shard, fields)`` sink executions
-    in the order their T2A samples are kept; ``victim_applet`` (on the
-    victim shard) is the applet whose post-run poll intervals are
-    sampled.  The registries merge commutatively (counters add, gauges
-    max), so the snapshot does not depend on shard order; one registry
-    merges to its own snapshot.
-    """
-    phase_of = _phase_classifier(plan)
-    t2a_by_shard: Dict[int, Dict[str, List[float]]] = {}
-    for delivered_at, shard, fields in delivered:
-        injected_at = float(fields["injected_at"])
-        t2a_by_shard.setdefault(shard, {}).setdefault(phase_of(injected_at), []).append(
-            delivered_at - injected_at
-        )
-    fault_window: Dict[str, int] = {}
-    for watcher in watchers:
-        fault_window.update(watcher.requests)
-    return ChaosResult(
-        scenario=scenario.name,
-        seed=seed,
-        plan=plan,
-        num_shards=len(engines),
-        strategy=strategy,
-        victim_shard=victim_shard,
-        ran_until=until,
-        events_injected=events_injected,
-        events_observed=sum(
-            int(registry.total(f"{engine.metrics_namespace}.events_observed"))
-            for engine, registry in zip(engines, registries)
-        ),
-        fleet_stats=fleet_stats,
-        shard_stats=[engine.stats() for engine in engines],
-        t2a_by_shard=t2a_by_shard,
-        breaker_transitions_by_shard={
-            shard: transitions
-            for shard, engine in enumerate(engines)
-            if (transitions := engine.breaker_transitions())
-        },
-        faults_activated=sum(injector.activations for injector in injectors),
-        faults_deactivated=sum(injector.deactivations for injector in injectors),
-        snapshot=deterministic_snapshot(
-            merge_snapshots(*(registry.snapshot() for registry in registries))
-        ),
-        replay=_replay_report(
-            [engine.replay for engine in engines], until,
-            fleet_stats["polls_sent"] + fleet_stats["actions_dispatched"],
-        ),
-        fault_window_requests=fault_window,
-        epochs=epochs,
-        mailbox_messages=mailbox_messages,
-        cross_shard_messages=cross_shard_messages,
-        **_delivery_extras(engines, engines[victim_shard]._applets[victim_applet]),
-    )
-
-
-class ChaosWorld:
-    """The minimal fault-injection topology (engine, sensor, sink).
-
-    (``__test__`` opts the class out of pytest collection.)
-    """
-
-    __test__ = False
-
-    def __init__(
-        self,
-        seed: int = 7,
-        engine_config: Optional[EngineConfig] = None,
-        replay: Optional[ReplayPolicy] = None,
-        delivery: Optional[DeliveryPolicy] = None,
-        delivery_mode: str = "poll",
-    ) -> None:
-        self.seed = seed
-        self.sim = Simulator()
-        self.rng = Rng(seed=seed, name="chaos")
-        self.trace = Trace()
-        self.metrics = MetricsRegistry()
-        self.sim.metrics = self.metrics
-        self.network = Network(self.sim, self.rng.fork("network"), metrics=self.metrics)
-        config = _world_config(engine_config, replay, delivery, delivery_mode)
-        self.engine = self.network.add_node(IftttEngine(
-            Address(ENGINE_HOST), config=config,
-            rng=self.rng.fork("engine"), trace=self.trace, service_time=0.0,
-        ))
-        self.core = self.network.add_node(GatewayRouter(Address(CORE_HOST)))
-        self.sensor = self.network.add_node(PartnerService(
-            Address(SENSOR_HOST), slug=SENSOR_SLUG, trace=self.trace, service_time=0.0,
-            realtime=delivery_mode == "hint", push=delivery_mode == "push",
-        ))
-        self.sink = self.network.add_node(PartnerService(
-            Address(SINK_HOST), slug=SINK_SLUG, trace=self.trace, service_time=0.0,
-        ))
-        for node in (self.engine, self.sensor, self.sink):
-            self.network.connect(node.address, self.core.address, cloud_internal_latency())
-
-        #: ``(delivered_at, fields)`` per sink execution, in delivery order.
-        self.delivered: List[Tuple[float, Dict[str, Any]]] = []
-        self.events_injected = 0
-        self.sensor.add_trigger(TriggerEndpoint(slug="tick", name="Tick"))
-        self.sink.add_action(ActionEndpoint(
-            slug="deliver", name="Deliver",
-            executor=self._record_delivery,
-        ))
-        for service in (self.sensor, self.sink):
-            self.engine.publish_service(service)
-            authority = OAuthAuthority(service.slug)
-            authority.register_user(CHAOS_USER, "pw")
-            self.engine.connect_service(CHAOS_USER, service, authority, "pw")
-        self.applet = self.engine.install_applet(
-            user=CHAOS_USER, name="tick->deliver",
-            trigger=TriggerRef(SENSOR_SLUG, "tick"),
-            action=ActionRef(SINK_SLUG, "deliver",
-                             {"n": "{{n}}", "injected_at": "{{injected_at}}"}),
-        )
-        self.injector = FaultInjector(
-            self.sim, self.network,
-            services=(self.sensor, self.sink),
-            rng=self.rng.fork("faults"),
-            metrics=self.metrics, trace=self.trace,
-        )
-        self.watcher = _FaultWindowWatcher(
-            self.sim, {SENSOR_SLUG: self.sensor, SINK_SLUG: self.sink}
-        )
-
-    def schedule_events(self, times: Tuple[float, ...]) -> None:
-        """Schedule one sensor event per entry (absolute sim seconds)."""
-        for index, at in enumerate(times):
-            self.sim.schedule(
-                max(0.0, at - self.sim.now), self._inject, index, at,
-                label=f"chaos-event#{index}",
-            )
-
-    def _inject(self, index: int, planned_at: float) -> None:
-        self.events_injected += 1
-        self.sensor.ingest_event("tick", {"n": index, "injected_at": planned_at})
-
-    def _record_delivery(self, fields: Dict[str, Any]) -> None:
-        """The sink's executor."""
-        self.delivered.append((self.sim.now, dict(fields)))
-
-    def run(self, scenario: ChaosScenario, drain: float = DRAIN_SECONDS) -> ChaosResult:
-        """Apply the scenario's plan, drive its events, settle, account."""
-        self.injector.apply(scenario.plan)
-        self.watcher.watch(scenario.plan)
-        self.schedule_events(scenario.event_times)
-        until = scenario.horizon + drain
-        self.sim.run_until(until)
-        return self._result(scenario, scenario.plan, until)
-
-    def _result(self, scenario: ChaosScenario, plan: FaultPlan, until: float) -> ChaosResult:
-        return _chaos_result(
-            scenario, plan, self.seed, until,
-            engines=[self.engine],
-            registries=[self.metrics],
-            delivered=((at, 0, fields) for at, fields in self.delivered),
-            injectors=[self.injector],
-            watchers=[self.watcher],
-            events_injected=self.events_injected,
-            fleet_stats=self.engine.stats(),
-            victim_applet=self.applet.applet_id,
-        )
-
-
 def _phase_classifier(plan: FaultPlan) -> Callable[[float], str]:
     """Which fault phase (before / during / after) an injection time falls
     into under ``plan``.
@@ -869,7 +686,7 @@ def _phase_classifier(plan: FaultPlan) -> Callable[[float], str]:
     return phase_of
 
 
-# -- sharded chaos ----------------------------------------------------------------
+# -- the world -------------------------------------------------------------------
 
 #: Sensor/sink pairs a sharded chaos world instantiates by default.  Six
 #: pairs spread (by CRC32) across all shards of every fleet size the
@@ -885,7 +702,7 @@ def retarget_plan_for_shards(
     """Rewrite an unsharded fault plan against a sharded world's names.
 
     The built-in scenarios (and any ``--faults PLAN.json`` written for
-    the single-engine world) speak the unsharded vocabulary —
+    the one-engine world) speak the unsharded vocabulary —
     ``chaos_sensor`` / ``chaos_sink`` / ``engine.ifttt.cloud``.  A
     sharded world has ``chaos_sensor<p>`` pairs and ``engine<i>.*``
     hosts, so those references are retargeted onto the victim pair's
@@ -906,33 +723,46 @@ def retarget_plan_for_shards(
     return FaultPlan(tuple(specs))
 
 
-class ShardedChaosWorld:
-    """The chaos topology scaled out to a sharded engine fleet.
+class ChaosWorld:
+    """The chaos topology: sensor/sink pairs driven through one engine or
+    a sharded fleet.
 
     ``pairs`` independent sensor/sink chains (``chaos_sensor<p>`` →
-    ``chaos_sink<p>``) are installed through a
-    :class:`~repro.engine.sharding.ShardedEngine`, landing on shards per
-    the configured strategy.  Pair 0 is the designated *victim*: every
-    scenario's fault plan is retargeted onto its sensor/sink — and, for
-    engine-side partitions, onto its home shard's uplink — so exactly
-    one shard takes the damage and the rest measure isolation.
+    ``chaos_sink<p>``) are installed on the world's engines, landing on
+    shards per the configured strategy.  Pair 0 is the designated
+    *victim*: every scenario's fault plan is retargeted onto its
+    sensor/sink — and, for engine-side partitions, onto its home shard's
+    uplink — so exactly one shard takes the damage and the rest measure
+    isolation.
 
-    Every shard is a self-contained *cell*: its own
-    :class:`~repro.simcore.simulator.Simulator`, :class:`Network`, core
-    router, metrics registry, and fault injector.  Sensors and sinks are
-    homed on the cell ``stable_service_hash(slug) % num_shards`` (a
-    strategy-independent placement), so any shard whose applets trigger
-    on a remote cell's sensor polls it *across* cells: that traffic goes
-    through the :class:`~repro.net.network.CrossShardRouter` and the
-    stepper's epoch-barriered mailboxes — realtime hints and push
-    notifications cross the same way — and pays at least the stepper's
-    lookahead (50 ms) per hop.  That floor is the model's cost of
-    leaving a shard, not a stepping artefact.
+    Every shard is a self-contained *cell* of one
+    :class:`~repro.simcore.parallel.ShardedSimulator`: its own simulator,
+    :class:`Network`, core router, metrics registry, fault injector and
+    fault-window watcher.  Sensors and sinks are homed on the cell
+    ``stable_service_hash(slug) % num_shards`` (a strategy-independent
+    placement), so any shard whose applets trigger on a remote cell's
+    sensor polls it *across* cells: that traffic goes through the
+    :class:`~repro.net.network.CrossShardRouter` and the stepper's
+    epoch-barriered mailboxes — realtime hints and push notifications
+    cross the same way — and pays at least the stepper's lookahead
+    (50 ms) per hop.  That floor is the model's cost of leaving a shard,
+    not a stepping artefact.
 
     The stepper advances the cells one after another inside each epoch;
     cross-cell messages drain in the sorted ``(deliver_at, src, seq)``
     mailbox order, so the deterministic snapshot does not depend on the
     order the cells are stepped in.
+
+    One shard with one pair is the *one-engine* world, the same build
+    with one cell: a single :class:`IftttEngine` at
+    ``engine.ifttt.cloud`` in the ``engine`` metrics namespace, no shard
+    strategy, and no cross-shard router, so its cell runs uncoupled, one
+    epoch per ``run_until``.  One naming rule covers both: the one-engine
+    world keeps the unsuffixed names the built-in plans speak
+    (``chaos_sensor``, ``sensor.cloud``), so :meth:`retarget` leaves its
+    plans as they are; any other shape suffixes each name with its pair
+    or cell index, and its engines are ``engine<i>.ifttt.cloud`` shards of
+    a :class:`~repro.engine.sharding.ShardedEngine`.
 
     (``__test__`` opts the class out of pytest collection.)
     """
@@ -942,62 +772,83 @@ class ShardedChaosWorld:
     def __init__(
         self,
         seed: int = 7,
-        num_shards: int = 4,
+        num_shards: int = 1,
         shard_strategy: str = "service_hash",
-        pairs: int = SHARDED_PAIRS,
+        pairs: Optional[int] = None,
         engine_config: Optional[EngineConfig] = None,
         replay: Optional[ReplayPolicy] = None,
         delivery: Optional[DeliveryPolicy] = None,
         delivery_mode: str = "poll",
         jobs: int = 1,  # frozen benchmarks/ledger/adapters.py; removed by ROADMAP 1(a)
     ) -> None:
+        if shard_strategy not in SHARD_STRATEGIES:
+            # Checked here: the one-engine world builds no fleet to reject it.
+            raise ValueError(
+                f"unknown shard strategy {shard_strategy!r}; expected one of {SHARD_STRATEGIES}"
+            )
+        if pairs is None:
+            pairs = 1 if num_shards == 1 else SHARDED_PAIRS
         if pairs < 1:
             raise ValueError(f"pairs must be >= 1, got {pairs}")
+        one_engine = num_shards == pairs == 1
+        # The naming rule: the one-engine world keeps the unsuffixed names
+        # the built-in plans speak; any other shape suffixes each name
+        # with its pair or cell index.
+        tags = [""] if one_engine else [str(index) for index in range(max(num_shards, pairs))]
         self.seed = seed
         self.stepper = ShardedSimulator(num_shards)
         self.rng = Rng(seed=seed, name="chaos")
         # One cell per shard: registry, network, core.  A cell has one
         # heap and one registry; nothing is shared across cells except
-        # the mailboxes, so the shared Trace is omitted on purpose (none
-        # of the sharded accounting reads it).
+        # the mailboxes, so no Trace is kept (none of the chaos
+        # accounting reads one).
         self.registries: List[MetricsRegistry] = []
         self.networks: List[Network] = []
-        for index in range(num_shards):
+        for index, sim in enumerate(self.stepper.sims):
             registry = MetricsRegistry()
-            sim = self.stepper.sims[index]
             sim.metrics = registry
             self.registries.append(registry)
             self.networks.append(
-                Network(sim, self.rng.fork(f"network{index}"), metrics=registry)
+                Network(sim, self.rng.fork(f"network{tags[index]}"), metrics=registry)
             )
-        self.router = CrossShardRouter(self.stepper)
-        self.fleet = ShardedEngine(
-            self.networks,
-            config=_world_config(engine_config, replay, delivery, delivery_mode),
-            rng=self.rng.fork("engine"),
-            num_shards=num_shards,
-            shard_strategy=shard_strategy,
-            host_pattern=SHARD_HOST_PATTERN,
-            service_time=0.0,
-        )
+        config = _world_config(engine_config, replay, delivery, delivery_mode)
+        if one_engine:
+            self.router: Optional[CrossShardRouter] = None
+            self.strategy: Optional[str] = None
+            self.fleet = self.networks[0].add_node(IftttEngine(
+                Address(ENGINE_HOST), config=config,
+                rng=self.rng.fork("engine"), service_time=0.0,
+            ))
+            self.engines: List[IftttEngine] = [self.fleet]
+        else:
+            self.router = CrossShardRouter(self.stepper)
+            self.strategy = shard_strategy
+            self.fleet = ShardedEngine(
+                self.networks,
+                config=config,
+                rng=self.rng.fork("engine"),
+                num_shards=num_shards,
+                shard_strategy=shard_strategy,
+                host_pattern=SHARD_HOST_PATTERN,
+                service_time=0.0,
+            )
+            self.engines = self.fleet.shards
         self.cores = []
         for index, network in enumerate(self.networks):
             core = network.add_node(GatewayRouter(Address(CORE_HOST)))
-            network.connect(
-                self.fleet.shards[index].address, core.address,
-                cloud_internal_latency(),
-            )
+            network.connect(self.engines[index].address, core.address, cloud_internal_latency())
             # Cross-cell sends exit through the cell's core: a shard
             # partitioned from it is connection-refused on remote polls
             # too, and inbound cross-cell traffic is dropped mid-path.
             network.gateway = core.address
-            self.router.attach(network, index)
+            if self.router is not None:
+                self.router.attach(network, index)
             self.cores.append(core)
 
         #: ``(delivered_at, pair, fields)`` sink executions, in the order
         #: the cells were stepped (not time order across cells).
-        self._delivered: List[Tuple[float, int, Dict[str, Any]]] = []
-        self._events_injected = 0
+        self.delivered: List[Tuple[float, int, Dict[str, Any]]] = []
+        self.events_injected = 0
         self.sensors: List[PartnerService] = []
         self.sinks: List[PartnerService] = []
         #: pair -> home cell, and cell -> {slug: service} for plan splits.
@@ -1006,23 +857,24 @@ class ShardedChaosWorld:
             {} for _ in range(num_shards)
         ]
         for pair in range(pairs):
+            tag = tags[pair]
             # Sensor and sink are homed *independently* by their own slug
             # hashes.  Under ``service_hash`` the applet's shard equals
             # the sensor's home (polls stay cell-local — the affinity the
             # strategy exists for) while its sink usually hashes
             # elsewhere, so action dispatches genuinely cross cells; under
             # ``round_robin`` polls cross too.
-            sensor_cell = stable_service_hash(f"{SENSOR_SLUG}{pair}") % num_shards
-            sink_cell = stable_service_hash(f"{SINK_SLUG}{pair}") % num_shards
+            sensor_cell = stable_service_hash(f"{SENSOR_SLUG}{tag}") % num_shards
+            sink_cell = stable_service_hash(f"{SINK_SLUG}{tag}") % num_shards
             self._pair_home.append(sensor_cell)
             sensor = self.networks[sensor_cell].add_node(PartnerService(
-                Address(f"sensor{pair}.cloud"), slug=f"{SENSOR_SLUG}{pair}",
+                Address(f"sensor{tag}.cloud"), slug=f"{SENSOR_SLUG}{tag}",
                 service_time=0.0,
                 realtime=delivery_mode == "hint", push=delivery_mode == "push",
             ))
             sensor.add_trigger(TriggerEndpoint(slug="tick", name="Tick"))
             sink = self.networks[sink_cell].add_node(PartnerService(
-                Address(f"sink{pair}.cloud"), slug=f"{SINK_SLUG}{pair}",
+                Address(f"sink{tag}.cloud"), slug=f"{SINK_SLUG}{tag}",
                 service_time=0.0,
             ))
             sink.add_action(ActionEndpoint(
@@ -1045,21 +897,25 @@ class ShardedChaosWorld:
             self.fleet.connect_service(CHAOS_USER, service, authority, "pw")
         self.applets = [
             self.fleet.install_applet(
-                user=CHAOS_USER, name=f"tick{pair}->deliver{pair}",
-                trigger=TriggerRef(f"{SENSOR_SLUG}{pair}", "tick"),
-                action=ActionRef(f"{SINK_SLUG}{pair}", "deliver",
+                user=CHAOS_USER, name=f"tick{tags[pair]}->deliver{tags[pair]}",
+                trigger=TriggerRef(f"{SENSOR_SLUG}{tags[pair]}", "tick"),
+                action=ActionRef(f"{SINK_SLUG}{tags[pair]}", "deliver",
                                  {"n": "{{n}}", "injected_at": "{{injected_at}}"}),
             )
             for pair in range(pairs)
         ]
-        self.victim_shard = self.fleet.shard_of(self.applets[0].applet_id)
+        #: pair -> the shard its applet landed on.
+        self.applet_shards = [0] if one_engine else [
+            self.fleet.shard_of(applet.applet_id) for applet in self.applets
+        ]
+        self.victim_shard = self.applet_shards[0]
         # One injector and one fault-window watcher per cell, each armed
         # only with that cell's slice of a (retargeted) plan.
         self.injectors = [
             FaultInjector(
                 self.stepper.sims[index], self.networks[index],
                 services=tuple(self._cell_services[index].values()),
-                rng=self.rng.fork(f"faults{index}"),
+                rng=self.rng.fork(f"faults{tags[index]}"),
                 metrics=self.registries[index],
             )
             for index in range(num_shards)
@@ -1071,32 +927,40 @@ class ShardedChaosWorld:
 
     def _record_sink(self, cell: int, pair: int, fields: Dict[str, Any]) -> None:
         """Pair ``pair``'s sink executor, on its home cell ``cell``."""
-        self._delivered.append((self.stepper.sims[cell].now, pair, dict(fields)))
+        self.delivered.append((self.stepper.sims[cell].now, pair, dict(fields)))
 
     def retarget(self, plan: FaultPlan) -> FaultPlan:
-        """An unsharded plan, aimed at the victim pair and shard."""
+        """A plan in the one-engine vocabulary, aimed at the victim pair and
+        shard (on the one-engine world's own names, the same plan)."""
         return retarget_plan_for_shards(
             plan,
-            sensor_slug=f"{SENSOR_SLUG}0",
-            sink_slug=f"{SINK_SLUG}0",
-            engine_host=SHARD_HOST_PATTERN.format(shard=self.victim_shard),
+            sensor_slug=self.sensors[0].slug,
+            sink_slug=self.sinks[0].slug,
+            engine_host=self.engines[self.victim_shard].address.host,
         )
 
     def _owning_cell(self, spec) -> int:
-        """Which cell a fault spec belongs to (service home or link home)."""
+        """Which cell a fault spec belongs to (service home or link home).
+
+        A spec naming a service or a link the world does not have raises
+        :class:`FaultPlanError` naming what the world does have.
+        """
         if spec.service:
             for cell, services in enumerate(self._cell_services):
                 if spec.service in services:
                     return cell
+            known = sorted(slug for services in self._cell_services for slug in services)
             raise FaultPlanError(
-                f"{spec.kind}: unknown service {spec.service!r} in this world"
+                f"{spec.kind}: unknown service {spec.service!r}; known: {known}"
             )
         a, b = Address(spec.a), Address(spec.b)
         for cell, network in enumerate(self.networks):
             if network.link_between(a, b) is not None:
                 return cell
+        hosts = sorted(node.address.host for node in self.engines + self.sensors + self.sinks)
         raise FaultPlanError(
-            f"{spec.kind}: no cell has a link between {spec.a} and {spec.b}"
+            f"{spec.kind}: no link between {spec.a} and {spec.b}; "
+            f"every link joins {CORE_HOST} to one of {hosts}"
         )
 
     def _split_plan(self, plan: FaultPlan) -> List[FaultPlan]:
@@ -1121,7 +985,7 @@ class ShardedChaosWorld:
                 )
 
     def _inject(self, pair: int, index: int, planned_at: float) -> None:
-        self._events_injected += 1
+        self.events_injected += 1
         self.sensors[pair].ingest_event("tick", {"n": index, "injected_at": planned_at})
 
     def run(self, scenario: ChaosScenario, drain: float = DRAIN_SECONDS) -> ChaosResult:
@@ -1137,23 +1001,65 @@ class ShardedChaosWorld:
         return self._result(scenario, plan, until)
 
     def _result(self, scenario: ChaosScenario, plan: FaultPlan, until: float) -> ChaosResult:
-        shard_of = [self.fleet.shard_of(applet.applet_id) for applet in self.applets]
-        delivered = sorted(self._delivered, key=lambda record: (record[0], record[1]))
-        return _chaos_result(
-            scenario, plan, self.seed, until,
-            engines=self.fleet.shards,
-            registries=self.registries,
-            delivered=((at, shard_of[pair], fields) for at, pair, fields in delivered),
-            injectors=self.injectors,
-            watchers=self.watchers,
-            events_injected=self._events_injected,
-            fleet_stats=self.fleet.stats(),
-            victim_applet=self.applets[0].applet_id,
+        """The run's accounting; shard ``i`` is ``engines[i]`` recording
+        into ``registries[i]``.
+
+        Deliveries are read in time order, ties by pair; the victim
+        applet is the one whose post-run poll intervals are sampled.  The
+        registries merge commutatively (counters add, gauges max), so the
+        snapshot does not depend on shard order; one registry merges to
+        its own snapshot.
+        """
+        engines = self.engines
+        fleet_stats = self.fleet.stats()
+        phase_of = _phase_classifier(plan)
+        t2a_by_shard: Dict[int, Dict[str, List[float]]] = {}
+        for delivered_at, pair, fields in sorted(
+            self.delivered, key=lambda record: (record[0], record[1])
+        ):
+            injected_at = float(fields["injected_at"])
+            t2a_by_shard.setdefault(self.applet_shards[pair], {}).setdefault(
+                phase_of(injected_at), []
+            ).append(delivered_at - injected_at)
+        fault_window: Dict[str, int] = {}
+        for watcher in self.watchers:
+            fault_window.update(watcher.requests)
+        victim = engines[self.victim_shard]._applets[self.applets[0].applet_id]
+        return ChaosResult(
+            scenario=scenario.name,
+            seed=self.seed,
+            plan=plan,
+            num_shards=len(engines),
+            strategy=self.strategy,
             victim_shard=self.victim_shard,
-            strategy=self.fleet.strategy,
+            ran_until=until,
+            events_injected=self.events_injected,
+            events_observed=sum(
+                int(registry.total(f"{engine.metrics_namespace}.events_observed"))
+                for engine, registry in zip(engines, self.registries)
+            ),
+            fleet_stats=fleet_stats,
+            shard_stats=[engine.stats() for engine in engines],
+            t2a_by_shard=t2a_by_shard,
+            breaker_transitions_by_shard={
+                shard: transitions
+                for shard, engine in enumerate(engines)
+                if (transitions := engine.breaker_transitions())
+            },
+            faults_activated=sum(injector.activations for injector in self.injectors),
+            faults_deactivated=sum(injector.deactivations for injector in self.injectors),
+            snapshot=deterministic_snapshot(
+                merge_snapshots(*(registry.snapshot() for registry in self.registries))
+            ),
+            replay=_replay_report(
+                [engine.replay for engine in engines], until,
+                fleet_stats["polls_sent"] + fleet_stats["actions_dispatched"],
+            ),
+            fault_window_requests=fault_window,
             epochs=self.stepper.epochs,
             mailbox_messages=self.stepper.mailbox_messages,
-            cross_shard_messages=self.router.messages_routed,
+            cross_shard_messages=0 if self.router is None else self.router.messages_routed,
+            **_delivery_extras(engines, victim),
         )
 
 
@@ -1173,15 +1079,16 @@ def run_chaos_scenario(
 ) -> ChaosResult:
     """Run one chaos scenario end to end and return its accounting.
 
-    The one place a world is picked: one shard and one sensor/sink pair
-    run a :class:`ChaosWorld`, anything else a :class:`ShardedChaosWorld`
-    of ``shards`` shards placed by ``shard_strategy``.  ``pairs=None``
-    means 1 for one shard and :data:`SHARDED_PAIRS` for a fleet.
+    Builds a :class:`ChaosWorld` of ``shards`` shards and ``pairs``
+    sensor/sink pairs placed by ``shard_strategy`` (``pairs=None`` means
+    1 for one shard and :data:`SHARDED_PAIRS` for a fleet), then runs it.
 
     ``plan`` overrides the scenario's built-in fault plan (the event
     schedule is kept), which is how ``--faults PLAN.json`` plugs in; it
-    speaks the one-engine vocabulary, and a sharded world retargets it
-    at its victim pair (the result's ``plan`` is the one applied).
+    speaks the one-engine vocabulary, and the world retargets it at its
+    victim pair (the result's ``plan`` is the one applied).  A plan
+    naming a service or link the world lacks raises
+    :class:`~repro.faults.plan.FaultPlanError`.
     ``engine_config`` replaces :func:`chaos_engine_config`.  ``replay``
     enables dead-letter replay on every engine (see ``--replay``); the
     result then carries a :class:`ReplayReport`.  ``delivery`` enables
@@ -1193,26 +1100,14 @@ def run_chaos_scenario(
     contract; see ``--delivery``); a fleet routes pushes to each
     service's last-published shard.
     """
-    if shard_strategy not in SHARD_STRATEGIES:
-        # Checked here too: one shard builds no fleet to reject it.
-        raise ValueError(
-            f"unknown shard strategy {shard_strategy!r}; expected one of {SHARD_STRATEGIES}"
-        )
     scenario = chaos_scenario(name, plan)
-    if pairs is None:
-        pairs = 1 if shards == 1 else SHARDED_PAIRS
-    options = dict(
+    world = ChaosWorld(
+        seed, num_shards=shards, shard_strategy=shard_strategy, pairs=pairs,
         engine_config=engine_config, replay=replay, delivery=delivery,
         delivery_mode=delivery_mode,
     )
-    if shards == 1 and pairs == 1:
-        world = ChaosWorld(seed, **options)
-    else:
-        world = ShardedChaosWorld(
-            seed, num_shards=shards, shard_strategy=shard_strategy, pairs=pairs, **options
-        )
     return world.run(scenario, drain=drain)
 
 
 # Frozen benchmarks/ledger/adapters.py; removed by ROADMAP 1(a).
-ParallelShardedChaosWorld = ShardedChaosWorld
+ParallelShardedChaosWorld = ChaosWorld

@@ -15,8 +15,10 @@ engine itself".
 Beyond the paper's happy-path scenarios, the chaos scenarios of
 :mod:`repro.testbed.chaos` drive the same machinery under fault plans:
 outage-during-burst, partition-heal, a flappy-service soak and a
-brownout, on one engine or a sharded fleet, through one entry point
-(:func:`~repro.testbed.chaos.run_chaos_scenario`) and one result
+brownout.  One world class,
+:class:`~repro.testbed.chaos.ChaosWorld`, runs them on one engine (its
+one-cell shape) or on a sharded fleet, built and run by one entry point
+(:func:`~repro.testbed.chaos.run_chaos_scenario`) into one result
 (:class:`~repro.testbed.chaos.ChaosResult`).
 ``python -m repro chaos --scenario outage``.
 """

@@ -215,6 +215,46 @@ class TestChaosCommand:
         assert main(["chaos", "--scenario", "outage", "--faults", str(plan_path)]) == 2
         assert "'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shards, known", [
+        ("1", "['chaos_sensor', 'chaos_sink']"),
+        ("4", "['chaos_sensor0', 'chaos_sensor1', 'chaos_sensor2', 'chaos_sensor3', "
+              "'chaos_sensor4', 'chaos_sensor5', 'chaos_sink0', 'chaos_sink1', "
+              "'chaos_sink2', 'chaos_sink3', 'chaos_sink4', 'chaos_sink5']"),
+    ])
+    def test_chaos_plan_naming_an_unknown_service_exits_2(self, capsys, tmp_path,
+                                                          shards, known):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(
+            '{"faults": [{"kind": "service_outage", "service": "nope",'
+            ' "at": 20.0, "duration": 10.0}]}'
+        )
+        assert main(["chaos", "--scenario", "outage", "--shards", shards,
+                     "--faults", str(plan_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"cannot apply fault plan {plan_path}: service_outage: "
+                       f"unknown service 'nope'; known: {known}\n")
+
+    @pytest.mark.parametrize("shards, hosts", [
+        ("1", "['engine.ifttt.cloud', 'sensor.cloud', 'sink.cloud']"),
+        ("2", "['engine0.ifttt.cloud', 'engine1.ifttt.cloud', 'sensor0.cloud', "
+              "'sensor1.cloud', 'sensor2.cloud', 'sensor3.cloud', 'sensor4.cloud', "
+              "'sensor5.cloud', 'sink0.cloud', 'sink1.cloud', 'sink2.cloud', "
+              "'sink3.cloud', 'sink4.cloud', 'sink5.cloud']"),
+    ])
+    def test_chaos_plan_naming_an_unknown_link_exits_2(self, capsys, tmp_path,
+                                                       shards, hosts):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(
+            '{"faults": [{"kind": "link_down", "a": "sensor.cloud", "b": "sink.cloud",'
+            ' "at": 20.0, "duration": 10.0}]}'
+        )
+        assert main(["chaos", "--scenario", "partition", "--shards", shards,
+                     "--faults", str(plan_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"cannot apply fault plan {plan_path}: link_down: no link between "
+                       f"sensor.cloud and sink.cloud; every link joins core.internet "
+                       f"to one of {hosts}\n")
+
 
 class TestNewCommands:
     def test_decompose(self, capsys):

@@ -13,7 +13,6 @@ from repro.testbed.chaos import (
     SHARDED_PAIRS,
     SINK_SLUG,
     ChaosWorld,
-    ShardedChaosWorld,
     _phase_classifier,
     chaos_scenario,
     run_chaos_scenario,
@@ -120,21 +119,12 @@ class TestDeterminism:
         b = run_chaos_scenario("outage", seed=14)
         assert snapshot_to_json_lines(a.snapshot) != snapshot_to_json_lines(b.snapshot)
 
-    def test_back_to_back_worlds_mint_the_same_event_ids(self):
-        # a world mints from its own simulator, not a process-global counter
-        def traced_ids():
-            world = ChaosWorld(seed=7)
-            world.run(CHAOS_SCENARIOS["outage"])
-            return [(r.time, r.kind, r.detail["event_id"])
-                    for r in world.trace if "event_id" in r.detail]
-
-        first = traced_ids()
-        assert first and min(event_id for *_, event_id in first) == 1
-        assert traced_ids() == first
-
-    def test_sharded_world_mints_from_one_source(self):
+    @pytest.mark.parametrize("shards, pairs", [(1, 1), (4, 6)])
+    def test_back_to_back_worlds_mint_from_one_counter(self, shards, pairs):
+        # a world mints from its own simulators' one counter, not a
+        # process-global one
         def buffered_ids():
-            world = ShardedChaosWorld(seed=7, num_shards=4)
+            world = ChaosWorld(seed=7, num_shards=shards, pairs=pairs)
             world.run(CHAOS_SCENARIOS["outage"])
             return sorted(
                 event.event_id
@@ -145,7 +135,7 @@ class TestDeterminism:
 
         first = buffered_ids()
         # one counter across the shards: no id minted twice, none skipped
-        assert first == list(range(1, len(first) + 1))
+        assert first and first == list(range(1, len(first) + 1))
         assert buffered_ids() == first
 
     def test_wallclock_gauges_filtered_from_snapshot(self, outage_result):
@@ -169,6 +159,20 @@ class TestOneEntryPoint:
         assert r.num_shards == len(r.shard_stats) == num_shards
         assert sum(r.shard_loads) == applets
         assert r.actions_silently_lost == 0
+        # the naming rule: one engine keeps the unsuffixed names, every
+        # other shape suffixes the slugs with the pair and the engine
+        # namespace with the shard
+        polled = {(e["name"], e["labels"]["service"]) for e in r.snapshot["metrics"]
+                  if e["name"].endswith(".polls_sent")}
+        if strategy is None:
+            assert polled == {("engine.polls_sent", "chaos_sensor")}
+        else:
+            assert {slug for _, slug in polled} == {
+                f"chaos_sensor{pair}" for pair in range(applets)
+            }
+            assert {name for name, _ in polled} <= {
+                f"engine.shard{shard}.polls_sent" for shard in range(num_shards)
+            }
 
     def test_one_engine_reads_as_a_fleet_of_one(self):
         world = ChaosWorld(seed=7)
@@ -177,15 +181,17 @@ class TestOneEntryPoint:
         expected = [
             at - float(fields["injected_at"])
             for phase in PHASES
-            for at, fields in world.delivered
+            for at, pair, fields in world.delivered
             if phase_of(float(fields["injected_at"])) == phase
         ]
         assert expected and r.t2a_values(range(1)) == expected
         assert r.shard_silently_lost == [0]
-        assert r.fleet_stats == r.shard_stats[0] == world.engine.stats()
+        assert r.fleet_stats == r.shard_stats[0] == world.engines[0].stats()
         assert r.victim_shard == 0 and r.healthy_shards == []
         assert r.plan == CHAOS_SCENARIOS["outage"].plan
-        assert r.epochs == r.mailbox_messages == r.cross_shard_messages == 0
+        # one uncoupled cell: one epoch for the run's one run_until
+        assert r.epochs == world.stepper.epochs == 1
+        assert r.mailbox_messages == r.cross_shard_messages == 0
 
     def test_a_sharded_result_carries_the_retargeted_plan(self):
         r = run_chaos_scenario("brownout", seed=7, shards=4, drain=0.0)
@@ -203,7 +209,7 @@ class TestOneEntryPoint:
 
         monkeypatch.setattr(chaos, "ShardedSimulator", no_cells)
         with pytest.raises(ValueError, match="pairs"):
-            ShardedChaosWorld(7, num_shards=shards, pairs=pairs)
+            ChaosWorld(7, num_shards=shards, pairs=pairs)
         with pytest.raises(ValueError, match="pairs"):
             run_chaos_scenario("outage", seed=7, shards=shards, pairs=pairs)
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro.engine.engine import IftttEngine
 from repro.simcore import Simulator
-from repro.testbed.chaos import CHAOS_SCENARIOS, ChaosWorld, ShardedChaosWorld, chaos_scenario
+from repro.testbed.chaos import CHAOS_SCENARIOS, ChaosWorld, chaos_scenario
 from repro.testbed.workload import FleetWorld, ShardedFleetWorld
 
 
@@ -178,16 +178,13 @@ class TestRunGarbageIsAcyclic:
         assert unreachable_after(lambda: world.run_publications(2, 300.0)) == 0
         assert world.actions_executed > 0
 
-    @pytest.mark.parametrize("name", sorted(CHAOS_SCENARIOS))
-    def test_chaos_world(self, name):
-        world = ChaosWorld(7)
+    @pytest.mark.parametrize("shards, name", [
+        pytest.param(shards, name, id=name if shards == 1 else f"sharded-{name}")
+        for shards in (1, 4)
+        for name in sorted(CHAOS_SCENARIOS)
+    ])
+    def test_chaos_world(self, shards, name):
+        world = ChaosWorld(7, num_shards=shards)
         scenario = chaos_scenario(name)
         assert unreachable_after(lambda: world.run(scenario)) == 0
         assert world.delivered
-
-    @pytest.mark.parametrize("name", sorted(CHAOS_SCENARIOS))
-    def test_sharded_chaos_world(self, name):
-        world = ShardedChaosWorld(7, num_shards=4)
-        scenario = chaos_scenario(name)
-        assert unreachable_after(lambda: world.run(scenario)) == 0
-        assert world.fleet.stats()["actions_delivered"] > 0

@@ -527,7 +527,7 @@ def test_timeouts_refusals_and_replays_each_pop_their_own_context(scenario, batc
     flight."""
     world = ChaosWorld(seed=7, replay=ReplayPolicy(batching=batching))
     result = world.run(chaos_scenario(scenario))
-    engine = world.engine
+    (engine,) = world.engines
     assert engine.poll_failures + engine.action_failures > 0
     assert result.actions_silently_lost == 0
     assert _awaited_matches_pending(engine)

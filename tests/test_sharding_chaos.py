@@ -23,7 +23,7 @@ from repro.testbed.chaos import (
     SENSOR_SLUG,
     SHARD_HOST_PATTERN,
     SINK_SLUG,
-    ShardedChaosWorld,
+    ChaosWorld,
     retarget_plan_for_shards,
     run_chaos_scenario,
 )
@@ -210,13 +210,10 @@ class TestPlanRetargeting:
         assert set(r.breaker_transitions_by_shard) <= {r.victim_shard}
 
     def test_world_exposes_victim_shard(self):
-        world = ShardedChaosWorld(seed=7, num_shards=4)
+        world = ChaosWorld(seed=7, num_shards=4)
         assert 0 <= world.victim_shard < 4
         assert world.victim_shard == world.fleet.shard_for_trigger_service(
             f"{SENSOR_SLUG}0")
-
-    def test_world_not_collected_by_pytest(self):
-        assert ShardedChaosWorld.__test__ is False
 
 
 class TestShardedDeterminism:

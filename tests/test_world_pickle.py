@@ -24,7 +24,6 @@ from repro.testbed.chaos import (
     CHAOS_SCENARIOS,
     DRAIN_SECONDS,
     ChaosWorld,
-    ShardedChaosWorld,
 )
 from repro.testbed.scenario_gen import DAY, HOUR
 from repro.testbed.workload import FleetWorld, ShardedFleetWorld
@@ -58,31 +57,22 @@ def _arm_chaos(world, scenario):
     ``run_until``.
     """
     until = scenario.horizon + DRAIN_SECONDS
-    if isinstance(world, ShardedChaosWorld):
-        plan = world.retarget(scenario.plan)
-        for cell, subplan in enumerate(world._split_plan(plan)):
-            if subplan.specs:
-                world.injectors[cell].apply(subplan)
-                world.watchers[cell].watch(subplan)
-    else:
-        plan = scenario.plan
-        world.injector.apply(plan)
-        world.watcher.watch(plan)
+    plan = world.retarget(scenario.plan)
+    for cell, subplan in enumerate(world._split_plan(plan)):
+        if subplan.specs:
+            world.injectors[cell].apply(subplan)
+            world.watchers[cell].watch(subplan)
     world.schedule_events(scenario.event_times)
     return (lambda w: w._result(scenario, plan, until)), until
 
 
 def _build_chaos(sharded: bool, mode: str):
-    if sharded:
-        return ShardedChaosWorld(seed=7, num_shards=4, pairs=3, delivery_mode=mode)
-    return ChaosWorld(seed=7, delivery_mode=mode)
+    shards, pairs = (4, 3) if sharded else (1, 1)
+    return ChaosWorld(seed=7, num_shards=shards, pairs=pairs, delivery_mode=mode)
 
 
 def _advance(world, time: float) -> None:
-    if isinstance(world, ShardedChaosWorld):
-        world.stepper.run_until(time)
-    else:
-        world.sim.run_until(time)
+    world.stepper.run_until(time)
 
 
 @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
@@ -114,8 +104,7 @@ def test_chaos_world_round_trip(sharded, name, mode):
     split, pickled = results
     assert pickled.summary() == split.summary()
     assert _lines(pickled.snapshot) == _lines(split.snapshot)
-    delivered = "_delivered" if sharded else "delivered"
-    assert getattr(copy, delivered) == getattr(world, delivered)
+    assert copy.delivered == world.delivered
 
 
 # -- fleets -------------------------------------------------------------------
