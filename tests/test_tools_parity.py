@@ -207,7 +207,7 @@ class TestTable:
 
     def test_the_18_chaos_rows_still_run_against_a_ref(self):
         against_ref = {row.name: row for row in parity.TABLE if row.other is None}
-        assert set(against_ref) == self.CHAOS_ROWS | self.TESTBED_ROWS | {"shapes"}
+        assert set(against_ref) == self.CHAOS_ROWS | self.TESTBED_ROWS | {"shapes", "ladders"}
         for name in self.CHAOS_ROWS:
             assert against_ref[name].args[:5] == ("-m", "repro", "chaos", "--seed", "7")
         assert [row.name for row in against_ref.values() if row.expect] == ["mix-hint"]

@@ -129,6 +129,9 @@ TABLE: Tuple[Row, ...] = (
     chaos("mix-hint", "degrade-check", "--scenario", "brownout", "--shards", "4", "--replay",
           "--adaptive", "--delivery", "hint", "--shard-strategy", "popularity_balanced",
           expect=1),
+    # Both delivery ladders and the breaker through every rung, on one
+    # engine built through public API; exit 0 = every rung was reached.
+    Row("ladders", "degrade-check", ("{checkout}/tests/ladder_walk.py",)),
     chaos("hint-s1", "push-check", "--scenario", "outage", "--delivery", "hint"),
     chaos("hint-s4", "push-check", "--scenario", "outage", "--delivery", "hint", "--shards", "4"),
     chaos("push-s1", "push-check", "--scenario", "outage", "--delivery", "push"),
