@@ -25,16 +25,17 @@ behaviour §4 measures:
   breakers, and the action dead-letter sink that keep the engine honest
   under the fault plans of :mod:`repro.faults`.
 * :mod:`repro.engine.delivery` — health-aware adaptive delivery: the
-  per-service :class:`ServiceHealth` EWMA tracker whose stretch factor
-  the engine's one cadence decision applies to any polling policy under
-  brownout (provably restoring the §4 interval distribution after
-  heal), and the :class:`DeliveryController` that adds watermarked
-  admission control and the 4-level degradation ladder
+  :class:`DeliveryController` keeps each service's EWMA health on its
+  :class:`ServiceRegistration`, and the engine's one cadence decision
+  applies the stretch factor to any polling policy under brownout
+  (provably restoring the §4 interval distribution after heal); it adds
+  watermarked admission control and the 4-level degradation ladder
   (``docs/ROBUSTNESS.md``, "Adaptive delivery & degradation ladder").
 * :mod:`repro.engine.push` — push-first delivery: the opt-in per-service
   push contract (payload-carrying ``POST /ifttt/v1/webhooks/push``
   notifications), engine-side ingestion batching via coalescing drains,
-  and watermarked backpressure that degrades a service push→hint→poll
+  and watermarked backpressure that degrades a service push→hint→poll,
+  its queue and rung kept on the :class:`ServiceRegistration`
   (``docs/DELIVERY.md``).
 * :mod:`repro.engine.replay` — the :class:`ReplayController` that drains
   a healed service's dead letters back through delivery, coalescing
@@ -56,11 +57,11 @@ __getattr__, __dir__, __all__ = _lazy.exports(globals(), {
         "PollingPolicy", "ProductionPollingPolicy", "FixedPollingPolicy", "AdaptivePollingPolicy",
     ),
     "delivery": (
-        "DEGRADATION_LEVEL_NAMES", "DeliveryController", "DeliveryPolicy", "ServiceHealth",
+        "DEGRADATION_LEVEL_NAMES", "DeliveryController", "DeliveryPolicy",
         "sampled_interval_quartiles",
     ),
     "push": (
-        "DELIVERY_MODES", "PUSH_RUNG_NAMES", "PushController", "PushPolicy", "PushServiceState",
+        "DELIVERY_MODES", "PUSH_RUNG_NAMES", "PushController", "PushPolicy",
     ),
     "oauth": ("OAuthAuthority", "OAuthGrant"),
     "engine": (

@@ -81,18 +81,18 @@ class EngineConfig:
         + in_retry + dead_lettered + in_replay``.  See
         ``docs/ROBUSTNESS.md`` ("Replay & batching").
     delivery_policy:
-        Health-aware adaptive delivery tunables (``None``, the default,
+        Health-aware adaptive delivery on/off: ``None``, the default,
         disables adaptation — the engine behaves exactly as before, no
         new metric families appear, and no extra randomness is
-        consumed, so the determinism gates stay byte-identical).  When
-        set, the engine builds a
+        consumed, so the determinism gates stay byte-identical.
+        ``DeliveryPolicy()`` (fieldless; the tunables are constants of
+        :mod:`repro.engine.delivery`) makes the engine build a
         :class:`~repro.engine.delivery.DeliveryController`: per-service
-        :class:`~repro.engine.delivery.ServiceHealth` EWMA trackers
-        stretch poll intervals and retry backoffs under brownout,
-        watermarked admission bounds the realtime-hint and action-retry
-        queues, replay drains respect the same headroom, and the
-        4-level degradation ladder is exported per service as the
-        ``{ns}.degradation_level`` gauge.  See ``docs/ROBUSTNESS.md``
+        EWMA health on each service's record stretches poll intervals
+        and retry backoffs under brownout, watermarked admission bounds
+        the realtime-hint and action-retry queues, replay drains respect
+        the same headroom, and the 4-level degradation ladder is
+        exported per service as the ``{ns}.degradation_level`` gauge.  See ``docs/ROBUSTNESS.md``
         ("Adaptive delivery & degradation ladder").
     push_policy:
         Push-first delivery tunables (``None``, the default, disables

@@ -10,60 +10,68 @@ exact service least able to take it.  The circuit breaker only blunts
 *total* failure: a 50% brownout never produces the consecutive-failure
 run that trips it, so the storm rages with the breaker closed.
 
-This module closes that gap with three cooperating pieces, all owned by
-one :class:`DeliveryController` per engine (per *shard* in a fleet).  The
-per-service state (``health``, ladder ``level``, the admission depths)
-lives on the engine's :class:`~repro.engine.engine.ServiceRegistration`
-record, the ``link`` every method here takes:
+This module closes that gap with one engine-level owner, the
+:class:`DeliveryController` (one per engine, per *shard* in a fleet).
+It keeps no per-service state: every field it reads and writes lives on
+the engine's :class:`~repro.engine.engine.ServiceRegistration` record,
+the ``link`` every method here takes, beside the breaker, the push rung
+and the admission depths:
 
-:class:`ServiceHealth`
-    A per-(service, engine) tracker fed by every poll/action outcome,
-    observed brownout rejections (the 503 bodies
-    ``service.brownout_rejections`` stamps on the wire), and breaker
-    transitions.  It maintains an EWMA error rate and a multiplicative
-    *stretch* factor: capped-exponential growth while the error EWMA is
-    above the degrade threshold, multiplicative decay back to exactly
-    ``1.0`` once the service strings together consecutive successes.
+Service health (``link.error_ewma``, ``link.stretch``)
+    Fed by every poll/action outcome and by observed brownout
+    rejections (the 503 bodies ``service.brownout_rejections`` stamps on
+    the wire).  The controller keeps an EWMA error rate and a
+    multiplicative *stretch* factor: capped-exponential growth while the
+    error EWMA is at/above :data:`DEGRADE_THRESHOLD`, multiplicative
+    decay back to exactly ``1.0`` once the service strings together
+    :data:`RECOVERY_SUCCESSES` consecutive successes.
 
 Interval stretching (in the engine's one cadence decision)
     There is no polling-policy wrapper: every applet keeps a private
     clone of the configured base policy, and
     ``IftttEngine._interval(link, policy, rng)`` multiplies its draw by
-    ``link.health.stretch_factor(rng)`` — so production-lognormal,
-    fixed-rate, and activity-adaptive pollers all gain brownout backoff
-    without code changes.  When the service is healthy (stretch == 1.0)
-    the factor is exactly 1.0 and is computed **consuming no
-    randomness**, which is how the §4 interval distribution is provably
-    restored post-recovery: after heal the engine draws the base
-    policy's stream byte for byte.  When stretched, the base draw is
-    multiplied by the jittered stretch factor.  While the breaker is
-    OPEN or HALF_OPEN the factor is forced back to 1.0 so the recovery
-    probe keeps the *baseline* cadence — stretching a poll that the
-    breaker sheds locally anyway would only delay the half-open probe.
+    :func:`stretch_factor` — so production-lognormal, fixed-rate, and
+    activity-adaptive pollers all gain brownout backoff without code
+    changes.  When the service is healthy (stretch == 1.0) the factor is
+    exactly 1.0 and is computed **consuming no randomness**, which is
+    how the §4 interval distribution is provably restored post-recovery:
+    after heal the engine draws the base policy's stream byte for byte.
+    When stretched, the base draw is multiplied by the jittered stretch
+    factor.  While the breaker (``link.breaker``) is OPEN or HALF_OPEN
+    the factor is forced back to 1.0 so the recovery probe keeps the
+    *baseline* cadence — stretching a poll that the breaker sheds
+    locally anyway would only delay the half-open probe.
 
-Admission control (on the controller)
+Admission control
     Watermarked ingestion bounds on the two queues that grow without
     limit under degradation:
 
-    * the **realtime-hint queue** — each honoured hint identity is one
-      outstanding fast poll; at/above the low watermark new fast polls
-      are *deferred* (scheduled ``hint_defer_delay`` out instead of
-      immediately), at/above the high watermark hints are *shed to
-      polling* (the identity waits for its regular cadence);
-    * the **action retry queue** — per-service retry depth at/above the
-      low watermark defers (multiplies the backoff), at/above the high
-      watermark new retries are refused and the action dead-letters
-      with reason ``overload``.  Replay drains respect the same
-      headroom (:meth:`DeliveryController.replay_headroom`), so a
-      catch-up burst cannot overrun the queue either.
+    * the **realtime-hint queue** (``link.hint_backlog``) — each
+      honoured hint identity is one outstanding fast poll; at/above
+      :data:`HINT_LOW_WATERMARK` new fast polls are *deferred*
+      (scheduled :data:`HINT_DEFER_DELAY` out instead of immediately),
+      at/above :data:`HINT_HIGH_WATERMARK` hints are *shed to polling*
+      (the identity waits for its regular cadence);
+    * the **action retry queue** (``link.retry_depth``) — at/above
+      :data:`RETRY_LOW_WATERMARK` a retry is deferred (its backoff is
+      multiplied by :data:`STRETCH_MULTIPLIER`), at/above
+      :data:`RETRY_HIGH_WATERMARK` new retries are refused and the
+      action dead-letters with reason ``overload``.  Replay drains
+      respect the same headroom (:meth:`DeliveryController.replay_headroom`),
+      so a catch-up burst cannot overrun the queue either.
 
-The controller exposes the **4-level degradation ladder** per service as
-the ``{ns}.degradation_level`` gauge (0 healthy → 1 stretched →
-2 shedding → 3 breaker-open), counts every transition in
-``{ns}.degradation_transitions`` and traces it — the shard-prefix
-snapshot algebra of ``docs/SHARDING.md`` folds both families fleet-wide
-with no new code (counters add; the gauge's max-merge reports the worst
-shard, which is the right fleet answer for a degradation level).
+The controller exposes the **4-level degradation ladder** per service
+(``link.level``) as the ``{ns}.degradation_level`` gauge (0 healthy →
+1 stretched → 2 shedding → 3 breaker-open), counts every transition in
+``{ns}.degradation_transitions`` and traces it, through the engine's one
+transition emitter (``IftttEngine._transition``, shared with the breaker
+and the push rung) — the shard-prefix snapshot algebra of
+``docs/SHARDING.md`` folds both families fleet-wide with no new code
+(counters add; the gauge's max-merge reports the worst shard, which is
+the right fleet answer for a degradation level).
+
+The tunables are this module's constants, not settings:
+:class:`DeliveryPolicy` has no fields and only switches adaptation on.
 
 Determinism contract: with :attr:`EngineConfig.delivery_policy` unset
 (the default) none of this code runs, no metric families appear, and no
@@ -75,10 +83,11 @@ pins a byte-identical snapshot for the brownout scenario too.
 See ``docs/ROBUSTNESS.md`` ("Adaptive delivery & degradation ladder").
 """
 
+
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.engine.resilience import BreakerState
 from repro.simcore.rng import Rng, quantiles
@@ -94,8 +103,44 @@ DEGRADATION_LEVEL_NAMES: Tuple[str, ...] = (
     "healthy", "stretched", "shedding", "breaker_open",
 )
 
-#: ``ServiceHealth.breaker_level`` of an open breaker (the ladder's top rung).
-_BREAKER_OPEN_LEVEL = BreakerState.OPEN.level
+#: What a ladder move emits through ``IftttEngine._transition``: the
+#: gauge, the transitions counter, the ``from_``/``to_`` label stem, the
+#: trace kind and the level names.
+DEGRADATION_LADDER = (
+    "degradation_level", "degradation_transitions", "level", "engine_degradation_transition",
+    DEGRADATION_LEVEL_NAMES,
+)
+
+#: Weight of the newest poll/action outcome in the error-rate EWMA
+#: (failure = 1, success = 0).
+EWMA_ALPHA = 0.3
+#: Error EWMA at/above which a failure multiplies the stretch factor.
+DEGRADE_THRESHOLD = 0.3
+#: Consecutive successes before each further success decays the stretch
+#: — a brief lucky streak during a brownout does not un-stretch the poller.
+RECOVERY_SUCCESSES = 2
+#: Stretch growth per qualifying failure (also the deferred-retry
+#: backoff multiplier), its cap, its decay per qualifying success
+#: (snapping to exactly 1.0), and the ± fraction the applied factor is
+#: jittered by, so stretched fleets decorrelate instead of thundering
+#: in phase.
+STRETCH_MULTIPLIER = 3.0
+MAX_STRETCH = 8.0
+STRETCH_DECAY = 0.5
+STRETCH_JITTER = 0.1
+#: Realtime-hint admission: with ``backlog`` outstanding fast polls, a
+#: hint identity is admitted below the low watermark, deferred by
+#: :data:`HINT_DEFER_DELAY` seconds in [low, high), shed at/above high.
+HINT_LOW_WATERMARK = 8
+HINT_HIGH_WATERMARK = 32
+HINT_DEFER_DELAY = 5.0
+#: Action-retry admission: a retry depth in [low, high) defers the
+#: retry; at/above high the action dead-letters with reason ``overload``.
+RETRY_LOW_WATERMARK = 16
+RETRY_HIGH_WATERMARK = 64
+#: Seconds a replay drain waits before re-trying when the retry queue
+#: has no headroom.
+REPLAY_DRAIN_BACKOFF = 5.0
 
 #: The paper's §4 T2A quartiles for poll-bound applets — the latency
 #: distribution the baseline (unstretched) polling interval induces.
@@ -105,8 +150,8 @@ _BREAKER_OPEN_LEVEL = BreakerState.OPEN.level
 T2A_BASELINE_QUARTILES: Tuple[float, float, float] = (58.0, 84.0, 122.0)
 
 #: Wire marker a browning-out service stamps on its 503 rejections
-#: (see ``PartnerService._check_outage``); the engine sniffs it to feed
-#: ``ServiceHealth.brownouts_observed`` without a back-channel.
+#: (see ``PartnerService._check_outage``); the engine sniffs it to count
+#: ``delivery.brownouts_observed`` without a back-channel.
 BROWNOUT_MESSAGE = "service browning out"
 
 
@@ -120,201 +165,30 @@ def response_is_brownout(response) -> bool:
 
 @dataclass(frozen=True)
 class DeliveryPolicy:
-    """Tunables for health-aware adaptive delivery.
+    """Switches health-aware adaptive delivery on
+    (:attr:`EngineConfig.delivery_policy`).
 
-    Attributes
-    ----------
-    ewma_alpha:
-        Weight of the newest poll/action outcome in the error-rate EWMA
-        (failure = 1, success = 0).
-    degrade_threshold:
-        Error EWMA at/above which a failure multiplies the stretch
-        factor (capped-exponential growth).
-    recovery_successes:
-        Consecutive successes required before each subsequent success
-        decays the stretch factor — brief lucky streaks during a
-        brownout don't un-stretch the poller.
-    stretch_multiplier, max_stretch, stretch_decay, stretch_jitter:
-        Stretch dynamics: grow ``×multiplier`` per qualifying failure up
-        to ``max_stretch``; decay ``×decay`` per qualifying success,
-        snapping to exactly 1.0; jitter the applied factor by
-        ``±stretch_jitter`` (a fraction) so stretched fleets
-        decorrelate instead of thundering in phase.
-    hint_low_watermark, hint_high_watermark, hint_defer_delay:
-        Realtime-hint admission: with ``backlog`` outstanding fast
-        polls for a service, a new hint identity is admitted
-        immediately below the low watermark, *deferred* by
-        ``hint_defer_delay`` seconds in [low, high), and *shed to
-        polling* at/above the high watermark.
-    retry_low_watermark, retry_high_watermark:
-        Action-retry admission: per-service retry depth in [low, high)
-        multiplies the retry backoff by ``stretch_multiplier``
-        (defer); at/above high a new retry is refused and the action
-        dead-letters with reason ``overload``.
-    replay_drain_backoff:
-        Seconds a replay drain waits before re-trying when the retry
-        queue has no headroom (see ``docs/ROBUSTNESS.md``).
+    It has no fields: the tunables are this module's constants
+    (:data:`EWMA_ALPHA` … :data:`REPLAY_DRAIN_BACKOFF`, tabled in
+    ``docs/ROBUSTNESS.md``).
     """
 
-    ewma_alpha: float = 0.3
-    degrade_threshold: float = 0.3
-    recovery_successes: int = 2
-    stretch_multiplier: float = 3.0
-    max_stretch: float = 8.0
-    stretch_decay: float = 0.5
-    stretch_jitter: float = 0.1
-    hint_low_watermark: int = 8
-    hint_high_watermark: int = 32
-    hint_defer_delay: float = 5.0
-    retry_low_watermark: int = 16
-    retry_high_watermark: int = 64
-    replay_drain_backoff: float = 5.0
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
-        if not 0.0 < self.degrade_threshold <= 1.0:
-            raise ValueError(
-                f"degrade_threshold must be in (0, 1], got {self.degrade_threshold}"
-            )
-        if self.recovery_successes < 1:
-            raise ValueError(
-                f"recovery_successes must be >= 1, got {self.recovery_successes}"
-            )
-        if self.stretch_multiplier <= 1.0:
-            raise ValueError(
-                f"stretch_multiplier must be > 1, got {self.stretch_multiplier}"
-            )
-        if self.max_stretch < self.stretch_multiplier:
-            raise ValueError(
-                f"max_stretch must be >= stretch_multiplier, got {self.max_stretch}"
-            )
-        if not 0.0 < self.stretch_decay < 1.0:
-            raise ValueError(
-                f"stretch_decay must be in (0, 1), got {self.stretch_decay}"
-            )
-        if not 0.0 <= self.stretch_jitter < 1.0:
-            raise ValueError(
-                f"stretch_jitter must be in [0, 1), got {self.stretch_jitter}"
-            )
-        if not 0 <= self.hint_low_watermark <= self.hint_high_watermark:
-            raise ValueError(
-                "need 0 <= hint_low_watermark <= hint_high_watermark, got "
-                f"{self.hint_low_watermark}, {self.hint_high_watermark}"
-            )
-        if not 0 <= self.retry_low_watermark <= self.retry_high_watermark:
-            raise ValueError(
-                "need 0 <= retry_low_watermark <= retry_high_watermark, got "
-                f"{self.retry_low_watermark}, {self.retry_high_watermark}"
-            )
-        if self.hint_defer_delay < 0 or self.replay_drain_backoff < 0:
-            raise ValueError("hint_defer_delay/replay_drain_backoff must be >= 0")
+def stretch_factor(link, rng: Rng) -> float:
+    """The multiplier to apply to a service's next poll/retry delay.
 
-
-class ServiceHealth:
-    """One service's health as one engine observes it.
-
-    Held on the service's registration record and read by the engine's
-    cadence decision for every applet of the service — health is
-    per-(service, engine), not per applet, so one applet's failed poll
-    slows *all* polls aimed at the degraded service.
+    Exactly ``1.0`` — with **no RNG draw** — while healthy, so a healed
+    service's interval stream is byte-identical to the base policy's.
+    Also ``1.0`` while the breaker is OPEN or HALF_OPEN: the breaker
+    already sheds locally, and the baseline cadence is what gets the
+    half-open probe out promptly.
     """
-
-    __slots__ = (
-        "policy",
-        "slug",
-        "error_ewma",
-        "stretch",
-        "breaker_level",
-        "consecutive_successes",
-        "successes",
-        "failures",
-        "brownouts_observed",
-        "stretched_samples",
-    )
-
-    def __init__(self, policy: DeliveryPolicy, slug: str) -> None:
-        self.policy = policy
-        self.slug = slug
-        self.error_ewma = 0.0
-        self.stretch = 1.0
-        #: Mirror of the service breaker's state level (0/1/2); fed by
-        #: the engine's transition hook.
-        self.breaker_level = 0
-        self.consecutive_successes = 0
-        self.successes = 0
-        self.failures = 0
-        self.brownouts_observed = 0
-        self.stretched_samples = 0
-
-    @property
-    def degraded(self) -> bool:
-        """Whether poll intervals for this service are being stretched."""
-        return self.stretch > 1.0
-
-    def record_success(self) -> None:
-        """A poll/action against the service succeeded.
-
-        The stretch only decays once the error EWMA itself has dropped
-        back below the degrade threshold *and* the service has strung
-        together ``recovery_successes`` wins — a lucky pair of 200s in
-        the middle of a 50% brownout keeps the EWMA hot and therefore
-        keeps the backoff in place, while a genuine heal clears both
-        conditions within a few polls.
-        """
-        policy = self.policy
-        self.successes += 1
-        self.consecutive_successes += 1
-        self.error_ewma *= 1.0 - policy.ewma_alpha
-        if (
-            self.stretch > 1.0
-            and self.error_ewma < policy.degrade_threshold
-            and self.consecutive_successes >= policy.recovery_successes
-        ):
-            decayed = self.stretch * policy.stretch_decay
-            self.stretch = 1.0 if decayed <= 1.0 else decayed
-
-    def record_failure(self, brownout: bool = False) -> None:
-        """A poll/action against the service failed."""
-        policy = self.policy
-        self.failures += 1
-        self.consecutive_successes = 0
-        if brownout:
-            self.brownouts_observed += 1
-        self.error_ewma = policy.ewma_alpha + (1.0 - policy.ewma_alpha) * self.error_ewma
-        if self.error_ewma >= policy.degrade_threshold:
-            self.stretch = min(
-                policy.max_stretch, self.stretch * policy.stretch_multiplier
-            )
-
-    def on_breaker_transition(self, new: BreakerState) -> None:
-        """Mirror the breaker's state; OPEN/HALF_OPEN suspend stretching
-        (see :meth:`stretch_factor`)."""
-        self.breaker_level = new.level
-
-    def stretch_factor(self, rng: Optional[Rng] = None) -> float:
-        """The multiplier to apply to the next poll/retry delay.
-
-        Exactly ``1.0`` — with **no RNG draw** — while healthy, so a
-        healed service's interval stream is byte-identical to the base
-        policy's.  Also ``1.0`` while the breaker is OPEN or HALF_OPEN:
-        the breaker already sheds locally, and the baseline cadence is
-        what gets the half-open probe out promptly.
-        """
-        if self.stretch <= 1.0 or self.breaker_level != 0:
-            return 1.0
-        self.stretched_samples += 1
-        factor = self.stretch
-        jitter = self.policy.stretch_jitter
-        if rng is not None and jitter > 0.0:
-            factor *= 1.0 + rng.uniform(-jitter, jitter)
-        return factor if factor > 1.0 else 1.0
-
-    def __repr__(self) -> str:
-        return (
-            f"<ServiceHealth {self.slug} ewma={self.error_ewma:.3f} "
-            f"stretch={self.stretch:g} breaker={self.breaker_level}>"
-        )
+    breaker = link.breaker
+    if link.stretch <= 1.0 or (breaker is not None and breaker.state is not BreakerState.CLOSED):
+        return 1.0
+    link.stretched_samples += 1
+    factor = link.stretch * (1.0 + rng.uniform(-STRETCH_JITTER, STRETCH_JITTER))
+    return factor if factor > 1.0 else 1.0
 
 
 def sampled_interval_quartiles(
@@ -323,8 +197,8 @@ def sampled_interval_quartiles(
     """(q1, median, q3) of ``samples`` fresh interval draws.
 
     ``draw`` is any ``rng -> seconds`` callable: a policy's
-    ``next_interval``, or a closure multiplying it by a live
-    ``ServiceHealth.stretch_factor``.  Used by the degrade gate to prove
+    ``next_interval``, or a closure multiplying it by a live service's
+    :func:`stretch_factor`.  Used by the degrade gate to prove
     post-heal restoration: sampling a healed service's stretched draw
     and its bare base policy with identically-seeded RNGs must give
     identical quartiles (no extra randomness is consumed at stretch 1.0).
@@ -340,6 +214,17 @@ HINT_ALLOW = "allow"
 HINT_DEFER = "defer"
 HINT_SHED = "shed"
 
+#: The keys of :meth:`DeliveryController.stats`, in order; the engine
+#: reports each as 0 when adaptive delivery is off.
+DELIVERY_STATS_KEYS = (
+    "delivery_hints_deferred",
+    "delivery_hints_shed",
+    "delivery_retries_deferred",
+    "delivery_overload_dead_letters",
+    "delivery_replay_drains_deferred",
+    "delivery_intervals_stretched",
+)
+
 
 class DeliveryController:
     """Per-engine owner of service health, admission, and the ladder.
@@ -347,13 +232,13 @@ class DeliveryController:
     Created by :class:`~repro.engine.engine.IftttEngine` when
     :attr:`EngineConfig.delivery_policy` is set; every shard of a
     :class:`~repro.engine.sharding.ShardedEngine` gets its own (health
-    and queues are shard-local, like breakers and retry state).  Every
-    method takes the service's registration record (``link``).
+    and queues are shard-local, like breakers and retry state).  It
+    holds engine totals only: every method takes the service's
+    registration record (``link``) and keeps the service's state there.
     """
 
-    def __init__(self, engine, policy: DeliveryPolicy) -> None:
+    def __init__(self, engine) -> None:
         self.engine = engine
-        self.policy = policy
         self.hints_deferred = 0
         self.hints_shed = 0
         self.retries_deferred = 0
@@ -362,46 +247,46 @@ class DeliveryController:
 
     # -- health ---------------------------------------------------------------
 
-    def health_for(self, link) -> ServiceHealth:
-        """The (lazily created) health tracker for one service."""
-        health = link.health
-        if health is None:
-            health = link.health = ServiceHealth(self.policy, link.slug)
-            engine = self.engine
-            if engine.metrics is not None:
-                engine.metrics.gauge(
-                    f"{engine.metrics_namespace}.degradation_level", service=link.slug
-                ).set(DEGRADATION_HEALTHY)
-        return health
+    def track(self, link) -> None:
+        """Start tracking a service (idempotent): its ladder level is
+        born healthy and its ``degradation_level`` gauge goes live — at
+        the first install or outcome, whichever comes first."""
+        if link.level is None:
+            link.level = DEGRADATION_HEALTHY
+            self.engine._ladder_born(link, DEGRADATION_LADDER, DEGRADATION_HEALTHY)
 
     def tracked(self) -> list:
-        """The record of every service with a health tracker (read
-        ``link.health`` and the ladder ``link.level`` off it)."""
-        return [
-            link for link in self.engine._services.values() if link.health is not None
-        ]
+        """The record of every tracked service (read ``link.stretch`` and
+        the ladder ``link.level`` off it)."""
+        return [link for link in self.engine._services.values() if link.level is not None]
 
     def note_result(self, link, ok: bool, brownout: bool = False) -> None:
-        """Feed one poll/action outcome into the service's health."""
-        health = link.health
-        if health is None:
-            health = self.health_for(link)
-        if ok:
-            health.record_success()
-        else:
-            health.record_failure(brownout=brownout)
-            if brownout:
-                engine = self.engine
-                if engine.metrics is not None:
-                    engine.metrics.counter(
-                        f"{engine.metrics_namespace}.delivery.brownouts_observed",
-                        service=link.slug,
-                    ).inc()
-        self.refresh_level(link)
+        """Feed one poll/action outcome into the service's health.
 
-    def on_breaker_transition(self, link, new: BreakerState) -> None:
-        """Mirror breaker transitions into health and the ladder."""
-        self.health_for(link).on_breaker_transition(new)
+        The stretch only decays once the error EWMA itself has dropped
+        back below the degrade threshold *and* the service has strung
+        together :data:`RECOVERY_SUCCESSES` wins — a lucky pair of 200s
+        in the middle of a 50% brownout keeps the EWMA hot and therefore
+        keeps the backoff in place, while a genuine heal clears both
+        conditions within a few polls.
+        """
+        if ok:
+            link.consecutive_successes += 1
+            link.error_ewma *= 1.0 - EWMA_ALPHA
+            if (
+                link.stretch > 1.0
+                and link.error_ewma < DEGRADE_THRESHOLD
+                and link.consecutive_successes >= RECOVERY_SUCCESSES
+            ):
+                decayed = link.stretch * STRETCH_DECAY
+                link.stretch = 1.0 if decayed <= 1.0 else decayed
+        else:
+            link.consecutive_successes = 0
+            link.error_ewma = EWMA_ALPHA + (1.0 - EWMA_ALPHA) * link.error_ewma
+            if link.error_ewma >= DEGRADE_THRESHOLD:
+                link.stretch = min(MAX_STRETCH, link.stretch * STRETCH_MULTIPLIER)
+            if brownout:
+                self.engine._count(link, "delivery.brownouts_observed")
         self.refresh_level(link)
 
     def stretch_retry_delay(self, link, delay: float, rng: Rng) -> float:
@@ -410,39 +295,35 @@ class DeliveryController:
         This is the anti-retry-storm half of adaptation: a browning-out
         service's retry bursts spread out by the same multiplier its
         regular polls do.  At/above the retry low watermark the delay is
-        additionally multiplied by ``stretch_multiplier`` (defer), so a
-        filling queue drains slower than it grows.
+        additionally multiplied by :data:`STRETCH_MULTIPLIER` (defer), so
+        a filling queue drains slower than it grows.
         """
-        factor = self.health_for(link).stretch_factor(rng)
-        if link.retry_depth >= self.policy.retry_low_watermark:
-            factor *= self.policy.stretch_multiplier
+        factor = stretch_factor(link, rng)
+        if link.retry_depth >= RETRY_LOW_WATERMARK:
+            factor *= STRETCH_MULTIPLIER
             self.retries_deferred += 1
-            engine = self.engine
-            if engine.metrics is not None:
-                engine.metrics.counter(
-                    f"{engine.metrics_namespace}.delivery.retries_deferred",
-                    service=link.slug,
-                ).inc()
+            self.engine._count(link, "delivery.retries_deferred")
         return delay if factor == 1.0 else delay * factor
 
     # -- the degradation ladder ------------------------------------------------
 
     def refresh_level(self, link) -> None:
-        """Recompute the ladder level; emit gauge/counter/trace on change.
+        """Recompute the ladder level; emit the transition on change.
 
-        Every outcome and every queue move passes here, so the ladder is
-        read inline, top rung first.
+        Every outcome, every breaker move and every queue move passes
+        here, so the ladder is read inline, top rung first.
         """
-        health = link.health
-        policy = self.policy
-        if health is not None and health.breaker_level == _BREAKER_OPEN_LEVEL:
+        if link.level is None:
+            self.track(link)
+        breaker = link.breaker
+        if breaker is not None and breaker.state is BreakerState.OPEN:
             new = DEGRADATION_BREAKER_OPEN
         elif (
-            link.hint_backlog >= policy.hint_high_watermark
-            or link.retry_depth >= policy.retry_high_watermark
+            link.hint_backlog >= HINT_HIGH_WATERMARK
+            or link.retry_depth >= RETRY_HIGH_WATERMARK
         ):
             new = DEGRADATION_SHEDDING
-        elif health is not None and health.stretch > 1.0:  # ``degraded``
+        elif link.stretch > 1.0:
             new = DEGRADATION_STRETCHED
         else:
             new = DEGRADATION_HEALTHY
@@ -450,29 +331,12 @@ class DeliveryController:
         if new == old:
             return
         link.level = new
-        slug = link.slug
         engine = self.engine
-        ns = engine.metrics_namespace
+        engine._transition(link, DEGRADATION_LADDER, old, new, engine.now)
         if engine.metrics is not None:
-            engine.metrics.gauge(f"{ns}.degradation_level", service=slug).set(new)
-            engine.metrics.counter(
-                f"{ns}.degradation_transitions",
-                service=slug,
-                from_level=DEGRADATION_LEVEL_NAMES[old],
-                to_level=DEGRADATION_LEVEL_NAMES[new],
-            ).inc()
-            engine.metrics.gauge(f"{ns}.delivery.stretch", service=slug).set(
-                self.health_for(link).stretch
-            )
-        if engine.trace is not None:
-            engine.trace.record(
-                engine.now,
-                ns,
-                "engine_degradation_transition",
-                service=slug,
-                from_level=DEGRADATION_LEVEL_NAMES[old],
-                to_level=DEGRADATION_LEVEL_NAMES[new],
-            )
+            engine.metrics.gauge(
+                f"{engine.metrics_namespace}.delivery.stretch", service=link.slug
+            ).set(link.stretch)
 
     # -- admission: realtime-hint queue -----------------------------------------
 
@@ -484,34 +348,26 @@ class DeliveryController:
         rung: allow → defer → shed.
         """
         backlog = link.hint_backlog
-        engine = self.engine
-        ns = engine.metrics_namespace
-        if backlog >= self.policy.hint_high_watermark:
+        if backlog >= HINT_HIGH_WATERMARK:
             self.hints_shed += 1
-            if engine.metrics is not None:
-                engine.metrics.counter(
-                    f"{ns}.delivery.hints_shed", service=link.slug
-                ).inc()
-            if engine.trace is not None:
-                engine.trace.record(
-                    engine.now, ns, "engine_hint_shed",
-                    service=link.slug, backlog=backlog,
-                )
+            self._record_hint(link, "shed", backlog)
             self.refresh_level(link)
             return HINT_SHED
-        if backlog >= self.policy.hint_low_watermark:
+        if backlog >= HINT_LOW_WATERMARK:
             self.hints_deferred += 1
-            if engine.metrics is not None:
-                engine.metrics.counter(
-                    f"{ns}.delivery.hints_deferred", service=link.slug
-                ).inc()
-            if engine.trace is not None:
-                engine.trace.record(
-                    engine.now, ns, "engine_hint_deferred",
-                    service=link.slug, backlog=backlog,
-                )
+            self._record_hint(link, "deferred", backlog)
             return HINT_DEFER
         return HINT_ALLOW
+
+    def _record_hint(self, link, outcome: str, backlog: int) -> None:
+        """Count and trace one ``shed`` or ``deferred`` hint identity."""
+        engine = self.engine
+        engine._count(link, f"delivery.hints_{outcome}")
+        if engine.trace is not None:
+            engine.trace.record(
+                engine.now, engine.metrics_namespace, f"engine_hint_{outcome}",
+                service=link.slug, backlog=backlog,
+            )
 
     def note_fast_poll_scheduled(self, link) -> None:
         link.hint_backlog += 1
@@ -519,8 +375,7 @@ class DeliveryController:
 
     def note_fast_poll_done(self, link) -> None:
         """A hint-induced fast poll fired (or was cancelled)."""
-        if link.hint_backlog > 0:
-            link.hint_backlog -= 1
+        link.hint_backlog -= 1
         self.refresh_level(link)
 
     # -- admission: action retry queue ------------------------------------------
@@ -531,15 +386,10 @@ class DeliveryController:
         ``False`` means the per-service depth is at/above the high
         watermark: the caller dead-letters with reason ``overload``.
         """
-        if link.retry_depth < self.policy.retry_high_watermark:
+        if link.retry_depth < RETRY_HIGH_WATERMARK:
             return True
         self.overload_dead_letters += 1
-        engine = self.engine
-        if engine.metrics is not None:
-            engine.metrics.counter(
-                f"{engine.metrics_namespace}.delivery.overload_dead_letters",
-                service=link.slug,
-            ).inc()
+        self.engine._count(link, "delivery.overload_dead_letters")
         self.refresh_level(link)
         return False
 
@@ -548,8 +398,7 @@ class DeliveryController:
         self.refresh_level(link)
 
     def note_retry_dequeued(self, link) -> None:
-        if link.retry_depth > 0:
-            link.retry_depth -= 1
+        link.retry_depth -= 1
         self.refresh_level(link)
 
     # -- admission: replay drains ------------------------------------------------
@@ -562,21 +411,15 @@ class DeliveryController:
         bursts cannot overrun the queue that ordinary failures respect.
         (``link.replay_depth`` is kept by the replay controller itself.)
         """
-        return max(
-            0, self.policy.retry_high_watermark - link.retry_depth - link.replay_depth
-        )
+        return max(0, RETRY_HIGH_WATERMARK - link.retry_depth - link.replay_depth)
 
     def note_replay_drain_deferred(self, link) -> None:
         self.replay_drains_deferred += 1
         engine = self.engine
-        ns = engine.metrics_namespace
-        if engine.metrics is not None:
-            engine.metrics.counter(
-                f"{ns}.replay.drains_deferred", service=link.slug
-            ).inc()
+        engine._count(link, "replay.drains_deferred")
         if engine.trace is not None:
             engine.trace.record(
-                engine.now, ns, "engine_replay_drain_deferred",
+                engine.now, engine.metrics_namespace, "engine_replay_drain_deferred",
                 service=link.slug, headroom=self.replay_headroom(link),
             )
 
@@ -584,18 +427,16 @@ class DeliveryController:
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot folded into :meth:`IftttEngine.stats`."""
-        return {
-            "delivery_hints_deferred": self.hints_deferred,
-            "delivery_hints_shed": self.hints_shed,
-            "delivery_retries_deferred": self.retries_deferred,
-            "delivery_overload_dead_letters": self.overload_dead_letters,
-            "delivery_replay_drains_deferred": self.replay_drains_deferred,
-            "delivery_intervals_stretched": sum(
-                link.health.stretched_samples for link in self.tracked()
-            ),
-        }
+        return dict(zip(DELIVERY_STATS_KEYS, (
+            self.hints_deferred,
+            self.hints_shed,
+            self.retries_deferred,
+            self.overload_dead_letters,
+            self.replay_drains_deferred,
+            sum(link.stretched_samples for link in self.tracked()),
+        )))
 
     def __repr__(self) -> str:
         tracked = self.tracked()
-        degraded = sorted(link.slug for link in tracked if link.health.degraded)
+        degraded = sorted(link.slug for link in tracked if link.stretch > 1.0)
         return f"<DeliveryController services={len(tracked)} degraded={degraded}>"

@@ -18,25 +18,26 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.engine.applet import Applet, ActionRef, AppletState, QueryRef, TriggerRef
 from repro.engine.filters import Expr, FilterEvalError, parse as parse_filter
 from repro.engine.config import EngineConfig
 from repro.engine.delivery import (
-    DEGRADATION_HEALTHY,
+    DELIVERY_STATS_KEYS,
     DeliveryController,
     HINT_DEFER,
+    HINT_DEFER_DELAY,
     HINT_SHED,
-    ServiceHealth,
     response_is_brownout,
+    stretch_factor,
 )
 from repro.engine.loops import RuntimeLoopDetector
 from repro.engine.oauth import OAuthAuthority
 from repro.engine.permissions import ServicePermissionModel
 from repro.engine.poller import PollingPolicy
-from repro.engine.push import RUNG_POLL, PushController, PushServiceState
-from repro.engine.replay import ReplayController
+from repro.engine.push import PUSH_STATS_KEYS, RUNG_POLL, RUNG_PUSH, PushController
+from repro.engine.replay import REPLAY_STATS_KEYS, ReplayController
 from repro.engine.scheduler import HeapPollScheduler
 from repro.engine.resilience import (
     BreakerState,
@@ -64,6 +65,14 @@ from repro.simcore.trace import Trace
 #: A dedupe window of at most this many ids is searched as a list; past
 #: it, the window keeps a set of its ids beside the list.
 WINDOW_LIST_MAX = 8
+
+#: What a breaker move emits through ``IftttEngine._transition``: the
+#: gauge, the transitions counter, the ``from_``/``to_`` label stem, the
+#: trace kind and the state names by level.
+BREAKER_LADDER = (
+    "breaker_state", "breaker_transitions", "state", "engine_breaker_transition",
+    tuple(state.value for state in BreakerState),   # declared in level order
+)
 
 
 class AppletIdRangeError(RuntimeError):
@@ -93,14 +102,16 @@ class ServiceRegistration:
     Every exchange in the paper's protocol is with *one* service, so the
     publication facts and all per-service state of the engine and its
     delivery/push/replay controllers live on this one record; they pass
-    it around (as ``link``) instead of a slug.
+    it around (as ``link``) instead of a slug.  The controllers keep
+    engine totals only.
 
-    ``breaker``, ``health`` and ``push_state`` are born lazily because
-    each birth is observable (its gauge goes live): the breaker at the
-    first guarded request, health at the first install or outcome under
-    a delivery policy, push state at the first contract install or
-    notification.  The admission depths are plain ints, so reading them
-    creates nothing.
+    Three members are born lazily because each birth is observable (its
+    gauge goes live): ``breaker`` at the first guarded request, the
+    degradation ``level`` (``None`` until then) at the first install or
+    outcome under a delivery policy, and ``push_pending`` (``None`` until
+    then) at the first contract install or notification.  The health
+    fields, the rung and the admission depths are plain values, so
+    reading them creates nothing.
     """
 
     __slots__ = (
@@ -111,12 +122,17 @@ class ServiceRegistration:
         "service",
         "breaker",
         "parked",
-        "health",
         "level",
+        "error_ewma",
+        "stretch",
+        "consecutive_successes",
+        "stretched_samples",
         "hint_backlog",
         "retry_depth",
         "replay_depth",
-        "push_state",
+        "push_pending",
+        "rung",
+        "push_drain_armed",
         "drain_scheduled",
         "bound",
     )
@@ -135,14 +151,27 @@ class ServiceRegistration:
         #: Identities hinted/pushed while the breaker was open (ordered,
         #: each once); fast-polled when it closes.
         self.parked: Dict[str, None] = {}
-        self.health: Optional[ServiceHealth] = None
-        self.level = DEGRADATION_HEALTHY    # ladder level (mirrors the gauge)
+        #: Adaptive delivery (``repro.engine.delivery``): the ladder level
+        #: (mirrors the gauge; ``None`` until tracked), the error-rate
+        #: EWMA, the poll/retry stretch factor, the success streak, and
+        #: how many delays the stretch has multiplied.
+        self.level: Optional[int] = None
+        self.error_ewma = 0.0
+        self.stretch = 1.0
+        self.consecutive_successes = 0
+        self.stretched_samples = 0
         #: Outstanding fast polls / parked action retries / records in
         #: replay — what the admission watermarks read.
         self.hint_backlog = 0
         self.retry_depth = 0
         self.replay_depth = 0
-        self.push_state: Optional[PushServiceState] = None
+        #: Push ingestion (``repro.engine.push``): the FIFO of
+        #: ``(identity, event_or_None)`` (``None`` until tracked; a
+        #: ``None`` payload marks a hint-degraded entry that drains as a
+        #: fast poll), the backpressure rung, and whether a drain is armed.
+        self.push_pending: Optional[Deque[Tuple[str, Optional[TriggerEvent]]]] = None
+        self.rung = RUNG_PUSH
+        self.push_drain_armed = False
         self.drain_scheduled = False        # a replay drain is already queued
         #: The ``{namespace}.*{service=slug}`` instruments the engine and
         #: its push/replay controllers record through per event.
@@ -333,7 +362,7 @@ class IftttEngine(HttpNode):
         # the degradation ladder is exported per service.  When None the
         # engine is byte-identical to the pre-delivery behaviour.
         self.delivery: Optional[DeliveryController] = (
-            DeliveryController(self, self.config.delivery_policy)
+            DeliveryController(self)
             if self.config.delivery_policy is not None
             else None
         )
@@ -494,11 +523,12 @@ class IftttEngine(HttpNode):
                 f"{identity!r}, already held by applet #{owner} "
                 f"({self._applets[owner].applet.name!r})"
             )
-        # Health and push state are born here, health first.
+        # The service's ladder level and push queue are born here (if
+        # not yet), the level first.
         if self.delivery is not None:
-            self.delivery.health_for(link)
+            self.delivery.track(link)
         if link.push:
-            self.push.state_for(link)
+            self.push.track(link)
         self._applets[applet_id] = runtime
         self._by_identity[identity] = applet_id
         first_poll = self.config.initial_poll_delay
@@ -603,40 +633,18 @@ class IftttEngine(HttpNode):
             "actions_in_retry": self.actions_in_retry,
             "actions_in_replay": self.actions_in_replay,
             "dead_letters": len(self.dead_letters),
+            # A controller that is off reports each of its keys as 0.
             **(
-                self.replay.stats()
-                if self.replay is not None
-                else {
-                    "replay_drains": 0,
-                    "dead_letters_replayed": 0,
-                    "replay_requests_sent": 0,
-                    "replay_actions_delivered": 0,
-                    "replay_actions_failed": 0,
-                }
+                self.replay.stats() if self.replay is not None
+                else dict.fromkeys(REPLAY_STATS_KEYS, 0)
             ),
             **(
-                self.delivery.stats()
-                if self.delivery is not None
-                else {
-                    "delivery_hints_deferred": 0,
-                    "delivery_hints_shed": 0,
-                    "delivery_retries_deferred": 0,
-                    "delivery_overload_dead_letters": 0,
-                    "delivery_replay_drains_deferred": 0,
-                    "delivery_intervals_stretched": 0,
-                }
+                self.delivery.stats() if self.delivery is not None
+                else dict.fromkeys(DELIVERY_STATS_KEYS, 0)
             ),
             **(
-                self.push.stats()
-                if self.push is not None
-                else {
-                    "push_notifications_received": 0,
-                    "push_events_ingested": 0,
-                    "push_batches_drained": 0,
-                    "push_degraded_to_hint": 0,
-                    "push_shed_to_poll": 0,
-                    "push_notifications_parked": 0,
-                }
+                self.push.stats() if self.push is not None
+                else dict.fromkeys(PUSH_STATS_KEYS, 0)
             ),
         }
 
@@ -664,10 +672,7 @@ class IftttEngine(HttpNode):
             # a service whose breaker never trips still reports closed=0,
             # so dashboards (and the shard-prefix fold) see every guarded
             # service, not just the ones that have already failed.
-            if self.metrics is not None:
-                self.metrics.gauge(
-                    f"{self._ns}.breaker_state", service=link.slug
-                ).set(BreakerState.CLOSED.level)
+            self._ladder_born(link, BREAKER_LADDER, BreakerState.CLOSED.level)
         return breaker
 
     def _sheds(self, link: ServiceRegistration, now: float) -> bool:
@@ -732,23 +737,11 @@ class IftttEngine(HttpNode):
     def _on_breaker_transition(
         self, link: ServiceRegistration, old: BreakerState, new: BreakerState, at: float
     ) -> None:
-        slug = link.slug
-        if self.metrics is not None:
-            self.metrics.counter(
-                f"{self._ns}.breaker_transitions",
-                service=slug, from_state=old.value, to_state=new.value,
-            ).inc()
-            self.metrics.gauge(f"{self._ns}.breaker_state", service=slug).set(new.level)
-        if self.trace is not None:
-            self.trace.record(
-                at, self._ns, "engine_breaker_transition",
-                service=slug, from_state=old.value, to_state=new.value,
-            )
+        self._transition(link, BREAKER_LADDER, old.level, new.level, at)
         if self.delivery is not None:
-            # Mirror the breaker level into the service's health tracker
-            # (OPEN/HALF_OPEN suspend stretching so the half-open probe
-            # keeps the baseline cadence) and onto the degradation ladder.
-            self.delivery.on_breaker_transition(link, new)
+            # The degradation ladder's top rung is the breaker (and
+            # OPEN/HALF_OPEN suspend stretching, read off the breaker).
+            self.delivery.refresh_level(link)
         if new is BreakerState.CLOSED:
             # The service healed (half-open probe succeeded): resume any
             # parked realtime hints and, when replay is configured,
@@ -756,6 +749,36 @@ class IftttEngine(HttpNode):
             self._resume_parked(link)
             if self.replay is not None:
                 self.replay.on_service_healed(link)
+
+    def _transition(
+        self, link: ServiceRegistration, ladder: tuple, old: int, new: int, at: float,
+        **detail: Any,
+    ) -> None:
+        """Emit one move of a service from level ``old`` to ``new`` on a
+        per-service ladder — the breaker (:data:`BREAKER_LADDER`), the
+        degradation ladder or the push rung: set its gauge to ``new``,
+        count the move in its transitions counter (labels
+        ``from_<stem>``/``to_<stem>``, the levels' names) and trace it,
+        with ``detail`` as extra trace fields."""
+        gauge, counter, stem, kind, names = ladder
+        moved = {f"from_{stem}": names[old], f"to_{stem}": names[new]}
+        slug = link.slug
+        if self.metrics is not None:
+            self.metrics.counter(f"{self._ns}.{counter}", service=slug, **moved).inc()
+            self.metrics.gauge(f"{self._ns}.{gauge}", service=slug).set(new)
+        if self.trace is not None:
+            self.trace.record(at, self._ns, kind, service=slug, **moved, **detail)
+
+    def _ladder_born(self, link: ServiceRegistration, ladder: tuple, level: int) -> None:
+        """A service's ladder is born at ``level``: its gauge goes live."""
+        if self.metrics is not None:
+            self.metrics.gauge(f"{self._ns}.{ladder[0]}", service=link.slug).set(level)
+
+    def _count(self, link: ServiceRegistration, name: str) -> None:
+        """Count one ``{ns}.<name>{service}`` event of a controller."""
+        metrics = self.metrics
+        if metrics is not None:
+            link.bound.counter(metrics, name).inc()
 
     # -- dead-letter replay -------------------------------------------------------------
 
@@ -809,12 +832,11 @@ class IftttEngine(HttpNode):
         so a healed (or shed-to-poll) service polls on the base policy's
         distribution byte for byte.
         """
-        if link.push and link.push_state.rung != RUNG_POLL:
+        if link.push and link.rung != RUNG_POLL:
             return self.push.policy.safety_net_interval
         interval = policy.next_interval(rng)
-        health = link.health
-        if health is not None:
-            factor = health.stretch_factor(rng)
+        if link.stretch > 1.0:
+            factor = stretch_factor(link, rng)
             if factor != 1.0:
                 interval *= factor
         return interval
@@ -962,11 +984,11 @@ class IftttEngine(HttpNode):
                 if metrics is not None:
                     metrics.counter(f"{self._ns}.poll_retries", service=link.slug).inc()
                 delay = retry.backoff(runtime.poll_attempts, self.rng)
-                if link.health is not None:
+                if link.stretch > 1.0:
                     # Stretch the retry burst by the same health factor
                     # regular polls get — this is what turns a brownout's
                     # retry storm into a back-off.
-                    delay *= link.health.stretch_factor(self.rng)
+                    delay *= stretch_factor(link, self.rng)
                 self._schedule_next_poll(runtime, delay)
                 return
             runtime.poll_attempts = 0  # burst over; fall back to the regular cadence
@@ -1398,7 +1420,7 @@ class IftttEngine(HttpNode):
     def _admit_fast_poll(self, link: ServiceRegistration, identity: str) -> None:
         """Fast-poll one hinted identity, subject to watermark admission
         (each identity is one outstanding fast poll): allow → immediate,
-        defer → ``hint_defer_delay`` out, shed → the identity waits for
+        defer → ``HINT_DEFER_DELAY`` out, shed → the identity waits for
         its regular polling cadence."""
         delay = 0.0
         if self.delivery is not None:
@@ -1406,7 +1428,7 @@ class IftttEngine(HttpNode):
             if verdict == HINT_SHED:
                 return
             if verdict == HINT_DEFER:
-                delay = self.delivery.policy.hint_defer_delay
+                delay = HINT_DEFER_DELAY
         self._fast_poll_identity(identity, delay)
 
     def _fast_poll_identity(self, identity: str, delay: float = 0.0) -> None:

@@ -42,9 +42,13 @@ first-class delivery mode:
   degradation ladder and ``overload`` shedding apply to push traffic
   unchanged.
 
-The per-service ingestion state (:class:`PushServiceState`) hangs off
-the engine's :class:`~repro.engine.engine.ServiceRegistration` record
-(``link.push_state``); the controller keeps no table of its own.
+The per-service ingestion state — the pending queue
+(``link.push_pending``), the rung (``link.rung``) and the armed-drain
+flag — lives on the engine's
+:class:`~repro.engine.engine.ServiceRegistration` record; the controller
+keeps engine totals only.  A rung move is emitted through the engine's
+one transition emitter (``IftttEngine._transition``), shared with the
+breaker and the degradation ladder.
 
 Safety net & restoration
 ------------------------
@@ -79,7 +83,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.net.http import HttpError
 from repro.obs.metrics import COUNT_BUCKETS
@@ -96,6 +100,25 @@ RUNG_PUSH = 0
 RUNG_HINT = 1
 RUNG_POLL = 2
 PUSH_RUNG_NAMES = ("push", "hint", "poll")
+
+#: What a rung move emits through ``IftttEngine._transition``: the
+#: gauge, the transitions counter, the ``from_``/``to_`` label stem, the
+#: trace kind and the rung names.
+PUSH_LADDER = (
+    "push.rung", "push.rung_transitions", "rung", "engine_push_rung_transition",
+    PUSH_RUNG_NAMES,
+)
+
+#: The keys of :meth:`PushController.stats`, in order; the engine
+#: reports each as 0 when push is off.
+PUSH_STATS_KEYS = (
+    "push_notifications_received",
+    "push_events_ingested",
+    "push_batches_drained",
+    "push_degraded_to_hint",
+    "push_shed_to_poll",
+    "push_notifications_parked",
+)
 
 
 @dataclass(frozen=True)
@@ -171,27 +194,6 @@ def _malformed(entries: Any) -> Optional[str]:
     return None
 
 
-class PushServiceState:
-    """Per-(service, engine) push ingestion state.
-
-    One per contract service, on its registration record — one
-    service's backlog degrades every applet aimed at it, mirroring
-    ``ServiceHealth``.  What it ingested, degraded, shed or parked is
-    counted once: in the :class:`PushController`'s engine totals and the
-    per-service ``push.*`` counters.
-    """
-
-    __slots__ = ("slug", "pending", "rung", "drain_armed")
-
-    def __init__(self, slug: str) -> None:
-        self.slug = slug
-        #: FIFO of ``(identity, event_or_None)`` — ``None`` payload
-        #: marks a hint-degraded entry that drains as a fast poll.
-        self.pending: Deque[Tuple[str, Optional[TriggerEvent]]] = deque()
-        self.rung = RUNG_PUSH
-        self.drain_armed = False
-
-
 class PushController:
     """Engine-side push ingestion: batching, backpressure, parking.
 
@@ -212,19 +214,14 @@ class PushController:
 
     # -- state ------------------------------------------------------------------
 
-    def state_for(self, link) -> PushServiceState:
-        """The (lazily created) ingestion state for one service."""
-        state = link.push_state
-        if state is None:
-            state = link.push_state = PushServiceState(link.slug)
-            # Live from birth, like the breaker-state gauge: a contract
-            # service that never degrades still reports the push rung.
-            engine = self.engine
-            if engine.metrics is not None:
-                engine.metrics.gauge(
-                    f"{engine._ns}.push.rung", service=link.slug
-                ).set(RUNG_PUSH)
-        return state
+    def track(self, link) -> None:
+        """Start tracking a contract service (idempotent): its pending
+        queue is born, and its ``push.rung`` gauge goes live on the push
+        rung, like the breaker-state gauge — a contract service that
+        never degrades still reports it."""
+        if link.push_pending is None:
+            link.push_pending = deque()
+            self.engine._ladder_born(link, PUSH_LADDER, RUNG_PUSH)
 
     # -- ingestion --------------------------------------------------------------
 
@@ -245,11 +242,9 @@ class PushController:
                     f"{engine._ns}.push.malformed", service=link.slug
                 ).inc()
             raise HttpError(400, f"malformed push notification: {problem}")
-        state = self.state_for(link)
+        self.track(link)
         self.notifications_received += 1
-        metrics = engine.metrics
-        if metrics is not None:
-            link.bound.counter(metrics, "push.notifications").inc()
+        engine._count(link, "push.notifications")
         if engine.trace is not None:
             engine.trace.record(
                 engine.now,
@@ -274,41 +269,32 @@ class PushController:
             identity = entry["trigger_identity"]
             # Newest-first, as a poll response; enqueue in chronological order.
             for event in reversed(entry["events"]):
-                self._admit(state, identity, event)
+                self._admit(link, identity, event)
         self._arm_drain(link)
         return {"status": "received"}
 
-    def _admit(
-        self, state: PushServiceState, identity: str, event: TriggerEvent
-    ) -> None:
+    def _admit(self, link, identity: str, event: TriggerEvent) -> None:
         """Enqueue one pushed event, walking the backpressure ladder."""
-        self._refresh_rung(state)
-        rung = state.rung
+        self._refresh_rung(link)
+        rung = link.rung
         if rung == RUNG_POLL:
             # Shed: the identity waits for its polling cadence (which
             # the poll rung has already restored to the base policy).
             self.shed_to_poll += 1
-            self._count_degraded(state, "push.shed_to_poll")
+            self.engine._count(link, "push.shed_to_poll")
             return
         if rung == RUNG_HINT:
             # Degrade: keep the identity, drop the payload — the drain
             # turns it into a hint-style fast poll.
             self.degraded_to_hint += 1
-            self._count_degraded(state, "push.degraded_to_hint")
-            state.pending.append((identity, None))
+            self.engine._count(link, "push.degraded_to_hint")
+            link.push_pending.append((identity, None))
             return
-        state.pending.append((identity, event))
+        link.push_pending.append((identity, event))
 
-    def _count_degraded(self, state: PushServiceState, name: str) -> None:
-        """Count one event that left the push rung (per event while degraded)."""
-        engine = self.engine
-        metrics = engine.metrics
-        if metrics is not None:
-            engine._services[state.slug].bound.counter(metrics, name).inc()
-
-    def _refresh_rung(self, state: PushServiceState) -> None:
+    def _refresh_rung(self, link) -> None:
         """Recompute the ladder rung from the backlog (with hysteresis)."""
-        backlog = len(state.pending)
+        backlog = len(link.push_pending)
         if backlog >= self.policy.high_watermark:
             rung = RUNG_POLL
         elif backlog < self.policy.low_watermark:
@@ -317,31 +303,13 @@ class PushController:
             # Between the watermarks: degrade at least to hint, but a
             # service already shed to poll stays there until the backlog
             # drains below low — no flapping at the high watermark.
-            rung = RUNG_POLL if state.rung == RUNG_POLL else RUNG_HINT
-        if rung == state.rung:
+            rung = RUNG_POLL if link.rung == RUNG_POLL else RUNG_HINT
+        old = link.rung
+        if rung == old:
             return
+        link.rung = rung
         engine = self.engine
-        old, state.rung = state.rung, rung
-        if engine.metrics is not None:
-            engine.metrics.gauge(
-                f"{engine._ns}.push.rung", service=state.slug
-            ).set(rung)
-            engine.metrics.counter(
-                f"{engine._ns}.push.rung_transitions",
-                service=state.slug,
-                from_rung=PUSH_RUNG_NAMES[old],
-                to_rung=PUSH_RUNG_NAMES[rung],
-            ).inc()
-        if engine.trace is not None:
-            engine.trace.record(
-                engine.now,
-                engine._ns,
-                "engine_push_rung_transition",
-                service=state.slug,
-                from_rung=PUSH_RUNG_NAMES[old],
-                to_rung=PUSH_RUNG_NAMES[rung],
-                backlog=len(state.pending),
-            )
+        engine._transition(link, PUSH_LADDER, old, rung, engine.now, backlog=backlog)
 
     # -- the coalescing drain ---------------------------------------------------
 
@@ -353,10 +321,9 @@ class PushController:
         tie-break — the documented deterministic ordering for
         simultaneous push deliveries and poll wakes.
         """
-        state = link.push_state
-        if state.drain_armed or not state.pending:
+        if link.push_drain_armed or not link.push_pending:
             return
-        state.drain_armed = True
+        link.push_drain_armed = True
         self.engine.sim.schedule(
             self.policy.batch_window,
             self._drain,
@@ -366,13 +333,13 @@ class PushController:
 
     def _drain(self, link) -> None:
         """Process up to ``max_batch`` pending entries; re-arm if backlogged."""
-        state = link.push_state
-        state.drain_armed = False
+        link.push_drain_armed = False
+        pending = link.push_pending
         engine = self.engine
         batch = 0
         ingested = 0
-        while state.pending and batch < self.policy.max_batch:
-            identity, event = state.pending.popleft()
+        while pending and batch < self.policy.max_batch:
+            identity, event = pending.popleft()
             batch += 1
             if event is None:
                 # A hint-degraded entry drains as a fast poll, through
@@ -393,13 +360,13 @@ class PushController:
                 engine.now,
                 engine._ns,
                 "engine_push_drain",
-                service=state.slug,
+                service=link.slug,
                 entries=batch,
                 ingested=ingested,
-                backlog=len(state.pending),
+                backlog=len(pending),
             )
-        self._refresh_rung(state)
-        if state.pending:
+        self._refresh_rung(link)
+        if pending:
             self._arm_drain(link)
 
     def _deliver(self, identity: str, event: TriggerEvent) -> int:
@@ -431,11 +398,11 @@ class PushController:
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot merged into ``IftttEngine.stats()``."""
-        return {
-            "push_notifications_received": self.notifications_received,
-            "push_events_ingested": self.events_ingested,
-            "push_batches_drained": self.batches_drained,
-            "push_degraded_to_hint": self.degraded_to_hint,
-            "push_shed_to_poll": self.shed_to_poll,
-            "push_notifications_parked": self.notifications_parked,
-        }
+        return dict(zip(PUSH_STATS_KEYS, (
+            self.notifications_received,
+            self.events_ingested,
+            self.batches_drained,
+            self.degraded_to_hint,
+            self.shed_to_poll,
+            self.notifications_parked,
+        )))

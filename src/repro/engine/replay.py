@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.engine.delivery import REPLAY_DRAIN_BACKOFF
 from repro.engine.resilience import DeadLetter, PendingAction, ReplayPolicy
 from repro.net.http import HttpResponse
 from repro.obs.metrics import COUNT_BUCKETS
@@ -48,6 +49,16 @@ from repro.services.partner import BATCH_ACTION_PATH, BatchActionRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import IftttEngine, ServiceRegistration
+
+#: The keys of :meth:`ReplayController.stats`, in order; the engine
+#: reports each as 0 when replay is off.
+REPLAY_STATS_KEYS = (
+    "replay_drains",
+    "dead_letters_replayed",
+    "replay_requests_sent",
+    "replay_actions_delivered",
+    "replay_actions_failed",
+)
 
 
 class ReplayController:
@@ -121,7 +132,7 @@ class ReplayController:
         # flight as the retry queue's high watermark leaves room for —
         # a catch-up burst respects the same ingestion bound ordinary
         # failures do.  Letters past the headroom stay sealed and a
-        # re-drain is scheduled ``replay_drain_backoff`` out.
+        # re-drain is scheduled ``REPLAY_DRAIN_BACKOFF`` out.
         headroom = (
             engine.delivery.replay_headroom(link)
             if engine.delivery is not None
@@ -139,9 +150,7 @@ class ReplayController:
                 kept.append(letter)
         if deferred:
             engine.delivery.note_replay_drain_deferred(link)
-            self._schedule_drain(
-                link, engine.delivery.policy.replay_drain_backoff, "replay-redrain"
-            )
+            self._schedule_drain(link, REPLAY_DRAIN_BACKOFF, "replay-redrain")
         if not drained:
             return
         engine.dead_letters[:] = kept
@@ -297,13 +306,13 @@ class ReplayController:
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot folded into :meth:`IftttEngine.stats`."""
-        return {
-            "replay_drains": self.drains,
-            "dead_letters_replayed": self.dead_letters_replayed,
-            "replay_requests_sent": self.requests_sent,
-            "replay_actions_delivered": self.actions_delivered,
-            "replay_actions_failed": self.actions_failed,
-        }
+        return dict(zip(REPLAY_STATS_KEYS, (
+            self.drains,
+            self.dead_letters_replayed,
+            self.requests_sent,
+            self.actions_delivered,
+            self.actions_failed,
+        )))
 
     def __repr__(self) -> str:
         return (

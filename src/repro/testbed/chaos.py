@@ -76,6 +76,7 @@ from repro.engine.delivery import (
     DEGRADATION_LEVEL_NAMES,
     DeliveryPolicy,
     sampled_interval_quartiles,
+    stretch_factor,
 )
 from repro.engine.engine import IftttEngine
 from repro.engine.oauth import OAuthAuthority
@@ -410,12 +411,13 @@ def _delivery_extras(engines: List[IftttEngine], probe: Any) -> Dict[str, Any]:
     ``degradation_level`` families.  Overload dead letters are counted
     from the letters themselves (reason ``"overload"``) so the readout
     is exact even without a :class:`DeliveryController`.  ``probe`` is
-    the victim applet's engine runtime: when its trigger service has a
-    live health tracker, the post-run interval distribution — a fresh
-    clone of the applet's policy times the live stretch factor, i.e.
-    what the engine would draw on the poll rung — is sampled against
-    the bare policy's.  The probes run on a private seeded RNG and
-    touch no metrics, so they cannot perturb the already-taken snapshot.
+    the victim applet's engine runtime: when its trigger service is
+    tracked by a :class:`DeliveryController`, the post-run interval
+    distribution — a fresh clone of the applet's policy times the live
+    stretch factor, i.e. what the engine would draw on the poll rung —
+    is sampled against the bare policy's.  The probes run on a private
+    seeded RNG and touch no metrics, so they cannot perturb the
+    already-taken snapshot.
     """
     stretch: Dict[str, float] = {}
     levels: Dict[str, int] = {}
@@ -427,7 +429,7 @@ def _delivery_extras(engines: List[IftttEngine], probe: Any) -> Dict[str, Any]:
         if engine.delivery is None:
             continue
         for link in engine.delivery.tracked():
-            stretch[link.slug] = max(stretch.get(link.slug, 0.0), link.health.stretch)
+            stretch[link.slug] = max(stretch.get(link.slug, 0.0), link.stretch)
             levels[link.slug] = max(levels.get(link.slug, 0), link.level)
     extras: Dict[str, Any] = {
         "post_heal_stretch": stretch,
@@ -436,11 +438,11 @@ def _delivery_extras(engines: List[IftttEngine], probe: Any) -> Dict[str, Any]:
         "post_heal_quartiles": None,
         "baseline_quartiles": None,
     }
-    health = probe.link.health
-    if health is not None:
+    link = probe.link
+    if link.level is not None:
         policy = probe.policy.clone()
         extras["post_heal_quartiles"] = sampled_interval_quartiles(
-            lambda rng: policy.next_interval(rng) * health.stretch_factor(rng)
+            lambda rng: policy.next_interval(rng) * stretch_factor(link, rng)
         )
         extras["baseline_quartiles"] = sampled_interval_quartiles(
             probe.policy.clone().next_interval

@@ -1,16 +1,17 @@
 """Unit and property tests for health-aware adaptive delivery.
 
-Covers the three layers of ``repro.engine.delivery`` in isolation:
+Covers the layers of ``repro.engine.delivery`` on a real engine's
+service record (``link``), where all per-service delivery state lives:
 
-* :class:`ServiceHealth` — EWMA dynamics, capped-exponential stretch
-  growth, EWMA-gated decay, breaker suspension, and the no-RNG-draw
-  contract while healthy;
-* the engine's cadence decision (``IftttEngine._interval``) under a
-  live :class:`ServiceHealth` — byte-equivalence to the applet's own
-  policy whenever the service is healthy, for every polling-policy
-  family the engine ships;
+* service health — EWMA dynamics, capped-exponential stretch growth,
+  EWMA-gated decay, breaker suspension, and the no-RNG-draw contract of
+  :func:`stretch_factor` while healthy;
+* the engine's cadence decision (``IftttEngine._interval``) under live
+  health — byte-equivalence to the applet's own policy whenever the
+  service is healthy, for every polling-policy family the engine ships;
 * :class:`DeliveryController` — watermarked hint/retry admission, the
-  4-level degradation ladder, and its gauge/counter families.
+  4-level degradation ladder, and its gauge/counter families;
+* :class:`DeliveryPolicy` — fieldless: the tunables are constants.
 
 The hypothesis property at the bottom is the §4 restoration theorem:
 after *any* brownout→heal outcome schedule, the adaptive policy's
@@ -20,30 +21,40 @@ to the paper's 58/84/122 s T2A quartiles).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.engine import delivery
 from repro.engine.delivery import (
     BROWNOUT_MESSAGE,
     DEGRADATION_BREAKER_OPEN,
     DEGRADATION_HEALTHY,
     DEGRADATION_SHEDDING,
     DEGRADATION_STRETCHED,
-    DeliveryPolicy,
+    DELIVERY_STATS_KEYS,
     HINT_ALLOW,
     HINT_DEFER,
+    HINT_HIGH_WATERMARK,
+    HINT_LOW_WATERMARK,
     HINT_SHED,
-    ServiceHealth,
+    MAX_STRETCH,
+    RETRY_HIGH_WATERMARK,
+    RETRY_LOW_WATERMARK,
+    STRETCH_JITTER,
+    DeliveryPolicy,
     T2A_BASELINE_QUARTILES,
     response_is_brownout,
     sampled_interval_quartiles,
+    stretch_factor,
 )
 from repro.engine.poller import (
     AdaptivePollingPolicy,
     FixedPollingPolicy,
     ProductionPollingPolicy,
 )
-from repro.engine.resilience import BreakerState
+from repro.engine.push import PUSH_STATS_KEYS, PushPolicy
+from repro.engine.replay import REPLAY_STATS_KEYS
+from repro.engine.resilience import BreakerState, ReplayPolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.simcore import Rng
 
@@ -68,7 +79,7 @@ class _FakeResponse:
         self.body = body
 
 
-# -- DeliveryPolicy validation ----------------------------------------------------
+# -- DeliveryPolicy is an on-switch ------------------------------------------------
 
 
 @pytest.mark.parametrize("overrides", [
@@ -77,7 +88,7 @@ class _FakeResponse:
     {"degrade_threshold": 0.0},
     {"recovery_successes": 0},
     {"stretch_multiplier": 1.0},
-    {"max_stretch": 1.5},  # < stretch_multiplier
+    {"max_stretch": 1.5},
     {"stretch_decay": 1.0},
     {"stretch_jitter": 1.0},
     {"hint_low_watermark": 10, "hint_high_watermark": 5},
@@ -85,126 +96,172 @@ class _FakeResponse:
     {"hint_defer_delay": -1.0},
 ])
 def test_delivery_policy_validates(overrides):
-    with pytest.raises(ValueError):
+    """Each former tunable is refused at construction: the values are
+    module constants now, so no caller can believe it set one."""
+    with pytest.raises(TypeError):
         DeliveryPolicy(**overrides)
 
 
 def test_delivery_policy_defaults_valid():
-    policy = DeliveryPolicy()
-    assert policy.stretch_multiplier > 1.0
-    assert policy.max_stretch >= policy.stretch_multiplier
+    """The constants satisfy every bound the policy's fields once
+    checked."""
+    assert DeliveryPolicy() == DeliveryPolicy()
+    assert 0.0 < delivery.EWMA_ALPHA <= 1.0
+    assert 0.0 < delivery.DEGRADE_THRESHOLD <= 1.0
+    assert delivery.RECOVERY_SUCCESSES >= 1
+    assert delivery.STRETCH_MULTIPLIER > 1.0
+    assert MAX_STRETCH >= delivery.STRETCH_MULTIPLIER
+    assert 0.0 < delivery.STRETCH_DECAY < 1.0
+    assert 0.0 <= STRETCH_JITTER < 1.0
+    assert 0 <= HINT_LOW_WATERMARK <= HINT_HIGH_WATERMARK
+    assert 0 <= RETRY_LOW_WATERMARK <= RETRY_HIGH_WATERMARK
+    assert delivery.HINT_DEFER_DELAY >= 0 and delivery.REPLAY_DRAIN_BACKOFF >= 0
 
 
-# -- ServiceHealth dynamics -------------------------------------------------------
+# -- service health dynamics --------------------------------------------------------
+
+
+def _controller_world(metrics=False):
+    world = build_engine_world(default_engine_config(delivery_policy=DeliveryPolicy()))
+    if metrics:
+        world.engine.metrics = MetricsRegistry()
+    return world, world.engine.delivery
+
+
+def _link(world):
+    """The engine's record of the world's one published service — what
+    every controller method takes."""
+    return world.engine.service_registration("svc")
+
+
+def _health(metrics=False):
+    """``(world, controller, link)`` with the service tracked."""
+    world, controller = _controller_world(metrics)
+    link = _link(world)
+    controller.track(link)
+    return world, controller, link
+
+
+def _fail(controller, link, times=1, brownout=False):
+    for _ in range(times):
+        controller.note_result(link, ok=False, brownout=brownout)
+
+
+def _succeed(controller, link, times=1):
+    for _ in range(times):
+        controller.note_result(link, ok=True)
 
 
 def test_stretch_grows_capped_exponentially():
-    policy = DeliveryPolicy(ewma_alpha=0.3, degrade_threshold=0.3,
-                            stretch_multiplier=3.0, max_stretch=8.0)
-    health = ServiceHealth(policy, "svc")
-    assert health.stretch == 1.0 and not health.degraded
-    health.record_failure(brownout=True)     # ewma 0.3 >= threshold
-    assert health.stretch == 3.0
-    health.record_failure()                  # growth capped at max_stretch
-    assert health.stretch == 8.0
-    health.record_failure()
-    assert health.stretch == 8.0
-    assert health.failures == 3 and health.brownouts_observed == 1
+    world, controller, link = _health(metrics=True)
+    assert link.stretch == 1.0
+    _fail(controller, link, brownout=True)     # ewma 0.3 >= threshold
+    assert link.stretch == 3.0
+    _fail(controller, link)                    # growth capped at MAX_STRETCH
+    assert link.stretch == MAX_STRETCH == 8.0
+    _fail(controller, link)
+    assert link.stretch == 8.0
+    assert link.consecutive_successes == 0
+    assert world.engine.metrics.value(
+        "engine.delivery.brownouts_observed", service="svc"
+    ) == 1
 
 
 def test_single_successes_mid_brownout_do_not_unstretch():
     """Alternating 50%-style outcomes never reach the recovery streak,
     so the stretch ratchets to the cap and stays there."""
-    health = ServiceHealth(DeliveryPolicy(), "svc")
+    _, controller, link = _health()
     for _ in range(6):
-        health.record_failure(brownout=True)
-        health.record_success()
-    assert health.degraded
-    assert health.stretch == DeliveryPolicy().max_stretch
+        _fail(controller, link, brownout=True)
+        _succeed(controller, link)
+    assert link.stretch == MAX_STRETCH
 
 
 def test_decay_requires_cool_ewma_and_streak():
-    policy = DeliveryPolicy(recovery_successes=2)
-    health = ServiceHealth(policy, "svc")
-    for _ in range(4):
-        health.record_failure()
-    stretched = health.stretch
-    assert stretched == policy.max_stretch
+    _, controller, link = _health()
+    _fail(controller, link, 4)
+    stretched = link.stretch
+    assert stretched == MAX_STRETCH
     # One success: streak too short, no decay regardless of EWMA.
-    health.record_success()
-    assert health.stretch == stretched
+    _succeed(controller, link)
+    assert link.stretch == stretched
     # Feed successes until fully healed; decay must end at exactly 1.0.
-    for _ in range(32):
-        health.record_success()
-    assert health.stretch == 1.0
-    assert not health.degraded
-    assert health.error_ewma < policy.degrade_threshold
+    _succeed(controller, link, 32)
+    assert link.stretch == 1.0
+    assert link.error_ewma < delivery.DEGRADE_THRESHOLD
 
 
 def test_decay_waits_for_ewma_below_threshold():
     """With a hot EWMA, even a qualifying success streak keeps the
-    stretch in place (the EWMA gate of record_success)."""
-    policy = DeliveryPolicy(ewma_alpha=0.3, degrade_threshold=0.3,
-                            recovery_successes=2)
-    health = ServiceHealth(policy, "svc")
-    for _ in range(6):
-        health.record_failure()
-    assert health.error_ewma > 0.8
-    health.record_success()
-    health.record_success()          # streak == 2 but ewma ~0.43 still hot
-    assert health.error_ewma >= policy.degrade_threshold
-    assert health.stretch == policy.max_stretch
+    stretch in place (the EWMA gate of ``note_result``)."""
+    _, controller, link = _health()
+    _fail(controller, link, 6)
+    assert link.error_ewma > 0.8
+    _succeed(controller, link, 2)    # streak == 2 but ewma ~0.43 still hot
+    assert link.consecutive_successes == delivery.RECOVERY_SUCCESSES
+    assert link.error_ewma >= delivery.DEGRADE_THRESHOLD
+    assert link.stretch == MAX_STRETCH
 
 
 def test_stretch_factor_no_rng_draw_when_healthy():
-    health = ServiceHealth(DeliveryPolicy(), "svc")
+    _, _, link = _health()
     rng = _CountingRng()
-    assert health.stretch_factor(rng) == 1.0
+    assert stretch_factor(link, rng) == 1.0
     assert rng.uniform_draws == 0
-    assert health.stretched_samples == 0
+    assert link.stretched_samples == 0
 
 
 def test_stretch_factor_jitters_when_degraded():
-    policy = DeliveryPolicy(stretch_jitter=0.1)
-    health = ServiceHealth(policy, "svc")
-    health.record_failure()
-    health.record_failure()
+    _, controller, link = _health()
+    _fail(controller, link, 2)
     rng = _CountingRng()
-    factor = health.stretch_factor(rng)
+    factor = stretch_factor(link, rng)
     assert rng.uniform_draws == 1
-    assert health.stretched_samples == 1
-    low = health.stretch * (1.0 - policy.stretch_jitter)
-    high = health.stretch * (1.0 + policy.stretch_jitter)
+    assert link.stretched_samples == 1
+    low = link.stretch * (1.0 - STRETCH_JITTER)
+    high = link.stretch * (1.0 + STRETCH_JITTER)
     assert low <= factor <= high
 
 
+def _walk_breaker(world, state):
+    """Walk the service's breaker to ``state`` through its own API (its
+    every move reaches the ladder through the engine's transition hook)."""
+    breaker = world.engine.breaker_for("svc")
+    now = world.sim.now
+    if state is BreakerState.OPEN:
+        for _ in range(breaker.policy.failure_threshold):
+            breaker.record_failure(now)
+    elif state is BreakerState.HALF_OPEN:
+        breaker.allow(now + breaker.policy.recovery_timeout)
+    else:
+        breaker.record_success(now)
+    assert breaker.state is state
+
+
 def test_breaker_open_suspends_stretch():
-    health = ServiceHealth(DeliveryPolicy(), "svc")
-    health.record_failure()
-    health.record_failure()
-    assert health.degraded
+    world, controller, link = _health()
+    _fail(controller, link, 2)
+    assert link.stretch > 1.0
     rng = _CountingRng()
-    health.on_breaker_transition(BreakerState.OPEN)
-    assert health.stretch_factor(rng) == 1.0
+    _walk_breaker(world, BreakerState.OPEN)
+    assert stretch_factor(link, rng) == 1.0
     assert rng.uniform_draws == 0
-    health.on_breaker_transition(BreakerState.HALF_OPEN)
-    assert health.stretch_factor(rng) == 1.0
-    health.on_breaker_transition(BreakerState.CLOSED)
-    assert health.stretch_factor(rng) > 1.0
+    _walk_breaker(world, BreakerState.HALF_OPEN)
+    assert stretch_factor(link, rng) == 1.0
+    _walk_breaker(world, BreakerState.CLOSED)
+    assert stretch_factor(link, rng) > 1.0
 
 
-# -- the cadence decision under a live ServiceHealth ------------------------------
+# -- the cadence decision under live health ---------------------------------------
 # (there is no policy wrapper: IftttEngine._interval multiplies the
 # applet's own draw by the service's shared stretch factor)
 
 
-def _adaptive_draw(policy, **policy_overrides):
-    """``(draw, health)``: an adaptive engine's cadence decision for
-    ``policy`` on its published service, and that service's live health."""
-    world, controller = _controller_world(**policy_overrides)
-    link = _link(world)
-    health = controller.health_for(link)
-    return (lambda rng: world.engine._interval(link, policy, rng)), health
+def _adaptive_draw(policy):
+    """``(draw, controller, link)``: an adaptive engine's cadence decision
+    for ``policy`` on its published service, and that service's record."""
+    world, controller, link = _health()
+    return (lambda rng: world.engine._interval(link, policy, rng)), controller, link
 
 
 @pytest.mark.parametrize("base_factory", [
@@ -213,21 +270,20 @@ def _adaptive_draw(policy, **policy_overrides):
     lambda: AdaptivePollingPolicy(fast=5.0, slow=120.0),
 ], ids=["fixed", "production", "adaptive-poller"])
 def test_wrapper_byte_equivalent_to_base_when_healthy(base_factory):
-    draw, _ = _adaptive_draw(base_factory())
+    draw, _, _ = _adaptive_draw(base_factory())
     assert sampled_interval_quartiles(draw) == sampled_interval_quartiles(
         base_factory().next_interval
     )
 
 
 def test_wrapper_stretches_when_degraded_and_restores_after_heal():
-    draw, health = _adaptive_draw(FixedPollingPolicy(10.0), stretch_jitter=0.0)
+    draw, controller, link = _adaptive_draw(FixedPollingPolicy(10.0))
     rng = Rng(1)
     assert draw(rng) == 10.0
-    health.record_failure()
-    health.record_failure()
-    assert draw(rng) == 10.0 * health.stretch
-    for _ in range(16):
-        health.record_success()
+    _fail(controller, link, 2)
+    jitter = 10.0 * link.stretch * STRETCH_JITTER
+    assert abs(draw(rng) - 10.0 * link.stretch) <= jitter
+    _succeed(controller, link, 16)
     assert draw(rng) == 10.0
 
 
@@ -244,18 +300,6 @@ def test_response_is_brownout_sniffs_marker():
 # -- DeliveryController: admission + ladder ---------------------------------------
 
 
-def _controller_world(**policy_overrides):
-    policy = DeliveryPolicy(**policy_overrides)
-    world = build_engine_world(default_engine_config(delivery_policy=policy))
-    return world, world.engine.delivery
-
-
-def _link(world):
-    """The engine's record of the world's one published service — what
-    every controller method takes."""
-    return world.engine.service_registration("svc")
-
-
 def test_engine_without_policy_has_no_controller():
     world = build_engine_world()
     assert world.engine.delivery is None
@@ -264,37 +308,54 @@ def test_engine_without_policy_has_no_controller():
     assert stats["delivery_overload_dead_letters"] == 0
 
 
+def test_stats_keys_do_not_depend_on_the_options():
+    """A controller that is off reports exactly its keys, each 0, in the
+    order the live controller reports them."""
+    off = build_engine_world().engine.stats()
+    on = build_engine_world(default_engine_config(
+        delivery_policy=DeliveryPolicy(), push_policy=PushPolicy(),
+        replay_policy=ReplayPolicy(),
+    )).engine.stats()
+    assert list(on) == list(off)
+    for keys in (REPLAY_STATS_KEYS, DELIVERY_STATS_KEYS, PUSH_STATS_KEYS):
+        assert {key: off[key] for key in keys} == dict.fromkeys(keys, 0)
+        assert [key for key in on if key in keys] == list(keys)
+
+
 def test_hint_admission_watermarks():
-    world, controller = _controller_world(hint_low_watermark=2, hint_high_watermark=4)
+    world, controller = _controller_world()
     link = _link(world)
-    for _ in range(2):
+    for _ in range(HINT_LOW_WATERMARK):
         assert controller.admit_hint(link) == HINT_ALLOW
         controller.note_fast_poll_scheduled(link)
     # backlog == low watermark -> defer
     assert controller.admit_hint(link) == HINT_DEFER
-    controller.note_fast_poll_scheduled(link)
-    controller.note_fast_poll_scheduled(link)
+    while link.hint_backlog < HINT_HIGH_WATERMARK:
+        controller.note_fast_poll_scheduled(link)
     # backlog == high watermark -> shed to polling
     assert controller.admit_hint(link) == HINT_SHED
     stats = controller.stats()
     assert stats["delivery_hints_deferred"] == 1
     assert stats["delivery_hints_shed"] == 1
     # Draining the backlog re-admits.
-    for _ in range(4):
+    for _ in range(HINT_HIGH_WATERMARK):
         controller.note_fast_poll_done(link)
+    assert link.hint_backlog == 0
     assert controller.admit_hint(link) == HINT_ALLOW
 
 
 def test_retry_admission_watermarks_and_overload():
-    world, controller = _controller_world(retry_low_watermark=1, retry_high_watermark=2)
+    world, controller = _controller_world()
     link = _link(world)
     rng = Rng(2)
-    assert controller.admit_retry(link)
-    controller.note_retry_enqueued(link)
+    for _ in range(RETRY_LOW_WATERMARK):
+        assert controller.admit_retry(link)
+        controller.note_retry_enqueued(link)
     # depth >= low watermark: backoff is multiplied (deferred).
     delay = controller.stretch_retry_delay(link, 1.0, rng)
-    assert delay > 1.0
-    controller.note_retry_enqueued(link)
+    assert delay == delivery.STRETCH_MULTIPLIER
+    while link.retry_depth < RETRY_HIGH_WATERMARK:
+        controller.note_retry_enqueued(link)
     # depth >= high watermark: refused -> caller dead-letters as overload.
     assert not controller.admit_retry(link)
     stats = controller.stats()
@@ -305,34 +366,34 @@ def test_retry_admission_watermarks_and_overload():
 
 
 def test_replay_headroom_respects_retry_watermark():
-    world, controller = _controller_world(retry_low_watermark=2, retry_high_watermark=4)
+    world, controller = _controller_world()
     link = _link(world)
-    assert controller.replay_headroom(link) == 4
+    assert controller.replay_headroom(link) == RETRY_HIGH_WATERMARK
     controller.note_retry_enqueued(link)
     link.replay_depth += 2      # what a replay drain of two letters does
-    assert controller.replay_headroom(link) == 1
+    assert controller.replay_headroom(link) == RETRY_HIGH_WATERMARK - 3
     link.replay_depth -= 1      # one of them delivered
-    assert controller.replay_headroom(link) == 2
+    assert controller.replay_headroom(link) == RETRY_HIGH_WATERMARK - 2
 
 
 def test_degradation_ladder_levels():
-    world, controller = _controller_world(hint_low_watermark=1, hint_high_watermark=2)
-    world.engine.metrics = MetricsRegistry()
+    world, controller = _controller_world(metrics=True)
     link = _link(world)
-    assert link.level == DEGRADATION_HEALTHY
-    health = controller.health_for(link)
+    assert link.level is None               # not tracked before its first outcome
     controller.note_result(link, ok=False, brownout=True)
     controller.note_result(link, ok=False, brownout=True)
-    assert health.degraded
+    assert link.stretch > 1.0
     assert link.level == DEGRADATION_STRETCHED
-    controller.note_fast_poll_scheduled(link)
-    controller.note_fast_poll_scheduled(link)
+    for _ in range(HINT_HIGH_WATERMARK):
+        controller.note_fast_poll_scheduled(link)
     assert link.level == DEGRADATION_SHEDDING
-    controller.on_breaker_transition(link, BreakerState.OPEN)
+    _walk_breaker(world, BreakerState.OPEN)
     assert link.level == DEGRADATION_BREAKER_OPEN
-    controller.on_breaker_transition(link, BreakerState.CLOSED)
-    controller.note_fast_poll_done(link)
-    controller.note_fast_poll_done(link)
+    _walk_breaker(world, BreakerState.HALF_OPEN)
+    _walk_breaker(world, BreakerState.CLOSED)
+    assert link.level == DEGRADATION_SHEDDING
+    for _ in range(HINT_HIGH_WATERMARK):
+        controller.note_fast_poll_done(link)
     for _ in range(16):
         controller.note_result(link, ok=True)
     assert link.level == DEGRADATION_HEALTHY
@@ -445,22 +506,139 @@ def test_interval_distribution_restored_after_any_brownout_schedule(
     (:data:`T2A_BASELINE_QUARTILES`, pinned by test_paper_fidelity) — so
     restoring this distribution *is* restoring the §4 baseline.
     """
-    draw, health = _adaptive_draw(ProductionPollingPolicy())
+    draw, controller, link = _adaptive_draw(ProductionPollingPolicy())
     for failed in outcomes:
         if failed:
-            health.record_failure(brownout=True)
+            _fail(controller, link, brownout=True)
         else:
-            health.record_success()
+            _succeed(controller, link)
     # Heal: the service recovers and successes accumulate.
     for _ in range(64):
-        if not health.degraded:
+        if link.stretch == 1.0:
             break
-        health.record_success()
-    assert health.stretch == 1.0
-    assert not health.degraded
+        _succeed(controller, link)
+    assert link.stretch == 1.0
+    assert link.level == DEGRADATION_HEALTHY
     healed = sampled_interval_quartiles(draw, seed=probe_seed, samples=500)
     baseline = sampled_interval_quartiles(
         ProductionPollingPolicy().next_interval, seed=probe_seed, samples=500
     )
     assert healed == baseline
     assert len(T2A_BASELINE_QUARTILES) == 3  # the anchor the baseline encodes
+
+
+# -- the admission depths are exact ------------------------------------------------
+
+
+def _depth_world():
+    """Applets on ``svc`` (realtime hints, every hint honoured) whose
+    actions go to a separate ``sink``, under adaptive delivery and replay."""
+    from repro.engine import ActionRef, TriggerRef
+    from repro.net import Address, FixedLatency
+    from repro.services import ActionEndpoint, PartnerService
+
+    world = build_engine_world(
+        default_engine_config(
+            delivery_policy=DeliveryPolicy(), replay_policy=ReplayPolicy(),
+            realtime_allowlist=None,
+        ),
+        realtime_service=True, with_trace=False,
+    )
+    sink = world.net.add_node(PartnerService(Address("sink.cloud"), slug="sink",
+                                             service_time=0.0))
+    sink.add_action(ActionEndpoint(slug="record", name="Record", executor=lambda f: None))
+    world.net.connect(world.engine.address, sink.address, FixedLatency(0.01))
+    world.engine.publish_service(sink)
+
+    def install():
+        return world.engine.install_applet(
+            user=world.user, name="ping -> sink",
+            trigger=TriggerRef("svc", "ping"), action=ActionRef("sink", "record", {}),
+        ).applet_id
+
+    return world, {"svc": world.service, "sink": sink}, install
+
+
+def _assert_depths_exact(engine):
+    """Each admission depth equals what it stands for, recounted from the
+    engine's own tables."""
+    for slug in engine.published_slugs:
+        link = engine.service_registration(slug)
+        fast_polls = sum(
+            1 for runtime in engine._applets.values()
+            if runtime.link is link and runtime.fast_poll_pending
+        )
+        retry_timers = sum(
+            1 for record, _ in engine._retry_timers.values() if record.service_slug == slug
+        )
+        replaying = sum(   # a replay batch in flight is ``(link, records)``
+            len(entry[1]) for entry in engine._awaiting.values()
+            if isinstance(entry, tuple) and len(entry) == 2 and entry[0] is link
+        )
+        assert (link.hint_backlog, link.retry_depth, link.replay_depth) == (
+            fast_polls, retry_timers, replaying
+        ), slug
+
+
+STEPS = st.tuples(
+    st.one_of(
+        st.tuples(st.just("install"), st.integers(1, 12)),
+        st.tuples(st.sampled_from(["uninstall", "disable", "enable"]), st.integers(0, 63)),
+        st.tuples(st.just("publish"), st.integers(1, 3)),
+        st.tuples(st.just("outage"), st.sampled_from(["svc", "sink"]), st.booleans()),
+        st.tuples(st.just("replay")),
+    ),
+    # then the world runs on this long (a fast poll is pending for
+    # 0.01 s, a deferred one for 5 s, a retry for 1-8 s)
+    st.sampled_from([0.0, 0.005, 0.02, 1.0, 5.0, 12.0, 30.0]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(STEPS, max_size=20))
+@example(steps=[        # every depth non-zero and every release path, every run
+    (("outage", "sink", True), 0.0),
+    (("publish", 3), 0.02),         # one hint burst: allow, defer, shed
+    (("uninstall", 10), 0.0),       # ... releasing a deferred fast poll
+    (("disable", 12), 0.0),         # ... and another
+    (("enable", 12), 0.0),
+    (("publish", 2), 5.0),          # actions fail into retries, overload
+    (("uninstall", 20), 0.0),       # ... releasing an applet's retries
+    (("outage", "svc", False), 150.0),  # the rest run out into dead letters
+    (("replay",), 1.0),             # the drain's batches in flight, then back
+])
+def test_admission_depths_are_exact(steps):
+    """After any sequence of installs, uninstalls, disables, enables,
+    hint bursts, outages and heals/replays, every service's hint backlog
+    equals its applets with a fast poll pending, its retry depth its
+    retry timers, and its replay depth its replay records in flight —
+    so the watermarks read the truth and no depth needs clamping."""
+    world, services, install = _depth_world()
+    engine = world.engine
+    # Enough registered applets that one hint burst crosses both hint
+    # watermarks (their registration polls run at t=0.5).
+    installed = [install() for _ in range(HINT_HIGH_WATERMARK + 4)]
+    world.sim.run_until(1.0)
+    for (kind, *args), advance in steps:
+        if kind == "install":
+            installed += [install() for _ in range(args[0])]
+        elif kind in ("uninstall", "disable", "enable") and installed:
+            applet_id = installed[args[0] % len(installed)]
+            if kind == "uninstall":
+                engine.uninstall_applet(applet_id)
+                installed.remove(applet_id)
+            elif kind == "disable":
+                engine.disable_applet(applet_id)
+            else:
+                engine.enable_applet(applet_id)
+        elif kind == "publish":
+            for n in range(args[0]):
+                world.service.ingest_event("ping", {"n": n})
+        elif kind == "outage":
+            services[args[0]].set_outage(args[1])
+        elif kind == "replay":
+            services["sink"].set_outage(False)
+            engine.replay_dead_letters()
+        _assert_depths_exact(engine)
+        world.sim.run_until(world.sim.now + advance)
+        _assert_depths_exact(engine)

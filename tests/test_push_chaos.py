@@ -10,7 +10,8 @@ same bars the adaptive-delivery chaos suite pins for polling:
   stays within 5% between the adaptive-push and plain-push runs;
 * **restoration** — after heal the victim's (would-be) poll-interval
   quartiles sit within ``MAX_QUARTILE_DRIFT`` of the base policy's,
-  probing through the ``PushDeliveryPolicy`` wrapper;
+  probing the poll-rung draw: the applet's policy times the live
+  stretch factor;
 * **determinism** — same ``(scenario, seed, mode)`` serializes
   byte-identical snapshots, plain and sharded (``make push-check``).
 
@@ -132,9 +133,9 @@ class TestShardedPushBrownout:
             assert run.actions_silently_lost == 0
 
     def test_post_heal_quartiles_restored(self, sharded_push_runs):
-        # The probe unwraps PushDeliveryPolicy to the adaptive wrapper
-        # beneath: what the victim WOULD poll at on full fallback must
-        # match the base distribution once the stretch has decayed.
+        # The probe draws what the victim WOULD poll at on the poll
+        # rung (the applet's policy times the live stretch factor): it
+        # must match the base distribution once the stretch has decayed.
         _, adaptive, _ = sharded_push_runs
         assert adaptive.post_heal_quartiles is not None
         assert adaptive.baseline_quartiles is not None

@@ -268,38 +268,46 @@ class TestT2AOrdering:
 class TestDegradedPushRestoration:
     """(d) the poll rung restores the exact base interval distribution."""
 
-    def test_rung_decides_the_distribution(self):
+    @staticmethod
+    def _contract_link(policy, rng=None):
+        """A real engine under ``policy`` and the record of its one
+        push-contract service, tracked as an install would track it."""
         from repro.engine.engine import IftttEngine
 
-        base = ProductionPollingPolicy()
-        policy = PushPolicy()
         net = Network(Simulator(), Rng(seed=3, name="rung"))
         engine = net.add_node(IftttEngine(
             Address("engine.cloud"),
             config=engine_config_for("push", push_policy=policy),
+            rng=rng,
         ))
         engine.publish_service(net.add_node(PartnerService(
             Address("svc.cloud"), slug="svc", push=True,
         )))
         link = engine.service_registration("svc")
-        state = engine.push.state_for(link)
+        engine.push.track(link)
+        return engine, link
+
+    def test_rung_decides_the_distribution(self):
+        base = ProductionPollingPolicy()
+        policy = PushPolicy()
+        engine, link = self._contract_link(policy)
 
         def draw(rng, applet_policy=base.clone()):
             return engine._interval(link, applet_policy, rng)
 
         # push rung: the constant safety net, no RNG consumption
-        assert state.rung == RUNG_PUSH
+        assert link.rung == RUNG_PUSH
         assert sampled_interval_quartiles(draw) == (
             policy.safety_net_interval,
         ) * 3
         # poll rung: the base distribution, exactly (same seeded RNG,
         # same draws — the cadence decision adds nothing)
-        state.rung = RUNG_POLL
+        link.rung = RUNG_POLL
         assert sampled_interval_quartiles(draw) == (
             sampled_interval_quartiles(base.clone().next_interval)
         )
         # heal: back to the safety net
-        state.rung = RUNG_PUSH
+        link.rung = RUNG_PUSH
         assert sampled_interval_quartiles(draw) == (
             policy.safety_net_interval,
         ) * 3
@@ -308,52 +316,32 @@ class TestDegradedPushRestoration:
         """Flood a real engine's controller past both watermarks and
         watch the rung walk push -> hint -> poll, then drain and watch
         it re-earn push (hysteresis: no flapping at the high mark)."""
-        sim = Simulator()
-        rng = Rng(seed=3, name="ladder")
-        net = Network(sim, rng.fork("net"))
-        from repro.engine.engine import IftttEngine
-
         policy = PushPolicy(low_watermark=4, high_watermark=8, max_batch=3)
-        engine = net.add_node(IftttEngine(
-            Address("engine.cloud"),
-            config=engine_config_for("push", push_policy=policy),
-            rng=rng.fork("engine"),
-        ))
-        from repro.engine.push import PushServiceState
-
+        engine, link = self._contract_link(policy, Rng(seed=3, name="ladder").fork("engine"))
         controller = engine.push
-        state = PushServiceState("svc")
+        pending = link.push_pending
         for k in range(12):
-            controller._admit(state, "identity", TriggerEvent(k, 0.0, {"n": k}))
+            controller._admit(link, "identity", TriggerEvent(k, 0.0, {"n": k}))
         # 0..3 admitted at push, 4..7 degraded (backlog in [low, high)),
         # 8..11 shed once the backlog reached the high mark
-        assert state.rung == RUNG_POLL
-        assert len(state.pending) == 8
+        assert link.rung == RUNG_POLL
+        assert len(pending) == 8
         assert controller.degraded_to_hint == 4
         assert controller.shed_to_poll == 4
         # hysteresis: still poll-rung while the backlog sits between
         # the watermarks
-        state.pending.popleft()
-        state.pending.popleft()
-        controller._refresh_rung(state)
-        assert state.rung == RUNG_POLL
+        pending.popleft()
+        pending.popleft()
+        controller._refresh_rung(link)
+        assert link.rung == RUNG_POLL
         # draining below low re-earns push
-        while len(state.pending) >= policy.low_watermark:
-            state.pending.popleft()
-        controller._refresh_rung(state)
-        assert state.rung == RUNG_PUSH
+        while len(pending) >= policy.low_watermark:
+            pending.popleft()
+        controller._refresh_rung(link)
+        assert link.rung == RUNG_PUSH
 
     def test_intermediate_rung_is_hint(self):
-        from repro.engine.push import PushServiceState, PushController
-
-        class _Eng:
-            metrics = None
-            trace = None
-
-        controller = PushController(
-            _Eng(), PushPolicy(low_watermark=2, high_watermark=10)
-        )
-        state = PushServiceState("svc")
-        state.pending.extend([("i", None)] * 3)  # between the watermarks
-        controller._refresh_rung(state)
-        assert state.rung == RUNG_HINT
+        engine, link = self._contract_link(PushPolicy(low_watermark=2, high_watermark=10))
+        link.push_pending.extend([("i", None)] * 3)  # between the watermarks
+        engine.push._refresh_rung(link)
+        assert link.rung == RUNG_HINT

@@ -1,8 +1,8 @@
 """What the one-record-per-service engine relies on.
 
 ``ServiceRegistration`` is the per-(service, engine) record that holds
-the breaker, health, parked hints, admission depths, push state and
-bound metric handles, and ``IftttEngine._interval`` is the one cadence
+the breaker, health and ladder level, parked hints, admission depths,
+push queue and rung, and bound metric handles, and ``IftttEngine._interval`` is the one cadence
 decision that replaced the nested ``PollingPolicy`` wrappers.  Pinned
 here:
 
@@ -32,7 +32,7 @@ from repro.engine import (
     ProductionPollingPolicy,
     TriggerRef,
 )
-from repro.engine.delivery import DeliveryPolicy
+from repro.engine.delivery import STRETCH_JITTER, DeliveryPolicy
 from repro.engine.push import RUNG_HINT, RUNG_POLL, RUNG_PUSH, PushPolicy
 from repro.engine.resilience import BreakerState, ReplayPolicy
 from repro.net import Address, FixedLatency, HttpNode
@@ -50,16 +50,32 @@ SAFETY_NET = 600.0
 # -- (i) the cadence decision vs the nesting it replaced --------------------------
 
 
-def reference_interval(base, health, rung, rng):
+def reference_interval(base, stretch, breaker, rung, rng):
     """``PushDeliveryPolicy(AdaptiveDeliveryPolicy(base))`` as it was:
-    ``rung``/``health`` are ``None`` where that wrapper was not applied."""
+    ``rung``/``stretch`` are ``None`` where that wrapper was not applied,
+    and ``breaker`` is the service breaker's state."""
     if rung is not None and rung != RUNG_POLL:
         return SAFETY_NET
     interval = base.next_interval(rng)
-    if health is None:
+    if stretch is None:
         return interval
-    factor = health.stretch_factor(rng)
+    if stretch <= 1.0 or breaker is not BreakerState.CLOSED:
+        factor = 1.0
+    else:
+        factor = stretch * (1.0 + rng.uniform(-STRETCH_JITTER, STRETCH_JITTER))
+        factor = factor if factor > 1.0 else 1.0
     return interval if factor == 1.0 else interval * factor
+
+
+def drive_breaker(engine, slug, state):
+    """Walk a service's breaker to ``state`` through its own API."""
+    breaker = engine.breaker_for(slug)
+    if state is not BreakerState.CLOSED:
+        for _ in range(breaker.policy.failure_threshold):
+            breaker.record_failure(0.0)
+    if state is BreakerState.HALF_OPEN:
+        breaker.allow(breaker.policy.recovery_timeout)
+    assert breaker.state is state
 
 
 BASE_POLICIES = {
@@ -84,19 +100,18 @@ def test_interval_matches_the_wrapper_nesting(rung, stretch, breaker, base, seed
     ))
     engine = world.engine
     link = engine.service_registration("svc")
-    health = None
+    drive_breaker(engine, "svc", breaker)
     if stretch is not None:
-        health = engine.delivery.health_for(link)
-        health.stretch = stretch
-        health.on_breaker_transition(breaker)
+        link.stretch = stretch
     if rung is not None:
         link.push = True        # the contract the wrapper's presence stood for
-        engine.push.state_for(link).rung = rung
+        engine.push.track(link)
+        link.rung = rung
     ours, theirs = BASE_POLICIES[base](), BASE_POLICIES[base]()
     rng, reference_rng = Rng(seed), Rng(seed)
     for _ in range(5):
         got = engine._interval(link, ours, rng)
-        want = reference_interval(theirs, health, rung, reference_rng)
+        want = reference_interval(theirs, stretch, breaker, rung, reference_rng)
         assert got == want and type(got) is type(want)
         # identical draws consumed: the streams stay in lockstep
         assert rng._random.getstate() == reference_rng._random.getstate()
@@ -124,7 +139,7 @@ def test_untouched_published_service_leaves_no_series():
     assert world.engine.published_slugs == ["sensor"]
     world.sim.run_until(60.0)
     link = world.engine.service_registration("sensor")
-    assert (link.breaker, link.health, link.push_state) == (None, None, None)
+    assert (link.breaker, link.level, link.push_pending) == (None, None, None)
     assert _families(world.engine.metrics) == set()
 
 
@@ -134,7 +149,7 @@ def test_gauges_go_live_at_their_documented_instants():
     link = engine.service_registration("sensor")
     link.push = True        # as if published under the push contract
     install_ping_applet(engine, slug="sensor")
-    # install: health and push state are born (delivery policy / contract);
+    # install: the ladder level and push queue are born (delivery policy / contract);
     # the breaker is not — nothing has been sent yet
     assert _families(metrics) == {
         ("engine.degradation_level", "sensor"),
@@ -162,10 +177,10 @@ def test_health_without_an_install_is_born_at_the_first_outcome():
     )
     world.sim.run_until(5.0)
     record = world.engine.service_registration("sink")
-    assert (record.breaker, record.health) == (None, None)
+    assert (record.breaker, record.level) == (None, None)
     world.service.ingest_event("ping", {"n": 1})
     world.sim.run_until(15.0)           # next poll at t=10.5 fires the action
-    assert record.breaker is not None and record.health is not None
+    assert record.breaker is not None and record.level is not None
     assert {
         ("engine.breaker_state", "sink"), ("engine.degradation_level", "sink"),
     } <= _families(world.engine.metrics)
@@ -212,11 +227,11 @@ def test_webhook_rejects_unauthenticated_sender(path, headers, status, message):
     response = _post_webhook(world, rogue, path, headers, applet)
     assert response.status == status
     assert response.body == {"error": message}
-    # nothing moved: no counter, no minted series, no push state, no fast poll
+    # nothing moved: no counter, no minted series, no push queue, no fast poll
     assert (
         _families(engine.metrics), engine.stats(), engine.poll_count(applet.applet_id)
     ) == before
-    assert engine.service_registration("svc").push_state is None
+    assert engine.service_registration("svc").push_pending is None
     assert world.executed == []
 
 
@@ -269,9 +284,9 @@ def test_malformed_push_fails_at_the_boundary(case):
     )
     assert response.status == 400
     assert response.body == {"error": f"malformed push notification: {field}"}
-    # nothing admitted: no stats key moved, no push state, no fast poll
+    # nothing admitted: no stats key moved, no push queue, no fast poll
     assert (engine.stats(), engine.poll_count(applet.applet_id)) == before
-    assert engine.service_registration("svc").push_state is None
+    assert engine.service_registration("svc").push_pending is None
     assert engine.metrics.value("engine.push.malformed", service="svc") == 1
     # the run goes on, polling as before, and no action ever fires
     world.sim.run_until(world.sim.now + 30.0)
