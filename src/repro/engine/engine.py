@@ -323,23 +323,14 @@ class IftttEngine(HttpNode):
         self.actions_shed = 0
         self.action_retries = 0
         self.actions_delivered = 0
-        self.actions_in_retry = 0
         self.dead_letters: List[DeadLetter] = []
         # Outstanding action-retry timers, keyed by a monotonic sequence
         # number (insertion-ordered, so cancellation on applet removal is
         # deterministic).  Without this ledger a retry scheduled for a
         # since-removed applet would still fire and deliver on its
-        # behalf.
+        # behalf.  Its length is ``actions_in_retry``.
         self._retry_timers: Dict[int, Tuple[PendingAction, Event]] = {}
         self._retry_seq = itertools.count()
-        # What the reply to each outstanding request completes, by its
-        # request id: a poll's runtime, an action's record, a query's
-        # ``(runtime, event, remaining, results)``, a replay batch's
-        # ``(link, records)``.  The callback that the reply (or its
-        # timeout, or a refusal) calls pops it, so every request callback
-        # is a bound method, not a closure made per request, and a world
-        # in flight pickles.
-        self._awaiting: Dict[int, Any] = {}
         # Realtime-hint fallback: hints for a service whose breaker is
         # open are parked on its record instead of scheduling fast polls
         # that are guaranteed to be shed; they resume when the half-open
@@ -570,9 +561,9 @@ class IftttEngine(HttpNode):
 
         Outstanding action-*retry* timers are cancelled too — a retry
         firing after removal would deliver on behalf of an uninstalled
-        applet and corrupt ``actions_in_retry``.  The parked records are
-        dead-lettered with reason ``applet_removed`` (not dropped), so
-        the conservation invariant survives the removal.
+        applet.  The parked records are dead-lettered with reason
+        ``applet_removed`` (not dropped), so the conservation invariant
+        survives the removal.
         """
         runtime = self._applets.pop(applet_id, None)
         if runtime is None:
@@ -587,12 +578,17 @@ class IftttEngine(HttpNode):
         ]:
             record, event = self._retry_timers.pop(seq)
             event.cancel()
-            self.actions_in_retry -= 1
             if self.delivery is not None:
                 self.delivery.note_retry_dequeued(self._services[record.service_slug])
             self._dead_letter(record, "applet_removed")
         del self._by_identity[runtime.identity]
         return runtime.applet
+
+    @property
+    def actions_in_retry(self) -> int:
+        """Actions waiting on a retry timer (the conservation invariant's
+        ``in_retry``): the length of the retry table."""
+        return len(self._retry_timers)
 
     def poll_count(self, applet_id: int) -> int:
         """How many polls the engine has sent for an applet."""
@@ -774,11 +770,11 @@ class IftttEngine(HttpNode):
         if self.metrics is not None:
             self.metrics.gauge(f"{self._ns}.{ladder[0]}", service=link.slug).set(level)
 
-    def _count(self, link: ServiceRegistration, name: str) -> None:
-        """Count one ``{ns}.<name>{service}`` event of a controller."""
+    def _count(self, link: ServiceRegistration, name: str, amount: int = 1) -> None:
+        """Count ``amount`` ``{ns}.<name>{service}`` events."""
         metrics = self.metrics
         if metrics is not None:
-            link.bound.counter(metrics, name).inc()
+            link.bound.counter(metrics, name).inc(amount)
 
     # -- dead-letter replay -------------------------------------------------------------
 
@@ -872,7 +868,7 @@ class IftttEngine(HttpNode):
             runtime.polls += 1
             self.polls_shed += 1
             if metrics is not None:
-                metrics.counter(f"{self._ns}.polls_shed", service=link.slug).inc()
+                link.bound.counter(metrics, "polls_shed").inc()
             if self.trace is not None:
                 self.trace.record(
                     now,
@@ -902,7 +898,7 @@ class IftttEngine(HttpNode):
                 identity=runtime.identity,
                 trigger=applet.trigger.trigger_slug,
             )
-        request = self.request(
+        self.request(
             link.address,
             "POST",
             TRIGGER_PATH + applet.trigger.trigger_slug,
@@ -915,8 +911,8 @@ class IftttEngine(HttpNode):
             headers=self._auth_headers(link, applet.user),
             on_response=self._on_poll_response,
             timeout=self.config.poll_timeout,
+            context=runtime,
         )
-        self._awaiting[request.request_id] = runtime
 
     def _auth_headers(self, link: ServiceRegistration, user: str) -> Dict[str, Any]:
         headers: Dict[str, Any] = {"IFTTT-Service-Key": link.service_key}
@@ -926,7 +922,7 @@ class IftttEngine(HttpNode):
         return headers
 
     def _on_poll_response(self, response: HttpResponse) -> None:
-        runtime = self._awaiting.pop(response.request_id)
+        runtime = response.context
         runtime.poll_in_flight = False
         applet = runtime.applet
         link = runtime.link
@@ -982,7 +978,7 @@ class IftttEngine(HttpNode):
                 # path owns pacing until the service recovers.
                 self.poll_retries += 1
                 if metrics is not None:
-                    metrics.counter(f"{self._ns}.poll_retries", service=link.slug).inc()
+                    link.bound.counter(metrics, "poll_retries").inc()
                 delay = retry.backoff(runtime.poll_attempts, self.rng)
                 if link.stretch > 1.0:
                     # Stretch the retry burst by the same health factor
@@ -1071,19 +1067,19 @@ class IftttEngine(HttpNode):
         query = remaining[0]
         registration = self._services[query.service_slug]
         self.queries_sent += 1
-        request = self.post(
+        self.post(
             registration.address,
             QUERY_PATH + query.query_slug,
             body={"queryFields": dict(query.fields), "user": runtime.applet.user},
             headers=self._auth_headers(registration, runtime.applet.user),
             on_response=self._on_query_response,
             timeout=self.config.poll_timeout,
+            context=(runtime, event, remaining, results),
         )
-        self._awaiting[request.request_id] = (runtime, event, remaining, results)
 
     def _on_query_response(self, response: HttpResponse) -> None:
         """Record the answer to ``remaining[0]``, then run the rest."""
-        runtime, event, remaining, results = self._awaiting.pop(response.request_id)
+        runtime, event, remaining, results = response.context
         slug = remaining[0].query_slug
         if response.ok:
             results[slug] = (response.body or {}).get("data", [])
@@ -1200,12 +1196,10 @@ class IftttEngine(HttpNode):
         budget and dead-letters instead of looping forever.
         """
         record.attempts += 1
-        if self._sheds(self._services[record.service_slug], self.now):
+        link = self._services[record.service_slug]
+        if self._sheds(link, self.now):
             self.actions_shed += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    f"{self._ns}.actions_shed", service=record.service_slug
-                ).inc()
+            self._count(link, "actions_shed")
             if self.trace is not None:
                 self.trace.record(
                     self.now,
@@ -1223,10 +1217,10 @@ class IftttEngine(HttpNode):
         self, record: PendingAction, on_result: Callable[[HttpResponse], None]
     ) -> None:
         """POST one action to its service (first sends, retries and
-        unbatched replay all leave through here); ``on_result`` pops
-        ``record`` from ``_awaiting`` by the response's request id."""
+        unbatched replay all leave through here); ``on_result`` finds
+        ``record`` as the response's context."""
         link = self._services[record.service_slug]
-        request = self.request(
+        self.request(
             link.address,
             "POST",
             ACTION_PATH + record.action_slug,
@@ -1234,11 +1228,11 @@ class IftttEngine(HttpNode):
             headers=self._auth_headers(link, record.user),
             on_response=on_result,
             timeout=self.config.action_timeout,
+            context=record,
         )
-        self._awaiting[request.request_id] = record
 
     def _on_action_result(self, response: HttpResponse) -> None:
-        record = self._awaiting.pop(response.request_id)
+        record = response.context
         record.last_status = response.status
         metrics = self.metrics
         if metrics is not None:
@@ -1277,11 +1271,7 @@ class IftttEngine(HttpNode):
                 self._dead_letter(record, "overload")
                 return
             self.action_retries += 1
-            self.actions_in_retry += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    f"{self._ns}.action_retries", service=record.service_slug
-                ).inc()
+            self._count(link, "action_retries")
             delay = retry.backoff(record.attempts, self.rng)
             if delivery is not None:
                 delay = delivery.stretch_retry_delay(link, delay, self.rng)
@@ -1307,7 +1297,6 @@ class IftttEngine(HttpNode):
 
     def _retry_action(self, seq: int) -> None:
         record, _ = self._retry_timers.pop(seq)
-        self.actions_in_retry -= 1
         if self.delivery is not None:
             self.delivery.note_retry_dequeued(self._services[record.service_slug])
         self._send_action(record)
@@ -1315,10 +1304,7 @@ class IftttEngine(HttpNode):
     def _dead_letter(self, record: PendingAction, reason: str) -> None:
         letter = DeadLetter.from_pending(record, dead_at=self.now, reason=reason)
         self.dead_letters.append(letter)
-        if self.metrics is not None:
-            self.metrics.counter(
-                f"{self._ns}.dead_letters", service=record.service_slug
-            ).inc()
+        self._count(self._services[record.service_slug], "dead_letters")
         if self.trace is not None:
             self.trace.record(
                 self.now,
@@ -1406,10 +1392,7 @@ class IftttEngine(HttpNode):
         self.realtime_hints_suppressed += 1
         for identity in identities:
             link.parked[identity] = None
-        if self.metrics is not None:
-            self.metrics.counter(
-                f"{self._ns}.realtime_hints_suppressed", service=link.slug
-            ).inc()
+        self._count(link, "realtime_hints_suppressed")
         if self.trace is not None:
             self.trace.record(
                 self.now, self._ns, trace_kind,
@@ -1461,10 +1444,7 @@ class IftttEngine(HttpNode):
         if not parked:
             return
         self.realtime_hints_resumed += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                f"{self._ns}.realtime_hints_resumed", service=link.slug
-            ).inc()
+        self._count(link, "realtime_hints_resumed")
         if self.trace is not None:
             self.trace.record(
                 self.now,

@@ -237,10 +237,7 @@ class PushController:
         entries = body.get("data") if isinstance(body, dict) else None
         problem = _malformed(entries)
         if problem is not None:
-            if engine.metrics is not None:
-                engine.metrics.counter(
-                    f"{engine._ns}.push.malformed", service=link.slug
-                ).inc()
+            engine._count(link, "push.malformed")
             raise HttpError(400, f"malformed push notification: {problem}")
         self.track(link)
         self.notifications_received += 1

@@ -159,19 +159,14 @@ class ReplayController:
         link.replay_depth += len(records)
         self.drains += 1
         self.dead_letters_replayed += len(records)
-        ns = engine.metrics_namespace
+        engine._count(link, "replay.drains")
+        engine._count(link, "replay.dead_letters_replayed", len(records))
         if engine.metrics is not None:
-            engine.metrics.counter(f"{ns}.replay.drains", service=slug).inc()
-            engine.metrics.counter(
-                f"{ns}.replay.dead_letters_replayed", service=slug
-            ).inc(len(records))
-            engine.metrics.gauge(f"{ns}.replay.in_replay", service=slug).set(
-                engine.actions_in_replay
-            )
+            link.bound.gauge(engine.metrics, "replay.in_replay").set(engine.actions_in_replay)
         if engine.trace is not None:
             engine.trace.record(
                 engine.now,
-                ns,
+                engine.metrics_namespace,
                 "engine_replay_drain",
                 service=slug,
                 letters=len(records),
@@ -198,10 +193,7 @@ class ReplayController:
                 self._leave_replay(link)
                 self.actions_failed += 1
                 engine._note_action_failure(record)
-            if engine.metrics is not None:
-                engine.metrics.counter(
-                    f"{engine.metrics_namespace}.replay.actions_shed", service=link.slug
-                ).inc(len(records))
+            engine._count(link, "replay.actions_shed", len(records))
             return
         self.requests_sent += 1
         if self.first_dispatch_at is None:
@@ -222,20 +214,20 @@ class ReplayController:
             bound = link.bound
             bound.counter(metrics, "replay.batches_sent").inc()
             bound.histogram(metrics, "replay.batch_size", COUNT_BUCKETS).observe(len(records))
-        request = engine.post(
+        engine.post(
             link.address,
             BATCH_ACTION_PATH,
             body=batch.to_body(),
             headers=engine._auth_headers(link, records[0].user),
             on_response=self._on_batch_result,
             timeout=engine.config.action_timeout,
+            context=(link, records),
         )
-        engine._awaiting[request.request_id] = (link, records)
 
     # -- results --------------------------------------------------------------
 
     def _on_batch_result(self, response: HttpResponse) -> None:
-        link, records = self.engine._awaiting.pop(response.request_id)
+        link, records = response.context
         self.engine._note_outcome(link, response.ok)
         if not response.ok:
             for record in records:
@@ -253,7 +245,7 @@ class ReplayController:
                 self._refail(link, record)
 
     def _on_single_result(self, response: HttpResponse) -> None:
-        record = self.engine._awaiting.pop(response.request_id)
+        record = response.context
         link = self.engine._services[record.service_slug]
         record.last_status = response.status
         self.engine._note_outcome(link, response.ok)

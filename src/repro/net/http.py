@@ -4,7 +4,11 @@ IFTTT's partner-service protocol is plain HTTPS POST against well-known
 URLs (``/ifttt/v1/triggers/<slug>``, ``/ifttt/v1/actions/<slug>``).  This
 module models exactly that: an :class:`HttpNode` registers route handlers
 and issues requests; responses are matched to requests by id, and pending
-requests time out if the peer or path is unavailable.
+requests time out if the peer or path is unavailable.  A requester may
+hand :meth:`HttpNode.request` a ``context`` (whatever the reply
+completes); the node keeps it with the pending request and returns it
+on the response — the reply, the 599 timeout or the 503 refusal — as
+:attr:`HttpResponse.context`, so the caller keeps no table of its own.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ class HttpRequest:
 class HttpResponse:
     """The response to an :class:`HttpRequest`."""
 
-    __slots__ = ("status", "body", "headers", "request_id", "elapsed")
+    __slots__ = ("status", "body", "headers", "request_id", "elapsed", "context")
 
     def __init__(
         self,
@@ -86,12 +90,16 @@ class HttpResponse:
         headers: Optional[Dict[str, Any]] = None,
         request_id: int = 0,
         elapsed: float = 0.0,
+        context: Any = None,
     ) -> None:
         self.status = status
         self.body = body
         self.headers = {} if headers is None else headers
         self.request_id = request_id
         self.elapsed = elapsed
+        #: The ``context`` the request was issued with, set on the
+        #: requester's side (``None`` on the server's side).
+        self.context = context
 
     @property
     def ok(self) -> bool:
@@ -116,7 +124,8 @@ class HttpNode(Node):
     processing delay before the response is sent.
 
     Client side: :meth:`request` sends a request and invokes the callback
-    with the response (or a synthetic 599 on timeout).
+    with the response (or a synthetic 599 on timeout), which carries the
+    request's ``context`` back.
     """
 
     def __init__(self, address: Address, service_time: float = 0.0) -> None:
@@ -126,7 +135,8 @@ class HttpNode(Node):
         # (METHOD, full path) -> handler for paths that matched a route;
         # dropped whenever the route table changes.
         self._route_memo: Dict[Tuple[str, str], RouteHandler] = {}
-        self._pending: Dict[int, Tuple[ResponseCallback, Any, float]] = {}
+        # request id -> (callback, timeout event, sent at, context)
+        self._pending: Dict[int, Tuple[ResponseCallback, Any, float, Any]] = {}
         self._timed_out_ids: Set[int] = set()
         self._timed_out_order: Deque[int] = deque()
         self.requests_served = 0
@@ -194,8 +204,10 @@ class HttpNode(Node):
         timeout: float = DEFAULT_TIMEOUT,
         headers: Optional[Dict[str, Any]] = None,
         size_bytes: int = 512,
+        context: Any = None,
     ) -> HttpRequest:
-        """Issue a request; the callback fires with the response or a 599."""
+        """Issue a request; the callback fires with the response or a 599,
+        whose ``context`` is the ``context`` given here."""
         if on_response is not None and not timeout >= 0:  # before anything is counted
             if timeout < 0:
                 raise SimulationError(f"cannot schedule into the past (delay={timeout})")
@@ -221,7 +233,7 @@ class HttpNode(Node):
             timeout_event = sim.schedule_at(
                 sent_at + timeout, self._on_timeout, req.request_id, label="http-timeout"
             )
-            self._pending[req.request_id] = (on_response, timeout_event, sent_at)
+            self._pending[req.request_id] = (on_response, timeout_event, sent_at, context)
         self.send(dst, HTTP_PROTOCOL, {"type": "request", "request": req}, size_bytes=size_bytes)
         return req
 
@@ -237,13 +249,16 @@ class HttpNode(Node):
         entry = self._pending.pop(request_id, None)
         if entry is None:
             return
-        callback, _, sent_at = entry
+        callback, _, sent_at, context = entry
         self.timeouts += 1
         self._remember_timed_out(request_id)
         metrics = self.metrics
         if metrics is not None:
             metrics.counter("http.timeouts", node=self.address.host).inc()
-        callback(HttpResponse(status=599, body=None, request_id=request_id, elapsed=self.now - sent_at))
+        callback(HttpResponse(
+            status=599, body=None, request_id=request_id, elapsed=self.now - sent_at,
+            context=context,
+        ))
 
     def _remember_timed_out(self, request_id: int) -> None:
         """Track a timed-out id (bounded) so late responses are countable."""
@@ -278,13 +293,14 @@ class HttpNode(Node):
         entry = self._pending.pop(request.request_id, None)
         if entry is None:
             return  # fire-and-forget: nothing awaits an answer
-        callback, timeout_event, sent_at = entry
+        callback, timeout_event, sent_at, context = entry
         if timeout_event is not None:
             timeout_event.cancel()
         response = HttpResponse(
             status=503,
             body={"error": "connection refused", "reason": reason},
             request_id=request.request_id,
+            context=context,
         )
         self.sim.schedule(
             0.0, self._deliver_refusal, callback, response, sent_at, label="http-refused"
@@ -350,10 +366,11 @@ class HttpNode(Node):
                             "http.late_responses", node=self.address.host
                         ).inc()
                 return
-            callback, timeout_event, sent_at = entry
+            callback, timeout_event, sent_at, context = entry
             if timeout_event is not None:
                 timeout_event.cancel()
             response.elapsed = self.network.sim._now - sent_at  # ``self.now``, one frame less
+            response.context = context
             if metrics is not None:
                 self._http_bound.histogram(metrics, "rtt_seconds").observe(response.elapsed)
             callback(response)

@@ -530,16 +530,17 @@ def test_interval_distribution_restored_after_any_brownout_schedule(
 # -- the admission depths are exact ------------------------------------------------
 
 
-def _depth_world():
+def _depth_world(batching):
     """Applets on ``svc`` (realtime hints, every hint honoured) whose
-    actions go to a separate ``sink``, under adaptive delivery and replay."""
+    actions go to a separate ``sink``, under adaptive delivery and replay
+    (in batches, or one action per request)."""
     from repro.engine import ActionRef, TriggerRef
     from repro.net import Address, FixedLatency
     from repro.services import ActionEndpoint, PartnerService
 
     world = build_engine_world(
         default_engine_config(
-            delivery_policy=DeliveryPolicy(), replay_policy=ReplayPolicy(),
+            delivery_policy=DeliveryPolicy(), replay_policy=ReplayPolicy(batching=batching),
             realtime_allowlist=None,
         ),
         realtime_service=True, with_trace=False,
@@ -561,7 +562,11 @@ def _depth_world():
 
 def _assert_depths_exact(engine):
     """Each admission depth equals what it stands for, recounted from the
-    engine's own tables."""
+    engine's own tables: its applets, its retry table and the
+    ``(callback, context)`` of each request it waits on."""
+    in_flight = [
+        (callback, context) for callback, _, _, context in engine._pending.values()
+    ]
     for slug in engine.published_slugs:
         link = engine.service_registration(slug)
         fast_polls = sum(
@@ -571,10 +576,12 @@ def _assert_depths_exact(engine):
         retry_timers = sum(
             1 for record, _ in engine._retry_timers.values() if record.service_slug == slug
         )
-        replaying = sum(   # a replay batch in flight is ``(link, records)``
-            len(entry[1]) for entry in engine._awaiting.values()
-            if isinstance(entry, tuple) and len(entry) == 2 and entry[0] is link
-        )
+        replaying = 0
+        for callback, context in in_flight:
+            if callback == engine.replay._on_batch_result and context[0] is link:
+                replaying += len(context[1])    # ``(link, records)``
+            elif callback == engine.replay._on_single_result and context.service_slug == slug:
+                replaying += 1    # one record
         assert (link.hint_backlog, link.retry_depth, link.replay_depth) == (
             fast_polls, retry_timers, replaying
         ), slug
@@ -594,6 +601,7 @@ STEPS = st.tuples(
 )
 
 
+@pytest.mark.parametrize("batching", [True, False], ids=["batched", "single"])
 @settings(max_examples=40, deadline=None)
 @given(steps=st.lists(STEPS, max_size=20))
 @example(steps=[        # every depth non-zero and every release path, every run
@@ -607,13 +615,14 @@ STEPS = st.tuples(
     (("outage", "svc", False), 150.0),  # the rest run out into dead letters
     (("replay",), 1.0),             # the drain's batches in flight, then back
 ])
-def test_admission_depths_are_exact(steps):
+def test_admission_depths_are_exact(batching, steps):
     """After any sequence of installs, uninstalls, disables, enables,
     hint bursts, outages and heals/replays, every service's hint backlog
     equals its applets with a fast poll pending, its retry depth its
     retry timers, and its replay depth its replay records in flight —
-    so the watermarks read the truth and no depth needs clamping."""
-    world, services, install = _depth_world()
+    in batches or one by one — so the watermarks read the truth and no
+    depth needs clamping."""
+    world, services, install = _depth_world(batching)
     engine = world.engine
     # Enough registered applets that one hint burst crosses both hint
     # watermarks (their registration polls run at t=0.5).

@@ -180,6 +180,26 @@ class TestTimeoutsAndTiming:
         assert hits == [{"n": 1}]
         assert client.timeouts == 0
 
+    def test_context_rides_back_on_reply_timeout_and_refusal(self):
+        sim, client, server = build_pair()
+        net = client.network
+        slow = net.add_node(HttpNode(Address("slow.test"), service_time=10.0))
+        net.connect(client.address, slow.address, FixedLatency(0.05))
+        unlinked = net.add_node(HttpNode(Address("unlinked.test")))
+        server.add_route("GET", "/x", lambda req: "ok")
+        slow.add_route("GET", "/x", lambda req: "ok")
+        got = []
+        client.get(server.address, "/x", on_response=got.append, context="reply")
+        client.get(slow.address, "/x", on_response=got.append, timeout=5.0, context=("599",))
+        record = object()
+        client.get(unlinked.address, "/x", on_response=got.append, context=record)
+        client.get(server.address, "/x", on_response=got.append)
+        sim.run()
+        assert [(r.status, r.context) for r in got] == [
+            (503, record), (200, "reply"), (200, None), (599, ("599",)),
+        ]
+        assert client._pending == {}
+
     def test_counters(self):
         sim, client, server = build_pair()
         server.add_route("GET", "/x", lambda req: "ok")

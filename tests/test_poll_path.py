@@ -15,7 +15,7 @@ what the slow path gives:
 
 Also here: the constructors and calls on the poll path refuse NaN and
 ±inf; the engine's request callbacks are bound methods that find their
-context by request id, and its breaker hooks ``functools.partial``s of
+context on the response, and its breaker hooks ``functools.partial``s of
 one (no lambda or closure a pickle would choke on); and a
 frames-per-poll guard keeps helper frames from coming back.
 """
@@ -40,7 +40,8 @@ from repro.engine import (
     FixedPollingPolicy,
     ProductionPollingPolicy,
 )
-from repro.engine.resilience import ReplayPolicy
+from repro.engine.engine import ServiceRegistration, _AppletRuntime
+from repro.engine.resilience import PendingAction, ReplayPolicy
 from repro.engine.scheduler import HeapPollScheduler
 from repro.net import Address, FixedLatency, HttpNode, Network
 from repro.simcore import Rng, Simulator
@@ -476,17 +477,42 @@ def _is_lambda_or_closure(callback) -> bool:
     return False
 
 
-def _awaited_matches_pending(engine) -> bool:
-    """Every request the engine waits on has its context in ``_awaiting``,
-    and nothing else is there."""
-    return engine._awaiting.keys() == engine._pending.keys()
+def _misfit_contexts(engine) -> list:
+    """The ``(callback, context)`` of every request the engine waits on
+    whose context is not the one its callback takes: a poll's applet
+    runtime, an action's record (first send, retry or unbatched replay),
+    a query's ``(runtime, event, remaining, results)``, a replay batch's
+    ``(link, records)``."""
+    replay = engine.replay
+    takes = [
+        (engine._on_poll_response, lambda c: isinstance(c, _AppletRuntime)),
+        (engine._on_action_result, lambda c: isinstance(c, PendingAction)),
+        (engine._on_query_response, lambda c: (
+            isinstance(c, tuple) and len(c) == 4 and isinstance(c[0], _AppletRuntime)
+            and isinstance(c[2], list) and isinstance(c[3], dict)
+        )),
+    ]
+    if replay is not None:
+        takes += [
+            (replay._on_single_result, lambda c: isinstance(c, PendingAction)),
+            (replay._on_batch_result, lambda c: (
+                isinstance(c, tuple) and len(c) == 2
+                and isinstance(c[0], ServiceRegistration)
+                and all(isinstance(record, PendingAction) for record in c[1])
+            )),
+        ]
+    return [
+        (callback, context)
+        for callback, _, _, context in engine._pending.values()
+        if not any(callback == method and fits(context) for method, fits in takes)
+    ]
 
 
 def test_request_callbacks_are_bound_methods_and_breaker_hooks_partials():
     """A fleet stepped while its polls and its actions are in flight: every
-    callback the engine waits on is a bound method whose context sits in
-    ``_awaiting`` under the request's id, and every breaker hook is a
-    ``functools.partial`` of a bound method."""
+    callback the engine waits on is a bound method that the request holds
+    the context of, and every breaker hook is a ``functools.partial`` of
+    a bound method."""
     world = FleetWorld(
         200, EngineConfig(initial_poll_jitter=30.0), seed=3,
         with_trace=False, with_metrics=False, shared_user=True,
@@ -495,17 +521,17 @@ def test_request_callbacks_are_bound_methods_and_breaker_hooks_partials():
     engine = world.engine
     kinds = set()
     for _ in range(10_000):
-        assert _awaited_matches_pending(engine)
+        assert _misfit_contexts(engine) == []
         kinds = {
             callback.__func__.__name__
-            for callback, _, _ in engine._pending.values()
+            for callback, _, _, _ in engine._pending.values()
             if isinstance(callback, types.MethodType)
         }
         if {"_on_poll_response", "_on_action_result"} <= kinds:
             break
         assert world.sim.step()
     assert {"_on_poll_response", "_on_action_result"} <= kinds
-    callbacks = [callback for callback, _, _ in engine._pending.values()]
+    callbacks = [callback for callback, _, _, _ in engine._pending.values()]
     assert all(isinstance(callback, types.MethodType) for callback in callbacks)
     hooks = [
         link.breaker.on_transition
@@ -521,16 +547,30 @@ def test_request_callbacks_are_bound_methods_and_breaker_hooks_partials():
 @pytest.mark.parametrize("scenario", ["outage", "partition"])
 def test_timeouts_refusals_and_replays_each_pop_their_own_context(scenario, batching):
     """Chaos scenarios with replay: polls and actions fail, time out or are
-    refused, and dead letters replay in batches or one by one.  Every
-    reply finds its context (a miss would raise), and none is left
-    behind: what the engine still waits on is exactly what is in
-    flight."""
+    refused, and dead letters replay in batches or one by one.  Each time
+    a request leaves, every request the engine waits on holds the
+    context its callback takes, and every reply brings back its own (a
+    wrong one would raise or lose an action)."""
     world = ChaosWorld(seed=7, replay=ReplayPolicy(batching=batching))
-    result = world.run(chaos_scenario(scenario))
     (engine,) = world.engines
+    issue, kinds = engine.request, set()
+
+    def checked_request(*args, **kwargs):
+        request = issue(*args, **kwargs)
+        entry = engine._pending.get(request.request_id)  # a refusal pops it at once
+        if entry is not None:
+            kinds.add(entry[0].__func__.__name__)
+        assert _misfit_contexts(engine) == []
+        return request
+
+    engine.request = checked_request
+    result = world.run(chaos_scenario(scenario))
     assert engine.poll_failures + engine.action_failures > 0
     assert result.actions_silently_lost == 0
-    assert _awaited_matches_pending(engine)
+    assert {"_on_poll_response", "_on_action_result"} <= kinds
+    if scenario == "outage":    # the partition dead-letters nothing to replay
+        assert ("_on_batch_result" if batching else "_on_single_result") in kinds
+    assert _misfit_contexts(engine) == []
 
 
 def test_the_checker_catches_lambdas_and_closures():
