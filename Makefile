@@ -46,15 +46,15 @@ bench-scale:
 bench-push:
 	python benchmarks/bench_scalability_push.py --check BENCH_push_scale.json
 
-# Performance-budget gate (docs/PERFORMANCE.md, "Where an observation
-# goes"): a fresh, short ledger pass must not be worse than
-# the committed BENCH_obs_buckets.json — end-to-end timings within the
+# Performance-budget gate (docs/PERFORMANCE.md, "The timeout as an armed
+# deadline"): a fresh, short ledger pass must not be worse than
+# the committed BENCH_http_timeouts.json — end-to-end timings within the
 # bounds BENCHMARK.json fixes (25 %, RSS 5 %), every count and
 # sim_fingerprint identical.  Wall-clock sensitive (~2 min), so it runs
 # in the nightly job, not in `make ci` or `make test`.
 bench-budget:
 	python benchmarks/ledger/run.py --seconds 5 --output .bench-budget.json
-	python benchmarks/ledger/run.py --compare BENCH_obs_buckets.json .bench-budget.json
+	python benchmarks/ledger/run.py --compare BENCH_http_timeouts.json .bench-budget.json
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null && echo OK; done

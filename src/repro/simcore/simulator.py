@@ -15,7 +15,10 @@ from repro.simcore.event import Event
 #: Canceled entries a heap may carry before :meth:`Simulator._maybe_compact`
 #: considers a rebuild (``HeapPollScheduler``'s stale-majority rule: they
 #: must also outnumber the live ones, so a rebuild is amortised O(1) per
-#: cancel and a mostly-live heap is never rebuilt).
+#: cancel and a mostly-live heap is never rebuilt).  The cancels are
+#: re-armed wakes and timeouts (an HTTP node's goes when its last
+#: request in flight is answered), retry timers of a removed applet and
+#: a stopped scenario's drivers.
 COMPACT_MIN_DEAD = 1024
 
 _INF = float("inf")
@@ -123,9 +126,11 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (non-canceled) events still scheduled.
 
-        O(1): a counter maintained on schedule/fire/cancel, not a heap
-        scan — reporting loops may poll it freely at million-entry heaps
-        (``tests/test_simcore_simulator.py`` pins equality with the scan).
+        An HTTP node with requests in flight holds one armed timeout here,
+        not one per request.  O(1): a counter maintained on
+        schedule/fire/cancel, not a heap scan — reporting loops may poll
+        it freely at million-entry heaps (``tests/test_simcore_simulator.py``
+        pins equality with the scan).
         """
         return self._live
 
@@ -180,7 +185,8 @@ class Simulator:
     def _note_canceled(self) -> None:
         """:meth:`Event.cancel`'s ledger hook for an event still in the heap.
 
-        Once a poll (its HTTP timeout), so the rule of
+        Once per re-armed wake or timeout (an HTTP node disarms when its
+        last request in flight is answered), so the rule of
         :meth:`_maybe_compact` is tested here and the rebuild entered only
         when it holds.
         """
@@ -196,9 +202,9 @@ class Simulator:
         canceled entries number at least :data:`COMPACT_MIN_DEAD` *and*
         outnumber the live ones they are dropped, so the heap never holds
         more than ``live + max(COMPACT_MIN_DEAD, live)`` entries.  A
-        schedule-then-cancel pattern (one 30 s HTTP timeout per poll)
-        otherwise keeps ``timeout x rate`` dead entries resident —
-        hundreds of thousands at fleet scale — and every sift pays for
+        schedule-then-cancel pattern far from the heap top (a re-armed
+        timeout, an idle node's disarmed one) otherwise keeps its dead
+        entries resident until their time comes, and every sift pays for
         their depth.  The rebuild is in place (the run loop holds the
         list) and keeps the entry tuples, so pop order is unchanged by
         construction.
