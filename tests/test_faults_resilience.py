@@ -1,5 +1,7 @@
 """Tests for engine resilience: retry policy, breakers, dead letters."""
 
+import math
+
 import pytest
 
 from repro.engine import (
@@ -87,6 +89,18 @@ class TestCircuitBreaker:
         breaker.record_failure(0.0)
         assert breaker.allow(10.0)           # the probe
         assert breaker.state is BreakerState.HALF_OPEN
+
+    @pytest.mark.parametrize("opened_at", [0.0, 495.43508709194094])
+    def test_probe_at_is_the_first_instant_allow_lets_through(self, opened_at):
+        # 495.435... + 30 rounds down: the sum minus the trip is under 30.
+        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1, recovery_timeout=30.0))
+        assert breaker.probe_at() is None
+        breaker.record_failure(opened_at)
+        at = breaker.probe_at()
+        assert at >= opened_at + 30.0
+        assert not breaker.allow(math.nextafter(at, 0.0))
+        assert breaker.allow(at)
+        assert breaker.probe_at() is None    # half-open
 
     def test_half_open_limits_probes(self):
         breaker = CircuitBreaker(BreakerPolicy(
