@@ -96,7 +96,7 @@ ledger-check:
 # Byte-parity against a base commit (~55 s): `make parity-check
 # BASE=<git-ref>` is the same runner with `git archive BASE` as side A —
 # the 18 single-variant chaos rows, the ladder walk, the chaos-shapes
-# matrix, the 10 testbed rows, the smoke matrix's results.json and
+# matrix, the 12 testbed rows, the smoke matrix's results.json and
 # the five ledger sim_fingerprints + counts at seeds 7 and 11.
 # "Byte-identical to the parent" for a refactor is this one command; a
 # change that means to move outputs declares which fields may differ and

@@ -202,7 +202,7 @@ class TestTable:
 
     TESTBED_ROWS = {
         *(f"t2a-A{index}-official" for index in range(1, 8)),
-        "t2a-A1-E2", "t2a-A4-E2", "day-in-the-life",
+        "t2a-A1-E2", "t2a-A4-E2", "day-in-the-life", "loops-explicit", "loops-implicit",
     }
 
     def test_the_18_chaos_rows_still_run_against_a_ref(self):

@@ -145,6 +145,13 @@ TABLE: Tuple[Row, ...] = (
     t2a("A1", "E2"),
     t2a("A4", "E2"),
     Row("day-in-the-life", "testbed-check", ("{checkout}/examples/day_in_the_life.py",)),
+    # The §4 loop experiments with the runtime detector on: its rate limit
+    # decides which applets are flagged and disabled.
+    *(
+        Row(f"loops-{kind}", "testbed-check",
+            ("-m", "repro", "loops", "--kind", kind, "--runtime-detection"))
+        for kind in ("explicit", "implicit")
+    ),
 )
 
 
