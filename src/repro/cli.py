@@ -161,10 +161,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
         return 2
-    if args.replay_batch_limit < 1:
-        print(f"--replay-batch-limit must be >= 1, got {args.replay_batch_limit}",
-              file=sys.stderr)
-        return 2
     plan = None
     if args.faults:
         try:
@@ -179,8 +175,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         # Batched first (its result is the one reported/snapshotted),
         # then the single-shot baseline for the comparison table.
         replay_policies = [
-            ReplayPolicy(batch_limit=args.replay_batch_limit, batching=True),
-            ReplayPolicy(batch_limit=args.replay_batch_limit, batching=False),
+            ReplayPolicy(batching=True),
+            ReplayPolicy(batching=False),
         ]
     delivery = None
     if args.adaptive:
@@ -387,9 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--replay", action="store_true",
                        help="enable dead-letter replay on heal and report the "
                             "catch-up burst, batched vs unbatched")
-    chaos.add_argument("--replay-batch-limit", type=int, default=50, metavar="K",
-                       help="actions coalesced per batched replay request "
-                            "(default 50, the paper's polling limit)")
     chaos.add_argument("--delivery", default="poll",
                        choices=_DELIVERY_CHOICES,
                        help="how sensor events reach the engine: poll (default), "

@@ -51,34 +51,38 @@ class EngineConfig:
         identity for deduplication.
     runtime_loop_detection:
         Attach a :class:`~repro.engine.loops.RuntimeLoopDetector` and
-        disable applets that trip it.  Default False — the paper
-        confirms production IFTTT performs no loop check at all.
-    runtime_loop_threshold, runtime_loop_window:
-        The runtime detector's rate limit: more than ``threshold``
-        executions of one applet within ``window`` seconds flags a loop.
+        disable applets that trip its rate limit (the constants of
+        :mod:`repro.engine.loops`).  Default False — the paper confirms
+        production IFTTT performs no loop check at all.
     retry_policy:
-        Backoff schedule for failed polls and action deliveries
-        (``None`` disables retries entirely: failed polls wait for the
-        next regular interval, failed actions dead-letter immediately).
-        Jitter is drawn from the engine's seeded RNG, so retry timing is
+        Retries on/off for failed polls and action deliveries: the
+        default ``RetryPolicy()`` (fieldless; the capped exponential
+        schedule is the ``RETRY_*`` constants of
+        :mod:`repro.engine.resilience`) retries, ``None`` disables
+        retries entirely (failed polls wait for the next regular
+        interval, failed actions dead-letter immediately).  Jitter is
+        drawn from the engine's seeded RNG, so retry timing is
         reproducible.  Only consulted on failures — healthy runs consume
         no extra randomness and behave identically with or without it.
     breaker_policy:
-        Per-service circuit-breaker tunables (``None`` disables
-        breakers).  An open breaker sheds polls/actions for its service,
-        modelling the adaptive slow-down of polling for failing
-        services; shed polls still count toward per-applet poll
-        attempts.  See ``docs/ROBUSTNESS.md``.
+        Per-service circuit breakers on/off: the default
+        ``BreakerPolicy()`` (fieldless; the ``BREAKER_*`` constants of
+        :mod:`repro.engine.resilience`), or ``None``.  An open breaker
+        sheds polls/actions for its service, modelling the adaptive
+        slow-down of polling for failing services; shed polls still
+        count toward per-applet poll attempts.  See
+        ``docs/ROBUSTNESS.md``.
     replay_policy:
-        Dead-letter replay tunables (``None``, the default, disables
+        Dead-letter replay on/off (``None``, the default, disables
         replay: dead letters stay sealed forever — the pre-replay
         behaviour).  When set, a service's dead letters are drained back
         into pending actions on heal (breaker close) or via
         :meth:`~repro.engine.engine.IftttEngine.replay_dead_letters`,
         re-dispatched in batches of
-        :attr:`~repro.engine.resilience.ReplayPolicy.batch_limit`, and
-        the conservation invariant extends to ``dispatched == delivered
-        + in_retry + dead_lettered + in_replay``.  See
+        :data:`~repro.engine.resilience.REPLAY_BATCH_LIMIT` (or one by
+        one without :attr:`~repro.engine.resilience.ReplayPolicy.batching`),
+        and the conservation invariant extends to ``dispatched ==
+        delivered + in_retry + dead_lettered + in_replay``.  See
         ``docs/ROBUSTNESS.md`` ("Replay & batching").
     delivery_policy:
         Health-aware adaptive delivery on/off: ``None``, the default,
@@ -118,8 +122,6 @@ class EngineConfig:
     poll_timeout: float = 30.0
     dedupe_window: int = 2000
     runtime_loop_detection: bool = False
-    runtime_loop_threshold: int = 10
-    runtime_loop_window: float = 60.0
     retry_policy: Optional[RetryPolicy] = field(default_factory=RetryPolicy)
     breaker_policy: Optional[BreakerPolicy] = field(default_factory=BreakerPolicy)
     replay_policy: Optional[ReplayPolicy] = None

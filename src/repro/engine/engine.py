@@ -304,10 +304,7 @@ class IftttEngine(HttpNode):
         self._applet_id_start = applet_id_start
         self._applet_id_limit = applet_id_limit
         self._key_counter = itertools.count(1)
-        self.loop_detector = RuntimeLoopDetector(
-            threshold=self.config.runtime_loop_threshold,
-            window=self.config.runtime_loop_window,
-        )
+        self.loop_detector = RuntimeLoopDetector()
         self.realtime_hints_received = 0
         self.realtime_hints_honoured = 0
         self.polls_sent = 0
@@ -661,10 +658,9 @@ class IftttEngine(HttpNode):
 
     def _breaker(self, link: ServiceRegistration) -> Optional[CircuitBreaker]:
         breaker = link.breaker
-        policy = self.config.breaker_policy
-        if breaker is None and policy is not None:
+        if breaker is None and self.config.breaker_policy is not None:
             breaker = link.breaker = CircuitBreaker(
-                policy, on_transition=partial(self._on_breaker_transition, link)
+                on_transition=partial(self._on_breaker_transition, link)
             )
             # The state gauge is live from birth, not first-transition:
             # a service whose breaker never trips still reports closed=0,

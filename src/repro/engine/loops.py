@@ -30,6 +30,14 @@ from repro.engine.applet import Applet
 from repro.services.endpoints import Channel
 from repro.services.partner import PartnerService
 
+#: The runtime detector's rate limit: more than ``LOOP_THRESHOLD``
+#: executions of one applet within ``LOOP_WINDOW`` seconds flags a loop.
+#: A §4 loop cycles once per poll round (~minutes), so the window is
+#: long: more than 4 executions in 30 simulated minutes is far beyond
+#: any legitimate email-to-spreadsheet usage.
+LOOP_THRESHOLD = 4
+LOOP_WINDOW = 1800.0
+
 
 @dataclass(frozen=True)
 class LoopFinding:
@@ -155,20 +163,14 @@ class StaticLoopAnalyzer:
 class RuntimeLoopDetector:
     """Execution-rate loop detection (the §4/§6 recommendation).
 
-    Flags an applet whose action executes more than ``threshold`` times
-    within any sliding ``window`` seconds.  Rate-based detection is
-    loop-kind agnostic: it catches explicit chains and implicit loops
-    closed outside IFTTT equally, at the cost of also flagging any
-    legitimately hyperactive applet (tune ``threshold`` accordingly).
+    Flags an applet whose action executes more than :data:`LOOP_THRESHOLD`
+    times within any sliding :data:`LOOP_WINDOW` seconds.  Rate-based
+    detection is loop-kind agnostic: it catches explicit chains and
+    implicit loops closed outside IFTTT equally, at the cost of also
+    flagging any legitimately hyperactive applet.
     """
 
-    def __init__(self, threshold: int = 10, window: float = 60.0) -> None:
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self.threshold = threshold
-        self.window = window
+    def __init__(self) -> None:
         self._executions: Dict[int, Deque[float]] = {}
         self.flagged: Set[int] = set()
 
@@ -176,9 +178,9 @@ class RuntimeLoopDetector:
         """Record one execution; returns True if the applet trips the limit."""
         history = self._executions.setdefault(applet_id, deque())
         history.append(now)
-        while history and history[0] < now - self.window:
+        while history and history[0] < now - LOOP_WINDOW:
             history.popleft()
-        if len(history) > self.threshold:
+        if len(history) > LOOP_THRESHOLD:
             self.flagged.add(applet_id)
             return True
         return False

@@ -12,8 +12,8 @@ re-dispatched.
 Replay generates exactly the same-service catch-up burst that **batched
 action dispatch** is meant to flatten, so the two ship as a pair: the
 controller coalesces up to
-:attr:`~repro.engine.resilience.ReplayPolicy.batch_limit` (default 50,
-the paper's polling ``limit`` k) same-service actions into one
+:data:`~repro.engine.resilience.REPLAY_BATCH_LIMIT` (50, the paper's
+polling ``limit`` k) same-service actions into one
 :class:`~repro.services.partner.BatchActionRequest` against
 ``POST /ifttt/v1/actions/batch``; with
 :attr:`~repro.engine.resilience.ReplayPolicy.batching` off, every action
@@ -42,7 +42,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.engine.delivery import REPLAY_DRAIN_BACKOFF
-from repro.engine.resilience import BreakerState, DeadLetter, PendingAction, ReplayPolicy
+from repro.engine.resilience import (
+    REPLAY_BATCH_LIMIT, BreakerState, DeadLetter, PendingAction, ReplayPolicy,
+)
 from repro.net.http import HttpResponse
 from repro.obs.metrics import COUNT_BUCKETS
 from repro.services.partner import BATCH_ACTION_PATH, BatchActionRequest
@@ -92,15 +94,15 @@ class ReplayController:
     # -- triggers -------------------------------------------------------------
 
     def on_service_healed(self, link: ServiceRegistration) -> None:
-        """Breaker-close hook: schedule a drain if the policy allows it,
-        or an explicit drain waited for the close, and the service has
-        anything to replay."""
-        awaited, link.drain_awaits_close = link.drain_awaits_close, False
-        if (self.policy.replay_on_heal or awaited) and self._has_letters(link):
-            # Deferred by (at least) one zero-delay event so the drain
-            # never runs re-entrantly inside the response callback that
-            # closed the breaker.
-            self._schedule_drain(link, self.policy.drain_delay, "replay-drain")
+        """Breaker-close hook: schedule a drain if the service has
+        anything to replay.  An explicit drain that waited for the close
+        runs as this one."""
+        link.drain_awaits_close = False
+        if self._has_letters(link):
+            # Deferred by one zero-delay event so the drain never runs
+            # re-entrantly inside the response callback that closed the
+            # breaker.
+            self._schedule_drain(link, 0.0, "replay-drain")
 
     def _schedule_drain(self, link: ServiceRegistration, delay: float, label: str) -> None:
         if link.drain_scheduled:
@@ -221,7 +223,7 @@ class ReplayController:
                 letters=len(records),
                 batching=self.policy.batching,
             )
-        size = self.policy.batch_limit if self.policy.batching else 1
+        size = REPLAY_BATCH_LIMIT if self.policy.batching else 1
         for start in range(0, len(records), size):
             self._send(link, records[start:start + size])
 

@@ -14,13 +14,18 @@ explicit:
 * :class:`PendingAction` / :class:`DeadLetter` — the engine's action
   retry queue bookkeeping: every dispatched action is either delivered
   or ends in the dead-letter sink; none is silently lost;
-* :class:`ReplayPolicy` — tunables for the dead-letter replay pass that
+* :class:`ReplayPolicy` — switches on the dead-letter replay pass that
   re-dispatches a healed service's dead letters in batched catch-up
   requests (:mod:`repro.engine.replay`), extending the conservation
   invariant to ``dispatched == delivered + in_retry + dead_lettered +
   in_replay``.
 
-See ``docs/ROBUSTNESS.md`` for the full semantics.
+The tunables are this module's constants, not settings:
+:class:`RetryPolicy` and :class:`BreakerPolicy` have no fields and only
+switch retries and breakers on (``EngineConfig.retry_policy`` /
+``breaker_policy``, ``None`` switches them off); :class:`ReplayPolicy`
+keeps only ``batching``.  See ``docs/ROBUSTNESS.md`` for the full
+semantics.
 """
 
 from __future__ import annotations
@@ -33,48 +38,48 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.simcore.rng import Rng
 
 
+#: Tries per poll burst or action delivery, counting the first: one
+#: initial attempt plus up to three retries.
+RETRY_MAX_ATTEMPTS = 4
+#: Backoff before retry ``n`` (1-based): ``RETRY_BASE_DELAY *
+#: RETRY_MULTIPLIER**(n-1)`` seconds capped at ``RETRY_MAX_DELAY``, then
+#: jittered by ±``RETRY_JITTER`` (a fraction).
+RETRY_BASE_DELAY = 1.0
+RETRY_MULTIPLIER = 2.0
+RETRY_MAX_DELAY = 30.0
+RETRY_JITTER = 0.1
+#: Consecutive failures that trip a closed breaker open.
+BREAKER_FAILURE_THRESHOLD = 5
+#: Seconds an open breaker sheds before it lets one half-open probe through.
+BREAKER_RECOVERY_TIMEOUT = 30.0
+#: Actions coalesced into one replay request — the same k = 50 the paper
+#: reverse-engineered from the partner polling protocol's ``limit``.
+REPLAY_BATCH_LIMIT = 50
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Capped exponential backoff with deterministic jitter.
+    """Switches retries on (:attr:`EngineConfig.retry_policy`): capped
+    exponential backoff with deterministic jitter.
 
-    ``max_attempts`` counts *every* try, including the first: the
-    default of 4 means one initial attempt plus up to three retries.
-    Backoff for retry ``n`` (1-based) is ``base_delay * multiplier**(n-1)``
-    capped at ``max_delay``, then jittered by ±``jitter`` (a fraction)
-    using the caller-supplied RNG — the simulation stream, so runs are
-    reproducible.
+    It has no fields: the schedule is this module's ``RETRY_*`` constants.
+    Jitter is drawn from the caller-supplied RNG — the simulation stream,
+    so runs are reproducible.
     """
 
-    max_attempts: int = 4
-    base_delay: float = 1.0
-    multiplier: float = 2.0
-    max_delay: float = 30.0
-    jitter: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay <= 0 or self.max_delay < self.base_delay:
-            raise ValueError(
-                f"need 0 < base_delay <= max_delay, got {self.base_delay}, {self.max_delay}"
-            )
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-
     def backoff(self, attempt: int, rng: Optional[Rng] = None) -> float:
-        """Delay before retry number ``attempt`` (1-based)."""
+        """Delay before retry number ``attempt`` (1-based); unjittered
+        without an ``rng``."""
         if attempt < 1:
             raise ValueError(f"attempt is 1-based, got {attempt}")
-        delay = min(self.max_delay, self.base_delay * self.multiplier ** (attempt - 1))
-        if rng is not None and self.jitter > 0:
-            delay *= 1.0 + rng.uniform(-self.jitter, self.jitter)
+        delay = min(RETRY_MAX_DELAY, RETRY_BASE_DELAY * RETRY_MULTIPLIER ** (attempt - 1))
+        if rng is not None:
+            delay *= 1.0 + rng.uniform(-RETRY_JITTER, RETRY_JITTER)
         return delay
 
     def exhausted(self, attempts: int) -> bool:
         """Whether ``attempts`` tries have used up the budget."""
-        return attempts >= self.max_attempts
+        return attempts >= RETRY_MAX_ATTEMPTS
 
 
 #: Each breaker state's numeric level for gauges, by state value.
@@ -99,19 +104,12 @@ class BreakerState(enum.Enum):
 
 @dataclass(frozen=True)
 class BreakerPolicy:
-    """Tunables for per-service circuit breakers."""
+    """Switches per-service circuit breakers on
+    (:attr:`EngineConfig.breaker_policy`).
 
-    failure_threshold: int = 5
-    recovery_timeout: float = 30.0
-    half_open_probes: int = 1
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError(f"failure_threshold must be >= 1, got {self.failure_threshold}")
-        if self.recovery_timeout <= 0:
-            raise ValueError(f"recovery_timeout must be positive, got {self.recovery_timeout}")
-        if self.half_open_probes < 1:
-            raise ValueError(f"half_open_probes must be >= 1, got {self.half_open_probes}")
+    It has no fields: the tunables are this module's ``BREAKER_*``
+    constants.
+    """
 
 
 TransitionHook = Callable[[BreakerState, BreakerState, float], None]
@@ -120,13 +118,13 @@ TransitionHook = Callable[[BreakerState, BreakerState, float], None]
 class CircuitBreaker:
     """Closed → open → half-open breaker for one downstream service.
 
-    * **closed** — requests flow; ``failure_threshold`` consecutive
-      failures trip the breaker open.
+    * **closed** — requests flow; :data:`BREAKER_FAILURE_THRESHOLD`
+      consecutive failures trip the breaker open.
     * **open** — requests are shed without touching the network; after
-      ``recovery_timeout`` seconds the next :meth:`allow` moves to
-      half-open.
-    * **half-open** — up to ``half_open_probes`` probe requests are let
-      through; one success closes the breaker, one failure re-opens it.
+      :data:`BREAKER_RECOVERY_TIMEOUT` seconds the next :meth:`allow`
+      moves to half-open.
+    * **half-open** — one probe request is let through; its success
+      closes the breaker, its failure re-opens it.
 
     The breaker is time-driven but clockless: callers pass ``now`` (the
     simulation clock), keeping the class trivially testable.
@@ -142,18 +140,12 @@ class CircuitBreaker:
       reads it outside OPEN sees ``None`` instead of a stale timestamp.
     """
 
-    def __init__(
-        self,
-        policy: Optional[BreakerPolicy] = None,
-        on_transition: Optional[TransitionHook] = None,
-    ) -> None:
-        self.policy = policy or BreakerPolicy()
+    def __init__(self, on_transition: Optional[TransitionHook] = None) -> None:
         self.on_transition = on_transition
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at: Optional[float] = None
-        self._probes_allowed = 0
-        self.shed_count = 0
+        self._probed = False
         #: Chronological (time, from, to) transition log for tests/reports.
         self.transitions: List[Tuple[float, BreakerState, BreakerState]] = []
 
@@ -175,19 +167,16 @@ class CircuitBreaker:
         """Whether a request may go out at time ``now``."""
         if self._state is BreakerState.OPEN:
             if self._opened_at is not None and (
-                now - self._opened_at >= self.policy.recovery_timeout
+                now - self._opened_at >= BREAKER_RECOVERY_TIMEOUT
             ):
                 self._transition(BreakerState.HALF_OPEN, now)
-                self._probes_allowed = 0
+                self._probed = False
             else:
-                self.shed_count += 1
                 return False
         if self._state is BreakerState.HALF_OPEN:
-            if self._probes_allowed < self.policy.half_open_probes:
-                self._probes_allowed += 1
-                return True
-            self.shed_count += 1
-            return False
+            if self._probed:
+                return False
+            self._probed = True
         return True
 
     def probe_at(self) -> Optional[float]:
@@ -195,7 +184,7 @@ class CircuitBreaker:
         half-open probe through (``None`` in any other state)."""
         if self._state is not BreakerState.OPEN or self._opened_at is None:
             return None
-        opened_at, wait = self._opened_at, self.policy.recovery_timeout
+        opened_at, wait = self._opened_at, BREAKER_RECOVERY_TIMEOUT
         at = opened_at + wait
         while at - opened_at < wait:  # the sum rounded down: allow() would shed
             at = math.nextafter(at, math.inf)
@@ -205,7 +194,6 @@ class CircuitBreaker:
         """The single entry into OPEN: always restart the recovery clock."""
         self._opened_at = now
         self._consecutive_failures = 0
-        self._probes_allowed = 0
         self._transition(BreakerState.OPEN, now)
 
     def record_success(self, now: float) -> None:
@@ -224,7 +212,7 @@ class CircuitBreaker:
             self._trip(now)
         elif self._state is BreakerState.CLOSED:
             self._consecutive_failures += 1
-            if self._consecutive_failures >= self.policy.failure_threshold:
+            if self._consecutive_failures >= BREAKER_FAILURE_THRESHOLD:
                 self._trip(now)
         # While OPEN: stale failures from in-flight requests are ignored.
 
@@ -262,8 +250,8 @@ class DeadLetter:
     last_status: Optional[int]
     reason: str
     #: The acting user, kept so a replay pass can re-authenticate the
-    #: re-dispatched action (older pickled letters default to "").
-    user: str = ""
+    #: re-dispatched action.
+    user: str
 
     @staticmethod
     def from_pending(pending: PendingAction, dead_at: float, reason: str) -> "DeadLetter":
@@ -316,36 +304,21 @@ def conservation_residual(stats: Dict[str, int]) -> int:
 
 @dataclass(frozen=True)
 class ReplayPolicy:
-    """Tunables for dead-letter replay (:mod:`repro.engine.replay`).
+    """Switches dead-letter replay on (:mod:`repro.engine.replay`).
+
+    A service's dead letters drain at the next simulator event after its
+    circuit breaker closes, and on explicit ``replay_dead_letters()``
+    calls (into a breaker that is not closed, at the close their own
+    half-open probe brings).
 
     Attributes
     ----------
-    batch_limit:
-        Maximum actions coalesced into one
-        :class:`~repro.services.partner.BatchActionRequest` — the same
-        k = 50 default the paper reverse-engineered from the partner
-        polling protocol's ``limit``.
     batching:
-        When False every replayed action is re-dispatched as its own
+        When True, up to :data:`REPLAY_BATCH_LIMIT` same-service actions
+        travel in one :class:`~repro.services.partner.BatchActionRequest`;
+        when False every replayed action is re-dispatched as its own
         single-action request — the unbatched baseline the catch-up
         burst measurement compares against.
-    replay_on_heal:
-        Drain a service's dead letters automatically when its circuit
-        breaker closes.  Explicit ``replay_dead_letters()`` calls work
-        either way (into a breaker that is not closed, at the close
-        their own half-open probe brings).
-    drain_delay:
-        Seconds between the heal and the drain (0 = the next simulator
-        event after the closing transition).
     """
 
-    batch_limit: int = 50
     batching: bool = True
-    replay_on_heal: bool = True
-    drain_delay: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.batch_limit < 1:
-            raise ValueError(f"batch_limit must be >= 1, got {self.batch_limit}")
-        if self.drain_delay < 0:
-            raise ValueError(f"drain_delay must be >= 0, got {self.drain_delay}")

@@ -4,8 +4,8 @@
 batched action dispatch, once single-shot — and prints the two
 catch-up bursts side by side.  §6's fleet-load argument is about
 exactly this shape of traffic: recovery wants to send everything at
-once, and batching (one request per ``batch_limit`` actions, the
-paper's polling ``limit`` k) is what keeps the instantaneous request
+once, and batching (one request per ``REPLAY_BATCH_LIMIT`` actions,
+the paper's polling ``limit`` k) is what keeps the instantaneous request
 spike survivable.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, List
 
+from repro.engine.resilience import REPLAY_BATCH_LIMIT
 from repro.reporting.table import render_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -54,5 +55,5 @@ def render_replay_comparison(batched: "ReplayReport", unbatched: "ReplayReport")
             f"{unbatched.t2a_max():.2f}",
         ],
     ]
-    header = f"batched (limit={batched.batch_limit})"
+    header = f"batched (limit={REPLAY_BATCH_LIMIT})"
     return render_table(["catch-up burst", header, "unbatched"], rows)

@@ -62,7 +62,7 @@ class BatchActionRequest:
 
     The engine's replay pass uses this to flatten the post-heal catch-up
     burst: instead of one HTTP request per dead-lettered action, up to
-    ``ReplayPolicy.batch_limit`` of them (the paper's k = 50 batching
+    ``REPLAY_BATCH_LIMIT`` of them (the paper's k = 50 batching
     default) travel together.  Each entry is one would-be single-action
     body: ``{"action_slug", "actionFields", "user"}``.
     """

@@ -83,7 +83,7 @@ from repro.engine.oauth import OAuthAuthority
 from repro.engine.push import DELIVERY_MODES, PushPolicy
 from repro.engine.poller import FixedPollingPolicy
 from repro.engine.replay import ReplayController
-from repro.engine.resilience import ReplayPolicy, conservation_residual
+from repro.engine.resilience import REPLAY_BATCH_LIMIT, ReplayPolicy, conservation_residual
 from repro.engine.sharding import ShardedEngine, stable_service_hash
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
@@ -298,12 +298,11 @@ class ReplayReport:
     wants to go out at once.  This report quantifies that burst —
     request rate, duration, and the T2A the replayed events finally
     achieved — so batched dispatch (one request per
-    :attr:`~repro.engine.resilience.ReplayPolicy.batch_limit` actions)
-    can be compared against single-shot replay on the same scenario.
+    :data:`~repro.engine.resilience.REPLAY_BATCH_LIMIT` actions) can be
+    compared against single-shot replay on the same scenario.
     """
 
     batching: bool
-    batch_limit: int
     replayed: int
     requests_sent: int
     delivered: int
@@ -350,7 +349,7 @@ class ReplayReport:
 
     def summary_lines(self) -> List[str]:
         mode = (
-            f"batched (limit={self.batch_limit})" if self.batching else "unbatched"
+            f"batched (limit={REPLAY_BATCH_LIMIT})" if self.batching else "unbatched"
         )
         lines = [
             f"  replay [{mode}]: replayed={self.replayed} "
@@ -388,7 +387,6 @@ def _replay_report(
     )
     return ReplayReport(
         batching=policy.batching,
-        batch_limit=policy.batch_limit,
         replayed=sum(c.dead_letters_replayed for c in controllers),
         requests_sent=sum(c.requests_sent for c in controllers),
         delivered=sum(c.actions_delivered for c in controllers),

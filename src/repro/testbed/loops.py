@@ -54,17 +54,6 @@ class LoopExperimentResult:
         return self.rows_added >= 3
 
 
-def _loop_engine_config(runtime_detection: bool) -> EngineConfig:
-    # The loop cycles once per poll round (~minutes), so the detector
-    # needs a long window: >4 executions in 30 simulated minutes is far
-    # beyond any legitimate email-to-spreadsheet usage here.
-    return EngineConfig(
-        runtime_loop_detection=runtime_detection,
-        runtime_loop_threshold=4,
-        runtime_loop_window=1800.0,
-    )
-
-
 def _run_loop(
     kind: str,
     install_reverse_applet: bool,
@@ -74,7 +63,9 @@ def _run_loop(
     runtime_detection: bool,
 ) -> LoopExperimentResult:
     testbed = Testbed(
-        TestbedConfig(seed=seed, engine_config=_loop_engine_config(runtime_detection))
+        TestbedConfig(
+            seed=seed, engine_config=EngineConfig(runtime_loop_detection=runtime_detection)
+        )
     ).build()
     engine = testbed.engine
 

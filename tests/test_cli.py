@@ -174,11 +174,6 @@ class TestChaosCommand:
         assert "replay [batched (limit=50)]" in out
         assert "silently-lost=0" in out
 
-    def test_chaos_replay_invalid_batch_limit_rejected(self, capsys):
-        assert main(["chaos", "--scenario", "outage", "--replay",
-                     "--replay-batch-limit", "0"]) == 2
-        assert "--replay-batch-limit" in capsys.readouterr().err
-
     def test_chaos_sharded_with_custom_plan(self, capsys, tmp_path):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(

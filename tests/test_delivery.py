@@ -54,7 +54,12 @@ from repro.engine.poller import (
 )
 from repro.engine.push import PUSH_STATS_KEYS, PushPolicy
 from repro.engine.replay import REPLAY_STATS_KEYS
-from repro.engine.resilience import BreakerState, ReplayPolicy
+from repro.engine.resilience import (
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_RECOVERY_TIMEOUT,
+    BreakerState,
+    ReplayPolicy,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.simcore import Rng
 
@@ -229,10 +234,10 @@ def _walk_breaker(world, state):
     breaker = world.engine.breaker_for("svc")
     now = world.sim.now
     if state is BreakerState.OPEN:
-        for _ in range(breaker.policy.failure_threshold):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             breaker.record_failure(now)
     elif state is BreakerState.HALF_OPEN:
-        breaker.allow(now + breaker.policy.recovery_timeout)
+        breaker.allow(now + BREAKER_RECOVERY_TIMEOUT)
     else:
         breaker.record_success(now)
     assert breaker.state is state

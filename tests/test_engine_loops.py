@@ -114,43 +114,38 @@ class TestStaticLoopAnalyzer:
 
 
 class TestRuntimeLoopDetector:
+    """More than 4 executions of one applet within 1,800 s flag a loop."""
+
     def test_trips_over_threshold(self):
-        detector = RuntimeLoopDetector(threshold=3, window=60.0)
-        assert not any(detector.observe(1, t) for t in (0, 10, 20))
-        assert detector.observe(1, 30)
+        detector = RuntimeLoopDetector()
+        assert not any(detector.observe(1, t) for t in (0, 300, 600, 900))
+        assert detector.observe(1, 1200)
         assert 1 in detector.flagged
 
     def test_window_slides(self):
-        detector = RuntimeLoopDetector(threshold=3, window=60.0)
-        for t in (0, 10, 20):
+        detector = RuntimeLoopDetector()
+        for t in (0, 300, 600, 900):
             detector.observe(1, t)
-        # 100s later the window is empty again
-        assert not detector.observe(1, 100)
+        # 1,900 s after the last one the window is empty again
+        assert not detector.observe(1, 2800)
         assert detector.rate(1) == 1
 
     def test_applets_tracked_independently(self):
-        detector = RuntimeLoopDetector(threshold=2, window=60.0)
-        detector.observe(1, 0)
-        detector.observe(2, 0)
-        detector.observe(1, 1)
-        assert not detector.observe(2, 1)
-        assert detector.observe(1, 2)
+        detector = RuntimeLoopDetector()
+        for t in (0, 1, 2, 3):
+            detector.observe(1, t)
+            detector.observe(2, t)
+        assert detector.observe(1, 4)
         assert detector.flagged == {1}
 
     def test_reset(self):
-        detector = RuntimeLoopDetector(threshold=1, window=60.0)
-        detector.observe(1, 0)
-        detector.observe(1, 1)
+        detector = RuntimeLoopDetector()
+        for t in range(5):
+            detector.observe(1, t)
         assert 1 in detector.flagged
         detector.reset(1)
         assert detector.flagged == set()
         assert detector.rate(1) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RuntimeLoopDetector(threshold=0)
-        with pytest.raises(ValueError):
-            RuntimeLoopDetector(window=0)
 
 
 class TestHybridScheduler:

@@ -9,6 +9,7 @@ compiles the §3 crawl pipeline, the device zoo or the full testbed.
 """
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -265,3 +266,87 @@ class TestNoTestOnlySurface:
     def test_every_allowlist_entry_gives_a_reason(self):
         for key, reason in TEST_ONLY_ALLOWLIST.items():
             assert reason.split(":")[0] in REASON_TAGS, key
+
+
+# -- every setting has a caller that sets it ---------------------------------------------
+
+#: The settings classes whose fields are knobs, and those that must stay
+#: fieldless on/off switches (their tunables are module constants).
+KNOB_CLASSES = (
+    ("repro.engine.config", "EngineConfig"),
+    ("repro.engine.resilience", "ReplayPolicy"),
+    ("repro.engine.push", "PushPolicy"),
+)
+FIELDLESS_CLASSES = (
+    ("repro.engine.resilience", "RetryPolicy"),
+    ("repro.engine.resilience", "BreakerPolicy"),
+    ("repro.engine.delivery", "DeliveryPolicy"),
+)
+
+#: Knobs that only tests set, each with why it stays a field rather than a
+#: constant.  The list may only shrink: an entry that a caller sets, or
+#: that is no longer a field, fails the guard until it is removed here.
+TEST_ONLY_KNOBS = {
+    "EngineConfig.batch_limit": "the §4 poll limit k; tests vary it to pin batching",
+    "EngineConfig.dedupe_window": "tests shrink it to reach eviction",
+    "EngineConfig.retry_policy": "on/off switch; tests turn retries off",
+    "EngineConfig.breaker_policy": "on/off switch; tests turn breakers off",
+    "PushPolicy.batch_window": "tests vary the drain coalescing window",
+    "PushPolicy.safety_net_interval": "tests shorten the push safety-net poll",
+}
+
+
+def _fields(pairs):
+    """``{"Class": [field names]}`` for each ``(module, class)`` pair."""
+    return {
+        name: [f.name for f in dataclasses.fields(getattr(importlib.import_module(module), name))]
+        for module, name in pairs
+    }
+
+
+def knobs_set(classes):
+    """Every ``"Class.field"`` a caller tree passes by keyword to a call of
+    ``Class`` or of ``dataclasses.replace`` (under any alias).  Matched by
+    callee, since bare keyword names collide across unrelated calls."""
+    found = set()
+    for tree in CALLER_TREES:
+        for path in _python_files(tree):
+            module = _parse(path)
+            replaces = {"replace"} | {
+                alias.asname
+                for node in ast.walk(module)
+                if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                for alias in node.names
+                if alias.name == "replace" and alias.asname
+            }
+            for node in ast.walk(module):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                owners = classes if callee in replaces else [callee] if callee in classes else []
+                found |= {f"{owner}.{kw.arg}" for owner in owners for kw in node.keywords
+                          if kw.arg is not None}
+    return found
+
+
+class TestNoTestOnlyKnob:
+    """A setting needs a caller outside tests that sets it, or it is a constant."""
+
+    def test_every_knob_is_set_by_a_caller_or_listed(self):
+        knobs = {f"{name}.{field}" for name, fields in _fields(KNOB_CLASSES).items()
+                 for field in fields}
+        unset = knobs - knobs_set([name for _, name in KNOB_CLASSES])
+        unlisted = sorted(unset - TEST_ONLY_KNOBS.keys())
+        stale = sorted(TEST_ONLY_KNOBS.keys() - unset)
+        assert not unlisted, (
+            f"settings only tests set: {unlisted}; make each a module constant, or "
+            f"set it from {', '.join(CALLER_TREES)}"
+        )
+        assert not stale, f"stale TEST_ONLY_KNOBS entries (remove them): {stale}"
+
+    def test_every_listed_knob_gives_a_reason(self):
+        assert all(reason.strip() for reason in TEST_ONLY_KNOBS.values())
+
+    def test_switch_policies_stay_fieldless(self):
+        knobs = {name: fields for name, fields in _fields(FIELDLESS_CLASSES).items() if fields}
+        assert not knobs, f"on/off switches with settable fields: {knobs}"

@@ -10,6 +10,7 @@ import pytest
 
 from repro.engine import ActionRef, EngineConfig, FixedPollingPolicy, IftttEngine, TriggerRef
 from repro.engine.oauth import OAuthAuthority
+from repro.engine.resilience import BREAKER_RECOVERY_TIMEOUT
 from repro.net import Address, FixedLatency, Network
 from repro.services import ActionEndpoint, PartnerService, TriggerEndpoint
 from repro.simcore import Rng, Simulator, Trace
@@ -149,7 +150,7 @@ class TestBreakerThroughOutage:
         service.ingest_event("ping", {"n": 9})
         # Worst-case recovery: wait out the breaker's recovery timeout,
         # then one regular polling interval lands the half-open probe.
-        recovery = engine.config.breaker_policy.recovery_timeout
+        recovery = BREAKER_RECOVERY_TIMEOUT
         interval = 10.0  # the fixture's FixedPollingPolicy period
         deadline = heal_at + recovery + 2 * interval
         while not executed and sim.now < deadline:

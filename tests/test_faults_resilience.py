@@ -8,7 +8,12 @@ from repro.engine import (
     BreakerPolicy,
     BreakerState,
     CircuitBreaker,
+    EngineConfig,
+    ReplayPolicy,
     RetryPolicy,
+    RuntimeLoopDetector,
+    loops,
+    resilience,
 )
 from repro.net.http import HttpError
 from repro.simcore import Rng
@@ -16,16 +21,60 @@ from repro.simcore import Rng
 from tests.helpers import build_engine_world, default_engine_config, install_ping_applet
 
 
+#: Every former tunable, by the call that once took it: each is a module
+#: constant now, so passing one is a ``TypeError``.
+FORMER_KNOBS = [
+    (RetryPolicy, {"max_attempts": 4}),
+    (RetryPolicy, {"base_delay": 1.0}),
+    (RetryPolicy, {"multiplier": 2.0}),
+    (RetryPolicy, {"max_delay": 30.0}),
+    (RetryPolicy, {"jitter": 0.1}),
+    (BreakerPolicy, {"failure_threshold": 5}),
+    (BreakerPolicy, {"recovery_timeout": 30.0}),
+    (BreakerPolicy, {"half_open_probes": 1}),
+    (ReplayPolicy, {"batch_limit": 50}),
+    (ReplayPolicy, {"replay_on_heal": True}),
+    (ReplayPolicy, {"drain_delay": 0.0}),
+    (EngineConfig, {"runtime_loop_threshold": 4}),
+    (EngineConfig, {"runtime_loop_window": 1800.0}),
+    (RuntimeLoopDetector, {"threshold": 4}),
+    (RuntimeLoopDetector, {"window": 1800.0}),
+    (CircuitBreaker, {"policy": BreakerPolicy()}),
+]
+
+
+@pytest.mark.parametrize(
+    "owner,knob", FORMER_KNOBS, ids=[f"{o.__name__}.{next(iter(k))}" for o, k in FORMER_KNOBS]
+)
+def test_former_knobs_are_refused(owner, knob):
+    """No caller can believe it set a value that is a constant now."""
+    with pytest.raises(TypeError):
+        owner(**knob)
+
+
+def test_constants_meet_the_bounds_the_policies_once_checked():
+    assert RetryPolicy() == RetryPolicy() and BreakerPolicy() == BreakerPolicy()
+    assert resilience.RETRY_MAX_ATTEMPTS >= 1
+    assert 0 < resilience.RETRY_BASE_DELAY <= resilience.RETRY_MAX_DELAY
+    assert resilience.RETRY_MULTIPLIER >= 1.0
+    assert 0.0 <= resilience.RETRY_JITTER < 1.0
+    assert resilience.BREAKER_FAILURE_THRESHOLD >= 1
+    assert resilience.BREAKER_RECOVERY_TIMEOUT > 0
+    assert resilience.REPLAY_BATCH_LIMIT >= 1
+    assert loops.LOOP_THRESHOLD > 0 and loops.LOOP_WINDOW > 0
+
+
 class TestRetryPolicy:
     def test_backoff_doubles_and_caps(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=2.0, max_delay=5.0, jitter=0.0)
-        assert [policy.backoff(n) for n in (1, 2, 3, 4)] == [1.0, 2.0, 4.0, 5.0]
+        policy = RetryPolicy()
+        assert [policy.backoff(n) for n in range(1, 8)] == [1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]
 
     def test_jitter_stays_within_fraction(self):
-        policy = RetryPolicy(base_delay=10.0, jitter=0.1)
+        policy = RetryPolicy()
         rng = Rng(3)
         for _ in range(50):
-            assert 9.0 <= policy.backoff(1, rng) <= 11.0
+            assert 0.9 <= policy.backoff(1, rng) <= 1.1
+            assert 27.0 <= policy.backoff(6, rng) <= 33.0
 
     def test_jitter_is_deterministic_per_seed(self):
         policy = RetryPolicy()
@@ -34,21 +83,17 @@ class TestRetryPolicy:
         assert a == b
 
     def test_exhausted(self):
-        policy = RetryPolicy(max_attempts=3)
-        assert not policy.exhausted(2)
-        assert policy.exhausted(3)
+        policy = RetryPolicy()
+        assert not policy.exhausted(3)
+        assert policy.exhausted(4)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            BreakerPolicy(failure_threshold=0)
+
+def tripped(at=0.0, on_transition=None):
+    """A breaker that ``BREAKER_FAILURE_THRESHOLD`` failures at ``at`` opened."""
+    breaker = CircuitBreaker(on_transition=on_transition)
+    for _ in range(resilience.BREAKER_FAILURE_THRESHOLD):
+        breaker.record_failure(at)
+    return breaker
 
 
 class TestCircuitBreaker:
@@ -62,40 +107,38 @@ class TestCircuitBreaker:
             assert BreakerState(state.value).level == state.level
 
     def test_opens_after_threshold(self):
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=3))
-        for t in (1.0, 2.0):
+        breaker = CircuitBreaker()
+        for t in (1.0, 2.0, 3.0, 4.0):
             breaker.record_failure(t)
         assert breaker.state is BreakerState.CLOSED
-        breaker.record_failure(3.0)
+        breaker.record_failure(5.0)
         assert breaker.state is BreakerState.OPEN
 
     def test_success_resets_consecutive_count(self):
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=3))
-        breaker.record_failure(1.0)
-        breaker.record_failure(2.0)
-        breaker.record_success(3.0)
-        breaker.record_failure(4.0)
-        breaker.record_failure(5.0)
+        breaker = CircuitBreaker()
+        for t in (1.0, 2.0, 3.0, 4.0):
+            breaker.record_failure(t)
+        breaker.record_success(5.0)
+        for t in (6.0, 7.0, 8.0, 9.0):
+            breaker.record_failure(t)
         assert breaker.state is BreakerState.CLOSED
 
     def test_sheds_while_open(self):
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1, recovery_timeout=10.0))
-        breaker.record_failure(0.0)
+        breaker = tripped()
         assert not breaker.allow(5.0)
-        assert breaker.shed_count == 1
+        assert not breaker.allow(29.9)
+        assert breaker.state is BreakerState.OPEN
 
     def test_half_open_after_recovery_timeout(self):
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1, recovery_timeout=10.0))
-        breaker.record_failure(0.0)
-        assert breaker.allow(10.0)           # the probe
+        breaker = tripped()
+        assert breaker.allow(30.0)           # the probe
         assert breaker.state is BreakerState.HALF_OPEN
 
     @pytest.mark.parametrize("opened_at", [0.0, 495.43508709194094])
     def test_probe_at_is_the_first_instant_allow_lets_through(self, opened_at):
         # 495.435... + 30 rounds down: the sum minus the trip is under 30.
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1, recovery_timeout=30.0))
-        assert breaker.probe_at() is None
-        breaker.record_failure(opened_at)
+        assert CircuitBreaker().probe_at() is None
+        breaker = tripped(opened_at)
         at = breaker.probe_at()
         assert at >= opened_at + 30.0
         assert not breaker.allow(math.nextafter(at, 0.0))
@@ -103,69 +146,61 @@ class TestCircuitBreaker:
         assert breaker.probe_at() is None    # half-open
 
     def test_half_open_limits_probes(self):
-        breaker = CircuitBreaker(BreakerPolicy(
-            failure_threshold=1, recovery_timeout=10.0, half_open_probes=1))
-        breaker.record_failure(0.0)
-        assert breaker.allow(10.0)
-        assert not breaker.allow(10.5)       # only one probe in flight
+        breaker = tripped()
+        assert breaker.allow(30.0)
+        assert not breaker.allow(30.5)       # only one probe in flight
 
     def test_half_open_failure_reopens(self):
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1, recovery_timeout=10.0))
-        breaker.record_failure(0.0)
-        breaker.allow(10.0)
-        breaker.record_failure(10.5)
+        breaker = tripped()
+        breaker.allow(30.0)
+        breaker.record_failure(30.5)
         assert breaker.state is BreakerState.OPEN
-        assert not breaker.allow(15.0)       # timer restarted from 10.5
-        assert breaker.allow(20.5)
+        assert not breaker.allow(45.0)       # timer restarted from 30.5
+        assert breaker.allow(60.5)
 
     def test_half_open_success_closes(self):
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1, recovery_timeout=10.0))
-        breaker.record_failure(0.0)
-        breaker.allow(10.0)
-        breaker.record_success(10.5)
+        breaker = tripped()
+        breaker.allow(30.0)
+        breaker.record_success(30.5)
         assert breaker.state is BreakerState.CLOSED
 
     def test_reopen_half_open_cycle_restarts_each_window(self):
         # Regression: the recovery window after HALF_OPEN -> OPEN must be
         # measured from the *re-open*, not the original trip — and again
         # on every subsequent cycle.
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1, recovery_timeout=10.0))
-        breaker.record_failure(0.0)                      # cycle 1: open at 0
-        assert breaker.allow(10.0)                       # probe 1
-        breaker.record_failure(12.0)                     # re-open at 12
-        assert breaker._opened_at == 12.0
-        assert not breaker.allow(21.9)                   # 10 s from 12, not 0
-        assert breaker.allow(22.0)                       # probe 2
-        breaker.record_failure(25.0)                     # re-open again at 25
-        assert breaker._opened_at == 25.0
-        assert not breaker.allow(34.9)
-        assert breaker.allow(35.0)                       # probe 3
-        breaker.record_success(35.5)
+        breaker = tripped()                              # cycle 1: open at 0
+        assert breaker.allow(30.0)                       # probe 1
+        breaker.record_failure(32.0)                     # re-open at 32
+        assert breaker._opened_at == 32.0
+        assert not breaker.allow(61.9)                   # 30 s from 32, not 0
+        assert breaker.allow(62.0)                       # probe 2
+        breaker.record_failure(65.0)                     # re-open again at 65
+        assert breaker._opened_at == 65.0
+        assert not breaker.allow(94.9)
+        assert breaker.allow(95.0)                       # probe 3
+        assert not breaker.allow(95.0)                   # one probe per half-open
+        breaker.record_success(95.5)
         assert breaker.state is BreakerState.CLOSED
 
     def test_opened_at_cleared_on_close(self):
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1, recovery_timeout=10.0))
-        breaker.record_failure(0.0)
+        breaker = tripped()
         assert breaker._opened_at == 0.0
-        breaker.allow(10.0)
-        breaker.record_success(10.5)
+        breaker.allow(30.0)
+        breaker.record_success(30.5)
         assert breaker._opened_at is None                # no stale clock
 
     def test_stale_failures_ignored_while_open(self):
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1, recovery_timeout=10.0))
-        breaker.record_failure(0.0)
+        breaker = tripped()
         breaker.record_failure(1.0)          # in-flight straggler
-        assert breaker.allow(10.0)           # timer was NOT restarted
+        assert breaker.allow(30.0)           # timer was NOT restarted
 
     def test_transition_log_and_hook(self):
         seen = []
-        breaker = CircuitBreaker(
-            BreakerPolicy(failure_threshold=1, recovery_timeout=10.0),
-            on_transition=lambda old, new, at: seen.append((old.value, new.value, at)),
+        breaker = tripped(
+            1.0, on_transition=lambda old, new, at: seen.append((old.value, new.value, at))
         )
-        breaker.record_failure(1.0)
-        breaker.allow(11.0)
-        breaker.record_success(11.5)
+        breaker.allow(31.0)
+        breaker.record_success(31.5)
         assert [s[:2] for s in seen] == [
             ("closed", "open"), ("open", "half_open"), ("half_open", "closed")]
         assert breaker.transitions[0][0] == 1.0

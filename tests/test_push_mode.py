@@ -28,7 +28,11 @@ from repro.engine import (
     TriggerRef,
 )
 from repro.engine.oauth import OAuthAuthority
-from repro.engine.resilience import BreakerState
+from repro.engine.resilience import (
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_RECOVERY_TIMEOUT,
+    BreakerState,
+)
 from repro.net import Address, FixedLatency, Network
 from repro.obs.metrics import MetricsRegistry, deterministic_snapshot
 from repro.services import ActionEndpoint, PartnerService, TriggerEndpoint
@@ -152,7 +156,7 @@ class TestBreakerParking:
 
     def trip(self, engine: IftttEngine, slug: str, sim: Simulator) -> None:
         breaker = engine.breaker_for(slug)
-        for _ in range(engine.config.breaker_policy.failure_threshold):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             breaker.record_failure(sim.now)
         assert breaker.state is BreakerState.OPEN
 
@@ -182,7 +186,7 @@ class TestBreakerParking:
         assert stats["push_events_ingested"] == 0
         # heal well past the recovery timeout; the CLOSED transition
         # resumes the parked identity as a fast poll
-        sim.run_until(5.0 + engine.config.breaker_policy.recovery_timeout)
+        sim.run_until(5.0 + BREAKER_RECOVERY_TIMEOUT)
         self.heal(engine, SENSOR, sim)
         sim.run_until(sim.now + 5.0)
         assert engine.realtime_hints_resumed == 1
@@ -208,7 +212,7 @@ class TestBreakerParking:
         assert receiving.realtime_hints_suppressed == 1
         assert other.realtime_hints_suppressed == 0
         assert other.stats()["push_notifications_received"] == 0
-        sim.run_until(5.0 + receiving.config.breaker_policy.recovery_timeout)
+        sim.run_until(5.0 + BREAKER_RECOVERY_TIMEOUT)
         self.heal(receiving, SENSOR, sim)
         sim.run_until(sim.now + 5.0)
         # only the receiving shard's applet resumed via fast poll; the

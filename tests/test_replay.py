@@ -3,8 +3,8 @@
 Covers the full loop ``docs/ROBUSTNESS.md`` ("Replay & batching")
 describes: a service fails, actions dead-letter, the service heals, its
 letters drain back into pending actions and re-dispatch — coalesced
-into ``POST /ifttt/v1/actions/batch`` requests of up to ``batch_limit``
-actions — and the extended conservation invariant
+into ``POST /ifttt/v1/actions/batch`` requests of up to
+``REPLAY_BATCH_LIMIT`` actions — and the extended conservation invariant
 
     dispatched == delivered + in_retry + dead_lettered + in_replay
 
@@ -22,6 +22,11 @@ from repro.engine import (
     ReplayPolicy,
     RetryPolicy,
 )
+from repro.engine.resilience import (
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_RECOVERY_TIMEOUT,
+    REPLAY_BATCH_LIMIT,
+)
 from repro.engine.sharding import merged_fleet_snapshot
 from repro.net.http import HttpError
 from repro.services.partner import BatchActionRequest
@@ -32,16 +37,8 @@ from tests.helpers import build_engine_world, default_engine_config, install_pin
 
 class TestReplayPolicy:
     def test_defaults_match_paper_limit(self):
-        policy = ReplayPolicy()
-        assert policy.batch_limit == 50
-        assert policy.batching
-        assert policy.replay_on_heal
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ReplayPolicy(batch_limit=0)
-        with pytest.raises(ValueError):
-            ReplayPolicy(drain_delay=-1.0)
+        assert REPLAY_BATCH_LIMIT == 50
+        assert ReplayPolicy().batching
 
 
 class TestBatchActionRequest:
@@ -123,11 +120,9 @@ class TestExplicitReplay:
             world.engine.replay_dead_letters()
 
     def test_drain_delivers_and_batches_into_one_request(self):
-        # The breaker never opens (threshold > failures per event burst
-        # spacing is irrelevant: each letter exhausts 4 attempts, so 3
-        # letters = 12 failures; raise the threshold out of reach).
-        world, _ = build_replay_world(
-            breaker_policy=BreakerPolicy(failure_threshold=100))
+        # No breaker: each letter exhausts 4 attempts, so 3 letters = 12
+        # failures, which would open one and shed the drain.
+        world, _ = build_replay_world(breaker_policy=None)
         fill_dead_letters(world, 3)
         assert world.engine.actions_delivered == 0
         world.engine.replay_dead_letters()
@@ -144,8 +139,7 @@ class TestExplicitReplay:
 
     def test_unbatched_sends_one_request_per_letter(self):
         world, _ = build_replay_world(
-            replay=ReplayPolicy(batching=False),
-            breaker_policy=BreakerPolicy(failure_threshold=100))
+            replay=ReplayPolicy(batching=False), breaker_policy=None)
         fill_dead_letters(world, 3)
         world.engine.replay_dead_letters()
         world.sim.run_until(world.sim.now + 30.0)
@@ -155,21 +149,17 @@ class TestExplicitReplay:
         assert_conserved(world.engine)
 
     def test_batch_limit_chunks_the_drain(self):
-        world, _ = build_replay_world(
-            replay=ReplayPolicy(batch_limit=2),
-            breaker_policy=BreakerPolicy(failure_threshold=100))
-        fill_dead_letters(world, 5)
+        world, _ = build_replay_world(breaker_policy=None)
+        fill_dead_letters(world, REPLAY_BATCH_LIMIT + 1)
         world.engine.replay_dead_letters("svc")
         world.sim.run_until(world.sim.now + 30.0)
         stats = world.engine.stats()
-        assert stats["replay_requests_sent"] == 3        # 2 + 2 + 1
-        assert stats["replay_actions_delivered"] == 5
-        assert world.engine.metrics is None or True      # accounting below
+        assert stats["replay_requests_sent"] == 2        # 50 + 1
+        assert stats["replay_actions_delivered"] == REPLAY_BATCH_LIMIT + 1
         assert_conserved(world.engine)
 
     def test_replayed_records_keep_original_created_at(self):
-        world, _ = build_replay_world(
-            breaker_policy=BreakerPolicy(failure_threshold=100))
+        world, _ = build_replay_world(breaker_policy=None)
         fill_dead_letters(world, 1)
         created = world.engine.dead_letters[0].created_at
         world.engine.replay_dead_letters()
@@ -179,8 +169,7 @@ class TestExplicitReplay:
         assert at > created
 
     def test_uninstalled_applet_letters_stay_sealed(self):
-        world, applet_a = build_replay_world(
-            breaker_policy=BreakerPolicy(failure_threshold=100))
+        world, applet_a = build_replay_world(breaker_policy=None)
         fill_dead_letters(world, 2)
         world.engine.uninstall_applet(applet_a.applet_id)
         world.engine.replay_dead_letters()
@@ -192,8 +181,7 @@ class TestExplicitReplay:
         assert world.executed == []
 
     def test_refailed_entries_go_back_through_retry_pipeline(self):
-        world, _ = build_replay_world(
-            breaker_policy=BreakerPolicy(failure_threshold=100))
+        world, _ = build_replay_world(breaker_policy=None)
         healthy = fill_dead_letters(world, 2)
 
         # First replay attempt fails per entry; retries then succeed.
@@ -220,10 +208,10 @@ def heal_breaker(world):
     firing the engine's heal hook exactly as a probe success would."""
     sim, engine = world.sim, world.engine
     breaker = engine.breaker_for("svc")
-    for _ in range(engine.config.breaker_policy.failure_threshold):
+    for _ in range(BREAKER_FAILURE_THRESHOLD):
         breaker.record_failure(sim.now)
     assert breaker.state is BreakerState.OPEN
-    sim.run_until(sim.now + engine.config.breaker_policy.recovery_timeout)
+    sim.run_until(sim.now + BREAKER_RECOVERY_TIMEOUT)
     assert breaker.allow(sim.now)                        # the probe slot
     breaker.record_success(sim.now)
     assert breaker.state is BreakerState.CLOSED
@@ -248,19 +236,6 @@ class TestHealTriggeredReplay:
         assert stats["actions_in_replay"] == 0
         assert_conserved(engine)
 
-    def test_heal_replay_disabled_by_policy_flag(self):
-        world, _ = build_replay_world(
-            replay=ReplayPolicy(replay_on_heal=False), seed=11)
-        sim, engine = world.sim, world.engine
-        fill_dead_letters(world, 2)
-        heal_breaker(world)
-        sim.run_until(sim.now + 60.0)
-        assert len(engine.dead_letters) == 2             # sealed until asked
-        engine.replay_dead_letters()
-        sim.run_until(sim.now + 30.0)
-        assert engine.dead_letters == []
-        assert_conserved(engine)
-
 
 class TestRealtimeHintFallback:
     def build(self, seed=11):
@@ -280,7 +255,7 @@ class TestRealtimeHintFallback:
 
     def open_breaker(self, world):
         breaker = world.engine.breaker_for("svc")
-        for _ in range(world.engine.config.breaker_policy.failure_threshold):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             breaker.record_failure(world.sim.now)
         assert breaker.state is BreakerState.OPEN
         return breaker
@@ -304,7 +279,7 @@ class TestRealtimeHintFallback:
         assert engine.realtime_hints_suppressed == 1
         # Half-open probe succeeds: the breaker closes and the parked
         # hint fires its fast poll, long before the 300 s cadence.
-        healed_at = sim.now + engine.config.breaker_policy.recovery_timeout
+        healed_at = sim.now + BREAKER_RECOVERY_TIMEOUT
         sim.run_until(healed_at)
         breaker.allow(sim.now)                           # the probe slot
         breaker.record_success(sim.now)
@@ -326,9 +301,9 @@ class TestRealtimeHintFallback:
 class TestChaosReplayReport:
     def test_batching_reduces_catchup_requests(self):
         batched = run_chaos_scenario(
-            "outage", seed=7, replay=ReplayPolicy(batch_limit=50, batching=True))
+            "outage", seed=7, replay=ReplayPolicy(batching=True))
         single = run_chaos_scenario(
-            "outage", seed=7, replay=ReplayPolicy(batch_limit=50, batching=False))
+            "outage", seed=7, replay=ReplayPolicy(batching=False))
         assert batched.replay is not None and single.replay is not None
         assert batched.replay.replayed == single.replay.replayed > 0
         assert batched.replay.requests_sent < single.replay.requests_sent

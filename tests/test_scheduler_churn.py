@@ -12,7 +12,7 @@ must poll exactly as the one-event-per-poll reference (``_TimerOracle``)
 does, including across the compaction floor.
 """
 
-from repro.engine import EngineConfig, FixedPollingPolicy, RetryPolicy
+from repro.engine import EngineConfig, FixedPollingPolicy
 from repro.engine.scheduler import COMPACT_MIN_ENTRIES, HeapPollScheduler
 from repro.net.http import HttpError
 
@@ -137,13 +137,11 @@ class TestRetryTimersUnderStorm:
         # Polls must keep succeeding (events have to be *observed* to
         # dispatch actions), so the fault is injected on the action
         # executor only — not via set_outage, which fails polls too.
-        # base_delay=30 keeps failed actions parked in retry long enough
-        # to storm them; breaker disabled so nothing gets shed instead.
-        world, applets = storm_world(
-            n_applets,
-            retry_policy=RetryPolicy(max_attempts=4, base_delay=30.0, jitter=0.0),
-            breaker_policy=None,
-        )
+        # The 1 / 2 / 4 s backoff parks an action that first failed at
+        # ~2.5 s in retry from ~5.5 s to its last try at ~9.5 s, the
+        # window the storm hits at 8 s; breaker disabled so nothing gets
+        # shed instead.
+        world, applets = storm_world(n_applets, breaker_policy=None)
         action = world.service._actions["record"]
         original_executor = action.executor
 
@@ -162,7 +160,7 @@ class TestRetryTimersUnderStorm:
         world.sim.run_until(1.5)  # registration polls done
         for i in range(4):
             world.service.ingest_event("ping", {"n": i})
-        world.sim.run_until(8.0)  # events observed, first attempts failed
+        world.sim.run_until(8.0)  # events observed, two retries failed, the last parked
         engine = world.engine
         assert engine.actions_in_retry > 0
         assert conservation_holds(engine)
@@ -197,7 +195,7 @@ class TestRetryTimersUnderStorm:
             world.engine.uninstall_applet(applet.applet_id)
         assert conservation_holds(world.engine)
         heal()
-        world.sim.run_until(200.0)  # parked retries fire at +30s and land
+        world.sim.run_until(200.0)  # the parked last retries fire and land
         engine = world.engine
         assert engine.actions_in_retry == 0
         assert engine.actions_delivered > 0

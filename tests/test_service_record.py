@@ -34,7 +34,12 @@ from repro.engine import (
 )
 from repro.engine.delivery import STRETCH_JITTER, DeliveryPolicy
 from repro.engine.push import RUNG_HINT, RUNG_POLL, RUNG_PUSH, PushPolicy
-from repro.engine.resilience import BreakerState, ReplayPolicy
+from repro.engine.resilience import (
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_RECOVERY_TIMEOUT,
+    BreakerState,
+    ReplayPolicy,
+)
 from repro.net import Address, FixedLatency, HttpNode
 from repro.obs.metrics import MetricsRegistry, deterministic_snapshot
 from repro.services import ActionEndpoint, PartnerService, TriggerEvent
@@ -71,10 +76,10 @@ def drive_breaker(engine, slug, state):
     """Walk a service's breaker to ``state`` through its own API."""
     breaker = engine.breaker_for(slug)
     if state is not BreakerState.CLOSED:
-        for _ in range(breaker.policy.failure_threshold):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             breaker.record_failure(0.0)
     if state is BreakerState.HALF_OPEN:
-        breaker.allow(breaker.policy.recovery_timeout)
+        breaker.allow(BREAKER_RECOVERY_TIMEOUT)
     assert breaker.state is state
 
 

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.engine import (
     ActionRef,
     AdaptivePollingPolicy,
-    BreakerPolicy,
     BreakerState,
     EngineConfig,
     FixedPollingPolicy,
@@ -272,18 +271,19 @@ class TestIsolation:
         # engine's breaker must leave the other's closed and untouched.
         sim = Simulator()
         net = Network(sim, Rng(5))
-        config = EngineConfig(breaker_policy=BreakerPolicy(failure_threshold=3))
+        config = EngineConfig()
         a = net.add_node(IftttEngine(Address("a.cloud"), config=config, rng=Rng(1)))
         b = net.add_node(IftttEngine(Address("b.cloud"), config=config, rng=Rng(2)))
         service = net.add_node(PartnerService(Address("svc.cloud"), slug="svc"))
         a.publish_service(service)
         b.publish_service(service)
-        for t in (1.0, 2.0, 3.0):
+        for t in (1.0, 2.0, 3.0, 4.0, 5.0):
             a.breaker_for("svc").record_failure(t)
         assert a.breaker_for("svc").state is BreakerState.OPEN
         assert b.breaker_for("svc").state is BreakerState.CLOSED
         assert b.breaker_for("svc").transitions == []
-        assert b.breaker_for("svc").shed_count == 0
+        assert not a.breaker_for("svc").allow(6.0) and b.breaker_for("svc").allow(6.0)
+        assert b.stats()["polls_shed"] == b.stats()["actions_shed"] == 0
         assert a.breaker_for("svc") is not b.breaker_for("svc")
 
     def test_fleet_breakers_are_per_shard(self):
