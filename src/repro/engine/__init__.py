@@ -21,7 +21,7 @@ behaviour §4 measures:
   ("no syntax check is performed").
 * :mod:`repro.engine.local` — a home-LAN local engine and a hybrid
   scheduler, implementing §6's distributed-applet-execution proposal.
-* :mod:`repro.engine.resilience` — retry policies, per-service circuit
+* :mod:`repro.engine.resilience` — retry backoff, per-service circuit
   breakers, and the action dead-letter sink that keep the engine honest
   under the fault plans of :mod:`repro.faults`.
 * :mod:`repro.engine.delivery` — health-aware adaptive delivery: the
@@ -74,8 +74,7 @@ __getattr__, __dir__, __all__ = _lazy.exports(globals(), {
     "local": ("LocalEngine", "HybridScheduler"),
     "replay": ("ReplayController",),
     "resilience": (
-        "BreakerPolicy", "BreakerState", "CircuitBreaker", "DeadLetter", "PendingAction",
-        "ReplayPolicy", "RetryPolicy",
+        "BreakerState", "CircuitBreaker", "DeadLetter", "PendingAction", "ReplayPolicy",
     ),
     "scheduler": ("HeapPollScheduler",),
     "sharding": ("ShardedEngine", "merged_fleet_snapshot", "shard_snapshot", "stable_service_hash"),

@@ -8,7 +8,7 @@ from typing import FrozenSet, Optional
 from repro.engine.delivery import DeliveryPolicy
 from repro.engine.poller import PollingPolicy, ProductionPollingPolicy
 from repro.engine.push import PushPolicy
-from repro.engine.resilience import BreakerPolicy, ReplayPolicy, RetryPolicy
+from repro.engine.resilience import ReplayPolicy
 
 #: Services whose realtime hints production IFTTT is observed to honour.
 #: §4: "it is likely that IFTTT ... processes the real-time API hints for
@@ -26,16 +26,22 @@ class EngineConfig:
     """Tunable engine behaviour.
 
     The defaults model production IFTTT as the paper measured it; the E3
-    and §6-ablation experiments override individual knobs.
+    and §6-ablation experiments override individual knobs.  The protocol
+    is not a knob: each poll asks for :data:`~repro.engine.engine.POLL_LIMIT`
+    events (§4's k = 50), the dedupe window holds
+    :data:`~repro.engine.engine.DEDUPE_WINDOW` ids per trigger identity,
+    and retries and per-service circuit breakers are always on, tuned by
+    the constants of :mod:`repro.engine.resilience`.  Retry jitter is
+    drawn from the engine's seeded RNG only on failures, so healthy runs
+    consume no extra randomness; an open breaker sheds its service's
+    polls and actions, and a shed poll still counts toward its applet's
+    poll attempts.  See ``docs/ROBUSTNESS.md``.
 
     Attributes
     ----------
     poll_policy:
         Prototype polling policy; each installed applet receives its own
         :meth:`~repro.engine.poller.PollingPolicy.clone`.
-    batch_limit:
-        The ``limit`` sent in each poll — k in §4's batching discussion
-        (50 by default).
     realtime_allowlist:
         Service slugs whose realtime hints cause an immediate poll.
         ``None`` means *honour every service's hints* (the push world §6
@@ -44,34 +50,14 @@ class EngineConfig:
         Delay between applet installation and the registration poll, plus
         a uniform random extra of up to ``initial_poll_jitter`` seconds —
         staggering large fleets so their polling phases decorrelate.
-    action_timeout, poll_timeout:
-        HTTP timeouts for engine-originated requests.
-    dedupe_window:
-        How many recent event ids the engine remembers per trigger
-        identity for deduplication.
+    request_timeout:
+        HTTP timeout, in seconds, of every engine-originated request:
+        polls, queries, actions and replay batches.
     runtime_loop_detection:
         Attach a :class:`~repro.engine.loops.RuntimeLoopDetector` and
         disable applets that trip its rate limit (the constants of
         :mod:`repro.engine.loops`).  Default False — the paper confirms
         production IFTTT performs no loop check at all.
-    retry_policy:
-        Retries on/off for failed polls and action deliveries: the
-        default ``RetryPolicy()`` (fieldless; the capped exponential
-        schedule is the ``RETRY_*`` constants of
-        :mod:`repro.engine.resilience`) retries, ``None`` disables
-        retries entirely (failed polls wait for the next regular
-        interval, failed actions dead-letter immediately).  Jitter is
-        drawn from the engine's seeded RNG, so retry timing is
-        reproducible.  Only consulted on failures — healthy runs consume
-        no extra randomness and behave identically with or without it.
-    breaker_policy:
-        Per-service circuit breakers on/off: the default
-        ``BreakerPolicy()`` (fieldless; the ``BREAKER_*`` constants of
-        :mod:`repro.engine.resilience`), or ``None``.  An open breaker
-        sheds polls/actions for its service, modelling the adaptive
-        slow-down of polling for failing services; shed polls still
-        count toward per-applet poll attempts.  See
-        ``docs/ROBUSTNESS.md``.
     replay_policy:
         Dead-letter replay on/off (``None``, the default, disables
         replay: dead letters stay sealed forever — the pre-replay
@@ -107,33 +93,32 @@ class EngineConfig:
         ``POST /ifttt/v1/webhooks/push``, and accepts the push contract
         of any service published with ``push=True``: the service then
         POSTs event payloads directly, the controller coalesces them
-        into batched drains (``batch_window``/``max_batch``), and the
-        watermarked backlog degrades the service push→hint→poll.
-        Applets on contract services poll only at the policy's
-        ``safety_net_interval``.  See ``docs/DELIVERY.md``.
+        into batched drains (:data:`~repro.engine.push.PUSH_BATCH_WINDOW`,
+        ``max_batch``), and the watermarked backlog degrades the service
+        push→hint→poll.  Applets on contract services poll only at the
+        :data:`~repro.engine.push.SAFETY_NET_INTERVAL` safety net.  See
+        ``docs/DELIVERY.md``.
     """
 
     poll_policy: PollingPolicy = field(default_factory=ProductionPollingPolicy)
-    batch_limit: int = 50
     realtime_allowlist: Optional[FrozenSet[str]] = DEFAULT_REALTIME_ALLOWLIST
     initial_poll_delay: float = 1.0
     initial_poll_jitter: float = 0.0
-    action_timeout: float = 30.0
-    poll_timeout: float = 30.0
-    dedupe_window: int = 2000
+    request_timeout: float = 30.0
     runtime_loop_detection: bool = False
-    retry_policy: Optional[RetryPolicy] = field(default_factory=RetryPolicy)
-    breaker_policy: Optional[BreakerPolicy] = field(default_factory=BreakerPolicy)
     replay_policy: Optional[ReplayPolicy] = None
     delivery_policy: Optional[DeliveryPolicy] = None
     push_policy: Optional[PushPolicy] = None
     poll_dispatch: str = "heap"  # frozen benchmarks/ledger/adapters.py; removed by ROADMAP 1(a)
 
     def __post_init__(self) -> None:
-        if self.batch_limit <= 0:
-            raise ValueError(f"batch_limit must be positive, got {self.batch_limit}")
-        if self.dedupe_window <= 0:
-            raise ValueError(f"dedupe_window must be positive, got {self.dedupe_window}")
+        # ``not x >= 0`` refuses NaN too.
+        if not self.initial_poll_delay >= 0:
+            raise ValueError(f"initial_poll_delay must be >= 0, got {self.initial_poll_delay}")
+        if not self.initial_poll_jitter >= 0:
+            raise ValueError(f"initial_poll_jitter must be >= 0, got {self.initial_poll_jitter}")
+        if not self.request_timeout > 0:
+            raise ValueError(f"request_timeout must be positive, got {self.request_timeout}")
         if self.poll_dispatch != "heap":
             raise ValueError(
                 f"poll_dispatch={self.poll_dispatch!r}: the per-applet-timer "

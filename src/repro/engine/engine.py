@@ -36,7 +36,9 @@ from repro.engine.loops import RuntimeLoopDetector
 from repro.engine.oauth import OAuthAuthority
 from repro.engine.permissions import ServicePermissionModel
 from repro.engine.poller import PollingPolicy
-from repro.engine.push import PUSH_STATS_KEYS, RUNG_POLL, RUNG_PUSH, PushController
+from repro.engine.push import (
+    PUSH_STATS_KEYS, RUNG_POLL, RUNG_PUSH, SAFETY_NET_INTERVAL, PushController,
+)
 from repro.engine.replay import REPLAY_STATS_KEYS, ReplayController
 from repro.engine.scheduler import HeapPollScheduler
 from repro.engine.resilience import (
@@ -44,6 +46,8 @@ from repro.engine.resilience import (
     CircuitBreaker,
     DeadLetter,
     PendingAction,
+    backoff,
+    exhausted,
 )
 from repro.simcore.event import Event
 from repro.net.address import Address
@@ -62,6 +66,11 @@ from repro.services.buffer import TriggerEvent
 from repro.simcore.rng import Rng
 from repro.simcore.trace import Trace
 
+#: The ``limit`` every poll sends: k in §4's batching discussion.
+POLL_LIMIT = 50
+#: How many recent event ids the engine remembers per trigger identity
+#: for deduplication.
+DEDUPE_WINDOW = 2000
 #: A dedupe window of at most this many ids is searched as a list; past
 #: it, the window keeps a set of its ids beside the list.
 WINDOW_LIST_MAX = 8
@@ -339,7 +348,6 @@ class IftttEngine(HttpNode):
         # Dead-letter replay (None unless EngineConfig.replay_policy is
         # set): in_replay is the fourth state of the conservation
         # invariant — dispatched == delivered + in_retry + dead + in_replay.
-        self.actions_in_replay = 0
         self.replay: Optional[ReplayController] = (
             ReplayController(self, self.config.replay_policy)
             if self.config.replay_policy is not None
@@ -589,6 +597,13 @@ class IftttEngine(HttpNode):
         ``in_retry``): the length of the retry table."""
         return len(self._retry_timers)
 
+    @property
+    def actions_in_replay(self) -> int:
+        """Drained dead letters not yet delivered or failed again (the
+        conservation invariant's ``in_replay``): the sum of the service
+        records' replay depths."""
+        return sum(link.replay_depth for link in self._services.values())
+
     def poll_count(self, applet_id: int) -> int:
         """How many polls the engine has sent for an applet."""
         return self._applets[applet_id].polls
@@ -645,20 +660,18 @@ class IftttEngine(HttpNode):
 
     # -- resilience: per-service circuit breakers --------------------------------------
 
-    def breaker_for(self, service_slug: str) -> Optional[CircuitBreaker]:
-        """The (lazily created) breaker guarding one published service,
-        or ``None``.
+    def breaker_for(self, service_slug: str) -> CircuitBreaker:
+        """The (lazily created) breaker guarding one published service.
 
-        Breakers exist only when :attr:`EngineConfig.breaker_policy` is
-        set; each one reports its transitions into the
+        Each breaker reports its transitions into the
         ``engine.breaker_transitions`` counter family and the
         ``engine.breaker_state`` gauge (closed=0, half-open=1, open=2).
         """
         return self._breaker(self._services[service_slug])
 
-    def _breaker(self, link: ServiceRegistration) -> Optional[CircuitBreaker]:
+    def _breaker(self, link: ServiceRegistration) -> CircuitBreaker:
         breaker = link.breaker
-        if breaker is None and self.config.breaker_policy is not None:
+        if breaker is None:
             breaker = link.breaker = CircuitBreaker(
                 on_transition=partial(self._on_breaker_transition, link)
             )
@@ -674,8 +687,7 @@ class IftttEngine(HttpNode):
         current time) — the gate before every action and replay send,
         and, written out, every poll (and, at the first one, the
         breaker's birth)."""
-        breaker = link.breaker or self._breaker(link)
-        return breaker is not None and not breaker.allow(now)
+        return not (link.breaker or self._breaker(link)).allow(now)
 
     def _note_outcome(
         self,
@@ -687,16 +699,14 @@ class IftttEngine(HttpNode):
 
         The order is observable: a closing breaker resumes parked fast
         polls and schedules the replay drain before health sees the
-        success.  An outcome follows a send, so the breaker (if any)
-        exists.  Replay passes no ``response``: breaker only.
+        success.  An outcome follows a send, so the breaker exists.
+        Replay passes no ``response``: breaker only.
         """
-        breaker = link.breaker
-        if breaker is not None:
-            now = self.network.sim._now  # ``self.now``, without its frame
-            if ok:
-                breaker.record_success(now)
-            else:
-                breaker.record_failure(now)
+        now = self.network.sim._now  # ``self.now``, without its frame
+        if ok:
+            link.breaker.record_success(now)
+        else:
+            link.breaker.record_failure(now)
         if response is not None and self.delivery is not None:
             self.delivery.note_result(
                 link, ok, brownout=not ok and response_is_brownout(response)
@@ -822,15 +832,16 @@ class IftttEngine(HttpNode):
         """The one cadence decision: seconds until an applet's next poll.
 
         A push-contract service on the push or hint rung → the constant
-        ``safety_net_interval``, **no RNG draw** (pushes deliver; polling
-        is a slow sweep).  Otherwise the applet's own policy draws, times
-        the service's shared health stretch — exactly 1.0, again with no
-        draw, while the service is healthy or its breaker is not closed —
-        so a healed (or shed-to-poll) service polls on the base policy's
-        distribution byte for byte.
+        :data:`~repro.engine.push.SAFETY_NET_INTERVAL`, **no RNG draw**
+        (pushes deliver; polling is a slow sweep).  Otherwise the
+        applet's own policy draws, times the service's shared health
+        stretch — exactly 1.0, again with no draw, while the service is
+        healthy or its breaker is not closed — so a healed (or
+        shed-to-poll) service polls on the base policy's distribution
+        byte for byte.
         """
         if link.push and link.rung != RUNG_POLL:
-            return self.push.policy.safety_net_interval
+            return SAFETY_NET_INTERVAL
         interval = policy.next_interval(rng)
         if link.stretch > 1.0:
             factor = stretch_factor(link, rng)
@@ -860,7 +871,7 @@ class IftttEngine(HttpNode):
         breaker = link.breaker
         if breaker is None:
             breaker = self._breaker(link)
-        if breaker is not None and not breaker.allow(now):
+        if not breaker.allow(now):
             # Open breaker: shed the poll instead of hammering a failing
             # service.  The attempt still counts toward the applet's poll
             # tally (the engine *tried*), but no request leaves the node;
@@ -906,12 +917,12 @@ class IftttEngine(HttpNode):
             body={
                 "trigger_identity": runtime.identity,
                 "triggerFields": dict(applet.trigger.fields),
-                "limit": self.config.batch_limit,
+                "limit": POLL_LIMIT,
                 "request_id": f"req-{self.rng.randint(10**8, 10**9 - 1)}",
             },
             headers=self._auth_headers(link, applet.user),
             on_response=self._on_poll_response,
-            timeout=self.config.poll_timeout,
+            timeout=self.config.request_timeout,
             context=runtime,
         )
 
@@ -968,11 +979,9 @@ class IftttEngine(HttpNode):
             self._process_event(runtime, event)
         if not ok:
             runtime.poll_attempts += 1
-            retry = self.config.retry_policy
             if (
-                retry is not None
-                and not retry.exhausted(runtime.poll_attempts)
-                and (link.breaker is None or link.breaker.state is not BreakerState.OPEN)
+                not exhausted(runtime.poll_attempts)
+                and link.breaker.state is not BreakerState.OPEN
             ):
                 # Retry the failed poll on capped exponential backoff —
                 # unless the breaker just opened, in which case the shed
@@ -980,7 +989,7 @@ class IftttEngine(HttpNode):
                 self.poll_retries += 1
                 if metrics is not None:
                     link.bound.counter(metrics, "poll_retries").inc()
-                delay = retry.backoff(runtime.poll_attempts, self.rng)
+                delay = backoff(runtime.poll_attempts, self.rng)
                 if link.stretch > 1.0:
                     # Stretch the retry burst by the same health factor
                     # regular polls get — this is what turns a brownout's
@@ -1020,11 +1029,11 @@ class IftttEngine(HttpNode):
         (a list, ~90 B holding one id) exists from the applet's first
         event, not from install, so an idle applet does not own one.  Up
         to :data:`WINDOW_LIST_MAX` ids it is searched as a list; the set
-        is built when it grows past that.  Eviction shifts the list, and
-        only once ``dedupe_window`` ids are held.
+        is built when it grows past that, long before the window holds
+        :data:`DEDUPE_WINDOW` ids, so only the set branch evicts (by
+        shifting the list).
         """
         seen, order = runtime.seen_ids, runtime.seen_order
-        window = self.config.dedupe_window
         fresh = []
         for event in events:
             event_id = event.event_id
@@ -1034,13 +1043,11 @@ class IftttEngine(HttpNode):
                 continue
             order.append(event_id)
             if seen is None:
-                while len(order) > window:
-                    del order[0]
                 if len(order) > WINDOW_LIST_MAX:
                     seen = runtime.seen_ids = set(order)
             else:
                 seen.add(event_id)
-                while len(order) > window:
+                while len(order) > DEDUPE_WINDOW:
                     seen.discard(order.pop(0))
             fresh.append(event)
         return fresh
@@ -1074,7 +1081,7 @@ class IftttEngine(HttpNode):
             body={"queryFields": dict(query.fields), "user": runtime.applet.user},
             headers=self._auth_headers(registration, runtime.applet.user),
             on_response=self._on_query_response,
-            timeout=self.config.poll_timeout,
+            timeout=self.config.request_timeout,
             context=(runtime, event, remaining, results),
         )
 
@@ -1228,7 +1235,7 @@ class IftttEngine(HttpNode):
             body={"actionFields": record.fields, "user": record.user},
             headers=self._auth_headers(link, record.user),
             on_response=on_result,
-            timeout=self.config.action_timeout,
+            timeout=self.config.request_timeout,
             context=record,
         )
 
@@ -1262,10 +1269,9 @@ class IftttEngine(HttpNode):
 
     def _note_action_failure(self, record: PendingAction) -> None:
         """Retry a failed delivery, or seal it into the dead-letter sink."""
-        retry = self.config.retry_policy
         delivery = self.delivery
         link = self._services[record.service_slug]
-        if retry is not None and not retry.exhausted(record.attempts):
+        if not exhausted(record.attempts):
             if delivery is not None and not delivery.admit_retry(link):
                 # Retry queue at its high watermark: shedding, not
                 # queueing.  The action is accounted, never silent.
@@ -1273,7 +1279,7 @@ class IftttEngine(HttpNode):
                 return
             self.action_retries += 1
             self._count(link, "action_retries")
-            delay = retry.backoff(record.attempts, self.rng)
+            delay = backoff(record.attempts, self.rng)
             if delivery is not None:
                 delay = delivery.stretch_retry_delay(link, delay, self.rng)
                 delivery.note_retry_enqueued(link)
@@ -1293,8 +1299,7 @@ class IftttEngine(HttpNode):
             )
             self._retry_timers[seq] = (record, event)
             return
-        reason = "max_attempts_exhausted" if retry is not None else "retries_disabled"
-        self._dead_letter(record, reason)
+        self._dead_letter(record, "max_attempts_exhausted")
 
     def _retry_action(self, seq: int) -> None:
         record, _ = self._retry_timers.pop(seq)

@@ -20,8 +20,8 @@ first-class delivery mode:
   ``engine.push.malformed``.
 * **Ingestion batching.**  Notifications land in a per-service pending
   queue and are drained by a coalescing simulator event: the first
-  arrival arms one drain ``batch_window`` seconds out, later arrivals
-  join it, and each drain processes up to ``max_batch`` entries —
+  arrival arms one drain :data:`PUSH_BATCH_WINDOW` seconds out, later
+  arrivals join it, and each drain processes up to ``max_batch`` entries —
   turning the §6 "instantaneous fleet-wide spike" into bounded batches.
 * **Watermarked backpressure.**  The pending backlog degrades the
   service down a three-rung ladder — **push → hint → poll**: below
@@ -53,11 +53,11 @@ breaker and the degradation ladder.
 Safety net & restoration
 ------------------------
 
-Applets on a push-contract service still poll — at
-``safety_net_interval`` (a slow background sweep that catches anything
-a lost notification missed; the trigger buffer is a non-consuming ring
-and the engine dedupes by ``event_id``, so double delivery is
-structurally impossible).  There is no polling-policy wrapper: the
+Applets on a push-contract service still poll — every
+:data:`SAFETY_NET_INTERVAL` seconds (a slow background sweep that
+catches anything a lost notification missed; the trigger buffer is a
+non-consuming ring and the engine dedupes by ``event_id``, so double
+delivery is structurally impossible).  There is no polling-policy wrapper: the
 engine's one cadence decision (``IftttEngine._interval``) returns that
 constant with **no RNG consumption** while the service's rung is push
 or hint; on the ``poll`` rung the applet's own policy draws verbatim
@@ -109,6 +109,15 @@ PUSH_LADDER = (
     PUSH_RUNG_NAMES,
 )
 
+#: Coalescing window in seconds: the first notification after an idle
+#: period arms one drain event this far out; arrivals inside the window
+#: join the same drain.
+PUSH_BATCH_WINDOW = 0.05
+#: Poll interval for applets whose service holds the push (or hint)
+#: rung — a slow background sweep, not a delivery path.  A constant, so
+#: it draws no RNG and push mode stays byte-deterministic.
+SAFETY_NET_INTERVAL = 600.0
+
 #: The keys of :meth:`PushController.stats`, in order; the engine
 #: reports each as 0 when push is off.
 PUSH_STATS_KEYS = (
@@ -125,12 +134,11 @@ PUSH_STATS_KEYS = (
 class PushPolicy:
     """Tunables for push-first delivery (engine-side ingestion).
 
+    The coalescing window and the safety-net poll are the constants
+    :data:`PUSH_BATCH_WINDOW` and :data:`SAFETY_NET_INTERVAL`.
+
     Attributes
     ----------
-    batch_window:
-        Coalescing window in seconds: the first notification after an
-        idle period arms one drain event this far out; arrivals inside
-        the window join the same drain.
     max_batch:
         Entries processed per drain (the paper's ``k`` batching knob
         again — same default as the poll ``limit``).  A backlog larger
@@ -141,23 +149,13 @@ class PushPolicy:
         ``[low, high)`` new arrivals degrade to hint-style fast polls;
         at ``high`` they are shed to the polling cadence.  Recovery to
         the push rung requires the backlog to drain below ``low``.
-    safety_net_interval:
-        Poll interval for applets whose service holds the push rung —
-        a slow background sweep, not a delivery path.  Drawn with no
-        RNG consumption so push mode stays byte-deterministic.
     """
 
-    batch_window: float = 0.05
     max_batch: int = 50
     low_watermark: int = 64
     high_watermark: int = 256
-    safety_net_interval: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.batch_window < 0:
-            raise ValueError(
-                f"batch_window must be >= 0, got {self.batch_window}"
-            )
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.low_watermark < 1:
@@ -168,10 +166,6 @@ class PushPolicy:
             raise ValueError(
                 "high_watermark must exceed low_watermark, got "
                 f"{self.high_watermark} <= {self.low_watermark}"
-            )
-        if self.safety_net_interval <= 0:
-            raise ValueError(
-                f"safety_net_interval must be positive, got {self.safety_net_interval}"
             )
 
 
@@ -311,7 +305,8 @@ class PushController:
     # -- the coalescing drain ---------------------------------------------------
 
     def _arm_drain(self, link) -> None:
-        """Arm one drain event ``batch_window`` out (idempotent while armed).
+        """Arm one drain event :data:`PUSH_BATCH_WINDOW` seconds out
+        (idempotent while armed).
 
         The drain is a plain simulator event, so a drain coinciding with
         a poll wake is ordered by the kernel's ``(time, priority, seq)``
@@ -322,7 +317,7 @@ class PushController:
             return
         link.push_drain_armed = True
         self.engine.sim.schedule(
-            self.policy.batch_window,
+            PUSH_BATCH_WINDOW,
             self._drain,
             link,
             label=f"push-drain:{link.slug}",

@@ -71,8 +71,8 @@ class ReplayController:
     calls :meth:`on_service_healed` from its breaker-transition hook;
     operators call :meth:`replay_explicit`.  Both take the service's
     registration record (``link``), which carries the ``drain_scheduled``
-    and ``drain_awaits_close`` flags and the ``replay_depth`` the
-    watermarks read.
+    and ``drain_awaits_close`` flags and the ``replay_depth`` that the
+    watermarks and the engine's ``actions_in_replay`` total read.
     """
 
     def __init__(self, engine: "IftttEngine", policy: ReplayPolicy) -> None:
@@ -206,7 +206,6 @@ class ReplayController:
             return
         engine.dead_letters[:] = kept
         records = [letter.to_pending() for letter in drained]
-        engine.actions_in_replay += len(records)
         link.replay_depth += len(records)
         self.drains += 1
         self.dead_letters_replayed += len(records)
@@ -241,7 +240,7 @@ class ReplayController:
             # (not through _refail: a shed is not a replay failure in
             # the ``replay.actions_failed`` / ``in_replay`` families).
             for record in records:
-                self._leave_replay(link)
+                link.replay_depth -= 1
                 self.actions_failed += 1
                 engine._note_action_failure(record)
             engine._count(link, "replay.actions_shed", len(records))
@@ -271,7 +270,7 @@ class ReplayController:
             body=batch.to_body(),
             headers=engine._auth_headers(link, records[0].user),
             on_response=self._on_batch_result,
-            timeout=engine.config.action_timeout,
+            timeout=engine.config.request_timeout,
             context=(link, records),
         )
 
@@ -305,13 +304,9 @@ class ReplayController:
         else:
             self._refail(link, record)
 
-    def _leave_replay(self, link: ServiceRegistration) -> None:
-        self.engine.actions_in_replay -= 1
-        link.replay_depth -= 1
-
     def _delivered(self, link: ServiceRegistration, record: PendingAction) -> None:
         engine = self.engine
-        self._leave_replay(link)
+        link.replay_depth -= 1
         engine.actions_delivered += 1
         self.actions_delivered += 1
         self.last_delivery_at = engine.now
@@ -339,7 +334,7 @@ class ReplayController:
 
     def _refail(self, link: ServiceRegistration, record: PendingAction) -> None:
         engine = self.engine
-        self._leave_replay(link)
+        link.replay_depth -= 1
         self.actions_failed += 1
         metrics = engine.metrics
         if metrics is not None:

@@ -5,8 +5,9 @@ The paper measures IFTTT only on the happy path, but its §4 observations
 spikes) imply machinery on the real engine that this module makes
 explicit:
 
-* :class:`RetryPolicy` — capped exponential backoff with deterministic
-  jitter, drawn from the simulation RNG so retry storms are replayable;
+* :func:`backoff` / :func:`exhausted` — capped exponential backoff with
+  deterministic jitter, drawn from the simulation RNG so retry storms
+  are replayable;
 * :class:`CircuitBreaker` — the classic closed → open → half-open state
   machine, kept per service by the engine.  An open breaker sheds polls
   and action sends, modelling the adaptive slow-down of polling for
@@ -20,12 +21,9 @@ explicit:
   invariant to ``dispatched == delivered + in_retry + dead_lettered +
   in_replay``.
 
-The tunables are this module's constants, not settings:
-:class:`RetryPolicy` and :class:`BreakerPolicy` have no fields and only
-switch retries and breakers on (``EngineConfig.retry_policy`` /
-``breaker_policy``, ``None`` switches them off); :class:`ReplayPolicy`
-keeps only ``batching``.  See ``docs/ROBUSTNESS.md`` for the full
-semantics.
+Retries and breakers are always on, and their tunables are this
+module's constants, not settings; :class:`ReplayPolicy` keeps only
+``batching``.  See ``docs/ROBUSTNESS.md`` for the full semantics.
 """
 
 from __future__ import annotations
@@ -57,29 +55,20 @@ BREAKER_RECOVERY_TIMEOUT = 30.0
 REPLAY_BATCH_LIMIT = 50
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Switches retries on (:attr:`EngineConfig.retry_policy`): capped
-    exponential backoff with deterministic jitter.
+def backoff(attempt: int, rng: Optional[Rng] = None) -> float:
+    """Delay before retry number ``attempt`` (1-based); unjittered
+    without an ``rng`` (the simulation stream, so runs are reproducible)."""
+    if attempt < 1:
+        raise ValueError(f"attempt is 1-based, got {attempt}")
+    delay = min(RETRY_MAX_DELAY, RETRY_BASE_DELAY * RETRY_MULTIPLIER ** (attempt - 1))
+    if rng is not None:
+        delay *= 1.0 + rng.uniform(-RETRY_JITTER, RETRY_JITTER)
+    return delay
 
-    It has no fields: the schedule is this module's ``RETRY_*`` constants.
-    Jitter is drawn from the caller-supplied RNG — the simulation stream,
-    so runs are reproducible.
-    """
 
-    def backoff(self, attempt: int, rng: Optional[Rng] = None) -> float:
-        """Delay before retry number ``attempt`` (1-based); unjittered
-        without an ``rng``."""
-        if attempt < 1:
-            raise ValueError(f"attempt is 1-based, got {attempt}")
-        delay = min(RETRY_MAX_DELAY, RETRY_BASE_DELAY * RETRY_MULTIPLIER ** (attempt - 1))
-        if rng is not None:
-            delay *= 1.0 + rng.uniform(-RETRY_JITTER, RETRY_JITTER)
-        return delay
-
-    def exhausted(self, attempts: int) -> bool:
-        """Whether ``attempts`` tries have used up the budget."""
-        return attempts >= RETRY_MAX_ATTEMPTS
+def exhausted(attempts: int) -> bool:
+    """Whether ``attempts`` tries have used up the retry budget."""
+    return attempts >= RETRY_MAX_ATTEMPTS
 
 
 #: Each breaker state's numeric level for gauges, by state value.
@@ -100,16 +89,6 @@ class BreakerState(enum.Enum):
 
     def __init__(self, value: str) -> None:
         self.level = _BREAKER_LEVELS[value]
-
-
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Switches per-service circuit breakers on
-    (:attr:`EngineConfig.breaker_policy`).
-
-    It has no fields: the tunables are this module's ``BREAKER_*``
-    constants.
-    """
 
 
 TransitionHook = Callable[[BreakerState, BreakerState, float], None]

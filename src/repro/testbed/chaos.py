@@ -127,8 +127,7 @@ def chaos_engine_config(poll_interval: float = 5.0) -> EngineConfig:
     return EngineConfig(
         poll_policy=FixedPollingPolicy(poll_interval),
         initial_poll_delay=0.5,
-        poll_timeout=10.0,
-        action_timeout=10.0,
+        request_timeout=10.0,
     )
 
 

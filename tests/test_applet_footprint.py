@@ -10,7 +10,7 @@ ingredients mapping ("Where a publication's bytes go").  Pinned here:
 
 (a) ``IftttEngine._new_events`` against the eager set-and-deque it
     replaced, kept below as the reference, over random poll/push
-    histories, with windows on both sides of ``WINDOW_LIST_MAX``;
+    histories through ``WINDOW_LIST_MAX`` and past ``DEDUPE_WINDOW``;
 (b) ``TriggerBuffer`` against a plain ``deque(maxlen=capacity)``;
 (c) what an idle applet costs, in ``tracemalloc`` bytes — the guard that
     fails when an eager container comes back;
@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineConfig
-from repro.engine.engine import WINDOW_LIST_MAX
+from repro.engine.engine import DEDUPE_WINDOW, WINDOW_LIST_MAX
 from repro.engine.push import PushPolicy
 from repro.services.buffer import TriggerBuffer, TriggerEvent
 from repro.services.partner import TRIGGER_PATH
@@ -41,15 +41,11 @@ from tests.helpers import build_engine_world, default_engine_config, install_pin
 
 # -- (a) the dedupe window vs the eager one it replaced ----------------------------
 
-WINDOW = 4
-
-
 class EagerWindow:
     """``_new_events`` as it was when every applet was born with its
     ``set()`` and ``deque()``."""
 
-    def __init__(self, window):
-        self.window = window
+    def __init__(self):
         self.seen = set()
         self.order = deque()
 
@@ -61,7 +57,7 @@ class EagerWindow:
                 continue
             self.seen.add(event_id)
             self.order.append(event_id)
-            while len(self.order) > self.window:
+            while len(self.order) > DEDUPE_WINDOW:
                 self.seen.discard(self.order.popleft())
             fresh.append(event)
         return fresh
@@ -71,23 +67,20 @@ def record(event_id):
     return TriggerEvent(event_id, 0.0, MappingProxyType({"n": event_id}))
 
 
-#: Ids from a range a little wider than the window, so histories repeat
-#: ids inside the window (duplicates) and after it has moved on
-#: (re-delivery past ``dedupe_window`` fires again, as it always has).
-event_ids = st.integers(min_value=0, max_value=3 * WINDOW)
-histories = st.lists(
-    st.one_of(
-        st.tuples(st.just("poll"), st.lists(event_ids, max_size=2 * WINDOW)),
-        st.tuples(st.just("push"), event_ids),
-    ),
-    max_size=30,
-)
+def histories(event_ids, max_records):
+    """Poll responses of up to ``max_records`` records and pushed events."""
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("poll"), st.lists(event_ids, max_size=max_records)),
+            st.tuples(st.just("push"), event_ids),
+        ),
+        max_size=30,
+    )
 
 
-def engine_and_runtime(window):
+def engine_and_runtime():
     world = build_engine_world(
-        default_engine_config(dedupe_window=window, push_policy=PushPolicy()),
-        with_trace=False,
+        default_engine_config(push_policy=PushPolicy()), with_trace=False
     )
     applet = install_ping_applet(world.engine)
     return world.engine, world.engine._applets[applet.applet_id]
@@ -119,50 +112,34 @@ def replay_history(engine, runtime, reference, history):
 
 
 @settings(max_examples=150, deadline=None)
-@given(history=histories)
+@given(history=histories(st.integers(min_value=0, max_value=3 * WINDOW_LIST_MAX),
+                         2 * WINDOW_LIST_MAX))
 def test_new_events_matches_the_eager_window(history):
-    engine, runtime = engine_and_runtime(WINDOW)
-    reference = EagerWindow(WINDOW)
+    """Small id ranges: duplicates, the list alone, and the set's birth."""
+    engine, runtime = engine_and_runtime()
+    reference = EagerWindow()
     assert runtime.seen_ids is None and runtime.seen_order is None
     replay_history(engine, runtime, reference, history)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    window=st.integers(min_value=WINDOW_LIST_MAX - 1, max_value=2 * WINDOW_LIST_MAX),
-    data=st.data(),
+#: Ids at both ends of a full window: the oldest, next to be evicted
+#: (and fired again once they have been), and the newest, held or new.
+edge_ids = st.one_of(
+    st.integers(min_value=0, max_value=3 * WINDOW_LIST_MAX),
+    st.integers(min_value=DEDUPE_WINDOW - WINDOW_LIST_MAX, max_value=DEDUPE_WINDOW + 24),
 )
-def test_windows_across_the_list_limit_match_the_eager_window(window, data):
-    engine, runtime = engine_and_runtime(window)
-    reference = EagerWindow(window)
-    ids = st.integers(min_value=0, max_value=3 * window)
-    history = data.draw(
-        st.lists(
-            st.one_of(
-                st.tuples(st.just("poll"), st.lists(ids, max_size=2 * window)),
-                st.tuples(st.just("push"), ids),
-            ),
-            max_size=30,
-        )
-    )
-    # window + 1 distinct ids first: every case fills the window and
-    # evicts, and a window wider than WINDOW_LIST_MAX builds its set
-    replay_history(engine, runtime, reference, [("poll", list(range(window + 1))), *history])
-    assert (runtime.seen_ids is not None) == (window > WINDOW_LIST_MAX)
 
 
-@settings(max_examples=100, deadline=None)
-@given(window=st.integers(min_value=2, max_value=4), data=st.data())
-def test_small_windows_evict_like_the_eager_deque(window, data):
-    engine, runtime = engine_and_runtime(window)
-    reference = EagerWindow(window)
-    drawn = data.draw(st.lists(st.integers(min_value=0, max_value=3 * window), max_size=30))
-    # the first window + 1 ids are distinct, so every case evicts at least once
-    for event_id in [*range(window + 1), *drawn]:
-        events = [record(event_id)]  # one a poll: each eviction is compared as it happens
-        assert engine._new_events(runtime, events) == reference.new_events(events)
-        assert runtime.seen_order == list(reference.order)
-        assert runtime.seen_ids is None  # never more than WINDOW_LIST_MAX ids
+@settings(max_examples=60, deadline=None)
+@given(history=histories(edge_ids, WINDOW_LIST_MAX))
+def test_a_full_window_evicts_like_the_eager_window(history):
+    engine, runtime = engine_and_runtime()
+    reference = EagerWindow()
+    # DEDUPE_WINDOW + 1 distinct ids first: every case fills the window
+    # and evicts
+    filled = ("poll", list(range(DEDUPE_WINDOW + 1)))
+    replay_history(engine, runtime, reference, [filled, *history])
+    assert len(runtime.seen_order) == DEDUPE_WINDOW == len(runtime.seen_ids)
 
 
 # -- (b) the trigger buffer vs a plain bounded deque -------------------------------

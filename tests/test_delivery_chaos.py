@@ -101,8 +101,7 @@ class TestFixedPollingConvergence:
         config = EngineConfig(
             poll_policy=FixedPollingPolicy(5.0),
             initial_poll_delay=0.5,
-            poll_timeout=10.0,
-            action_timeout=10.0,
+            request_timeout=10.0,
         )
         world = ChaosWorld(seed=SEED, engine_config=config, delivery=DeliveryPolicy())
         result = world.run(chaos_scenario("brownout"))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import ActionRef, EngineConfig, FixedPollingPolicy, TriggerRef
+from repro.engine.engine import POLL_LIMIT
 from repro.engine.oauth import OAuthAuthority
 from repro.net import Address
 from repro.services import PartnerService
@@ -101,15 +102,16 @@ class TestAppletLifecycle:
         assert notes == ["0", "1", "2", "3", "4"]
 
     def test_batch_limit_respected(self):
-        config = EngineConfig(poll_policy=FixedPollingPolicy(10.0),
-                              initial_poll_delay=0.5, batch_limit=3)
+        config = EngineConfig(poll_policy=FixedPollingPolicy(10.0), initial_poll_delay=0.5)
         sim, engine, service, executed, _ = build_world(config=config)
         install_ping_applet(engine)
         sim.run_until(5.0)
-        for n in range(10):
+        for n in range(POLL_LIMIT + 10):
             service.ingest_event("ping", {"n": n})
         sim.run_until(14.0)  # one poll
-        assert len(executed) == 3  # only the newest k=3 delivered
+        # only the newest k = POLL_LIMIT delivered, oldest first
+        assert [fields["note"] for _, fields in executed] == [
+            str(n) for n in range(10, POLL_LIMIT + 10)]
 
     def test_disable_stops_polling(self):
         sim, engine, service, executed, _ = build_world()
@@ -212,10 +214,13 @@ class TestEngineTrace:
 
 
 class TestConfigValidation:
-    def test_invalid_batch_limit(self):
-        with pytest.raises(ValueError):
-            EngineConfig(batch_limit=0)
-
-    def test_invalid_dedupe_window(self):
-        with pytest.raises(ValueError):
-            EngineConfig(dedupe_window=-1)
+    @pytest.mark.parametrize("field,value", [
+        ("request_timeout", 0.0),     # every request would time out
+        ("request_timeout", -1.0),    # would fail only at the first send
+        ("request_timeout", float("nan")),
+        ("initial_poll_jitter", -5.0),  # would be read as no jitter
+        ("initial_poll_delay", -1.0),   # would fail only at install
+    ])
+    def test_bad_value_fails_naming_its_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EngineConfig(**{field: value})

@@ -11,23 +11,24 @@ them:
 * **isolation**: events never leak across trigger identities.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ActionRef, EngineConfig, FixedPollingPolicy, IftttEngine, TriggerRef
+from repro.engine.engine import POLL_LIMIT
 from repro.engine.oauth import OAuthAuthority
 from repro.net import Address, FixedLatency, Network
 from repro.services import ActionEndpoint, PartnerService, TriggerEndpoint
 from repro.simcore import Rng, Simulator
 
 
-def build_world(poll_interval=7.0, batch_limit=50):
+def build_world(poll_interval=7.0):
     sim = Simulator()
     net = Network(sim, Rng(13))
     engine = net.add_node(IftttEngine(
         Address("engine.cloud"),
         config=EngineConfig(poll_policy=FixedPollingPolicy(poll_interval),
-                            initial_poll_delay=0.5, batch_limit=batch_limit),
+                            initial_poll_delay=0.5),
         rng=Rng(3), service_time=0.0,
     ))
     service = net.add_node(PartnerService(Address("svc.cloud"), slug="svc", service_time=0.0))
@@ -108,10 +109,11 @@ def test_identities_are_isolated(streams):
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=10))
-def test_batch_limit_caps_delivery_per_poll(n_events, batch_limit):
+@given(st.integers(min_value=1, max_value=2 * POLL_LIMIT))
+@example(POLL_LIMIT + 1)
+def test_batch_limit_caps_delivery_per_poll(n_events):
     """One poll delivers at most ``limit`` events (the newest ones)."""
-    sim, engine, service, executed = build_world(poll_interval=1000.0, batch_limit=batch_limit)
+    sim, engine, service, executed = build_world(poll_interval=1000.0)
     engine.install_applet(
         user="u", name="p",
         trigger=TriggerRef("svc", "tick"),
@@ -124,4 +126,4 @@ def test_batch_limit_caps_delivery_per_poll(n_events, batch_limit):
     engine.disable_applet(engine.applets[0].applet_id)
     engine.enable_applet(engine.applets[0].applet_id)
     sim.run_until(sim.now + 5.0)
-    assert len(executed) == min(n_events, batch_limit)
+    assert executed == [("", str(n)) for n in range(max(0, n_events - POLL_LIMIT), n_events)]

@@ -278,22 +278,13 @@ KNOB_CLASSES = (
     ("repro.engine.push", "PushPolicy"),
 )
 FIELDLESS_CLASSES = (
-    ("repro.engine.resilience", "RetryPolicy"),
-    ("repro.engine.resilience", "BreakerPolicy"),
     ("repro.engine.delivery", "DeliveryPolicy"),
 )
 
-#: Knobs that only tests set, each with why it stays a field rather than a
-#: constant.  The list may only shrink: an entry that a caller sets, or
-#: that is no longer a field, fails the guard until it is removed here.
-TEST_ONLY_KNOBS = {
-    "EngineConfig.batch_limit": "the §4 poll limit k; tests vary it to pin batching",
-    "EngineConfig.dedupe_window": "tests shrink it to reach eviction",
-    "EngineConfig.retry_policy": "on/off switch; tests turn retries off",
-    "EngineConfig.breaker_policy": "on/off switch; tests turn breakers off",
-    "PushPolicy.batch_window": "tests vary the drain coalescing window",
-    "PushPolicy.safety_net_interval": "tests shorten the push safety-net poll",
-}
+#: How many fields ``KNOB_CLASSES`` have together.  A new field fails the
+#: pin until it is raised here, in the same change that gives the field
+#: a caller.
+SETTABLE_VALUES = 14
 
 
 def _fields(pairs):
@@ -332,20 +323,17 @@ def knobs_set(classes):
 class TestNoTestOnlyKnob:
     """A setting needs a caller outside tests that sets it, or it is a constant."""
 
-    def test_every_knob_is_set_by_a_caller_or_listed(self):
+    def test_every_knob_is_set_by_a_caller(self):
         knobs = {f"{name}.{field}" for name, fields in _fields(KNOB_CLASSES).items()
                  for field in fields}
-        unset = knobs - knobs_set([name for _, name in KNOB_CLASSES])
-        unlisted = sorted(unset - TEST_ONLY_KNOBS.keys())
-        stale = sorted(TEST_ONLY_KNOBS.keys() - unset)
-        assert not unlisted, (
-            f"settings only tests set: {unlisted}; make each a module constant, or "
+        unset = sorted(knobs - knobs_set([name for _, name in KNOB_CLASSES]))
+        assert not unset, (
+            f"settings only tests set: {unset}; make each a module constant, or "
             f"set it from {', '.join(CALLER_TREES)}"
         )
-        assert not stale, f"stale TEST_ONLY_KNOBS entries (remove them): {stale}"
 
-    def test_every_listed_knob_gives_a_reason(self):
-        assert all(reason.strip() for reason in TEST_ONLY_KNOBS.values())
+    def test_settable_values_are_pinned(self):
+        assert sum(map(len, _fields(KNOB_CLASSES).values())) == SETTABLE_VALUES
 
     def test_switch_policies_stay_fieldless(self):
         knobs = {name: fields for name, fields in _fields(FIELDLESS_CLASSES).items() if fields}

@@ -24,7 +24,7 @@ def world():
     engine = net.add_node(IftttEngine(
         Address("engine.cloud"),
         config=EngineConfig(poll_policy=FixedPollingPolicy(10.0), initial_poll_delay=0.5,
-                            poll_timeout=5.0, action_timeout=5.0),
+                            request_timeout=5.0),
         rng=Rng(8), trace=trace, service_time=0.0,
     ))
     service = net.add_node(PartnerService(Address("svc.cloud"), slug="svc",

@@ -1,20 +1,22 @@
-"""Tests for engine resilience: retry policy, breakers, dead letters."""
+"""Tests for engine resilience: retry backoff, breakers, dead letters."""
 
 import math
 
 import pytest
 
 from repro.engine import (
-    BreakerPolicy,
     BreakerState,
     CircuitBreaker,
     EngineConfig,
+    PushPolicy,
     ReplayPolicy,
-    RetryPolicy,
     RuntimeLoopDetector,
+    engine as engine_module,
     loops,
+    push,
     resilience,
 )
+from repro.engine.resilience import backoff, exhausted
 from repro.net.http import HttpError
 from repro.simcore import Rng
 
@@ -24,14 +26,6 @@ from tests.helpers import build_engine_world, default_engine_config, install_pin
 #: Every former tunable, by the call that once took it: each is a module
 #: constant now, so passing one is a ``TypeError``.
 FORMER_KNOBS = [
-    (RetryPolicy, {"max_attempts": 4}),
-    (RetryPolicy, {"base_delay": 1.0}),
-    (RetryPolicy, {"multiplier": 2.0}),
-    (RetryPolicy, {"max_delay": 30.0}),
-    (RetryPolicy, {"jitter": 0.1}),
-    (BreakerPolicy, {"failure_threshold": 5}),
-    (BreakerPolicy, {"recovery_timeout": 30.0}),
-    (BreakerPolicy, {"half_open_probes": 1}),
     (ReplayPolicy, {"batch_limit": 50}),
     (ReplayPolicy, {"replay_on_heal": True}),
     (ReplayPolicy, {"drain_delay": 0.0}),
@@ -39,7 +33,15 @@ FORMER_KNOBS = [
     (EngineConfig, {"runtime_loop_window": 1800.0}),
     (RuntimeLoopDetector, {"threshold": 4}),
     (RuntimeLoopDetector, {"window": 1800.0}),
-    (CircuitBreaker, {"policy": BreakerPolicy()}),
+    (CircuitBreaker, {"policy": None}),
+    (EngineConfig, {"retry_policy": None}),
+    (EngineConfig, {"breaker_policy": None}),
+    (EngineConfig, {"batch_limit": 50}),
+    (EngineConfig, {"dedupe_window": 2000}),
+    (EngineConfig, {"poll_timeout": 30.0}),
+    (EngineConfig, {"action_timeout": 30.0}),
+    (PushPolicy, {"batch_window": 0.05}),
+    (PushPolicy, {"safety_net_interval": 600.0}),
 ]
 
 
@@ -53,7 +55,6 @@ def test_former_knobs_are_refused(owner, knob):
 
 
 def test_constants_meet_the_bounds_the_policies_once_checked():
-    assert RetryPolicy() == RetryPolicy() and BreakerPolicy() == BreakerPolicy()
     assert resilience.RETRY_MAX_ATTEMPTS >= 1
     assert 0 < resilience.RETRY_BASE_DELAY <= resilience.RETRY_MAX_DELAY
     assert resilience.RETRY_MULTIPLIER >= 1.0
@@ -62,30 +63,30 @@ def test_constants_meet_the_bounds_the_policies_once_checked():
     assert resilience.BREAKER_RECOVERY_TIMEOUT > 0
     assert resilience.REPLAY_BATCH_LIMIT >= 1
     assert loops.LOOP_THRESHOLD > 0 and loops.LOOP_WINDOW > 0
+    assert engine_module.POLL_LIMIT >= 1
+    # A window past the list size: only the set branch of the dedupe
+    # window ever evicts.
+    assert engine_module.DEDUPE_WINDOW > engine_module.WINDOW_LIST_MAX
+    assert push.PUSH_BATCH_WINDOW >= 0
+    assert push.SAFETY_NET_INTERVAL > 0
 
 
 class TestRetryPolicy:
     def test_backoff_doubles_and_caps(self):
-        policy = RetryPolicy()
-        assert [policy.backoff(n) for n in range(1, 8)] == [1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]
+        assert [backoff(n) for n in range(1, 8)] == [1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]
 
     def test_jitter_stays_within_fraction(self):
-        policy = RetryPolicy()
         rng = Rng(3)
         for _ in range(50):
-            assert 0.9 <= policy.backoff(1, rng) <= 1.1
-            assert 27.0 <= policy.backoff(6, rng) <= 33.0
+            assert 0.9 <= backoff(1, rng) <= 1.1
+            assert 27.0 <= backoff(6, rng) <= 33.0
 
     def test_jitter_is_deterministic_per_seed(self):
-        policy = RetryPolicy()
-        a = [policy.backoff(1, Rng(9)) for _ in range(1)]
-        b = [policy.backoff(1, Rng(9)) for _ in range(1)]
-        assert a == b
+        assert backoff(1, Rng(9)) == backoff(1, Rng(9))
 
     def test_exhausted(self):
-        policy = RetryPolicy()
-        assert not policy.exhausted(3)
-        assert policy.exhausted(4)
+        assert not exhausted(3)
+        assert exhausted(4)
 
 
 def tripped(at=0.0, on_transition=None):
@@ -206,8 +207,7 @@ class TestCircuitBreaker:
         assert breaker.transitions[0][0] == 1.0
 
 
-def build_world(retry_policy=RetryPolicy(), breaker_policy=BreakerPolicy(),
-                seed=11):
+def build_world(seed=11):
     """Thin wrapper over :func:`tests.helpers.build_engine_world`.
 
     Pins this suite's historical seeds (network ``seed``, engine
@@ -215,10 +215,7 @@ def build_world(retry_policy=RetryPolicy(), breaker_policy=BreakerPolicy(),
     asserted below depend on both.
     """
     world = build_engine_world(
-        config=default_engine_config(
-            poll_timeout=5.0, action_timeout=5.0,
-            retry_policy=retry_policy, breaker_policy=breaker_policy,
-        ),
+        config=default_engine_config(request_timeout=5.0),
         net_seed=seed,
         engine_seed=seed + 1,
         with_trace=False,
@@ -240,13 +237,6 @@ class TestPollRetries:
         assert engine.poll_failures == 4
         assert engine.poll_retries == 3
 
-    def test_retries_disabled_when_policy_none(self):
-        sim, _, engine, service, _ = build_world(retry_policy=None)
-        service.set_outage(True)
-        sim.run_until(20.0)
-        assert engine.poll_failures == 1     # only the regular poll
-        assert engine.poll_retries == 0
-
     def test_breaker_opens_and_sheds_polls(self):
         sim, _, engine, service, _ = build_world()
         service.set_outage(True)
@@ -255,14 +245,6 @@ class TestPollRetries:
         assert breaker.state is BreakerState.OPEN
         assert engine.polls_shed > 0
         assert engine.breaker_states() == {"svc": "open"}
-
-    def test_breakers_disabled_when_policy_none(self):
-        sim, _, engine, service, _ = build_world(breaker_policy=None)
-        service.set_outage(True)
-        sim.run_until(60.0)
-        assert engine.breaker_for("svc") is None
-        assert engine.polls_shed == 0
-        assert engine.poll_failures > 5      # nothing shed, every poll fails
 
 
 class TestActionRetries:
@@ -303,19 +285,6 @@ class TestActionRetries:
         assert letter.reason == "max_attempts_exhausted"
         assert engine.actions_in_retry == 0
         assert engine.stats()["dead_letters"] == 1
-
-    def test_no_retries_means_immediate_dead_letter(self):
-        sim, _, engine, service, executed = build_world(retry_policy=None)
-
-        def exploding(fields):
-            raise HttpError(500, "busted")
-
-        service._actions["record"].executor = exploding
-        service.ingest_event("ping", {"n": 3})
-        sim.run_until(30.0)
-        assert len(engine.dead_letters) == 1
-        assert engine.dead_letters[0].attempts == 1
-        assert engine.dead_letters[0].reason == "retries_disabled"
 
     def test_open_breaker_sheds_action_attempts(self):
         sim, _, engine, service, executed = build_world()
@@ -382,18 +351,3 @@ class TestActionRetries:
         )
         assert stats["actions_in_retry"] == 0
 
-
-class TestHealthyRunsUnchanged:
-    def test_resilience_config_is_inert_when_healthy(self):
-        """With no failures, retries/breakers must not alter behaviour."""
-        def run(retry_policy, breaker_policy):
-            sim, _, engine, service, executed = build_world(
-                retry_policy=retry_policy, breaker_policy=breaker_policy)
-            for n in range(5):
-                sim.schedule(n * 13.0, service.ingest_event, "ping", {"n": n})
-            sim.run_until(120.0)
-            return [f["n"] for f in executed], engine.polls_sent, sim.now
-
-        with_resilience = run(RetryPolicy(), BreakerPolicy())
-        without = run(None, None)
-        assert with_resilience == without

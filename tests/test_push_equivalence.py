@@ -38,7 +38,9 @@ from repro.engine import (
     TriggerRef,
 )
 from repro.engine.oauth import OAuthAuthority
-from repro.engine.push import DELIVERY_MODES, RUNG_HINT, RUNG_POLL, RUNG_PUSH
+from repro.engine.push import (
+    DELIVERY_MODES, RUNG_HINT, RUNG_POLL, RUNG_PUSH, SAFETY_NET_INTERVAL,
+)
 from repro.engine.delivery import sampled_interval_quartiles
 from repro.net import Address, FixedLatency, Network
 from repro.obs.metrics import MetricsRegistry
@@ -52,8 +54,7 @@ def engine_config_for(mode: str, **overrides) -> EngineConfig:
     defaults = dict(
         poll_policy=FixedPollingPolicy(20.0),
         initial_poll_delay=0.5,
-        poll_timeout=10.0,
-        action_timeout=10.0,
+        request_timeout=10.0,
         realtime_allowlist=None if mode == "hint" else frozenset(),
         push_policy=PushPolicy() if mode == "push" else None,
     )
@@ -72,35 +73,25 @@ def run_world(
     publication_times=(2.0, 5.0, 8.0, 11.0, 14.0, 17.0),
     poll_interval: float = 20.0,
     link_latency: float = 0.05,
-    push_policy: PushPolicy = None,
 ):
     """One sharded fleet run in one delivery mode; returns the evidence.
 
     ``n_services`` sensor/sink services, ``per_service`` applets each,
     publications round-robined over the services.  The horizon covers
-    the last publication plus a full poll interval plus settle margin,
-    so poll mode observes everything too.
-
-    Push mode's safety net is pinned to the poll cadence: correctness
-    never depends on a push *arriving* (under ``round_robin`` no shard
-    owns a service, so a push reaches only the receiving shard's
-    applets — sibling shards recover via the safety-net sweep), so
-    equality of the sweep and poll cadences bounds eventual delivery by
-    the same horizon in all three modes.
+    the last publication plus the slower of a full poll interval and the
+    push safety net (:data:`SAFETY_NET_INTERVAL`) plus settle margin, in
+    every mode: correctness never depends on a push *arriving* (under
+    ``round_robin`` no shard owns a service, so a push reaches only the
+    receiving shard's applets — sibling shards recover via the
+    safety-net sweep), so that one horizon bounds eventual delivery in
+    all three modes.
     """
     sim = Simulator()
     rng = Rng(seed=seed, name="push-equiv")
     metrics = MetricsRegistry()
     sim.metrics = metrics
     net = Network(sim, rng.fork("network"), metrics=metrics)
-    config = engine_config_for(
-        mode,
-        poll_policy=FixedPollingPolicy(poll_interval),
-        push_policy=(
-            (push_policy or PushPolicy(safety_net_interval=poll_interval))
-            if mode == "push" else None
-        ),
-    )
+    config = engine_config_for(mode, poll_policy=FixedPollingPolicy(poll_interval))
     fleet = ShardedEngine(
         net, config=config, rng=rng.fork("engine"),
         num_shards=num_shards, shard_strategy=strategy,
@@ -141,7 +132,7 @@ def run_world(
             at, services[target].ingest_event, "ping", {"n": k},
             label=f"publish#{k}",
         )
-    horizon = max(publication_times) + poll_interval + 15.0
+    horizon = max(publication_times) + max(poll_interval, SAFETY_NET_INTERVAL) + 15.0
     sim.run_until(horizon)
     per_shard = [
         {
@@ -242,7 +233,7 @@ class TestT2AOrdering:
     """(c) T2A quartiles order push <= hint <= poll."""
 
     def test_stochastic_ordering(self):
-        # Fixed link latency (50 ms one-way) and a 20 ms coalescing
+        # Fixed link latency (50 ms one-way) and the 50 ms coalescing
         # window make the structural ordering visible per-sample: a push
         # pays notify + window + action; a hint additionally pays the
         # fetch-poll round trip; polling pays the schedule wait.
@@ -252,7 +243,6 @@ class TestT2AOrdering:
                 mode, num_shards=1, n_services=2, per_service=2,
                 publication_times=tuple(2.0 + 4.0 * k for k in range(10)),
                 poll_interval=60.0, link_latency=0.05,
-                push_policy=PushPolicy(batch_window=0.02),
             )
             assert len(run["latencies"]) == run["expected_deliveries"]
             q[mode] = quantiles(run["latencies"], n=4)
@@ -289,17 +279,14 @@ class TestDegradedPushRestoration:
 
     def test_rung_decides_the_distribution(self):
         base = ProductionPollingPolicy()
-        policy = PushPolicy()
-        engine, link = self._contract_link(policy)
+        engine, link = self._contract_link(PushPolicy())
 
         def draw(rng, applet_policy=base.clone()):
             return engine._interval(link, applet_policy, rng)
 
         # push rung: the constant safety net, no RNG consumption
         assert link.rung == RUNG_PUSH
-        assert sampled_interval_quartiles(draw) == (
-            policy.safety_net_interval,
-        ) * 3
+        assert sampled_interval_quartiles(draw) == (SAFETY_NET_INTERVAL,) * 3
         # poll rung: the base distribution, exactly (same seeded RNG,
         # same draws — the cadence decision adds nothing)
         link.rung = RUNG_POLL
@@ -308,9 +295,7 @@ class TestDegradedPushRestoration:
         )
         # heal: back to the safety net
         link.rung = RUNG_PUSH
-        assert sampled_interval_quartiles(draw) == (
-            policy.safety_net_interval,
-        ) * 3
+        assert sampled_interval_quartiles(draw) == (SAFETY_NET_INTERVAL,) * 3
 
     def test_ladder_walks_down_and_recovers_through_the_controller(self):
         """Flood a real engine's controller past both watermarks and

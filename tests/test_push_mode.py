@@ -28,6 +28,7 @@ from repro.engine import (
     TriggerRef,
 )
 from repro.engine.oauth import OAuthAuthority
+from repro.engine.push import PUSH_BATCH_WINDOW, SAFETY_NET_INTERVAL
 from repro.engine.resilience import (
     BREAKER_FAILURE_THRESHOLD,
     BREAKER_RECOVERY_TIMEOUT,
@@ -46,7 +47,6 @@ SINK = "push_sink"
 def build_push_world(
     *,
     seed: int = 7,
-    push_policy: PushPolicy = None,
     num_shards: int = 1,
     shard_strategy: str = "service_hash",
     applets: int = 1,
@@ -67,10 +67,9 @@ def build_push_world(
     config = EngineConfig(
         poll_policy=FixedPollingPolicy(2.0),
         initial_poll_delay=0.5,
-        poll_timeout=10.0,
-        action_timeout=10.0,
+        request_timeout=10.0,
         realtime_allowlist=frozenset(),
-        push_policy=push_policy or PushPolicy(),
+        push_policy=PushPolicy(),
     )
     fleet = ShardedEngine(
         net, config=config, rng=rng.fork("engine"), trace=trace,
@@ -110,15 +109,16 @@ class TestSameInstantTieBreak:
     """A drain and a poll wake on the same instant replay identically."""
 
     def run_collision(self):
-        # Safety-net polls land at 0.5, 2.5, 4.5, ...; a publication at
-        # 4.0 with a 0.5 s batch window drains at exactly 4.5 (all
-        # exact binary floats), colliding with the 4.5 poll wake.
-        policy = PushPolicy(batch_window=0.5, safety_net_interval=2.0)
-        sim, fleet, sensor, sink, delivered, trace, metrics = build_push_world(
-            push_policy=policy,
-        )
-        sim.schedule(4.0, sensor.ingest_event, "tick", {"n": 1}, label="pub")
-        sim.run_until(10.0)
+        # Safety-net polls land at 0.5, 0.5 + SAFETY_NET_INTERVAL, ...; a
+        # publication PUSH_BATCH_WINDOW before the second one drains on
+        # it (the float sum rounds back to it exactly), colliding with
+        # that poll wake.
+        second_poll = 0.5 + SAFETY_NET_INTERVAL
+        published = second_poll - PUSH_BATCH_WINDOW
+        assert published + PUSH_BATCH_WINDOW == second_poll
+        sim, fleet, sensor, sink, delivered, trace, metrics = build_push_world()
+        sim.schedule(published, sensor.ingest_event, "tick", {"n": 1}, label="pub")
+        sim.run_until(second_poll + 10.0)
         drains = trace.times("engine_push_drain")
         polls = trace.times("engine_poll_sent")
         return {
@@ -167,9 +167,7 @@ class TestBreakerParking:
         assert breaker.state is BreakerState.CLOSED
 
     def test_park_and_resume_single_engine(self):
-        sim, fleet, sensor, sink, delivered, trace, metrics = build_push_world(
-            push_policy=PushPolicy(safety_net_interval=600.0),
-        )
+        sim, fleet, sensor, sink, delivered, trace, metrics = build_push_world()
         engine = fleet.shards[0]
         sim.run_until(1.0)  # registration polls create the identity
         self.trip(engine, SENSOR, sim)
@@ -198,7 +196,6 @@ class TestBreakerParking:
         last-published shard, parks there, and resumes there — sibling
         shards are untouched and fall back to the safety-net sweep."""
         sim, fleet, sensor, sink, delivered, trace, metrics = build_push_world(
-            push_policy=PushPolicy(safety_net_interval=600.0),
             num_shards=2, shard_strategy="round_robin", applets=2,
         )
         receiving = fleet.shards[-1]  # last publisher wins the contract

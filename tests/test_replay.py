@@ -15,13 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    BreakerPolicy,
-    BreakerState,
-    FixedPollingPolicy,
-    ReplayPolicy,
-    RetryPolicy,
-)
+from repro.engine import BreakerState, FixedPollingPolicy, ReplayPolicy
 from repro.engine.resilience import (
     BREAKER_FAILURE_THRESHOLD,
     BREAKER_RECOVERY_TIMEOUT,
@@ -60,19 +54,11 @@ class TestBatchActionRequest:
             )
 
 
-def build_replay_world(
-    replay=ReplayPolicy(),
-    retry_policy=RetryPolicy(),
-    breaker_policy=BreakerPolicy(),
-    seed=11,
-    **config_overrides,
-):
+def build_replay_world(replay=ReplayPolicy(), seed=11, **config_overrides):
     """The resilience suite's world plus a replay policy."""
     world = build_engine_world(
         config=default_engine_config(
-            poll_timeout=5.0, action_timeout=5.0,
-            retry_policy=retry_policy, breaker_policy=breaker_policy,
-            replay_policy=replay, **config_overrides,
+            request_timeout=5.0, replay_policy=replay, **config_overrides,
         ),
         net_seed=seed,
         engine_seed=seed + 1,
@@ -85,7 +71,11 @@ def build_replay_world(
 
 def fill_dead_letters(world, count, start_at=3.0, spacing=11.0):
     """Drive ``count`` events into a permanently failing action executor
-    until each has exhausted its retries into the dead-letter sink."""
+    until each has exhausted its retries into the dead-letter sink.
+
+    One letter's four failed attempts stay under the breaker's failure
+    threshold, and the poll between letters succeeds, so the breaker
+    stays closed: an explicit drain goes straight out."""
     def exploding(fields):
         raise HttpError(500, "busted")
 
@@ -99,6 +89,7 @@ def fill_dead_letters(world, count, start_at=3.0, spacing=11.0):
     world.sim.run_until(start_at + count * spacing + 60.0)
     world.service._actions["record"].executor = healthy
     assert len(world.engine.dead_letters) == count
+    assert world.engine.breaker_states() == {"svc": "closed"}
     return healthy
 
 
@@ -120,9 +111,7 @@ class TestExplicitReplay:
             world.engine.replay_dead_letters()
 
     def test_drain_delivers_and_batches_into_one_request(self):
-        # No breaker: each letter exhausts 4 attempts, so 3 letters = 12
-        # failures, which would open one and shed the drain.
-        world, _ = build_replay_world(breaker_policy=None)
+        world, _ = build_replay_world()
         fill_dead_letters(world, 3)
         assert world.engine.actions_delivered == 0
         world.engine.replay_dead_letters()
@@ -138,8 +127,7 @@ class TestExplicitReplay:
         assert_conserved(world.engine)
 
     def test_unbatched_sends_one_request_per_letter(self):
-        world, _ = build_replay_world(
-            replay=ReplayPolicy(batching=False), breaker_policy=None)
+        world, _ = build_replay_world(replay=ReplayPolicy(batching=False))
         fill_dead_letters(world, 3)
         world.engine.replay_dead_letters()
         world.sim.run_until(world.sim.now + 30.0)
@@ -149,7 +137,7 @@ class TestExplicitReplay:
         assert_conserved(world.engine)
 
     def test_batch_limit_chunks_the_drain(self):
-        world, _ = build_replay_world(breaker_policy=None)
+        world, _ = build_replay_world()
         fill_dead_letters(world, REPLAY_BATCH_LIMIT + 1)
         world.engine.replay_dead_letters("svc")
         world.sim.run_until(world.sim.now + 30.0)
@@ -159,7 +147,7 @@ class TestExplicitReplay:
         assert_conserved(world.engine)
 
     def test_replayed_records_keep_original_created_at(self):
-        world, _ = build_replay_world(breaker_policy=None)
+        world, _ = build_replay_world()
         fill_dead_letters(world, 1)
         created = world.engine.dead_letters[0].created_at
         world.engine.replay_dead_letters()
@@ -169,7 +157,7 @@ class TestExplicitReplay:
         assert at > created
 
     def test_uninstalled_applet_letters_stay_sealed(self):
-        world, applet_a = build_replay_world(breaker_policy=None)
+        world, applet_a = build_replay_world()
         fill_dead_letters(world, 2)
         world.engine.uninstall_applet(applet_a.applet_id)
         world.engine.replay_dead_letters()
@@ -181,7 +169,7 @@ class TestExplicitReplay:
         assert world.executed == []
 
     def test_refailed_entries_go_back_through_retry_pipeline(self):
-        world, _ = build_replay_world(breaker_policy=None)
+        world, _ = build_replay_world()
         healthy = fill_dead_letters(world, 2)
 
         # First replay attempt fails per entry; retries then succeed.
@@ -242,7 +230,7 @@ class TestRealtimeHintFallback:
         world = build_engine_world(
             config=default_engine_config(
                 poll_policy=FixedPollingPolicy(300.0),
-                poll_timeout=5.0, action_timeout=5.0,
+                request_timeout=5.0,
                 realtime_allowlist=frozenset({"svc"}),
                 replay_policy=ReplayPolicy(),
             ),

@@ -12,7 +12,7 @@ must poll exactly as the one-event-per-poll reference (``_TimerOracle``)
 does, including across the compaction floor.
 """
 
-from repro.engine import EngineConfig, FixedPollingPolicy
+from repro.engine import EngineConfig, FixedPollingPolicy, ReplayPolicy
 from repro.engine.scheduler import COMPACT_MIN_ENTRIES, HeapPollScheduler
 from repro.net.http import HttpError
 
@@ -133,15 +133,15 @@ class TestDisableEnableChurn:
 
 
 class TestRetryTimersUnderStorm:
-    def retry_world(self, n_applets: int = 12):
+    def retry_world(self, n_applets: int = 12, **config_overrides):
         # Polls must keep succeeding (events have to be *observed* to
         # dispatch actions), so the fault is injected on the action
         # executor only — not via set_outage, which fails polls too.
-        # The 1 / 2 / 4 s backoff parks an action that first failed at
-        # ~2.5 s in retry from ~5.5 s to its last try at ~9.5 s, the
-        # window the storm hits at 8 s; breaker disabled so nothing gets
-        # shed instead.
-        world, applets = storm_world(n_applets, breaker_policy=None)
+        # The first failures at ~2.5 s open the service's breaker until
+        # ~34.5 s, which sheds each retry (burning its attempt): the
+        # 1 / 2 / 4 s backoff parks every action in retry from ~5.5 s to
+        # its last try at ~9.5 s, the window the storm hits at 8 s.
+        world, applets = storm_world(n_applets, **config_overrides)
         action = world.service._actions["record"]
         original_executor = action.executor
 
@@ -160,9 +160,9 @@ class TestRetryTimersUnderStorm:
         world.sim.run_until(1.5)  # registration polls done
         for i in range(4):
             world.service.ingest_event("ping", {"n": i})
-        world.sim.run_until(8.0)  # events observed, two retries failed, the last parked
+        world.sim.run_until(8.0)  # events observed, two retries shed, the last parked
         engine = world.engine
-        assert engine.actions_in_retry > 0
+        assert engine.actions_in_retry == 12 * 4
         assert conservation_holds(engine)
         in_retry_before = engine.actions_in_retry
         assert len(engine._retry_timers) == in_retry_before
@@ -184,21 +184,24 @@ class TestRetryTimersUnderStorm:
         assert conservation_holds(engine)
 
     def test_conservation_through_fault_recovery(self):
-        world, applets, heal = self.retry_world()
+        # The open breaker sheds the last retries into the dead-letter
+        # sink; replay brings them back when it closes.
+        world, applets, heal = self.retry_world(replay_policy=ReplayPolicy())
         world.sim.run_until(1.5)
         for i in range(3):
             world.service.ingest_event("ping", {"n": i})
         world.sim.run_until(8.0)
-        assert world.engine.actions_in_retry > 0
+        assert world.engine.actions_in_retry == 12 * 3
         # half the fleet removed mid-fault, then the backend recovers
         for applet in applets[: len(applets) // 2]:
             world.engine.uninstall_applet(applet.applet_id)
         assert conservation_holds(world.engine)
         heal()
-        world.sim.run_until(200.0)  # the parked last retries fire and land
+        world.sim.run_until(200.0)  # the breaker closes, the shed last retries replay and land
         engine = world.engine
         assert engine.actions_in_retry == 0
-        assert engine.actions_delivered > 0
+        assert engine.actions_delivered == 6 * 3  # the half still installed
+        assert [letter.reason for letter in engine.dead_letters] == ["applet_removed"] * 6 * 3
         assert conservation_holds(engine)
 
 

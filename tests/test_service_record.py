@@ -33,7 +33,7 @@ from repro.engine import (
     TriggerRef,
 )
 from repro.engine.delivery import STRETCH_JITTER, DeliveryPolicy
-from repro.engine.push import RUNG_HINT, RUNG_POLL, RUNG_PUSH, PushPolicy
+from repro.engine.push import RUNG_HINT, RUNG_POLL, RUNG_PUSH, SAFETY_NET_INTERVAL, PushPolicy
 from repro.engine.resilience import (
     BREAKER_FAILURE_THRESHOLD,
     BREAKER_RECOVERY_TIMEOUT,
@@ -49,9 +49,6 @@ from repro.testbed.chaos import CHAOS_SCENARIOS, ChaosWorld
 
 from tests.helpers import build_engine_world, default_engine_config, install_ping_applet
 
-SAFETY_NET = 600.0
-
-
 # -- (i) the cadence decision vs the nesting it replaced --------------------------
 
 
@@ -60,7 +57,7 @@ def reference_interval(base, stretch, breaker, rung, rng):
     ``rung``/``stretch`` are ``None`` where that wrapper was not applied,
     and ``breaker`` is the service breaker's state."""
     if rung is not None and rung != RUNG_POLL:
-        return SAFETY_NET
+        return SAFETY_NET_INTERVAL
     interval = base.next_interval(rng)
     if stretch is None:
         return interval
@@ -101,7 +98,7 @@ BASE_POLICIES = {
 def test_interval_matches_the_wrapper_nesting(rung, stretch, breaker, base, seed):
     world = build_engine_world(default_engine_config(
         delivery_policy=DeliveryPolicy() if stretch is not None else None,
-        push_policy=PushPolicy(safety_net_interval=SAFETY_NET) if rung is not None else None,
+        push_policy=PushPolicy() if rung is not None else None,
     ))
     engine = world.engine
     link = engine.service_registration("svc")
@@ -313,7 +310,7 @@ def test_zapier_shaped_engine_is_pure_config():
         realtime_allowlist=None,                        # every hint honoured
         replay_policy=ReplayPolicy(batching=False),     # per-action replay on heal
         delivery_policy=DeliveryPolicy(),
-        initial_poll_delay=0.5, poll_timeout=10.0, action_timeout=10.0,
+        initial_poll_delay=0.5, request_timeout=10.0,
     )
     result = ChaosWorld(seed=7, engine_config=zapier, delivery_mode="hint").run(
         CHAOS_SCENARIOS["outage"]

@@ -611,8 +611,7 @@ class TestShardedFleetWorld:
                 engine_config=EngineConfig(
                     poll_policy=FixedPollingPolicy(20.0),
                     initial_poll_delay=0.5,
-                    poll_timeout=10.0,
-                    action_timeout=10.0,
+                    request_timeout=10.0,
                 ),
                 seed=seed,
                 shard_strategy=strategy,
