@@ -279,7 +279,6 @@ class IftttEngine(HttpNode):
         rng: Optional[Rng] = None,
         trace: Optional[Trace] = None,
         service_time: float = 0.01,
-        metrics=None,
         metrics_namespace: str = "engine",
         applet_id_start: int = 100000,
         applet_id_limit: Optional[int] = None,
@@ -288,9 +287,6 @@ class IftttEngine(HttpNode):
         self.config = config or EngineConfig()
         self.rng = rng or Rng(seed=0, name="engine")
         self.trace = trace
-        # An explicit registry wins; otherwise Node.metrics falls back to
-        # the network's shared registry once attached.
-        self.metrics = metrics
         # Metric names and trace entities are emitted under this
         # namespace ("engine" standalone; "engine.shard<i>" when owned
         # by a ShardedEngine, giving each shard its own metrics scope).

@@ -212,7 +212,7 @@ class ReplayController:
         engine._count(link, "replay.drains")
         engine._count(link, "replay.dead_letters_replayed", len(records))
         if engine.metrics is not None:
-            link.bound.gauge(engine.metrics, "replay.in_replay").set(engine.actions_in_replay)
+            link.bound.gauge(engine.metrics, "replay.in_replay").set(link.replay_depth)
         if engine.trace is not None:
             engine.trace.record(
                 engine.now,
@@ -238,12 +238,14 @@ class ReplayController:
             # Breaker re-opened under the drain: each record has burnt
             # one attempt and goes back to the ordinary failure pipeline
             # (not through _refail: a shed is not a replay failure in
-            # the ``replay.actions_failed`` / ``in_replay`` families).
+            # the ``replay.actions_failed`` family).
             for record in records:
                 link.replay_depth -= 1
                 self.actions_failed += 1
                 engine._note_action_failure(record)
             engine._count(link, "replay.actions_shed", len(records))
+            if engine.metrics is not None:
+                link.bound.gauge(engine.metrics, "replay.in_replay").set(link.replay_depth)
             return
         self.requests_sent += 1
         if self.first_dispatch_at is None:
@@ -321,7 +323,7 @@ class ReplayController:
             bound.histogram(metrics, "replay.t2a_seconds").observe(
                 max(0.0, engine.now - record.created_at)
             )
-            bound.gauge(metrics, "replay.in_replay").set(engine.actions_in_replay)
+            bound.gauge(metrics, "replay.in_replay").set(link.replay_depth)
         if engine.trace is not None:
             engine.trace.record(
                 engine.now,
@@ -339,7 +341,7 @@ class ReplayController:
         metrics = engine.metrics
         if metrics is not None:
             link.bound.counter(metrics, "replay.actions_failed").inc()
-            link.bound.gauge(metrics, "replay.in_replay").set(engine.actions_in_replay)
+            link.bound.gauge(metrics, "replay.in_replay").set(link.replay_depth)
         engine._note_action_failure(record)
 
     def stats(self) -> Dict[str, int]:

@@ -90,7 +90,7 @@ def derive_applet_id_stride(expected_applets: Optional[int]) -> int:
             stride *= 10
     return stride
 
-#: Default shard host pattern; ``{shard}`` is the shard index.
+#: Each shard engine's host; ``{shard}`` is the shard index.
 DEFAULT_HOST_PATTERN = "engine{shard}.ifttt.cloud"
 
 _SHARD_METRIC_RE = re.compile(r"^engine\.shard(\d+)\.")
@@ -134,9 +134,7 @@ class ShardedEngine:
         trace: Optional[Trace] = None,
         num_shards: int = 1,
         shard_strategy: str = "service_hash",
-        host_pattern: str = DEFAULT_HOST_PATTERN,
         service_time: float = 0.01,
-        metrics=None,
         expected_applets: Optional[int] = None,
         applet_id_stride: Optional[int] = None,
     ) -> None:
@@ -191,12 +189,11 @@ class ShardedEngine:
                 poll_policy=copy.copy(self.config.poll_policy.clone()),
             )
             shard = IftttEngine(
-                Address(host_pattern.format(shard=index)),
+                Address(DEFAULT_HOST_PATTERN.format(shard=index)),
                 config=shard_config,
                 rng=self.rng.fork(f"shard{index}"),
                 trace=trace,
                 service_time=service_time,
-                metrics=metrics,
                 metrics_namespace=f"engine.shard{index}",
                 applet_id_start=100000 + index * self.applet_id_stride,
                 applet_id_limit=self.applet_id_stride,

@@ -34,7 +34,7 @@ through the commutative snapshot algebra (`shard_snapshot` /
 `merged_fleet_snapshot` — counters add, gauges max).  That mailbox order
 is also the seam a one-process-per-shard stepper would use: only
 :meth:`ShardedSimulator._step_epoch` knows how the cells are advanced
-(docs/PERFORMANCE.md records why it is a plain loop).
+(docs/PERFORMANCE.md, "Threads: the verdict", says why it is a loop).
 """
 
 from __future__ import annotations

@@ -692,8 +692,6 @@ def _phase_classifier(plan: FaultPlan) -> Callable[[float], str]:
 #: acceptance runs use, so "the other shards" is never an empty set.
 SHARDED_PAIRS = 6
 
-SHARD_HOST_PATTERN = "engine{shard}.ifttt.cloud"
-
 
 def retarget_plan_for_shards(
     plan: FaultPlan, sensor_slug: str, sink_slug: str, engine_host: str
@@ -828,7 +826,6 @@ class ChaosWorld:
                 rng=self.rng.fork("engine"),
                 num_shards=num_shards,
                 shard_strategy=shard_strategy,
-                host_pattern=SHARD_HOST_PATTERN,
                 service_time=0.0,
             )
             self.engines = self.fleet.shards

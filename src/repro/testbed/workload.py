@@ -106,15 +106,16 @@ class FleetWorld:
     ) -> None:
         """Build the fleet.
 
-        The last four flags exist for ``benchmarks/bench_fleet_scale.py``,
-        which runs this workload at up to a million applets:
-        ``with_trace=False`` / ``with_metrics=False`` drop the
-        observability layers entirely (at 1M applets an unbounded trace
-        alone is gigabytes), ``shared_user=True`` installs every applet
-        under one user so setup skips a million OAuth handshakes, and
-        ``warmup=False`` leaves the initial polls in the heap so the
-        benchmark's timed window includes them.  Defaults preserve the
-        original behaviour exactly.
+        The last four flags are for fleets built to be measured — the
+        benchmark ledger's fleet workloads (``benchmarks/ledger/``) and
+        ``benchmarks/bench_fleet_scale.py``, which runs this workload at
+        up to a million applets: ``with_trace=False`` /
+        ``with_metrics=False`` drop the observability layers entirely (at
+        1M applets an unbounded trace alone is gigabytes),
+        ``shared_user=True`` installs every applet under one user so
+        setup skips a million OAuth handshakes, and ``warmup=False``
+        leaves the initial polls in the heap so the timed window includes
+        them.  Defaults preserve the original behaviour exactly.
 
         ``push=True`` publishes the content service under the push
         contract (see :mod:`repro.engine.push`): a default
@@ -249,8 +250,8 @@ class ShardedFleetResult:
 class ShardedFleetWorld:
     """The NASA-wallpaper fleet partitioned across N epoch-stepped shards.
 
-    The single-simulator :class:`FleetWorld` serializes every shard
-    through one heap; this world gives each shard its own
+    Where :class:`FleetWorld` runs one engine on one simulator, this
+    world splits the applets over N shard engines and gives each its own
     :class:`~repro.simcore.simulator.Simulator`, :class:`Network`,
     metrics registry, and content-service *replica*, stepped together by
     a :class:`~repro.simcore.parallel.ShardedSimulator`.  Publications

@@ -15,14 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import BreakerState, FixedPollingPolicy, ReplayPolicy
+from repro.engine import (
+    ActionRef,
+    BreakerState,
+    DeliveryPolicy,
+    FixedPollingPolicy,
+    ReplayPolicy,
+    TriggerRef,
+)
 from repro.engine.resilience import (
     BREAKER_FAILURE_THRESHOLD,
     BREAKER_RECOVERY_TIMEOUT,
     REPLAY_BATCH_LIMIT,
 )
 from repro.engine.sharding import merged_fleet_snapshot
+from repro.net import Address, FixedLatency
 from repro.net.http import HttpError
+from repro.obs.metrics import MetricsRegistry
+from repro.services import ActionEndpoint, PartnerService
 from repro.services.partner import BatchActionRequest
 from repro.testbed.chaos import run_chaos_scenario
 
@@ -223,6 +233,94 @@ class TestHealTriggeredReplay:
         assert stats["replay_actions_delivered"] == dead
         assert stats["actions_in_replay"] == 0
         assert_conserved(engine)
+
+
+SINKS = ("sink_a", "sink_b")
+#: Three events on 30 applets a sink seal 90 letters each, more than one
+#: drain may put in flight (``RETRY_HIGH_WATERMARK``), so each drain
+#: leaves a re-drain behind.
+APPLETS_PER_SINK = 30
+
+
+def build_two_sink_world(batching):
+    """One engine with the metrics registry on, under delivery admission
+    and replay: ``APPLETS_PER_SINK`` applets on ``svc`` act on each of
+    two sinks, so both sinks dead-letter, heal and replay together."""
+    world = build_engine_world(
+        config=default_engine_config(
+            delivery_policy=DeliveryPolicy(), replay_policy=ReplayPolicy(batching=batching),
+        ),
+        with_trace=False,
+    )
+    world.net.metrics = MetricsRegistry()
+    sinks = {}
+    for slug in SINKS:
+        sink = world.net.add_node(
+            PartnerService(Address(f"{slug}.cloud"), slug=slug, service_time=0.0))
+        sink.add_action(ActionEndpoint(slug="record", name="Record", executor=lambda f: None))
+        world.net.connect(world.engine.address, sink.address, FixedLatency(0.01))
+        world.engine.publish_service(sink)
+        sinks[slug] = sink
+        for _ in range(APPLETS_PER_SINK):
+            world.engine.install_applet(
+                user=world.user, name=f"ping -> {slug}",
+                trigger=TriggerRef("svc", "ping"), action=ActionRef(slug, "record", {}),
+            )
+    return world, sinks
+
+
+@pytest.mark.parametrize("batching", [True, False], ids=["batched", "single"])
+def test_each_in_replay_gauge_holds_its_own_service_depth(batching):
+    """``replay.in_replay{service=…}`` reads that service's records in
+    replay — not the engine's total — after every drain, every result
+    and every send, shed or not, while two services of one engine
+    replay at once.  ``sink_a`` fails again under its drain, so its
+    re-drain meets the re-opened breaker and is shed."""
+    world, sinks = build_two_sink_world(batching)
+    engine, replay, registry = world.engine, world.engine.replay, world.net.metrics
+    both_in_replay = []
+
+    def check():
+        depths = [engine.service_registration(slug).replay_depth for slug in SINKS]
+        for slug, depth in zip(SINKS, depths):
+            gauge = registry.get("engine.replay.in_replay", service=slug)
+            assert (gauge.value if gauge is not None else 0) == depth, (slug, world.sim.now)
+        if all(depths):
+            both_in_replay.append(world.sim.now)
+
+    def checked(method):
+        def call(*args, **kwargs):
+            method(*args, **kwargs)
+            check()
+        return call
+
+    for name in ("replay_service", "_send", "_delivered", "_refail"):
+        setattr(replay, name, checked(getattr(replay, name)))
+
+    world.sim.run_until(1.0)            # registration polls
+    for sink in sinks.values():
+        sink.set_outage(True)
+    for n in range(3):
+        world.service.ingest_event("ping", {"n": n})
+    world.sim.run_until(200.0)          # every action retried out into a letter
+    assert engine.breaker_states() == {"svc": "closed", "sink_a": "open", "sink_b": "open"}
+    for sink in sinks.values():
+        sink.set_outage(False)
+    engine.replay_dead_letters()        # probes, then drains at each close
+    world.sim.run_until(world.sim.now + 0.025)
+    sinks["sink_a"].set_outage(True)    # the drained records fail again
+    world.sim.run_until(world.sim.now + 400.0)
+    sinks["sink_a"].set_outage(False)
+    engine.replay_dead_letters()
+    world.sim.run_until(world.sim.now + 400.0)
+
+    assert both_in_replay
+    assert registry.value("engine.replay.actions_shed", service="sink_a") > 0
+    stats = engine.stats()
+    assert stats["replay_actions_failed"] > 0
+    assert stats["actions_delivered"] == stats["actions_dispatched"]
+    assert stats["actions_in_replay"] == 0
+    check()
 
 
 class TestRealtimeHintFallback:

@@ -14,14 +14,13 @@ of each other built-in scenario.
 
 import pytest
 
-from repro.engine.sharding import merged_fleet_snapshot
+from repro.engine.sharding import DEFAULT_HOST_PATTERN, merged_fleet_snapshot
 from repro.faults import FaultPlan, link_down, service_outage
 from repro.obs.metrics import snapshot_to_json_lines
 from repro.testbed.chaos import (
     CHAOS_SCENARIOS,
     ENGINE_HOST,
     SENSOR_SLUG,
-    SHARD_HOST_PATTERN,
     SINK_SLUG,
     ChaosWorld,
     retarget_plan_for_shards,
@@ -180,7 +179,7 @@ class TestPlanRetargeting:
         plan = CHAOS_SCENARIOS["outage"].plan
         retargeted = retarget_plan_for_shards(
             plan, sensor_slug=f"{SENSOR_SLUG}0", sink_slug=f"{SINK_SLUG}0",
-            engine_host=SHARD_HOST_PATTERN.format(shard=2))
+            engine_host=DEFAULT_HOST_PATTERN.format(shard=2))
         assert retargeted.services() == [f"{SINK_SLUG}0"]
         # Timing is untouched.
         assert [s.at for s in retargeted] == [s.at for s in plan]
@@ -190,7 +189,7 @@ class TestPlanRetargeting:
                                     at=10.0, duration=5.0),))
         retargeted = retarget_plan_for_shards(
             plan, sensor_slug=f"{SENSOR_SLUG}0", sink_slug=f"{SINK_SLUG}0",
-            engine_host=SHARD_HOST_PATTERN.format(shard=1))
+            engine_host=DEFAULT_HOST_PATTERN.format(shard=1))
         spec = retargeted.specs[0]
         assert {spec.a, spec.b} == {"engine1.ifttt.cloud", "core.internet"}
 
