@@ -45,7 +45,8 @@ behaviour §4 measures:
   that partitions applets across N engines with per-shard breakers,
   metrics scopes, and a mergeable fleet snapshot (``docs/SHARDING.md``).
 * :mod:`repro.engine.scheduler` — the fleet-scale poll scheduler: one
-  wake event per engine, lazy cancellation (``docs/PERFORMANCE.md``).
+  plain simulator heap entry per poll, cancelled by its ``seq``
+  (``docs/PERFORMANCE.md``).
 """
 
 from repro import _lazy

@@ -199,7 +199,8 @@ class _AppletRuntime:
     drive, per-instance ``__dict__``s would cost hundreds of megabytes
     and defeat CPU caches on the poll hot path (see
     ``docs/PERFORMANCE.md``).  ``poll_gen``/``poll_scheduled`` belong to
-    the poll scheduler's lazy-cancellation protocol.
+    the poll scheduler: the kernel ``seq`` of the applet's poll entry,
+    and whether that entry is live.
     ``fast_poll_pending`` belongs to delivery admission control: it
     marks a hint-induced fast poll outstanding for this applet, so the
     per-service hint backlog stays exact under supersede/cancel.
@@ -253,8 +254,7 @@ class _AppletRuntime:
         self.last_poll_at: Optional[float] = None
         # consecutive failed attempts in the current retry burst
         self.poll_attempts = 0
-        # heap-scheduler lazy cancellation: entries carry the generation
-        # they were pushed with; a bump invalidates them in place.
+        # the live poll entry's kernel seq (HeapPollScheduler)
         self.poll_gen = 0
         self.poll_scheduled = False
         self.fast_poll_pending = False
@@ -372,8 +372,8 @@ class IftttEngine(HttpNode):
             if self.config.push_policy is not None
             else None
         )
-        # Poll dispatch: one wake event per engine pops batches of due
-        # polls.  See repro.engine.scheduler.
+        # Poll dispatch: each poll is one plain entry in the simulator
+        # heap.  See repro.engine.scheduler.
         self._scheduler = HeapPollScheduler(self)
         # Engine-wide per-event instruments (the per-service ones are on
         # each ServiceRegistration).  The three poll-path series keep a
@@ -607,9 +607,10 @@ class IftttEngine(HttpNode):
     def poll_dispatch_stats(self) -> Dict[str, Any]:
         """The poll scheduler's occupancy/lifecycle snapshot.
 
-        ``heap_entries``/``live_entries``/``stale_entries`` (the
-        lazy-cancellation ledger), ``compactions``, ``wakes``, and
-        ``batched_polls``.  See ``docs/PERFORMANCE.md``.
+        ``heap_entries``/``live_entries``/``stale_entries`` (its poll
+        entries in the kernel heap), ``compactions`` (the kernel heap's),
+        ``wakes`` and ``batched_polls`` (polls fired, equal).  See
+        ``docs/PERFORMANCE.md``.
         """
         return self._scheduler.stats()
 

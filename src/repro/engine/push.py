@@ -70,7 +70,7 @@ Deterministic tie-break (continuous-time tie hazard)
 ----------------------------------------------------
 
 Push drains are ordinary simulator events, so simultaneous push
-deliveries and poll wakes at the same timestamp are ordered by the
+deliveries and polls at the same timestamp are ordered by the
 kernel's ``(time, priority, seq)`` total order
 (:class:`repro.simcore.event.Event`): whichever was *scheduled* first
 fires first, and the monotone ``seq`` makes replays byte-identical.
@@ -309,9 +309,9 @@ class PushController:
         (idempotent while armed).
 
         The drain is a plain simulator event, so a drain coinciding with
-        a poll wake is ordered by the kernel's ``(time, priority, seq)``
+        a poll is ordered by the kernel's ``(time, priority, seq)``
         tie-break — the documented deterministic ordering for
-        simultaneous push deliveries and poll wakes.
+        simultaneous push deliveries and polls.
         """
         if link.push_drain_armed or not link.push_pending:
             return

@@ -45,15 +45,12 @@ class EchoDevice(Device):
         self.send(
             self.cloud,
             "http",
-            {
-                "type": "request",
-                "request": HttpRequest(
-                    method="POST",
-                    path="/v1/voice",
-                    body={"device_id": self.device_id, "utterance": utterance},
-                    src=self.address,
-                ),
-            },
+            HttpRequest(
+                method="POST",
+                path="/v1/voice",
+                body={"device_id": self.device_id, "utterance": utterance},
+                src=self.address,
+            ),
             size_bytes=4096,  # voice audio is much larger than control traffic
         )
 

@@ -267,7 +267,7 @@ class HttpNode(Node):
                     deadline, self._on_timeout, label="http-timeout"
                 )
             self._pending[req.request_id] = (on_response, queue, sent_at, context)
-        self.send(dst, HTTP_PROTOCOL, {"type": "request", "request": req}, size_bytes=size_bytes)
+        self.send(dst, HTTP_PROTOCOL, req, size_bytes=size_bytes)
         return req
 
     def get(self, dst: Address, path: str, **kwargs: Any) -> HttpRequest:
@@ -336,14 +336,13 @@ class HttpNode(Node):
         """
         if message.protocol != HTTP_PROTOCOL:
             return
-        payload = message.payload
-        if not isinstance(payload, dict) or payload.get("type") != "request":
+        request = message.payload
+        if type(request) is not HttpRequest:
             return
         self.connection_refused += 1
         metrics = self.metrics
         if metrics is not None:
             metrics.counter("net.connection_refused", node=self.address.host).inc()
-        request: HttpRequest = payload["request"]
         entry = self._pending.pop(request.request_id, None)
         if entry is None:
             return  # fire-and-forget: nothing awaits an answer
@@ -381,8 +380,8 @@ class HttpNode(Node):
         metrics = self._metrics
         if metrics is None and self.network is not None:
             metrics = self.network.metrics
-        if payload["type"] == "request":
-            request: HttpRequest = payload["request"]
+        if type(payload) is HttpRequest:
+            request = payload
             self.requests_served += 1
             response = self._dispatch(request)
             response.request_id = request.request_id
@@ -408,8 +407,8 @@ class HttpNode(Node):
                 )
             else:
                 self._reply(message, response)
-        elif payload["type"] == "response":
-            response: HttpResponse = payload["response"]
+        elif type(payload) is HttpResponse:
+            response = payload
             pending = self._pending
             entry = pending.pop(response.request_id, None)
             if entry is None:
@@ -443,14 +442,14 @@ class HttpNode(Node):
                 self._http_bound.histogram(metrics, "rtt_seconds").observe(response.elapsed)
             callback(response)
         else:
-            raise ValueError(f"unknown http payload type {payload['type']!r}")
+            raise ValueError(f"unknown http payload {type(payload).__name__}")
 
     def _reply(self, message: Message, response: HttpResponse) -> None:
         """Send ``response`` back to the sender of the request ``message``."""
         self.send(
             message.src,
             HTTP_PROTOCOL,
-            {"type": "response", "response": response},
+            response,
             size_bytes=max(128, message.size_bytes // 2),
         )
 

@@ -86,8 +86,9 @@ class Event:
 
     def __lt__(self, other: "Event") -> bool:
         # The public ordering contract, field by field (no tuples built).
-        # The simulator's own heap compares ``(time, priority, seq)``-prefixed
-        # entry tuples in C instead and never lands here.
+        # The simulator's own heap compares ``(time, key)``-prefixed entry
+        # tuples in C instead (``key`` folds priority and seq into one
+        # int) and never lands here.
         if self.time != other.time:
             return self.time < other.time
         if self.priority != other.priority:

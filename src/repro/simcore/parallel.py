@@ -212,8 +212,8 @@ class ShardedSimulator:
         fired = 0
         for sim in self.sims:
             heap = sim._heap
-            if heap and heap[0][3]._canceled:
-                sim._peek()
+            if heap:
+                sim._peek()  # drops cancelled entries from the top
             if (heap and heap[0][0] <= horizon) or horizon < sim._now:
                 fired += sim.run_until(horizon)
             else:
@@ -240,7 +240,7 @@ class ShardedSimulator:
             if sim._now > horizon:
                 return horizon
             heap = sim._heap
-            if heap and heap[0][3]._canceled:
+            if heap:
                 sim._peek()
             if heap and heap[0][0] < due:
                 due = heap[0][0]

@@ -7,21 +7,27 @@ import heapq
 import itertools
 import time as _wall  # "time" is a parameter name in run_until
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.bound import Bound
 from repro.simcore.event import Event
 
 #: Canceled entries a heap may carry before :meth:`Simulator._maybe_compact`
-#: considers a rebuild (``HeapPollScheduler``'s stale-majority rule: they
-#: must also outnumber the live ones, so a rebuild is amortised O(1) per
-#: cancel and a mostly-live heap is never rebuilt).  The cancels are
-#: re-armed wakes and timeouts (an HTTP node's goes when its last
-#: request in flight is answered), retry timers of a removed applet and
-#: a stopped scenario's drivers.
+#: considers a rebuild (a stale-majority rule: they must also outnumber
+#: the live ones, so a rebuild is amortised O(1) per cancel and a
+#: mostly-live heap is never rebuilt).  The cancels are superseded and
+#: uninstalled polls, re-armed timeouts (an HTTP node's goes when its
+#: last request in flight is answered), retry timers of a removed applet
+#: and a stopped scenario's drivers.
 COMPACT_MIN_DEAD = 1024
 
 _INF = float("inf")
+_new_event = object.__new__
+_heappush = heapq.heappush
+#: An entry's second field is its order key, ``priority * _PRIORITY_STRIDE
+#: + seq``: the ``(priority, seq)`` order in one int, and ``seq`` itself
+#: (no new object) at the default priority 0.
+_PRIORITY_STRIDE = 1 << 64
 
 
 class SimulationError(RuntimeError):
@@ -69,9 +75,12 @@ class RunResult(int):
 class Simulator:
     """A deterministic discrete-event simulator.
 
-    The simulator owns a binary heap of ``(time, priority, seq, event)``
-    entries — one per scheduled :class:`~repro.simcore.event.Event`, in
-    the event's own ``__lt__`` order — and a virtual clock ``now``
+    The simulator owns a binary heap of ``(time, key, event)`` entries —
+    one per scheduled :class:`~repro.simcore.event.Event`, in the event's
+    own ``__lt__`` order (``key`` folds its priority and ``seq`` into one
+    int) — and of ``(time, seq, fn, arg)`` entries, one per
+    :meth:`call_at` (a fire-and-forget ``fn(arg)`` at priority 0 with no
+    ``Event`` object: an applet's poll), and a virtual clock ``now``
     (seconds, float).  Time only moves when events fire; between events
     nothing happens, so simulated experiments that span days of virtual
     time run in milliseconds.
@@ -90,13 +99,18 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         # Entries are tuples so heap sifts compare in C; ``seq`` is unique
-        # per simulator, so a comparison never reaches the event itself.
-        self._heap: List[Tuple[float, int, int, Event]] = []
+        # per simulator, so a comparison never reaches the event or the
+        # callable.  An entry's length tells its kind: 3 an Event, 4 a call.
+        self._heap: List[Tuple[Any, ...]] = []
         self._running = False
         self._stopped = False
         self._fired_count = 0
         self._live = 0  # scheduled, not yet fired, not canceled
         self._dead = 0  # canceled, still in the heap
+        # The seqs of the canceled call_at entries still in the heap.
+        self._dead_calls: Set[int] = set()
+        #: Rebuilds of the heap by :meth:`_maybe_compact`.
+        self.compactions = 0
         # Per-simulator event sequence: same-instant FIFO order needs only
         # per-heap monotonicity, and independent counters keep one shard's
         # tie order (repro.simcore.parallel) from depending on how many
@@ -140,8 +154,8 @@ class Simulator:
         The epoch hook :class:`repro.simcore.parallel.ShardedSimulator`
         uses to pick conservative barrier times.
         """
-        event = self._peek()
-        return None if event is None else event.time
+        entry = self._peek()
+        return None if entry is None else entry[0]
 
     @property
     def fired_count(self) -> int:
@@ -176,17 +190,53 @@ class Simulator:
         if not time >= self._now:  # also rejects NaN, which compares false
             raise SimulationError(f"cannot schedule at t={time} < now={self._now}")
         seq = next(self._seq)
-        event = Event(time, callback, args, priority, label, seq=seq)
+        # Event.__init__'s assignments without its frame: ``time`` is
+        # already known to be a non-negative number.
+        event = _new_event(Event)
+        event.time = time = float(time)
+        event.callback = callback
+        event.args = args
+        event.priority = priority
+        event.seq = seq
+        event.label = label
+        event._canceled = False
         event._owner = self
-        heapq.heappush(self._heap, (event.time, priority, seq, event))
+        key = seq + priority * _PRIORITY_STRIDE if priority else seq
+        _heappush(self._heap, (time, key, event))
         self._live += 1
         return event
 
-    def _note_canceled(self) -> None:
-        """:meth:`Event.cancel`'s ledger hook for an event still in the heap.
+    def call_at(self, time: float, fn: Callable[[Any], Any], arg: Any) -> int:
+        """Fire ``fn(arg)`` at the absolute simulation time ``time``.
 
-        Once per re-armed wake or timeout (an HTTP node disarms when its
-        last request in flight is answered), so the rule of
+        A plain heap entry, no :class:`Event`: what one applet's poll
+        costs the kernel.  Returns the entry's ``seq``, the handle
+        :meth:`cancel_call` takes.  Same-instant entries of both kinds
+        fire in scheduling order, at priority 0.
+        """
+        if not time >= self._now:  # also rejects NaN, which compares false
+            raise SimulationError(f"cannot schedule at t={time} < now={self._now}")
+        seq = next(self._seq)
+        _heappush(self._heap, (time, seq, fn, arg))
+        self._live += 1
+        return seq
+
+    def cancel_call(self, seq: int) -> None:
+        """Count the :meth:`call_at` entry ``seq`` dead, as ``Event.cancel`` does.
+
+        The entry must still be live (not fired, not canceled): it stays
+        in the heap, is skipped without firing when it surfaces, and a
+        stale-majority compaction drops it.
+        """
+        self._dead_calls.add(seq)
+        self._note_canceled()
+
+    def _note_canceled(self) -> None:
+        """The ledger hook of a cancel of an entry still in the heap.
+
+        Once per superseded poll and re-armed timeout (an HTTP node
+        disarms when its last request in flight is answered), from
+        :meth:`Event.cancel` and :meth:`cancel_call`, so the rule of
         :meth:`_maybe_compact` is tested here and the rebuild entered only
         when it holds.
         """
@@ -211,27 +261,37 @@ class Simulator:
         """
         if self._dead >= COMPACT_MIN_DEAD and self._dead > self._live:
             heap = self._heap
-            heap[:] = [entry for entry in heap if not entry[3]._canceled]
+            dead_calls = self._dead_calls
+            heap[:] = [
+                entry for entry in heap
+                if not (entry[2]._canceled if len(entry) == 3 else entry[1] in dead_calls)
+            ]
             heapq.heapify(heap)
+            dead_calls.clear()
             self._dead = 0
+            self.compactions += 1
 
     def step(self) -> bool:
-        """Fire the next non-canceled event.
+        """Fire the next non-canceled entry.
 
-        Returns ``True`` if an event fired, ``False`` if the heap is empty.
+        Returns ``True`` if an entry fired, ``False`` if the heap is empty.
         """
-        event = self._peek()
-        if event is None:
+        entry = self._peek()
+        if entry is None:
             return False
         heapq.heappop(self._heap)
-        if event.time < self._now:
+        if entry[0] < self._now:
             raise SimulationError("event heap corrupted: time went backwards")
-        self._now = event.time
+        self._now = entry[0]
         self._fired_count += 1
         self._live -= 1
         self._maybe_compact()
-        event._owner = None  # see _fire_until
-        event.fire()
+        if len(entry) == 3:
+            event = entry[2]
+            event._owner = None  # see _fire_until
+            event.fire()
+        else:
+            entry[2](entry[3])
         return True
 
     def run(self, max_events: Optional[int] = None) -> int:
@@ -282,6 +342,7 @@ class Simulator:
         """
         heap = self._heap
         heappop = heapq.heappop
+        dead_calls = self._dead_calls
         limit = _INF if max_events is None else max_events
         fired = 0
         self._running = True
@@ -292,11 +353,19 @@ class Simulator:
         try:
             while heap:
                 entry = heap[0]
-                event = entry[3]
-                if event._canceled:
+                if len(entry) == 3:
+                    event = entry[2]
+                    if event._canceled:
+                        heappop(heap)
+                        self._dead -= 1
+                        continue
+                elif entry[1] in dead_calls:
                     heappop(heap)
+                    dead_calls.remove(entry[1])
                     self._dead -= 1
                     continue
+                else:
+                    event = None
                 if self._stopped or fired >= limit or entry[0] > horizon:
                     break
                 heappop(heap)
@@ -307,10 +376,13 @@ class Simulator:
                 self._live -= 1
                 if self._dead >= COMPACT_MIN_DEAD:  # the common miss, inline
                     self._maybe_compact()
-                # Detach before firing: a late cancel() on an already-fired
-                # event must not touch the live/dead counters again.
-                event._owner = None
-                event.fire()
+                if event is None:
+                    entry[2](entry[3])
+                else:
+                    # Detach before firing: a late cancel() on an already-
+                    # fired event must not touch the live/dead counters again.
+                    event._owner = None
+                    event.fire()
                 fired += 1
         finally:
             if collecting:
@@ -341,16 +413,21 @@ class Simulator:
         if elapsed > 0:
             bound.gauge(metrics, "events_per_wallsec").set(fired / elapsed)
 
-    def _peek(self) -> Optional[Event]:
-        """Return the next live event without popping it, discarding canceled ones."""
+    def _peek(self) -> Optional[Tuple[Any, ...]]:
+        """Return the next live entry without popping it, discarding canceled ones."""
         heap = self._heap
+        dead_calls = self._dead_calls
         while heap:
-            event = heap[0][3]
-            if event._canceled:
-                heapq.heappop(heap)
-                self._dead -= 1
-                continue
-            return event
+            entry = heap[0]
+            if len(entry) == 3:
+                if not entry[2]._canceled:
+                    return entry
+            elif entry[1] not in dead_calls:
+                return entry
+            else:
+                dead_calls.remove(entry[1])
+            heapq.heappop(heap)
+            self._dead -= 1
         return None
 
     def __repr__(self) -> str:

@@ -128,6 +128,11 @@ def install_ping_applet(
 
 
 def live_scan(sim: Simulator) -> int:
-    """Live events by O(n) heap scan — the truth ``Simulator.pending``'s
-    O(1) counter must track (entries are ``(time, priority, seq, event)``)."""
-    return sum(1 for *_key, event in sim._heap if not event.canceled)
+    """Live entries by O(n) heap scan — the truth ``Simulator.pending``'s
+    O(1) counter must track.  An event's entry is ``(time, key, event)``,
+    a ``call_at`` entry ``(time, seq, fn, arg)``, dead while its ``seq``
+    is in the kernel's canceled-call set."""
+    return sum(
+        1 for entry in sim._heap
+        if not (entry[2].canceled if len(entry) == 3 else entry[1] in sim._dead_calls)
+    )

@@ -203,14 +203,15 @@ def test_polled_identity_is_registered_under_the_endpoint_slug():
 # -- (c) what an idle applet costs ---------------------------------------------------
 
 FLEET = 2000
-#: Traced bytes per idle applet: 853, itemised in docs/PERFORMANCE.md.
-#: 3,074 with the eager dedupe window and buffer ring, 1,038 with the
-#: one-element ``_by_identity`` list, the dataclass ``Applet``'s
-#: ``__dict__`` and the ``(slug, fields, buffer)`` identity tuple (one
-#: restored: 925, 902 and 901).  The 37 B of headroom (4 %) is for
+#: Traced bytes per idle applet: 797–799 with each poll one kernel heap
+#: entry (800 with a poll heap per engine), itemised in
+#: docs/PERFORMANCE.md.  3,074 with the eager dedupe window and buffer
+#: ring; the one-element ``_by_identity`` list, the dataclass
+#: ``Applet``'s ``__dict__`` and the ``(slug, fields, buffer)`` identity
+#: tuple each cost 48–72 B more.  The 37 B of headroom is for
 #: interpreter drift, less than any one of them: the guard fails if one
 #: comes back.
-IDLE_APPLET_BUDGET = 890
+IDLE_APPLET_BUDGET = 836
 
 
 def test_idle_applet_footprint():

@@ -248,8 +248,7 @@ class _PerRequestTimeouts(HttpNode):
             event = self.sim.schedule(timeout, self._timed_out, req.request_id,
                                       label="http-timeout")
             self._pending[req.request_id] = (on_response, event, self.now, context)
-        self.send(dst, HTTP_PROTOCOL, {"type": "request", "request": req},
-                  size_bytes=size_bytes)
+        self.send(dst, HTTP_PROTOCOL, req, size_bytes=size_bytes)
         return req
 
     def _timed_out(self, request_id):
@@ -260,7 +259,7 @@ class _PerRequestTimeouts(HttpNode):
                               context=context))
 
     def on_transmit_failed(self, message, reason):
-        request = message.payload["request"]
+        request = message.payload
         self.connection_refused += 1
         callback, event, sent_at, context = self._pending.pop(request.request_id)
         event.cancel()
@@ -270,7 +269,7 @@ class _PerRequestTimeouts(HttpNode):
                           label="http-refused")
 
     def on_message(self, message):
-        response = message.payload["response"]
+        response = message.payload
         entry = self._pending.pop(response.request_id, None)
         if entry is None:
             if response.request_id in self._timed_out_ids:
@@ -298,7 +297,7 @@ class _HoldingServer(HttpNode):
         if self.held:
             message = self.held.pop(pick % len(self.held))
             self._reply(message, HttpResponse(
-                200, request_id=message.payload["request"].request_id
+                200, request_id=message.payload.request_id
             ))
 
 

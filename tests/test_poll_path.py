@@ -1,6 +1,6 @@
 """The two ends of a poll against their slow, obvious definitions.
 
-A poll round trip starts with the scheduler's wake and ends with the
+A poll round trip starts with the kernel firing its entry and ends with the
 response callback, the timeout cancel and the next interval draw.  Each
 of those runs in one frame per layer, and each must equal, with ``==``,
 what the slow path gives:
@@ -10,8 +10,8 @@ what the slow path gives:
   value, type and stream state;
 * the simulator's cancel bookkeeping (``pending``, dead entries, the
   compaction trigger) against the rule written out here;
-* ``HeapPollScheduler`` against a scheduler that re-arms and compacts
-  through the helpers the fast path folds away.
+* ``HeapPollScheduler``, one plain kernel entry per poll, against one
+  ``Event`` per poll (``_TimerOracle``).
 
 Also here: the constructors and calls on the poll path refuse NaN and
 ±inf; the engine's request callbacks are bound methods that find their
@@ -26,7 +26,6 @@ import functools
 import random
 import sys
 import types
-from heapq import heapify, heappop, heappush
 from pathlib import Path
 
 import pytest
@@ -49,7 +48,7 @@ from repro.simcore import simulator as simulator_module
 from repro.testbed.chaos import ChaosWorld, chaos_scenario
 from repro.testbed.workload import FleetWorld
 
-from tests.test_scheduler_equivalence import StubEngine
+from tests.test_scheduler_equivalence import StubEngine, _TimerOracle
 
 NAN = float("nan")
 INF = float("inf")
@@ -167,19 +166,18 @@ def test_a_policy_refuses_a_non_finite_field(build, field):
         build()
 
 
-def test_a_nan_poll_delay_is_refused_before_the_heap_or_the_wake_change():
+def test_a_nan_poll_delay_is_refused_before_the_heap_changes():
     engine = StubEngine()
     scheduler = engine._scheduler
     armed, other = engine.add_runtime(1), engine.add_runtime(2)
     scheduler.schedule(armed, 5.0)
-    wake, heap, gen = scheduler._wake, list(scheduler._heap), other.poll_gen
+    heap, gen = list(engine.sim._heap), other.poll_gen
     with pytest.raises(ValueError, match="delay"):
         scheduler.schedule(other, NAN)
-    assert scheduler._wake is wake and not wake.canceled
-    assert scheduler._heap == heap
+    assert engine.sim._heap == heap and engine.sim.pending == 1
     assert (other.poll_gen, other.poll_scheduled) == (gen, False)
     engine.sim.run()
-    assert engine.fired == [(5.0, 1)]  # the unrelated wake still fires
+    assert engine.fired == [(5.0, 1)]  # the unrelated poll still fires
 
 
 def test_a_nan_request_timeout_is_refused_before_anything_is_counted():
@@ -284,88 +282,16 @@ def test_the_compaction_trigger_is_the_rule_and_nothing_else():
     assert sim.run() == 1000
 
 
-# -- HeapPollScheduler == the helper-frame scheduler ----------------------------------
+# -- HeapPollScheduler == one Event per poll ------------------------------------------
 
 
-#: The compaction floor both schedulers run with below, so that small
-#: drawn storms cross it.
+#: The kernel's compaction floor below, so that small drawn storms cross it.
 COMPACT_FLOOR = 4
 
 
-class _HelperScheduler(HeapPollScheduler):
-    """The scheduler before its wake re-arm and compaction test were
-    folded into ``schedule`` / ``cancel`` / ``_fire``: every push goes
-    through ``_arm_wake``, every wake and cancel through
-    ``_maybe_compact``."""
-
-    def schedule(self, runtime, delay, initial=False):
-        if delay < 0:
-            raise ValueError(f"cannot schedule a poll into the past (delay={delay})")
-        if runtime.poll_scheduled:
-            self.stale_entries += 1
-        runtime.poll_gen += 1
-        runtime.poll_scheduled = True
-        sim = self._sim
-        if sim is None:
-            sim = self._sim = self.engine.sim
-        due = sim._now + delay
-        heappush(self._heap, (due, next(self._seq), runtime, runtime.poll_gen))
-        self._arm_wake(due)
-
-    def cancel(self, runtime):
-        if runtime.poll_scheduled:
-            runtime.poll_scheduled = False
-            runtime.poll_gen += 1
-            self.stale_entries += 1
-            self._maybe_compact()
-
-    def _arm_wake(self, due):
-        if self._firing:
-            return
-        wake = self._wake
-        if wake is not None:
-            if wake.time <= due:
-                return
-            wake.cancel()
-        self._wake = self._sim.schedule_at(due, self._fire, label="poll-wake")
-
-    def _fire(self):
-        self._wake = None
-        self.wakes += 1
-        now = self._sim._now
-        heap = self._heap
-        batch = 0
-        self._firing = True
-        try:
-            while heap and heap[0][0] <= now:
-                _, _, runtime, gen = heappop(heap)
-                if runtime.poll_gen != gen:
-                    self.stale_entries -= 1
-                    continue
-                runtime.poll_scheduled = False
-                batch += 1
-                self.engine._poll(runtime)
-        finally:
-            self._firing = False
-        self.batched_polls += batch
-        if heap:
-            self._arm_wake(heap[0][0])
-        self._maybe_compact()
-
-    def _maybe_compact(self):
-        heap = self._heap
-        if len(heap) < COMPACT_FLOOR or self.stale_entries * 2 < len(heap):
-            return
-        kept = [entry for entry in heap if entry[2].poll_gen == entry[3]]
-        heapify(kept)
-        self._heap = kept
-        self.stale_entries = 0
-        self.compactions += 1
-
-
 class _ReschedulingEngine(StubEngine):
-    """A stub whose polls reschedule: every third one in the batch, from
-    inside the wake, at a drawn delay (the mid-batch path)."""
+    """A stub whose polls reschedule: every third one, from inside its
+    fire, at a drawn delay."""
 
     def __init__(self, scheduler, delays):
         super().__init__(scheduler)
@@ -378,44 +304,42 @@ class _ReschedulingEngine(StubEngine):
             self._scheduler.schedule(runtime, delay)
 
 
-def _scheduler_state(engine: StubEngine):
-    scheduler = engine._scheduler
-    wake = scheduler._wake
-    return (
-        scheduler.stats(),
-        None if wake is None else (wake.time, wake.seq),
-        engine.sim.pending,
-        engine.sim._dead,
-    )
-
-
-@pytest.mark.parametrize("scheduler", [HeapPollScheduler, _HelperScheduler])
-def test_exactly_half_stale_compacts_after_a_wake_and_on_a_cancel(scheduler):
-    """The rule's edge, on both schedulers: a heap of at least the floor
-    whose entries are exactly half stale is rebuilt — at the end of a
-    wake, and on a cancel."""
+def test_superseded_polls_compact_the_kernel_heap_by_its_rule():
+    """Five of six polls superseded: at the fifth cancel the dead entries
+    equal the live ones, which is kept; cancelling the sixth poll makes
+    them the majority and the heap is rebuilt at that cancel, without a
+    poll moving."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.engine.scheduler.COMPACT_MIN_ENTRIES", COMPACT_FLOOR)
-        engine = StubEngine(scheduler)
-        runtimes = [engine.add_runtime(i) for i in range(8)]
-        for i, runtime in enumerate(runtimes[:6]):
-            engine._scheduler.schedule(runtime, 10.0 + i)
-        for i, runtime in enumerate(runtimes[:6]):
-            engine._scheduler.schedule(runtime, 30.0 + i)  # six stale entries
-        engine._scheduler.schedule(runtimes[7], 1.0)
-        engine.sim.run_until(1.0)  # 12 entries left, 6 stale: rebuilt
-        stats = engine._scheduler.stats()
-        assert (stats["compactions"], stats["heap_entries"]) == (1, 6)
-        engine._scheduler.schedule(runtimes[0], 40.0)
-        engine._scheduler.schedule(runtimes[1], 41.0)
-        engine._scheduler.schedule(runtimes[6], 42.0)  # 9 entries, 2 stale
-        engine._scheduler.cancel(runtimes[2])  # 9 entries, 3 stale: kept
-        assert engine._scheduler.stats()["compactions"] == 1
-        engine._scheduler.cancel(runtimes[3])  # 9 entries, 4 stale: kept
-        engine._scheduler.schedule(runtimes[3], 43.0)  # 10 entries, 4 stale
-        engine._scheduler.cancel(runtimes[4])  # 10 entries, 5 stale: rebuilt
-        stats = engine._scheduler.stats()
-        assert (stats["compactions"], stats["heap_entries"]) == (2, 5)
+        patch.setattr(simulator_module, "COMPACT_MIN_DEAD", COMPACT_FLOOR)
+        engine = StubEngine()
+        scheduler, sim = engine._scheduler, engine.sim
+        runtimes = [engine.add_runtime(i) for i in range(6)]
+        for i, runtime in enumerate(runtimes):
+            scheduler.schedule(runtime, 10.0 + i)
+        for i, runtime in enumerate(runtimes[:5]):
+            scheduler.schedule(runtime, 30.0 + i)
+        stats = scheduler.stats()
+        assert (stats["heap_entries"], stats["stale_entries"], stats["compactions"]) == (11, 5, 0)
+        scheduler.cancel(runtimes[5])
+        stats = scheduler.stats()
+        assert (stats["heap_entries"], stats["stale_entries"], stats["compactions"]) == (5, 0, 1)
+        assert _bookkeeping(sim)[:3] == (5, 0, 5)
+        sim.run()
+        assert engine.fired == [(30.0 + i, i) for i in range(5)]
+
+
+def _one_heap_state(engine: StubEngine, runtimes):
+    """What either dispatch shows: the kernel's books, and each applet's
+    live entry by its kernel ``seq``."""
+    scheduler = engine._scheduler
+    if isinstance(scheduler, HeapPollScheduler):
+        live = [rt.poll_gen if rt.poll_scheduled else None for rt in runtimes]
+    else:
+        live = [
+            scheduler.pending[rt].seq if rt in scheduler.pending else None
+            for rt in runtimes
+        ]
+    return _bookkeeping(engine.sim), live
 
 
 @settings(max_examples=120, deadline=None)
@@ -430,17 +354,18 @@ def test_exactly_half_stale_compacts_after_a_wake_and_on_a_cancel(scheduler):
     ),
     delays=st.lists(st.floats(0.0, 15.0), min_size=1, max_size=5),
 )
-def test_the_scheduler_fires_and_rearms_as_the_helper_scheduler(ops, delays):
+def test_the_scheduler_fires_as_one_event_per_poll(ops, delays):
     """Drawn schedule / cancel / run sequences over twelve applets, with
-    polls that reschedule from inside their wake: the same polls fire at
-    the same instants, and the wake (its time and its simulator sequence
-    number), the stats and the kernel's live and dead counts match after
+    polls that reschedule from inside their fire and the kernel's
+    compaction floor lowered so that storms cross it: the same polls fire
+    at the same instants as under one ``Event`` per poll, and the kernel's
+    live, dead and entry counts and each applet's live ``seq`` match after
     every operation."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.engine.scheduler.COMPACT_MIN_ENTRIES", COMPACT_FLOOR)
+        patch.setattr(simulator_module, "COMPACT_MIN_DEAD", COMPACT_FLOOR)
         engines = [
             _ReschedulingEngine(HeapPollScheduler, delays),
-            _ReschedulingEngine(_HelperScheduler, delays),
+            _ReschedulingEngine(_TimerOracle, delays),
         ]
         runtimes = [[engine.add_runtime(i) for i in range(12)] for engine in engines]
         for op, index, value in ops:
@@ -451,12 +376,18 @@ def test_the_scheduler_fires_and_rearms_as_the_helper_scheduler(ops, delays):
                     engine._scheduler.cancel(mine[index])
                 else:
                     engine.sim.run_until(engine.sim.now + value)
-            assert _scheduler_state(engines[0]) == _scheduler_state(engines[1])
+            assert _one_heap_state(engines[0], runtimes[0]) == _one_heap_state(
+                engines[1], runtimes[1]
+            )
             assert engines[0].fired == engines[1].fired
         for engine in engines:
             engine.sim.run_until(engine.sim.now + 100.0)
         assert engines[0].fired == engines[1].fired
-        assert _scheduler_state(engines[0]) == _scheduler_state(engines[1])
+        assert _one_heap_state(engines[0], runtimes[0]) == _one_heap_state(
+            engines[1], runtimes[1]
+        )
+        stats = engines[0]._scheduler.stats()
+        assert stats["wakes"] == stats["batched_polls"] == len(engines[0].fired)
 
 
 # -- no lambda or closure behind a request or a breaker --------------------------------
@@ -593,12 +524,12 @@ def test_the_checker_catches_lambdas_and_closures():
 
 
 #: ``repro`` Python-function calls per poll in the ``fleet_poll`` shape,
-#: measured on the code that arms one HTTP timeout per node: 48.36 here
-#: (49.14 with a timeout event per request), 45.13 on the ledger's
-#: 20,000-applet run (49.12), where the engine is never idle.  A helper
-#: frame that comes back on the poll path pushes the count over this
-#: budget.
-FRAMES_PER_POLL_BUDGET = 48.7
+#: measured with each poll one plain kernel heap entry and ``Event``
+#: slots filled without ``Event.__init__``: 43.55 here (48.36 with a
+#: poll heap and wake event per engine), 41.97 over 60 s of the ledger's
+#: 20,000 applets (45.97).  A helper frame that comes back on the poll
+#: path pushes the count over this budget.
+FRAMES_PER_POLL_BUDGET = 43.9
 
 
 def test_a_poll_runs_within_its_frame_budget():

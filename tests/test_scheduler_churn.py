@@ -1,22 +1,25 @@
-"""Churn regressions for the heap poll scheduler (ISSUE 6 satellite).
+"""Churn regressions for the poll scheduler.
 
-Lazy cancellation trades O(1) uninstalls for stale entries that linger in
-the scheduler's internal heap.  These tests pin the hygiene obligations
-that come with that trade: an uninstall storm (half the fleet removed
-mid-run) must trigger compaction rather than pinning the heap at its
-pre-storm size, ``_retry_timers`` cancellation on uninstall must keep
-working (parked retries dead-letter, not leak), and the action
-conservation invariant ``dispatched == delivered + in_retry +
-dead_lettered + in_replay`` must survive the storm.  The storm itself
-must poll exactly as the one-event-per-poll reference (``_TimerOracle``)
-does, including across the compaction floor.
+Each poll is one plain entry in the kernel heap, among the events, and
+a cancel leaves it there, dead, until it surfaces or the kernel
+compacts.  These tests pin the hygiene obligations that come with that
+trade: an uninstall storm (three quarters of the fleet removed mid-run)
+and a disable/enable storm must trigger the kernel's compaction rather
+than pinning the heap at its pre-storm size, ``_retry_timers``
+cancellation on uninstall must keep working (parked retries
+dead-letter, not leak), and the action conservation invariant
+``dispatched == delivered + in_retry + dead_lettered + in_replay`` must
+survive the storm.  The storm itself must poll exactly as the
+one-event-per-poll reference (``_TimerOracle``) does, including across
+the compaction floor.
 """
 
 from repro.engine import EngineConfig, FixedPollingPolicy, ReplayPolicy
-from repro.engine.scheduler import COMPACT_MIN_ENTRIES, HeapPollScheduler
+from repro.engine.scheduler import HeapPollScheduler
 from repro.net.http import HttpError
+from repro.simcore.simulator import COMPACT_MIN_DEAD
 
-from tests.helpers import build_engine_world, install_ping_applet
+from tests.helpers import build_engine_world, install_ping_applet, live_scan
 from tests.test_scheduler_equivalence import _TimerOracle, dispatching_with
 
 
@@ -35,6 +38,12 @@ def storm_world(n_applets: int, **config_overrides):
     return world, applets
 
 
+def kernel_heap_bounded(sim) -> bool:
+    """The kernel's compaction bound, and its live count against a scan."""
+    live = sim.pending
+    return live == live_scan(sim) and len(sim._heap) <= live + max(COMPACT_MIN_DEAD, live)
+
+
 def conservation_holds(engine) -> bool:
     return engine.actions_dispatched == (
         engine.actions_delivered
@@ -46,27 +55,28 @@ def conservation_holds(engine) -> bool:
 
 class TestUninstallStormCompaction:
     def test_storm_compacts_stale_entries(self):
-        # enough applets that the heap crosses the compaction floor
-        n = COMPACT_MIN_ENTRIES * 2
+        # enough applets that the storm's dead polls cross the kernel's
+        # compaction floor and outnumber everything live
+        n = COMPACT_MIN_DEAD * 2
         world, applets = storm_world(n)
         world.sim.run_until(5.0)  # everyone polled at least once
         stats = world.engine.poll_dispatch_stats()
         assert stats["live_entries"] == n
-        for applet in applets[: n // 2]:  # the storm: 50% removed mid-run
+        for applet in applets[: 3 * n // 4]:  # the storm: 75% removed mid-run
             world.engine.uninstall_applet(applet.applet_id)
         stats = world.engine.poll_dispatch_stats()
-        # compaction already ran (cancel-triggered): the heap cannot be
-        # pinned at pre-storm size with half the entries stale
+        # the kernel compacted mid-storm (cancel-triggered): its heap
+        # cannot be pinned at pre-storm size with most entries dead
         assert stats["compactions"] >= 1
         assert stats["heap_entries"] < n
-        assert stats["live_entries"] == n // 2
-        assert stats["stale_entries"] * 2 < max(
-            stats["heap_entries"], COMPACT_MIN_ENTRIES
-        )
+        assert stats["live_entries"] == n // 4
+        assert stats["stale_entries"] < COMPACT_MIN_DEAD
+        assert kernel_heap_bounded(world.sim)
         world.sim.run_until(15.0)
-        # survivors keep polling; the removed half stay silent
-        assert world.engine.stats()["applets"] == n // 2
-        assert world.engine.poll_dispatch_stats()["live_entries"] == n // 2
+        # survivors keep polling; the removed ones stay silent
+        assert world.engine.stats()["applets"] == n // 4
+        assert world.engine.poll_dispatch_stats()["live_entries"] == n // 4
+        assert kernel_heap_bounded(world.sim)
 
     def test_small_heaps_skip_compaction(self):
         world, applets = storm_world(10)
@@ -74,8 +84,8 @@ class TestUninstallStormCompaction:
         for applet in applets[:5]:
             world.engine.uninstall_applet(applet.applet_id)
         stats = world.engine.poll_dispatch_stats()
-        # below COMPACT_MIN_ENTRIES nothing compacts: stale entries are
-        # cheap and get consumed by the next wake instead
+        # below COMPACT_MIN_DEAD nothing compacts: stale entries are
+        # cheap and get dropped when they surface instead
         assert stats["compactions"] == 0
         world.sim.run_until(6.0)
         assert world.engine.poll_dispatch_stats()["stale_entries"] == 0
@@ -121,11 +131,15 @@ class TestDisableEnableChurn:
     def test_rapid_toggle_leaves_one_live_entry(self):
         world, applets = storm_world(5)
         target = applets[0]
-        for _ in range(25):
+        # enough toggles that the dead entries cross the compaction floor
+        for _ in range(COMPACT_MIN_DEAD + 25):
             world.engine.disable_applet(target.applet_id)
             world.engine.enable_applet(target.applet_id)
         stats = world.engine.poll_dispatch_stats()
         assert stats["live_entries"] == 5
+        assert stats["compactions"] == 1
+        assert stats["stale_entries"] < COMPACT_MIN_DEAD
+        assert kernel_heap_bounded(world.sim)
         world.sim.run_until(10.0)
         # the toggled applet polls normally afterwards
         assert world.engine.poll_count(target.applet_id) >= 1
@@ -212,16 +226,18 @@ class TestStormEquivalenceAcrossModes:
         with dispatching_with(scheduler):
             world, applets = storm_world(n_applets)
             world.sim.run_until(until)
-            for applet in applets[::2]:
-                world.engine.uninstall_applet(applet.applet_id)
+            for index, applet in enumerate(applets):
+                if index % 4:  # three quarters removed
+                    world.engine.uninstall_applet(applet.applet_id)
             world.sim.run_until(horizon)
         outcome = {
             "polls": world.engine.polls_sent,
             "applets": world.engine.stats()["applets"],
             "per_applet": [
                 world.engine.poll_count(applet.applet_id)
-                for applet in applets[1::2]
+                for applet in applets[::4]
             ],
+            "events_fired": world.sim.fired_count,
         }
         return outcome, world.engine
 
@@ -231,9 +247,9 @@ class TestStormEquivalenceAcrossModes:
         assert heap == oracle
 
     def test_storm_across_the_compaction_floor_matches(self):
-        # half of 2 * COMPACT_MIN_ENTRIES uninstalled at once: the heap
-        # side compacts mid-storm, which must not move a single poll
-        n = 2 * COMPACT_MIN_ENTRIES
+        # three quarters of 2 * COMPACT_MIN_DEAD uninstalled at once: the
+        # kernel compacts mid-storm, which must not move a single poll
+        n = 2 * COMPACT_MIN_DEAD
         heap, engine = self.storm(HeapPollScheduler, n, until=5.0, horizon=15.0)
         oracle, _ = self.storm(_TimerOracle, n, until=5.0, horizon=15.0)
         assert engine.poll_dispatch_stats()["compactions"] >= 1

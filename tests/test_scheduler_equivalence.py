@@ -6,8 +6,8 @@ simulation times in the same order as one simulator timer event per
 poll would, consuming the engine RNG identically — so traces, T2A
 samples, and deterministic metric snapshots (filtered through
 :func:`dispatch_invariant_snapshot`) are identical, and only wall-clock
-gauges plus the kernel event counters in
-:data:`DISPATCH_SENSITIVE_METRICS` may differ.
+gauges may differ.  Each poll is one kernel heap entry under either
+dispatch, so even the kernel's event counters agree.
 
 :class:`_TimerOracle` is that one-event-per-poll dispatch, kept here as
 the reference: :func:`dispatching_with` builds engines with it in place
@@ -46,22 +46,12 @@ from repro.testbed.workload import FleetWorld
 
 from tests.helpers import build_engine_world, install_ping_applet
 
-#: Kernel metrics that legitimately differ between the heap scheduler
-#: and the oracle: one wake event fires a whole *batch* of due polls
-#: where the oracle fires one event per poll, so raw simulator event
-#: counts diverge even though every poll, RNG draw, trace record, and
-#: engine metric is identical.  Within one dispatch they are fully
-#: deterministic and stay in ``deterministic_snapshot``.
-DISPATCH_SENSITIVE_METRICS = frozenset({"sim.events_fired", "sim.runs"})
-
-
 def dispatch_invariant_snapshot(metrics) -> dict:
-    """A registry snapshot minus wall-clock and dispatch-sensitive metrics."""
-    excluded = WALLCLOCK_METRICS | DISPATCH_SENSITIVE_METRICS
+    """A registry snapshot minus the wall-clock metrics."""
     return {
         "metrics": [
             entry for entry in metrics.snapshot()["metrics"]
-            if entry["name"] not in excluded
+            if entry["name"] not in WALLCLOCK_METRICS
         ]
     }
 
@@ -147,17 +137,18 @@ class TestFactoryAndConfig:
 
 
 class TestHeapSchedulerSemantics:
-    def test_same_instant_polls_batch_under_one_wake(self):
+    def test_same_instant_polls_fire_in_scheduling_order(self):
         engine = StubEngine()
         runtimes = [engine.add_runtime(i) for i in range(50)]
         for runtime in runtimes:
             engine._scheduler.schedule(runtime, 5.0)
+        assert engine._scheduler.stats()["live_entries"] == engine.sim.pending == 50
         engine.sim.run()
         stats = engine._scheduler.stats()
         assert set(stats) == {"heap_entries", "live_entries", "stale_entries",
                               "compactions", "wakes", "batched_polls"}
-        assert stats["wakes"] == 1
-        assert stats["batched_polls"] == 50
+        # one kernel entry per poll: every fire dispatches exactly one
+        assert stats["wakes"] == stats["batched_polls"] == engine.sim.fired_count == 50
         # FIFO within the instant: scheduling order is firing order
         assert engine.fired == [(5.0, i) for i in range(50)]
 
@@ -179,16 +170,19 @@ class TestHeapSchedulerSemantics:
         assert engine.fired == [(2.0, 1)]
         stats = engine._scheduler.stats()
         assert stats["stale_entries"] == 0  # stale entry consumed on pop
+        assert engine.sim.fired_count == 1  # and never fired
 
     def test_cancel_is_lazy_and_accounted(self):
         engine = StubEngine()
         runtime = engine.add_runtime(1)
         engine._scheduler.schedule(runtime, 3.0)
         engine._scheduler.cancel(runtime)
-        assert engine._scheduler.stats()["stale_entries"] == 1
-        assert engine._scheduler.pending_polls() == 0
+        stats = engine._scheduler.stats()
+        assert (stats["stale_entries"], stats["live_entries"]) == (1, 0)
+        assert (engine.sim.pending, engine.sim._dead) == (0, 1)
         engine.sim.run()
-        assert engine.fired == []  # the wake is a no-op
+        assert engine.fired == []  # the dead entry is skipped, not fired
+        assert engine.sim.fired_count == 0
         assert engine._scheduler.stats()["stale_entries"] == 0
 
     def test_wake_pulled_earlier_by_nearer_poll(self):
@@ -257,28 +251,24 @@ class TestFleetEquivalence:
         assert len(heap["polls"]) > 200
         assert heap["snapshot"] == oracle["snapshot"]
 
-    def test_dispatch_sensitive_metrics_are_the_only_kernel_delta(self):
-        # the full (unfiltered) snapshots may differ ONLY on the
-        # documented kernel counters + wall-clock gauges
+    def test_full_snapshots_differ_only_in_wallclock_gauges(self):
+        # the full (unfiltered) snapshots may differ ONLY on wall-clock
+        # gauges: the kernel counters agree too
         results = {}
         for scheduler in (HeapPollScheduler, _TimerOracle):
             with dispatching_with(scheduler):
                 world = FleetWorld(40, engine_config=fleet_config(), seed=9)
                 world.run_publications(publications=1, spacing=150.0)
             results[scheduler] = world.metrics.snapshot()
-        excluded = WALLCLOCK_METRICS | DISPATCH_SENSITIVE_METRICS
+        heap, oracle = results[HeapPollScheduler]["metrics"], results[_TimerOracle]["metrics"]
+        assert [entry["name"] for entry in heap] == [entry["name"] for entry in oracle]
         differing = {
             heap_entry["name"]
-            for heap_entry, oracle_entry in zip(
-                results[HeapPollScheduler]["metrics"], results[_TimerOracle]["metrics"]
-            )
+            for heap_entry, oracle_entry in zip(heap, oracle)
             if heap_entry != oracle_entry
         }
-        assert differing <= excluded
-        # and the kernel counters DO differ (one wake fires many polls),
-        # proving the filter earns its keep
-        heap_names = {e["name"] for e in results[HeapPollScheduler]["metrics"]}
-        assert "sim.events_fired" in heap_names
+        assert differing <= WALLCLOCK_METRICS
+        assert "sim.events_fired" in {entry["name"] for entry in heap}
 
 
 # -- sharded equivalence --------------------------------------------------------
@@ -291,13 +281,11 @@ def run_sharded(scheduler, strategy: str, seed: int = 11):
     metrics = MetricsRegistry()
     sim.metrics = metrics
     net = Network(sim, rng.fork("network"), metrics=metrics)
-    # Jittered (continuous) poll times: cross-shard simultaneous polls
-    # would batch per shard under the heap scheduler and interleave
-    # globally under the oracle, which is an equally valid order but
-    # changes what shared order-sensitive state (the float sum of a
-    # net.* histogram) observes.  Continuous times make exact cross-shard ties
-    # measure-zero, so both dispatches produce the same global order —
-    # the property under test.
+    # Jittered (continuous) poll times: exact cross-shard ties are
+    # measure-zero, so the global order is the polls' own and not the
+    # tie rule's — the property under test is that both dispatches
+    # produce it, down to what shared order-sensitive state (the float
+    # sum of a net.* histogram) observes.
     config = EngineConfig(
         poll_policy=ProductionPollingPolicy(median=8.0, sigma=0.4, minimum=2.0),
         initial_poll_delay=0.5,

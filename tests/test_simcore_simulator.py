@@ -185,11 +185,14 @@ FAR_FUTURE = 10_000.0
 class _KernelRun:
     """One random schedule driven through a Simulator beside a naive oracle.
 
-    The oracle is a second lazy-deletion heap of ``(time, priority,
-    schedule order)`` keys that is never compacted; every callback checks
-    that the simulator fired exactly the oracle's next live event.  All
-    cancels go through :meth:`cancel`, which keeps the test's own live
-    count and spots compactions (a cancel shrinks the heap only then).
+    Half the priority-0 entries are ``call_at`` entries (one argument, no
+    ``Event``, cancelled by their ``seq``), mixed with events in the one
+    heap.  The oracle is a second lazy-deletion heap of ``(time,
+    priority, schedule order)`` keys that is never compacted; every
+    callback checks that the simulator fired exactly the oracle's next
+    live entry.  All cancels go through :meth:`cancel`, which keeps the
+    test's own live count and spots compactions (a cancel shrinks the
+    heap only then).
     """
 
     def __init__(self, seed: int, initial: int = 1500, budget: int = 16000) -> None:
@@ -197,7 +200,8 @@ class _KernelRun:
         self.sim = Simulator()
         self.budget = budget
         self.oracle = []  # (time, priority, ident): ident is schedule order
-        self.events = []  # ident -> Event
+        self.events = []  # ident -> Event, or a call_at entry's seq
+        self.times = []  # ident -> due time
         self.state = []  # ident -> PENDING / FIRED / CANCELED
         self.fired = []
         self.live = 0
@@ -218,16 +222,28 @@ class _KernelRun:
         ident = len(self.events)
         if priority is None:
             priority = self.rnd.choice((-1, 0, 0, 1))
-        event = self.sim.schedule(delay, self.on_fire, ident, behaviour, priority=priority)
-        heapq.heappush(self.oracle, (event.time, priority, ident))
-        self.events.append(event)
+        when = self.sim.now + delay
+        if priority == 0 and self.rnd.random() < 0.5:
+            handle = self.sim.call_at(when, self.on_call, (ident, behaviour))
+        else:
+            handle = self.sim.schedule(delay, self.on_fire, ident, behaviour, priority=priority)
+            assert handle.time == when
+        heapq.heappush(self.oracle, (when, priority, ident))
+        self.events.append(handle)
+        self.times.append(when)
         self.state.append(PENDING)
         self.live += 1
         return ident
 
     def cancel(self, ident: int) -> None:
         entries = len(self.sim._heap)
-        self.events[ident].cancel()
+        handle = self.events[ident]
+        if isinstance(handle, int):
+            # a call's seq is a handle only while the call is live
+            if self.state[ident] == PENDING:
+                self.sim.cancel_call(handle)
+        else:
+            handle.cancel()
         if self.state[ident] == PENDING:
             self.state[ident] = CANCELED
             self.live -= 1
@@ -251,11 +267,14 @@ class _KernelRun:
         assert self.sim._dead == len(self.sim._heap) - scan
         self.check_counters()
 
+    def on_call(self, args) -> None:
+        self.on_fire(*args)
+
     def on_fire(self, ident: int, behaviour) -> None:
         sim, rnd = self.sim, self.rnd
         when, priority, expected = heapq.heappop(self.oracle) if self.next_live() else (None,) * 3
         assert ident == expected, "fired out of (time, priority, schedule) order"
-        assert sim.now == when == self.events[ident].time >= self.clock
+        assert sim.now == when == self.times[ident] >= self.clock
         self.clock = when
         self.state[ident] = FIRED
         self.fired.append(ident)
@@ -330,3 +349,40 @@ class TestKernelProperty:
         assert sim.run() == 0
         assert sim._heap == []
         assert sim.now == run.clock < FAR_FUTURE
+        # (iv) call_at entries were fired and cancelled among the events,
+        # and no dead one is left on the kernel's books
+        calls = [ident for ident, handle in enumerate(run.events) if isinstance(handle, int)]
+        assert {run.state[ident] for ident in calls} == {FIRED, CANCELED}
+        assert sim._dead_calls == set()
+
+
+class TestCallAt:
+    def test_fires_its_one_argument_in_scheduling_order_among_events(self, sim):
+        order = []
+        sim.call_at(2.0, order.append, "call-2")
+        sim.schedule(1.0, order.append, "event-1")
+        seq = sim.call_at(1.0, order.append, "call-1")
+        sim.schedule_at(1.0, order.append, "event-1b")
+        assert isinstance(seq, int) and sim.pending == 4
+        assert sim.peek_time() == 1.0
+        assert sim.run() == 4
+        assert order == ["event-1", "call-1", "event-1b", "call-2"]
+
+    def test_a_cancelled_call_is_skipped_and_counted_dead(self, sim):
+        fired = []
+        dead = sim.call_at(1.0, fired.append, "dead")
+        sim.call_at(2.0, fired.append, "live")
+        sim.cancel_call(dead)
+        assert (sim.pending, sim._dead, live_scan(sim)) == (1, 1, 1)
+        assert sim.peek_time() == 2.0  # the dead entry is dropped from the top
+        assert (sim._dead, sim._dead_calls) == (0, set())
+        assert sim.step() is True
+        assert fired == ["live"] and sim.now == 2.0
+        assert sim.step() is False
+
+    def test_refuses_the_past_and_nan(self, sim):
+        sim.run_until(5.0)
+        for when in (4.0, float("nan")):
+            with pytest.raises(SimulationError):
+                sim.call_at(when, print, None)
+        assert sim.pending == 0

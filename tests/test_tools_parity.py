@@ -176,6 +176,44 @@ class TestExpect:
         assert not parity.judge(a, b, "parity-check", declared)
         assert "smoke: DRIFT (results.json: cells.0.n)" in capsys.readouterr().out
 
+    def test_one_metric_is_named_alike_in_every_artifact_kind(self, tmp_path, capsys):
+        def counter(name, value):
+            return {"labels": {}, "name": name, "type": "counter", "value": value}
+
+        def files(fired, polls, runs):
+            return {
+                "hint-s1/snapshot.jsonl": tuple(
+                    json.dumps(counter("sim.events_fired", f)) + "\n"
+                    + json.dumps(counter("engine.polls_sent", polls)) for f in fired),
+                "shapes/cells/cell_0000.json": tuple(json.dumps({"snapshots": [{"snapshot": {
+                    "metrics": [counter("sim.events_fired", f), counter("sim.runs", 3)]}}]})
+                    for f in fired),
+                "t2a-A5-official/summary.txt": tuple(
+                    f"sim.events_fired  counter  {f}\nsim.runs  counter  {r}\n"
+                    for f, r in zip(fired, runs)),
+            }
+
+        declared = [("*", "sim.events_fired counter.value")]
+        a, b = _sides(tmp_path, files((678, 618), 5, (10, 10)))
+        assert parity.judge(a, b, "parity-check", declared)
+        out = capsys.readouterr().out
+        assert out.count("drift only as declared: sim.events_fired counter.value") == 3
+        # any other metric that moves is still named: in a snapshot line
+        # and in a table row
+        a, b = _sides(tmp_path / "other", files((678, 618), 5, (10, 11)))
+        assert not parity.judge(a, b, "parity-check", declared)
+        assert "t2a-A5-official: DRIFT (summary.txt: line 2 '10' vs '11')" in (
+            capsys.readouterr().out
+        )
+        a, b = _sides(tmp_path / "polls", {
+            name: (texts[0], texts[1].replace('"value": 5', '"value": 6'))
+            for name, texts in files((678, 618), 5, (10, 10)).items()
+        })
+        assert not parity.judge(a, b, "parity-check", declared)
+        assert "hint-s1: DRIFT (snapshot.jsonl: line 2 (engine.polls_sent) value)" in (
+            capsys.readouterr().out
+        )
+
     def test_expect_needs_a_ref(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             parity.main(["--expect", os.path.join(ROOT, "DRIFT.json")], table=(STABLE,))

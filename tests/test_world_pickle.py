@@ -18,6 +18,7 @@ from dataclasses import astuple
 
 import pytest
 
+from repro.engine import EngineConfig
 from repro.obs.metrics import deterministic_snapshot, snapshot_to_json_lines
 from repro.testbed import DailyScenario, Testbed, TestbedConfig, TestController
 from repro.testbed.chaos import (
@@ -122,6 +123,31 @@ def test_fleet_world_round_trip_across_publication():
     assert copy.action_times == world.action_times
     assert copy.engine.stats() == world.engine.stats()
     assert _lines(copy.metrics) == _lines(world.metrics)
+    assert _trace_tuples(copy.trace) == _trace_tuples(world.trace)
+
+
+def test_a_hint_superseded_poll_stays_dead_across_a_round_trip():
+    """A hint pulls applets' polls earlier and leaves each superseded
+    entry dead in the kernel heap.  Pickled before those entries
+    surface, the copy still skips every one of them: it polls, fires
+    and records exactly what the original does."""
+    config = EngineConfig(realtime_allowlist=None, initial_poll_jitter=30.0)
+    world = FleetWorld(40, engine_config=config, realtime=True, seed=7)
+    start = world.sim.now
+    world.publish("photo-0")
+    while not world.sim._dead_calls:  # until the hint has superseded polls
+        assert world.sim.step()
+    stats = world.engine.poll_dispatch_stats()
+    assert stats["stale_entries"] > 0
+    copy = _round_trip(world)
+    assert copy.sim._dead_calls == world.sim._dead_calls
+    assert copy.engine.poll_dispatch_stats() == stats
+    for run in (world, copy):
+        run.sim.run_until(start + 1800.0)  # past every superseded entry's time
+    assert world.engine.poll_dispatch_stats()["stale_entries"] == 0
+    assert copy.engine.poll_dispatch_stats() == world.engine.poll_dispatch_stats()
+    assert copy.sim.fired_count == world.sim.fired_count
+    assert copy.engine.stats() == world.engine.stats()
     assert _trace_tuples(copy.trace) == _trace_tuples(world.trace)
 
 

@@ -41,9 +41,17 @@ depends on the artifact:
   standing for any one key or list index, e.g. ``cells.*.t2a_quartiles``;
 * anything else, read as text: a ``name=value`` token, as the words
   before the line's first such token and ``.name``, e.g. ``*
-  histogram.p50`` for a metrics-table row.  Such a text compares token
-  by token, because a table pads every row (and its ``---`` rule) to
-  its widest value.
+  histogram.p50`` for a metrics-table row; on a line without one, its
+  last token, as the words before it and ``.value``.  Such a text
+  compares token by token, because a table pads every row (and its
+  ``---`` rule) to its widest value.
+
+One metric is named the same way in all three: a metric entry (a dict
+with a ``name`` and a ``type``, a ``.jsonl`` line or one inside a
+``.json``) also offers each key as ``<name> <type>.<key>``, and a
+metrics-table row reads ``<name> <type>.value``, so ``sim.events_fired
+counter.value`` is that one counter in a snapshot, a cell file and a
+printed table alike.
 
 An artifact no field covers stays byte-compared; one that a field covers
 must equal BASE's once the declared fields are set aside, and every
@@ -70,7 +78,7 @@ import tarfile
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from fnmatch import fnmatchcase
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FINGERPRINT_SEEDS = ("7", "11")
@@ -264,12 +272,30 @@ def _mask(value: Any, path: str, fields: Sequence[str], where: str, seen: Dict) 
             seen.setdefault(field, {})[where + path] = value
             return DECLARED
     if isinstance(value, dict):
-        return {key: _mask(item, f"{path}.{key}" if path else key, fields, where, seen)
-                for key, item in value.items()}
+        return _mask_entry(value, lambda key: f"{path}.{key}" if path else key,
+                           fields, where, seen)
     if isinstance(value, list):
         return [_mask(item, f"{path}.{index}" if path else str(index), fields, where, seen)
                 for index, item in enumerate(value)]
     return value
+
+
+def _mask_entry(entry: Dict, path_of: Callable[[str], str], fields: Sequence[str],
+                where: str, seen: Dict) -> Dict:
+    """A dict masked key by key, each key at ``path_of(key)``; a metric
+    entry's key also at ``<name> <type>.<key>``."""
+    name, kind = entry.get("name"), entry.get("type")
+    masked_entry = {}
+    for key, item in entry.items():
+        if isinstance(name, str) and isinstance(kind, str):
+            label = f"{name} {kind}.{key}"
+            field = next((field for field in fields if fnmatchcase(label, field)), None)
+            if field is not None:
+                seen.setdefault(field, {})[where + label] = item
+                masked_entry[key] = DECLARED
+                continue
+        masked_entry[key] = _mask(item, path_of(key), fields, where, seen)
+    return masked_entry
 
 
 #: A text artifact's ``name=value`` token (a metric name with labels,
@@ -280,18 +306,23 @@ NAME_VALUE = re.compile(r"([\w.]+)=(.*)")
 def _text_line(raw: str, line: int, fields: Sequence[str], seen: Dict) -> List[str]:
     """One line of a text artifact as tokens, masked: a ``name=value``
     token's path is the words before the line's first such token, then
-    ``.name`` (``engine.t2a_seconds histogram.p50``)."""
+    ``.name`` (``engine.t2a_seconds histogram.p50``); on a line without
+    one, the last token's path is the words before it, then ``.value``
+    (``sim.events_fired counter.value``)."""
     tokens = raw.split()
-    pairs = [NAME_VALUE.fullmatch(token) for token in tokens]
+    parts = [NAME_VALUE.fullmatch(token) for token in tokens]
+    pairs: List[Optional[Tuple[str, str]]] = [part and (part[1], part[2]) for part in parts]
+    if len(tokens) > 1 and not any(pairs) and tokens[-1].strip("-"):
+        pairs[-1] = ("value", tokens[-1])
     lead = " ".join(tokens[:next((i for i, pair in enumerate(pairs) if pair), len(tokens))])
     out = []
     for token, pair in zip(tokens, pairs):
         if pair:
-            path = f"{lead}.{pair[1]}" if lead else pair[1]
+            path = f"{lead}.{pair[0]}" if lead else pair[0]
             field = next((field for field in fields if fnmatchcase(path, field)), None)
             if field is not None:
-                seen.setdefault(field, {})[f"line {line} {path}"] = pair[2]
-                token = f"{pair[1]}={DECLARED}"
+                seen.setdefault(field, {})[f"line {line} {path}"] = pair[1]
+                token = f"{pair[0]}={DECLARED}"
         out.append(token if token.strip("-") else "-")  # a rule is as wide as its column
     return out
 
@@ -306,10 +337,9 @@ def masked(name: str, data: bytes, fields: Sequence[str]) -> Tuple[List[Tuple[st
         for line, raw in enumerate(text.splitlines(), 1):
             entry = json.loads(raw)
             where = f"line {line} ({entry.get('name')}) "
-            records.append((where, {
-                key: _mask(value, f"{entry.get('type')}.{key}", fields, where, seen)
-                for key, value in entry.items()
-            }))
+            records.append((where, _mask_entry(
+                entry, lambda key: f"{entry.get('type')}.{key}", fields, where, seen
+            )))
         return records, seen
     if name.endswith(".json"):
         return [("", _mask(json.loads(text), "", fields, "", seen))], seen
